@@ -45,7 +45,6 @@ from .lifelaw import (
     Tabulated,
     compound_params,
     phi,
-    sample_individual,
     summarize,
 )
 from .limitlaw import (
@@ -102,7 +101,7 @@ __all__ = [
     # model building blocks
     "OffspringPMF", "phi", "FiniteLife", "QuadraticTailLife", "Tabulated",
     "BellmanHarris", "Sevastyanov", "DelayedDeath", "ModelSummary",
-    "compound_params", "summarize", "sample_individual",
+    "compound_params", "summarize",
     # exact recursions
     "FddSpec", "ExtinctionTable", "extinction_seq", "fdd_pgf", "conditional_pgf",
     "ConditionalPmf", "conditional_pmf", "g_factor", "weighted_survival_limit",

@@ -60,16 +60,23 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _number(parse, raw):
+    try:
+        return parse(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{raw!r} is not a valid {parse.__name__}") from None
+
+
 def _ints(raw) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [int(v) for v in raw]
-    return [int(v) for v in str(raw).split(",") if v != ""]
+    if not isinstance(raw, (list, tuple)):
+        raw = [v for v in str(raw).split(",") if v != ""]
+    return [_number(int, v) for v in raw]
 
 
 def _floats(raw) -> list:
-    if isinstance(raw, (list, tuple)):
-        return [float(v) for v in raw]
-    return [float(v) for v in str(raw).split(",") if v != ""]
+    if not isinstance(raw, (list, tuple)):
+        raw = [v for v in str(raw).split(",") if v != ""]
+    return [_number(float, v) for v in raw]
 
 
 class _Run:
@@ -80,11 +87,13 @@ class _Run:
         self.values: dict = {}
         cfg_path = getattr(args, "config", None)
         if cfg_path:
-            with open(cfg_path, "r", encoding="utf-8") as fh:
-                try:
+            try:
+                with open(cfg_path, "r", encoding="utf-8") as fh:
                     cfg = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{cfg_path}: invalid JSON ({exc})") from None
+            except OSError as exc:
+                raise ConfigError(f"cannot read config: {exc}") from None
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{cfg_path}: invalid JSON ({exc})") from None
             if not isinstance(cfg, dict):
                 raise ConfigError(f"{cfg_path}: config must be an object")
             echoed = cfg.get("command")
@@ -268,9 +277,9 @@ def _cmd_limit(run: _Run) -> int:
 
 
 def _cmd_figure1(run: _Run) -> int:
-    c = float(run.require("c"))
-    step = float(run.get("grid", 0.01))
-    y_max = float(run.get("y_max", 4.0))
+    c = _number(float, run.require("c"))
+    step = _number(float, run.get("grid", 0.01))
+    y_max = _number(float, run.get("y_max", 4.0))
     data = figure1_data(c, step=step, y_max=y_max)
     p = LimitParams(c)
     print(f"c={_fmt(c)} rows={data.shape[0]} density_jump_at_1={_fmt(law_T(p).density_jump())}")

@@ -10,16 +10,35 @@ satisfies
 
 where a query time that has gone negative simply drops out.  Since every
 shift moves all times in lockstep, the memo is one-dimensional: index by
-u = time remaining until the last query.  Weights may be scalars or
-series variables; the series path reuses the same segment walk with
-coefficient arrays in place of floats.
+u = time remaining until the last query.
+
+One DP, `_dp`, runs this recursion for every model variant.  Between two
+consecutive lags t_k - t_i the founder's lives split into the same
+segments at every step (the segments of which query times it outlives),
+so the segment layout is worked out once per phase.  Two kernels walk it:
+
+- children born at death (Bellman-Harris, Sevastyanov): each segment is
+  one contiguous dot of a life x offspring matrix M[l, r] against
+  per-step compositions P[u, r].  Bellman-Harris is rank 1, M[l] = P(L = l)
+  and P[u] = f(G[u]) for the offspring pgf f; Sevastyanov keeps the
+  offspring law by life, M[l, n] = P(L = l, N = n) against the power
+  table P[u, n] = G[u]^n.
+- scheduled atoms (Tabulated, DelayedDeath): each atom multiplies G at
+  its birth ages, and its alive term sums P(L in segment) over the
+  segments.
+
+Weights may be scalars or series variables.  Coefficients then have shape
+(cap+1,)*nvars in the truncated series ring, and shape () is the scalar
+case: the same walk runs with floats or with coefficient arrays.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -40,7 +59,7 @@ from .lifelaw import (
     Tabulated,
     summarize,
 )
-from .series import dense_mul, total_degree_mask
+from .series import dense_mul, monomial, poly_of_series, shift_monomial
 
 _SERIES_BUDGET = 1 << 23  # floats held by one series DP table
 
@@ -87,8 +106,108 @@ class FddSpec:
 
 
 # ---------------------------------------------------------------------------
-# shared pieces
+# coefficient rings: floats, or flat truncated series
 # ---------------------------------------------------------------------------
+
+
+def _horner(coef, x):
+    r = 0.0
+    for c in reversed(coef):
+        r = r * x + c
+    return r
+
+
+class _Floats:
+    """Scalar coefficients, the ring of the DP at coefficient shape ()."""
+
+    shape = ()
+    row = ()
+    mul = staticmethod(operator.mul)
+    poly = staticmethod(_horner)
+
+    @staticmethod
+    def powers(x, n: int):
+        return x ** np.arange(n)
+
+    @staticmethod
+    def monomial(scal: float, var_idx) -> float:
+        return scal
+
+
+class _Series:
+    """Coefficient arrays over z-exponents of shape (cap+1,)*nvars,
+    truncated at total degree cap.  They are kept flat so that a DP table
+    row is one vector; the series ops see them in their own shape."""
+
+    def __init__(self, nvars: int, cap: int):
+        self.nvars = nvars
+        self.cap = cap
+        self.shape = (cap + 1,) * nvars
+        self.row = (math.prod(self.shape),)
+
+    def _exps(self, var_idx) -> list:
+        return [var_idx.count(i) for i in range(self.nvars)]
+
+    def mul(self, a, b):
+        return dense_mul(a.reshape(self.shape), b.reshape(self.shape), self.cap).ravel()
+
+    def poly(self, coef, x):
+        return poly_of_series(coef, x.reshape(self.shape), self.cap).ravel()
+
+    def powers(self, x, n: int) -> list:
+        out = [self.monomial(1.0, ()), x][:n]
+        while len(out) < n:
+            out.append(self.mul(out[-1], x))
+        return out
+
+    def monomial(self, scal: float, var_idx):
+        return monomial(scal, self._exps(var_idx), self.cap).ravel()
+
+    def shift(self, x, var_idx):
+        return shift_monomial(x.reshape(self.shape), self._exps(var_idx), self.cap).ravel()
+
+
+# ---------------------------------------------------------------------------
+# the segment walk
+# ---------------------------------------------------------------------------
+
+
+def _table(rows, ring) -> np.ndarray:
+    """Zeros of shape rows + ring.row, within the budget for series tables."""
+    size = math.prod(rows) * math.prod(ring.row)
+    if ring.row and size > _SERIES_BUDGET:
+        raise CapTooLarge(f"series table of {size} coefficients exceeds the budget of {_SERIES_BUDGET}")
+    return np.zeros((*rows, *ring.row))
+
+
+def _walk_segments(acts, u):
+    """Segment layout shared by every step of the phase that starts at u.
+
+    acts holds (lag_i, z_i) in time order, lag_i = t_k - t_i.  Coordinate
+    i is active at steps u' >= lag_i, and a founder of life l is alive at
+    it iff l > u' - lag_i.  A phase runs from one lag to the next, so its
+    active coordinates are fixed.  Segment (lo, hi, scal, var_idx) covers
+    lives l = u' - m for m in [lo, hi) (hi None: up to u'); those founders
+    are alive at the coordinates before it, which weigh scal times the
+    variables var_idx.  Weight-0 and empty segments are dropped.  Also
+    returns the full prefix (scal, var_idx), for a founder alive at every
+    coordinate.
+    """
+    segs = []
+    scal = 1.0
+    var_idx: tuple = ()
+    hi = None
+    for lag, z in acts:
+        if lag > u:
+            continue
+        if scal != 0.0 and hi != lag:
+            segs.append((lag, hi, scal, var_idx))
+        if isinstance(z, _Var):
+            var_idx = var_idx + (z.index,)
+        else:
+            scal *= z
+        hi = lag
+    return segs, (scal, var_idx)
 
 
 def _life_tables(life, t_max: int):
@@ -98,36 +217,40 @@ def _life_tables(life, t_max: int):
     return pmf, surv
 
 
-def _activation(times, weights):
-    """Per-coordinate activation order for the segment walk.
-
-    Coordinate i contributes once u >= lag_i, with lag_i = t_k - t_i, and
-    its threshold at index u is then v_i = u - lag_i.
+def _birth_at_death(model, t_max: int, ring):
+    """Kernel of Bellman-Harris and Sevastyanov: every child is born when
+    the founder dies, so a segment of lives contributes
+    sum_l M[l] . P[u - l], one contiguous dot (see the module docstring).
     """
-    t_last = times[-1]
-    return [(t_last - t, w) for t, w in zip(times, weights)]
-
-
-def _scheduled_atoms(model, t_max: int):
-    """Normalize Tabulated/DelayedDeath to (prob, ages, survival-of-L)."""
-    atoms = []
-    if isinstance(model, Tabulated):
-        for prob, ages, life in model.atoms:
-            atoms.append((prob, ages, _step_survival(life)))
+    if isinstance(model, BellmanHarris):
+        M, surv = _life_tables(model.life, t_max)
+        compose = partial(ring.poly, model.offspring.probs)
     else:
-        residual = model.residual
-        for prob, ages in model.schedules:
-            last = ages[-1] if ages else 0
-            atoms.append((prob, ages, _shifted_survival(residual, last)))
-    return atoms
+        M, surv = _sevastyanov_rows(model, t_max)
+        compose = partial(ring.powers, n=M.shape[1])
+    R = M[0].size
+    Mr = np.ascontiguousarray(M[::-1]).ravel()  # Mr[(t_max - l)*R + r] = M[l, r]
+    P = _table((t_max + 1, *M.shape[1:]), ring)  # P[u'] pairs with M[l]
+    Pf = P.reshape((t_max + 1) * R, *ring.row)
+    surv = surv.tolist()
 
+    def walk(G, u0, u1, segs, prefix):
+        segs = [(lo * R, None if hi is None else hi * R, s, v) for lo, hi, s, v in segs]
+        unit = ring.monomial(*prefix)
+        for u in range(u0, u1):
+            off = (t_max - u) * R
+            total = 0.0
+            for lo, hi, scal, var_idx in segs:
+                if hi is None:
+                    hi = u * R
+                block = np.dot(Mr[off + lo : off + hi], Pf[lo:hi])
+                if var_idx:
+                    block = ring.shift(block, var_idx)
+                total += scal * block
+            G[u] = g = total + surv[u] * unit
+            P[u] = compose(g)
 
-def _step_survival(life: int):
-    return lambda u: 1.0 if life > u else 0.0
-
-
-def _shifted_survival(residual, last: int):
-    return lambda u: 1.0 if u <= last else residual.survival(u - last)
+    return walk
 
 
 def _sevastyanov_rows(model: Sevastyanov, t_max: int):
@@ -141,276 +264,75 @@ def _sevastyanov_rows(model: Sevastyanov, t_max: int):
     M = np.zeros((t_max + 1, width))
     for l, law in laws.items():
         M[l, : len(law.probs)] = pmf[l] * np.asarray(law.probs)
-    return M, surv, width
+    return M, surv
 
 
-# ---------------------------------------------------------------------------
-# scalar DP
-# ---------------------------------------------------------------------------
-
-
-def _scalar_dp(model: LifeLaw, times, weights) -> np.ndarray:
-    """G[u] for u = 0..t_k; the pgf at the given times is G[t_k]."""
-    if isinstance(model, BellmanHarris):
-        return _scalar_birth_at_death(model, times, weights, sevastyanov=False)
-    if isinstance(model, Sevastyanov):
-        return _scalar_birth_at_death(model, times, weights, sevastyanov=True)
-    if isinstance(model, (Tabulated, DelayedDeath)):
-        return _scalar_scheduled(model, times, weights)
-    raise UnsupportedModel(f"no DP path for {type(model).__name__}")
-
-
-def _horner(coef, x: float) -> float:
-    r = 0.0
-    for c in reversed(coef):
-        r = r * x + c
-    return r
-
-
-def _scalar_birth_at_death(model, times, weights, sevastyanov: bool) -> np.ndarray:
-    t_max = times[-1]
-    acts = _activation(times, weights)
-    if sevastyanov:
-        M, surv, width = _sevastyanov_rows(model, t_max)
-        M_rev = np.ascontiguousarray(M[::-1])  # M_rev[t_max - l] = M[l]
-        exps = np.arange(width)
-        Gpow = np.empty((t_max + 1, width))
-    else:
-        pmf, surv = _life_tables(model.life, t_max)
-        pmf_rev = np.ascontiguousarray(pmf[::-1])  # pmf_rev[t_max - l] = pmf[l]
-        coef = model.offspring.probs
-        PG = np.empty(t_max + 1)
-    G = np.empty(t_max + 1)
-    for u in range(t_max + 1):
-        total = 0.0
-        prefix = 1.0
-        prev = 0
-        for lag, z in acts:
-            if u < lag:
-                continue
-            v = u - lag
-            if v > prev and prefix != 0.0:
-                if sevastyanov:
-                    total += prefix * float(np.sum(M_rev[t_max - v : t_max - prev] * Gpow[u - v : u - prev]))
-                else:
-                    total += prefix * float(np.dot(pmf_rev[t_max - v : t_max - prev], PG[u - v : u - prev]))
-            prefix *= z
-            prev = v
-        if u > prev and prefix != 0.0:
-            if sevastyanov:
-                total += prefix * float(np.sum(M_rev[t_max - u : t_max - prev] * Gpow[0 : u - prev]))
-            else:
-                total += prefix * float(np.dot(pmf_rev[t_max - u : t_max - prev], PG[0 : u - prev]))
-        G[u] = total + prefix * surv[u]
-        if sevastyanov:
-            Gpow[u] = G[u] ** exps
-        else:
-            PG[u] = _horner(coef, G[u])
-    return G
-
-
-def _scalar_scheduled(model, times, weights) -> np.ndarray:
-    t_max = times[-1]
-    acts = _activation(times, weights)
+def _scheduled(model, t_max: int, ring):
+    """Kernel of Tabulated and DelayedDeath: each atom has fixed birth
+    ages, and the founder's alive term sums P(L in segment) over the
+    segments of the walk."""
     atoms = _scheduled_atoms(model, t_max)
-    G = np.empty(t_max + 1)
-    for u in range(t_max + 1):
-        val = 0.0
-        for prob, ages, S in atoms:
-            child = 1.0
-            for tau in ages:
-                if tau > u:
-                    break
-                child *= G[u - tau]
-            alive = 0.0
-            prefix = 1.0
-            s_prev = 1.0
-            for lag, z in acts:
-                if u < lag:
-                    continue
-                s_here = S(u - lag)
-                alive += prefix * (s_prev - s_here)
-                prefix *= z
-                s_prev = s_here
-            alive += prefix * s_prev
-            val += prob * alive * child
-        G[u] = val
-    return G
+    mul = ring.mul
+
+    def walk(G, u0, u1, segs, prefix):
+        segs = [(lo, hi, ring.monomial(s, v)) for lo, hi, s, v in segs]
+        unit = ring.monomial(*prefix)
+        for u in range(u0, u1):
+            acc = 0.0
+            for prob, ages, S in atoms:
+                child = None
+                for tau in ages:
+                    if tau > u:
+                        break
+                    child = G[u - tau] if child is None else mul(child, G[u - tau])
+                alive = 0.0
+                for lo, hi, mono in segs:
+                    alive += mono * (S[0 if hi is None else u - hi] - S[u - lo])
+                alive += unit * S[u]
+                acc += prob * alive if child is None else mul(prob * alive, child)
+            G[u] = acc
+
+    return walk
 
 
-# ---------------------------------------------------------------------------
-# series DP (weights may mix scalars and variables)
-# ---------------------------------------------------------------------------
+def _scheduled_atoms(model, t_max: int):
+    """Tabulated/DelayedDeath as (prob, ages, S) with S[u] = P(L > u) for
+    the atom's life, u = 0..t_max."""
+    n = t_max + 1
+    if isinstance(model, Tabulated):
+        return [
+            (prob, ages, [1.0] * min(life, n) + [0.0] * max(n - life, 0))
+            for prob, ages, life in model.atoms
+        ]
+    _, residual = _life_tables(model.residual, t_max)
+    atoms = []
+    for prob, ages in model.schedules:
+        last = ages[-1] if ages else 0
+        S = [1.0] * min(last + 1, n) + residual[1 : max(n - last, 1)].tolist()
+        atoms.append((prob, ages, S))
+    return atoms
 
 
-def _series_budget_check(t_max: int, nvars: int, cap: int) -> tuple:
-    shape = (cap + 1,) * nvars
-    if (t_max + 1) * math.prod(shape) > _SERIES_BUDGET:
-        raise CapTooLarge(
-            f"series table of {(t_max + 1) * math.prod(shape)} coefficients "
-            f"exceeds the budget of {_SERIES_BUDGET}"
-        )
-    return shape
+def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndarray:
+    """G[u] for u = 0..t_k; the pgf at the given times is G[t_k].
 
-def _shift_monomial(arr: np.ndarray, shifts) -> np.ndarray:
-    """Multiply a coefficient array by prod z_i^{shifts[i]} (cap by slicing)."""
-    if not any(shifts):
-        return arr
-    out = np.zeros_like(arr)
-    src = tuple(slice(None, -s) if s else slice(None) for s in shifts)
-    dst = tuple(slice(s, None) if s else slice(None) for s in shifts)
-    out[dst] = arr[src]
-    return out
-
-
-def _add_monomial(arr: np.ndarray, shifts, value: float, cap: int) -> None:
-    if sum(shifts) <= cap:
-        arr[tuple(shifts)] += value
-
-
-def _poly_of_series(coef, arr: np.ndarray, cap: int) -> np.ndarray:
-    """Horner composition sum_n coef[n] * arr**n in the truncated ring."""
-    res = np.zeros_like(arr)
-    res.flat[0] = coef[-1]
-    for c in coef[-2::-1]:
-        res = dense_mul(res, arr, cap)
-        res.flat[0] += c
-    return res
-
-
-def _series_dp(model: LifeLaw, times, weights, nvars: int, cap: int) -> np.ndarray:
-    """Coefficient array (over z-variables, total degree <= cap) of the pgf."""
+    Coefficients have shape (cap+1,)*nvars over the series variables
+    among the weights (total degree <= cap); shape () is the scalar case.
+    """
     t_max = times[-1]
-    shape = _series_budget_check(t_max, nvars, cap)
-    mask = total_degree_mask(nvars, cap)
-    acts = _activation(times, weights)
-    if isinstance(model, BellmanHarris):
-        G = _series_birth_at_death(model, times, acts, shape, mask, cap)
-    elif isinstance(model, Sevastyanov):
-        G = _series_sevastyanov(model, times, acts, shape, mask, cap)
+    ring = _Series(nvars, cap) if nvars else _Floats
+    if isinstance(model, (BellmanHarris, Sevastyanov)):
+        walk = _birth_at_death(model, t_max, ring)
     elif isinstance(model, (Tabulated, DelayedDeath)):
-        G = _series_scheduled(model, times, acts, shape, mask, cap)
+        walk = _scheduled(model, t_max, ring)
     else:
         raise UnsupportedModel(f"no DP path for {type(model).__name__}")
-    return G[t_max]
-
-
-def _walk_segments(acts, u):
-    """Blocks (lo, hi, scal, var_indices) covering l in (lo, hi], plus the
-    full prefix (for the founder-survives term)."""
-    segs = []
-    scal = 1.0
-    vars_seen: tuple = ()
-    prev = 0
-    for lag, z in acts:
-        if u < lag:
-            continue
-        v = u - lag
-        if v > prev:
-            segs.append((prev, v, scal, vars_seen))
-        if isinstance(z, _Var):
-            vars_seen = vars_seen + (z.index,)
-        else:
-            scal *= z
-        prev = v
-    if u > prev:
-        segs.append((prev, u, scal, vars_seen))
-    return segs, scal, vars_seen
-
-
-def _exponents(nvars, var_indices):
-    e = [0] * nvars
-    for i in var_indices:
-        e[i] += 1
-    return e
-
-
-def _series_birth_at_death(model, times, acts, shape, mask, cap):
-    t_max = times[-1]
-    pmf, surv = _life_tables(model.life, t_max)
-    pmf_rev = np.ascontiguousarray(pmf[::-1])
-    coef = model.offspring.probs
-    G = np.zeros((t_max + 1, *shape))
-    PG = np.zeros((t_max + 1, *shape))
-    for u in range(t_max + 1):
-        arr = np.zeros(shape)
-        segs, scal_m, vars_m = _walk_segments(acts, u)
-        for lo, hi, scal, var_idx in segs:
-            if scal == 0.0:
-                continue
-            block = np.tensordot(pmf_rev[t_max - hi : t_max - lo], PG[u - hi : u - lo], axes=(0, 0))
-            arr += scal * _shift_monomial(block, _exponents(len(shape), var_idx))
-        if scal_m != 0.0:
-            _add_monomial(arr, _exponents(len(shape), vars_m), scal_m * surv[u], cap)
-        arr *= mask
-        G[u] = arr
-        PG[u] = _poly_of_series(coef, arr, cap)
-    return G
-
-
-def _series_sevastyanov(model, times, acts, shape, mask, cap):
-    # per-(u, l) composition; meant for small horizons only
-    t_max = times[-1]
-    pmf, surv = _life_tables(model.life, t_max)
-    laws = {
-        l: np.asarray(model.offspring_by_life(l).probs)
-        for l in range(1, t_max + 1)
-        if pmf[l] > 0.0
-    }
-    G = np.zeros((t_max + 1, *shape))
-    for u in range(t_max + 1):
-        arr = np.zeros(shape)
-        segs, scal_m, vars_m = _walk_segments(acts, u)
-        for lo, hi, scal, var_idx in segs:
-            if scal == 0.0:
-                continue
-            block = np.zeros(shape)
-            for l in range(lo + 1, hi + 1):
-                if pmf[l] != 0.0:
-                    block += pmf[l] * _poly_of_series(laws[l], G[u - l], cap)
-            arr += scal * _shift_monomial(block, _exponents(len(shape), var_idx))
-        if scal_m != 0.0:
-            _add_monomial(arr, _exponents(len(shape), vars_m), scal_m * surv[u], cap)
-        arr *= mask
-        G[u] = arr
-    return G
-
-
-def _series_scheduled(model, times, acts, shape, mask, cap):
-    t_max = times[-1]
-    atoms = _scheduled_atoms(model, t_max)
-    nvars = len(shape)
-    G = np.zeros((t_max + 1, *shape))
-    for u in range(t_max + 1):
-        acc = np.zeros(shape)
-        for prob, ages, S in atoms:
-            child = None
-            for tau in ages:
-                if tau > u:
-                    break
-                child = G[u - tau] if child is None else dense_mul(child, G[u - tau], cap)
-            alive = np.zeros(shape)
-            scal = 1.0
-            shifts = [0] * nvars
-            s_prev = 1.0
-            for lag, z in acts:
-                if u < lag:
-                    continue
-                s_here = S(u - lag)
-                if scal != 0.0:
-                    _add_monomial(alive, shifts, scal * (s_prev - s_here), cap)
-                if isinstance(z, _Var):
-                    shifts = list(shifts)
-                    shifts[z.index] += 1
-                else:
-                    scal *= z
-                s_prev = s_here
-            if scal != 0.0:
-                _add_monomial(alive, shifts, scal * s_prev, cap)
-            term = alive if child is None else dense_mul(alive, child, cap)
-            acc += prob * term
-        G[u] = acc * mask
-    return G
+    acts = [(t_max - t, w) for t, w in zip(times, weights)]  # (lag, weight)
+    G = _table((t_max + 1,), ring)
+    starts = sorted({lag for lag, _ in acts})
+    for u0, u1 in zip(starts, starts[1:] + [t_max + 1]):
+        walk(G, u0, u1, *_walk_segments(acts, u0))
+    return G.reshape(t_max + 1, *ring.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +364,7 @@ def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
     whole column falls out of a single run at weight 0)."""
     if t_max < 0:
         raise ConfigError("t_max must be >= 0")
-    dead = _scalar_dp(model, (t_max,), (0.0,))
+    dead = _dp(model, (t_max,), (0.0,))
     try:
         summary = summarize(model)
     except DivergentMoment:
@@ -454,11 +376,11 @@ def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:
     """E(z_1^{Z(t_1)} ... z_k^{Z(t_k)})."""
     if spec.k == 0:
         return 1.0
-    return float(_scalar_dp(model, spec.times, spec.z)[spec.times[-1]])
+    return float(_dp(model, spec.times, spec.z)[spec.times[-1]])
 
 
 def _survival_at(model: LifeLaw, t_obs: int) -> float:
-    q = 1.0 - float(_scalar_dp(model, (t_obs,), (0.0,))[t_obs])
+    q = 1.0 - float(_dp(model, (t_obs,), (0.0,))[t_obs])
     if q <= 0.0:
         raise ZeroConditioningEvent(f"Z({t_obs}) > 0 has probability 0")
     return q
@@ -487,7 +409,7 @@ def conditional_pgf(model: LifeLaw, spec: FddSpec) -> float:
     q = _survival_at(model, spec.t_obs)
     p_plain = fdd_pgf(model, spec)
     times, weights = _with_inserted_zero(spec.times, spec.z, spec.t_obs)
-    p_extinct = float(_scalar_dp(model, times, weights)[times[-1]])
+    p_extinct = float(_dp(model, times, weights)[times[-1]])
     return (p_plain - p_extinct) / q
 
 
@@ -511,9 +433,9 @@ def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
         raise ConfigError("no coordinates left to extract")
     q = _survival_at(model, spec.t_obs)
     variables = tuple(_Var(i) for i in range(k))
-    plain = _series_dp(model, spec.times, variables, k, K)
+    plain = _dp(model, spec.times, variables, k, K)[spec.times[-1]]
     times, weights = _with_inserted_zero(spec.times, variables, spec.t_obs)
-    extinct = _series_dp(model, times, weights, k, K)
+    extinct = _dp(model, times, weights, k, K)[times[-1]]
     probs = (plain - extinct) / q
     return ConditionalPmf(
         times=spec.times,
@@ -562,6 +484,9 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     z = tuple(float(v) for v in z)
     if not y or y[0] != 1.0:
         raise ConfigError("y must start at 1")
+    if z and z[0] == 1.0:
+        # FddSpec drops a weight-1 coordinate, and the limit assumes t is kept
+        raise ConfigError("z must not start at 1")
     if any(y[i] >= y[i + 1] for i in range(len(y) - 1)):
         raise ConfigError(f"fractions {y} must be strictly increasing")
     if len(y) != len(z):

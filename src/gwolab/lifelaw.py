@@ -47,8 +47,8 @@ class OffspringPMF:
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigError("offspring pmf must be a nonempty 1-d sequence")
-        if np.any(arr < 0.0):
-            raise ConfigError("offspring pmf has negative entries")
+        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+            raise ConfigError("offspring pmf entries must be finite and >= 0")
         if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
             raise ConfigError(f"offspring pmf sums to {arr.sum()!r}, not 1")
         self.probs = arr
@@ -99,8 +99,7 @@ class FiniteLife:
         for life, p in items:
             if not isinstance(life, int) or life < 1:
                 raise ConfigError(f"life length {life!r} must be an integer >= 1")
-            if p < 0.0:
-                raise ConfigError("life length pmf has negative entries")
+            _check_mass(p, "life length mass")
         total = math.fsum(p for _, p in items)
         if abs(total - 1.0) > _SUM_TOL:
             raise ConfigError(f"life length pmf sums to {total!r}, not 1")
@@ -187,6 +186,11 @@ class QuadraticTailLife:
 LifeLengthLaw = Union[FiniteLife, QuadraticTailLife]
 
 
+def _check_mass(prob: float, what: str) -> None:
+    if not math.isfinite(prob) or prob < 0.0:
+        raise ConfigError(f"{what} {prob!r} must be finite and >= 0")
+
+
 def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
     ages = tuple(int(t) for t in ages)
     if any(t < 1 for t in ages):
@@ -211,8 +215,7 @@ class Tabulated:
             raise ConfigError("tabulated law needs at least one atom")
         parsed = []
         for prob, ages, life in atoms:
-            if prob < 0.0:
-                raise ConfigError("atom probability is negative")
+            _check_mass(prob, "atom probability")
             life = int(life)
             if life < 1:
                 raise ConfigError(f"life length {life} must be >= 1")
@@ -276,8 +279,7 @@ class DelayedDeath:
             raise ConfigError("delayed-death law needs at least one schedule")
         parsed = []
         for prob, ages in schedules:
-            if prob < 0.0:
-                raise ConfigError("schedule probability is negative")
+            _check_mass(prob, "schedule probability")
             parsed.append((float(prob), _as_ages(ages)))
         total = math.fsum(p for p, _ in parsed)
         if abs(total - 1.0) > _SUM_TOL:
@@ -403,29 +405,3 @@ def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
         critical=abs(en - 1.0) <= tol,
         a_finite=True,
     )
-
-
-# ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-
-def sample_individual(model: LifeLaw, rng: np.random.Generator) -> tuple[int, tuple[int, ...]]:
-    """Draw one individual's (life length, birth ages)."""
-    if isinstance(model, Tabulated):
-        _, ages, life = model.sample_atom_from_uniform(rng.random())
-        return life, ages
-    if isinstance(model, BellmanHarris):
-        life = model.life.sample_from_uniform(rng.random())
-        n = model.offspring.sample_from_uniform(rng.random())
-        return life, (life,) * n
-    if isinstance(model, Sevastyanov):
-        life = model.life.sample_from_uniform(rng.random())
-        n = model.offspring_by_life(life).sample_from_uniform(rng.random())
-        return life, (life,) * n
-    if isinstance(model, DelayedDeath):
-        _, ages = model.sample_schedule_from_uniform(rng.random())
-        residual = model.residual.sample_from_uniform(rng.random())
-        life = (ages[-1] if ages else 0) + residual
-        return life, ages
-    raise ConfigError(f"not a life law: {model!r}")

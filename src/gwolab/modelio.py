@@ -193,11 +193,13 @@ def model_to_dict(model: LifeLaw) -> dict:
 
 
 def load_model(path: str) -> LifeLaw:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read model: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
     return model_from_dict(raw)
 
 

@@ -25,9 +25,6 @@ from scipy import signal
 
 from .errors import NonpositiveConstantTerm, ShapeMismatch
 
-# Dense ndarray storage up to this many variables, dict-of-exponents beyond.
-DENSE_MAX_VARS = 3
-
 
 @functools.lru_cache(maxsize=None)
 def total_degree_mask(nvars: int, cap: int) -> np.ndarray:
@@ -45,58 +42,67 @@ def dense_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     return np.where(total_degree_mask(a.ndim, cap), out, 0.0)
 
 
-def _sparse_mul(a: dict, b: dict, cap: int) -> dict:
-    out: dict = {}
-    adeg = [(i, sum(i), v) for i, v in a.items()]
-    bdeg = [(j, sum(j), v) for j, v in b.items()]
-    for i, di, va in adeg:
-        for j, dj, vb in bdeg:
-            if di + dj > cap:
-                continue
-            k = tuple(x + y for x, y in zip(i, j))
-            out[k] = out.get(k, 0.0) + va * vb
+def monomial(value: float, exps, cap: int) -> np.ndarray:
+    """value * prod z_i^exps[i] as a dense coefficient array (0 past the cap)."""
+    out = np.zeros((cap + 1,) * len(exps))
+    if sum(exps) <= cap:
+        out[tuple(exps)] = value
     return out
 
 
+def shift_monomial(arr: np.ndarray, exps, cap: int) -> np.ndarray:
+    """Truncated product of a dense coefficient array with prod z_i^exps[i]."""
+    out = np.zeros_like(arr)
+    if sum(exps) <= cap:
+        src = tuple(slice(0, cap + 1 - e) for e in exps)
+        dst = tuple(slice(e, cap + 1) for e in exps)
+        out[dst] = arr[src]
+    return np.where(total_degree_mask(arr.ndim, cap), out, 0.0)
+
+
+def poly_of_series(coef, arr: np.ndarray, cap: int) -> np.ndarray:
+    """Horner composition sum_n coef[n] * arr**n in the truncated ring."""
+    res = np.zeros_like(arr)
+    res.flat[0] = coef[-1]
+    for c in coef[-2::-1]:
+        res = dense_mul(res, arr, cap)
+        res.flat[0] += c
+    return res
+
+
 class TruncatedSeries:
-    """A power series in `nvars` variables, truncated at total degree `cap`."""
+    """A power series in `nvars` variables, truncated at total degree `cap`,
+    stored as a dense coefficient array of shape (cap+1,)*nvars."""
 
     __slots__ = ("nvars", "cap", "data")
 
-    def __init__(self, nvars: int, cap: int, data):
+    def __init__(self, nvars: int, cap: int, data: np.ndarray):
         if nvars < 1:
             raise ShapeMismatch("need at least one variable")
         if cap < 0:
             raise ShapeMismatch("cap must be nonnegative")
         self.nvars = nvars
         self.cap = cap
-        self.data = data  # ndarray when dense, exponent-tuple dict when sparse
+        self.data = data
 
     # -- construction -------------------------------------------------
 
     @classmethod
     def zeros(cls, nvars: int, cap: int) -> "TruncatedSeries":
-        if nvars <= DENSE_MAX_VARS:
-            return cls(nvars, cap, np.zeros((cap + 1,) * nvars))
-        return cls(nvars, cap, {})
+        return cls(nvars, cap, np.zeros((cap + 1,) * nvars))
 
     @classmethod
     def constant(cls, value: float, nvars: int, cap: int) -> "TruncatedSeries":
-        out = cls.zeros(nvars, cap)
-        out._set((0,) * nvars, float(value))
-        return out
+        return cls(nvars, cap, monomial(float(value), (0,) * nvars, cap))
 
     @classmethod
     def variable(cls, index: int, nvars: int, cap: int) -> "TruncatedSeries":
         """The monomial z_index; degenerates to 0 when cap == 0."""
         if not 0 <= index < nvars:
             raise ShapeMismatch(f"variable index {index} out of range")
-        out = cls.zeros(nvars, cap)
-        if cap >= 1:
-            idx = [0] * nvars
-            idx[index] = 1
-            out._set(tuple(idx), 1.0)
-        return out
+        exps = [0] * nvars
+        exps[index] = 1
+        return cls(nvars, cap, monomial(1.0, exps, cap))
 
     @classmethod
     def from_terms(cls, terms: Mapping[tuple, float], nvars: int, cap: int) -> "TruncatedSeries":
@@ -105,22 +111,10 @@ class TruncatedSeries:
             if len(idx) != nvars:
                 raise ShapeMismatch(f"exponent tuple {idx} has wrong length")
             if sum(idx) <= cap:
-                out._set(tuple(idx), out.coefficient(tuple(idx)) + float(coeff))
+                out.data[tuple(idx)] += float(coeff)
         return out
 
-    # -- storage helpers ----------------------------------------------
-
-    @property
-    def dense(self) -> bool:
-        return isinstance(self.data, np.ndarray)
-
-    def _set(self, idx: tuple, value: float) -> None:
-        if self.dense:
-            self.data[idx] = value
-        elif value != 0.0:
-            self.data[idx] = value
-        else:
-            self.data.pop(idx, None)
+    # -- access ---------------------------------------------------------
 
     def coefficient(self, idx: Iterable[int]) -> float:
         idx = tuple(idx)
@@ -128,26 +122,16 @@ class TruncatedSeries:
             raise ShapeMismatch(f"exponent tuple {idx} has wrong length")
         if sum(idx) > self.cap:
             return 0.0
-        if self.dense:
-            return float(self.data[idx])
-        return self.data.get(idx, 0.0)
+        return float(self.data[idx])
 
     def terms(self) -> Iterator[tuple[tuple, float]]:
         """Yield (exponents, coefficient) for the nonzero retained terms."""
-        if self.dense:
-            for idx in zip(*np.nonzero(self.data)):
-                yield tuple(int(i) for i in idx), float(self.data[idx])
-        else:
-            yield from ((idx, v) for idx, v in self.data.items() if v != 0.0)
+        for idx in zip(*np.nonzero(self.data)):
+            yield tuple(int(i) for i in idx), float(self.data[idx])
 
     def to_dense_array(self) -> np.ndarray:
         """Coefficients as an ndarray of shape (cap+1,)*nvars (copy)."""
-        if self.dense:
-            return self.data.copy()
-        out = np.zeros((self.cap + 1,) * self.nvars)
-        for idx, v in self.data.items():
-            out[idx] = v
-        return out
+        return self.data.copy()
 
     def _check(self, other: "TruncatedSeries") -> None:
         if self.nvars != other.nvars or self.cap != other.cap:
@@ -162,19 +146,12 @@ class TruncatedSeries:
         if isinstance(other, (int, float)):
             other = TruncatedSeries.constant(other, self.nvars, self.cap)
         self._check(other)
-        if self.dense:
-            return TruncatedSeries(self.nvars, self.cap, self.data + other.data)
-        out = dict(self.data)
-        for idx, v in other.data.items():
-            out[idx] = out.get(idx, 0.0) + v
-        return TruncatedSeries(self.nvars, self.cap, out)
+        return TruncatedSeries(self.nvars, self.cap, self.data + other.data)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.dense:
-            return TruncatedSeries(self.nvars, self.cap, -self.data)
-        return TruncatedSeries(self.nvars, self.cap, {i: -v for i, v in self.data.items()})
+        return TruncatedSeries(self.nvars, self.cap, -self.data)
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -186,15 +163,9 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            if self.dense:
-                return TruncatedSeries(self.nvars, self.cap, self.data * float(other))
-            return TruncatedSeries(
-                self.nvars, self.cap, {i: v * float(other) for i, v in self.data.items()}
-            )
+            return TruncatedSeries(self.nvars, self.cap, self.data * float(other))
         self._check(other)
-        if self.dense:
-            return TruncatedSeries(self.nvars, self.cap, dense_mul(self.data, other.data, self.cap))
-        return TruncatedSeries(self.nvars, self.cap, _sparse_mul(self.data, other.data, self.cap))
+        return TruncatedSeries(self.nvars, self.cap, dense_mul(self.data, other.data, self.cap))
 
     __rmul__ = __mul__
 
@@ -221,20 +192,10 @@ class TruncatedSeries:
         point = tuple(point)
         if len(point) != self.nvars:
             raise ShapeMismatch("point has wrong length")
-        if self.dense:
-            acc = self.data
-            for p in reversed(point):
-                acc = acc @ np.power(p, np.arange(self.cap + 1))
-            return float(acc)
-        return float(
-            sum(v * math.prod(p**e for p, e in zip(point, idx)) for idx, v in self.data.items())
-        )
+        acc = self.data
+        for p in reversed(point):
+            acc = acc @ np.power(p, np.arange(self.cap + 1))
+        return float(acc)
 
     def __repr__(self):
-        kind = "dense" if self.dense else "sparse"
-        return f"TruncatedSeries(nvars={self.nvars}, cap={self.cap}, {kind})"
-
-
-def sqrt_series(s: TruncatedSeries) -> TruncatedSeries:
-    """Functional alias for TruncatedSeries.sqrt."""
-    return s.sqrt()
+        return f"TruncatedSeries(nvars={self.nvars}, cap={self.cap})"

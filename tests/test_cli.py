@@ -205,6 +205,24 @@ class TestExitCodes:
     def test_missing_required_flag(self, gw_path, capsys):
         assert main(["dp", "--model", gw_path]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fdd", "--model", "{gw}", "--times", "4,x", "--z", "0.5,0.5"],
+            ["simulate", "--model", "{gw}", "--tmax", "4", "--times", "4,x",
+             "--replicates", "10", "--seed", "1"],
+            ["figure1", "--c", "abc"],
+            ["dp", "--model", "{missing}", "--tmax", "4"],
+            ["dp", "--config", "{missing}"],
+            ["limit", "--model", "{gw}", "--y", "1,2", "--z", "1,0", "--tmax", "16"],
+        ],
+        ids=["fdd_times", "simulate_times", "figure1_c", "missing_model", "missing_config", "limit_z0_one"],
+    )
+    def test_bad_input_exits_2(self, argv, gw_path, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main([a.format(gw=gw_path, missing=missing) for a in argv]) == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -339,8 +339,9 @@ class TestConditionalPmf:
         np.testing.assert_allclose(res.probs, oracle, atol=1e-12)
         assert res.probs[0] == pytest.approx(0.0, abs=1e-15)
 
-    def test_joint_against_reference_fft(self):
-        model = tabulated_mix()
+    @pytest.mark.parametrize("make", ALL_MODELS)
+    def test_joint_against_reference_fft(self, make):
+        model = make()
         K = 6
         res = conditional_pmf(model, FddSpec((2, 3), (0.0, 0.0), t_obs=3), K=K)
         atoms = expand_atoms(model, 3)
@@ -441,6 +442,8 @@ class TestConvergence:
             convergence_table(gw_binary(), (1.0, 1.0), (0.0, 0.0), (8,))
         with pytest.raises(ConfigError):
             convergence_table(gw_binary(), (1.0,), (0.0,), (0,))
+        with pytest.raises(ConfigError):
+            convergence_table(gw_binary(), (1.0, 2.0), (1.0, 0.0), (8,))
 
     def test_csv_output(self):
         fh = io.StringIO()

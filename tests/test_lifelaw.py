@@ -21,9 +21,9 @@ from gwolab.lifelaw import (
     Tabulated,
     compound_params,
     phi,
-    sample_individual,
     summarize,
 )
+from gwolab.simulator import _make_sampler, _UniformStream
 
 BINARY = OffspringPMF([0.5, 0.0, 0.5])
 
@@ -278,6 +278,27 @@ def test_tabulated_validation():
         Tabulated([(0.5, [1], 1)])  # mass missing
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OffspringPMF([NAN, 1.0]),
+        lambda: OffspringPMF([0.5, 0.0, NAN]),
+        lambda: OffspringPMF([INF, 1.0]),
+        lambda: FiniteLife({1: NAN, 2: 1.0}),
+        lambda: Tabulated([(NAN, [1], 2), (1.0, [], 1)]),
+        lambda: DelayedDeath([(NAN, [1]), (1.0, [])], FiniteLife({1: 1.0})),
+    ],
+    ids=["offspring_nan", "offspring_nan_last", "offspring_inf", "finite_life", "tabulated", "delayed_death"],
+)
+def test_non_finite_masses_rejected(build):
+    with pytest.raises(ConfigError):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -293,9 +314,10 @@ SAMPLING_MODELS = [
 
 @pytest.mark.parametrize("model", SAMPLING_MODELS, ids=lambda m: type(m).__name__)
 def test_sample_ordering_invariant(model):
-    rng = np.random.default_rng(11)
+    draw = _make_sampler(model)
+    u = _UniformStream(np.random.default_rng(11))
     for _ in range(4000):
-        life, ages = sample_individual(model, rng)
+        life, ages = draw(u)
         assert life >= 1
         assert all(1 <= t <= life for t in ages)
         assert list(ages) == sorted(ages)
@@ -314,13 +336,14 @@ def test_quadratic_tail_sampling_frequency():
 def test_monte_carlo_moments_match_summary():
     model = BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.3, 0.4, 0.3]))
     s = summarize(model)
-    rng = np.random.default_rng(20240817)
+    draw = _make_sampler(model)
+    u = _UniformStream(np.random.default_rng(20240817))
     n = 1_000_000
     ns = np.empty(n)
     ls = np.empty(n)
     taus = np.empty(n)
     for i in range(n):
-        life, ages = sample_individual(model, rng)
+        life, ages = draw(u)
         ns[i] = len(ages)
         ls[i] = life
         taus[i] = sum(ages)
@@ -332,8 +355,9 @@ def test_monte_carlo_moments_match_summary():
 
 def test_delayed_death_life_extends_schedule():
     model = DelayedDeath([(1.0, [2, 3])], QuadraticTailLife(d=1.0, t_min=1))
-    rng = np.random.default_rng(3)
+    draw = _make_sampler(model)
+    u = _UniformStream(np.random.default_rng(3))
     for _ in range(200):
-        life, ages = sample_individual(model, rng)
+        life, ages = draw(u)
         assert ages == (2, 3)
         assert life >= 4  # last birth age + residual >= 1

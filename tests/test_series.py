@@ -7,6 +7,7 @@ with C(1/2, k) computed by the exact recurrence.
 
 from __future__ import annotations
 
+import doctest
 import math
 
 import numpy as np
@@ -14,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gwolab.series
 from gwolab.errors import NonpositiveConstantTerm, ShapeMismatch
-from gwolab.series import TruncatedSeries, sqrt_series
+from gwolab.series import TruncatedSeries
 
 
 def binomial_sqrt_coeffs(alpha: float, beta: float, cap: int) -> list[float]:
@@ -33,7 +35,7 @@ def binomial_sqrt_coeffs(alpha: float, beta: float, cap: int) -> list[float]:
 def test_sqrt_matches_binomial_series(alpha, beta):
     cap = 20
     s = TruncatedSeries.from_terms({(0,): alpha, (1,): -beta}, nvars=1, cap=cap)
-    r = sqrt_series(s)
+    r = s.sqrt()
     expected = binomial_sqrt_coeffs(alpha, beta, cap)
     for k in range(cap + 1):
         assert r.coefficient((k,)) == pytest.approx(expected[k], abs=1e-12)
@@ -118,26 +120,11 @@ def test_truncation_drops_high_degree():
     assert kept.coefficient((1, 1)) == 1.0
 
 
-def test_sparse_backend_matches_dense():
-    # same polynomial with a dummy fourth variable forces the sparse path
-    dense = TruncatedSeries.from_terms({(0, 1, 0): 0.5, (1, 0, 2): -1.5}, nvars=3, cap=5)
-    sparse = TruncatedSeries.from_terms(
-        {(0, 1, 0, 0): 0.5, (1, 0, 2, 0): -1.5}, nvars=4, cap=5
-    )
-    assert not sparse.dense and dense.dense
-    dd = (dense * dense).to_dense_array()
-    ss = sparse * sparse
-    for idx, coeff in np.ndenumerate(dd):
-        if coeff != 0.0:
-            assert ss.coefficient(idx + (0,)) == pytest.approx(coeff, abs=1e-14)
-    sq = (sparse + 4.0).sqrt()
-    dq = (dense + 4.0).sqrt()
-    for idx, coeff in sq.terms():
-        assert dq.coefficient(idx[:3]) == pytest.approx(coeff, abs=1e-12)
-
-
 def test_evaluate():
     s = TruncatedSeries.from_terms({(0, 0): 1.0, (1, 0): 2.0, (1, 1): -3.0}, nvars=2, cap=3)
     assert s.evaluate((0.5, 0.25)) == pytest.approx(1.0 + 1.0 - 3 * 0.125, abs=1e-14)
-    sp = TruncatedSeries.from_terms({(1, 0, 0, 1): 2.0}, nvars=4, cap=3)
-    assert sp.evaluate((0.5, 1.0, 1.0, 0.5)) == pytest.approx(0.5, abs=1e-14)
+
+
+def test_module_doctest():
+    result = doctest.testmod(gwolab.series)
+    assert result.attempted > 0 and result.failed == 0
