@@ -181,8 +181,8 @@ def _cmd_fdd(run: _Run) -> int:
     if K is not None:
         if t_obs is None:
             raise ConfigError("pmf extraction needs --tobs")
-        z = _floats(run.get("z", ",".join("0" for _ in times)))
-        pm = conditional_pmf(model, FddSpec(times, z, t_obs=int(t_obs)), int(K))
+        # weight 0 keeps every time: FddSpec drops weight-1 coordinates
+        pm = conditional_pmf(model, FddSpec(times, [0.0] * len(times), t_obs=int(t_obs)), int(K))
         print(
             f"pmf at times {tuple(times)} given survival at {int(t_obs)}: "
             f"kept={_fmt(pm.probs.sum())} overflow={_fmt(pm.overflow)}"
@@ -229,7 +229,7 @@ def _cmd_simulate(run: _Run) -> int:
         replicates=int(run.require("replicates")),
         seed=int(run.require("seed")),
     )
-    res = simulate(cfg, threads=int(run.get("threads", 1)))
+    res = simulate(cfg)
     s = res.survival_summary()
     print(
         f"replicates={s['replicates']} survival={_fmt(s['estimate'])} "
@@ -295,7 +295,7 @@ def _cmd_figure1(run: _Run) -> int:
 
 
 def _cmd_verify(run: _Run) -> int:
-    reports = run_battery(threads=int(run.get("threads", 1)))
+    reports = run_battery()
     passed = sum(1 for r in reports if r.all_passed)
     print(f"verify: {passed}/{len(reports)} reports passed")
     fh = _open_out(run)
@@ -323,7 +323,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     model_flag = ("--model", {"help": "model config JSON path"})
-    threads_flag = ("--threads", {"type": int, "help": "worker threads (results unchanged)"})
     add("summarize", _cmd_summarize, "derived parameters of a model", [model_flag])
     add(
         "dp",
@@ -338,7 +337,7 @@ def _build_parser() -> argparse.ArgumentParser:
         [
             model_flag,
             ("--times", {"help": "comma-separated times"}),
-            ("--z", {"help": "comma-separated weights"}),
+            ("--z", {"help": "comma-separated weights (pgf only; --K ignores them)"}),
             ("--tobs", {"type": int, "help": "conditioning time (survival)"}),
             ("--K", {"type": int, "help": "pmf truncation degree"}),
         ],
@@ -354,7 +353,6 @@ def _build_parser() -> argparse.ArgumentParser:
             ("--replicates", {"type": int, "help": "number of replicates"}),
             ("--seed", {"type": int, "help": "stream seed"}),
             ("--format", {"choices": ["csv", "json"], "help": "output layout"}),
-            threads_flag,
         ],
     )
     add(
@@ -379,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("--y-max", {"dest": "y_max", "help": "largest y"}),
         ],
     )
-    add("verify", _cmd_verify, "cross-validation battery", [threads_flag])
+    add("verify", _cmd_verify, "cross-validation battery", [])
     return parser
 
 

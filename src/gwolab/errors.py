@@ -40,7 +40,7 @@ class CapTooLarge(GwolabError):
 
 
 class BudgetExhausted(GwolabError):
-    """Rejection sampling hit its attempt cap before reaching the target."""
+    """A sampling budget (attempts or individuals) ran out."""
 
 
 class OracleBlowup(GwolabError):

@@ -233,16 +233,22 @@ def _birth_at_death(model, t_max: int, ring):
     P = _table((t_max + 1, *M.shape[1:]), ring)  # P[u'] pairs with M[l]
     Pf = P.reshape((t_max + 1) * R, *ring.row)
     surv = surv.tolist()
+    max_life = model.life.max_life  # None: unbounded support
 
     def walk(G, u0, u1, segs, prefix):
         segs = [(lo * R, None if hi is None else hi * R, s, v) for lo, hi, s, v in segs]
         unit = ring.monomial(*prefix)
         for u in range(u0, u1):
             off = (t_max - u) * R
+            # rows of lives l = u - m > max_life are zero: start at m = u - max_life
+            m_min = 0 if max_life is None else (u - max_life) * R
             total = 0.0
             for lo, hi, scal, var_idx in segs:
                 if hi is None:
                     hi = u * R
+                lo = max(lo, m_min)
+                if lo >= hi:
+                    continue
                 block = np.dot(Mr[off + lo : off + hi], Pf[lo:hi])
                 if var_idx:
                     block = ring.shift(block, var_idx)
@@ -423,7 +429,9 @@ class ConditionalPmf:
 
 def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
     """Joint pmf of (Z(t_1), ..., Z(t_k)) given Z(t_obs) > 0, for total
-    counts up to K; spec weights are ignored (they become variables)."""
+    counts up to K, over spec.times.  The weights become variables, but
+    FddSpec has already dropped the times whose weight is 1, so give
+    weight 0 at every time the pmf should cover."""
     if spec.t_obs is None:
         raise ConfigError("spec needs t_obs for conditioning")
     if K < 1:

@@ -1,11 +1,12 @@
 """Seeded Monte Carlo simulation of the branching population.
 
-Replicates are driven by counter-based per-replicate streams
-(Philox keyed by (seed, replicate index)), so results are bit-identical
-for a given config no matter how many worker threads run them.  Each
-replicate walks birth times in order with a bucket queue: individuals
-born at the same time are exchangeable, so the queue only stores counts.
-Memory is O(horizon + live individuals), never a full event timeline.
+Replicate r draws from its own counter-based stream, Philox keyed by
+(seed, r), so a replicate's outcome is a pure function of the config and
+r: it does not depend on how many replicates run or which came before.
+Replicates run one after another in a single thread.  Each replicate
+walks birth times in order with a bucket queue: individuals born at the
+same time are exchangeable, so the queue only stores counts.  Memory is
+O(horizon + live individuals), never a full event timeline.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,8 +29,6 @@ from .lifelaw import (
     summarize,
 )
 from .limitlaw import dichotomy_fraction
-
-_CHUNK = 1024  # replicates per worker task
 
 
 @dataclass(frozen=True)
@@ -222,39 +220,49 @@ class SimResult:
         }
 
 
-def _replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64)))
+def _replicate_runner(config: SimConfig, strict: bool = False) -> Callable[[int], tuple]:
+    """rep -> (counts at the query times, Z(horizon), overflowed) for the
+    replicate drawn from stream (seed, rep).
+
+    Z(horizon) is tracked in an extra last column when the horizon is not
+    a query time.  An overflowed replicate has partial counts; strict
+    raises BudgetExhausted at it instead, for conditioned estimates, where
+    dropping it would bias the result (overflow goes with survival).
+    """
+    sampler = _make_sampler(config.model)
+    horizon, cap = config.horizon, config.max_individuals
+    qtimes = list(config.query_times)
+    k = len(qtimes)
+    tracked = qtimes if qtimes[-1:] == [horizon] else qtimes + [horizon]
+
+    def run(rep: int) -> tuple:
+        rng = np.random.Generator(np.random.Philox(key=np.array([config.seed, rep], dtype=np.uint64)))
+        c, over = _run_replicate(sampler, horizon, tracked, cap, rng)
+        if over and strict:
+            raise BudgetExhausted(f"replicate {rep} exceeded max_individuals={cap}")
+        return c[:k], c[-1], over
+
+    return run
 
 
 def simulate(config: SimConfig, threads: int = 1) -> SimResult:
-    """Run all replicates; bit-identical for any thread count."""
-    sampler = _make_sampler(config.model)
-    qtimes = list(config.query_times)
-    h_idx = bisect_left(qtimes, config.horizon)
-    track_extra = h_idx == len(qtimes) or qtimes[h_idx] != config.horizon
-    tracked = qtimes + [config.horizon] if track_extra else qtimes
-    R, k = config.replicates, len(qtimes)
-    counts = np.zeros((R, len(tracked)), dtype=np.int64)
+    """Run replicates 0..replicates-1 in order.
+
+    `threads` is ignored and kept only for existing callers: replicates
+    run serially, because extra threads only contend for the interpreter
+    lock.
+    """
+    run = _replicate_runner(config)
+    R = config.replicates
+    counts = np.zeros((R, len(config.query_times)), dtype=np.int64)
+    survived = np.zeros(R, dtype=bool)
     over = np.zeros(R, dtype=bool)
-
-    def run_block(lo: int, hi: int) -> None:
-        for rep in range(lo, hi):
-            c, o = _run_replicate(
-                sampler, config.horizon, tracked, config.max_individuals, _replicate_rng(config.seed, rep)
-            )
-            counts[rep] = c
-            over[rep] = o
-
-    if threads <= 1:
-        run_block(0, R)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda lo: run_block(lo, min(lo + _CHUNK, R)), range(0, R, _CHUNK)))
-    z_horizon = counts[:, len(tracked) - 1] if track_extra else counts[:, h_idx]
-    survived = (z_horizon > 0) & ~over
+    for rep in range(R):
+        counts[rep], z, over[rep] = run(rep)
+        survived[rep] = z > 0 and not over[rep]
     return SimResult(
         query_times=config.query_times,
-        counts=counts[:, :k],
+        counts=counts,
         survived=survived,
         overflowed=over,
         horizon=config.horizon,
@@ -266,67 +274,34 @@ def conditional_sample(
     config: SimConfig,
     target_survivors: int,
     max_attempts: int = 1_000_000,
-    threads: int = 1,
 ) -> SimResult:
-    """Rejection sampling: keep attempting fresh replicates (their own
-    streams, indexed by attempt) until target_survivors have Z(horizon)>0.
+    """Rejection sampling: attempt replicates 0, 1, ... (their own
+    streams) until target_survivors have Z(horizon) > 0.
 
     The returned result contains exactly the surviving replicates, in
     attempt order, with `attempts` = index of the last attempt + 1, so
-    survivors/attempts estimates Q(horizon).
+    survivors/attempts estimates Q(horizon).  An attempt that overflows
+    max_individuals raises BudgetExhausted.
     """
     if target_survivors < 1:
         raise ConfigError("target_survivors must be >= 1")
-    sampler = _make_sampler(config.model)
-    qtimes = list(config.query_times)
-    h_idx = bisect_left(qtimes, config.horizon)
-    track_extra = h_idx == len(qtimes) or qtimes[h_idx] != config.horizon
-    tracked = qtimes + [config.horizon] if track_extra else qtimes
-    kept_counts: list = []
-    kept_over: list = []
-    attempts = 0
-
-    def one_attempt(rep: int):
-        return _run_replicate(
-            sampler, config.horizon, tracked, config.max_individuals, _replicate_rng(config.seed, rep)
-        )
-
-    block = max(64, _CHUNK // 4)
-    while attempts < max_attempts and len(kept_counts) < target_survivors:
-        hi = min(attempts + block, max_attempts)
-        reps = range(attempts, hi)
-        if threads <= 1:
-            results = [one_attempt(r) for r in reps]
-        else:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(one_attempt, reps))
-        for offset, (c, o) in enumerate(results):
-            alive_at_horizon = c[len(tracked) - 1 if track_extra else h_idx] > 0
-            if alive_at_horizon and not o:
-                kept_counts.append(c)
-                kept_over.append(o)
-                if len(kept_counts) == target_survivors:
-                    attempts += offset + 1
-                    break
-        else:
-            attempts = hi
-            continue
-        break
-    if len(kept_counts) < target_survivors:
-        raise BudgetExhausted(
-            f"{len(kept_counts)}/{target_survivors} survivors after {attempts} attempts"
-        )
-    counts = np.array(kept_counts, dtype=np.int64)
-    k = len(qtimes)
-    return SimResult(
-        query_times=config.query_times,
-        counts=counts[:, :k],
-        survived=np.ones(len(kept_counts), dtype=bool),
-        overflowed=np.array(kept_over, dtype=bool),
-        horizon=config.horizon,
-        seed=config.seed,
-        attempts=attempts,
-    )
+    run = _replicate_runner(config, strict=True)
+    kept: list = []
+    for attempt in range(max_attempts):
+        c, z, _ = run(attempt)
+        if z > 0:
+            kept.append(c)
+            if len(kept) == target_survivors:
+                return SimResult(
+                    query_times=config.query_times,
+                    counts=np.array(kept, dtype=np.int64),
+                    survived=np.ones(len(kept), dtype=bool),
+                    overflowed=np.zeros(len(kept), dtype=bool),
+                    horizon=config.horizon,
+                    seed=config.seed,
+                    attempts=attempt + 1,
+                )
+    raise BudgetExhausted(f"{len(kept)}/{target_survivors} survivors after {max_attempts} attempts")
 
 
 @dataclass(frozen=True)
@@ -346,33 +321,24 @@ def default_cutoff(t: int) -> int:
 def dichotomy_stats(
     config: SimConfig,
     cutoff_rule: Callable[[int], int] = default_cutoff,
-    threads: int = 1,
 ) -> DichotomyStats:
     """Split survivors at the horizon into small/large count groups.
 
     The cutoff rule should grow without bound but slower than t, so the
     small fraction tends to the probability that the limit count at 1 is
-    finite and positive.
+    finite and positive.  A replicate that overflows max_individuals
+    raises BudgetExhausted.
     """
     cut = int(cutoff_rule(config.horizon))
     if cut < 1:
         raise ConfigError("cutoff must be >= 1")
-    if config.horizon in config.query_times:
-        run_cfg = config
-    else:
-        run_cfg = SimConfig(
-            model=config.model,
-            horizon=config.horizon,
-            query_times=config.query_times + (config.horizon,),
-            replicates=config.replicates,
-            seed=config.seed,
-            max_individuals=config.max_individuals,
-        )
-    result = simulate(run_cfg, threads=threads)
-    z = result.counts[:, list(run_cfg.query_times).index(config.horizon)]
-    ok = result.ok & (z > 0)
-    n = int(ok.sum())
-    small = int((z[ok] <= cut).sum())
+    run = _replicate_runner(config, strict=True)
+    n = small = 0
+    for rep in range(config.replicates):
+        _, z, _ = run(rep)
+        if z > 0:
+            n += 1
+            small += z <= cut
     try:
         ref = dichotomy_fraction(summarize(config.model).c)
     except DivergentMoment:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -537,12 +536,6 @@ def _standard_checks() -> list:
     ]
 
 
-def run_battery(threads: int = 1) -> list:
-    """The standard cross-validation battery; the checks are independent
-    and may run in parallel, the report order is fixed."""
-    checks = _standard_checks()
-    if threads <= 1:
-        return [fn() for _, fn in checks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(fn) for _, fn in checks]
-        return [f.result() for f in futures]
+def run_battery() -> list:
+    """The standard cross-validation battery, its reports in a fixed order."""
+    return [fn() for _, fn in _standard_checks()]

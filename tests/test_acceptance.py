@@ -314,8 +314,7 @@ def test_09_survivor_dichotomy_trend():
     errs = []
     for t, reps in ((64, 30_000), (128, 60_000), (256, 120_000)):
         st = dichotomy_stats(
-            SimConfig(model=model, horizon=t, query_times=(t,), replicates=reps, seed=2718),
-            threads=8,
+            SimConfig(model=model, horizon=t, query_times=(t,), replicates=reps, seed=2718)
         )
         limit = st.reference_limit
         errs.append(abs(st.small_fraction - limit))

@@ -103,19 +103,36 @@ class TestFdd:
         overflow = float(lines[-1].split(",")[1])
         assert kept + overflow == pytest.approx(1.0, abs=1e-10)
 
+    def test_pmf_covers_every_time(self, gw_path, tmp_path, capsys):
+        # a weight of 1 in --z must not drop time 4 from the extraction
+        out = tmp_path / "pmf.csv"
+        code = main(
+            ["fdd", "--model", gw_path, "--times", "4,8", "--z", "1,0", "--tobs", "8",
+             "--K", "6", "--out", str(out)]
+        )
+        assert code == 0
+        assert out.read_text().splitlines()[0] == "n_t4,n_t8,prob"
+
     def test_pmf_needs_tobs(self, gw_path, capsys):
         assert main(["fdd", "--model", gw_path, "--times", "3", "--K", "6"]) == 2
 
 
 class TestSimulate:
-    def test_seed_determinism_and_threads(self, gw_path, tmp_path, capsys):
+    def test_seed_determinism(self, gw_path, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
         base = ["simulate", "--model", gw_path, "--tmax", "4", "--times", "2,4",
                 "--replicates", "300", "--seed", "11"]
         assert main(base + ["--out", str(a)]) == 0
-        assert main(base + ["--threads", "4", "--out", str(b)]) == 0
+        assert main(base + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_no_threads_option(self, command, capsys):
+        # replicates and checks run serially; no option selects a pool
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert "--threads" not in capsys.readouterr().out
 
     def test_summary_json(self, gw_path, tmp_path, capsys):
         out = tmp_path / "sim.json"

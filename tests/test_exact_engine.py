@@ -12,6 +12,7 @@ the reference pgf.
 import io
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,8 +44,11 @@ from gwolab.lifelaw import (
     Tabulated,
     summarize,
 )
+from gwolab.modelio import load_model
+from gwolab.verify import tree_pgf
 
 BIG = 10**9  # stands for "outlives any query time"
+MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
 
 
 def gw_binary():
@@ -179,6 +183,31 @@ class TestExtinction:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ConfigError):
             extinction_seq(gw_binary(), -1)
+
+
+class TestFiniteLifeClip:
+    """Finite-support lives end every segment at max_life; the DP must
+    agree with references that know nothing of segments far past it."""
+
+    def test_binary_splitting_matches_generation_iteration(self):
+        model = load_model(str(MODEL_DIR / "binary_splitting.json"))
+        t_max = 4096
+        f = model.offspring.probs
+        ref = [1.0]  # Q(t+1) = 1 - f(1 - Q(t)) when every life is 1
+        for _ in range(t_max):
+            s = 1.0 - ref[-1]
+            ref.append(1.0 - sum(p * s**n for n, p in enumerate(f)))
+        np.testing.assert_allclose(extinction_seq(model, t_max).q, ref, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "times,z",
+        [((10,), (0.0,)), ((10, 13), (0.3, 0.0)), ((10, 13, 16), (0.3, 0.5, 0.7))],
+    )
+    def test_age_dependent_offspring_matches_tree(self, times, z):
+        model = load_model(str(MODEL_DIR / "age_dependent_offspring.json"))
+        assert times[0] > 3 * model.life.max_life
+        got = fdd_pgf(model, FddSpec(times, z))
+        assert got == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -199,12 +199,23 @@ class TestConditionalSampling:
         rate = target / res.attempts
         assert abs(rate - q) <= 3.0 * math.sqrt(q * (1.0 - q) / res.attempts)
 
-    def test_thread_invariance(self):
-        cfg = SimConfig(model=gw_binary(), horizon=3, query_times=(3,), replicates=1, seed=8)
-        a = conditional_sample(cfg, target_survivors=100, max_attempts=10_000, threads=1)
-        b = conditional_sample(cfg, target_survivors=100, max_attempts=10_000, threads=4)
-        assert a.attempts == b.attempts
-        np.testing.assert_array_equal(a.counts, b.counts)
+    def test_stream_contract_matches_simulate(self):
+        # attempt i draws from stream (seed, i), the stream of replicate i
+        cfg = SimConfig(model=gw_binary(), horizon=3, query_times=(1, 3), replicates=1, seed=8)
+        res = conditional_sample(cfg, target_survivors=100, max_attempts=10_000)
+        full = simulate(
+            SimConfig(model=gw_binary(), horizon=3, query_times=(1, 3), replicates=res.attempts, seed=8)
+        )
+        assert full.survived[-1]
+        np.testing.assert_array_equal(res.counts, full.counts[full.survived])
+
+    def test_overflow_raises(self):
+        # binary splitting passes 3 individuals by horizon 6 in many attempts
+        cfg = SimConfig(
+            model=gw_binary(), horizon=6, query_times=(6,), replicates=1, seed=3, max_individuals=3
+        )
+        with pytest.raises(BudgetExhausted, match="max_individuals"):
+            conditional_sample(cfg, target_survivors=300, max_attempts=10_000)
 
     def test_budget_exhausted(self):
         # this population is always gone by time 2, so no attempt survives
@@ -241,6 +252,26 @@ class TestDichotomy:
         cfg = SimConfig(model=bh_heavy(), horizon=8, query_times=(8,), replicates=500, seed=5)
         st = dichotomy_stats(cfg)
         assert st.reference_limit == pytest.approx(dichotomy_fraction(summarize(bh_heavy()).c))
+
+    def test_stream_contract_matches_simulate(self):
+        # the horizon is not a query time here; simulate tracks it as one
+        cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(8,), replicates=3000, seed=7)
+        st = dichotomy_stats(cfg)
+        full = simulate(
+            SimConfig(model=gw_binary(), horizon=16, query_times=(8, 16), replicates=3000, seed=7)
+        )
+        z = full.counts[full.survived, 1]
+        small = int((z <= st.cutoff).sum())
+        assert st.survivors == z.size
+        assert st.small_fraction == small / z.size
+        assert st.large_fraction == 1.0 - small / z.size
+
+    def test_overflow_raises(self):
+        cfg = SimConfig(
+            model=gw_binary(), horizon=6, query_times=(6,), replicates=500, seed=3, max_individuals=3
+        )
+        with pytest.raises(BudgetExhausted, match="max_individuals"):
+            dichotomy_stats(cfg)
 
     def test_custom_rule(self):
         cfg = SimConfig(model=gw_binary(), horizon=9, query_times=(9,), replicates=800, seed=6)
