@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every run resolves its parameters from flags layered over an optional
---config JSON file, executes one subcommand, prints a one-line summary,
-and (when writing an output file) drops a config echo next to it from
-which the identical run can be reproduced.  Error classes map to
-distinct exit codes so scripts can tell a schema problem from a blown
-budget.
+Each subcommand declares its parameters once, as (name, parser, help) in
+`_COMMANDS`; the flags are generated from that table, and flag values
+and --config values alike go through the declared parser.  Every run
+prints a one-line summary and, with --out, drops a config echo of the
+parsed values next to the output, from which the identical run can be
+reproduced.  Error classes map to distinct exit codes so scripts can
+tell a schema problem from a blown budget.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
+from functools import partial
 
 import numpy as np
 
@@ -60,50 +63,88 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _number(parse, raw):
+def _number(kind):
+    """One finite number, read from the value's text: 2.5, true and [3]
+    are not ints."""
+
+    def parse(raw):
+        try:
+            value = kind(str(raw))
+            if math.isfinite(value):
+                return value
+        except (ValueError, OverflowError):  # an int too large for a float
+            pass
+        raise ConfigError(f"{raw!r} is not a finite {kind.__name__}")
+
+    return parse
+
+
+def _numbers(kind):
+    """A comma-separated list or a JSON list of numbers."""
+    one = _number(kind)
+
+    def parse(raw):
+        items = raw if isinstance(raw, list) else [v for v in str(raw).split(",") if v != ""]
+        return [one(v) for v in items]
+
+    return parse
+
+
+def _choice(*options):
+    def parse(raw):
+        if raw not in options:
+            raise ConfigError(f"{raw!r} is not one of {', '.join(options)}")
+        return raw
+
+    parse.metavar = "{" + ",".join(options) + "}"
+    return parse
+
+
+def _path(raw):
+    if not isinstance(raw, str):
+        raise ConfigError(f"{raw!r} is not a path")
+    return raw
+
+
+def _model(raw):
+    return model_from_dict(raw) if isinstance(raw, dict) else load_model(_path(raw))
+
+
+def _read_config(path: str, command: str) -> dict:
     try:
-        return parse(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{raw!r} is not a valid {parse.__name__}") from None
-
-
-def _ints(raw) -> list:
-    if not isinstance(raw, (list, tuple)):
-        raw = [v for v in str(raw).split(",") if v != ""]
-    return [_number(int, v) for v in raw]
-
-
-def _floats(raw) -> list:
-    if not isinstance(raw, (list, tuple)):
-        raw = [v for v in str(raw).split(",") if v != ""]
-    return [_number(float, v) for v in raw]
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: config must be an object")
+    echoed = cfg.pop("command", None)
+    if echoed is not None and echoed != command:
+        raise ConfigError(f"config is for {echoed!r}, not {command!r}")
+    return cfg
 
 
 class _Run:
-    """Parameters resolved from defaults, then config file, then flags."""
+    """Parameters resolved from the config file, then flags, each parsed
+    by the parser the command declares for it."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
-        self.values: dict = {}
-        cfg_path = getattr(args, "config", None)
-        if cfg_path:
+        parsers = {name: parse for name, parse, _ in _params(command)}
+        raw = _read_config(args.config, command) if args.config else {}
+        unknown = sorted(set(raw) - set(parsers))
+        if unknown:
+            raise ConfigError(f"{command} has no parameter {', '.join(map(repr, unknown))}")
+        raw.update((k, v) for k, v in vars(args).items() if k in parsers and v is not None)
+        self.values = {}
+        for key, val in raw.items():
             try:
-                with open(cfg_path, "r", encoding="utf-8") as fh:
-                    cfg = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"cannot read config: {exc}") from None
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{cfg_path}: invalid JSON ({exc})") from None
-            if not isinstance(cfg, dict):
-                raise ConfigError(f"{cfg_path}: config must be an object")
-            echoed = cfg.get("command")
-            if echoed is not None and echoed != command:
-                raise ConfigError(f"config is for {echoed!r}, not {command!r}")
-            self.values.update({k: v for k, v in cfg.items() if k != "command"})
-        for key, val in vars(args).items():
-            if key in ("config", "func", "command") or val is None:
-                continue
-            self.values[key] = val
+                self.values[key] = parsers[key](val)
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {exc}") from None
+        self.out = self.values.pop("out", None)
 
     def get(self, key: str, default=None):
         return self.values.get(key, default)
@@ -113,98 +154,67 @@ class _Run:
             raise ConfigError(f"{self.command} needs --{key}")
         return self.values[key]
 
-    def model(self):
-        spec = self.require("model")
-        if isinstance(spec, dict):
-            return model_from_dict(spec)
-        return load_model(str(spec))
-
-    def echo(self) -> dict:
-        out = {"command": self.command}
-        for k, v in self.values.items():
-            if k in ("out", "config"):
-                continue
-            out[k] = v
-        if "model" in out and not isinstance(out["model"], dict):
-            out["model"] = model_to_dict(self.model())
-        return out
-
-    def write_echo(self) -> None:
-        out = self.get("out")
-        if not out:
+    def emit(self, line: str, write) -> None:
+        """Print the summary line; with --out, write(fh) the output file
+        and echo the parsed parameters next to it."""
+        print(line)
+        if not self.out:
             return
-        with open(f"{out}.config.json", "w", encoding="utf-8") as fh:
-            json.dump(self.echo(), fh, indent=2)
-            fh.write("\n")
+        with open(self.out, "w", encoding="utf-8", newline="") as fh:
+            write(fh)
+        echo = {"command": self.command, **self.values}
+        if "model" in echo:
+            echo["model"] = model_to_dict(echo["model"])
+        with open(f"{self.out}.config.json", "w", encoding="utf-8") as fh:
+            _write_json(echo, fh)
 
 
-def _open_out(run: _Run):
-    out = run.get("out")
-    return open(out, "w", encoding="utf-8", newline="") if out else None
+def _write_json(payload, fh) -> None:
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
 
 
 def _cmd_summarize(run: _Run) -> int:
-    s = summarize(run.model())
-    print(
+    s = summarize(run.require("model"))
+    run.emit(
         " ".join(
             f"{name}={_fmt(getattr(s, name))}"
             for name in ("mean_offspring", "b", "a", "d", "h", "c")
         )
-        + f" critical={s.critical} a_finite={s.a_finite}"
+        + f" critical={s.critical} a_finite={s.a_finite}",
+        partial(_write_json, asdict(s)),
     )
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            json.dump(asdict(s), fh, indent=2)
-            fh.write("\n")
-        run.write_echo()
     return 0
 
 
 def _cmd_dp(run: _Run) -> int:
-    t_max = int(run.require("tmax"))
-    table = extinction_seq(run.model(), t_max)
-    print(f"Q({t_max})={_fmt(table.q[t_max])} tQ={_fmt(t_max * table.q[t_max])}")
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            table.to_csv(fh)
-        run.write_echo()
+    t_max = run.require("tmax")
+    table = extinction_seq(run.require("model"), t_max)
+    run.emit(f"Q({t_max})={_fmt(table.q[t_max])} tQ={_fmt(t_max * table.q[t_max])}", table.to_csv)
     return 0
 
 
 def _cmd_fdd(run: _Run) -> int:
-    model = run.model()
-    times = _ints(run.require("times"))
+    model = run.require("model")
+    times = run.require("times")
     t_obs = run.get("tobs")
     K = run.get("K")
     if K is not None:
         if t_obs is None:
             raise ConfigError("pmf extraction needs --tobs")
         # weight 0 keeps every time: FddSpec drops weight-1 coordinates
-        pm = conditional_pmf(model, FddSpec(times, [0.0] * len(times), t_obs=int(t_obs)), int(K))
-        print(
-            f"pmf at times {tuple(times)} given survival at {int(t_obs)}: "
-            f"kept={_fmt(pm.probs.sum())} overflow={_fmt(pm.overflow)}"
+        pm = conditional_pmf(model, FddSpec(times, [0.0] * len(times), t_obs=t_obs), K)
+        run.emit(
+            f"pmf at times {tuple(times)} given survival at {t_obs}: "
+            f"kept={_fmt(pm.probs.sum())} overflow={_fmt(pm.overflow)}",
+            partial(_write_pmf_csv, pm),
         )
-        fh = _open_out(run)
-        if fh:
-            with fh:
-                _write_pmf_csv(pm, fh)
-            run.write_echo()
         return 0
-    z = _floats(run.require("z"))
-    if t_obs is not None:
-        val = conditional_pgf(model, FddSpec(times, z, t_obs=int(t_obs)))
-    else:
-        val = fdd_pgf(model, FddSpec(times, z))
-    print(f"pgf={_fmt(val)}")
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            json.dump({"times": times, "z": z, "t_obs": t_obs, "pgf": val}, fh, indent=2)
-            fh.write("\n")
-        run.write_echo()
+    z = run.require("z")
+    spec = FddSpec(times, z, t_obs=t_obs)
+    val = fdd_pgf(model, spec) if t_obs is None else conditional_pgf(model, spec)
+    payload = {"times": times, "z": z, "t_obs": t_obs, "pgf": val}
+    run.emit(f"pgf={_fmt(val)}", partial(_write_json, payload))
     return 0
 
 
@@ -219,91 +229,112 @@ def _write_pmf_csv(pm, fh) -> None:
 
 
 def _cmd_simulate(run: _Run) -> int:
-    model = run.model()
-    horizon = int(run.require("tmax"))
-    times = _ints(run.get("times", str(horizon)))
+    horizon = run.require("tmax")
     cfg = SimConfig(
-        model=model,
+        model=run.require("model"),
         horizon=horizon,
-        query_times=tuple(times),
-        replicates=int(run.require("replicates")),
-        seed=int(run.require("seed")),
+        query_times=tuple(run.get("times", [horizon])),
+        replicates=run.require("replicates"),
+        seed=run.require("seed"),
     )
     res = simulate(cfg)
     s = res.survival_summary()
-    print(
+    write = partial(_write_json, res.summary()) if run.get("format") == "json" else res.to_csv
+    run.emit(
         f"replicates={s['replicates']} survival={_fmt(s['estimate'])} "
-        f"stderr={_fmt(s['stderr'])} overflowed={s['overflowed']}"
+        f"stderr={_fmt(s['stderr'])} overflowed={s['overflowed']}",
+        write,
     )
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            if run.get("format", "csv") == "json":
-                json.dump(res.summary(), fh, indent=2)
-                fh.write("\n")
-            else:
-                res.to_csv(fh)
-        run.write_echo()
     return 0
 
 
 def _cmd_limit(run: _Run) -> int:
-    model = run.model()
-    y = _floats(run.require("y"))
-    z = _floats(run.require("z"))
+    model = run.require("model")
+    y = run.require("y")
+    z = run.require("z")
     if "times" in run.values:
-        grid = _ints(run.get("times"))
+        grid = run.get("times")
     else:
-        t_max = int(run.require("tmax"))
+        t_max = run.require("tmax")
         if t_max < 8:
             raise ConfigError("tmax must be at least 8")
-        grid = []
-        t = 8
-        while t <= t_max:
-            grid.append(t)
-            t *= 2
+        grid = [8 << i for i in range((t_max // 8).bit_length())]
     rows = convergence_table(model, y, z, grid)
     last = rows[-1]
-    print(
+    run.emit(
         f"t={last.t} tQ_k={_fmt(last.tq_k)} target={_fmt(last.target)} "
-        f"abs_error={_fmt(last.abs_error)}"
+        f"abs_error={_fmt(last.abs_error)}",
+        partial(convergence_csv, rows),
     )
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            convergence_csv(rows, fh)
-        run.write_echo()
     return 0
 
 
 def _cmd_figure1(run: _Run) -> int:
-    c = _number(float, run.require("c"))
-    step = _number(float, run.get("grid", 0.01))
-    y_max = _number(float, run.get("y_max", 4.0))
-    data = figure1_data(c, step=step, y_max=y_max)
-    p = LimitParams(c)
-    print(f"c={_fmt(c)} rows={data.shape[0]} density_jump_at_1={_fmt(law_T(p).density_jump())}")
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            writer = csv.writer(fh)
-            writer.writerow(["y", "f_T", "f_T0"])
-            for row in data:
-                writer.writerow([_fmt(v) for v in row])
-        run.write_echo()
+    c = run.require("c")
+    data = figure1_data(c, step=run.get("grid", 0.01), y_max=run.get("y_max", 4.0))
+
+    def write(fh):
+        writer = csv.writer(fh)
+        writer.writerow(["y", "f_T", "f_T0"])
+        for row in data:
+            writer.writerow([_fmt(v) for v in row])
+
+    jump = law_T(LimitParams(c)).density_jump()
+    run.emit(f"c={_fmt(c)} rows={data.shape[0]} density_jump_at_1={_fmt(jump)}", write)
     return 0
 
 
 def _cmd_verify(run: _Run) -> int:
     reports = run_battery()
     passed = sum(1 for r in reports if r.all_passed)
-    print(f"verify: {passed}/{len(reports)} reports passed")
-    fh = _open_out(run)
-    if fh:
-        with fh:
-            report_json(reports, fh)
-        run.write_echo()
+    run.emit(f"verify: {passed}/{len(reports)} reports passed", partial(report_json, reports))
     return 0 if passed == len(reports) else 1
+
+
+_MODEL = ("model", _model, "model config JSON path")
+_INT, _FLOAT, _INTS, _FLOATS = _number(int), _number(float), _numbers(int), _numbers(float)
+
+# command -> (handler, help, [(parameter, parser, help)]); each command
+# also takes --config and --out
+_COMMANDS = {
+    "summarize": (_cmd_summarize, "derived parameters of a model", [_MODEL]),
+    "dp": (_cmd_dp, "survival probabilities by the exact recursion", [
+        _MODEL,
+        ("tmax", _INT, "largest time"),
+    ]),
+    "fdd": (_cmd_fdd, "joint transforms and conditioned pmfs at fixed times", [
+        _MODEL,
+        ("times", _INTS, "comma-separated times"),
+        ("z", _FLOATS, "comma-separated weights (pgf only; --K ignores them)"),
+        ("tobs", _INT, "conditioning time (survival)"),
+        ("K", _INT, "pmf truncation degree"),
+    ]),
+    "simulate": (_cmd_simulate, "seeded Monte Carlo replicates", [
+        _MODEL,
+        ("tmax", _INT, "horizon"),
+        ("times", _INTS, "comma-separated query times"),
+        ("replicates", _INT, "number of replicates"),
+        ("seed", _INT, "stream seed"),
+        ("format", _choice("csv", "json"), "output layout"),
+    ]),
+    "limit": (_cmd_limit, "weighted survival against its closed-form limit", [
+        _MODEL,
+        ("y", _FLOATS, "comma-separated time fractions, first must be 1"),
+        ("z", _FLOATS, "comma-separated weights"),
+        ("tmax", _INT, "grid doubles from 8 up to here"),
+        ("times", _INTS, "explicit comma-separated grid (overrides --tmax)"),
+    ]),
+    "figure1": (_cmd_figure1, "hitting-time densities of the limit process", [
+        ("c", _FLOAT, "compound parameter"),
+        ("grid", _FLOAT, "y step size"),
+        ("y_max", _FLOAT, "largest y"),
+    ]),
+    "verify": (_cmd_verify, "cross-validation battery", []),
+}
+
+
+def _params(command: str) -> list:
+    return [("out", _path, "output file path")] + _COMMANDS[command][2]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -312,72 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Critical branching processes with overlapping generations",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_, flags):
-        p = sub.add_parser(name, help=help_)
+    for command, (_, help_, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out", help="output file path")
-        for flag, kwargs in flags:
-            p.add_argument(flag, **kwargs)
-        p.set_defaults(func=fn)
-        return p
-
-    model_flag = ("--model", {"help": "model config JSON path"})
-    add("summarize", _cmd_summarize, "derived parameters of a model", [model_flag])
-    add(
-        "dp",
-        _cmd_dp,
-        "survival probabilities by the exact recursion",
-        [model_flag, ("--tmax", {"type": int, "help": "largest time"})],
-    )
-    add(
-        "fdd",
-        _cmd_fdd,
-        "joint transforms and conditioned pmfs at fixed times",
-        [
-            model_flag,
-            ("--times", {"help": "comma-separated times"}),
-            ("--z", {"help": "comma-separated weights (pgf only; --K ignores them)"}),
-            ("--tobs", {"type": int, "help": "conditioning time (survival)"}),
-            ("--K", {"type": int, "help": "pmf truncation degree"}),
-        ],
-    )
-    add(
-        "simulate",
-        _cmd_simulate,
-        "seeded Monte Carlo replicates",
-        [
-            model_flag,
-            ("--tmax", {"type": int, "help": "horizon"}),
-            ("--times", {"help": "comma-separated query times"}),
-            ("--replicates", {"type": int, "help": "number of replicates"}),
-            ("--seed", {"type": int, "help": "stream seed"}),
-            ("--format", {"choices": ["csv", "json"], "help": "output layout"}),
-        ],
-    )
-    add(
-        "limit",
-        _cmd_limit,
-        "weighted survival against its closed-form limit",
-        [
-            model_flag,
-            ("--y", {"help": "comma-separated time fractions, first must be 1"}),
-            ("--z", {"help": "comma-separated weights"}),
-            ("--tmax", {"type": int, "help": "grid doubles from 8 up to here"}),
-            ("--times", {"help": "explicit comma-separated grid (overrides --tmax)"}),
-        ],
-    )
-    add(
-        "figure1",
-        _cmd_figure1,
-        "hitting-time densities of the limit process",
-        [
-            ("--c", {"help": "compound parameter"}),
-            ("--grid", {"help": "y step size"}),
-            ("--y-max", {"dest": "y_max", "help": "largest y"}),
-        ],
-    )
-    add("verify", _cmd_verify, "cross-validation battery", [])
+        for name, parse, flag_help in _params(command):
+            flag = "--" + name.replace("_", "-")
+            p.add_argument(flag, dest=name, metavar=getattr(parse, "metavar", None), help=flag_help)
     return parser
 
 
@@ -385,11 +356,9 @@ def main(argv=None) -> int:
     level = os.environ.get("GWOLAB_LOG")
     if level:
         logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        run = _Run(args.command, args)
-        return args.func(run)
+        return _COMMANDS[args.command][0](_Run(args.command, args))
     except GwolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for cls, code in EXIT_CODES:

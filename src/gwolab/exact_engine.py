@@ -37,7 +37,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -212,9 +212,7 @@ def _walk_segments(acts, u):
 
 def _life_tables(life, t_max: int):
     """pmf[l] = P(L = l) and surv[u] = P(L > u) for 0 <= l, u <= t_max."""
-    pmf = life.pmf_array(t_max)
-    surv = np.array([life.survival(u) for u in range(t_max + 1)])
-    return pmf, surv
+    return life.pmf_array(t_max), life.survival_array(t_max)
 
 
 def _birth_at_death(model, t_max: int, ring):
@@ -359,10 +357,16 @@ class ExtinctionTable:
 
     def to_csv(self, fh) -> None:
         h = self.summary.h if self.summary is not None else math.nan
-        writer = csv.writer(fh)
-        writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
-        for t, (q, tq) in enumerate(zip(self.q, self.tq)):
-            writer.writerow([t] + [format(x, ".17g") for x in (q, tq, h, abs(tq - h))])
+        rows = ((t, q, tq, h, abs(tq - h)) for t, (q, tq) in enumerate(zip(self.q, self.tq)))
+        _survival_csv(rows, fh)
+
+
+def _survival_csv(rows, fh) -> None:
+    """Rows (t, Q, tQ, limit, |tQ - limit|), floats at full precision."""
+    writer = csv.writer(fh)
+    writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
+    for t, *vals in rows:
+        writer.writerow([t] + [format(x, ".17g") for x in vals])
 
 
 def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
@@ -485,6 +489,11 @@ class ConvergenceRow:
     abs_error: float
 
 
+def scaled_times(t: int, y) -> tuple:
+    """Observation times t_i = t + round(t*(y_i - 1)), halves rounded up."""
+    return tuple(t + int(math.floor(t * (yi - 1.0) + 0.5)) for yi in y)
+
+
 def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     """Rows of t * Q_k(t) against the closed-form limit, with
     Q_k(t) = 1 - E(prod z_i^{Z(t_i)}) at times t_i = t + round(t*(y_i - 1))."""
@@ -506,8 +515,7 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
         t = int(t)
         if t < 1:
             raise ConfigError("t_grid entries must be >= 1")
-        times = tuple(t + int(math.floor(t * (yi - 1.0) + 0.5)) for yi in y)
-        q_k = 1.0 - fdd_pgf(model, FddSpec(times, z))
+        q_k = 1.0 - fdd_pgf(model, FddSpec(scaled_times(t, y), z))
         rows.append(
             ConvergenceRow(
                 t=t,
@@ -521,9 +529,4 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
 
 
 def convergence_csv(rows, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
-    for r in rows:
-        writer.writerow(
-            [r.t] + [format(x, ".17g") for x in (r.q_k, r.tq_k, r.target, r.abs_error)]
-        )
+    _survival_csv(map(astuple, rows), fh)

@@ -114,6 +114,16 @@ class FiniteLife:
         """P(L > t)."""
         return math.fsum(p for life, p in zip(self.support, self.probs) if life > t)
 
+    def survival_array(self, t_max: int) -> np.ndarray:
+        """survival(u) for u = 0..t_max, one fsum per stretch between
+        support points."""
+        out = np.zeros(t_max + 1)
+        lo = 0
+        for i, life in enumerate(self.support):
+            out[lo:life] = math.fsum(self.probs[i:])
+            lo = life
+        return out
+
     def pmf_array(self, t_max: int) -> np.ndarray:
         out = np.zeros(t_max + 1)
         for life, p in zip(self.support, self.probs):
@@ -158,9 +168,12 @@ class QuadraticTailLife:
     def pmf(self, life: int) -> float:
         return self.survival(life - 1) - self.survival(life)
 
-    def pmf_array(self, t_max: int) -> np.ndarray:
+    def survival_array(self, t_max: int) -> np.ndarray:
         t = np.arange(t_max + 1, dtype=float)
-        surv = np.where(t < self.t_min, 1.0, self.d / np.maximum(t, 1.0) ** 2)
+        return np.where(t < self.t_min, 1.0, self.d / np.maximum(t, 1.0) ** 2)
+
+    def pmf_array(self, t_max: int) -> np.ndarray:
+        surv = self.survival_array(t_max)
         out = np.empty(t_max + 1)
         out[0] = 0.0
         out[1:] = surv[:-1] - surv[1:]

@@ -13,7 +13,6 @@ is auditable without re-running it.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -27,6 +26,7 @@ from .exact_engine import (
     convergence_table,
     extinction_seq,
     fdd_pgf,
+    scaled_times,
 )
 from .lifelaw import (
     BellmanHarris,
@@ -406,7 +406,7 @@ def limit_convergence(
 
 
 def _conditioned_pmf_at(model, y, t, K):
-    times = tuple(t + int(math.floor(t * (yi - 1.0) + 0.5)) for yi in y)
+    times = scaled_times(t, y)
     return conditional_pmf(model, FddSpec(times, (0.0,) * len(y), t_obs=times[0]), K)
 
 
@@ -464,8 +464,8 @@ def fdd_limit_check(
 
     start = time.perf_counter()
     t0 = t_grid[0]
-    times = tuple(t0 + int(math.floor(t0 * (yi - 1.0) + 0.5)) for yi in y)
     cond = _conditioned_pmf_at(model, y, t0, K)
+    times = cond.times
     sim = simulate(
         SimConfig(
             model=model,

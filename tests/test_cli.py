@@ -1,10 +1,18 @@
 """Command-line behavior: printed summaries, file outputs, config
 echo round trips, seeds, and the exit-code contract."""
 
+import contextlib
+import io
 import json
+import os
+import string
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gwolab import cli
 from gwolab.cli import main
 
 GW_BINARY = {
@@ -243,3 +251,130 @@ class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestParameterTable:
+    """Flag values and --config values go through one declared parser per
+    parameter; malformed values and unknown keys exit 2 before any work."""
+
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            ("dp", {"model": GW_BINARY, "tmax": "abc"}),
+            ("simulate", {"model": GW_BINARY, "tmax": 4, "replicates": "ten", "seed": 1}),
+            ("fdd", {"model": GW_BINARY, "times": [3], "tobs": 3, "K": 2.5}),
+            ("simulate", {"model": GW_BINARY, "tmax": 4, "replicates": 10, "seed": 1,
+                          "format": "xml"}),
+            ("figure1", {"c": 1.0, "gird": 0.5}),
+            ("dp", {"model": GW_BINARY, "tmax": 4, "out": None}),
+        ],
+        ids=["tmax_letters", "replicates_letters", "K_fraction", "format_xml", "unknown_key",
+             "out_null"],
+    )
+    def test_bad_config_value_exits_2(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main([command, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and captured.out == ""
+
+    def test_flag_uses_same_parser(self, gw_path, capsys):
+        assert main(["dp", "--model", gw_path, "--tmax", "2.5"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (["fdd", "--times", "4,8", "--tobs", "4", "--K", "4"],
+             {"command": "fdd", "times": "4,8", "tobs": 4, "K": 4}),
+            (["simulate", "--tmax", "4", "--times", "2,4", "--replicates", "100", "--seed", "5"],
+             {"command": "simulate", "tmax": 4, "times": "2,4", "replicates": 100, "seed": 5}),
+        ],
+        ids=["fdd", "simulate"],
+    )
+    def test_string_valued_echo_reproduces(self, argv, echo, gw_path, tmp_path, capsys):
+        # echoes used to hold list parameters as the flag's text
+        a = tmp_path / "a.csv"
+        assert main(argv + ["--model", gw_path, "--out", str(a)]) == 0
+        cfg = tmp_path / "old_echo.json"
+        cfg.write_text(json.dumps(dict(echo, model=GW_BINARY)))
+        b = tmp_path / "b.csv"
+        assert main([echo["command"], "--config", str(cfg), "--out", str(b)]) == 0
+        assert b.read_bytes() == a.read_bytes()
+
+
+# every parameter but --out, with its kind and a valid config holding it
+VALID = {
+    "summarize": {"model": GW_BINARY},
+    "dp": {"model": GW_BINARY, "tmax": 4},
+    "fdd": {"model": GW_BINARY, "times": [1, 2], "z": [0.0, 0.0], "tobs": 1, "K": 2},
+    "simulate": {"model": GW_BINARY, "tmax": 4, "times": [2, 4], "replicates": 10,
+                 "seed": 1, "format": "csv"},
+    "limit": {"model": GW_BINARY, "y": [1.0, 2.0], "z": [0.25, 0.5], "tmax": 16,
+              "times": [8, 16]},
+    "figure1": {"c": 1.0, "grid": 0.5, "y_max": 2.0},
+    "verify": {},
+}
+KINDS = {
+    "model": "model", "tmax": "int", "tobs": "int", "K": "int", "replicates": "int",
+    "seed": "int", "times": "ints", "z": "floats", "y": "floats", "format": "choice",
+    "c": "float", "grid": "float", "y_max": "float",
+}
+
+_letters = st.text(string.ascii_letters, min_size=1, max_size=8)
+_fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
+_objects = st.dictionaries(_letters, st.integers(), max_size=2)
+_neither = st.one_of(_letters, st.booleans(), _objects, st.none())
+
+
+def _malformed(kind):
+    """JSON values the parameter's parser must reject."""
+    if kind == "choice":
+        scalar = st.one_of(_neither.filter(lambda v: v not in ("csv", "json")), _fractions)
+    elif kind in ("float", "floats"):
+        scalar = _neither
+    else:  # ints, and model paths (no file exists in the working directory)
+        scalar = st.one_of(_neither, _fractions)
+    if kind in ("ints", "floats"):  # a list is valid when each item is
+        return st.one_of(scalar, st.lists(scalar, min_size=1, max_size=3))
+    return st.one_of(scalar, st.lists(st.integers(), min_size=1, max_size=3))
+
+
+def _run_config(command, config):
+    # an empty working directory, so no malformed model path names a file
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("cfg.json", "w", encoding="utf-8") as fh:
+                json.dump(config, fh)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", "cfg.json"])
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+PARAMS = [(command, name) for command, cfg in VALID.items() for name in cfg]
+
+
+def test_kinds_cover_every_parameter():
+    declared = {c: {n for n, _, _ in cli._params(c)} - {"out"} for c in cli._COMMANDS}
+    assert declared == {c: set(cfg) for c, cfg in VALID.items()}
+    assert set(KINDS) == {n for names in declared.values() for n in names}
+
+
+@pytest.mark.parametrize("command", [c for c in VALID if c != "verify"])
+def test_valid_config_runs(command):
+    # so that the malformed value alone makes a run below fail
+    assert _run_config(command, VALID[command]) == (0, "")
+
+
+@pytest.mark.parametrize("command, name", PARAMS, ids=[f"{c}.{n}" for c, n in PARAMS])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_malformed_config_value_exits_2(command, name, data):
+    value = data.draw(_malformed(KINDS[name]), label=name)
+    code, err = _run_config(command, dict(VALID[command], **{name: value}))
+    assert code == 2 and err.startswith(f"error: {name}: ")

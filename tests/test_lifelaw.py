@@ -222,6 +222,26 @@ def test_quadratic_tail_pmf_array_consistent():
         assert arr[l] == pytest.approx(life.pmf(l), abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "life",
+    [
+        FiniteLife({1: 1.0}),
+        FiniteLife({1: 0.1, 3: 0.2, 7: 0.7}),
+        FiniteLife({2: 1 / 3, 5: 1 / 3, 9: 1 / 3}),
+        QuadraticTailLife(d=1.0, t_min=2),
+        QuadraticTailLife(d=1.125, t_min=2),
+        QuadraticTailLife(d=7.3, t_min=3),
+    ],
+    ids=["gw", "three_point", "thirds", "qt_1", "qt_1.125", "qt_7.3"],
+)
+def test_survival_array_equals_survival(life):
+    # the DP's survival tables come from survival_array; it must agree
+    # with the per-u survival exactly, not just to rounding
+    t_max = 4096
+    expected = np.array([life.survival(u) for u in range(t_max + 1)])
+    assert np.array_equal(life.survival_array(t_max), expected)
+
+
 def test_quadratic_tail_mean_against_partial_sum():
     life = QuadraticTailLife(d=3.0, t_min=3)
     partial = 3 + 3.0 * sum(1.0 / t**2 for t in range(3, 200000))
