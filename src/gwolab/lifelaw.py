@@ -33,6 +33,21 @@ from .errors import ConfigError, DivergentMoment
 _SUM_TOL = 1e-12
 _CERT_TOL = 1e-12
 _CERT_CAP = 1 << 20  # certified-summation iteration cap for moment series
+_LIFE_CAP = 2.0**62  # array draws of an unbounded life stay inside int64
+
+
+def _inverse_cdf(cdf: np.ndarray, cdf_list: list, u):
+    """Inverse cdf of a finite pmf with cumulative sums cdf (also as a
+    list): the index i with cdf[i-1] <= u < cdf[i], clamped to the last
+    index when rounding leaves cdf[-1] at or below u.
+
+    Takes a float (and returns an int) or an array of floats (and returns
+    an index array); both forms give the same index.
+    """
+    if isinstance(u, float):
+        i = bisect_right(cdf_list, u)
+        return i if i < len(cdf_list) else len(cdf_list) - 1
+    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +71,8 @@ class OffspringPMF:
         counts = np.arange(arr.size)
         self.mean = float(counts @ arr)
         self.second_moment = float((counts**2) @ arr)
-        self._cdf = np.cumsum(arr).tolist()
+        self._cdf = np.cumsum(arr)
+        self._cdf_list = self._cdf.tolist()
 
     @property
     def dispersion(self) -> float:
@@ -67,8 +83,9 @@ class OffspringPMF:
         """E(x^N) for scalar or array x."""
         return np.polynomial.polynomial.polyval(x, self.probs)
 
-    def sample_from_uniform(self, u: float) -> int:
-        return bisect_right(self._cdf, u)
+    def sample_from_uniform(self, u):
+        """Inverse-cdf child count for a float, or counts for an array of floats."""
+        return _inverse_cdf(self._cdf, self._cdf_list, u)
 
 
 def phi(offspring: OffspringPMF, z):
@@ -108,7 +125,9 @@ class FiniteLife:
         self.max_life = self.support[-1]
         self.mean = math.fsum(life * p for life, p in items)
         self.d = 0.0
-        self._cdf = list(np.cumsum(self.probs))
+        self._cdf = np.cumsum(self.probs)
+        self._cdf_list = self._cdf.tolist()
+        self._support = np.array(self.support, dtype=np.int64)
 
     def survival(self, t: float) -> float:
         """P(L > t)."""
@@ -135,8 +154,10 @@ class FiniteLife:
         """E(L; L > l0)."""
         return math.fsum(life * p for life, p in zip(self.support, self.probs) if life > l0)
 
-    def sample_from_uniform(self, u: float) -> int:
-        return self.support[bisect_right(self._cdf, u)] if u < self._cdf[-1] else self.max_life
+    def sample_from_uniform(self, u):
+        """Inverse-cdf life for a float, or lives for an array of floats."""
+        i = _inverse_cdf(self._cdf, self._cdf_list, u)
+        return self.support[i] if isinstance(u, float) else self._support[i]
 
 
 class QuadraticTailLife:
@@ -187,13 +208,16 @@ class QuadraticTailLife:
             return 0.0
         return (l0 + 1) * self.d / l0**2 + self.d * float(polygamma(1, l0 + 1))
 
-    def sample_from_uniform(self, u: float) -> int:
-        """Smallest t with P(L > t) < u; exact inverse-cdf sampling."""
-        if self.d == 0.0:
-            return self.t_min
-        if u <= 0.0:
-            u = 2.0**-64  # rng yields [0, 1); keep the sample finite
-        return max(self.t_min, int(math.sqrt(self.d / u)) + 1)
+    def sample_from_uniform(self, u):
+        """Smallest t with P(L > t) < u; exact inverse-cdf sampling, for a
+        float or an array of floats (whose lives are capped at 2^62)."""
+        if isinstance(u, float):
+            if u <= 0.0:
+                u = 2.0**-64  # rng yields [0, 1); keep the sample finite
+            return max(self.t_min, int(math.sqrt(self.d / u)) + 1)
+        u = np.where(np.asarray(u) > 0.0, u, 2.0**-64)
+        root = np.minimum(np.sqrt(self.d / u), _LIFE_CAP)
+        return np.maximum(self.t_min, root.astype(np.int64) + 1)
 
 
 LifeLengthLaw = Union[FiniteLife, QuadraticTailLife]
@@ -238,11 +262,12 @@ class Tabulated:
             raise ConfigError(f"atom probabilities sum to {total!r}, not 1")
         self.atoms = tuple(parsed)
         self.max_life = max(life for _, _, life in parsed)
-        self._cdf = list(np.cumsum([p for p, _, _ in parsed]))
+        self._cdf = np.cumsum([p for p, _, _ in parsed])
+        self._cdf_list = self._cdf.tolist()
 
-    def sample_atom_from_uniform(self, u: float) -> tuple[float, tuple[int, ...], int]:
-        i = bisect_right(self._cdf, u)
-        return self.atoms[min(i, len(self.atoms) - 1)]
+    def atom_index(self, u):
+        """Inverse-cdf atom index for a float, or indices for an array of floats."""
+        return _inverse_cdf(self._cdf, self._cdf_list, u)
 
 
 class BellmanHarris:
@@ -299,11 +324,15 @@ class DelayedDeath:
             raise ConfigError(f"schedule probabilities sum to {total!r}, not 1")
         self.schedules = tuple(parsed)
         self.residual = residual
-        self._cdf = list(np.cumsum([p for p, _ in parsed]))
+        self._cdf = np.cumsum([p for p, _ in parsed])
+        self._cdf_list = self._cdf.tolist()
+
+    def schedule_index(self, u):
+        """Inverse-cdf schedule index for a float, or indices for an array of floats."""
+        return _inverse_cdf(self._cdf, self._cdf_list, u)
 
     def sample_schedule_from_uniform(self, u: float) -> tuple[float, tuple[int, ...]]:
-        i = bisect_right(self._cdf, u)
-        return self.schedules[min(i, len(self.schedules) - 1)]
+        return self.schedules[_inverse_cdf(self._cdf, self._cdf_list, u)]
 
 
 LifeLaw = Union[Tabulated, BellmanHarris, Sevastyanov, DelayedDeath]

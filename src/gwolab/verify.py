@@ -478,15 +478,10 @@ def fdd_limit_check(
     keep = sim.ok & (sim.counts[:, 0] > 0)
     counts = sim.counts[keep]
     n = counts.shape[0]
-    emp = np.zeros_like(cond.probs)
-    emp_over = 0.0
-    for row in counts:
-        if row.sum() <= K:
-            emp[tuple(row)] += 1.0
-        else:
-            emp_over += 1.0
-    emp /= n
-    emp_over /= n
+    inside = counts[counts.sum(axis=1) <= K]
+    cells = np.ravel_multi_index(inside.T, cond.probs.shape)
+    emp = np.bincount(cells, minlength=cond.probs.size).reshape(cond.probs.shape) / n
+    emp_over = (n - inside.shape[0]) / n
     floor = 5.0 / n
     exact = np.append(cond.probs.ravel(), cond.overflow)
     observed = np.append(emp.ravel(), emp_over)

@@ -23,7 +23,7 @@ from gwolab.lifelaw import (
     phi,
     summarize,
 )
-from gwolab.simulator import _make_sampler, _UniformStream
+from gwolab.simulator import _individual_draw
 
 BINARY = OffspringPMF([0.5, 0.0, 0.5])
 
@@ -334,13 +334,14 @@ SAMPLING_MODELS = [
 
 @pytest.mark.parametrize("model", SAMPLING_MODELS, ids=lambda m: type(m).__name__)
 def test_sample_ordering_invariant(model):
-    draw = _make_sampler(model)
-    u = _UniformStream(np.random.default_rng(11))
-    for _ in range(4000):
-        life, ages = draw(u)
-        assert life >= 1
-        assert all(1 <= t <= life for t in ages)
-        assert list(ages) == sorted(ages)
+    per, draw = _individual_draw(model)
+    life, ages, counts = draw(np.random.default_rng(11).random((4000, per)))
+    born = counts > 0
+    assert (life >= 1).all()
+    assert ((ages >= 1) & (ages <= life[:, None]))[born].all()
+    # the slots that hold children come first, in age order
+    assert (born[:, :-1] >= born[:, 1:]).all()
+    assert (np.diff(ages, axis=1)[born[:, 1:]] >= 0).all()
 
 
 def test_quadratic_tail_sampling_frequency():
@@ -356,17 +357,12 @@ def test_quadratic_tail_sampling_frequency():
 def test_monte_carlo_moments_match_summary():
     model = BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.3, 0.4, 0.3]))
     s = summarize(model)
-    draw = _make_sampler(model)
-    u = _UniformStream(np.random.default_rng(20240817))
+    per, draw = _individual_draw(model)
     n = 1_000_000
-    ns = np.empty(n)
-    ls = np.empty(n)
-    taus = np.empty(n)
-    for i in range(n):
-        life, ages = draw(u)
-        ns[i] = len(ages)
-        ls[i] = life
-        taus[i] = sum(ages)
+    life, ages, counts = draw(np.random.default_rng(20240817).random((n, per)))
+    ns = counts.sum(axis=1).astype(float)
+    ls = life.astype(float)
+    taus = (ages * counts).sum(axis=1).astype(float)
     for sample, target in ((ns, s.mean_offspring), (ls, model.life.mean), (taus, s.a)):
         err = abs(sample.mean() - target)
         band = 4.0 * sample.std() / math.sqrt(n)
@@ -375,9 +371,37 @@ def test_monte_carlo_moments_match_summary():
 
 def test_delayed_death_life_extends_schedule():
     model = DelayedDeath([(1.0, [2, 3])], QuadraticTailLife(d=1.0, t_min=1))
-    draw = _make_sampler(model)
-    u = _UniformStream(np.random.default_rng(3))
-    for _ in range(200):
-        life, ages = draw(u)
-        assert ages == (2, 3)
-        assert life >= 4  # last birth age + residual >= 1
+    per, draw = _individual_draw(model)
+    life, ages, counts = draw(np.random.default_rng(3).random((200, per)))
+    np.testing.assert_array_equal(ages, np.tile([2, 3], (200, 1)))
+    np.testing.assert_array_equal(counts, np.ones((200, 2)))
+    assert (life >= 4).all()  # last birth age + residual >= 1
+
+
+def test_offspring_inverse_cdf_clamped_to_max_children():
+    # the summed cdf ends at 1 - 2^-53, so u = 1 - 2^-53 lies at its last entry
+    law = OffspringPMF([0.1] * 10)
+    u = float(np.nextafter(1.0, 0.0))
+    assert law.sample_from_uniform(u) == law.max_children == 9
+    np.testing.assert_array_equal(law.sample_from_uniform(np.array([0.0, 0.1, u])), [0, 1, 9])
+
+
+INVERSE_CDFS = {
+    "offspring": OffspringPMF([0.1] * 10).sample_from_uniform,
+    "finite_life": FiniteLife({1: 0.3, 4: 0.3, 9: 0.4}).sample_from_uniform,
+    "quadratic_tail": QuadraticTailLife(d=1.125, t_min=2).sample_from_uniform,
+    "quadratic_tail_d0": QuadraticTailLife(d=0.0, t_min=3).sample_from_uniform,
+    "atom": Tabulated([(0.5, [1, 2], 3), (0.25, [], 2), (0.25, [1], 1)]).atom_index,
+    "schedule": DelayedDeath(
+        [(0.5, [1, 2]), (0.5, [])], QuadraticTailLife(d=1.125, t_min=2)
+    ).schedule_index,
+}
+
+
+@pytest.mark.parametrize("inverse", INVERSE_CDFS.values(), ids=INVERSE_CDFS.keys())
+def test_inverse_cdf_scalar_and_array_forms_agree(inverse):
+    u = np.random.default_rng(8).random(3000)
+    u[:5] = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0)]
+    scalar = [inverse(float(x)) for x in u]
+    assert all(type(v) is int for v in scalar)
+    np.testing.assert_array_equal(inverse(u), scalar)

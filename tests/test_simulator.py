@@ -1,13 +1,17 @@
 """Simulator checks: exact trajectories for deterministic models,
 agreement with the exact engine within Monte Carlo error, determinism
-and thread-count invariance, rejection sampling, and output formats."""
+and thread-count invariance, the Philox stream against numpy's own,
+seeded outputs pinned by digest, rejection sampling, and output formats."""
 
+import hashlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gwolab import simulator
 from gwolab.errors import BudgetExhausted, ConfigError, UnsupportedModel
 from gwolab.exact_engine import FddSpec, conditional_pmf, extinction_seq
 from gwolab.lifelaw import (
@@ -15,6 +19,7 @@ from gwolab.lifelaw import (
     FiniteLife,
     OffspringPMF,
     QuadraticTailLife,
+    Sevastyanov,
     Tabulated,
     summarize,
 )
@@ -24,8 +29,12 @@ from gwolab.simulator import (
     conditional_sample,
     default_cutoff,
     dichotomy_stats,
+    philox_uniforms,
     simulate,
 )
+from gwolab.modelio import load_model
+
+MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
 
 
 def gw_binary():
@@ -155,6 +164,149 @@ class TestDeterminism:
         np.testing.assert_array_equal(few.counts, many.counts[:50])
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("rep", [0, 1, 2**32, 2**63])
+def test_philox_matches_numpy(seed, rep):
+    # the key is a uint64 array: numpy converts a list key such as
+    # [2**64 - 1, 0] through float64 and gets [0, 0]
+    n = 4 * 97 + 3
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))).random(n)
+    blocks = np.arange(98)
+    got = philox_uniforms(seed, np.full(blocks.size, rep, dtype=np.uint64), blocks)
+    assert np.array_equal(got.reshape(-1)[:n], ref)
+
+
+def _reference_draw(model, u):
+    """(life, birth ages) of one individual from the scalar inverse cdfs,
+    taking its uniforms from the iterator u in stream order."""
+    if isinstance(model, (BellmanHarris, Sevastyanov)):
+        life = model.life.sample_from_uniform(next(u))
+        law = model.offspring if isinstance(model, BellmanHarris) else model.offspring_by_life(life)
+        return life, (life,) * law.sample_from_uniform(next(u))
+    if isinstance(model, Tabulated):
+        _, ages, life = model.atoms[model.atom_index(next(u))]
+        return life, ages
+    _, ages = model.sample_schedule_from_uniform(next(u))
+    return (ages[-1] if ages else 0) + model.residual.sample_from_uniform(next(u)), ages
+
+
+def _reference_replicate(cfg, rep):
+    """One replicate walked individual by individual on numpy's own Philox
+    stream: counts at the query times and the horizon, and the overflow flag."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, rep], dtype=np.uint64)))
+    u = iter(gen.random, None)
+    times = list(cfg.query_times) + [cfg.horizon]
+    counts = [0] * len(times)
+    pending = [1] + [0] * cfg.horizon
+    deaths = [0] * (cfg.horizon + 2)
+    alive = 0
+    for t in range(cfg.horizon + 1):
+        alive -= deaths[t]
+        for _ in range(pending[t]):
+            life, ages = _reference_draw(cfg.model, u)
+            alive += 1
+            if alive > cfg.max_individuals:
+                return counts, True
+            if t + life <= cfg.horizon + 1:
+                deaths[t + life] += 1
+            for i, q in enumerate(times):
+                counts[i] += t <= q < t + life
+            for a in ages:
+                if t + a <= cfg.horizon:
+                    pending[t + a] += 1
+    return counts, False
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["age_dependent_offspring", "binary_splitting", "delayed_death", "early_births", "heavy_tail_life"],
+)
+def test_matches_individual_by_individual_reference(name):
+    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    for cap in (5, 1_000_000):
+        cfg = SimConfig(model, 16, (4, 12), 150, 23, max_individuals=cap)
+        res = simulate(cfg)
+        for rep in range(cfg.replicates):
+            counts, over = _reference_replicate(cfg, rep)
+            assert res.overflowed[rep] == over
+            assert res.counts[rep].tolist() == counts[:-1]
+            assert res.survived[rep] == (counts[-1] > 0 and not over)
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for p in parts:
+        if isinstance(p, np.ndarray):
+            h.update(repr((p.dtype.str, p.shape)).encode())
+            h.update(np.ascontiguousarray(p).tobytes())
+        else:
+            h.update(repr(p).encode())
+    return h.hexdigest()
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except BudgetExhausted as exc:
+        return f"BudgetExhausted: {exc}"
+
+
+# sha256 of seeded simulate, conditional_sample and dichotomy_stats outputs
+# on the example models, as the one-replicate-at-a-time simulator gave them;
+# max_individuals 3 and 8 make rows overflow
+SEEDED_DIGESTS = {
+    ("age_dependent_offspring", 1_000_000): "6e1dea8797f681c3bc4535625cc4ca50a1234b980d18ded91dfc7b68bbb2382f",
+    ("age_dependent_offspring", 3): "1ee82052da8d7c194ec24ec2fecd42a4313ae821e81fc4f0eafb0bfaad55ddb8",
+    ("age_dependent_offspring", 8): "8a46aebf21a00dafc940431f57a6092fe2323ea9bdb5de923067deaa39f006e6",
+    ("binary_splitting", 1_000_000): "5fa7a9f7f0e4b56ab25d61a6572b644b90f65350538d2f36350946dbf63ade98",
+    ("binary_splitting", 3): "2fee90590caabd4f73986c51dfcf95273a9fce37fde80fbd83bea60b22dcf4b2",
+    ("binary_splitting", 8): "c4b922a77a84737ee8aa39a56ca8d25a667b2155557dea4fde9eaf5cd399ed1b",
+    ("delayed_death", 1_000_000): "1afffadf694c33a9620966d7873be64b8484466e2153577cdd768446df351321",
+    ("delayed_death", 3): "126b18b585bbcafa846317ec49f922b51922e3e9c8eb933b1d029b089f96f06a",
+    ("delayed_death", 8): "26869526252de9bbcbb0185a43e73ea292d75687597820b5a1a2b32b9df8dbb2",
+    ("early_births", 1_000_000): "099f7a0f1c25a8ebd3ffff3632240ca52839b4f58e1bf88b76fc0f05d2f024f3",
+    ("early_births", 3): "bab7a57564b82443f3c255ea898aede585227df328311afce598f04f970e4425",
+    ("early_births", 8): "87db26820b80807a4491ff6526ecfd7562c96f70454fdaeff78e6a6180b06de7",
+    ("heavy_tail_life", 1_000_000): "c1b2cc3bb2149f6a7cca6c43c5ffd3cf90816f900c3af66ee0057f8aba5946cf",
+    ("heavy_tail_life", 3): "ccde739d1c4dba6397ca7ae3e36dfcf8651365aceb1a643cdef784d8f2370a43",
+    ("heavy_tail_life", 8): "7fdda68a312dd08968756ae061ca9f29c35818b08c30d8ecf1d545c6a46ad9c0",
+}
+
+
+@pytest.mark.parametrize("name, cap", SEEDED_DIGESTS, ids=[f"{n}-{c}" for n, c in SEEDED_DIGESTS])
+def test_seeded_outputs_are_pinned(name, cap):
+    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    parts = []
+    for qt in ((6, 24), (6,), ()):
+        cfg = SimConfig(model, 24, qt, 1500, 17, max_individuals=cap)
+        r = simulate(cfg)
+        parts += [r.counts, r.survived, r.overflowed]
+        c = _outcome(lambda: conditional_sample(cfg, 60))
+        parts += [c] if isinstance(c, str) else [c.counts, c.survived, c.overflowed, c.attempts]
+        d = _outcome(lambda: dichotomy_stats(cfg))
+        parts += [d] if isinstance(d, str) else [
+            d.survivors, d.small_fraction, d.large_fraction, d.cutoff, d.reference_limit
+        ]
+    assert _digest(*parts) == SEEDED_DIGESTS[name, cap]
+
+
+@pytest.mark.parametrize("slots", [1, 7])
+def test_slot_count_does_not_change_rows(monkeypatch, slots):
+    # fewer slots than replicates: each slot runs several replicates in turn
+    cfgs = [
+        SimConfig(load_model(str(MODEL_DIR / f"{name}.json")), 24, (6, 24), 100, 5, max_individuals=cap)
+        for name in ("delayed_death", "age_dependent_offspring", "early_births")
+        for cap in (8, 1_000_000)
+    ]
+    wide = [simulate(cfg) for cfg in cfgs]
+    monkeypatch.setattr(simulator, "_TALLY_CELLS", slots * 26)  # 26 = horizon + 2
+    for cfg, ref in zip(cfgs, wide):
+        res = simulate(cfg)
+        np.testing.assert_array_equal(res.counts, ref.counts)
+        np.testing.assert_array_equal(res.survived, ref.survived)
+        np.testing.assert_array_equal(res.overflowed, ref.overflowed)
+
+
 class TestOverflow:
     def test_flagged_and_excluded(self):
         cfg = SimConfig(
@@ -216,6 +368,43 @@ class TestConditionalSampling:
         )
         with pytest.raises(BudgetExhausted, match="max_individuals"):
             conditional_sample(cfg, target_survivors=300, max_attempts=10_000)
+
+    def test_overflow_after_returned_attempt_does_not_raise(self):
+        # the first block holds 4 * target attempts; attempt 13 overflows,
+        # after the fifth survivor at attempt 9
+        cfg = SimConfig(
+            model=gw_binary(), horizon=6, query_times=(3, 6), replicates=1, seed=97, max_individuals=16
+        )
+        full = simulate(
+            SimConfig(model=gw_binary(), horizon=6, query_times=(3, 6), replicates=20, seed=97, max_individuals=16)
+        )
+        assert np.flatnonzero(full.overflowed)[0] == 13
+        res = conditional_sample(cfg, target_survivors=5, max_attempts=1000)
+        assert res.attempts == 10
+        np.testing.assert_array_equal(res.counts, full.counts[:10][full.survived[:10]])
+
+    def test_budget_message_at_uneven_max_attempts(self):
+        # 333 is no multiple of any block; the message counts the survivors
+        # of attempts 0..332 exactly
+        cfg = SimConfig(model=gw_binary(), horizon=8, query_times=(8,), replicates=1, seed=4)
+        survivors = int(
+            simulate(SimConfig(model=gw_binary(), horizon=8, query_times=(8,), replicates=333, seed=4)).survived.sum()
+        )
+        assert survivors < 200
+        with pytest.raises(BudgetExhausted, match=rf"^{survivors}/200 survivors after 333 attempts$"):
+            conditional_sample(cfg, target_survivors=200, max_attempts=333)
+
+    def test_several_blocks_equal_surviving_rows_of_simulate(self):
+        # Q(16) is about 0.11, so the first block of 1200 attempts holds
+        # too few survivors and later blocks follow
+        cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=1, seed=21)
+        res = conditional_sample(cfg, target_survivors=300, max_attempts=100_000)
+        assert res.attempts > 1200
+        full = simulate(
+            SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=res.attempts, seed=21)
+        )
+        assert full.survived[-1] and full.survived.sum() == 300
+        np.testing.assert_array_equal(res.counts, full.counts[full.survived])
 
     def test_budget_exhausted(self):
         # this population is always gone by time 2, so no attempt survives
