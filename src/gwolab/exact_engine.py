@@ -29,7 +29,10 @@ so the segment layout is worked out once per phase.  Two kernels walk it:
 
 Weights may be scalars or series variables.  Coefficients then have shape
 (cap+1,)*nvars in the truncated series ring, and shape () is the scalar
-case: the same walk runs with floats or with coefficient arrays.
+case: the same walk runs with floats or with coefficient arrays.  A
+series product is `series.dense_mul`: in two or three variables at small
+caps a cached pair table and one `np.bincount`, so no term past the cap
+is formed; in one variable a direct convolution; at large caps an FFT.
 """
 
 from __future__ import annotations

@@ -9,6 +9,10 @@ from __future__ import annotations
 
 import doctest
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,7 @@ from hypothesis import strategies as st
 
 import gwolab.series
 from gwolab.errors import NonpositiveConstantTerm, ShapeMismatch
-from gwolab.series import TruncatedSeries
+from gwolab.series import TruncatedSeries, dense_mul
 
 
 def binomial_sqrt_coeffs(alpha: float, beta: float, cap: int) -> list[float]:
@@ -128,3 +132,79 @@ def test_evaluate():
 def test_module_doctest():
     result = doctest.testmod(gwolab.series)
     assert result.attempted > 0 and result.failed == 0
+
+
+def test_negative_exponents_rejected():
+    with pytest.raises(ShapeMismatch):
+        TruncatedSeries.from_terms({(-1, 0): 1.0}, nvars=2, cap=3)
+    s = TruncatedSeries.from_terms({(3, 0): 5.0}, nvars=2, cap=3)
+    with pytest.raises(ShapeMismatch):
+        s.coefficient((-1, 0))
+
+
+@pytest.mark.parametrize("scalar", [np.int64(2), np.float32(2.0), np.float64(2.0), 2, 2.0])
+def test_real_scalar_operands(scalar):
+    s = TruncatedSeries.from_terms({(0, 0): 1.0, (1, 2): 3.0}, nvars=2, cap=3)
+    data = s.to_dense_array()
+    two = TruncatedSeries.constant(2.0, 2, 3).to_dense_array()
+    for got, want in [
+        (s * scalar, 2.0 * data),
+        (scalar * s, 2.0 * data),
+        (s + scalar, data + two),
+        (scalar + s, data + two),
+        (s - scalar, data - two),
+        (scalar - s, two - data),
+    ]:
+        assert isinstance(got, TruncatedSeries)
+        np.testing.assert_array_equal(got.to_dense_array(), want)
+
+
+def _naive_product(a, b, cap):
+    """Truncated product and the same sum over |a| and |b|, by a double
+    loop over exponent tuples; terms past the cap in a or b never enter."""
+    def terms(arr):
+        return [(idx, float(arr[idx]), sum(idx)) for idx in np.ndindex(arr.shape) if sum(idx) <= cap]
+
+    out = np.zeros_like(a)
+    size = np.zeros_like(a)
+    b_terms = terms(b)
+    for i, x, di in terms(a):
+        for j, y, dj in b_terms:
+            if di + dj <= cap:
+                k = tuple(p + q for p, q in zip(i, j))
+                out[k] += x * y
+                size[k] += abs(x * y)
+    return out, size
+
+
+# (nvars, cap) on both sides of each route switch: np.convolve in one
+# variable up to cap 511, the pair table in more up to C(cap + 2n, 2n)
+# = _PAIR_BUDGET (cap 32 in two, 15 in three), the FFT past either
+@pytest.mark.parametrize(
+    "nvars, cap",
+    [(1, 0), (2, 0), (3, 0), (1, 7), (2, 5), (3, 4), (1, 360), (1, 361),
+     (1, 511), (1, 512), (2, 32), (2, 33), (3, 15), (3, 16)],
+)
+def test_dense_mul_matches_naive_product(nvars, cap):
+    rng = np.random.default_rng(1000 * nvars + cap)
+    # every entry of the (cap+1)^n box is set, also those past the cap
+    a, b = (rng.uniform(-1.0, 1.0, (cap + 1,) * nvars) for _ in range(2))
+    want, size = _naive_product(a, b, cap)
+    got = dense_mul(a, b, cap)
+    assert got.shape == a.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * size.max()
+
+
+def test_route_switches_sit_at_the_tested_caps():
+    assert 512**2 <= gwolab.series._DIRECT_PRODUCTS < 513**2
+    assert math.comb(36, 4) <= gwolab.series._PAIR_BUDGET < math.comb(37, 4)
+    assert math.comb(21, 6) <= gwolab.series._PAIR_BUDGET < math.comb(22, 6)
+
+
+def test_import_does_not_load_scipy_signal():
+    # scipy.signal costs about a second of import time, paid by every CLI command
+    src = str(Path(gwolab.series.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gwolab, gwolab.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
