@@ -27,12 +27,10 @@ so the segment layout is worked out once per phase.  Two kernels walk it:
   its birth ages, and its alive term sums P(L in segment) over the
   segments.
 
-Weights may be scalars or series variables.  Coefficients then have shape
-(cap+1,)*nvars in the truncated series ring, and shape () is the scalar
-case: the same walk runs with floats or with coefficient arrays.  A
-series product is `series.dense_mul`: in two or three variables at small
-caps a cached pair table and one `np.bincount`, so no term past the cap
-is formed; in one variable a direct convolution; at large caps an FFT.
+Weights may be scalars or series variables.  Series coefficients are
+flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
+and the ring picks its own product route; the DP reads only its row and
+shape.  The scalar case, shape (), runs the same walk on floats.
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from . import series
 from .errors import (
     CapTooLarge,
     ConfigError,
@@ -62,7 +61,6 @@ from .lifelaw import (
     Tabulated,
     summarize,
 )
-from .series import dense_mul, monomial, poly_of_series, shift_monomial
 
 _SERIES_BUDGET = 1 << 23  # floats held by one series DP table
 
@@ -109,15 +107,8 @@ class FddSpec:
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings: floats, or flat truncated series
+# the scalar coefficient ring (the series one is series.Ring)
 # ---------------------------------------------------------------------------
-
-
-def _horner(coef, x):
-    r = 0.0
-    for c in reversed(coef):
-        r = r * x + c
-    return r
 
 
 class _Floats:
@@ -126,7 +117,13 @@ class _Floats:
     shape = ()
     row = ()
     mul = staticmethod(operator.mul)
-    poly = staticmethod(_horner)
+
+    @staticmethod
+    def poly(coef, x):
+        r = 0.0
+        for c in reversed(coef):
+            r = r * x + c
+        return r
 
     @staticmethod
     def powers(x, n: int):
@@ -135,39 +132,6 @@ class _Floats:
     @staticmethod
     def monomial(scal: float, var_idx) -> float:
         return scal
-
-
-class _Series:
-    """Coefficient arrays over z-exponents of shape (cap+1,)*nvars,
-    truncated at total degree cap.  They are kept flat so that a DP table
-    row is one vector; the series ops see them in their own shape."""
-
-    def __init__(self, nvars: int, cap: int):
-        self.nvars = nvars
-        self.cap = cap
-        self.shape = (cap + 1,) * nvars
-        self.row = (math.prod(self.shape),)
-
-    def _exps(self, var_idx) -> list:
-        return [var_idx.count(i) for i in range(self.nvars)]
-
-    def mul(self, a, b):
-        return dense_mul(a.reshape(self.shape), b.reshape(self.shape), self.cap).ravel()
-
-    def poly(self, coef, x):
-        return poly_of_series(coef, x.reshape(self.shape), self.cap).ravel()
-
-    def powers(self, x, n: int) -> list:
-        out = [self.monomial(1.0, ()), x][:n]
-        while len(out) < n:
-            out.append(self.mul(out[-1], x))
-        return out
-
-    def monomial(self, scal: float, var_idx):
-        return monomial(scal, self._exps(var_idx), self.cap).ravel()
-
-    def shift(self, x, var_idx):
-        return shift_monomial(x.reshape(self.shape), self._exps(var_idx), self.cap).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +291,7 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     among the weights (total degree <= cap); shape () is the scalar case.
     """
     t_max = times[-1]
-    ring = _Series(nvars, cap) if nvars else _Floats
+    ring = series.ring(nvars, cap) if nvars else _Floats
     if isinstance(model, (BellmanHarris, Sevastyanov)):
         walk = _birth_at_death(model, t_max, ring)
     elif isinstance(model, (Tabulated, DelayedDeath)):
@@ -392,38 +356,31 @@ def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:
     return float(_dp(model, spec.times, spec.z)[spec.times[-1]])
 
 
-def _survival_at(model: LifeLaw, t_obs: int) -> float:
+def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: int = 0):
+    """E(prod w_i^{Z(t_i)} | Z(t_obs) > 0) at spec's times, for scalar or
+    series weights.
+
+    Extinction is permanent here (no births after death of the whole
+    population), so E(prod w_i^{Z(t_i)}; Z(t_obs) = 0) is exactly the
+    same pgf with an extra weight-0 coordinate at t_obs.  It goes after
+    the times <= t_obs; ties may go anywhere since equal times commute.
+    """
+    t_obs = spec.t_obs
+    if t_obs is None:
+        raise ConfigError("spec needs t_obs for conditioning")
     q = 1.0 - float(_dp(model, (t_obs,), (0.0,))[t_obs])
     if q <= 0.0:
         raise ZeroConditioningEvent(f"Z({t_obs}) > 0 has probability 0")
-    return q
-
-
-def _with_inserted_zero(times, weights, t_obs):
-    """Insert the conditioning coordinate (t_obs, weight 0), keeping times
-    sorted; ties may go anywhere since equal times commute."""
-    merged = list(zip(times, weights))
-    pos = 0
-    while pos < len(merged) and merged[pos][0] <= t_obs:
-        pos += 1
-    merged.insert(pos, (t_obs, 0.0))
-    return tuple(t for t, _ in merged), tuple(w for _, w in merged)
+    plain = _dp(model, spec.times, weights, nvars, cap)[spec.times[-1]] if spec.k else 1.0
+    pos = sum(1 for t in spec.times if t <= t_obs)
+    times = spec.times[:pos] + (t_obs,) + spec.times[pos:]
+    extinct = _dp(model, times, weights[:pos] + (0.0,) + weights[pos:], nvars, cap)[times[-1]]
+    return (plain - extinct) / q
 
 
 def conditional_pgf(model: LifeLaw, spec: FddSpec) -> float:
-    """E(prod z_i^{Z(t_i)} | Z(t_obs) > 0).
-
-    Extinction is permanent here (no births after death of the whole
-    population), so E(prod z_i^{Z(t_i)}; Z(t_obs) = 0) is exactly the
-    same pgf with an extra weight-0 coordinate at t_obs.
-    """
-    if spec.t_obs is None:
-        raise ConfigError("spec needs t_obs for conditioning")
-    q = _survival_at(model, spec.t_obs)
-    p_plain = fdd_pgf(model, spec)
-    times, weights = _with_inserted_zero(spec.times, spec.z, spec.t_obs)
-    p_extinct = float(_dp(model, times, weights)[times[-1]])
-    return (p_plain - p_extinct) / q
+    """E(prod z_i^{Z(t_i)} | Z(t_obs) > 0)."""
+    return float(_conditioned(model, spec, spec.z))
 
 
 @dataclass(frozen=True)
@@ -439,19 +396,12 @@ def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
     counts up to K, over spec.times.  The weights become variables, but
     FddSpec has already dropped the times whose weight is 1, so give
     weight 0 at every time the pmf should cover."""
-    if spec.t_obs is None:
-        raise ConfigError("spec needs t_obs for conditioning")
     if K < 1:
         raise ConfigError("K must be >= 1")
     k = spec.k
     if k == 0:
         raise ConfigError("no coordinates left to extract")
-    q = _survival_at(model, spec.t_obs)
-    variables = tuple(_Var(i) for i in range(k))
-    plain = _dp(model, spec.times, variables, k, K)[spec.times[-1]]
-    times, weights = _with_inserted_zero(spec.times, variables, spec.t_obs)
-    extinct = _dp(model, times, weights, k, K)[times[-1]]
-    probs = (plain - extinct) / q
+    probs = _conditioned(model, spec, tuple(_Var(i) for i in range(k)), k, K)
     return ConditionalPmf(
         times=spec.times,
         t_obs=spec.t_obs,

@@ -12,12 +12,18 @@ functions, marginal and joint pmfs (by series extraction), increment
 pgfs, and the laws of the entry time T = sup{u : eta(u) = infinity} and
 the emptying time T0 = inf{u : eta(u) = 0}.  Infinite mass is reported
 as an explicit field, never folded into a truncation bucket.
+
+The joint pgf is one expression, `_fdd_pgf`, evaluated on floats by
+`eta_fdd_pgf` and on truncated series by `eta_fdd_pmf`; P(eta(y) < inf)
+is `prob_finite`, also the cdf of T.  The marginal forms, `increment_pgf`
+and `dichotomy_fraction` are independent transcriptions kept as checks.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,50 +82,64 @@ class FddQuery:
         return len(self.y)
 
 
-def prob_finite(p: LimitParams, y: float) -> float:
-    """P(eta(y) < infinity)."""
-    if y <= 0.0:
+def _check_y(y) -> None:
+    if not np.all(np.asarray(y) > 0.0):
         raise ConfigError("y must be positive")
-    if y < 1.0:
-        return (math.sqrt(1.0 + p.c * y * y) - 1.0) / (p.scale * y)
-    return 1.0 - 2.0 / (p.scale * y)
+
+
+def _check_K(K) -> None:
+    if not (isinstance(K, numbers.Integral) and K >= 0):
+        raise ConfigError(f"K={K!r} must be an integer >= 0")
+
+
+def prob_finite(p: LimitParams, y):
+    """P(eta(y) < infinity), for a float or an array of y > 0."""
+    _check_y(y)
+    y = np.asarray(y, dtype=float)
+    left = (np.sqrt(1.0 + p.c * y * y) - 1.0) / (p.scale * y)
+    out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * y))
+    return float(out) if out.ndim == 0 else out
 
 
 def prob_zero(p: LimitParams, y: float) -> float:
     """P(eta(y) = 0); zero left of 1."""
-    if y <= 0.0:
-        raise ConfigError("y must be positive")
+    _check_y(y)
     return (y - 1.0) / y if y >= 1.0 else 0.0
 
 
 def eta_marginal_pgf(p: LimitParams, y: float, z: float) -> float:
-    """E(z^{eta(y)}) for 0 <= z < 1 (infinite values contribute nothing)."""
+    """E(z^{eta(y)}) for 0 <= z <= 1 (infinite values contribute nothing)."""
+    _check_y(y)
+    if not 0.0 <= z <= 1.0:
+        raise ConfigError("z must lie in [0, 1]")
     c, A = p.c, p.scale
     if y < 1.0:
         return (math.sqrt(1.0 + c * (1.0 - z) + c * z * y * y) - math.sqrt(1.0 + c * (1.0 - z))) / (A * y)
     return 1.0 - (1.0 + math.sqrt(1.0 + c * (1.0 - z))) / (A * y)
 
 
+def _fdd_pgf(p: LimitParams, y, z, one, sqrt):
+    """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)}), split at 1, for float weights
+    (one = 1.0, sqrt = math.sqrt) or truncated-series ones (one and sqrt
+    from TruncatedSeries), which give the pgf's coefficients."""
+    c, y1 = p.c, y[0]
+    j = sum(1 for v in y if v < 1.0)  # coordinates left of 1
+    s_all, prefix = 0.0, one
+    for i, (yi, zi) in enumerate(zip(y, z)):
+        s_all = s_all + prefix * (one - zi) * (c * (y1 / yi) ** 2)
+        prefix = prefix * zi
+        if i == j - 1:
+            s_left, zprod = s_all, prefix
+    root_all = sqrt(one + s_all)
+    inv = 1.0 / (p.scale * y1)
+    if j == 0:
+        return one - (root_all + 1.0) * inv
+    return (sqrt(one + s_left + zprod * (c * y1 * y1)) - root_all) * inv
+
+
 def eta_fdd_pgf(p: LimitParams, q: FddQuery) -> float:
-    """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)}) via the branch split at 1."""
-    if q.k == 0:
-        return 1.0
-    c, A = p.c, p.scale
-    y1 = q.y[0]
-    gammas = [c * (y1 / yi) ** 2 for yi in q.y]
-    s_all = 0.0
-    s_left = 0.0
-    prefix = 1.0
-    for i, (zi, gam) in enumerate(zip(q.z, gammas)):
-        s_all += prefix * (1.0 - zi) * gam
-        if i < q.j:
-            s_left += prefix * (1.0 - zi) * gam
-        prefix *= zi
-    if q.j == 0:
-        return 1.0 - (1.0 + math.sqrt(1.0 + s_all)) / (A * y1)
-    zprod = math.prod(q.z[: q.j])
-    first = math.sqrt(1.0 + s_left + c * zprod * y1 * y1)
-    return (first - math.sqrt(1.0 + s_all)) / (A * y1)
+    """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)})."""
+    return _fdd_pgf(p, q.y, q.z, 1.0, math.sqrt) if q.k else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +172,8 @@ class MarginalPmf:
 
 def eta_marginal_pmf(p: LimitParams, y: float, K: int) -> MarginalPmf:
     """Closed-form binomial extraction of P(eta(y) = n) for n <= K."""
-    if y <= 0.0:
-        raise ConfigError("y must be positive")
+    _check_y(y)
+    _check_K(K)
     c, A = p.c, p.scale
     if y >= 1.0:
         tail = _sqrt_taylor(1.0 + c, c, K)
@@ -182,8 +202,8 @@ class FddPmf:
 def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
     """Joint pmf P(eta(y_1) = i_1, ..., eta(y_k) = i_k) up to total degree K.
 
-    The joint pgf is expanded in the truncated-series ring; the square
-    roots come from the Newton iteration rather than the univariate
+    The joint pgf `_fdd_pgf` is expanded in the truncated-series ring; the
+    square roots come from the Newton iteration rather than the univariate
     binomial formula, so the k = 1 case independently cross-checks
     eta_marginal_pmf.
     """
@@ -192,31 +212,12 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
         raise ConfigError("query has no coordinates left")
     if k > 3:
         raise ConfigError("joint extraction is configured for k <= 3")
+    _check_K(K)
     if (K + 1) ** k > _PMF_ELEMENT_BUDGET:
         raise CapTooLarge(f"(K+1)^k = {(K + 1) ** k} exceeds the element budget")
-    c, A = p.c, p.scale
-    y1 = q.y[0]
-    gammas = [c * (y1 / yi) ** 2 for yi in q.y]
     one = TruncatedSeries.constant(1.0, k, K)
     zvars = [TruncatedSeries.variable(i, k, K) for i in range(k)]
-    s_all = TruncatedSeries.zeros(k, K)
-    s_left = TruncatedSeries.zeros(k, K)
-    prefix = one
-    for i in range(k):
-        term = prefix * (one - zvars[i]) * gammas[i]
-        s_all = s_all + term
-        if i < q.j:
-            s_left = s_left + term
-        prefix = prefix * zvars[i]
-    root_all = (one + s_all).sqrt()
-    if q.j == 0:
-        pgf = one - (root_all + 1.0) * (1.0 / (A * y1))
-    else:
-        zprod = one
-        for i in range(q.j):
-            zprod = zprod * zvars[i]
-        root_left = (one + s_left + zprod * (c * y1 * y1)).sqrt()
-        pgf = (root_left - root_all) * (1.0 / (A * y1))
+    pgf = _fdd_pgf(p, q.y, zvars, one, TruncatedSeries.sqrt)
     coeffs = pgf.to_dense_array()
     neg = coeffs < 0.0
     clamped = int(neg.sum())
@@ -225,7 +226,7 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
         if worst < -_CLAMP_TOL:
             logger.warning("clamped %d joint pmf coefficients, worst %.3g", clamped, worst)
         coeffs = np.where(neg, 0.0, coeffs)
-    pfin = prob_finite(p, y1)  # eta is nonincreasing: finite at y_1 means finite everywhere
+    pfin = prob_finite(p, q.y[0])  # eta is nonincreasing: finite at y_1 means finite everywhere
     return FddPmf(
         y=q.y,
         coeffs=coeffs,
@@ -276,16 +277,15 @@ class LawT:
     stops being infinite.  Continuous with a density jump at y = 1."""
 
     def __init__(self, p: LimitParams):
+        self.params = p
         self.c = p.c
         self.scale = p.scale
 
     def cdf(self, y):
+        """P(T <= y) = P(eta(y) < infinity) for y > 0, and 0 for y <= 0."""
         y = np.asarray(y, dtype=float)
-        c, A = self.c, self.scale
-        safe = np.where(y > 0.0, y, 1.0)
-        left = (np.sqrt(1.0 + c * safe**2) - 1.0) / (A * safe)
-        right = 1.0 - 2.0 / (A * safe)
-        out = np.where(y >= 1.0, right, np.where(y > 0.0, left, 0.0))
+        pos = y > 0.0
+        out = np.where(pos, prob_finite(self.params, np.where(pos, y, 1.0)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):

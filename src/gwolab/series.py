@@ -6,18 +6,22 @@ everything of higher total degree is dropped.  Square roots are computed
 with a division-free Newton iteration and are exact on retained
 coefficients up to floating point roundoff.
 
+`Ring` works on flat coefficient rows: the product, monomials, shifts,
+Horner composition and powers.  The DP of `exact_engine` runs in
+`ring(nvars, cap)`, one row per time; `TruncatedSeries`, in which
+`limitlaw.eta_fdd_pmf` expands its pgf, multiplies through the same ring.
+
 A product takes one of three routes, chosen by the number of variables n
-and the cap:
+and the cap when the ring is built:
 
 - n = 1: the truncated product is the first cap + 1 terms of
   `np.convolve`, while its (cap+1)^2 products are within
   `_DIRECT_PRODUCTS` (cap <= 511).
 - n >= 2: there are C(cap + 2n, 2n) pairs of monomials whose total
   degree is <= cap.  While that count is within `_PAIR_BUDGET` (n = 2 up
-  to cap 32, n = 3 up to 15), a cached table lists each pair by flat
-  index (i, j) with its target i + j, and the product is one
-  `np.bincount` over the pairwise products; no term past the cap is
-  formed.
+  to cap 32, n = 3 up to 15), the ring lists each pair by flat index
+  (i, j) with its target i + j, and the product is one `np.bincount`
+  over the pairwise products; no term past the cap is formed.
 - otherwise, a real FFT of the (cap+1)^n boxes, padded against
   wraparound, then sliced and masked at the cap.
 
@@ -57,65 +61,86 @@ _DIRECT_PRODUCTS = 1 << 18
 _PAIR_BUDGET = 1 << 16  # monomial pairs one cached table may list
 
 
-@functools.lru_cache(maxsize=16)
-def _pair_table(nvars: int, cap: int) -> tuple:
-    """Flat indices (i, j, i + j) of the monomial pairs of total degree <= cap.
+class Ring:
+    """The truncated ring in `nvars` variables at total degree `cap`, on
+    flat rows (the C-order ravel of the (cap+1,)*nvars box, 0 past the
+    cap); `ring` caches one per shape.  A monomial is named by `var_idx`,
+    its variables' indices with repeats for powers: (0, 0, 2) is z0^2 z2."""
 
-    Exponents never pass cap in any coordinate, so the flat index of a
-    product monomial is the sum of its factors' flat indices.
-    """
-    mask = total_degree_mask(nvars, cap)
-    flat = np.flatnonzero(mask)
-    deg = np.indices(mask.shape).sum(axis=0).ravel()[flat]
-    ii, jj = np.nonzero(deg[:, None] + deg[None, :] <= cap)
-    table = (flat[ii], flat[jj], flat[ii] + flat[jj])
-    for arr in table:
-        arr.setflags(write=False)
-    return table
+    def __init__(self, nvars: int, cap: int):
+        self.nvars = nvars
+        self.cap = cap
+        self.shape = (cap + 1,) * nvars
+        self.row = (math.prod(self.shape),)
+        self._degree = np.indices(self.shape).sum(axis=0).ravel()
+        self._stride = [(cap + 1) ** (nvars - 1 - v) for v in range(nvars)]
+        self._pairs = self._box = None
+        if nvars > 1 and math.comb(cap + 2 * nvars, 2 * nvars) <= _PAIR_BUDGET:
+            # Exponents never pass cap in any coordinate, so the flat index
+            # of a product monomial is the sum of its factors' flat indices.
+            flat = np.flatnonzero(self._degree <= cap)
+            deg = self._degree[flat]
+            ii, jj = np.nonzero(deg[:, None] + deg[None, :] <= cap)
+            self._pairs = (flat[ii], flat[jj], flat[ii] + flat[jj])
+        elif nvars > 1 or (cap + 1) ** 2 > _DIRECT_PRODUCTS:
+            self._box = (fft.next_fast_len(2 * cap + 1, real=True),) * nvars
+
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Truncated product; terms of a or b past the cap do not enter it."""
+        if self._pairs is not None:
+            i, j, target = self._pairs
+            return np.bincount(target, np.take(a, i) * np.take(b, j), minlength=a.size)
+        if self._box is None:
+            return np.convolve(a, b)[: self.cap + 1]
+        box = self._box
+        full = fft.irfftn(fft.rfftn(a.reshape(self.shape), box) * fft.rfftn(b.reshape(self.shape), box), box)
+        out = full[(slice(0, self.cap + 1),) * self.nvars]
+        return np.where(total_degree_mask(self.nvars, self.cap), out, 0.0).ravel()
+
+    def monomial(self, scal: float, var_idx=()) -> np.ndarray:
+        """scal times the monomial var_idx (0 past the cap)."""
+        out = np.zeros(self.row)
+        if len(var_idx) <= self.cap:
+            out[sum(self._stride[v] for v in var_idx)] = scal
+        return out
+
+    def shift(self, x: np.ndarray, var_idx) -> np.ndarray:
+        """x times the monomial var_idx, truncated at the cap."""
+        out = np.zeros(self.row)
+        if len(var_idx) <= self.cap:
+            # a term of degree <= cap - d has each coordinate i <= cap - d_i,
+            # so its flat index moves by the monomial's without a carry
+            off = sum(self._stride[v] for v in var_idx)
+            out[off:] = np.where(self._degree <= self.cap - len(var_idx), x, 0.0)[: x.size - off]
+        return out
+
+    def poly(self, coef, x: np.ndarray) -> np.ndarray:
+        """Horner composition sum_n coef[n] * x**n."""
+        res = self.monomial(coef[-1])
+        for c in coef[-2::-1]:
+            res = self.mul(res, x)
+            res[0] += c
+        return res
+
+    def powers(self, x: np.ndarray, n: int) -> list:
+        """[1, x, ..., x**(n-1)]."""
+        out = [self.monomial(1.0), x][:n]
+        while len(out) < n:
+            out.append(self.mul(out[-1], x))
+        return out
+
+
+@functools.lru_cache(maxsize=16)
+def ring(nvars: int, cap: int) -> Ring:
+    """The shared `Ring` of nvars variables at this cap."""
+    return Ring(nvars, cap)
 
 
 def dense_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     """Truncated product of two dense coefficient arrays of shape (cap+1,)*n.
 
     Terms of a or b beyond total degree cap do not enter the product."""
-    n = a.ndim
-    if n == 1 and (cap + 1) ** 2 <= _DIRECT_PRODUCTS:
-        return np.convolve(a, b)[: cap + 1]
-    if n > 1 and math.comb(cap + 2 * n, 2 * n) <= _PAIR_BUDGET:
-        i, j, target = _pair_table(n, cap)
-        return np.bincount(target, np.take(a, i) * np.take(b, j), minlength=a.size).reshape(a.shape)
-    box = (fft.next_fast_len(2 * cap + 1, real=True),) * n
-    full = fft.irfftn(fft.rfftn(a, box) * fft.rfftn(b, box), box)
-    out = full[(slice(0, cap + 1),) * n]
-    return np.where(total_degree_mask(n, cap), out, 0.0)
-
-
-def monomial(value: float, exps, cap: int) -> np.ndarray:
-    """value * prod z_i^exps[i] as a dense coefficient array (0 past the cap)."""
-    out = np.zeros((cap + 1,) * len(exps))
-    if sum(exps) <= cap:
-        out[tuple(exps)] = value
-    return out
-
-
-def shift_monomial(arr: np.ndarray, exps, cap: int) -> np.ndarray:
-    """Truncated product of a dense coefficient array with prod z_i^exps[i]."""
-    out = np.zeros_like(arr)
-    if sum(exps) <= cap:
-        src = tuple(slice(0, cap + 1 - e) for e in exps)
-        dst = tuple(slice(e, cap + 1) for e in exps)
-        out[dst] = arr[src]
-    return np.where(total_degree_mask(arr.ndim, cap), out, 0.0)
-
-
-def poly_of_series(coef, arr: np.ndarray, cap: int) -> np.ndarray:
-    """Horner composition sum_n coef[n] * arr**n in the truncated ring."""
-    res = np.zeros_like(arr)
-    res.flat[0] = coef[-1]
-    for c in coef[-2::-1]:
-        res = dense_mul(res, arr, cap)
-        res.flat[0] += c
-    return res
+    return ring(a.ndim, cap).mul(a.ravel(), b.ravel()).reshape(a.shape)
 
 
 def _exponents(idx, nvars: int) -> tuple:
@@ -150,7 +175,7 @@ class TruncatedSeries:
 
     @classmethod
     def constant(cls, value: float, nvars: int, cap: int) -> "TruncatedSeries":
-        return cls(nvars, cap, monomial(float(value), (0,) * nvars, cap))
+        return cls.from_terms({(0,) * nvars: value}, nvars, cap)
 
     @classmethod
     def variable(cls, index: int, nvars: int, cap: int) -> "TruncatedSeries":
@@ -159,7 +184,7 @@ class TruncatedSeries:
             raise ShapeMismatch(f"variable index {index} out of range")
         exps = [0] * nvars
         exps[index] = 1
-        return cls(nvars, cap, monomial(1.0, exps, cap))
+        return cls.from_terms({tuple(exps): 1.0}, nvars, cap)
 
     @classmethod
     def from_terms(cls, terms: Mapping[tuple, float], nvars: int, cap: int) -> "TruncatedSeries":

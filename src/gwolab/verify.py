@@ -41,6 +41,8 @@ from .simulator import SimConfig, simulate
 
 _FAR_FUTURE = 10**9
 _TREND_SLACK = 1e-3
+_LIMIT_REL_TOL = 0.02  # limit_convergence: extrapolation against its target
+_BURN_IN = 1  # limit_convergence: leading grid points left out of the trends
 
 
 @dataclass(frozen=True)
@@ -323,30 +325,23 @@ def richardson(x1: float, x2: float, x3: float) -> float:
     return x3 - num / (r - 1.0)
 
 
-def _trend_row(name, errors, runtime, slack=_TREND_SLACK) -> CheckRow:
+def _trend_row(name, errors, runtime) -> CheckRow:
     worst = max(errors[i + 1] - errors[i] for i in range(len(errors) - 1))
     return CheckRow(
         name=name,
         statistic=float(worst),
         reference=0.0,
-        tolerance=slack,
-        passed=bool(worst <= slack),
+        tolerance=_TREND_SLACK,
+        passed=bool(worst <= _TREND_SLACK),
         source="adjacent error differences",
         runtime=runtime,
     )
 
 
-def limit_convergence(
-    model: LifeLaw,
-    y,
-    z,
-    t_grid,
-    rel_tol: float = 0.02,
-    burn_in: int = 1,
-) -> RunReport:
+def limit_convergence(model: LifeLaw, y, z, t_grid) -> RunReport:
     """tQ(t) and its weighted variant against their closed-form limits:
     the error must decrease along a dyadic grid, and the extrapolated
-    value must land within rel_tol of the target."""
+    value must land within _LIMIT_REL_TOL of the target."""
     t_grid = _check_dyadic(t_grid)
     summary = summarize(model)
     if not summary.critical:
@@ -359,19 +354,19 @@ def limit_convergence(
     table = extinction_seq(model, t_grid[-1])
     tq = [t * table.q[t] for t in t_grid]
     h = summary.h
-    errs = [abs(v - h) for v in tq[burn_in:]]
+    errs = [abs(v - h) for v in tq[_BURN_IN:]]
     dt = time.perf_counter() - start
     rows.append(_trend_row("tQ error trend", errs, dt))
     rows.append(
         _abs_row(
-            "tQ extrapolation", richardson(*tq[-3:]), h, rel_tol * abs(h), "closed-form limit", dt
+            "tQ extrapolation", richardson(*tq[-3:]), h, _LIMIT_REL_TOL * abs(h), "closed-form limit", dt
         )
     )
 
     start = time.perf_counter()
     conv = convergence_table(model, y, z, t_grid)
     h_k = conv[0].target
-    errs_k = [r.abs_error for r in conv[burn_in:]]
+    errs_k = [r.abs_error for r in conv[_BURN_IN:]]
     dt = time.perf_counter() - start
     rows.append(_trend_row("weighted tQ error trend", errs_k, dt))
     rows.append(
@@ -379,7 +374,7 @@ def limit_convergence(
             "weighted tQ extrapolation",
             richardson(*[r.tq_k for r in conv[-3:]]),
             h_k,
-            rel_tol * abs(h_k),
+            _LIMIT_REL_TOL * abs(h_k),
             "closed-form limit",
             dt,
         )
@@ -392,7 +387,7 @@ def limit_convergence(
             "survival ratio extrapolation",
             richardson(*ratios[-3:]),
             h_k / h,
-            rel_tol * abs(h_k / h),
+            _LIMIT_REL_TOL * abs(h_k / h),
             "closed-form limit",
             time.perf_counter() - start,
         )

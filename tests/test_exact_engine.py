@@ -352,6 +352,9 @@ class TestConditional:
         with pytest.raises(ConfigError):
             conditional_pgf(gw_binary(), FddSpec((1,), (0.5,)))
 
+    def test_all_weights_one_gives_unit(self):
+        assert conditional_pgf(gw_binary(), FddSpec((3, 5), (1.0, 1.0), t_obs=4)) == 1.0
+
 
 class TestConditionalPmf:
     def test_marginal_against_reference_fft(self):
@@ -414,6 +417,12 @@ class TestConditionalPmf:
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
             conditional_pmf(gw_binary(), FddSpec((3,), (0.0,), t_obs=3), K=0)
+
+    def test_validation(self):
+        with pytest.raises(ConfigError, match="t_obs"):
+            conditional_pmf(gw_binary(), FddSpec((3,), (0.0,)), K=4)
+        with pytest.raises(ConfigError, match="no coordinates"):
+            conditional_pmf(gw_binary(), FddSpec((3,), (1.0,), t_obs=3), K=4)
 
 
 # ---------------------------------------------------------------------------

@@ -125,6 +125,34 @@ class TestMarginal:
         total = res.probs.sum() + res.finite_remainder + res.infinite_mass
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_prob_finite_of_an_array_is_the_scalar_calls(self):
+        p = LimitParams(2.0)
+        grid = np.concatenate([np.linspace(0.05, 4.0, 80), [1.0]])
+        got = prob_finite(p, grid)
+        assert got.shape == grid.shape
+        np.testing.assert_array_equal(got, [prob_finite(p, float(v)) for v in grid])
+        with pytest.raises(ConfigError):
+            prob_finite(p, np.array([0.5, 0.0]))
+
+    @pytest.mark.parametrize("y, z", [(0.0, 0.5), (-1.0, 0.5), (1.0, 2.0), (1.0, math.nan), (0.5, -0.1)])
+    def test_pgf_rejects_bad_input(self, y, z):
+        with pytest.raises(ConfigError):
+            eta_marginal_pgf(LimitParams(1.0), y, z)
+
+    @pytest.mark.parametrize("K", [-1, -3, 2.5])
+    def test_pmfs_reject_bad_K(self, K):
+        p = LimitParams(1.0)
+        with pytest.raises(ConfigError):
+            eta_marginal_pmf(p, 1.0, K)
+        for y in ((1.5,), (0.5, 1.5)):
+            with pytest.raises(ConfigError):
+                eta_fdd_pmf(p, FddQuery(y, (0.0,) * len(y)), K)
+
+    def test_pmfs_accept_K_zero(self):
+        p = LimitParams(1.0)
+        assert eta_marginal_pmf(p, 1.5, np.int64(0)).probs.shape == (1,)
+        assert eta_fdd_pmf(p, FddQuery((0.5, 1.5), (0.0, 0.0)), 0).coeffs.shape == (1, 1)
+
     def test_pgf_matches_series_sum(self):
         p = LimitParams(3.0)
         for y in (0.7, 1.8):
@@ -249,6 +277,19 @@ class TestFddPmf:
         for i1 in range(K // 2 + 1):
             assert joint.coeffs[i1].sum() == pytest.approx(marg.probs[i1], abs=1e-10)
 
+    @pytest.mark.parametrize("c", [1.0, 15.0])
+    @pytest.mark.parametrize(
+        "y", [(0.5,), (1.5,), (0.5, 1.5), (0.25, 0.5, 0.75), (0.5, 1.0, 2.0)]
+    )
+    def test_series_route_matches_float_route(self, c, y):
+        # both evaluate _fdd_pgf; k = 3 at K = 20 takes the FFT product
+        p, K, z = LimitParams(c), 20, 0.2
+        res = eta_fdd_pmf(p, FddQuery(y, (0.0,) * len(y)), K)
+        val = res.coeffs
+        for _ in y:
+            val = val @ z ** np.arange(K + 1)
+        assert float(val) == pytest.approx(eta_fdd_pgf(p, FddQuery(y, (z,) * len(y))), abs=1e-10)
+
     def test_three_point_query_runs(self):
         res = eta_fdd_pmf(LimitParams(1.0), FddQuery([0.5, 1.0, 2.0], [0.0, 0.0, 0.0]), 8)
         assert res.coeffs.shape == (9, 9, 9)
@@ -347,6 +388,15 @@ class TestHittingTimes:
         assert left == pytest.approx(right, abs=1e-12)
         law = law_T(LimitParams(c))
         assert law.cdf(1.0 - 1e-12) == pytest.approx(law.cdf(1.0), abs=1e-9)
+
+    def test_cdf_is_prob_finite(self):
+        p = LimitParams(2.0)
+        grid = np.concatenate([np.linspace(-1.0, 4.0, 101), [0.0, 1.0, math.nan]])
+        cdf = law_T(p).cdf(grid)
+        pos = grid > 0.0
+        np.testing.assert_array_equal(cdf[pos], prob_finite(p, grid[pos]))
+        np.testing.assert_array_equal(cdf[~pos], 0.0)
+        assert law_T(p).cdf(0.5) == prob_finite(p, 0.5)
 
     def test_density_jump_frozen(self):
         assert law_T(LimitParams(15.0)).density_jump() == pytest.approx(0.25, abs=1e-12)

@@ -195,6 +195,37 @@ def test_dense_mul_matches_naive_product(nvars, cap):
     assert np.max(np.abs(got - want)) <= 1e-12 * size.max()
 
 
+@pytest.mark.parametrize("nvars, cap", [(1, 0), (1, 6), (2, 1), (2, 5), (2, 33), (3, 4), (3, 16)])
+def test_ring_ops_match_naive_product(nvars, cap):
+    # shift and monomial against the product with a monomial, poly and
+    # powers against repeated products; every route, var_idx past the cap
+    ring = gwolab.series.ring(nvars, cap)
+    rng = np.random.default_rng(7 * nvars + cap)
+    x = rng.uniform(-1.0, 1.0, ring.shape)  # entries past the cap too
+    mask = gwolab.series.total_degree_mask(nvars, cap).ravel()
+    for var_idx in [(), (0,), (nvars - 1,), (0, 0), tuple(range(nvars)) * 2, (0,) * (cap + 1)]:
+        mono = ring.monomial(1.5, var_idx)
+        exps = np.zeros(nvars, int)
+        np.add.at(exps, list(var_idx), 1)
+        want = np.zeros(ring.shape)
+        if exps.sum() <= cap:
+            want[tuple(exps)] = 1.5
+        np.testing.assert_array_equal(mono, want.ravel())
+        want, _ = _naive_product(x, mono.reshape(ring.shape) / 1.5, cap)
+        np.testing.assert_array_equal(ring.shift(x.ravel(), var_idx), want.ravel())
+    x = np.where(mask, x.ravel(), 0.0)
+    pw = ring.powers(x, 4)
+    np.testing.assert_array_equal(pw[0], ring.monomial(1.0))
+    np.testing.assert_array_equal(pw[1], x)
+    for a, b in zip(pw[1:], pw[2:]):
+        np.testing.assert_array_equal(b, ring.mul(a, x))
+    coef = [0.5, -1.0, 0.25, 2.0]
+    horner = ring.poly(coef, x)
+    direct = sum(c * v for c, v in zip(coef, pw))
+    assert np.max(np.abs(horner - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert gwolab.series.ring(nvars, cap) is ring
+
+
 def test_route_switches_sit_at_the_tested_caps():
     assert 512**2 <= gwolab.series._DIRECT_PRODUCTS < 513**2
     assert math.comb(36, 4) <= gwolab.series._PAIR_BUDGET < math.comb(37, 4)
