@@ -17,15 +17,17 @@ consecutive lags t_k - t_i the founder's lives split into the same
 segments at every step (the segments of which query times it outlives),
 so the segment layout is worked out once per phase.  Two kernels walk it:
 
-- children born at death (Bellman-Harris, Sevastyanov): each segment is
-  one contiguous dot of a life x offspring matrix M[l, r] against
-  per-step compositions P[u, r].  Bellman-Harris is rank 1, M[l] = P(L = l)
-  and P[u] = f(G[u]) for the offspring pgf f; Sevastyanov keeps the
-  offspring law by life, M[l, n] = P(L = l, N = n) against the power
-  table P[u, n] = G[u]^n.
+- children born at death (Bellman-Harris, Sevastyanov): each segment
+  sums a life x offspring matrix M[l, r] against per-step compositions
+  P[u, r] over its lives, a convolution in time.  Bellman-Harris is rank
+  1, M[l] = P(L = l) and P[u] = f(G[u]) for the offspring pgf f;
+  Sevastyanov keeps the offspring law by life, M[l, n] = P(L = l, N = n)
+  against the power table P[u, n] = G[u]^n.  With unbounded lives a
+  divide-and-conquer online convolution costs O(t log^2 t) products; with
+  lives of at most max_life steps it costs O(t * max_life).
 - scheduled atoms (Tabulated, DelayedDeath): each atom multiplies G at
   its birth ages, and its alive term sums P(L in segment) over the
-  segments.
+  segments, O(t * atoms).
 
 Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
@@ -38,8 +40,9 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass, fields
 from functools import partial
+from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -63,6 +66,7 @@ from .lifelaw import (
 )
 
 _SERIES_BUDGET = 1 << 23  # floats held by one series DP table
+_LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 
 
 class _Var(NamedTuple):
@@ -182,10 +186,24 @@ def _life_tables(life, t_max: int):
     return life.pmf_array(t_max), life.survival_array(t_max)
 
 
-def _birth_at_death(model, t_max: int, ring):
+def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     """Kernel of Bellman-Harris and Sevastyanov: every child is born when
-    the founder dies, so a segment of lives contributes
-    sum_l M[l] . P[u - l], one contiguous dot (see the module docstring).
+    the founder dies, so step u sums M[u - m] . P[m] over the sources
+    m < u of each segment of each phase, scaled by the segment's
+    (scal, var_idx).
+
+    An online convolution fills G by divide and conquer.  A block solves
+    its left half, adds the left half's sources into G at the right half's
+    steps with a real FFT along time (one per source range), and then
+    solves its right half.  A leaf of at most _LEAF steps walks its
+    segments as contiguous dots over the sources inside it, on top of what
+    G already holds; the leaves run in time order, each after the crosses
+    that feed it.  The FFT convolves the complements one - P[m], which
+    are O(Q); the `one` part is the survival difference
+    surv[u - b] - surv[u - a] for sources [a, b) (every offspring law sums
+    to 1), so round-off stays relative to Q, not to 1.  Finite lives clip
+    the cross-block work at max_life, and lives of at most _LEAF steps
+    make the whole range one leaf.
     """
     if isinstance(model, BellmanHarris):
         M, surv = _life_tables(model.life, t_max)
@@ -193,35 +211,97 @@ def _birth_at_death(model, t_max: int, ring):
     else:
         M, surv = _sevastyanov_rows(model, t_max)
         compose = partial(ring.powers, n=M.shape[1])
+    T = t_max + 1
     R = M[0].size
     Mr = np.ascontiguousarray(M[::-1]).ravel()  # Mr[(t_max - l)*R + r] = M[l, r]
-    P = _table((t_max + 1, *M.shape[1:]), ring)  # P[u'] pairs with M[l]
-    Pf = P.reshape((t_max + 1) * R, *ring.row)
-    surv = surv.tolist()
+    P = _table((T, *M.shape[1:]), ring)  # P[u'] pairs with M[l]
+    Pf = P.reshape(T * R, *ring.row)
     max_life = model.life.max_life  # None: unbounded support
+    walks = [
+        (u0, u1, [(lo * R, None if hi is None else hi * R, s, v) for lo, hi, s, v in segs], ring.monomial(*prefix))
+        for u0, u1, segs, prefix in phases
+    ]
 
-    def walk(G, u0, u1, segs, prefix):
-        segs = [(lo * R, None if hi is None else hi * R, s, v) for lo, hi, s, v in segs]
-        unit = ring.monomial(*prefix)
-        for u in range(u0, u1):
-            off = (t_max - u) * R
-            # rows of lives l = u - m > max_life are zero: start at m = u - max_life
-            m_min = 0 if max_life is None else (u - max_life) * R
-            total = 0.0
-            for lo, hi, scal, var_idx in segs:
-                if hi is None:
-                    hi = u * R
-                lo = max(lo, m_min)
-                if lo >= hi:
-                    continue
-                block = np.dot(Mr[off + lo : off + hi], Pf[lo:hi])
+    def leaf(first, a, b, early, alive):
+        """Steps [a, b) from the sources in [first, u), plus early[u] and
+        the survival term alive[u] * unit (alive None: early has it)."""
+        for u0, u1, segs, unit in walks:
+            segs = [(max(lo, first * R), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > first * R]
+            for u in range(max(a, u0), min(b, u1)):
+                off = (t_max - u) * R
+                # rows of lives l = u - m > max_life are zero: start at m = u - max_life
+                m_min = 0 if max_life is None else (u - max_life) * R
+                total = early[u]
+                for lo, hi, scal, var_idx in segs:
+                    if hi is None:
+                        hi = u * R
+                    lo = max(lo, m_min)
+                    if lo >= hi:
+                        continue
+                    block = np.dot(Mr[off + lo : off + hi], Pf[lo:hi])
+                    if var_idx:
+                        block = ring.shift(block, var_idx)
+                    total += scal * block
+                G[u] = g = total if alive is None else total + alive[u] * unit
+                P[u] = compose(g)
+
+    if t_max <= _LEAF or (max_life is not None and max_life <= _LEAF):
+        leaf(0, 0, T, [0.0] * T, surv.tolist())
+        return
+
+    # G[u] gathers the survival term, then the sums of the sources before u's leaf
+    for u0, u1, _, unit in walks:
+        G[u0:u1] = np.multiply.outer(surv[u0:u1], unit)
+    C = math.prod(ring.row)
+    rows = G.reshape(T, C)
+    P3 = P.reshape(T, R, C)
+    one = np.reshape(ring.monomial(1.0, ()), C)
+    # numpy's FFT, not scipy.fft: after a run to t = 2^16, scipy's cached
+    # plans and work buffers left about 4 MB more memory resident
+    kernels = {}  # FFT length -> rfft of M[0:n]
+
+    def cross(lo, mid, hi):
+        """Add the sources [lo, mid) into G at the steps [mid, hi) (up to
+        t_max); the FFT spans the whole block, so blocks of one size share
+        one kernel and one FFT length."""
+        if max_life is not None:
+            lo, hi = max(lo, mid - max_life), min(hi, mid + max_life)
+        pieces = {}  # source range -> [(first step, end step, scal, var_idx)]
+        for u0, u1, segs, _ in phases:
+            v0, v1 = max(mid, u0), min(hi, u1)
+            if v0 >= v1:
+                continue
+            for s0, s1, scal, var_idx in segs:
+                a, b = max(s0, lo), mid if s1 is None else min(s1, mid)
+                if a < b:
+                    pieces.setdefault((a, b), []).append((v0, v1, scal, var_idx))
+        n = hi - lo
+        if pieces and n not in kernels:
+            kernels[n] = np.fft.rfft(M[:n].reshape(-1, R, 1), n, axis=0)
+        for (a, b), targets in pieces.items():
+            f = np.zeros((n, R, C))
+            np.subtract(one, P3[a:b], out=f[a - lo : b - lo])
+            f = np.fft.rfft(f, axis=0)
+            f *= kernels[n]
+            y = np.fft.irfft(f.sum(axis=1), n, axis=0)
+            for v0, v1, scal, var_idx in targets:
+                sums = np.multiply.outer(surv[v0 - b : v1 - b] - surv[v0 - a : v1 - a], one)
+                sums -= y[v0 - lo : v1 - lo]
                 if var_idx:
-                    block = ring.shift(block, var_idx)
-                total += scal * block
-            G[u] = g = total + surv[u] * unit
-            P[u] = compose(g)
+                    sums = ring.shift(sums, var_idx)
+                sums *= scal
+                rows[v0:v1] += sums
 
-    return walk
+    # The block whose left half ends at leaf start a > 0 spans
+    # [a - half, a + half), half = the lowest set bit of a (_LEAF is a power
+    # of 2); its cross is due once that left half is done.
+    for a in range(0, T, _LEAF):
+        half, first = a & -a, a
+        if half and T - a <= _LEAF:
+            first = a - half  # the last leaf: direct dots beat one FFT over the block
+        elif half:
+            cross(a - half, a, a + half)
+        leaf(first, a, min(a + _LEAF, T), G, None)
 
 
 def _sevastyanov_rows(model: Sevastyanov, t_max: int):
@@ -292,17 +372,18 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     """
     t_max = times[-1]
     ring = series.ring(nvars, cap) if nvars else _Floats
-    if isinstance(model, (BellmanHarris, Sevastyanov)):
-        walk = _birth_at_death(model, t_max, ring)
-    elif isinstance(model, (Tabulated, DelayedDeath)):
-        walk = _scheduled(model, t_max, ring)
-    else:
-        raise UnsupportedModel(f"no DP path for {type(model).__name__}")
     acts = [(t_max - t, w) for t, w in zip(times, weights)]  # (lag, weight)
     G = _table((t_max + 1,), ring)
     starts = sorted({lag for lag, _ in acts})
-    for u0, u1 in zip(starts, starts[1:] + [t_max + 1]):
-        walk(G, u0, u1, *_walk_segments(acts, u0))
+    phases = [(u0, u1, *_walk_segments(acts, u0)) for u0, u1 in zip(starts, starts[1:] + [t_max + 1])]
+    if isinstance(model, (BellmanHarris, Sevastyanov)):
+        _birth_at_death(model, t_max, ring, G, phases)
+    elif isinstance(model, (Tabulated, DelayedDeath)):
+        walk = _scheduled(model, t_max, ring)
+        for phase in phases:
+            walk(G, *phase)
+    else:
+        raise UnsupportedModel(f"no DP path for {type(model).__name__}")
     return G.reshape(t_max + 1, *ring.shape)
 
 
@@ -324,16 +405,21 @@ class ExtinctionTable:
 
     def to_csv(self, fh) -> None:
         h = self.summary.h if self.summary is not None else math.nan
-        rows = ((t, q, tq, h, abs(tq - h)) for t, (q, tq) in enumerate(zip(self.q, self.tq)))
-        _survival_csv(rows, fh)
+        tq = self.tq
+        _survival_csv(fh, range(len(tq)), self.q.tolist(), tq.tolist(), h, np.abs(tq - h).tolist())
 
 
-def _survival_csv(rows, fh) -> None:
-    """Rows (t, Q, tQ, limit, |tQ - limit|), floats at full precision."""
+def _survival_csv(fh, t, q, tq, limit, error) -> None:
+    """Columns t, Q, tQ, limit and |tQ - limit|, floats at full precision;
+    a limit given as one float is formatted once for every row."""
+
+    def fmt(col):
+        return [format(x, ".17g") for x in col]
+
+    limits = repeat(format(limit, ".17g")) if isinstance(limit, float) else fmt(limit)
     writer = csv.writer(fh)
     writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
-    for t, *vals in rows:
-        writer.writerow([t] + [format(x, ".17g") for x in vals])
+    writer.writerows(zip(t, fmt(q), fmt(tq), limits, fmt(error)))
 
 
 def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
@@ -482,4 +568,4 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
 
 
 def convergence_csv(rows, fh) -> None:
-    _survival_csv(map(astuple, rows), fh)
+    _survival_csv(fh, *([getattr(r, f.name) for r in rows] for f in fields(ConvergenceRow)))

@@ -96,7 +96,8 @@ def prob_finite(p: LimitParams, y):
     """P(eta(y) < infinity), for a float or an array of y > 0."""
     _check_y(y)
     y = np.asarray(y, dtype=float)
-    left = (np.sqrt(1.0 + p.c * y * y) - 1.0) / (p.scale * y)
+    yl = np.minimum(y, 1.0)  # the left branch is used only there; y = inf would give inf/inf
+    left = (np.sqrt(1.0 + p.c * yl * yl) - 1.0) / (p.scale * yl)
     out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * y))
     return float(out) if out.ndim == 0 else out
 

@@ -105,13 +105,15 @@ class Ring:
         return out
 
     def shift(self, x: np.ndarray, var_idx) -> np.ndarray:
-        """x times the monomial var_idx, truncated at the cap."""
-        out = np.zeros(self.row)
+        """x times the monomial var_idx, truncated at the cap; x is one row
+        or a block of rows along its last axis."""
+        out = np.zeros(x.shape)
         if len(var_idx) <= self.cap:
             # a term of degree <= cap - d has each coordinate i <= cap - d_i,
             # so its flat index moves by the monomial's without a carry
             off = sum(self._stride[v] for v in var_idx)
-            out[off:] = np.where(self._degree <= self.cap - len(var_idx), x, 0.0)[: x.size - off]
+            kept = np.where(self._degree <= self.cap - len(var_idx), x, 0.0)
+            out[..., off:] = kept[..., : self.row[0] - off]
         return out
 
     def poly(self, coef, x: np.ndarray) -> np.ndarray:

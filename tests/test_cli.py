@@ -2,6 +2,7 @@
 echo round trips, seeds, and the exit-code contract."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -80,6 +81,17 @@ class TestDp:
         b = tmp_path / "b.csv"
         assert main(["dp", "--config", str(echo), "--out", str(b)]) == 0
         assert b.read_bytes() == a.read_bytes()
+
+    def test_csv_bytes_pinned(self, gw_path, tmp_path, capsys):
+        # the binary-splitting column at t = 2^10, written by the row-by-row
+        # writer that formatted numpy scalars; any change of digits,
+        # separators or line ends changes the digest
+        out = tmp_path / "dp.csv"
+        assert main(["dp", "--model", gw_path, "--tmax", "1024", "--out", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.startswith(b"t,Q,tQ,h,abs_error\r\n0,1,0,2,2\r\n1,0.5,0.5,2,1.5\r\n")
+        assert data.endswith(b"1024,0.0019366568943026685,1.9831366597659326,2,0.016863340234067437\r\n")
+        assert hashlib.sha256(data).hexdigest() == "460a3a65b691ee9542f764667dc6b4026b7a3ab62df2012aed6fdfe872366352"
 
     def test_flag_overrides_config(self, gw_path, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwolab.errors import (
     CapTooLarge,
@@ -24,6 +26,7 @@ from gwolab.errors import (
     ZeroConditioningEvent,
 )
 from gwolab.exact_engine import (
+    _LEAF,
     FddSpec,
     conditional_pgf,
     conditional_pmf,
@@ -44,7 +47,7 @@ from gwolab.lifelaw import (
     Tabulated,
     summarize,
 )
-from gwolab.modelio import load_model
+from gwolab.modelio import load_model, model_from_dict
 from gwolab.verify import tree_pgf
 
 BIG = 10**9  # stands for "outlives any query time"
@@ -208,6 +211,104 @@ class TestFiniteLifeClip:
         assert times[0] > 3 * model.life.max_life
         got = fdd_pgf(model, FddSpec(times, z))
         assert got == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the divide-and-conquer route of the birth-at-death kernel
+# ---------------------------------------------------------------------------
+
+SEV_HEAVY = {  # the unbounded Sevastyanov config of test_modelio.py
+    "variant": "sevastyanov",
+    "life": {"kind": "quadratic_tail", "d": 1.0, "t_min": 2},
+    "offspring_by_life": {"2": [0.5, 0.0, 0.5]},
+    "offspring_default": [0.0, 1.0],
+}
+
+
+def sev_heavy():
+    return model_from_dict(SEV_HEAVY)
+
+
+def bh_long_lives():
+    """Finite lives longer than a leaf but shorter than the largest blocks."""
+    return BellmanHarris(FiniteLife({l: 1.0 / 150 for l in range(1, 151)}), OffspringPMF([0.5, 0.0, 0.5]))
+
+
+def long_double_survival(model, t_max):
+    """Q(0..t_max) of a Bellman-Harris model with a quadratic-tail life by
+    the O(t^2) recursion in long double, in complement form:
+    Q(u) = P(L > u) + sum_{l=1..u} P(L = l) (1 - f(1 - Q(u - l))),
+    with 1 - f(1 - q) expanded as a polynomial in q."""
+    ld = np.longdouble
+    life = model.life
+    t = np.arange(t_max + 1).astype(ld)
+    surv = np.where(t < life.t_min, ld(1), ld(life.d) / np.maximum(t, ld(1)) ** 2)
+    pmf = np.zeros(t_max + 1, dtype=ld)
+    pmf[1:] = surv[:-1] - surv[1:]
+    coef = [ld(0)] * len(model.offspring.probs)
+    for n, p in enumerate(model.offspring.probs):
+        for j in range(1, n + 1):
+            coef[j] += ld(p) * math.comb(n, j) * (-1) ** (j + 1)
+    q = np.zeros(t_max + 1, dtype=ld)
+    phi = np.zeros(t_max + 1, dtype=ld)  # 1 - f(1 - Q)
+    for u in range(t_max + 1):
+        q[u] = surv[u] + np.dot(pmf[u:0:-1], phi[:u])
+        phi[u] = np.polynomial.polynomial.polyval(q[u], coef)
+    return q
+
+
+class TestDivideAndConquer:
+    """Horizons past a leaf of `_LEAF` steps run the online FFT
+    convolution; each check crosses at least two levels of blocks."""
+
+    def test_heavy_tail_survival_against_long_double(self):
+        model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
+        t_max = 1 << 13
+        ref = long_double_survival(model, t_max)
+        rel = np.abs(extinction_seq(model, t_max).q - ref) / ref
+        # an FFT over P itself, rather than over 1 - P, is off by 4.6e-10 here
+        assert float(rel.max()) <= 1e-10
+
+    @pytest.mark.parametrize("make", [bh_heavy, sev_heavy])
+    def test_fdd_pgf_matches_tree(self, make):
+        times, z = (200, 300, 400), (0.3, 0.5, 0.0)
+        assert times[-1] >= 2 * _LEAF
+        model = make()
+        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+
+    @pytest.mark.parametrize("times,z", [((500,), (0.0,)), ((200, 350, 500), (0.3, 0.5, 0.0))])
+    def test_long_finite_lives_match_tree(self, times, z):
+        # lives of up to 150 steps: the block of 512 steps adds only the sources
+        # in [256 - 150, 256) and only into the steps in [256, 256 + 150)
+        model = bh_long_lives()
+        assert _LEAF < model.life.max_life and times[-1] > 256 + model.life.max_life
+        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+
+    @pytest.mark.parametrize("make", [bh_heavy, sev_heavy])
+    def test_conditional_pmf_evaluates_to_conditional_pgf(self, make):
+        model, times, K, z = make(), (200, 400), 10, (0.05, 0.1)
+        probs = conditional_pmf(model, FddSpec(times, (0.0, 0.0), t_obs=times[0]), K).probs
+        series_val = float(z[0] ** np.arange(K + 1) @ probs @ z[1] ** np.arange(K + 1))
+        # the dropped terms of total degree > K weigh at most z_1 * z_2^K = 5e-12
+        assert series_val == pytest.approx(conditional_pgf(model, FddSpec(times, z, t_obs=times[0])), abs=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_heavy_tail_models_match_tree(self, data):
+        d = data.draw(st.floats(0.25, 4.0), label="d")
+        t_min = data.draw(st.integers(max(1, math.ceil(math.sqrt(d))), 4), label="t_min")
+        # critical offspring law: 0 with prob beta*(mu - 1), 1 with 1 - beta*mu,
+        # and a law of mean mu on {2, ..., top} with prob beta
+        weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3), label="weights")
+        mu = sum(n * w for n, w in enumerate(weights, 2)) / sum(weights)
+        beta = data.draw(st.floats(0.1, 0.9), label="beta") / mu
+        probs = [beta * (mu - 1.0), 1.0 - beta * mu] + [beta * w / sum(weights) for w in weights]
+        model = BellmanHarris(QuadraticTailLife(d=d, t_min=t_min), OffspringPMF(probs))
+        last = data.draw(st.integers(_LEAF + 1, 3 * _LEAF), label="t_k")
+        earlier = data.draw(st.sets(st.integers(0, last - 1), max_size=2), label="earlier times")
+        times = tuple(sorted(earlier)) + (last,)
+        z = tuple(data.draw(st.floats(0.0, 1.0), label=f"z{i}") for i in range(len(times)))
+        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ inverse CDFs by feeding fixed uniforms.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -397,6 +398,13 @@ class TestHittingTimes:
         np.testing.assert_array_equal(cdf[pos], prob_finite(p, grid[pos]))
         np.testing.assert_array_equal(cdf[~pos], 0.0)
         assert law_T(p).cdf(0.5) == prob_finite(p, 0.5)
+
+    @pytest.mark.parametrize("c", [0.0, 1.0, 15.0])
+    def test_cdf_at_infinity_is_one_without_warning(self, c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert law_T(LimitParams(c)).cdf(math.inf) == 1.0
+            np.testing.assert_array_equal(prob_finite(LimitParams(c), np.array([0.5, math.inf]))[1:], [1.0])
 
     def test_density_jump_frozen(self):
         assert law_T(LimitParams(15.0)).density_jump() == pytest.approx(0.25, abs=1e-12)

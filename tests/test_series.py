@@ -213,6 +213,8 @@ def test_ring_ops_match_naive_product(nvars, cap):
         np.testing.assert_array_equal(mono, want.ravel())
         want, _ = _naive_product(x, mono.reshape(ring.shape) / 1.5, cap)
         np.testing.assert_array_equal(ring.shift(x.ravel(), var_idx), want.ravel())
+        block = np.stack([x.ravel(), -2.0 * x.ravel()])  # a block of rows shifts row by row
+        np.testing.assert_array_equal(ring.shift(block, var_idx), np.stack([want.ravel(), -2.0 * want.ravel()]))
     x = np.where(mask, x.ravel(), 0.0)
     pw = ring.powers(x, 4)
     np.testing.assert_array_equal(pw[0], ring.monomial(1.0))
