@@ -33,6 +33,16 @@ Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
 and the ring picks its own product route; the DP reads only its row and
 shape.  The scalar case, shape (), runs the same walk on floats.
+
+Each kernel has one step loop for both rings, and a step does only the
+work that depends on earlier steps.  What does not (the survival term,
+and a scheduled atom's prob * alive) is computed with numpy once per
+chunk of at most _LEAF steps, in the order a step would take, so the
+bits do not change.  A chunk reads G as `ring.rows` (Python floats on
+the scalar ring, which step faster than numpy scalars) and writes it back
+once.  The history dots and Sevastyanov's powers stay numpy's: a Python
+sum or power rounds differently and would move the outputs in their last
+bits.
 """
 
 from __future__ import annotations
@@ -123,6 +133,16 @@ class _Floats:
     mul = staticmethod(operator.mul)
 
     @staticmethod
+    def rows(table: np.ndarray) -> list:
+        """A table's entries as Python floats, which step faster than numpy's."""
+        return table.tolist()
+
+    @staticmethod
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        """numpy's dot (ndarray.dot skips np.dot's dispatch), as a Python float."""
+        return float(x.dot(y))
+
+    @staticmethod
     def poly(coef, x):
         r = 0.0
         for c in reversed(coef):
@@ -204,10 +224,18 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     to 1), so round-off stays relative to Q, not to 1.  Finite lives clip
     the cross-block work at max_life, and lives of at most _LEAF steps
     make the whole range one leaf.
+
+    A leaf reads G, and the survival term when it adds one, as `ring.rows`
+    in chunks of at most _LEAF steps, and writes G back once per chunk.
+    A step then only sums its dots and composes P[u], which the next
+    step's dots read.  The dots stay numpy's, since BLAS sums in its own
+    order, and Sevastyanov's powers stay `g ** np.arange(R)`, since
+    Python's float power rounds g^2 differently for some g; either swap
+    would move the outputs in their last bits.
     """
     if isinstance(model, BellmanHarris):
         M, surv = _life_tables(model.life, t_max)
-        compose = partial(ring.poly, model.offspring.probs)
+        compose = partial(ring.poly, model.offspring.probs.tolist())
     else:
         M, surv = _sevastyanov_rows(model, t_max)
         compose = partial(ring.powers, n=M.shape[1])
@@ -217,36 +245,46 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     P = _table((T, *M.shape[1:]), ring)  # P[u'] pairs with M[l]
     Pf = P.reshape(T * R, *ring.row)
     max_life = model.life.max_life  # None: unbounded support
+    dot = ring.dot
     walks = [
         (u0, u1, [(lo * R, None if hi is None else hi * R, s, v) for lo, hi, s, v in segs], ring.monomial(*prefix))
         for u0, u1, segs, prefix in phases
     ]
 
-    def leaf(first, a, b, early, alive):
-        """Steps [a, b) from the sources in [first, u), plus early[u] and
-        the survival term alive[u] * unit (alive None: early has it)."""
+    def leaf(first, a, b, alive):
+        """Steps [a, b) from the sources in [first, u), on top of what G
+        holds, plus the survival term alive[u] * unit (alive None: G has
+        it)."""
         for u0, u1, segs, unit in walks:
             segs = [(max(lo, first * R), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > first * R]
-            for u in range(max(a, u0), min(b, u1)):
-                off = (t_max - u) * R
-                # rows of lives l = u - m > max_life are zero: start at m = u - max_life
-                m_min = 0 if max_life is None else (u - max_life) * R
-                total = early[u]
-                for lo, hi, scal, var_idx in segs:
-                    if hi is None:
-                        hi = u * R
-                    lo = max(lo, m_min)
-                    if lo >= hi:
-                        continue
-                    block = np.dot(Mr[off + lo : off + hi], Pf[lo:hi])
-                    if var_idx:
-                        block = ring.shift(block, var_idx)
-                    total += scal * block
-                G[u] = g = total if alive is None else total + alive[u] * unit
-                P[u] = compose(g)
+            for c0 in range(max(a, u0), min(b, u1), _LEAF):
+                c1 = min(c0 + _LEAF, b, u1)
+                g = ring.rows(G[c0:c1])
+                late = None if alive is None else ring.rows(np.multiply.outer(alive[c0:c1], unit))
+                for u in range(c0, c1):
+                    off = (t_max - u) * R
+                    # rows of lives l = u - m > max_life are zero: start at m = u - max_life
+                    m_min = 0 if max_life is None else (u - max_life) * R
+                    total = g[u - c0]
+                    for lo, hi, scal, var_idx in segs:
+                        if hi is None:
+                            hi = u * R
+                        if lo < m_min:
+                            lo = m_min
+                        if lo >= hi:
+                            continue
+                        block = dot(Mr[off + lo : off + hi], Pf[lo:hi])
+                        if var_idx:
+                            block = ring.shift(block, var_idx)
+                        total += scal * block
+                    if late is not None:
+                        total = total + late[u - c0]
+                    g[u - c0] = total
+                    P[u] = compose(total)
+                G[c0:c1] = g
 
     if t_max <= _LEAF or (max_life is not None and max_life <= _LEAF):
-        leaf(0, 0, T, [0.0] * T, surv.tolist())
+        leaf(0, 0, T, surv)
         return
 
     # G[u] gathers the survival term, then the sums of the sources before u's leaf
@@ -301,7 +339,7 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
             first = a - half  # the last leaf: direct dots beat one FFT over the block
         elif half:
             cross(a - half, a, a + half)
-        leaf(first, a, min(a + _LEAF, T), G, None)
+        leaf(first, a, min(a + _LEAF, T), None)
 
 
 def _sevastyanov_rows(model: Sevastyanov, t_max: int):
@@ -321,27 +359,54 @@ def _sevastyanov_rows(model: Sevastyanov, t_max: int):
 def _scheduled(model, t_max: int, ring):
     """Kernel of Tabulated and DelayedDeath: each atom has fixed birth
     ages, and the founder's alive term sums P(L in segment) over the
-    segments of the walk."""
+    segments of the walk.
+
+    Nothing in an atom's alive term depends on G, so each chunk of at most
+    _LEAF steps computes prob * alive for all its steps at once, with
+    numpy and in the order a step would take (segments in turn, then the
+    unit term, then times prob); elementwise, that gives the same bits.
+    A step then only multiplies G at each atom's birth ages, in age order,
+    and adds prob * alive times that product.  A chunk reads G as
+    `ring.rows` (Python floats on the scalar ring): an age up to _LEAF
+    from a window that starts _LEAF steps back, which the steps also write
+    and which goes back to G once per chunk; a later age from its own
+    slice, which ends before the chunk.  Lists so stay within 2 * _LEAF
+    steps, whatever the ages."""
     atoms = _scheduled_atoms(model, t_max)
     mul = ring.mul
+    far = {tau for _, ages, _ in atoms for tau in ages if tau > _LEAF}
 
     def walk(G, u0, u1, segs, prefix):
         segs = [(lo, hi, ring.monomial(s, v)) for lo, hi, s, v in segs]
         unit = ring.monomial(*prefix)
-        for u in range(u0, u1):
-            acc = 0.0
+        for c0 in range(u0, u1, _LEAF):
+            c1 = min(c0 + _LEAF, u1)
+            base = max(c0 - _LEAF, 0)
+            g = ring.rows(G[base:c1])  # g[i] is G[base + i]
+            src = {}  # age -> (col, off) with G[u - age] = col[u - off]
+            for tau in far:
+                start = max(c0 - tau, 0)
+                src[tau] = (ring.rows(G[start : max(c1 - tau, 0)]), tau + start)
+            steps = np.arange(c0, c1)
+            terms = []
             for prob, ages, S in atoms:
-                child = None
-                for tau in ages:
-                    if tau > u:
-                        break
-                    child = G[u - tau] if child is None else mul(child, G[u - tau])
-                alive = 0.0
+                alive = np.zeros((c1 - c0, *ring.row))
                 for lo, hi, mono in segs:
-                    alive += mono * (S[0 if hi is None else u - hi] - S[u - lo])
-                alive += unit * S[u]
-                acc += prob * alive if child is None else mul(prob * alive, child)
-            G[u] = acc
+                    alive += np.multiply.outer((S[0] if hi is None else S[steps - hi]) - S[steps - lo], mono)
+                alive += np.multiply.outer(S[c0:c1], unit)
+                reads = [(tau, *src.get(tau, (g, tau + base))) for tau in ages]
+                terms.append((reads, ring.rows(prob * alive)))
+            for u in range(c0, c1):
+                acc = 0.0
+                for reads, alive in terms:
+                    child = None
+                    for tau, col, off in reads:
+                        if tau > u:
+                            break
+                        child = col[u - off] if child is None else mul(child, col[u - off])
+                    acc += alive[u - c0] if child is None else mul(alive[u - c0], child)
+                g[u - base] = acc
+            G[c0:c1] = g[c0 - base :]
 
     return walk
 
@@ -349,18 +414,14 @@ def _scheduled(model, t_max: int, ring):
 def _scheduled_atoms(model, t_max: int):
     """Tabulated/DelayedDeath as (prob, ages, S) with S[u] = P(L > u) for
     the atom's life, u = 0..t_max."""
-    n = t_max + 1
+    u = np.arange(t_max + 1)
     if isinstance(model, Tabulated):
-        return [
-            (prob, ages, [1.0] * min(life, n) + [0.0] * max(n - life, 0))
-            for prob, ages, life in model.atoms
-        ]
+        return [(prob, ages, np.where(u < life, 1.0, 0.0)) for prob, ages, life in model.atoms]
     _, residual = _life_tables(model.residual, t_max)
     atoms = []
     for prob, ages in model.schedules:
         last = ages[-1] if ages else 0
-        S = [1.0] * min(last + 1, n) + residual[1 : max(n - last, 1)].tolist()
-        atoms.append((prob, ages, S))
+        atoms.append((prob, ages, np.where(u <= last, 1.0, residual[np.maximum(u - last, 0)])))
     return atoms
 
 

@@ -384,28 +384,28 @@ def _sevastyanov_moments(law: Sevastyanov) -> tuple[float, float, float]:
         raise DivergentMoment(
             "offspring rule over an unbounded life length needs a moment_tail_bound"
         )
-    en = en2 = amean = 0.0
-    l = life.t_min
+    # certify first: the bound is one call per doubling, the series a call per life
     checkpoint = max(life.t_min, 16)
     while True:
-        while l <= checkpoint:
-            p = life.pmf(l)
-            if p > 0.0:
-                o = law.offspring_by_life(l)
-                en += p * o.mean
-                en2 += p * o.second_moment
-                amean += p * l * o.mean
-            l += 1
         rem = float(law.moment_tail_bound(checkpoint))
         if not math.isfinite(rem) or rem < 0.0:
             raise DivergentMoment(f"remainder bound at l={checkpoint} is {rem!r}")
         if rem < _CERT_TOL:
-            return en, en2, amean
+            break
         if checkpoint >= _CERT_CAP:
             raise DivergentMoment(
                 f"moment series not certified: remainder bound {rem:.3g} at l={checkpoint}"
             )
         checkpoint *= 2
+    en = en2 = amean = 0.0
+    for l in range(life.t_min, checkpoint + 1):
+        p = life.pmf(l)
+        if p > 0.0:
+            o = law.offspring_by_life(l)
+            en += p * o.mean
+            en2 += p * o.second_moment
+            amean += p * l * o.mean
+    return en, en2, amean
 
 
 def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:

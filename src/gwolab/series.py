@@ -97,6 +97,13 @@ class Ring:
         out = full[(slice(0, self.cap + 1),) * self.nvars]
         return np.where(total_degree_mask(self.nvars, self.cap), out, 0.0).ravel()
 
+    @staticmethod
+    def rows(table: np.ndarray) -> list:
+        """A table of rows as a list of row views."""
+        return list(table)
+
+    dot = staticmethod(np.dot)
+
     def monomial(self, scal: float, var_idx=()) -> np.ndarray:
         """scal times the monomial var_idx (0 past the cap)."""
         out = np.zeros(self.row)

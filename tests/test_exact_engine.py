@@ -312,6 +312,59 @@ class TestDivideAndConquer:
 
 
 # ---------------------------------------------------------------------------
+# the scheduled kernel (Tabulated, DelayedDeath)
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def scheduled_models(draw):
+    """A small critical Tabulated or DelayedDeath model: one to three atoms
+    with births (ages may repeat, and a Tabulated atom may give birth at
+    the age it dies) and a childless atom that brings the mean to 1."""
+    ages = [
+        tuple(sorted(draw(st.lists(st.integers(1, 8), min_size=1, max_size=3), label="ages")))
+        for _ in range(draw(st.integers(1, 3), label="atoms with births"))
+    ]
+    w = [draw(st.floats(0.1, 1.0), label="weight") for _ in ages]
+    mu = sum(wi * len(a) for wi, a in zip(w, ages)) / sum(w)
+    schedules = [(wi / sum(w) / mu, a) for wi, a in zip(w, ages)] + [(1.0 - 1.0 / mu, ())]
+    if draw(st.booleans(), label="tabulated"):
+        lives = [(a[-1] if a else 1) + draw(st.integers(0, 4), label="life past last age") for _, a in schedules]
+        return Tabulated([(p, a, life) for (p, a), life in zip(schedules, lives)])
+    residual = {r: draw(st.floats(0.1, 1.0), label="residual weight") for r in range(1, draw(st.integers(1, 4)) + 1)}
+    total = sum(residual.values())
+    return DelayedDeath(schedules, FiniteLife({r: v / total for r, v in residual.items()}))
+
+
+class TestScheduledKernel:
+    @settings(max_examples=25, deadline=None)
+    @given(model=scheduled_models(), data=st.data())
+    def test_random_models_match_tree(self, model, data):
+        times = tuple(sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=3), label="times")))
+        z = tuple(data.draw(st.floats(0.0, 1.0), label=f"z{i}") for i in range(len(times)))
+        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+        # the series ring runs the same walk: the conditioned pmf, evaluated
+        # at small weights, is the conditioned pgf
+        t_obs = data.draw(st.integers(1, 40), label="t_obs")
+        K = 12
+        probs = conditional_pmf(model, FddSpec(times, (0.0,) * len(times), t_obs=t_obs), K).probs
+        small = tuple(data.draw(st.floats(0.0, 0.1), label=f"small z{i}") for i in range(len(times)))
+        series_val = probs
+        for zi in reversed(small):
+            series_val = series_val @ zi ** np.arange(K + 1)
+        # the dropped terms of total degree > K weigh at most 0.1^13
+        want = conditional_pgf(model, FddSpec(times, small, t_obs=t_obs))
+        assert float(series_val) == pytest.approx(want, abs=1e-12)
+
+    def test_late_ages_reach_back_past_a_chunk(self):
+        # ages up to 150 read G more than one chunk of _LEAF steps back
+        model = Tabulated([(0.5, (1, 150), 150), (0.5, (), 3)])
+        times, z = (150, 290, 420), (0.3, 0.6, 0.0)
+        assert times[-1] > 3 * _LEAF
+        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # fdd pgf
 # ---------------------------------------------------------------------------
 

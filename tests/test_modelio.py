@@ -100,6 +100,17 @@ class TestLoading:
         assert table.summary is None
         assert 0.0 < table.q[4] < 1.0
 
+    def test_uncertified_tail_is_not_summed(self):
+        # the bound fails at every checkpoint up to the cap, so the series
+        # is never summed: no offspring law is looked up
+        model = model_from_dict(SEV_HEAVY)
+        rule, calls = model.offspring_by_life, []
+        model.offspring_by_life = lambda l: calls.append(l) or rule(l)
+        message = r"^moment series not certified: remainder bound 1\.91e-06 at l=1048576$"
+        with pytest.raises(DivergentMoment, match=message):
+            summarize(model)
+        assert calls == []
+
     def test_sevastyanov_degenerate_tail_certifies(self):
         # d = 0 kills the tail outright, so the auto bound certifies
         cfg = {

@@ -1,0 +1,88 @@
+"""Pinned outputs of the scalar DP.
+
+`extinction_seq`, `convergence_table` and `conditional_pgf` run the DP on
+floats, through the birth-at-death kernel (Bellman-Harris, Sevastyanov)
+or the scheduled one (Tabulated, DelayedDeath).  The values in
+`pinned_scalar.json` were computed before the step loops were cut down to
+the work that depends on earlier steps, and are frozen.  They are gated at
+1e-9 relative, not bit for bit: a dot summed in another order, as BLAS
+may on another CPU or with another thread count, moves the last bits
+(by 8.7e-13 relative on the heavy-tail `convergence_table` row at
+t = 2^14 when OpenBLAS splits the long dots over two threads).  Running
+this file as a script rewrites the JSON from the code it imports, so do
+that only against the reference implementation, never to make a failing
+pin pass.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gwolab import FddSpec, conditional_pgf, convergence_table, extinction_seq, load_model
+
+HERE = Path(__file__).resolve().parent
+MODEL_DIR = HERE.parent / "docs" / "models"
+PINS = HERE / "pinned_scalar.json"
+RTOL = 1e-9
+
+MODELS = ["age_dependent_offspring", "binary_splitting", "delayed_death", "early_births", "heavy_tail_life"]
+T_MAX = 1 << 14
+CHECKPOINTS = [1 << j for j in range(15)]  # Q(t) read at t = 2^j <= T_MAX
+CONVERGENCE_MODELS = ["heavy_tail_life", "delayed_death"]
+GRID = [1 << j for j in range(10, 13)]
+CONDITIONAL_SPEC = ((1024, 2048), (0.3, 0.5), 1024)  # (times, z, t_obs)
+
+
+def _model(name: str):
+    return load_model(str(MODEL_DIR / f"{name}.json"))
+
+
+def _survival(name: str) -> list:
+    return extinction_seq(_model(name), T_MAX).q[CHECKPOINTS].tolist()
+
+
+def _convergence(name: str) -> list:
+    return [row.q_k for row in convergence_table(_model(name), (1.0, 2.0), (0.0, 0.5), GRID)]
+
+
+def _conditional(name: str) -> float:
+    times, z, t_obs = CONDITIONAL_SPEC
+    return conditional_pgf(_model(name), FddSpec(times, z, t_obs=t_obs))
+
+
+@pytest.fixture(scope="module")
+def pins() -> dict:
+    return json.loads(PINS.read_text())
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_survival_is_pinned(pins, name):
+    np.testing.assert_allclose(_survival(name), pins["extinction_seq"][name], rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("name", CONVERGENCE_MODELS)
+def test_convergence_table_is_pinned(pins, name):
+    np.testing.assert_allclose(_convergence(name), pins["convergence_table"][name], rtol=RTOL, atol=0)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_conditional_pgf_is_pinned(pins, name):
+    assert _conditional(name) == pytest.approx(pins["conditional_pgf"][name], rel=RTOL, abs=0)
+
+
+if __name__ == "__main__":
+    PINS.write_text(
+        json.dumps(
+            {
+                "extinction_seq": {name: _survival(name) for name in MODELS},
+                "convergence_table": {name: _convergence(name) for name in CONVERGENCE_MODELS},
+                "conditional_pgf": {name: _conditional(name) for name in MODELS},
+            },
+            indent=0,
+        )
+        + "\n"
+    )
