@@ -51,7 +51,7 @@ import csv
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from itertools import repeat
 from typing import NamedTuple, Optional
 
@@ -125,6 +125,14 @@ class FddSpec:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _exponents(n: int) -> np.ndarray:
+    """np.arange(n), built once per width rather than on every step."""
+    out = np.arange(n)
+    out.setflags(write=False)
+    return out
+
+
 class _Floats:
     """Scalar coefficients, the ring of the DP at coefficient shape ()."""
 
@@ -151,7 +159,7 @@ class _Floats:
 
     @staticmethod
     def powers(x, n: int):
-        return x ** np.arange(n)
+        return x ** _exponents(n)
 
     @staticmethod
     def monomial(scal: float, var_idx) -> float:
@@ -294,8 +302,6 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     rows = G.reshape(T, C)
     P3 = P.reshape(T, R, C)
     one = np.reshape(ring.monomial(1.0, ()), C)
-    # numpy's FFT, not scipy.fft: after a run to t = 2^16, scipy's cached
-    # plans and work buffers left about 4 MB more memory resident
     kernels = {}  # FFT length -> rfft of M[0:n]
 
     def cross(lo, mid, hi):

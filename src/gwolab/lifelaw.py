@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import ConfigError, DivergentMoment
 
@@ -34,6 +33,23 @@ _SUM_TOL = 1e-12
 _CERT_TOL = 1e-12
 _CERT_CAP = 1 << 20  # certified-summation iteration cap for moment series
 _LIFE_CAP = 2.0**62  # array draws of an unbounded life stay inside int64
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
+
+
+def _trigamma(x: float) -> float:
+    """psi_1(x) = sum_{k >= 0} 1/(x + k)^2 for x > 0: the recurrence
+    psi_1(x) = psi_1(x + 1) + 1/x^2 up to x >= 10, then the asymptotic
+    series 1/x + 1/(2x^2) + sum_k B_2k / x^(2k+1) through B_14."""
+    x = float(x)
+    acc = 0.0
+    while x < 10.0:
+        acc += 1.0 / (x * x)
+        x += 1.0
+    inv2 = 1.0 / (x * x)
+    s = 0.0
+    for b in reversed(_BERNOULLI):
+        s = s * inv2 + b
+    return acc + (1.0 + (0.5 + s / x) / x) / x
 
 
 def _inverse_cdf(cdf: np.ndarray, cdf_list: list, u):
@@ -179,7 +195,7 @@ class QuadraticTailLife:
         self.d = float(d)
         self.t_min = t_min
         self.max_life = None  # unbounded support
-        self.mean = t_min + d * float(polygamma(1, t_min))
+        self.mean = t_min + d * _trigamma(t_min)
 
     def survival(self, t: float) -> float:
         if t < self.t_min:
@@ -206,7 +222,7 @@ class QuadraticTailLife:
             raise ConfigError("tail_mean needs l0 >= t_min")
         if self.d == 0.0:
             return 0.0
-        return (l0 + 1) * self.d / l0**2 + self.d * float(polygamma(1, l0 + 1))
+        return (l0 + 1) * self.d / l0**2 + self.d * _trigamma(l0 + 1)
 
     def sample_from_uniform(self, u):
         """Smallest t with P(L > t) < u; exact inverse-cdf sampling, for a

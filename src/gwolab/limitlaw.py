@@ -305,21 +305,15 @@ class LawT:
         return 2.0 / self.scale - left_limit
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Inverse-cdf sampling: closed form right of 1, bisection left of 1."""
+        """Inverse-cdf sampling in closed form: y = 2Au/(c - A^2 u^2) left
+        of 1 and y = 2/(A (1 - u)) right of it, with A = `scale`."""
         u = rng.random(size)
-        a_split = self.cdf(1.0)
+        A = self.scale
+        left = u < self.cdf(1.0)
         out = np.empty(size)
-        hi_mask = u >= a_split
-        out[hi_mask] = 2.0 / (self.scale * (1.0 - u[hi_mask]))
-        lo_u = u[~hi_mask]
-        lo = np.zeros(lo_u.size)
-        hi = np.ones(lo_u.size)
-        for _ in range(50):  # interval shrinks to 2^-50 < 1e-12
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < lo_u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        out[~hi_mask] = 0.5 * (lo + hi)
+        out[~left] = 2.0 / (A * (1.0 - u[~left]))
+        au = A * u[left]
+        out[left] = 2.0 * au / (self.c - au * au)
         return out
 
 

@@ -7,12 +7,16 @@ import io
 import json
 import os
 import string
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gwolab.series
 from gwolab import cli
 from gwolab.cli import main
 
@@ -390,3 +394,28 @@ def test_malformed_config_value_exits_2(command, name, data):
     value = data.draw(_malformed(KINDS[name]), label=name)
     code, err = _run_config(command, dict(VALID[command], **{name: value}))
     assert code == 2 and err.startswith(f"error: {name}: ")
+
+
+def test_runs_without_scipy():
+    # summarize sums the d/t^2 life tail with the trigamma; the fdd ring,
+    # 3 variables at K = 20, lists C(26, 6) = 230,230 pairs, past the pair
+    # budget, so its products take the FFT route
+    assert gwolab.series.ring(3, 20)._fft_len is not None
+    root = Path(__file__).resolve().parents[1]
+    code = """if True:
+        import contextlib, io, sys
+        sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        from gwolab.cli import main
+        codes = []
+        for argv in (
+            ["summarize", "--model", "docs/models/heavy_tail_life.json"],
+            ["fdd", "--model", "docs/models/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "20"],
+            ["dp", "--model", "docs/models/heavy_tail_life.json", "--tmax", "4096"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes.append(main(argv))
+        print(codes)
+    """
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300)
+    assert (out.returncode, out.stdout.strip()) == (0, "[0, 0, 0]"), out.stderr

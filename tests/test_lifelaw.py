@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import polygamma
 
 from gwolab import lifelaw
 from gwolab.errors import ConfigError, DivergentMoment
@@ -246,6 +247,21 @@ def test_quadratic_tail_mean_against_partial_sum():
     life = QuadraticTailLife(d=3.0, t_min=3)
     partial = 3 + 3.0 * sum(1.0 / t**2 for t in range(3, 200000))
     assert life.mean == pytest.approx(partial + 3.0 / 199999, abs=1e-4)
+
+
+def test_quadratic_tail_trigamma_matches_scipy():
+    # the closed-form psi_1 against scipy's polygamma, up to the l0 = 2^20
+    # that moment certification reaches
+    xs = [*range(1, 400), *(2**k for k in range(22)), *(2**k + 1 for k in range(22)), 0.5, 1.5, 9.99]
+    np.testing.assert_allclose([lifelaw._trigamma(x) for x in xs], polygamma(1, xs), rtol=1e-15)
+    for t_min in range(1, 51):
+        for d in (1.0, float(t_min * t_min)):
+            life = QuadraticTailLife(d=d, t_min=t_min)
+            assert life.mean == pytest.approx(t_min + d * polygamma(1, t_min), rel=1e-15, abs=0)
+            for l0 in {t_min, t_min + 1, *(2**k for k in range(21)), *(2**k + 1 for k in range(20))}:
+                if l0 >= t_min:
+                    want = (l0 + 1) * d / l0**2 + d * polygamma(1, l0 + 1)
+                    assert life.tail_mean(l0) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_quadratic_tail_inverse_cdf_property():
