@@ -29,6 +29,14 @@ so the segment layout is worked out once per phase.  Two kernels walk it:
   its birth ages, and its alive term sums P(L in segment) over the
   segments, O(t * atoms).
 
+A law conditioned on Z(t_obs) > 0 is (plain - extinct) / Q(t_obs).
+plain is the unconditioned DP to t_k; Q(t_obs) takes a scalar DP to
+t_obs.  On {Z(t_obs) = 0} every count at or after t_obs is 0, so the
+extinct term needs a DP, to horizon t_obs, only over the times before
+t_obs and in their variables alone.  With none (t_obs <= t_1, as in every conditioned law `verify`
+computes) it is the constant P(Z(t_obs) = 0) from the scalar DP, and
+the law costs one DP in the weights' ring.
+
 Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
 and the ring picks its own product route; the DP reads only its row and
@@ -47,12 +55,11 @@ bits.
 
 from __future__ import annotations
 
-import csv
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -77,6 +84,8 @@ from .lifelaw import (
 
 _SERIES_BUDGET = 1 << 23  # floats held by one series DP table
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
+_LONG_DOT = 10_000  # OpenBLAS sums a dot of more terms in one piece per thread
+_CSV_ROWS = 4096  # rows of a survival CSV formatted per write
 
 
 class _Var(NamedTuple):
@@ -147,7 +156,12 @@ class _Floats:
 
     @staticmethod
     def dot(x: np.ndarray, y: np.ndarray) -> float:
-        """numpy's dot (ndarray.dot skips np.dot's dispatch), as a Python float."""
+        """numpy's dot (ndarray.dot skips np.dot's dispatch), as a Python
+        float; past _LONG_DOT terms einsum's own loop, since BLAS splits a
+        long dot across its threads and the sum would depend on their
+        number."""
+        if x.size > _LONG_DOT:
+            return float(np.einsum("i,i->", x, y))
         return float(x.dot(y))
 
     @staticmethod
@@ -477,16 +491,18 @@ class ExtinctionTable:
 
 
 def _survival_csv(fh, t, q, tq, limit, error) -> None:
-    """Columns t, Q, tQ, limit and |tQ - limit|, floats at full precision;
-    a limit given as one float is formatted once for every row."""
-
-    def fmt(col):
-        return [format(x, ".17g") for x in col]
-
-    limits = repeat(format(limit, ".17g")) if isinstance(limit, float) else fmt(limit)
-    writer = csv.writer(fh)
-    writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
-    writer.writerows(zip(t, fmt(q), fmt(tq), limits, fmt(error)))
+    """Columns t, Q, tQ, limit and |tQ - limit| in csv.writer's layout
+    (commas, CRLF, no field needs quotes), floats at full precision.  Each
+    row is one '%' format of the columns' Python values, written
+    _CSV_ROWS rows at a time; a limit given as one float goes into the
+    row format once."""
+    if isinstance(limit, float):
+        row, cols = "%d,%.17g,%.17g," + "%.17g" % limit + ",%.17g\r\n", (t, q, tq, error)
+    else:
+        row, cols = "%d,%.17g,%.17g,%.17g,%.17g\r\n", (t, q, tq, limit, error)
+    fh.write("t,Q,tQ,h,abs_error\r\n")
+    for a in range(0, len(t), _CSV_ROWS):
+        fh.write("".join([row % r for r in zip(*(c[a : a + _CSV_ROWS] for c in cols))]))
 
 
 def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
@@ -511,24 +527,39 @@ def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:
 
 def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: int = 0):
     """E(prod w_i^{Z(t_i)} | Z(t_obs) > 0) at spec's times, for scalar or
-    series weights.
+    series weights, as (plain - extinct) / Q(t_obs) with plain the
+    unconditioned pgf.
 
     Extinction is permanent here (no births after death of the whole
-    population), so E(prod w_i^{Z(t_i)}; Z(t_obs) = 0) is exactly the
-    same pgf with an extra weight-0 coordinate at t_obs.  It goes after
-    the times <= t_obs; ties may go anywhere since equal times commute.
+    population), so on {Z(t_obs) = 0} every count at or after t_obs is 0
+    and its weight drops out: extinct = E(prod_{t_i < t_obs}
+    w_i^{Z(t_i)}; Z(t_obs) = 0), a DP over the times before t_obs plus a
+    weight-0 coordinate at t_obs, to horizon t_obs, in the ring of those
+    times' variables alone; it fills the cells where the later variables
+    have exponent 0.  With no time before t_obs it is the constant
+    P(Z(t_obs) = 0), which the DP for Q(t_obs) already gives.  A series
+    numerator with t_1 <= t_obs has constant term P(Z(t_obs) > 0 = Z(t_1))
+    = 0, set exactly rather than left as the round-off between two DPs.
     """
     t_obs = spec.t_obs
     if t_obs is None:
         raise ConfigError("spec needs t_obs for conditioning")
-    q = 1.0 - float(_dp(model, (t_obs,), (0.0,))[t_obs])
+    dead = float(_dp(model, (t_obs,), (0.0,))[t_obs])
+    q = 1.0 - dead
     if q <= 0.0:
         raise ZeroConditioningEvent(f"Z({t_obs}) > 0 has probability 0")
     plain = _dp(model, spec.times, weights, nvars, cap)[spec.times[-1]] if spec.k else 1.0
-    pos = sum(1 for t in spec.times if t <= t_obs)
-    times = spec.times[:pos] + (t_obs,) + spec.times[pos:]
-    extinct = _dp(model, times, weights[:pos] + (0.0,) + weights[pos:], nvars, cap)[times[-1]]
-    return (plain - extinct) / q
+    pos = bisect_left(spec.times, t_obs)
+    lead = min(pos, nvars)  # the variables of the times before t_obs
+    cells = (slice(None),) * lead + (0,) * (nvars - lead)
+    num = np.array(plain)
+    if pos:
+        num[cells] -= _dp(model, spec.times[:pos] + (t_obs,), weights[:pos] + (0.0,), lead, cap)[t_obs]
+    else:
+        num[cells] -= dead
+    if nvars and spec.times[0] <= t_obs:
+        num[(0,) * nvars] = 0.0
+    return num / q
 
 
 def conditional_pgf(model: LifeLaw, spec: FddSpec) -> float:

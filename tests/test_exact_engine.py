@@ -9,8 +9,12 @@ horizon.  Coefficients are cross-checked by Cauchy/FFT extraction from
 the reference pgf.
 """
 
+import csv
 import io
 import math
+import os
+import subprocess
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwolab import exact_engine
 from gwolab.errors import (
     CapTooLarge,
     ConfigError,
@@ -27,6 +32,7 @@ from gwolab.errors import (
 )
 from gwolab.exact_engine import (
     _LEAF,
+    ExtinctionTable,
     FddSpec,
     conditional_pgf,
     conditional_pmf,
@@ -144,6 +150,15 @@ ALL_MODELS = [gw_binary, bh_heavy, tabulated_mix, delayed_mix, sevastyanov_mix]
 # ---------------------------------------------------------------------------
 
 
+def csv_writer_text(rows) -> str:
+    """What csv.writer makes of the survival columns, floats as format(x, ".17g")."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
+    writer.writerows([t, *(format(float(x), ".17g") for x in rest)] for t, *rest in rows)
+    return fh.getvalue()
+
+
 class TestExtinction:
     def test_frozen_binary_values(self):
         table = extinction_seq(gw_binary(), 3)
@@ -178,6 +193,17 @@ class TestExtinction:
         row = lines[2].split(",")
         assert float(row[1]) == 0.5
         assert float(row[3]) == 2.0  # limit of t*Q for the binary model
+
+    @pytest.mark.parametrize("with_summary", [True, False])
+    def test_csv_bytes_are_csv_writers(self, with_summary):
+        table = extinction_seq(bh_heavy(), 5000)  # more rows than one write
+        if not with_summary:
+            table = ExtinctionTable(q=table.q, summary=None)
+        h = table.summary.h if with_summary else math.nan
+        fh = io.StringIO(newline="")
+        table.to_csv(fh)
+        rows = zip(range(len(table.q)), table.q, table.tq, [h] * len(table.q), np.abs(table.tq - h))
+        assert fh.getvalue() == csv_writer_text(rows)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(UnsupportedModel):
@@ -580,6 +606,86 @@ class TestConditionalPmf:
 
 
 # ---------------------------------------------------------------------------
+# the extinct term of a conditioned law
+# ---------------------------------------------------------------------------
+
+DOC_MODELS = sorted(p.stem for p in MODEL_DIR.glob("*.json"))
+TIMES = (6, 10, 14)
+# t_obs before, at, between and after the times
+T_OBS = (3, 6, 8, 10, 12, 14, 17)
+
+
+@lru_cache(maxsize=None)
+def doc_model(name):
+    return load_model(str(MODEL_DIR / f"{name}.json"))
+
+
+def with_extinction(times, weights, t_obs):
+    """The coordinates with weight 0 at t_obs: inserted, or replacing the
+    weight of a time equal to t_obs (w^Z 0^Z = 0^Z)."""
+    marked = dict(zip(times, weights))
+    marked[t_obs] = 0.0
+    order = tuple(sorted(marked))
+    return order, tuple(marked[t] for t in order)
+
+
+def two_dp_pgf(model, times, z, t_obs):
+    """(plain - extinct) / Q(t_obs), the extinct term a full pgf with (t_obs, 0) among the times."""
+    plain = fdd_pgf(model, FddSpec(times, z))
+    extinct = fdd_pgf(model, FddSpec(*with_extinction(times, z, t_obs)))
+    return (plain - extinct) / extinction_seq(model, t_obs).q[t_obs]
+
+
+def two_dp_pmf(model, times, t_obs, K):
+    """The same formula on the series ring, one variable per time."""
+    k = len(times)
+    weights = tuple(exact_engine._Var(i) for i in range(k))
+    plain = exact_engine._dp(model, times, weights, k, K)[times[-1]]
+    marked, marked_weights = with_extinction(times, weights, t_obs)
+    extinct = exact_engine._dp(model, marked, marked_weights, k, K)[marked[-1]]
+    return (plain - extinct) / extinction_seq(model, t_obs).q[t_obs]
+
+
+class TestConditionedExtinctTerm:
+    @pytest.mark.parametrize("t_obs", T_OBS)
+    @pytest.mark.parametrize("name", DOC_MODELS)
+    def test_pgf_matches_two_dp_formula(self, name, t_obs):
+        model, z = doc_model(name), (0.3, 0.6, 0.2)
+        got = conditional_pgf(model, FddSpec(TIMES, z, t_obs=t_obs))
+        assert got == pytest.approx(two_dp_pgf(model, TIMES, z, t_obs), abs=1e-12)
+
+    @pytest.mark.parametrize("t_obs", T_OBS)
+    @pytest.mark.parametrize("name", DOC_MODELS)
+    def test_pmf_matches_two_dp_formula(self, name, t_obs):
+        model, K = doc_model(name), 8
+        probs = conditional_pmf(model, FddSpec(TIMES, (0.0,) * 3, t_obs=t_obs), K).probs
+        np.testing.assert_allclose(probs, two_dp_pmf(model, TIMES, t_obs, K), rtol=0, atol=1e-12)
+        if t_obs >= TIMES[0]:
+            # P(Z(t_obs) > 0 = Z(t_1)) = 0 when t_1 <= t_obs
+            assert probs[0, 0, 0] == 0.0
+        # evaluated at small weights, the pmf is the pgf of the public formula;
+        # the terms past K weigh at most 0.02^9
+        z = (0.01, 0.02, 0.005)
+        series_val = np.einsum("abc,a,b,c->", probs, *(zi ** np.arange(K + 1) for zi in z))
+        assert series_val == pytest.approx(two_dp_pgf(model, TIMES, z, t_obs), abs=1e-12)
+
+    def test_one_series_dp_when_conditioning_at_or_before_the_first_time(self, monkeypatch):
+        calls = []
+        dp = exact_engine._dp
+
+        def spy(model, times, weights, nvars=0, cap=0):
+            calls.append(nvars)
+            return dp(model, times, weights, nvars, cap)
+
+        monkeypatch.setattr(exact_engine, "_dp", spy)
+        for t_obs in (3, 6):
+            calls.clear()
+            conditional_pmf(doc_model("delayed_death"), FddSpec((6, 10), (0.0, 0.0), t_obs=t_obs), K=6)
+            # the scalar DP for Q(t_obs), then the plain series DP alone
+            assert calls == [0, 2]
+
+
+# ---------------------------------------------------------------------------
 # convergence toward the compound limit
 # ---------------------------------------------------------------------------
 
@@ -643,3 +749,32 @@ class TestConvergence:
         lines = fh.getvalue().strip().splitlines()
         assert lines[0] == "t,Q,tQ,h,abs_error"
         assert len(lines) == 2
+
+    def test_csv_bytes_are_csv_writers(self):
+        rows = convergence_table(bh_heavy(), (1.0, 2.0), (0.0, 0.5), (4, 8, 16))
+        fh = io.StringIO(newline="")
+        convergence_csv(rows, fh)
+        assert fh.getvalue() == csv_writer_text((r.t, r.q_k, r.tq_k, r.target, r.abs_error) for r in rows)
+
+    def test_long_dots_do_not_depend_on_blas_threads(self):
+        # at t = 2^14 the last leaf of the DP to 2^15 dots over up to 2^15
+        # sources, a length that BLAS would split across its threads
+        src = str(Path(exact_engine.__file__).resolve().parents[1])
+        code = (
+            "import sys; from gwolab import convergence_table, load_model; "
+            "rows = convergence_table(load_model(sys.argv[1]), (1, 2), (0, 0.5), [2**14]); "
+            "print(rows[0].q_k.hex())"
+        )
+        outs = set()
+        for threads in ("1", "2"):
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            run = subprocess.run(
+                [sys.executable, "-c", code, str(MODEL_DIR / "heavy_tail_life.json")],
+                env=env, capture_output=True, text=True, check=True, timeout=300,
+            )
+            outs.add(run.stdout)
+        assert len(outs) == 1, outs
