@@ -185,11 +185,15 @@ class _Floats:
 # ---------------------------------------------------------------------------
 
 
+def _check_budget(size: int) -> None:
+    if size > _SERIES_BUDGET:
+        raise CapTooLarge(f"series table of {size} coefficients exceeds the budget of {_SERIES_BUDGET}")
+
+
 def _table(rows, ring) -> np.ndarray:
     """Zeros of shape rows + ring.row, within the budget for series tables."""
-    size = math.prod(rows) * math.prod(ring.row)
-    if ring.row and size > _SERIES_BUDGET:
-        raise CapTooLarge(f"series table of {size} coefficients exceeds the budget of {_SERIES_BUDGET}")
+    if ring.row:
+        _check_budget(math.prod(rows) * math.prod(ring.row))
     return np.zeros((*rows, *ring.row))
 
 
@@ -452,6 +456,8 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     among the weights (total degree <= cap); shape () is the scalar case.
     """
     t_max = times[-1]
+    if nvars:  # before the ring, whose tables grow with the same box
+        _check_budget((t_max + 1) * (cap + 1) ** nvars)
     ring = series.ring(nvars, cap) if nvars else _Floats
     acts = [(t_max - t, w) for t, w in zip(times, weights)]  # (lag, weight)
     G = _table((t_max + 1,), ring)

@@ -33,7 +33,7 @@ from .series import TruncatedSeries
 
 logger = logging.getLogger(__name__)
 
-_PMF_ELEMENT_BUDGET = 1 << 24
+_PMF_ELEMENT_BUDGET = 1 << 24  # entries of the (2K+1)^k box a product transforms
 _CLAMP_TOL = 1e-12
 
 
@@ -203,10 +203,16 @@ class FddPmf:
 def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
     """Joint pmf P(eta(y_1) = i_1, ..., eta(y_k) = i_k) up to total degree K.
 
-    The joint pgf `_fdd_pgf` is expanded in the truncated-series ring; the
-    square roots come from the Newton iteration rather than the univariate
-    binomial formula, so the k = 1 case independently cross-checks
-    eta_marginal_pmf.
+    The joint pgf `_fdd_pgf` is expanded in the truncated-series ring
+    `series.ring(k, K)`; the square roots come from its Newton iteration
+    (`Ring.sqrt`) rather than the univariate binomial formula, so the k = 1
+    case independently cross-checks eta_marginal_pmf.  Past the ring's
+    direct routes a product transforms a box of about (2K+1)^k entries,
+    so that, not the (K+1)^k pmf, is held to the element budget (k = 2 up
+    to K = 2047, k = 3 up to K = 127); CapTooLarge is raised before any
+    ring is built.  Negative coefficients (round-off, about 1e-17 on the
+    FFT route) are set to 0 and counted in `clamped`; a warning is logged
+    when one is below -_CLAMP_TOL.
     """
     k = q.k
     if k == 0:
@@ -214,8 +220,8 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
     if k > 3:
         raise ConfigError("joint extraction is configured for k <= 3")
     _check_K(K)
-    if (K + 1) ** k > _PMF_ELEMENT_BUDGET:
-        raise CapTooLarge(f"(K+1)^k = {(K + 1) ** k} exceeds the element budget")
+    if (2 * K + 1) ** k > _PMF_ELEMENT_BUDGET:
+        raise CapTooLarge(f"the (2K+1)^k = {(2 * K + 1) ** k} box of a product exceeds the element budget")
     one = TruncatedSeries.constant(1.0, k, K)
     zvars = [TruncatedSeries.variable(i, k, K) for i in range(k)]
     pgf = _fdd_pgf(p, q.y, zvars, one, TruncatedSeries.sqrt)

@@ -7,8 +7,8 @@ with a division-free Newton iteration and are exact on retained
 coefficients up to floating point roundoff.
 
 `Ring` works on flat coefficient rows: the product, monomials, shifts,
-Horner composition and powers.  The DP of `exact_engine` runs in
-`ring(nvars, cap)`, one row per time; `TruncatedSeries`, in which
+Horner composition, powers and the square root.  The DP of `exact_engine`
+runs in `ring(nvars, cap)`, one row per time; `TruncatedSeries`, in which
 `limitlaw.eta_fdd_pmf` expands its pgf, multiplies through the same ring.
 
 A product takes one of three routes, chosen by the number of variables n
@@ -23,11 +23,24 @@ and the cap when the ring is built:
   (i, j) with its target i + j, and the product is one `np.bincount`
   over the pairwise products; no term past the cap is formed.
 - otherwise, a real FFT of the (cap+1)^n boxes, padded against
-  wraparound to the 5-smooth length `_fft_len(2 cap + 1)`, then sliced
-  and masked at the cap.  The transform is numpy's, run one axis at a
-  time in the order and with the scaling of `scipy.fft.rfftn`/`irfftn`
-  (`np.fft.rfftn` runs the axes the other way round).  That keeps every
-  round-off bit of the products that `tests/pinned_pmfs.json` froze.
+  wraparound to the 5-smooth length m = `_fft_len(2 cap + 1)`, then
+  masked at the cap.
+
+The product comes in two halves, `mul(a, b) = product(spectrum(a),
+spectrum(b))`.  `spectrum` is the forward transform on the FFT route and
+the row itself on the other two, so a row that enters several products
+(x in Horner's rule and in `powers`, the radicand and each iterate of
+the square root) is transformed once.  `product` multiplies the spectra
+and runs the inverse passes, and after the pass on each axis but the
+last it keeps only that axis's lines 0..cap: the later passes, the last
+`irfft` and the scaling then work on (cap+1)^(n-1) lines instead of
+m^(n-1), and the lines dropped would only feed terms past the cap.  The
+transform is numpy's, run one axis at a time in the order and with the
+scaling of `scipy.fft.rfftn`/`irfftn` (`np.fft.rfftn` runs the axes the
+other way round).  Each 1-D pass transforms every line it keeps on its
+own, so slicing away other lines, or reusing a spectrum, changes no bit;
+every round-off bit of the products that `tests/pinned_pmfs.json` froze
+stays scipy's.
 
 >>> s = TruncatedSeries.from_terms({(0, 0): 1.0, (1, 0): 2.0}, nvars=2, cap=3)
 >>> t = TruncatedSeries.variable(1, nvars=2, cap=3)
@@ -103,21 +116,36 @@ class Ring:
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product; terms of a or b past the cap do not enter it."""
-        if self._pairs is not None:
-            i, j, target = self._pairs
-            return np.bincount(target, np.take(a, i) * np.take(b, j), minlength=a.size)
+        if self._fft_len is None:  # a row is its own spectrum; two calls fewer per small product
+            return self.product(a, b)
+        return self.product(self.spectrum(a), self.spectrum(b))
+
+    def spectrum(self, row: np.ndarray):
+        """The operand `product` takes for row: its forward transform on the
+        FFT route, the row itself on the others.  A row that enters several
+        products is transformed once."""
         m = self._fft_len
         if m is None:
-            return np.convolve(a, b)[: self.cap + 1]
-        fa, fb = (np.fft.rfft(x.reshape(self.shape), m) for x in (a, b))
+            return row
+        f = np.fft.rfft(row.reshape(self.shape), m)
         for axis in range(self.nvars - 1):
-            fa, fb = np.fft.fft(fa, m, axis=axis), np.fft.fft(fb, m, axis=axis)
-        full = fa * fb
+            f = np.fft.fft(f, m, axis=axis)
+        return f
+
+    def product(self, fa, fb) -> np.ndarray:
+        """The truncated product of the rows whose spectra are fa and fb."""
+        if self._pairs is not None:
+            i, j, target = self._pairs
+            return np.bincount(target, np.take(fa, i) * np.take(fb, j), minlength=fa.size)
+        m = self._fft_len
+        if m is None:
+            return np.convolve(fa, fb)[: self.cap + 1]
+        full, keep = fa * fb, slice(0, self.cap + 1)
         for axis in range(self.nvars - 1):
-            full = np.fft.ifft(full, axis=axis, norm="forward")
-        full = np.fft.irfft(full, m, norm="forward") * (1.0 / m**self.nvars)
-        out = full[(slice(0, self.cap + 1),) * self.nvars]
-        return np.where(total_degree_mask(self.nvars, self.cap), out, 0.0).ravel()
+            # lines past the cap on this axis only feed discarded terms
+            full = np.fft.ifft(full, axis=axis, norm="forward")[(slice(None),) * axis + (keep,)]
+        full = np.fft.irfft(full, m, norm="forward")[..., keep] * (1.0 / m**self.nvars)
+        return np.where(total_degree_mask(self.nvars, self.cap), full, 0.0).ravel()
 
     @staticmethod
     def rows(table: np.ndarray) -> list:
@@ -147,18 +175,38 @@ class Ring:
 
     def poly(self, coef, x: np.ndarray) -> np.ndarray:
         """Horner composition sum_n coef[n] * x**n."""
+        fx = self.spectrum(x)
         res = self.monomial(coef[-1])
         for c in coef[-2::-1]:
-            res = self.mul(res, x)
+            res = self.product(self.spectrum(res), fx)
             res[0] += c
         return res
 
     def powers(self, x: np.ndarray, n: int) -> list:
         """[1, x, ..., x**(n-1)]."""
+        fx = self.spectrum(x)
         out = [self.monomial(1.0), x][:n]
         while len(out) < n:
-            out.append(self.mul(out[-1], x))
+            out.append(self.product(self.spectrum(out[-1]), fx))
         return out
+
+    def sqrt(self, s: np.ndarray) -> np.ndarray:
+        """Square root of s by the division-free Newton iteration
+        x <- x (3 - s x^2) / 2 toward 1/sqrt(s), which doubles the number of
+        correct degrees per step, then s x.  s needs a positive constant
+        term.  s is transformed once and each iterate once per step."""
+        c0 = float(s[0])
+        if c0 <= 0.0:
+            raise NonpositiveConstantTerm(f"constant term {c0} is not positive")
+        fs, three = self.spectrum(s), self.monomial(3.0)
+        x = self.monomial(1.0 / math.sqrt(c0))
+        # one extra pass polishes floating point residue after convergence
+        for _ in range(max(1, math.ceil(math.log2(self.cap + 1))) + 1):
+            fx = self.spectrum(x)
+            sxx = self.product(self.spectrum(self.product(fs, fx)), fx)
+            # -sxx + three is TruncatedSeries' 3.0 - s x^2, NaN signs too
+            x = self.product(fx, self.spectrum((-sxx + three) * 0.5))
+        return self.product(fs, self.spectrum(x))
 
 
 @functools.lru_cache(maxsize=16)
@@ -194,6 +242,8 @@ class TruncatedSeries:
             raise ShapeMismatch("need at least one variable")
         if cap < 0:
             raise ShapeMismatch("cap must be nonnegative")
+        if data.shape != (cap + 1,) * nvars:
+            raise ShapeMismatch(f"data of shape {data.shape} is not the (cap+1,)*nvars box {(cap + 1,) * nvars}")
         self.nvars = nvars
         self.cap = cap
         self.data = data
@@ -280,20 +330,10 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def sqrt(self) -> "TruncatedSeries":
-        """Power-series square root via the division-free Newton iteration.
-
-        Iterates x <- x*(3 - s*x^2)/2 toward 1/sqrt(s), doubling the number
-        of correct degrees per step, then returns s*x.  Requires a strictly
-        positive constant term.
-        """
-        c0 = self.coefficient((0,) * self.nvars)
-        if c0 <= 0.0:
-            raise NonpositiveConstantTerm(f"constant term {c0} is not positive")
-        x = TruncatedSeries.constant(1.0 / math.sqrt(c0), self.nvars, self.cap)
-        # one extra pass polishes floating point residue after convergence
-        for _ in range(max(1, math.ceil(math.log2(self.cap + 1))) + 1):
-            x = x * ((3.0 - self * x * x) * 0.5)
-        return self * x
+        """Power-series square root, `Ring.sqrt`; needs a strictly positive
+        constant term."""
+        root = ring(self.nvars, self.cap).sqrt(self.data.ravel())
+        return TruncatedSeries(self.nvars, self.cap, root.reshape(self.data.shape))
 
     # -- evaluation ----------------------------------------------------
 

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gwolab import exact_engine
+from gwolab import exact_engine, series
 from gwolab.errors import (
     CapTooLarge,
     ConfigError,
@@ -591,8 +591,11 @@ class TestConditionalPmf:
         assert series_val == pytest.approx(scalar_val, abs=1e-10)
 
     def test_budget_guard(self):
+        # raised before the (3, 300) ring, 27M entries, is built and cached
+        calls = series.ring.cache_info()[:2]
         with pytest.raises(CapTooLarge):
             conditional_pmf(gw_binary(), FddSpec((2, 3, 4), (0.0,) * 3, t_obs=4), K=300)
+        assert series.ring.cache_info()[:2] == calls
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from gwolab import series
 from gwolab.errors import CapTooLarge, ConfigError
 from gwolab.limitlaw import (
     FddQuery,
@@ -306,6 +307,16 @@ class TestFddPmf:
             eta_fdd_pmf(p, FddQuery([1.0, 2.0, 3.0], [0.0] * 3), 1000)
         with pytest.raises(ConfigError):
             eta_fdd_pmf(p, FddQuery([1.0], [1.0]), 5)
+
+    @pytest.mark.parametrize("y, K", [((1.0, 2.0, 3.0), 128), ((1.0, 2.0), 2048)])
+    def test_budget_covers_the_product_box(self, y, K):
+        # (K+1)^k is within the budget, but a product transforms a (2K+1)^k
+        # box; the raise comes before any ring is built
+        assert (K + 1) ** len(y) <= 1 << 24 < (2 * K + 1) ** len(y)
+        calls = series.ring.cache_info()[:2]
+        with pytest.raises(CapTooLarge):
+            eta_fdd_pmf(LimitParams(1.0), FddQuery(y, (0.0,) * len(y)), K)
+        assert series.ring.cache_info()[:2] == calls
 
 
 # ---------------------------------------------------------------------------

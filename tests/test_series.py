@@ -265,3 +265,65 @@ def test_import_does_not_load_scipy_signal():
     code = "import sys, gwolab, gwolab.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _scipy_fft_product(a, b, nvars, cap):
+    """scipy's rfftn/irfftn product at the fast real length, sliced and masked."""
+    box = (scipy.fft.next_fast_len(2 * cap + 1, real=True),) * nvars
+    full = scipy.fft.irfftn(scipy.fft.rfftn(a, box) * scipy.fft.rfftn(b, box), box)
+    return np.where(gwolab.series.total_degree_mask(nvars, cap), full[(slice(0, cap + 1),) * nvars], 0.0)
+
+
+@pytest.mark.parametrize(
+    "nvars,cap",
+    [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 16), (3, 20), (3, 30), (4, 11), (1, 100), (2, 10)],
+)
+def test_product_of_spectra_is_the_product(nvars, cap):
+    # mul = product(spectrum, spectrum): scipy's bits on the FFT route; on
+    # the convolve (1, 100) and pair-table (2, 10) routes the spectrum is
+    # the row itself
+    ring = gwolab.series.ring(nvars, cap)
+    mask = gwolab.series.total_degree_mask(nvars, cap)
+    rng = np.random.default_rng(nvars * 1000 + cap + 1)
+    a, b = (np.where(mask, rng.uniform(-1.0, 1.0, ring.shape), 0.0).ravel() for _ in range(2))
+    got = ring.product(ring.spectrum(a), ring.spectrum(b))
+    if ring._fft_len is None:
+        assert ring.spectrum(a) is a
+        want = ring.mul(a, b)
+    else:
+        want = _scipy_fft_product(a.reshape(ring.shape), b.reshape(ring.shape), nvars, cap)
+    np.testing.assert_array_equal(got, want.ravel())
+
+
+@pytest.mark.parametrize("nvars,cap", [(1, 100), (1, 600), (2, 10), (2, 40), (3, 6), (3, 20)])
+def test_poly_is_horner_through_mul_bit_for_bit(nvars, cap):
+    ring = gwolab.series.ring(nvars, cap)
+    rng = np.random.default_rng(3 * nvars + cap)
+    x = 0.3 * np.where(gwolab.series.total_degree_mask(nvars, cap), rng.uniform(-1.0, 1.0, ring.shape), 0.0).ravel()
+    coef = [0.5, -1.0, 0.25, 2.0, 0.125]
+    want = ring.monomial(coef[-1])
+    for c in coef[-2::-1]:
+        want = ring.mul(want, x)
+        want[0] += c
+    np.testing.assert_array_equal(ring.poly(coef, x), want)
+
+
+@pytest.mark.parametrize("nvars,cap", [(1, 600), (2, 40), (3, 20)])
+def test_sqrt_is_the_newton_loop_bit_for_bit(nvars, cap):
+    # the Newton iteration written out on TruncatedSeries operators
+    rng = np.random.default_rng(11 * nvars + cap)
+    mask = gwolab.series.total_degree_mask(nvars, cap)
+    data = np.where(mask, 0.5 ** np.indices(mask.shape).sum(axis=0) * rng.random(mask.shape), 0.0)
+    data[(0,) * nvars] = 1.5
+    s = TruncatedSeries(nvars, cap, data)
+    x = TruncatedSeries.constant(1.0 / math.sqrt(1.5), nvars, cap)
+    for _ in range(max(1, math.ceil(math.log2(cap + 1))) + 1):
+        x = x * ((3.0 - s * x * x) * 0.5)
+    np.testing.assert_array_equal(s.sqrt().to_dense_array(), (s * x).to_dense_array())
+
+
+def test_data_must_be_the_cap_box():
+    with pytest.raises(ShapeMismatch):
+        TruncatedSeries(3, 5, np.ones((6, 6)))  # two variables' box
+    with pytest.raises(ShapeMismatch):
+        TruncatedSeries(2, 5, np.ones((4, 4)))  # a box smaller than the cap's
