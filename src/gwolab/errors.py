@@ -36,7 +36,7 @@ class ZeroConditioningEvent(GwolabError):
 
 
 class CapTooLarge(GwolabError):
-    """A series-valued recursion would exceed the configured memory budget."""
+    """A DP table or a series computation would exceed its memory budget."""
 
 
 class BudgetExhausted(GwolabError):

@@ -27,7 +27,17 @@ so the segment layout is worked out once per phase.  Two kernels walk it:
   lives of at most max_life steps it costs O(t * max_life).
 - scheduled atoms (Tabulated, DelayedDeath): each atom multiplies G at
   its birth ages, and its alive term sums P(L in segment) over the
-  segments, O(t * atoms).
+  segments, O(t * atom reads), where an atom reads G once per child and
+  once for its alive term.
+
+A birth-at-death law with finite life is the Tabulated law with one atom
+(P(L = l) P(N = n | L = l), ages (l,)*n, life l) for each (l, n) of
+positive mass.  On floats, when those atoms read G at most _ATOM_READS
+times a step, `_dp` walks them on the scheduled kernel: a step is then a
+few float products, where the convolution pays a numpy call for each dot
+of one to a few terms.  Past the bound the dots win.  On a series ring
+the products dominate, and the atoms would repeat the powers of G that
+the composition computes once, so series DPs keep the convolution.
 
 A law conditioned on Z(t_obs) > 0 is (plain - extinct) / Q(t_obs).
 plain is the unconditioned DP to t_k; Q(t_obs) takes a scalar DP to
@@ -82,9 +92,10 @@ from .lifelaw import (
     summarize,
 )
 
-_SERIES_BUDGET = 1 << 23  # floats held by one series DP table
+_DP_BUDGET = 1 << 23  # floats held by one DP table, scalar or series
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 _LONG_DOT = 10_000  # OpenBLAS sums a dot of more terms in one piece per thread
+_ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
 _CSV_ROWS = 4096  # rows of a survival CSV formatted per write
 
 
@@ -186,14 +197,13 @@ class _Floats:
 
 
 def _check_budget(size: int) -> None:
-    if size > _SERIES_BUDGET:
-        raise CapTooLarge(f"series table of {size} coefficients exceeds the budget of {_SERIES_BUDGET}")
+    if size > _DP_BUDGET:
+        raise CapTooLarge(f"DP table of {size} floats exceeds the budget of {_DP_BUDGET}")
 
 
 def _table(rows, ring) -> np.ndarray:
-    """Zeros of shape rows + ring.row, within the budget for series tables."""
-    if ring.row:
-        _check_budget(math.prod(rows) * math.prod(ring.row))
+    """Zeros of shape rows + ring.row, within the DP table budget."""
+    _check_budget(math.prod(rows) * math.prod(ring.row))
     return np.zeros((*rows, *ring.row))
 
 
@@ -247,9 +257,13 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     that feed it.  The FFT convolves the complements one - P[m], which
     are O(Q); the `one` part is the survival difference
     surv[u - b] - surv[u - a] for sources [a, b) (every offspring law sums
-    to 1), so round-off stays relative to Q, not to 1.  Finite lives clip
-    the cross-block work at max_life, and lives of at most _LEAF steps
-    make the whole range one leaf.
+    to 1), so round-off stays relative to Q, not to 1.  The last leaf's
+    block, cut off at t_max, takes its left half in the same complement
+    form, by one direct dot per step rather than an FFT over the block.
+    Finite lives clip the cross-block work at max_life, and lives of at
+    most _LEAF steps make the whole range one leaf.  Of the scalar DPs
+    with finite life, `_dp` sends here only those whose atoms would read
+    G more than _ATOM_READS times a step.
 
     A leaf reads G, and the survival term when it adds one, as `ring.rows`
     in chunks of at most _LEAF steps, and writes G back once per chunk.
@@ -277,12 +291,12 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         for u0, u1, segs, prefix in phases
     ]
 
-    def leaf(first, a, b, alive):
-        """Steps [a, b) from the sources in [first, u), on top of what G
+    def leaf(a, b, alive):
+        """Steps [a, b) from the sources in [a, u), on top of what G
         holds, plus the survival term alive[u] * unit (alive None: G has
         it)."""
         for u0, u1, segs, unit in walks:
-            segs = [(max(lo, first * R), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > first * R]
+            segs = [(max(lo, a * R), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > a * R]
             for c0 in range(max(a, u0), min(b, u1), _LEAF):
                 c1 = min(c0 + _LEAF, b, u1)
                 g = ring.rows(G[c0:c1])
@@ -310,7 +324,7 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
                 G[c0:c1] = g
 
     if t_max <= _LEAF or (max_life is not None and max_life <= _LEAF):
-        leaf(0, 0, T, surv)
+        leaf(0, T, surv)
         return
 
     # G[u] gathers the survival term, then the sums of the sources before u's leaf
@@ -322,10 +336,11 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     one = np.reshape(ring.monomial(1.0, ()), C)
     kernels = {}  # FFT length -> rfft of M[0:n]
 
-    def cross(lo, mid, hi):
+    def cross(lo, mid, hi, direct=False):
         """Add the sources [lo, mid) into G at the steps [mid, hi) (up to
         t_max); the FFT spans the whole block, so blocks of one size share
-        one kernel and one FFT length."""
+        one kernel and one FFT length.  direct: each step's convolution of
+        the complements is one dot instead, for a block cut off at t_max."""
         if max_life is not None:
             lo, hi = max(lo, mid - max_life), min(hi, mid + max_life)
         pieces = {}  # source range -> [(first step, end step, scal, var_idx)]
@@ -338,14 +353,21 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
                 if a < b:
                     pieces.setdefault((a, b), []).append((v0, v1, scal, var_idx))
         n = hi - lo
-        if pieces and n not in kernels:
+        if pieces and not direct and n not in kernels:
             kernels[n] = np.fft.rfft(M[:n].reshape(-1, R, 1), n, axis=0)
         for (a, b), targets in pieces.items():
-            f = np.zeros((n, R, C))
-            np.subtract(one, P3[a:b], out=f[a - lo : b - lo])
-            f = np.fft.rfft(f, axis=0)
-            f *= kernels[n]
-            y = np.fft.irfft(f.sum(axis=1), n, axis=0)
+            if direct:
+                comp = np.subtract(one, P3[a:b]).reshape((b - a) * R, *ring.row)
+                y = np.zeros((n, C))
+                for v in range(mid, min(hi, T)):
+                    off = (t_max - v) * R
+                    y[v - lo] = dot(Mr[off + a * R : off + b * R], comp)
+            else:
+                f = np.zeros((n, R, C))
+                np.subtract(one, P3[a:b], out=f[a - lo : b - lo])
+                f = np.fft.rfft(f, axis=0)
+                f *= kernels[n]
+                y = np.fft.irfft(f.sum(axis=1), n, axis=0)
             for v0, v1, scal, var_idx in targets:
                 sums = np.multiply.outer(surv[v0 - b : v1 - b] - surv[v0 - a : v1 - a], one)
                 sums -= y[v0 - lo : v1 - lo]
@@ -358,12 +380,11 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     # [a - half, a + half), half = the lowest set bit of a (_LEAF is a power
     # of 2); its cross is due once that left half is done.
     for a in range(0, T, _LEAF):
-        half, first = a & -a, a
-        if half and T - a <= _LEAF:
-            first = a - half  # the last leaf: direct dots beat one FFT over the block
-        elif half:
-            cross(a - half, a, a + half)
-        leaf(first, a, min(a + _LEAF, T), None)
+        half = a & -a
+        if half:
+            # before the last leaf, direct dots beat one FFT over the block
+            cross(a - half, a, a + half, direct=T - a <= _LEAF)
+        leaf(a, min(a + _LEAF, T), None)
 
 
 def _sevastyanov_rows(model: Sevastyanov, t_max: int):
@@ -374,16 +395,17 @@ def _sevastyanov_rows(model: Sevastyanov, t_max: int):
     pmf, surv = _life_tables(model.life, t_max)
     laws = {l: model.offspring_by_life(l) for l in range(1, t_max + 1) if pmf[l] > 0.0}
     width = max((len(law.probs) for law in laws.values()), default=1)
-    M = np.zeros((t_max + 1, width))
+    M = _table((t_max + 1, width), _Floats)
     for l, law in laws.items():
         M[l, : len(law.probs)] = pmf[l] * np.asarray(law.probs)
     return M, surv
 
 
-def _scheduled(model, t_max: int, ring):
-    """Kernel of Tabulated and DelayedDeath: each atom has fixed birth
-    ages, and the founder's alive term sums P(L in segment) over the
-    segments of the walk.
+def _scheduled(atoms, ring):
+    """Kernel of Tabulated and DelayedDeath, and of the short-life
+    Bellman-Harris and Sevastyanov laws `_dp` rewrites as atoms: each
+    atom (prob, ages, S) has fixed birth ages, and the founder's alive term
+    sums P(L in segment) over the segments of the walk.
 
     Nothing in an atom's alive term depends on G, so each chunk of at most
     _LEAF steps computes prob * alive for all its steps at once, with
@@ -396,7 +418,6 @@ def _scheduled(model, t_max: int, ring):
     and which goes back to G once per chunk; a later age from its own
     slice, which ends before the chunk.  Lists so stay within 2 * _LEAF
     steps, whatever the ages."""
-    atoms = _scheduled_atoms(model, t_max)
     mul = ring.mul
     far = {tau for _, ages, _ in atoms for tau in ages if tau > _LEAF}
 
@@ -435,12 +456,32 @@ def _scheduled(model, t_max: int, ring):
     return walk
 
 
+def _short_life_atoms(model):
+    """The Tabulated atoms a Bellman-Harris or Sevastyanov law equals,
+    (P(L = l) P(N = n | L = l), (l,)*n, l) for each (l, n) of positive
+    mass, if its life has finite support and a step of `_scheduled` reads
+    G at most _ATOM_READS times over them (n + 1 per atom: its children
+    and its alive term); otherwise None."""
+    if model.life.max_life is None:
+        return None
+    pmf = model.life.pmf_array(model.life.max_life)
+    lives = np.flatnonzero(pmf).tolist()
+    if len(lives) > _ATOM_READS:  # every atom reads at least once
+        return None
+    atoms = []
+    for l in lives:
+        law = model.offspring if isinstance(model, BellmanHarris) else model.offspring_by_life(l)
+        atoms += [(float(pmf[l]) * p, (l,) * n, l) for n, p in enumerate(law.probs.tolist()) if p > 0.0]
+    return atoms if sum(len(ages) + 1 for _, ages, _ in atoms) <= _ATOM_READS else None
+
+
 def _scheduled_atoms(model, t_max: int):
-    """Tabulated/DelayedDeath as (prob, ages, S) with S[u] = P(L > u) for
-    the atom's life, u = 0..t_max."""
+    """A Tabulated/DelayedDeath law, or a list of Tabulated atoms, as
+    (prob, ages, S) with S[u] = P(L > u) for the atom's life, u = 0..t_max."""
     u = np.arange(t_max + 1)
-    if isinstance(model, Tabulated):
-        return [(prob, ages, np.where(u < life, 1.0, 0.0)) for prob, ages, life in model.atoms]
+    if not isinstance(model, DelayedDeath):
+        table = model.atoms if isinstance(model, Tabulated) else model
+        return [(prob, ages, np.where(u < life, 1.0, 0.0)) for prob, ages, life in table]
     _, residual = _life_tables(model.residual, t_max)
     atoms = []
     for prob, ages in model.schedules:
@@ -456,21 +497,24 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     among the weights (total degree <= cap); shape () is the scalar case.
     """
     t_max = times[-1]
-    if nvars:  # before the ring, whose tables grow with the same box
-        _check_budget((t_max + 1) * (cap + 1) ** nvars)
+    _check_budget((t_max + 1) * (cap + 1) ** nvars)  # before the ring, whose tables grow with the same box
     ring = series.ring(nvars, cap) if nvars else _Floats
     acts = [(t_max - t, w) for t, w in zip(times, weights)]  # (lag, weight)
     G = _table((t_max + 1,), ring)
     starts = sorted({lag for lag, _ in acts})
     phases = [(u0, u1, *_walk_segments(acts, u0)) for u0, u1 in zip(starts, starts[1:] + [t_max + 1])]
     if isinstance(model, (BellmanHarris, Sevastyanov)):
-        _birth_at_death(model, t_max, ring, G, phases)
-    elif isinstance(model, (Tabulated, DelayedDeath)):
-        walk = _scheduled(model, t_max, ring)
-        for phase in phases:
-            walk(G, *phase)
-    else:
+        # on floats, a short finite life walks as Tabulated atoms
+        short = None if nvars else _short_life_atoms(model)
+        if short is None:
+            _birth_at_death(model, t_max, ring, G, phases)
+            return G.reshape(t_max + 1, *ring.shape)
+        model = short
+    elif not isinstance(model, (Tabulated, DelayedDeath)):
         raise UnsupportedModel(f"no DP path for {type(model).__name__}")
+    walk = _scheduled(_scheduled_atoms(model, t_max), ring)
+    for phase in phases:
+        walk(G, *phase)
     return G.reshape(t_max + 1, *ring.shape)
 
 

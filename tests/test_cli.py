@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gwolab.series
-from gwolab import cli
+from gwolab import cli, exact_engine
 from gwolab.cli import main
 
 GW_BINARY = {
@@ -230,6 +230,11 @@ class TestExitCodes:
             ["fdd", "--model", gw_path, "--times", "2,3,4", "--tobs", "4", "--K", "300"]
         )
         assert code == 5
+
+    def test_dp_table_past_the_budget(self, gw_path, capsys):
+        code = main(["dp", "--model", gw_path, "--tmax", str(exact_engine._DP_BUDGET)])
+        assert code == 5
+        assert "DP table" in capsys.readouterr().err
 
     def test_zero_conditioning(self, tmp_path, capsys):
         path = tmp_path / "doomed.json"

@@ -31,6 +31,7 @@ from gwolab.errors import (
     ZeroConditioningEvent,
 )
 from gwolab.exact_engine import (
+    _DP_BUDGET,
     _LEAF,
     ExtinctionTable,
     FddSpec,
@@ -209,6 +210,12 @@ class TestExtinction:
         with pytest.raises(UnsupportedModel):
             extinction_seq(object(), 4)
 
+    @pytest.mark.parametrize("make", [gw_binary, bh_heavy, tabulated_mix])
+    def test_table_past_the_budget(self, make):
+        # t_max + 1 floats of G alone pass the budget; raised before any table exists
+        with pytest.raises(CapTooLarge, match="DP table"):
+            extinction_seq(make(), _DP_BUDGET)
+
     def test_rejects_negative_horizon(self):
         with pytest.raises(ConfigError):
             extinction_seq(gw_binary(), -1)
@@ -237,6 +244,55 @@ class TestFiniteLifeClip:
         assert times[0] > 3 * model.life.max_life
         got = fdd_pgf(model, FddSpec(times, z))
         assert got == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+
+
+class TestShortLifeAtoms:
+    """A finite-life Bellman-Harris or Sevastyanov law whose atom table
+    reads G at most _ATOM_READS times a step runs its scalar DP as
+    Tabulated atoms on the scheduled kernel."""
+
+    def test_atom_tables_of_the_doc_models(self):
+        assert exact_engine._short_life_atoms(load_model(str(MODEL_DIR / "binary_splitting.json"))) == [
+            (0.5, (), 1),
+            (0.5, (1, 1), 1),
+        ]
+        assert exact_engine._short_life_atoms(load_model(str(MODEL_DIR / "age_dependent_offspring.json"))) == [
+            (0.5, (1,), 1),
+            (0.25, (), 3),
+            (0.25, (3, 3), 3),
+        ]
+
+    def test_kernel_routing(self, monkeypatch):
+        walked = []
+        for name in ("_scheduled", "_birth_at_death"):
+            kernel = getattr(exact_engine, name)
+            monkeypatch.setattr(exact_engine, name, lambda *args, k=kernel, n=name: walked.append(n) or k(*args))
+
+        def kernels(model, nvars):
+            walked.clear()
+            exact_engine._dp(model, (6, 300), tuple(exact_engine._Var(i) for i in range(nvars)) or (0.3, 0.0), nvars, 4)
+            return walked
+
+        short = [load_model(str(MODEL_DIR / f"{name}.json")) for name in ("binary_splitting", "age_dependent_offspring")]
+        long = [load_model(str(MODEL_DIR / "heavy_tail_life.json")), bh_long_lives(), sev_heavy()]
+        assert _LEAF < bh_long_lives().life.max_life
+        for model in short:
+            assert kernels(model, 0) == ["_scheduled"]
+        for model in long:
+            assert kernels(model, 0) == ["_birth_at_death"]
+        for model in short + long:
+            for nvars in (1, 2):
+                assert kernels(model, nvars) == ["_birth_at_death"]
+
+    @pytest.mark.parametrize("name", ["binary_splitting", "age_dependent_offspring"])
+    def test_kernels_agree(self, name, monkeypatch):
+        model, t = load_model(str(MODEL_DIR / f"{name}.json")), 1 << 11
+        spec = FddSpec((t, 2 * t), (0.3, 0.5))
+        atoms = extinction_seq(model, 2 * t).q, fdd_pgf(model, spec)
+        monkeypatch.setattr(exact_engine, "_ATOM_READS", 0)  # every law walks the dots
+        dots = extinction_seq(model, 2 * t).q, fdd_pgf(model, spec)
+        np.testing.assert_allclose(atoms[0], dots[0], rtol=1e-12, atol=0)
+        assert atoms[1] == pytest.approx(dots[1], rel=1e-12, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +351,14 @@ class TestDivideAndConquer:
         # an FFT over P itself, rather than over 1 - P, is off by 4.6e-10 here
         assert float(rel.max()) <= 1e-10
 
+    @pytest.mark.parametrize("t", [1 << 12, 1 << 14])
+    def test_last_step_matches_a_longer_run(self, t):
+        # in the run to t the last leaf adds its block's left half by direct
+        # dots; in the run to 4t an FFT cross adds it: both over 1 - P
+        model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
+        q, longer = extinction_seq(model, t).q[t], extinction_seq(model, 4 * t).q[t]
+        assert q == pytest.approx(longer, rel=1e-13, abs=0)
+
     @pytest.mark.parametrize("make", [bh_heavy, sev_heavy])
     def test_fdd_pgf_matches_tree(self, make):
         times, z = (200, 300, 400), (0.3, 0.5, 0.0)
@@ -318,18 +382,34 @@ class TestDivideAndConquer:
         # the dropped terms of total degree > K weigh at most z_1 * z_2^K = 5e-12
         assert series_val == pytest.approx(conditional_pgf(model, FddSpec(times, z, t_obs=times[0])), abs=1e-12)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_random_heavy_tail_models_match_tree(self, data):
-        d = data.draw(st.floats(0.25, 4.0), label="d")
-        t_min = data.draw(st.integers(max(1, math.ceil(math.sqrt(d))), 4), label="t_min")
-        # critical offspring law: 0 with prob beta*(mu - 1), 1 with 1 - beta*mu,
-        # and a law of mean mu on {2, ..., top} with prob beta
-        weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3), label="weights")
-        mu = sum(n * w for n, w in enumerate(weights, 2)) / sum(weights)
-        beta = data.draw(st.floats(0.1, 0.9), label="beta") / mu
-        probs = [beta * (mu - 1.0), 1.0 - beta * mu] + [beta * w / sum(weights) for w in weights]
-        model = BellmanHarris(QuadraticTailLife(d=d, t_min=t_min), OffspringPMF(probs))
+        def offspring(label):
+            # critical: 0 with prob beta*(mu - 1), 1 with 1 - beta*mu, and a
+            # law of mean mu on {2, ..., top} with prob beta
+            weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=1, max_size=3), label=f"{label} weights")
+            mu = sum(n * w for n, w in enumerate(weights, 2)) / sum(weights)
+            beta = data.draw(st.floats(0.1, 0.9), label=f"{label} beta") / mu
+            return OffspringPMF([beta * (mu - 1.0), 1.0 - beta * mu] + [beta * w / sum(weights) for w in weights])
+
+        # besides heavy tails, finite lives on both sides of _ATOM_READS: every
+        # offspring law has full support on {0, ..., top}, so a life reads
+        # G 6, 10 or 15 times a step, and one to four of them 6 to 60 times
+        kind = data.draw(st.sampled_from(["heavy tail", "finite", "finite by life"]), label="life")
+        if kind == "heavy tail":
+            d = data.draw(st.floats(0.25, 4.0), label="d")
+            t_min = data.draw(st.integers(max(1, math.ceil(math.sqrt(d))), 4), label="t_min")
+            model = BellmanHarris(QuadraticTailLife(d=d, t_min=t_min), offspring("offspring"))
+        else:
+            lives = sorted(data.draw(st.sets(st.integers(1, 2 * _LEAF), min_size=1, max_size=4), label="lives"))
+            mass = [data.draw(st.floats(0.1, 1.0), label=f"P(L = {l})") for l in lives]
+            life = FiniteLife({l: w / sum(mass) for l, w in zip(lives, mass)})
+            if kind == "finite":
+                model = BellmanHarris(life, offspring("offspring"))
+            else:
+                laws = {l: offspring(f"life {l}") for l in lives}
+                model = Sevastyanov(life, laws.__getitem__)
         last = data.draw(st.integers(_LEAF + 1, 3 * _LEAF), label="t_k")
         earlier = data.draw(st.sets(st.integers(0, last - 1), max_size=2), label="earlier times")
         times = tuple(sorted(earlier)) + (last,)

@@ -2,7 +2,8 @@
 
 `extinction_seq`, `convergence_table` and `conditional_pgf` run the DP on
 floats, through the birth-at-death kernel (Bellman-Harris, Sevastyanov)
-or the scheduled one (Tabulated, DelayedDeath).  The values in
+or the scheduled one (Tabulated, DelayedDeath, and the short finite
+lives of binary_splitting and age_dependent_offspring as atoms).  The values in
 `pinned_scalar.json` were computed before the step loops were cut down to
 the work that depends on earlier steps, and are frozen.  They are gated at
 1e-9 relative, not bit for bit: a dot summed in another order, as BLAS
