@@ -50,7 +50,8 @@ the law costs one DP in the weights' ring.
 Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
 and the ring picks its own product route; the DP reads only its row and
-shape.  The scalar case, shape (), runs the same walk on floats.
+shape.  The scalar case, shape (), runs the same walk on floats in
+`series.Floats`, the same protocol on Python floats.
 
 Each kernel has one step loop for both rings, and a step does only the
 work that depends on earlier steps.  What does not (the survival term,
@@ -66,10 +67,9 @@ bits.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -94,7 +94,6 @@ from .lifelaw import (
 
 _DP_BUDGET = 1 << 23  # floats held by one DP table, scalar or series
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
-_LONG_DOT = 10_000  # OpenBLAS sums a dot of more terms in one piece per thread
 _ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
 _CSV_ROWS = 4096  # rows of a survival CSV formatted per write
 
@@ -138,57 +137,6 @@ class FddSpec:
     @property
     def k(self) -> int:
         return len(self.times)
-
-
-# ---------------------------------------------------------------------------
-# the scalar coefficient ring (the series one is series.Ring)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _exponents(n: int) -> np.ndarray:
-    """np.arange(n), built once per width rather than on every step."""
-    out = np.arange(n)
-    out.setflags(write=False)
-    return out
-
-
-class _Floats:
-    """Scalar coefficients, the ring of the DP at coefficient shape ()."""
-
-    shape = ()
-    row = ()
-    mul = staticmethod(operator.mul)
-
-    @staticmethod
-    def rows(table: np.ndarray) -> list:
-        """A table's entries as Python floats, which step faster than numpy's."""
-        return table.tolist()
-
-    @staticmethod
-    def dot(x: np.ndarray, y: np.ndarray) -> float:
-        """numpy's dot (ndarray.dot skips np.dot's dispatch), as a Python
-        float; past _LONG_DOT terms einsum's own loop, since BLAS splits a
-        long dot across its threads and the sum would depend on their
-        number."""
-        if x.size > _LONG_DOT:
-            return float(np.einsum("i,i->", x, y))
-        return float(x.dot(y))
-
-    @staticmethod
-    def poly(coef, x):
-        r = 0.0
-        for c in reversed(coef):
-            r = r * x + c
-        return r
-
-    @staticmethod
-    def powers(x, n: int):
-        return x ** _exponents(n)
-
-    @staticmethod
-    def monomial(scal: float, var_idx) -> float:
-        return scal
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +343,7 @@ def _sevastyanov_rows(model: Sevastyanov, t_max: int):
     pmf, surv = _life_tables(model.life, t_max)
     laws = {l: model.offspring_by_life(l) for l in range(1, t_max + 1) if pmf[l] > 0.0}
     width = max((len(law.probs) for law in laws.values()), default=1)
-    M = _table((t_max + 1, width), _Floats)
+    M = _table((t_max + 1, width), series.Floats)
     for l, law in laws.items():
         M[l, : len(law.probs)] = pmf[l] * np.asarray(law.probs)
     return M, surv
@@ -435,10 +383,11 @@ def _scheduled(atoms, ring):
             steps = np.arange(c0, c1)
             terms = []
             for prob, ages, S in atoms:
+                at = partial(S.take, mode="clip")  # S ends at its first 0: later reads clip to it
                 alive = np.zeros((c1 - c0, *ring.row))
                 for lo, hi, mono in segs:
-                    alive += np.multiply.outer((S[0] if hi is None else S[steps - hi]) - S[steps - lo], mono)
-                alive += np.multiply.outer(S[c0:c1], unit)
+                    alive += np.multiply.outer((S[0] if hi is None else at(steps - hi)) - at(steps - lo), mono)
+                alive += np.multiply.outer(at(steps), unit)
                 reads = [(tau, *src.get(tau, (g, tau + base))) for tau in ages]
                 terms.append((reads, ring.rows(prob * alive)))
             for u in range(c0, c1):
@@ -477,17 +426,22 @@ def _short_life_atoms(model):
 
 def _scheduled_atoms(model, t_max: int):
     """A Tabulated/DelayedDeath law, or a list of Tabulated atoms, as
-    (prob, ages, S) with S[u] = P(L > u) for the atom's life, u = 0..t_max."""
+    (prob, ages, S) with S[u] = P(L > u) for the atom's life, u = 0..t_max.
+    S is nonincreasing and kept only up to its first 0; the atoms of one
+    life (of one last birth age, for DelayedDeath) share it."""
     u = np.arange(t_max + 1)
-    if not isinstance(model, DelayedDeath):
-        table = model.atoms if isinstance(model, Tabulated) else model
-        return [(prob, ages, np.where(u < life, 1.0, 0.0)) for prob, ages, life in table]
-    _, residual = _life_tables(model.residual, t_max)
-    atoms = []
-    for prob, ages in model.schedules:
-        last = ages[-1] if ages else 0
-        atoms.append((prob, ages, np.where(u <= last, 1.0, residual[np.maximum(u - last, 0)])))
-    return atoms
+    if isinstance(model, DelayedDeath):
+        _, residual = _life_tables(model.residual, t_max)
+        atoms = [(prob, ages, ages[-1] if ages else 0) for prob, ages in model.schedules]
+        survival = lambda last: np.where(u <= last, 1.0, residual[np.maximum(u - last, 0)])  # noqa: E731
+    else:
+        atoms = model.atoms if isinstance(model, Tabulated) else model
+        survival = lambda life: np.where(u < life, 1.0, 0.0)  # noqa: E731
+    shared = {}
+    for key in {key for _, _, key in atoms}:
+        S = survival(key)
+        shared[key] = S[: np.argmax(S == 0.0) + 1].copy() if S[-1] == 0.0 else S
+    return [(prob, ages, shared[key]) for prob, ages, key in atoms]
 
 
 def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndarray:
@@ -498,7 +452,7 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     """
     t_max = times[-1]
     _check_budget((t_max + 1) * (cap + 1) ** nvars)  # before the ring, whose tables grow with the same box
-    ring = series.ring(nvars, cap) if nvars else _Floats
+    ring = series.ring(nvars, cap) if nvars else series.Floats
     acts = [(t_max - t, w) for t, w in zip(times, weights)]  # (lag, weight)
     G = _table((t_max + 1,), ring)
     starts = sorted({lag for lag, _ in acts})
@@ -678,6 +632,8 @@ class ConvergenceRow:
 
 def scaled_times(t: int, y) -> tuple:
     """Observation times t_i = t + round(t*(y_i - 1)), halves rounded up."""
+    if not all(math.isfinite(yi) for yi in y):
+        raise ConfigError(f"fractions {tuple(y)} must be finite")
     return tuple(t + int(math.floor(t * (yi - 1.0) + 0.5)) for yi in y)
 
 

@@ -13,10 +13,13 @@ pgfs, and the laws of the entry time T = sup{u : eta(u) = infinity} and
 the emptying time T0 = inf{u : eta(u) = 0}.  Infinite mass is reported
 as an explicit field, never folded into a truncation bucket.
 
-The joint pgf is one expression, `_fdd_pgf`, evaluated on floats by
-`eta_fdd_pgf` and on truncated series by `eta_fdd_pmf`; P(eta(y) < inf)
-is `prob_finite`, also the cdf of T.  The marginal forms, `increment_pgf`
-and `dichotomy_fraction` are independent transcriptions kept as checks.
+The joint pgf is one expression, `_fdd_pgf`, over the ring protocol of
+`series`: floats for `eta_fdd_pgf`, rows of `series.ring(k, K)` for
+`eta_fdd_pmf`.  P(eta(y) < inf) is `prob_finite`, also the cdf of T.
+The marginal forms, `increment_pgf` and `dichotomy_fraction` restate the
+same closed form, time ratios frozen in its roots, so they check nothing.
+The checks are the tests' complex transcriptions by Cauchy sums (of the
+series extraction), and the DP and Monte Carlo (of the law itself).
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .errors import CapTooLarge, ConfigError
-from .series import TruncatedSeries
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +69,8 @@ class FddQuery:
         z = tuple(float(v) for v in z)
         if len(y) != len(z):
             raise ConfigError("y and z must have equal length")
-        if any(v <= 0.0 for v in y):
-            raise ConfigError(f"query points {y} must be positive")
+        if not all(0.0 < v < math.inf for v in y):
+            raise ConfigError(f"query points {y} must be positive and finite")
         if any(y[i] >= y[i + 1] for i in range(len(y) - 1)):
             raise ConfigError(f"query points {y} must be strictly increasing")
         if any(not 0.0 <= v <= 1.0 for v in z):
@@ -119,28 +122,30 @@ def eta_marginal_pgf(p: LimitParams, y: float, z: float) -> float:
     return 1.0 - (1.0 + math.sqrt(1.0 + c * (1.0 - z))) / (A * y)
 
 
-def _fdd_pgf(p: LimitParams, y, z, one, sqrt):
-    """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)}), split at 1, for float weights
-    (one = 1.0, sqrt = math.sqrt) or truncated-series ones (one and sqrt
-    from TruncatedSeries), which give the pgf's coefficients."""
+def _fdd_pgf(p: LimitParams, y, z, ring):
+    """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)}), split at 1, in a ring of
+    `series`: `series.Floats` with float weights gives the pgf's value,
+    `series.ring(k, K)` with the weights z_i the variables' monomials gives
+    its coefficients up to total degree K, as a flat row."""
     c, y1 = p.c, y[0]
     j = sum(1 for v in y if v < 1.0)  # coordinates left of 1
+    one = ring.monomial(1.0)
     s_all, prefix = 0.0, one
     for i, (yi, zi) in enumerate(zip(y, z)):
-        s_all = s_all + prefix * (one - zi) * (c * (y1 / yi) ** 2)
-        prefix = prefix * zi
+        s_all = s_all + ring.mul(prefix, one - zi) * (c * (y1 / yi) ** 2)
+        prefix = ring.mul(prefix, zi)
         if i == j - 1:
             s_left, zprod = s_all, prefix
-    root_all = sqrt(one + s_all)
+    root_all = ring.sqrt(one + s_all)
     inv = 1.0 / (p.scale * y1)
     if j == 0:
-        return one - (root_all + 1.0) * inv
-    return (sqrt(one + s_left + zprod * (c * y1 * y1)) - root_all) * inv
+        return one - (root_all + one) * inv
+    return (ring.sqrt(one + s_left + zprod * (c * y1 * y1)) - root_all) * inv
 
 
 def eta_fdd_pgf(p: LimitParams, q: FddQuery) -> float:
     """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)})."""
-    return _fdd_pgf(p, q.y, q.z, 1.0, math.sqrt) if q.k else 1.0
+    return _fdd_pgf(p, q.y, q.z, series.Floats) if q.k else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +227,9 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
     _check_K(K)
     if (2 * K + 1) ** k > _PMF_ELEMENT_BUDGET:
         raise CapTooLarge(f"the (2K+1)^k = {(2 * K + 1) ** k} box of a product exceeds the element budget")
-    one = TruncatedSeries.constant(1.0, k, K)
-    zvars = [TruncatedSeries.variable(i, k, K) for i in range(k)]
-    pgf = _fdd_pgf(p, q.y, zvars, one, TruncatedSeries.sqrt)
-    coeffs = pgf.to_dense_array()
+    ring = series.ring(k, K)
+    zvars = [ring.monomial(1.0, (i,)) for i in range(k)]
+    coeffs = _fdd_pgf(p, q.y, zvars, ring).reshape(ring.shape)
     neg = coeffs < 0.0
     clamped = int(neg.sum())
     if clamped:

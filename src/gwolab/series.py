@@ -6,10 +6,12 @@ everything of higher total degree is dropped.  Square roots are computed
 with a division-free Newton iteration and are exact on retained
 coefficients up to floating point roundoff.
 
-`Ring` works on flat coefficient rows: the product, monomials, shifts,
-Horner composition, powers and the square root.  The DP of `exact_engine`
-runs in `ring(nvars, cap)`, one row per time; `TruncatedSeries`, in which
-`limitlaw.eta_fdd_pmf` expands its pgf, multiplies through the same ring.
+`Ring` works on flat coefficient rows (numpy arrays, which add, subtract
+and scale as such): the product, monomials, shifts, Horner composition,
+powers and the square root.  `Floats` is that protocol on Python floats,
+the ring of shape ().  The DP of `exact_engine` and the limit pgf of
+`limitlaw._fdd_pgf` run in `ring(nvars, cap)` or in `Floats`;
+`TruncatedSeries` only wraps a row for the benchmark's square-root probe.
 
 A product takes one of three routes, chosen by the number of variables n
 and the cap when the ring is built:
@@ -42,11 +44,11 @@ own, so slicing away other lines, or reusing a spectrum, changes no bit;
 every round-off bit of the products that `tests/pinned_pmfs.json` froze
 stays scipy's.
 
->>> s = TruncatedSeries.from_terms({(0, 0): 1.0, (1, 0): 2.0}, nvars=2, cap=3)
->>> t = TruncatedSeries.variable(1, nvars=2, cap=3)
->>> (s * t).coefficient((1, 1))
+>>> r = ring(2, 3)
+>>> s = r.monomial(1.0) + r.monomial(2.0, (0,))
+>>> float(r.mul(s, r.monomial(1.0, (1,))).reshape(r.shape)[1, 1])
 2.0
->>> round((s.sqrt() * s.sqrt()).coefficient((1, 0)), 12)
+>>> round(float(r.mul(r.sqrt(s), r.sqrt(s)).reshape(r.shape)[1, 0]), 12)
 2.0
 """
 
@@ -55,8 +57,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import numbers
-from typing import Iterable, Iterator, Mapping
+import operator
 
 import numpy as np
 
@@ -204,7 +205,8 @@ class Ring:
         for _ in range(max(1, math.ceil(math.log2(self.cap + 1))) + 1):
             fx = self.spectrum(x)
             sxx = self.product(self.spectrum(self.product(fs, fx)), fx)
-            # -sxx + three is TruncatedSeries' 3.0 - s x^2, NaN signs too
+            # -sxx + three, not three - sxx: they differ in a NaN's sign
+            # bit, which the written-out Newton loop of the tests compares
             x = self.product(fx, self.spectrum((-sxx + three) * 0.5))
         return self.product(fs, self.spectrum(x))
 
@@ -215,6 +217,57 @@ def ring(nvars: int, cap: int) -> Ring:
     return Ring(nvars, cap)
 
 
+_LONG_DOT = 10_000  # OpenBLAS sums a dot of more terms in one piece per thread
+
+
+@functools.lru_cache(maxsize=None)
+def _exponents(n: int) -> np.ndarray:
+    """np.arange(n), built once per width rather than on every step."""
+    out = np.arange(n)
+    out.setflags(write=False)
+    return out
+
+
+class Floats:
+    """The ring of shape (), `Ring`'s protocol on Python floats; a class
+    apart from `ring`'s cache, so scalar work leaves that cache alone."""
+
+    shape = ()
+    row = ()
+    mul = staticmethod(operator.mul)
+    sqrt = staticmethod(math.sqrt)
+
+    @staticmethod
+    def rows(table: np.ndarray) -> list:
+        """A table's entries as Python floats, which step faster than numpy's."""
+        return table.tolist()
+
+    @staticmethod
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        """numpy's dot (ndarray.dot skips np.dot's dispatch), as a Python
+        float; past _LONG_DOT terms einsum's own loop, since BLAS splits a
+        long dot across its threads and the sum would depend on their
+        number."""
+        if x.size > _LONG_DOT:
+            return float(np.einsum("i,i->", x, y))
+        return float(x.dot(y))
+
+    @staticmethod
+    def poly(coef, x):
+        r = 0.0
+        for c in reversed(coef):
+            r = r * x + c
+        return r
+
+    @staticmethod
+    def powers(x, n: int):
+        return x ** _exponents(n)
+
+    @staticmethod
+    def monomial(scal: float, var_idx=()) -> float:
+        return scal
+
+
 def dense_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     """Truncated product of two dense coefficient arrays of shape (cap+1,)*n.
 
@@ -222,18 +275,10 @@ def dense_mul(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
     return ring(a.ndim, cap).mul(a.ravel(), b.ravel()).reshape(a.shape)
 
 
-def _exponents(idx, nvars: int) -> tuple:
-    idx = tuple(idx)
-    if len(idx) != nvars:
-        raise ShapeMismatch(f"exponent tuple {idx} has wrong length")
-    if any(e < 0 for e in idx):
-        raise ShapeMismatch(f"exponent tuple {idx} has a negative entry")
-    return idx
-
-
 class TruncatedSeries:
-    """A power series in `nvars` variables, truncated at total degree `cap`,
-    stored as a dense coefficient array of shape (cap+1,)*nvars."""
+    """A row of `ring(nvars, cap)` held as its (cap+1,)*nvars box, with the
+    product and the square root; the benchmark's square-root probe
+    builds one."""
 
     __slots__ = ("nvars", "cap", "data")
 
@@ -248,104 +293,20 @@ class TruncatedSeries:
         self.cap = cap
         self.data = data
 
-    # -- construction -------------------------------------------------
-
-    @classmethod
-    def zeros(cls, nvars: int, cap: int) -> "TruncatedSeries":
-        return cls(nvars, cap, np.zeros((cap + 1,) * nvars))
-
-    @classmethod
-    def constant(cls, value: float, nvars: int, cap: int) -> "TruncatedSeries":
-        return cls.from_terms({(0,) * nvars: value}, nvars, cap)
-
-    @classmethod
-    def variable(cls, index: int, nvars: int, cap: int) -> "TruncatedSeries":
-        """The monomial z_index; degenerates to 0 when cap == 0."""
-        if not 0 <= index < nvars:
-            raise ShapeMismatch(f"variable index {index} out of range")
-        exps = [0] * nvars
-        exps[index] = 1
-        return cls.from_terms({tuple(exps): 1.0}, nvars, cap)
-
-    @classmethod
-    def from_terms(cls, terms: Mapping[tuple, float], nvars: int, cap: int) -> "TruncatedSeries":
-        out = cls.zeros(nvars, cap)
-        for idx, coeff in terms.items():
-            idx = _exponents(idx, nvars)
-            if sum(idx) <= cap:
-                out.data[idx] += float(coeff)
-        return out
-
-    # -- access ---------------------------------------------------------
-
-    def coefficient(self, idx: Iterable[int]) -> float:
-        idx = _exponents(idx, self.nvars)
-        if sum(idx) > self.cap:
-            return 0.0
-        return float(self.data[idx])
-
-    def terms(self) -> Iterator[tuple[tuple, float]]:
-        """Yield (exponents, coefficient) for the nonzero retained terms."""
-        for idx in zip(*np.nonzero(self.data)):
-            yield tuple(int(i) for i in idx), float(self.data[idx])
-
     def to_dense_array(self) -> np.ndarray:
         """Coefficients as an ndarray of shape (cap+1,)*nvars (copy)."""
         return self.data.copy()
 
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.nvars != other.nvars or self.cap != other.cap:
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if (self.nvars, self.cap) != (other.nvars, other.cap):
             raise ShapeMismatch(
                 f"operands disagree: ({self.nvars} vars, cap {self.cap}) vs "
                 f"({other.nvars} vars, cap {other.cap})"
             )
-
-    # -- ring operations ----------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, numbers.Real):
-            other = TruncatedSeries.constant(other, self.nvars, self.cap)
-        self._check(other)
-        return TruncatedSeries(self.nvars, self.cap, self.data + other.data)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncatedSeries(self.nvars, self.cap, -self.data)
-
-    def __sub__(self, other):
-        if isinstance(other, numbers.Real):
-            other = TruncatedSeries.constant(other, self.nvars, self.cap)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Real):
-            return TruncatedSeries(self.nvars, self.cap, self.data * float(other))
-        self._check(other)
         return TruncatedSeries(self.nvars, self.cap, dense_mul(self.data, other.data, self.cap))
-
-    __rmul__ = __mul__
 
     def sqrt(self) -> "TruncatedSeries":
         """Power-series square root, `Ring.sqrt`; needs a strictly positive
         constant term."""
         root = ring(self.nvars, self.cap).sqrt(self.data.ravel())
         return TruncatedSeries(self.nvars, self.cap, root.reshape(self.data.shape))
-
-    # -- evaluation ----------------------------------------------------
-
-    def evaluate(self, point: Iterable[float]) -> float:
-        """Sum of coeff * prod(z_i^e_i) at the given point."""
-        point = tuple(point)
-        if len(point) != self.nvars:
-            raise ShapeMismatch("point has wrong length")
-        acc = self.data
-        for p in reversed(point):
-            acc = acc @ np.power(p, np.arange(self.cap + 1))
-        return float(acc)
-
-    def __repr__(self):
-        return f"TruncatedSeries(nvars={self.nvars}, cap={self.cap})"

@@ -15,6 +15,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -55,7 +56,7 @@ from gwolab.lifelaw import (
     summarize,
 )
 from gwolab.modelio import load_model, model_from_dict
-from gwolab.verify import tree_pgf
+from gwolab.verify import tree_pgf, tv_to_limit
 
 BIG = 10**9  # stands for "outlives any query time"
 MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
@@ -469,6 +470,21 @@ class TestScheduledKernel:
         assert times[-1] > 3 * _LEAF
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
+    def test_atoms_of_one_life_share_one_survival_column(self):
+        # 40 atoms over 5 lives: a column of t_max + 1 floats per atom
+        # would hold 1.3 MB at 2^12; one per life, cut at its first 0, does not
+        model = Tabulated([(1.0 / 40, tuple(range(1, 1 + i % 3)), 3 + i % 5) for i in range(40)])
+        extinction_seq(model, 64)  # one-time allocations (caches, imports) stay out of the peak
+        tracemalloc.start()
+        try:
+            q = extinction_seq(model, 1 << 12).q
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5e6
+        for t in (5, 17, 40):
+            assert 1.0 - q[t] == pytest.approx(tree_pgf(model, (t,), (0.0,)), abs=1e-12)
+
 
 # ---------------------------------------------------------------------------
 # fdd pgf
@@ -825,6 +841,12 @@ class TestConvergence:
             convergence_table(gw_binary(), (1.0,), (0.0,), (0,))
         with pytest.raises(ConfigError):
             convergence_table(gw_binary(), (1.0, 2.0), (1.0, 0.0), (8,))
+        for bad in (math.nan, math.inf):
+            # scaled_times, shared with tv_to_limit and fdd_limit_check
+            with pytest.raises(ConfigError):
+                convergence_table(gw_binary(), (1.0, bad), (0.0, 0.5), (8,))
+            with pytest.raises(ConfigError):
+                tv_to_limit(gw_binary(), (1.0, bad), 8, 5, 1.0)
 
     def test_csv_output(self):
         fh = io.StringIO()

@@ -234,6 +234,9 @@ class TestFddPgf:
             FddQuery([1.0, 2.0], [0.5])
         with pytest.raises(ConfigError):
             LimitParams(-0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                FddQuery([bad], [0.3])
 
 
 # ---------------------------------------------------------------------------
