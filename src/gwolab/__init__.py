@@ -7,7 +7,7 @@ tying the three routes together.
 
 from __future__ import annotations
 
-from . import cli, errors, exact_engine, lifelaw, limitlaw, modelio, series, simulator, verify
+from . import cli, errors, exact_engine, lifelaw, limitlaw, modelio, philox, series, simulator, verify
 from .errors import (
     BudgetExhausted,
     CapTooLarge,
@@ -92,7 +92,7 @@ from .verify import (
 
 __all__ = [
     # submodules
-    "cli", "errors", "exact_engine", "lifelaw", "limitlaw", "modelio", "series",
+    "cli", "errors", "exact_engine", "lifelaw", "limitlaw", "modelio", "philox", "series",
     "simulator", "verify",
     # errors
     "GwolabError", "ConfigError", "DivergentMoment", "ShapeMismatch",

@@ -95,7 +95,7 @@ from .lifelaw import (
 _DP_BUDGET = 1 << 23  # floats held by one DP table, scalar or series
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 _ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
-_CSV_ROWS = 4096  # rows of a survival CSV formatted per write
+_CSV_ROWS = 4096  # rows of a CSV formatted per write
 
 
 class _Var(NamedTuple):
@@ -355,10 +355,12 @@ def _scheduled(atoms, ring):
     atom (prob, ages, S) has fixed birth ages, and the founder's alive term
     sums P(L in segment) over the segments of the walk.
 
-    Nothing in an atom's alive term depends on G, so each chunk of at most
-    _LEAF steps computes prob * alive for all its steps at once, with
-    numpy and in the order a step would take (segments in turn, then the
-    unit term, then times prob); elementwise, that gives the same bits.
+    Nothing in an atom's alive term depends on G, and the atoms of one life
+    share S and so their alive term.  Each chunk of at most _LEAF steps
+    computes alive for one distinct S at a time and then prob * alive for
+    each atom of that S, for all its steps at once, with numpy and in the
+    order a step would take (segments in turn, then the unit term, then
+    times prob); elementwise, that gives the same bits.
     A step then only multiplies G at each atom's birth ages, in age order,
     and adds prob * alive times that product.  A chunk reads G as
     `ring.rows` (Python floats on the scalar ring): an age up to _LEAF
@@ -368,6 +370,9 @@ def _scheduled(atoms, ring):
     steps, whatever the ages."""
     mul = ring.mul
     far = {tau for _, ages, _ in atoms for tau in ages if tau > _LEAF}
+    lives = {}  # each distinct S and the atoms that share it
+    for j, (_, _, S) in enumerate(atoms):
+        lives.setdefault(id(S), (S, []))[1].append(j)
 
     def walk(G, u0, u1, segs, prefix):
         segs = [(lo, hi, ring.monomial(s, v)) for lo, hi, s, v in segs]
@@ -381,15 +386,17 @@ def _scheduled(atoms, ring):
                 start = max(c0 - tau, 0)
                 src[tau] = (ring.rows(G[start : max(c1 - tau, 0)]), tau + start)
             steps = np.arange(c0, c1)
-            terms = []
-            for prob, ages, S in atoms:
+            terms = [None] * len(atoms)
+            for S, members in lives.values():
                 at = partial(S.take, mode="clip")  # S ends at its first 0: later reads clip to it
                 alive = np.zeros((c1 - c0, *ring.row))
                 for lo, hi, mono in segs:
                     alive += np.multiply.outer((S[0] if hi is None else at(steps - hi)) - at(steps - lo), mono)
                 alive += np.multiply.outer(at(steps), unit)
-                reads = [(tau, *src.get(tau, (g, tau + base))) for tau in ages]
-                terms.append((reads, ring.rows(prob * alive)))
+                for j in members:
+                    prob, ages, _ = atoms[j]
+                    reads = [(tau, *src.get(tau, (g, tau + base))) for tau in ages]
+                    terms[j] = (reads, ring.rows(prob * alive))
             for u in range(c0, c1):
                 acc = 0.0
                 for reads, alive in terms:
@@ -505,7 +512,13 @@ def _survival_csv(fh, t, q, tq, limit, error) -> None:
     else:
         row, cols = "%d,%.17g,%.17g,%.17g,%.17g\r\n", (t, q, tq, limit, error)
     fh.write("t,Q,tQ,h,abs_error\r\n")
-    for a in range(0, len(t), _CSV_ROWS):
+    _write_rows(fh, row, cols)
+
+
+def _write_rows(fh, row: str, cols) -> None:
+    """One '%' format of row per index of the columns (sequences of Python
+    values), written _CSV_ROWS rows at a time."""
+    for a in range(0, len(cols[0]), _CSV_ROWS):
         fh.write("".join([row % r for r in zip(*(c[a : a + _CSV_ROWS] for c in cols))]))
 
 

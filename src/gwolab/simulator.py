@@ -9,7 +9,9 @@ of the config and r: it does not depend on how many replicates run or
 which came before.  Each individual takes a fixed number of uniforms (one
 for a tabulated law, two otherwise), so a replicate's draws are numbered
 by a running count of its individuals, and the words are computed in
-numpy for many (replicate, counter block) pairs at once.
+numpy (`philox`) for many (replicate, counter block) pairs at once.  A
+step draws only the blocks that no earlier step of its replicate drew:
+each slot holds the block its replicate last drew, used in part.
 
 Replicates run in a block of slots that steps through time in numpy.
 Each slot keeps a row of pending births and a row of deaths per time,
@@ -24,14 +26,14 @@ with the replicate count, and it changes no result.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, ConfigError, DivergentMoment, UnsupportedModel
+from .errors import BudgetExhausted, CapTooLarge, ConfigError, DivergentMoment, UnsupportedModel
+from .exact_engine import _write_rows, extinction_seq
 from .lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -41,15 +43,11 @@ from .lifelaw import (
     summarize,
 )
 from .limitlaw import dichotomy_fraction
+from .philox import philox_uniforms
 
 _TALLY_CELLS = 1 << 16  # int64 cells of one (block, horizon + 2) tally: 512 KB
 
-# Philox4x64-10: round multipliers and key increments
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_BUMP = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = np.uint64(0xFFFFFFFF)
-_U32 = np.uint64(32)
-_U11 = np.uint64(11)
+_BLOCK = np.dtype((np.void, 32))  # one counter block's four uniforms as one item
 
 
 @dataclass(frozen=True)
@@ -120,12 +118,12 @@ class SimResult:
         return out
 
     def to_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(["replicate", "survived"] + [f"Z@{t}" for t in self.query_times])
-        for rep in range(self.counts.shape[0]):
-            writer.writerow(
-                [rep, int(self.survived[rep])] + [int(v) for v in self.counts[rep]]
-            )
+        """One row per replicate in csv.writer's layout (commas, CRLF, no
+        field needs quotes), each one '%' format of Python ints."""
+        fh.write(",".join(["replicate", "survived"] + [f"Z@{t}" for t in self.query_times]) + "\r\n")
+        row = ",".join(["%d"] * (2 + len(self.query_times))) + "\r\n"
+        cols = [range(self.counts.shape[0]), self.survived.astype(np.int64).tolist()]
+        _write_rows(fh, row, cols + self.counts.T.tolist())
 
     def summary(self) -> dict:
         return {
@@ -137,60 +135,24 @@ class SimResult:
         }
 
 
-def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products a * m, for a
-    uint64 array a and a 64-bit constant m."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo, hi = a & _LO32, a >> _U32
-    mid = hi * m_lo
-    mid += (a_lo * m_lo) >> _U32
-    low = a_lo * m_hi
-    low += mid & _LO32
-    hi *= m_hi
-    hi += mid >> _U32
-    hi += low >> _U32
-    return hi, a * np.uint64(m)
-
-
-def philox_uniforms(seed: int, reps: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Uniforms 4b, ..., 4b + 3 of stream (seed, rep) for each pair (rep, b)
-    of the two arrays, shape (n, 4): the numbers Generator.random draws at
-    those positions from np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))."""
-    reps = np.asarray(reps, dtype=np.uint64)
-    c0 = np.asarray(blocks, dtype=np.uint64) + np.uint64(1)  # Philox counts from block 1
-    c1 = c2 = c3 = np.zeros_like(c0)
-    for i in range(10):
-        key0 = np.uint64((seed + i * _PHILOX_BUMP[0]) % 2**64)
-        key1 = reps + np.uint64(i * _PHILOX_BUMP[1] % 2**64)
-        hi0, lo0 = _mulhilo(c0, _PHILOX_MUL[0])
-        hi1, lo1 = _mulhilo(c2, _PHILOX_MUL[1])
-        hi1 ^= c1
-        hi1 ^= key0
-        hi0 ^= c3
-        hi0 ^= key1
-        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
-    words = np.stack((c0, c1, c2, c3), axis=1)
-    words >>= _U11
-    return words * 2.0**-53
-
-
 def _schedule_table(schedules) -> tuple[np.ndarray, np.ndarray]:
-    """Birth ages padded to one width, and a 0/1 count per slot."""
-    width = max(1, max(len(ages) for ages in schedules))
-    ages = np.ones((len(schedules), width), dtype=np.int64)
-    counts = np.zeros((len(schedules), width), dtype=np.int64)
+    """Birth ages padded to one length, and a 0/1 count per entry, with
+    one column per schedule and one row per birth."""
+    length = max(1, max(len(ages) for ages in schedules))
+    ages = np.ones((length, len(schedules)), dtype=np.int64)
+    counts = np.zeros((length, len(schedules)), dtype=np.int64)
     for i, sched in enumerate(schedules):
-        ages[i, : len(sched)] = sched
-        counts[i, : len(sched)] = 1
+        ages[: len(sched), i] = sched
+        counts[: len(sched), i] = 1
     return ages, counts
 
 
 def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
     """(uniforms per individual, draw) for a life law.
 
-    draw maps an (n, uniforms) array, row i holding individual i's
+    draw maps a (uniforms, n) array, column i holding individual i's
     uniforms in stream order, to its lives (n,) and its births as two
-    (n, slots) arrays: counts[i, s] children born at age ages[i, s].
+    (slots, n) arrays: counts[s, i] children born at age ages[s, i].
     The inverse cdfs on the distribution objects are the single source
     of randomness semantics.
     """
@@ -215,8 +177,8 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
                 return out
 
         def draw(u):
-            life = life_law.sample_from_uniform(u[:, 0])
-            return life, life[:, None], offspring(life, u[:, 1])[:, None]
+            life = life_law.sample_from_uniform(u[0])
+            return life, life[None], offspring(life, u[1])[None]
 
         return 2, draw
     if isinstance(model, Tabulated):
@@ -224,8 +186,8 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
         lives = np.array([life for _, _, life in model.atoms], dtype=np.int64)
 
         def draw(u):
-            i = model.atom_index(u[:, 0])
-            return lives[i], ages[i], counts[i]
+            i = model.atom_index(u[0])
+            return lives[i], ages.take(i, axis=1), counts.take(i, axis=1)
 
         return 1, draw
     if isinstance(model, DelayedDeath):
@@ -233,18 +195,12 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
         last_age = np.array([a[-1] if a else 0 for _, a in model.schedules], dtype=np.int64)
 
         def draw(u):
-            i = model.schedule_index(u[:, 0])
-            return last_age[i] + model.residual.sample_from_uniform(u[:, 1]), ages[i], counts[i]
+            i = model.schedule_index(u[0])
+            life = last_age[i] + model.residual.sample_from_uniform(u[1])
+            return life, ages.take(i, axis=1), counts.take(i, axis=1)
 
         return 2, draw
     raise UnsupportedModel(f"cannot simulate {type(model).__name__}")
-
-
-def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For segments of the given lengths laid end to end: the start of
-    each segment, and each element's position inside its segment."""
-    starts = np.cumsum(counts) - counts
-    return starts, np.arange(int(counts.sum())) - np.repeat(starts, counts)
 
 
 def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
@@ -264,7 +220,8 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
     width = horizon + 2  # the last column collects events past the horizon
     cols = np.arange(width)
     k = len(config.query_times)
-    tracked = list(config.query_times) + [horizon]
+    tracked = np.array(list(config.query_times) + [horizon])
+    offsets = np.arange(per)[:, None]  # an individual's uniforms, from its first
 
     def run(first: int, size: int) -> tuple:
         slots = min(size, max(1, _TALLY_CELLS // width))
@@ -277,6 +234,7 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
         drawn = np.zeros(slots, dtype=np.int64)  # individuals drawn so far
         latest = np.zeros(slots, dtype=np.int64)  # latest scheduled birth
         over = np.zeros(slots, dtype=bool)
+        last_block = np.empty(slots, dtype=_BLOCK)  # the last lane of each slot's last step
         out = np.empty((size, len(tracked)), dtype=np.int64)
         out_over = np.empty(size, dtype=bool)
         active, queued, step = np.arange(slots), slots, -1
@@ -301,24 +259,35 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
                 tripped, kept = rows[trip], room[short]
                 births[trip] = kept
                 over[tripped] = True
-            # the counter blocks (lanes) that hold this step's uniforms
+            # this step's uniforms lie in counter blocks (lanes) of each
+            # replicate's stream: the block an earlier step drew and used
+            # in part (held), if any, then the blocks drawn now (fresh)
             first_u = per * done
-            lane0 = first_u >> 2
-            lanes = ((first_u + per * births + 3) >> 2) - lane0
-            lane_start, lane_pos = _segments(lanes)
-            streams = (first + rep[np.repeat(rows, lanes)]).astype(np.uint64)
-            uniforms = philox_uniforms(seed, streams, np.repeat(lane0, lanes) + lane_pos).reshape(-1)
-            _, pos = _segments(births)
-            at = np.repeat(4 * (lane_start - lane0) + first_u, births) + per * pos
-            life, ages, counts = draw(uniforms[at[:, None] + np.arange(per)])
+            fresh0 = (first_u + 3) >> 2
+            fresh = ((first_u + per * births + 3) >> 2) - fresh0
+            held = (first_u & 3) > 0
+            lanes = fresh + held
+            lane_end, fresh_end = np.cumsum(lanes), np.cumsum(fresh)
+            i = np.arange(fresh_end[-1])
+            streams = (first + rep[np.repeat(rows, fresh)]).astype(np.uint64)
+            uniforms = philox_uniforms(seed, streams, i + np.repeat(fresh0 + fresh - fresh_end, fresh))
+            blocks = np.empty(lane_end[-1] + 1, dtype=_BLOCK)  # a spare last item for rows without lanes
+            blocks[i + np.repeat(lane_end - fresh_end, fresh)] = uniforms.view(_BLOCK).reshape(-1)
+            blocks[(lane_end - lanes)[held]] = last_block[rows[held]]
+            last_block[rows] = blocks[lane_end - 1]
+            # individual j of a row takes uniforms per * j, ... from its first
+            ind_end = np.cumsum(births)
+            base = 4 * (lane_end - lanes) + (first_u & 3) - per * (ind_end - births)
+            at = np.repeat(base, births) + per * np.arange(ind_end[-1])
+            life, ages, counts = draw(blocks.view(np.float64).take(at + offsets))
             drawn[rows] += births
-            owner, born = np.repeat(rows, births), np.repeat(t, births)
-            np.add.at(flat_deaths, owner * width + np.minimum(born + life, horizon + 1), 1)
-            when = born[:, None] + ages
-            ok = (counts > 0) & (when <= horizon)
-            who = np.broadcast_to(owner[:, None], when.shape)[ok]
-            np.add.at(flat_pending, who * width + when[ok], counts[ok])
-            np.maximum.at(latest, who, when[ok])
+            born = np.repeat(t, births)
+            cell = np.repeat(rows * width + t, births)  # the tally cell of the birth
+            np.add.at(flat_deaths, cell + np.minimum(life, horizon + 1 - born), 1)
+            ok = (counts > 0) & (ages <= horizon - born)
+            cells = (cell + ages)[ok]
+            np.add.at(flat_pending, cells, counts[ok])
+            np.maximum.at(latest, *np.divmod(cells, width))
             if tripped is not None:
                 cut = t[trip]
                 pending[tripped] *= cols <= cut[:, None]
@@ -328,8 +297,9 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
             end = (latest[rows] <= t) | over[rows]
             if end.any():
                 fin = rows[end]
-                pending[fin] -= deaths[fin]
-                out[rep[fin]] = np.cumsum(pending[fin], axis=1)[:, tracked]
+                alive = pending.take(fin, axis=0)
+                alive -= deaths.take(fin, axis=0)
+                out[rep[fin]] = np.cumsum(alive, axis=1, out=alive).take(tracked, axis=1)
                 out_over[rep[fin]] = over[fin]
                 new = fin[: max(0, min(fin.size, size - queued))]
                 rep[new] = np.arange(queued, queued + new.size)
@@ -369,6 +339,11 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     )
 
 
+def _block_size(wanted: int) -> int:
+    """A block of attempts for `wanted` more, with a quarter and 16 to spare."""
+    return wanted + wanted // 4 + 16
+
+
 def conditional_sample(
     config: SimConfig,
     target_survivors: int,
@@ -382,14 +357,21 @@ def conditional_sample(
     survivors/attempts estimates Q(horizon).  An overflow of
     max_individuals at an attempt up to the last one raises
     BudgetExhausted.  Attempts run in blocks sized from the survival rate
-    seen so far; none runs past max_attempts.
+    seen so far, the first from the exact Q(horizon); none runs past
+    max_attempts.  Block sizes change no result.
     """
     if target_survivors < 1:
         raise ConfigError("target_survivors must be >= 1")
     run = _replicate_runner(config)
+    try:
+        q = float(extinction_seq(config.model, config.horizon).q[config.horizon])
+    except CapTooLarge:  # the DP's table would pass its budget
+        q = 0.0
+    # the first block aims at the target at the rate Q; without a positive
+    # Q it is a blind guess
+    size = _block_size(math.ceil(target_survivors / q)) if q > 0.0 else 4 * target_survivors
     kept: list = []
     found = first = 0
-    size = 4 * target_survivors
     while first < max_attempts:
         counts, z, over = run(first, min(size, max_attempts - first))
         hits = np.flatnonzero((z > 0) & ~over)[: target_survivors - found]
@@ -408,9 +390,10 @@ def conditional_sample(
                 attempts=first + end,
             )
         first += over.size
-        # aim at the missing survivors, at the acceptance rate seen so far
-        wanted = (target_survivors - found) * first // found if found else 4 * size
-        size = wanted + wanted // 4 + 16
+        # aim at the missing survivors at the rate seen so far (the
+        # ceiling of missing / rate), or at 4 times the block while none
+        # has survived
+        size = _block_size(-(-(target_survivors - found) * first // found) if found else 4 * size)
     raise BudgetExhausted(f"{found}/{target_survivors} survivors after {max_attempts} attempts")
 
 

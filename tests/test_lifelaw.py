@@ -351,7 +351,9 @@ SAMPLING_MODELS = [
 @pytest.mark.parametrize("model", SAMPLING_MODELS, ids=lambda m: type(m).__name__)
 def test_sample_ordering_invariant(model):
     per, draw = _individual_draw(model)
-    life, ages, counts = draw(np.random.default_rng(11).random((4000, per)))
+    # draw takes one row per uniform and gives one row per birth slot
+    life, ages, counts = draw(np.random.default_rng(11).random((4000, per)).T)
+    ages, counts = ages.T, counts.T
     born = counts > 0
     assert (life >= 1).all()
     assert ((ages >= 1) & (ages <= life[:, None]))[born].all()
@@ -375,7 +377,8 @@ def test_monte_carlo_moments_match_summary():
     s = summarize(model)
     per, draw = _individual_draw(model)
     n = 1_000_000
-    life, ages, counts = draw(np.random.default_rng(20240817).random((n, per)))
+    life, ages, counts = draw(np.random.default_rng(20240817).random((n, per)).T)
+    ages, counts = ages.T, counts.T
     ns = counts.sum(axis=1).astype(float)
     ls = life.astype(float)
     taus = (ages * counts).sum(axis=1).astype(float)
@@ -388,7 +391,8 @@ def test_monte_carlo_moments_match_summary():
 def test_delayed_death_life_extends_schedule():
     model = DelayedDeath([(1.0, [2, 3])], QuadraticTailLife(d=1.0, t_min=1))
     per, draw = _individual_draw(model)
-    life, ages, counts = draw(np.random.default_rng(3).random((200, per)))
+    life, ages, counts = draw(np.random.default_rng(3).random((200, per)).T)
+    ages, counts = ages.T, counts.T
     np.testing.assert_array_equal(ages, np.tile([2, 3], (200, 1)))
     np.testing.assert_array_equal(counts, np.ones((200, 2)))
     assert (life >= 4).all()  # last birth age + residual >= 1

@@ -3,6 +3,7 @@ agreement with the exact engine within Monte Carlo error, determinism
 and thread-count invariance, the Philox stream against numpy's own,
 seeded outputs pinned by digest, rejection sampling, and output formats."""
 
+import csv
 import hashlib
 import io
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwolab import simulator
+from gwolab import philox, simulator
 from gwolab.errors import BudgetExhausted, ConfigError, UnsupportedModel
 from gwolab.exact_engine import FddSpec, conditional_pmf, extinction_seq
 from gwolab.lifelaw import (
@@ -176,6 +177,29 @@ def test_philox_matches_numpy(seed, rep):
     assert np.array_equal(got.reshape(-1)[:n], ref)
 
 
+@pytest.mark.parametrize("block", [2**32 - 1, 2**32, 3 * 2**40 + 5, 2**63, 2**64 - 3, 2**64 - 2])
+@pytest.mark.parametrize("seed, rep", [(2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (11, 5)])
+def test_philox_matches_numpy_at_large_counters(block, seed, rep):
+    # block b is Philox counter b + 1; numpy's bit generator steps its
+    # counter before each block, so it starts one below.  Past 2**64 - 2
+    # numpy would carry into the second counter word, which block
+    # numbers never reach
+    key = np.array([seed, rep], dtype=np.uint64)
+    n = min(2, 2**64 - 1 - block)
+    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(counter=counter, key=key)).random(4 * n)
+    got = philox_uniforms(seed, np.full(n, rep, dtype=np.uint64), block + np.arange(n, dtype=np.uint64))
+    assert np.array_equal(got.reshape(-1), ref)
+
+
+def test_philox_chunks_do_not_change_words(monkeypatch):
+    reps = np.arange(50, dtype=np.uint64) % 7
+    blocks = np.arange(50, dtype=np.uint64) * 3
+    whole = philox_uniforms(2**64 - 1, reps, blocks)
+    monkeypatch.setattr(philox, "_PHILOX_CHUNK", 16)
+    np.testing.assert_array_equal(philox_uniforms(2**64 - 1, reps, blocks), whole)
+
+
 def _reference_draw(model, u):
     """(life, birth ages) of one individual from the scalar inverse cdfs,
     taking its uniforms from the iterator u in stream order."""
@@ -307,6 +331,35 @@ def test_slot_count_does_not_change_rows(monkeypatch, slots):
         np.testing.assert_array_equal(res.overflowed, ref.overflowed)
 
 
+def _record_blocks(monkeypatch):
+    """Every (replicate, counter block) pair the runner asks Philox for."""
+    asked = []
+    draw = simulator.philox_uniforms
+
+    def spy(seed, reps, blocks):
+        asked.extend(zip(np.asarray(reps).tolist(), np.asarray(blocks).tolist()))
+        return draw(seed, reps, blocks)
+
+    monkeypatch.setattr(simulator, "philox_uniforms", spy)
+    return asked
+
+
+@pytest.mark.parametrize("name", ["delayed_death", "early_births", "age_dependent_offspring"])
+def test_no_block_is_drawn_twice(monkeypatch, name):
+    # a step draws only the blocks no earlier step of its replicate drew;
+    # early_births takes one uniform per individual, the others two
+    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    cfg = SimConfig(model, 24, (6, 24), 400, 5)
+    ref = simulate(cfg)
+    asked = _record_blocks(monkeypatch)
+    res = simulate(cfg)
+    assert len(asked) == len(set(asked))
+    np.testing.assert_array_equal(res.counts, ref.counts)
+    asked.clear()
+    conditional_sample(cfg, 40)
+    assert asked and len(asked) == len(set(asked))
+
+
 class TestOverflow:
     def test_flagged_and_excluded(self):
         cfg = SimConfig(
@@ -336,6 +389,24 @@ class TestOverflow:
             max_individuals=1,
         )
         assert not simulate(cfg).overflowed.any()
+
+
+def _record_passes(monkeypatch):
+    """The size of every runner pass, in order."""
+    sizes = []
+    runner = simulator._replicate_runner
+
+    def spy(config):
+        run = runner(config)
+
+        def counted(first, size):
+            sizes.append(size)
+            return run(first, size)
+
+        return counted
+
+    monkeypatch.setattr(simulator, "_replicate_runner", spy)
+    return sizes
 
 
 class TestConditionalSampling:
@@ -370,8 +441,8 @@ class TestConditionalSampling:
             conditional_sample(cfg, target_survivors=300, max_attempts=10_000)
 
     def test_overflow_after_returned_attempt_does_not_raise(self):
-        # the first block holds 4 * target attempts; attempt 13 overflows,
-        # after the fifth survivor at attempt 9
+        # the first block, sized from Q(6), holds attempt 13, which
+        # overflows after the fifth survivor at attempt 9
         cfg = SimConfig(
             model=gw_binary(), horizon=6, query_times=(3, 6), replicates=1, seed=97, max_individuals=16
         )
@@ -395,8 +466,7 @@ class TestConditionalSampling:
             conditional_sample(cfg, target_survivors=200, max_attempts=333)
 
     def test_several_blocks_equal_surviving_rows_of_simulate(self):
-        # Q(16) is about 0.11, so the first block of 1200 attempts holds
-        # too few survivors and later blocks follow
+        # Q(16) is about 0.096, so more than 1200 attempts are needed
         cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=1, seed=21)
         res = conditional_sample(cfg, target_survivors=300, max_attempts=100_000)
         assert res.attempts > 1200
@@ -406,6 +476,33 @@ class TestConditionalSampling:
         assert full.survived[-1] and full.survived.sum() == 300
         np.testing.assert_array_equal(res.counts, full.counts[full.survived])
 
+    @pytest.mark.parametrize("target, seed", [(20, 39), (1, 8)])
+    def test_blocks_follow_the_survival_rate(self, monkeypatch, target, seed):
+        # the first block is sized from the exact Q(16), later ones from
+        # the rate seen so far, or from 4 times the block while it is 0
+        # (seed 8 has no survivor among the first 29 attempts); rows do not
+        # depend on the blocks
+        sizes = _record_passes(monkeypatch)
+        cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=1, seed=seed)
+        res = conditional_sample(cfg, target_survivors=target, max_attempts=100_000)
+        assert len(sizes) == 2
+        wanted = math.ceil(target / extinction_seq(gw_binary(), 16).q[16])
+        assert sizes[0] == wanted + wanted // 4 + 16
+        full = simulate(
+            SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=res.attempts, seed=seed)
+        )
+        np.testing.assert_array_equal(res.counts, full.counts[full.survived])
+
+    def test_delayed_death_takes_one_pass(self, monkeypatch):
+        sizes = _record_passes(monkeypatch)
+        model = load_model(str(MODEL_DIR / "delayed_death.json"))
+        cfg = SimConfig(model, 64, (16, 64), 1, 3)
+        res = conditional_sample(cfg, 200)
+        assert len(sizes) == 1 and res.attempts <= sizes[0]
+        full = simulate(SimConfig(model, 64, (16, 64), res.attempts, 3))
+        assert full.survived[-1] and full.survived.sum() == 200
+        np.testing.assert_array_equal(res.counts, full.counts[full.survived])
+
     def test_budget_exhausted(self):
         # this population is always gone by time 2, so no attempt survives
         cfg = SimConfig(
@@ -413,6 +510,17 @@ class TestConditionalSampling:
         )
         with pytest.raises(BudgetExhausted):
             conditional_sample(cfg, target_survivors=1, max_attempts=64)
+
+    def test_zero_survival_keeps_blind_blocks(self, monkeypatch):
+        # Q(5) = 0 exactly: a first block of 4 * target, then the re-aim
+        # rule on 4 times the block, cut at max_attempts
+        sizes = _record_passes(monkeypatch)
+        cfg = SimConfig(
+            model=Tabulated([(1.0, (), 2)]), horizon=5, query_times=(5,), replicates=1, seed=0
+        )
+        with pytest.raises(BudgetExhausted, match=r"^0/3 survivors after 100 attempts$"):
+            conditional_sample(cfg, target_survivors=3, max_attempts=100)
+        assert sizes == [12, 76, 12]
 
     def test_target_validation(self):
         cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=1, seed=0)
@@ -482,6 +590,21 @@ class TestOutputs:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert [int(first[2]), int(first[3])] == list(res.counts[0])
+
+    @pytest.mark.parametrize("query_times", [(), (6,), (3, 6)])
+    def test_csv_bytes_match_csv_writer(self, query_times):
+        # max_individuals 3 makes some rows overflow
+        cfg = SimConfig(gw_binary(), 6, query_times, 300, 3, max_individuals=3)
+        res = simulate(cfg)
+        assert res.overflowed.any() and res.survived.any()
+        ref = io.StringIO()
+        writer = csv.writer(ref)
+        writer.writerow(["replicate", "survived"] + [f"Z@{t}" for t in query_times])
+        for rep in range(res.counts.shape[0]):
+            writer.writerow([rep, int(res.survived[rep])] + [int(v) for v in res.counts[rep]])
+        buf = io.StringIO()
+        res.to_csv(buf)
+        assert buf.getvalue().encode() == ref.getvalue().encode()
 
     def test_summary_dict(self):
         cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=50, seed=3)
