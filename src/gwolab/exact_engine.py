@@ -43,9 +43,10 @@ A law conditioned on Z(t_obs) > 0 is (plain - extinct) / Q(t_obs).
 plain is the unconditioned DP to t_k; Q(t_obs) takes a scalar DP to
 t_obs.  On {Z(t_obs) = 0} every count at or after t_obs is 0, so the
 extinct term needs a DP, to horizon t_obs, only over the times before
-t_obs and in their variables alone.  With none (t_obs <= t_1, as in every conditioned law `verify`
-computes) it is the constant P(Z(t_obs) = 0) from the scalar DP, and
-the law costs one DP in the weights' ring.
+t_obs and in their variables alone.  With none (t_obs <= t_1, as in
+every conditioned law of the `verify` battery) it is the constant
+P(Z(t_obs) = 0) from the scalar DP, and the law costs one DP in the
+weights' ring.
 
 Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
@@ -91,6 +92,7 @@ from .lifelaw import (
     Tabulated,
     summarize,
 )
+from .limitlaw import FddQuery, kept_coordinates
 
 _DP_BUDGET = 1 << 23  # floats held by one DP table, scalar or series
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
@@ -107,32 +109,34 @@ class _Var(NamedTuple):
 class FddSpec:
     """Observation times t_1 < ... < t_k with weights z_i in [0, 1].
 
-    Coordinates with z_i = 1 are dropped up front (a weight of 1 does not
-    constrain anything: counts are finite with probability one).  t_obs,
-    when present, is the survival-conditioning time.
+    Coordinates with z_i = 1 are dropped up front (`kept_coordinates`).
+    t_obs, when present, is the survival-conditioning time.
     """
 
     def __init__(self, times, z, t_obs: Optional[int] = None):
         times = tuple(int(t) for t in times)
-        z = tuple(float(v) for v in z)
-        if len(times) != len(z):
-            raise ConfigError("times and z must have equal length")
         if not times:
             raise ConfigError("need at least one observation time")
         if any(t < 0 for t in times):
             raise ConfigError(f"times {times} must be >= 0")
-        if any(times[i] >= times[i + 1] for i in range(len(times) - 1)):
-            raise ConfigError(f"times {times} must be strictly increasing")
-        if any(not 0.0 <= v <= 1.0 for v in z):
-            raise ConfigError(f"weights {z} must lie in [0, 1]")
         if t_obs is not None:
             t_obs = int(t_obs)
             if t_obs < 1:
                 raise ConfigError("t_obs must be >= 1")
-        kept = [(t, v) for t, v in zip(times, z) if v != 1.0]
-        self.times = tuple(t for t, _ in kept)
-        self.z = tuple(v for _, v in kept)
+        self.times, self.z = kept_coordinates(times, z, "times")
         self.t_obs = t_obs
+
+    @classmethod
+    def at(cls, q: FddQuery, t: int) -> "FddSpec":
+        """The spec of query q at time t: times t + round(t*(y_i - 1)),
+        halves rounded up, q's weights, conditioned on Z(t) > 0.
+
+        >>> spec = FddSpec.at(FddQuery((0.5, 1.0, 1.5), (0.0, 0.3, 0.0)), 5)
+        >>> spec.times, spec.z, spec.t_obs
+        ((3, 5, 8), (0.0, 0.3, 0.0), 5)
+        """
+        times = tuple(t + math.floor(t * (yi - 1.0) + 0.5) for yi in q.y)
+        return cls(times, q.z, t_obs=t)
 
     @property
     def k(self) -> int:
@@ -643,35 +647,21 @@ class ConvergenceRow:
     abs_error: float
 
 
-def scaled_times(t: int, y) -> tuple:
-    """Observation times t_i = t + round(t*(y_i - 1)), halves rounded up."""
-    if not all(math.isfinite(yi) for yi in y):
-        raise ConfigError(f"fractions {tuple(y)} must be finite")
-    return tuple(t + int(math.floor(t * (yi - 1.0) + 0.5)) for yi in y)
-
-
 def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     """Rows of t * Q_k(t) against the closed-form limit, with
-    Q_k(t) = 1 - E(prod z_i^{Z(t_i)}) at times t_i = t + round(t*(y_i - 1))."""
-    y = tuple(float(v) for v in y)
-    z = tuple(float(v) for v in z)
-    if not y or y[0] != 1.0:
-        raise ConfigError("y must start at 1")
-    if z and z[0] == 1.0:
-        # FddSpec drops a weight-1 coordinate, and the limit assumes t is kept
-        raise ConfigError("z must not start at 1")
-    if any(y[i] >= y[i + 1] for i in range(len(y) - 1)):
-        raise ConfigError(f"fractions {y} must be strictly increasing")
-    if len(y) != len(z):
-        raise ConfigError("y and z must have equal length")
+    Q_k(t) = 1 - E(prod z_i^{Z(t_i)}) at the times of `FddSpec.at`.  The
+    limit's formula needs the first coordinate of weight below 1 at y = 1."""
+    q = FddQuery(y, z)
+    if not q.k or q.y[0] != 1.0:
+        raise ConfigError("the first coordinate of weight below 1 must be at y = 1")
+    t_grid = tuple(int(t) for t in t_grid)
+    if not t_grid or min(t_grid) < 1:
+        raise ConfigError("t_grid needs at least one entry, each >= 1")
     summary = summarize(model)
-    target = weighted_survival_limit(summary, g_factor(y, z))
+    target = weighted_survival_limit(summary, g_factor(q.y, q.z))
     rows = []
     for t in t_grid:
-        t = int(t)
-        if t < 1:
-            raise ConfigError("t_grid entries must be >= 1")
-        q_k = 1.0 - fdd_pgf(model, FddSpec(scaled_times(t, y), z))
+        q_k = 1.0 - fdd_pgf(model, FddSpec.at(q, t))
         rows.append(
             ConvergenceRow(
                 t=t,

@@ -56,28 +56,36 @@ class LimitParams:
         return 1.0 + math.sqrt(1.0 + self.c)
 
 
-class FddQuery:
-    """Query points 0 < y_1 < ... < y_k with weights z_i in [0, 1].
+def kept_coordinates(points, z, name: str) -> tuple:
+    """(points, z) of a query without its weight-1 coordinates, after
+    checking equal lengths, strictly increasing points and weights in
+    [0, 1].  A weight of 1 constrains nothing (counts are finite with
+    probability one), and the closed forms assume z_i < 1."""
+    z = tuple(float(v) for v in z)
+    if len(points) != len(z):
+        raise ConfigError(f"{name} and z must have equal length")
+    if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
+        raise ConfigError(f"{name} {points} must be strictly increasing")
+    if any(not 0.0 <= v <= 1.0 for v in z):
+        raise ConfigError(f"weights {z} must lie in [0, 1]")
+    kept = [(x, v) for x, v in zip(points, z) if v != 1.0]
+    return tuple(x for x, _ in kept), tuple(v for _, v in kept)
 
-    Coordinates with z_i = 1 are removed up front (they do not constrain
-    the process; the closed forms assume z_i < 1).  j counts coordinates
-    left of 1; y_i = 1 itself belongs to the right side.
+
+class FddQuery:
+    """Query points 0 < y_1 < ... < y_k, in units of the conditioning
+    time, with weights z_i in [0, 1].
+
+    Coordinates with z_i = 1 are removed up front (`kept_coordinates`).
+    j counts coordinates left of 1; y_i = 1 itself belongs to the right
+    side.  `exact_engine.FddSpec.at` gives its DP spec at a time t.
     """
 
     def __init__(self, y, z):
         y = tuple(float(v) for v in y)
-        z = tuple(float(v) for v in z)
-        if len(y) != len(z):
-            raise ConfigError("y and z must have equal length")
         if not all(0.0 < v < math.inf for v in y):
             raise ConfigError(f"query points {y} must be positive and finite")
-        if any(y[i] >= y[i + 1] for i in range(len(y) - 1)):
-            raise ConfigError(f"query points {y} must be strictly increasing")
-        if any(not 0.0 <= v <= 1.0 for v in z):
-            raise ConfigError(f"weights {z} must lie in [0, 1]")
-        kept = [(yi, zi) for yi, zi in zip(y, z) if zi != 1.0]
-        self.y = tuple(yi for yi, _ in kept)
-        self.z = tuple(zi for _, zi in kept)
+        self.y, self.z = kept_coordinates(y, z, "y")
         self.j = sum(1 for yi in self.y if yi < 1.0)
 
     @property

@@ -26,12 +26,14 @@ from .exact_engine import (
     convergence_table,
     extinction_seq,
     fdd_pgf,
-    scaled_times,
 )
 from .lifelaw import (
     BellmanHarris,
     DelayedDeath,
+    FiniteLife,
     LifeLaw,
+    OffspringPMF,
+    QuadraticTailLife,
     Sevastyanov,
     Tabulated,
     summarize,
@@ -400,26 +402,23 @@ def limit_convergence(model: LifeLaw, y, z, t_grid) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _conditioned_pmf_at(model, y, t, K):
-    times = scaled_times(t, y)
-    return conditional_pmf(model, FddSpec(times, (0.0,) * len(y), t_obs=times[0]), K)
-
-
-def _limit_pmf_at(y, K: int, c: float):
-    return eta_fdd_pmf(LimitParams(c), FddQuery(y, (0.0,) * len(y)), K)
-
-
-def _tv(cond, limit) -> float:
+def _tv_at(model: LifeLaw, q: FddQuery, t: int, K: int, limit):
+    """The pmf of q conditioned at t, and its total variation from the
+    limit pmf, with counts above total K lumped on both sides (truncation
+    on one side, the infinite atom plus the truncated finite tail on the
+    other; nothing finer is comparable at finite K)."""
+    cond = conditional_pmf(model, FddSpec.at(q, t), K)
     lump = limit.finite_remainder + limit.infinite_mass
-    return 0.5 * (float(np.abs(cond.probs - limit.coeffs).sum()) + abs(cond.overflow - lump))
+    return cond, 0.5 * (float(np.abs(cond.probs - limit.coeffs).sum()) + abs(cond.overflow - lump))
 
 
 def tv_to_limit(model: LifeLaw, y, t: int, K: int, c: float) -> float:
-    """Total variation between the survival-conditioned law at horizon t
-    and the limit law, with counts above total K lumped on both sides
-    (truncation on one side, the infinite atom plus the truncated finite
-    tail on the other; nothing finer is comparable at finite K)."""
-    return _tv(_conditioned_pmf_at(model, y, t, K), _limit_pmf_at(y, K, c))
+    """Total variation between the law of the counts at times t*y (y in
+    units of t), conditioned on Z(t) > 0, and the limit law, with counts
+    above total K lumped.  Left of 1 the limit is the frozen-root closed
+    form, which the DP does not converge to (ROADMAP, the Riccati item)."""
+    p, q = LimitParams(c), FddQuery(y, (0.0,) * len(y))
+    return _tv_at(model, q, t, K, eta_fdd_pmf(p, q, K))[1]
 
 
 def fdd_limit_check(
@@ -430,13 +429,14 @@ def fdd_limit_check(
     replicates: int = 20_000,
     seed: int = 20240901,
 ) -> RunReport:
-    """Conditioned finite-time joint pmfs against the limit law along a
-    growing grid, plus a Monte Carlo consistency check at the first grid
-    point (each truncated bucket within 3 binomial sigmas of the exact
-    conditioned pmf)."""
-    y = tuple(float(v) for v in y)
-    if not y or y[0] != 1.0:
-        raise ConfigError("y must start at 1 (the conditioning scale)")
+    """Conditioned finite-time joint pmfs at times t*y (y in units of t,
+    conditioned on Z(t) > 0) against the limit law along a growing grid,
+    plus a Monte Carlo consistency check at the first grid point t0: the
+    replicates with Z(t0) > 0, each truncated bucket within 3 binomial
+    sigmas of the exact conditioned pmf.  Left of 1 the limit is the
+    frozen-root closed form, which the DP does not converge to (ROADMAP,
+    the Riccati item), so the TV trend there gates nothing."""
+    q = FddQuery(y, (0.0,) * len(y))
     t_grid = tuple(int(t) for t in t_grid)
     if len(t_grid) < 2 or any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
         raise ConfigError("t_grid must be strictly increasing with at least two points")
@@ -445,14 +445,13 @@ def fdd_limit_check(
         raise ConfigError("model must be critical")
     rows = []
     prev = 1.0  # TV can never exceed 1
-    limit = _limit_pmf_at(y, K, summary.c)
+    limit = eta_fdd_pmf(LimitParams(summary.c), q, K)
     t0 = t_grid[0]
     for t in t_grid:
         start = time.perf_counter()
-        pmf = _conditioned_pmf_at(model, y, t, K)
+        pmf, tv = _tv_at(model, q, t, K, limit)
         if t == t0:
             cond = pmf  # the Monte Carlo check below compares against it
-        tv = _tv(pmf, limit)
         rows.append(
             CheckRow(
                 name=f"tv to limit at t={t}",
@@ -467,7 +466,7 @@ def fdd_limit_check(
         prev = tv
 
     start = time.perf_counter()
-    times = cond.times
+    times = tuple(sorted({t0, *cond.times}))
     sim = simulate(
         SimConfig(
             model=model,
@@ -477,28 +476,22 @@ def fdd_limit_check(
             seed=seed,
         )
     )
-    keep = sim.ok & (sim.counts[:, 0] > 0)
-    counts = sim.counts[keep]
+    keep = sim.ok & (sim.counts[:, times.index(t0)] > 0)
+    counts = sim.counts[keep][:, [times.index(s) for s in cond.times]]
     n = counts.shape[0]
-    inside = counts[counts.sum(axis=1) <= K]
-    cells = np.ravel_multi_index(inside.T, cond.probs.shape)
-    emp = np.bincount(cells, minlength=cond.probs.size).reshape(cond.probs.shape) / n
-    emp_over = (n - inside.shape[0]) / n
-    floor = 5.0 / n
-    exact = np.append(cond.probs.ravel(), cond.overflow)
-    observed = np.append(emp.ravel(), emp_over)
-    p_safe = np.maximum(exact, floor)
-    sigma = np.sqrt(p_safe * (1.0 - p_safe) / n)
-    worst = float(np.max(np.abs(observed - exact) / sigma))
+    worst = np.inf  # no survivors: nothing to compare, the row fails
+    if n:
+        inside = counts[counts.sum(axis=1) <= K]
+        cells = np.ravel_multi_index(inside.T, cond.probs.shape)
+        observed = np.append(np.bincount(cells, minlength=cond.probs.size), n - len(inside)) / n
+        exact = np.append(cond.probs.ravel(), cond.overflow)
+        p_safe = np.maximum(exact, 5.0 / n)
+        sigma = np.sqrt(p_safe * (1.0 - p_safe) / n)
+        worst = float(np.max(np.abs(observed - exact) / sigma))
     rows.append(
-        CheckRow(
-            name=f"mc pmf at t={t0} ({n} survivors)",
-            statistic=worst,
-            reference=0.0,
-            tolerance=3.0,
-            passed=bool(worst <= 3.0),
-            source="exact conditioned pmf, binomial sigma",
-            runtime=time.perf_counter() - start,
+        _abs_row(
+            f"mc pmf at t={t0} ({n} survivors)",
+            worst, 0.0, 3.0, "exact conditioned pmf, binomial sigma", time.perf_counter() - start,
         )
     )
     return RunReport(name=f"fdd_limit_check[{type(model).__name__}]", rows=rows)
@@ -509,30 +502,24 @@ def fdd_limit_check(
 # ---------------------------------------------------------------------------
 
 
-def _standard_checks() -> list:
-    from .lifelaw import FiniteLife, OffspringPMF, QuadraticTailLife
-
+def _battery() -> list:
+    """The standard battery as (check, model, args) rows, in report order."""
     gw = BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.5, 0.0, 0.5]))
     tab = Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)])
-    delayed = DelayedDeath(
-        [(0.5, (1, 2)), (0.5, ())], QuadraticTailLife(d=1.125, t_min=2)
-    )
+    delayed = DelayedDeath([(0.5, (1, 2)), (0.5, ())], QuadraticTailLife(d=1.125, t_min=2))
     grid = (64, 128, 256, 512)
     return [
-        ("oracle gw", lambda: oracle_equivalence(gw, 6)),
-        ("oracle tabulated", lambda: oracle_equivalence(tab, 6)),
-        ("oracle delayed", lambda: oracle_equivalence(delayed, 5)),
+        (oracle_equivalence, gw, (6,)),
+        (oracle_equivalence, tab, (6,)),
+        (oracle_equivalence, delayed, (5,)),
         # z_1 > 0 keeps the weighted variant from collapsing to plain Q
-        ("limits gw", lambda: limit_convergence(gw, (1.0, 2.0), (0.25, 0.5), grid)),
-        ("limits tabulated", lambda: limit_convergence(tab, (1.0, 2.0), (0.5, 0.5), grid)),
-        ("limits delayed", lambda: limit_convergence(delayed, (1.0, 2.0), (0.25, 0.5), grid)),
-        (
-            "fdd limit delayed",
-            lambda: fdd_limit_check(delayed, (1.0,), (16, 32, 64, 128), K=10),
-        ),
+        (limit_convergence, gw, ((1.0, 2.0), (0.25, 0.5), grid)),
+        (limit_convergence, tab, ((1.0, 2.0), (0.5, 0.5), grid)),
+        (limit_convergence, delayed, ((1.0, 2.0), (0.25, 0.5), grid)),
+        (fdd_limit_check, delayed, ((1.0,), (16, 32, 64, 128), 10)),
     ]
 
 
 def run_battery() -> list:
     """The standard cross-validation battery, its reports in a fixed order."""
-    return [fn() for _, fn in _standard_checks()]
+    return [check(model, *args) for check, model, args in _battery()]

@@ -842,7 +842,6 @@ class TestConvergence:
         with pytest.raises(ConfigError):
             convergence_table(gw_binary(), (1.0, 2.0), (1.0, 0.0), (8,))
         for bad in (math.nan, math.inf):
-            # scaled_times, shared with tv_to_limit and fdd_limit_check
             with pytest.raises(ConfigError):
                 convergence_table(gw_binary(), (1.0, bad), (0.0, 0.5), (8,))
             with pytest.raises(ConfigError):

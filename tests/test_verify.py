@@ -197,9 +197,31 @@ class TestFddLimit:
     def test_dichotomy_target_from_hitting_time(self):
         assert dichotomy_fraction(1.0) == pytest.approx(3.0 - 2.0 * math.sqrt(2.0), abs=1e-14)
 
-    def test_requires_scale_one_first(self):
-        with pytest.raises(ConfigError):
-            fdd_limit_check(delayed_c1(), (2.0,), (16, 32))
+    def test_scale_two_conditions_at_t(self):
+        # counts at 2t given Z(t) > 0: Z(2t) = 0 carries about 0.45 of the
+        # mass, so a Monte Carlo row conditioned at 2t would fail
+        report = fdd_limit_check(delayed_c1(), (2.0,), (32, 64, 128))
+        assert report.all_passed
+        assert report.rows[-1].name == "mc pmf at t=32 (2052 survivors)"
+
+    def test_mc_left_of_scale_one_conditions_at_t(self):
+        # t is the last simulated time here; no gate on the limit left of 1
+        report = fdd_limit_check(delayed_c1(), (0.5,), (32, 64), replicates=8000)
+        assert report.rows[-1].passed
+        assert report.rows[-1].name.startswith("mc pmf at t=32 (")
+
+    def test_tv_at_scale_two_falls(self):
+        tvs = [tv_to_limit(delayed_c1(), (2.0,), t, 10, 1.0) for t in (64, 128, 256)]
+        assert tvs[0] > tvs[1] > tvs[2]
+        assert tvs[2] < 0.01
+
+    def test_no_survivors_fails_the_mc_row(self):
+        report = fdd_limit_check(delayed_c1(), (1.0,), (8, 16), K=4, replicates=1, seed=3)
+        mc = report.rows[-1]
+        assert mc.name == "mc pmf at t=8 (0 survivors)"
+        assert mc.statistic == math.inf
+        assert not mc.passed
+        assert not report.all_passed
 
 
 class TestReporting:
