@@ -31,8 +31,6 @@ from .exact_engine import (
     convergence_table,
     extinction_seq,
     fdd_pgf,
-    g_factor,
-    weighted_survival_limit,
 )
 from .lifelaw import (
     BellmanHarris,
@@ -104,8 +102,8 @@ __all__ = [
     "compound_params", "summarize",
     # exact recursions
     "FddSpec", "ExtinctionTable", "extinction_seq", "fdd_pgf", "conditional_pgf",
-    "ConditionalPmf", "conditional_pmf", "g_factor", "weighted_survival_limit",
-    "ConvergenceRow", "convergence_table", "convergence_csv",
+    "ConditionalPmf", "conditional_pmf", "ConvergenceRow", "convergence_table",
+    "convergence_csv",
     # limit laws
     "LimitParams", "FddQuery", "prob_finite", "prob_zero", "eta_marginal_pgf",
     "eta_fdd_pgf", "MarginalPmf", "eta_marginal_pmf", "FddPmf", "eta_fdd_pmf",

@@ -36,7 +36,8 @@ class ZeroConditioningEvent(GwolabError):
 
 
 class CapTooLarge(GwolabError):
-    """A DP table or a series computation would exceed its memory budget."""
+    """A DP table, a series computation, a simulator tally or result table or a
+    figure grid would exceed its memory budget."""
 
 
 class BudgetExhausted(GwolabError):

@@ -92,9 +92,9 @@ from .lifelaw import (
     Tabulated,
     summarize,
 )
-from .limitlaw import FddQuery, kept_coordinates
+from .limitlaw import FddQuery, LimitParams, eta_fdd_pgf, kept_coordinates
 
-_DP_BUDGET = 1 << 23  # floats held by one DP table, scalar or series
+_DP_BUDGET = 1 << 23  # cells of one DP table, scalar or series, or of a simulator tally or result table
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 _ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
 _CSV_ROWS = 4096  # rows of a CSV formatted per write
@@ -148,9 +148,9 @@ class FddSpec:
 # ---------------------------------------------------------------------------
 
 
-def _check_budget(size: int) -> None:
+def _check_budget(size: int, what: str = "DP table") -> None:
     if size > _DP_BUDGET:
-        raise CapTooLarge(f"DP table of {size} floats exceeds the budget of {_DP_BUDGET}")
+        raise CapTooLarge(f"{what} of {size} cells exceeds the budget of {_DP_BUDGET}")
 
 
 def _table(rows, ring) -> np.ndarray:
@@ -620,24 +620,6 @@ def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
 # ---------------------------------------------------------------------------
 
 
-def g_factor(y, z) -> float:
-    """g = sum z_1...z_{i-1} (1 - z_i) / y_i^2."""
-    total = 0.0
-    prefix = 1.0
-    for yi, zi in zip(y, z):
-        total += prefix * (1.0 - zi) / (yi * yi)
-        prefix *= zi
-    return total
-
-
-def weighted_survival_limit(summary: ModelSummary, g: float) -> float:
-    """The limit of t * (1 - pgf at times t*y): root of b*x^2 = a*x + d*g."""
-    if summary.b <= 0.0:
-        return math.inf
-    a, b, d = summary.a, summary.b, summary.d
-    return (a + math.sqrt(a * a + 4.0 * b * d * g)) / (2.0 * b)
-
-
 @dataclass(frozen=True)
 class ConvergenceRow:
     t: int
@@ -648,9 +630,11 @@ class ConvergenceRow:
 
 
 def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
-    """Rows of t * Q_k(t) against the closed-form limit, with
-    Q_k(t) = 1 - E(prod z_i^{Z(t_i)}) at the times of `FddSpec.at`.  The
-    limit's formula needs the first coordinate of weight below 1 at y = 1."""
+    """Rows of t * Q_k(t), Q_k(t) = 1 - E(prod z_i^{Z(t_i)}) at the times
+    of `FddSpec.at`, against h (1 - `eta_fdd_pgf`).  With the first weight
+    below 1 at y_1 = 1, as required, that is h (1 + sqrt(1 + c g)) / (1 +
+    sqrt(1 + c)), the root of b x^2 = a x + d g, g = sum_i z_1...z_{i-1}
+    (1 - z_i) / y_i^2."""
     q = FddQuery(y, z)
     if not q.k or q.y[0] != 1.0:
         raise ConfigError("the first coordinate of weight below 1 must be at y = 1")
@@ -658,7 +642,7 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     if not t_grid or min(t_grid) < 1:
         raise ConfigError("t_grid needs at least one entry, each >= 1")
     summary = summarize(model)
-    target = weighted_survival_limit(summary, g_factor(q.y, q.z))
+    target = summary.h * (1.0 - eta_fdd_pgf(LimitParams(summary.c), q))
     rows = []
     for t in t_grid:
         q_k = 1.0 - fdd_pgf(model, FddSpec.at(q, t))

@@ -14,10 +14,15 @@ the emptying time T0 = inf{u : eta(u) = 0}.  Infinite mass is reported
 as an explicit field, never folded into a truncation bucket.
 
 The joint pgf is one expression, `_fdd_pgf`, over the ring protocol of
-`series`: floats for `eta_fdd_pgf`, rows of `series.ring(k, K)` for
-`eta_fdd_pmf`.  P(eta(y) < inf) is `prob_finite`, also the cdf of T.
-The marginal forms, `increment_pgf` and `dichotomy_fraction` restate the
-same closed form, time ratios frozen in its roots, so they check nothing.
+`series`: floats for `eta_fdd_pgf`, `eta_marginal_pgf` and the target of
+`exact_engine.convergence_table`, rows of `series.ring(k, K)` for
+`eta_fdd_pmf`.  Other forms restate its roots, time ratios frozen in
+them, for a reason each: `eta_marginal_pmf`'s binomial route is the
+reference for `eta_fdd_pmf` at k = 1 (`test_05`, the benchmark's k = 1
+check); `increment_pgf` would need the weights (z, 1/z), and z = 0 is
+tested; `prob_finite` (P(eta(y) < inf), the cdf of T) and `LawT` are
+vectorized over y; `prob_zero` and `dichotomy_fraction` are exact cases
+whose bits the seeded digests hold.  A restated form checks nothing.
 The checks are the tests' complex transcriptions by Cauchy sums (of the
 series extraction), and the DP and Monte Carlo (of the law itself).
 """
@@ -36,7 +41,7 @@ from .errors import CapTooLarge, ConfigError
 
 logger = logging.getLogger(__name__)
 
-_PMF_ELEMENT_BUDGET = 1 << 24  # entries of the (2K+1)^k box a product transforms
+_PMF_ELEMENT_BUDGET = 1 << 24  # entries of the (2K+1)^k box a product transforms, or of a figure's grid
 _CLAMP_TOL = 1e-12
 
 
@@ -77,8 +82,7 @@ class FddQuery:
     time, with weights z_i in [0, 1].
 
     Coordinates with z_i = 1 are removed up front (`kept_coordinates`).
-    j counts coordinates left of 1; y_i = 1 itself belongs to the right
-    side.  `exact_engine.FddSpec.at` gives its DP spec at a time t.
+    `exact_engine.FddSpec.at` gives its DP spec at a time t.
     """
 
     def __init__(self, y, z):
@@ -86,7 +90,6 @@ class FddQuery:
         if not all(0.0 < v < math.inf for v in y):
             raise ConfigError(f"query points {y} must be positive and finite")
         self.y, self.z = kept_coordinates(y, z, "y")
-        self.j = sum(1 for yi in self.y if yi < 1.0)
 
     @property
     def k(self) -> int:
@@ -98,9 +101,12 @@ def _check_y(y) -> None:
         raise ConfigError("y must be positive")
 
 
-def _check_K(K) -> None:
+def _check_K(K, k: int = 1) -> None:
+    """K is an integer >= 0, and a k-variable pmf's (2K+1)^k box is within budget."""
     if not (isinstance(K, numbers.Integral) and K >= 0):
         raise ConfigError(f"K={K!r} must be an integer >= 0")
+    if (2 * K + 1) ** k > _PMF_ELEMENT_BUDGET:
+        raise CapTooLarge(f"the (2K+1)^k = {(2 * K + 1) ** k} box of a product exceeds the element budget")
 
 
 def prob_finite(p: LimitParams, y):
@@ -120,14 +126,12 @@ def prob_zero(p: LimitParams, y: float) -> float:
 
 
 def eta_marginal_pgf(p: LimitParams, y: float, z: float) -> float:
-    """E(z^{eta(y)}) for 0 <= z <= 1 (infinite values contribute nothing)."""
+    """E(z^{eta(y)}) for 0 <= z <= 1; infinite values contribute nothing,
+    so z = 1 gives P(eta(y) < inf) (an `FddQuery` would drop that weight)."""
     _check_y(y)
     if not 0.0 <= z <= 1.0:
         raise ConfigError("z must lie in [0, 1]")
-    c, A = p.c, p.scale
-    if y < 1.0:
-        return (math.sqrt(1.0 + c * (1.0 - z) + c * z * y * y) - math.sqrt(1.0 + c * (1.0 - z))) / (A * y)
-    return 1.0 - (1.0 + math.sqrt(1.0 + c * (1.0 - z))) / (A * y)
+    return _fdd_pgf(p, (y,), (z,), series.Floats)
 
 
 def _fdd_pgf(p: LimitParams, y, z, ring):
@@ -232,9 +236,7 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
         raise ConfigError("query has no coordinates left")
     if k > 3:
         raise ConfigError("joint extraction is configured for k <= 3")
-    _check_K(K)
-    if (2 * K + 1) ** k > _PMF_ELEMENT_BUDGET:
-        raise CapTooLarge(f"the (2K+1)^k = {(2 * K + 1) ** k} box of a product exceeds the element budget")
+    _check_K(K, k)
     ring = series.ring(k, K)
     zvars = [ring.monomial(1.0, (i,)) for i in range(k)]
     coeffs = _fdd_pgf(p, q.y, zvars, ring).reshape(ring.shape)
@@ -369,9 +371,12 @@ def dichotomy_fraction(c: float) -> float:
 
 def figure1_data(c: float, step: float = 0.01, y_max: float = 4.0) -> np.ndarray:
     """Density table (y, pdf of T, pdf of T0) on a uniform grid hitting 1."""
-    if step <= 0.0 or y_max <= step:
+    if not 0.0 < step < y_max:
         raise ConfigError("need 0 < step < y_max")
+    rows = y_max / step
+    if rows > _PMF_ELEMENT_BUDGET:
+        raise CapTooLarge(f"a grid of {rows:.3g} rows exceeds the element budget")
     t_law = LawT(LimitParams(c))
     t0_law = LawT0()
-    y = np.arange(1, int(round(y_max / step)) + 1) * step
+    y = np.arange(1, round(rows) + 1) * step
     return np.column_stack([y, t_law.pdf(y), t0_law.pdf(y)])

@@ -21,7 +21,9 @@ replicate leaves the active set once it overflows or has no birth
 scheduled after its current time; its counts at the query times are
 cumulative sums of its two rows, and its slot takes the next replicate.
 The block size follows from a fixed memory budget, so memory never grows
-with the replicate count, and it changes no result.
+with the replicate count, and it changes no result.  A slot's tally and
+the results of `simulate` and `dichotomy_stats` are held to the DP table
+budget, checked before anything is allocated.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExhausted, CapTooLarge, ConfigError, DivergentMoment, UnsupportedModel
-from .exact_engine import _write_rows, extinction_seq
+from .exact_engine import _check_budget, _write_rows, extinction_seq
 from .lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -218,6 +220,7 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
     per, draw = _individual_draw(config.model)
     horizon, cap, seed = config.horizon, config.max_individuals, config.seed
     width = horizon + 2  # the last column collects events past the horizon
+    _check_budget(2 * width, "a slot's tally")
     cols = np.arange(width)
     k = len(config.query_times)
     tracked = np.array(list(config.query_times) + [horizon])
@@ -316,6 +319,12 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
     return run
 
 
+def _run_all(config: SimConfig) -> tuple:
+    """The runner's output for replicates 0..replicates-1, k + 1 cells each."""
+    _check_budget(config.replicates * (len(config.query_times) + 1), "the result table")
+    return _replicate_runner(config)(0, config.replicates)
+
+
 def _raise_on_overflow(over: np.ndarray, first: int, cap: int) -> None:
     bad = np.flatnonzero(over)
     if bad.size:
@@ -328,7 +337,7 @@ def simulate(config: SimConfig, threads: int = 1) -> SimResult:
     `threads` is ignored and kept only for existing callers: replicates
     run in one thread, vectorized across a block of replicates.
     """
-    counts, z, over = _replicate_runner(config)(0, config.replicates)
+    counts, z, over = _run_all(config)
     return SimResult(
         query_times=config.query_times,
         counts=counts,
@@ -425,7 +434,7 @@ def dichotomy_stats(
     cut = int(cutoff_rule(config.horizon))
     if cut < 1:
         raise ConfigError("cutoff must be >= 1")
-    _, z, over = _replicate_runner(config)(0, config.replicates)
+    _, z, over = _run_all(config)
     _raise_on_overflow(over, 0, config.max_individuals)
     z = z[z > 0]
     n, small = z.size, int((z <= cut).sum())

@@ -10,7 +10,6 @@ consistency, and sampler goodness of fit.
 import math
 import time
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.stats
@@ -21,7 +20,6 @@ from gwolab.exact_engine import (
     conditional_pmf,
     convergence_table,
     extinction_seq,
-    weighted_survival_limit,
 )
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -36,6 +34,7 @@ from gwolab.lifelaw import (
 from gwolab.limitlaw import (
     FddQuery,
     LimitParams,
+    eta_fdd_pgf,
     eta_fdd_pmf,
     eta_marginal_pmf,
     law_T,
@@ -132,11 +131,13 @@ def test_03_survival_asymptotics_heavy_tail():
         a = rng.uniform(0.5, 2.0)
         b = rng.uniform(0.5, 2.0)
         d = rng.uniform(0.0, 2.0)
-        h, _ = compound_params(a, b, d)
+        h, c = compound_params(a, b, d)
         worst_id = max(worst_id, abs(b * h * h - a * h - d))
-        g = rng.uniform(0.0, 1.0)
-        h_k = weighted_survival_limit(SimpleNamespace(a=a, b=b, d=d), g)
-        worst_id = max(worst_id, abs(b * h_k * h_k - a * h_k - d * g))
+        # the weighted limit at (1, 2): x = h (1 - pgf) is the root of b x^2 = a x + d g
+        z1, z2 = rng.uniform(0.0, 1.0, size=2)
+        g = (1.0 - z1) + z1 * (1.0 - z2) / 4.0
+        x = h * (1.0 - eta_fdd_pgf(LimitParams(c), FddQuery((1.0, 2.0), (z1, z2))))
+        worst_id = max(worst_id, abs(b * x * x - a * x - d * g))
     elapsed = time.perf_counter() - start
     ok = all(r <= 0.02 for r in rels.values()) and worst_id <= 1e-12
     shown = ", ".join(f"{k} {v:.2%}" for k, v in rels.items())

@@ -236,6 +236,20 @@ class TestExitCodes:
         assert code == 5
         assert "DP table" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure1", "--c", "15", "--grid", "1e-12"],
+            ["simulate", "--model", "{gw}", "--tmax", "1000000000000", "--replicates", "1", "--seed", "1"],
+            ["simulate", "--model", "{gw}", "--tmax", "32", "--replicates", "1000000000000", "--seed", "1"],
+        ],
+        ids=["figure1_grid", "simulate_horizon", "simulate_replicates"],
+    )
+    def test_sizes_past_the_budget_exit_5(self, argv, gw_path, capsys):
+        assert main([a.format(gw=gw_path) for a in argv]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_zero_conditioning(self, tmp_path, capsys):
         path = tmp_path / "doomed.json"
         path.write_text(

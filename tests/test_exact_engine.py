@@ -42,8 +42,6 @@ from gwolab.exact_engine import (
     convergence_table,
     extinction_seq,
     fdd_pgf,
-    g_factor,
-    weighted_survival_limit,
 )
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -802,23 +800,31 @@ class TestConvergence:
         rows = convergence_table(model, (1.0, 2.0), (0.3, 0.6), (8,))
         assert rows[0].target == pytest.approx(h, abs=1e-14)
 
-    def test_g_factor_values(self):
-        assert g_factor((1.0, 2.0), (0.0, 0.5)) == pytest.approx(1.0)
-        assert g_factor((1.0, 2.0), (0.5, 0.5)) == pytest.approx(0.5625)
+    # queries with y_1 = 1 and their g = sum z_1...z_{i-1} (1 - z_i) / y_i^2
+    G_QUERIES = [
+        ((1.0, 2.0), (0.0, 0.5), 1.0),
+        ((1.0, 2.0), (0.5, 0.5), 0.5625),
+        ((1.0,), (0.75,), 0.25),
+        ((1.0,), (0.7,), 0.3),
+        ((1.0,), (0.1,), 0.9),
+    ]
 
     def test_limit_root_identity(self):
-        summary = summarize(bh_heavy())
-        for g in (1.0, 0.5625, 0.25):
-            x = weighted_survival_limit(summary, g)
+        model = bh_heavy()
+        summary = summarize(model)
+        for y, z, g in self.G_QUERIES:
+            x = convergence_table(model, y, z, (8,))[0].target
             assert summary.b * x * x == pytest.approx(summary.a * x + summary.d * g, abs=1e-12)
-        assert weighted_survival_limit(summary, 1.0) == pytest.approx(summary.h, abs=1e-12)
+            if g == 1.0:
+                assert x == pytest.approx(summary.h, abs=1e-12)
 
     def test_limit_matches_radical_ratio_form(self):
-        summary = summarize(bh_heavy())
-        for g in (0.3, 0.5625, 0.9):
-            direct = weighted_survival_limit(summary, g)
+        model = bh_heavy()
+        summary = summarize(model)
+        for y, z, g in self.G_QUERIES:
+            target = convergence_table(model, y, z, (8,))[0].target
             ratio = summary.h * (1 + math.sqrt(1 + summary.c * g)) / (1 + math.sqrt(1 + summary.c))
-            assert direct == pytest.approx(ratio, abs=1e-12)
+            assert target == pytest.approx(ratio, abs=1e-12)
 
     def test_binary_error_shrinks_along_dyadic_times(self):
         rows = convergence_table(gw_binary(), (1.0,), (0.0,), (64, 128, 256))

@@ -163,6 +163,15 @@ class TestMarginal:
                 direct = eta_marginal_pgf(p, y, z)
                 summed = float(np.polynomial.polynomial.polyval(z, res.probs))
                 assert direct == pytest.approx(summed, abs=1e-12)
+        # a weight of 1 keeps its coordinate: the pgf is the finite mass
+        for y in (0.3, 1.0, 2.5):
+            assert eta_marginal_pgf(p, y, 1.0) == pytest.approx(prob_finite(p, y), abs=1e-15)
+
+    @pytest.mark.parametrize("K", [2**23, 10**15])
+    def test_pmf_budget(self, K):
+        # the k = 1 budget of eta_fdd_pmf, (2K + 1) entries, raised before any allocation
+        with pytest.raises(CapTooLarge):
+            eta_marginal_pmf(LimitParams(1.0), 0.5, K)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +201,7 @@ class TestFddPgf:
         p = LimitParams(1.7)
         full = FddQuery([0.5, 1.0, 2.0], [0.3, 1.0, 0.6])
         reduced = FddQuery([0.5, 2.0], [0.3, 0.6])
-        assert full.k == 2 and full.j == 1
+        assert full.k == 2 and full.y == (0.5, 2.0)
         assert eta_fdd_pgf(p, full) == eta_fdd_pgf(p, reduced)
 
     def test_all_weights_one_gives_unit(self):
@@ -506,3 +515,7 @@ class TestHelpers:
     def test_figure_validation(self):
         with pytest.raises(ConfigError):
             figure1_data(5.0, step=0.0)
+        with pytest.raises(ConfigError):
+            figure1_data(5.0, step=math.nan)
+        with pytest.raises(CapTooLarge):
+            figure1_data(15.0, step=1e-12)

@@ -7,13 +7,15 @@ import csv
 import hashlib
 import io
 import math
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gwolab import philox, simulator
-from gwolab.errors import BudgetExhausted, ConfigError, UnsupportedModel
+from gwolab import exact_engine, philox, simulator
+from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError, UnsupportedModel
 from gwolab.exact_engine import FddSpec, conditional_pmf, extinction_seq
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -629,6 +631,27 @@ class TestValidation:
             SimConfig(model=m, horizon=5, query_times=(5,), replicates=1, seed=-1)
         with pytest.raises(ConfigError):
             SimConfig(model=m, horizon=5, query_times=(5,), replicates=1, seed=0, max_individuals=0)
+
+    def test_sizes_past_the_budget(self):
+        # one slot's tally, 2 x (horizon + 2) cells, and all replicates'
+        # results, replicates x (k + 1) cells, raise before any allocation
+        long = SimConfig(model=gw_binary(), horizon=10**12, query_times=(), replicates=1, seed=0)
+        many = SimConfig(model=gw_binary(), horizon=32, query_times=(32,), replicates=10**12, seed=0)
+        for run in (simulate, dichotomy_stats, partial(conditional_sample, target_survivors=1)):
+            with pytest.raises(CapTooLarge, match="tally"):
+                run(long)
+        for run in (simulate, dichotomy_stats):
+            with pytest.raises(CapTooLarge, match="result table"):
+                run(many)
+
+    def test_budget_edges(self, monkeypatch):
+        monkeypatch.setattr(exact_engine, "_DP_BUDGET", 68)  # 2 x (32 + 2) tally cells, 34 x 2 result cells
+        cfg = SimConfig(model=gw_binary(), horizon=32, query_times=(32,), replicates=34, seed=0)
+        assert simulate(cfg).counts.shape == (34, 1)
+        with pytest.raises(CapTooLarge):
+            simulate(replace(cfg, replicates=35))
+        with pytest.raises(CapTooLarge):
+            simulate(replace(cfg, horizon=33))
 
     def test_unsupported_model(self):
         cfg = SimConfig(model=gw_binary(), horizon=1, query_times=(1,), replicates=1, seed=0)
