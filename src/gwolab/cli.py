@@ -1,21 +1,19 @@
 """Command-line front end.
 
 Each subcommand declares its parameters once, as (name, parser, help) in
-`_COMMANDS`; the flags are generated from that table, and flag values
-and --config values alike go through the declared parser.  Every run
-prints a one-line summary and, with --out, drops a config echo of the
-parsed values next to the output, from which the identical run can be
-reproduced.  Error classes map to distinct exit codes so scripts can
-tell a schema problem from a blown budget.
+`_COMMANDS`; flags are generated from that table, and `modelio.fields`,
+the one reader of outside JSON (model files too), reads flag and --config
+values alike.  Every run prints a one-line summary and, with --out, drops
+a config echo of the parsed values next to the output, from which the
+identical run can be reproduced.  Error classes map to distinct exit
+codes so scripts can tell a schema problem from a blown budget.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -44,7 +42,17 @@ from .exact_engine import (
 )
 from .lifelaw import summarize
 from .limitlaw import LimitParams, figure1_data, law_T
-from .modelio import load_model, model_from_dict, model_to_dict
+from .modelio import (
+    choice,
+    fields,
+    listof,
+    load_model,
+    model_from_dict,
+    model_to_dict,
+    number,
+    read_json,
+    write_json,
+)
 from .simulator import SimConfig, simulate
 from .verify import report_json, run_battery
 
@@ -63,41 +71,10 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _number(kind):
-    """One finite number, read from the value's text: 2.5, true and [3]
-    are not ints."""
-
-    def parse(raw):
-        try:
-            value = kind(str(raw))
-            if math.isfinite(value):
-                return value
-        except (ValueError, OverflowError):  # an int too large for a float
-            pass
-        raise ConfigError(f"{raw!r} is not a finite {kind.__name__}")
-
-    return parse
-
-
 def _numbers(kind):
     """A comma-separated list or a JSON list of numbers."""
-    one = _number(kind)
-
-    def parse(raw):
-        items = raw if isinstance(raw, list) else [v for v in str(raw).split(",") if v != ""]
-        return [one(v) for v in items]
-
-    return parse
-
-
-def _choice(*options):
-    def parse(raw):
-        if raw not in options:
-            raise ConfigError(f"{raw!r} is not one of {', '.join(options)}")
-        return raw
-
-    parse.metavar = "{" + ",".join(options) + "}"
-    return parse
+    each = listof(number(kind))
+    return lambda raw: each(raw if isinstance(raw, list) else [v for v in str(raw).split(",") if v != ""])
 
 
 def _path(raw):
@@ -110,40 +87,20 @@ def _model(raw):
     return model_from_dict(raw) if isinstance(raw, dict) else load_model(_path(raw))
 
 
-def _read_config(path: str, command: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: config must be an object")
-    echoed = cfg.pop("command", None)
-    if echoed is not None and echoed != command:
-        raise ConfigError(f"config is for {echoed!r}, not {command!r}")
-    return cfg
-
-
 class _Run:
     """Parameters resolved from the config file, then flags, each parsed
-    by the parser the command declares for it."""
+    by the parser the command declares for it.  A config echo names its
+    command, and only that command reads it."""
 
     def __init__(self, command: str, args: argparse.Namespace):
         self.command = command
         parsers = {name: parse for name, parse, _ in _params(command)}
-        raw = _read_config(args.config, command) if args.config else {}
-        unknown = sorted(set(raw) - set(parsers))
-        if unknown:
-            raise ConfigError(f"{command} has no parameter {', '.join(map(repr, unknown))}")
-        raw.update((k, v) for k, v in vars(args).items() if k in parsers and v is not None)
-        self.values = {}
-        for key, val in raw.items():
-            try:
-                self.values[key] = parsers[key](val)
-            except ConfigError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+        raw = read_json(args.config, "config") if args.config else {}
+        if isinstance(raw, dict):  # fields rejects anything else
+            raw.update((k, v) for k, v in vars(args).items() if k in parsers and v is not None)
+        parsers["command"] = choice(command)
+        self.values = fields(raw, parsers, "config", optional=parsers)
+        self.values.pop("command", None)
         self.out = self.values.pop("out", None)
 
     def get(self, key: str, default=None):
@@ -166,12 +123,7 @@ class _Run:
         if "model" in echo:
             echo["model"] = model_to_dict(echo["model"])
         with open(f"{self.out}.config.json", "w", encoding="utf-8") as fh:
-            _write_json(echo, fh)
-
-
-def _write_json(payload, fh) -> None:
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
+            write_json(echo, fh)
 
 
 def _cmd_summarize(run: _Run) -> int:
@@ -181,8 +133,8 @@ def _cmd_summarize(run: _Run) -> int:
             f"{name}={_fmt(getattr(s, name))}"
             for name in ("mean_offspring", "b", "a", "d", "h", "c")
         )
-        + f" critical={s.critical} a_finite={s.a_finite}",
-        partial(_write_json, asdict(s)),
+        + f" critical={s.critical}",
+        partial(write_json, asdict(s)),
     )
     return 0
 
@@ -214,7 +166,7 @@ def _cmd_fdd(run: _Run) -> int:
     spec = FddSpec(times, z, t_obs=t_obs)
     val = fdd_pgf(model, spec) if t_obs is None else conditional_pgf(model, spec)
     payload = {"times": times, "z": z, "t_obs": t_obs, "pgf": val}
-    run.emit(f"pgf={_fmt(val)}", partial(_write_json, payload))
+    run.emit(f"pgf={_fmt(val)}", partial(write_json, payload))
     return 0
 
 
@@ -239,7 +191,7 @@ def _cmd_simulate(run: _Run) -> int:
     )
     res = simulate(cfg)
     s = res.survival_summary()
-    write = partial(_write_json, res.summary()) if run.get("format") == "json" else res.to_csv
+    write = partial(write_json, res.summary()) if run.get("format") == "json" else res.to_csv
     run.emit(
         f"replicates={s['replicates']} survival={_fmt(s['estimate'])} "
         f"stderr={_fmt(s['stderr'])} overflowed={s['overflowed']}",
@@ -292,7 +244,7 @@ def _cmd_verify(run: _Run) -> int:
 
 
 _MODEL = ("model", _model, "model config JSON path")
-_INT, _FLOAT, _INTS, _FLOATS = _number(int), _number(float), _numbers(int), _numbers(float)
+_INT, _FLOAT, _INTS, _FLOATS = number(int), number(float), _numbers(int), _numbers(float)
 
 # command -> (handler, help, [(parameter, parser, help)]); each command
 # also takes --config and --out
@@ -315,7 +267,7 @@ _COMMANDS = {
         ("times", _INTS, "comma-separated query times"),
         ("replicates", _INT, "number of replicates"),
         ("seed", _INT, "stream seed"),
-        ("format", _choice("csv", "json"), "output layout"),
+        ("format", choice("csv", "json"), "output layout"),
     ]),
     "limit": (_cmd_limit, "weighted survival against its closed-form limit", [
         _MODEL,

@@ -32,7 +32,7 @@ from .errors import ConfigError, DivergentMoment
 _SUM_TOL = 1e-12
 _CERT_TOL = 1e-12
 _CERT_CAP = 1 << 20  # certified-summation iteration cap for moment series
-_LIFE_CAP = 2.0**62  # array draws of an unbounded life stay inside int64
+_LIFE_CAP = 2.0**62  # lives and birth ages stay inside int64; unbounded draws are capped here
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
 
 
@@ -52,18 +52,34 @@ def _trigamma(x: float) -> float:
     return acc + (1.0 + (0.5 + s / x) / x) / x
 
 
-def _inverse_cdf(cdf: np.ndarray, cdf_list: list, u):
-    """Inverse cdf of a finite pmf with cumulative sums cdf (also as a
-    list): the index i with cdf[i-1] <= u < cdf[i], clamped to the last
-    index when rounding leaves cdf[-1] at or below u.
+class _Masses:
+    """The masses of a finite law, each checked finite and >= 0 and all
+    summing to 1, and the inverse of their cumulative sums."""
 
-    Takes a float (and returns an int) or an array of floats (and returns
-    an index array); both forms give the same index.
-    """
-    if isinstance(u, float):
-        i = bisect_right(cdf_list, u)
-        return i if i < len(cdf_list) else len(cdf_list) - 1
-    return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+    def __init__(self, probs: Sequence[float], what: str):
+        for p in probs:
+            if not math.isfinite(p) or p < 0.0:
+                raise ConfigError(f"{what}: mass {float(p)!r} must be finite and >= 0")
+        try:
+            total = math.fsum(probs)
+        except OverflowError:  # finite masses whose sum is not
+            total = math.inf
+        if abs(total - 1.0) > _SUM_TOL:
+            raise ConfigError(f"{what}: masses sum to {total!r}, not 1")
+        self._cdf = np.cumsum(probs)
+        self._cdf_list = self._cdf.tolist()
+
+    def index(self, u):
+        """The index i with cdf[i-1] <= u < cdf[i], clamped to the last
+        index when rounding leaves cdf[-1] at or below u.
+
+        Takes a float (and returns an int) or an array of floats (and
+        returns an index array); both forms give the same index.
+        """
+        last = self._cdf.size - 1
+        if isinstance(u, float):
+            return min(bisect_right(self._cdf_list, u), last)
+        return np.minimum(np.searchsorted(self._cdf, u, side="right"), last)
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +94,12 @@ class OffspringPMF:
         arr = np.asarray(probs, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ConfigError("offspring pmf must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-            raise ConfigError("offspring pmf entries must be finite and >= 0")
-        if abs(float(arr.sum()) - 1.0) > _SUM_TOL:
-            raise ConfigError(f"offspring pmf sums to {arr.sum()!r}, not 1")
+        self._masses = _Masses(arr, "offspring pmf")
         self.probs = arr
         self.max_children = int(arr.size - 1)
         counts = np.arange(arr.size)
         self.mean = float(counts @ arr)
         self.second_moment = float((counts**2) @ arr)
-        self._cdf = np.cumsum(arr)
-        self._cdf_list = self._cdf.tolist()
 
     @property
     def dispersion(self) -> float:
@@ -101,7 +112,7 @@ class OffspringPMF:
 
     def sample_from_uniform(self, u):
         """Inverse-cdf child count for a float, or counts for an array of floats."""
-        return _inverse_cdf(self._cdf, self._cdf_list, u)
+        return self._masses.index(u)
 
 
 def phi(offspring: OffspringPMF, z):
@@ -129,20 +140,15 @@ class FiniteLife:
         if not pmf:
             raise ConfigError("life length pmf is empty")
         items = sorted(pmf.items())
-        for life, p in items:
-            if not isinstance(life, int) or life < 1:
-                raise ConfigError(f"life length {life!r} must be an integer >= 1")
-            _check_mass(p, "life length mass")
-        total = math.fsum(p for _, p in items)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ConfigError(f"life length pmf sums to {total!r}, not 1")
+        for life, _ in items:
+            if not isinstance(life, int) or not 1 <= life <= _LIFE_CAP:
+                raise ConfigError(f"life length {life!r} must be an integer in [1, 2^62]")
         self.support = tuple(life for life, _ in items)
         self.probs = tuple(p for _, p in items)
+        self._masses = _Masses(self.probs, "life length pmf")
         self.max_life = self.support[-1]
         self.mean = math.fsum(life * p for life, p in items)
         self.d = 0.0
-        self._cdf = np.cumsum(self.probs)
-        self._cdf_list = self._cdf.tolist()
         self._support = np.array(self.support, dtype=np.int64)
 
     def survival(self, t: float) -> float:
@@ -172,7 +178,7 @@ class FiniteLife:
 
     def sample_from_uniform(self, u):
         """Inverse-cdf life for a float, or lives for an array of floats."""
-        i = _inverse_cdf(self._cdf, self._cdf_list, u)
+        i = self._masses.index(u)
         return self.support[i] if isinstance(u, float) else self._support[i]
 
 
@@ -239,15 +245,10 @@ class QuadraticTailLife:
 LifeLengthLaw = Union[FiniteLife, QuadraticTailLife]
 
 
-def _check_mass(prob: float, what: str) -> None:
-    if not math.isfinite(prob) or prob < 0.0:
-        raise ConfigError(f"{what} {prob!r} must be finite and >= 0")
-
-
 def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
     ages = tuple(int(t) for t in ages)
-    if any(t < 1 for t in ages):
-        raise ConfigError(f"birth ages {ages} must be >= 1")
+    if any(not 1 <= t <= _LIFE_CAP for t in ages):
+        raise ConfigError(f"birth ages {ages} must be in [1, 2^62]")
     if list(ages) != sorted(ages):
         raise ConfigError(f"birth ages {ages} must be nondecreasing")
     if life is not None and ages and ages[-1] > life:
@@ -268,22 +269,17 @@ class Tabulated:
             raise ConfigError("tabulated law needs at least one atom")
         parsed = []
         for prob, ages, life in atoms:
-            _check_mass(prob, "atom probability")
             life = int(life)
-            if life < 1:
-                raise ConfigError(f"life length {life} must be >= 1")
+            if not 1 <= life <= _LIFE_CAP:
+                raise ConfigError(f"life length {life} must be in [1, 2^62]")
             parsed.append((float(prob), _as_ages(ages, life), life))
-        total = math.fsum(p for p, _, _ in parsed)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ConfigError(f"atom probabilities sum to {total!r}, not 1")
+        self._masses = _Masses([p for p, _, _ in parsed], "atom probabilities")
         self.atoms = tuple(parsed)
         self.max_life = max(life for _, _, life in parsed)
-        self._cdf = np.cumsum([p for p, _, _ in parsed])
-        self._cdf_list = self._cdf.tolist()
 
     def atom_index(self, u):
         """Inverse-cdf atom index for a float, or indices for an array of floats."""
-        return _inverse_cdf(self._cdf, self._cdf_list, u)
+        return self._masses.index(u)
 
 
 class BellmanHarris:
@@ -331,24 +327,17 @@ class DelayedDeath:
     ):
         if not schedules:
             raise ConfigError("delayed-death law needs at least one schedule")
-        parsed = []
-        for prob, ages in schedules:
-            _check_mass(prob, "schedule probability")
-            parsed.append((float(prob), _as_ages(ages)))
-        total = math.fsum(p for p, _ in parsed)
-        if abs(total - 1.0) > _SUM_TOL:
-            raise ConfigError(f"schedule probabilities sum to {total!r}, not 1")
+        parsed = [(float(prob), _as_ages(ages)) for prob, ages in schedules]
+        self._masses = _Masses([p for p, _ in parsed], "schedule probabilities")
         self.schedules = tuple(parsed)
         self.residual = residual
-        self._cdf = np.cumsum([p for p, _ in parsed])
-        self._cdf_list = self._cdf.tolist()
 
     def schedule_index(self, u):
         """Inverse-cdf schedule index for a float, or indices for an array of floats."""
-        return _inverse_cdf(self._cdf, self._cdf_list, u)
+        return self._masses.index(u)
 
     def sample_schedule_from_uniform(self, u: float) -> tuple[float, tuple[int, ...]]:
-        return self.schedules[_inverse_cdf(self._cdf, self._cdf_list, u)]
+        return self.schedules[self._masses.index(u)]
 
 
 LifeLaw = Union[Tabulated, BellmanHarris, Sevastyanov, DelayedDeath]
@@ -368,7 +357,6 @@ class ModelSummary:
     h: float
     c: float
     critical: bool
-    a_finite: bool
 
 
 def compound_params(a: float, b: float, d: float) -> tuple[float, float]:
@@ -461,5 +449,4 @@ def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
         h=h,
         c=c,
         critical=abs(en - 1.0) <= tol,
-        a_finite=True,
     )

@@ -1,15 +1,23 @@
-"""JSON model configs.
+"""JSON model configs, and the one reader for outside JSON.
 
-One dict per model with a `variant` tag; life length laws are nested
-dicts with a `kind` tag.  Unknown keys are rejected everywhere so a
-typo cannot silently fall back to a default.  Loading is the inverse of
-dumping, except that a Sevastyanov model built in code from an opaque
-rule cannot be serialized (only table-based rules round-trip).
+`fields` reads every object that comes from outside: the CLI's flags
+plus --config, a model, and each object nested in a model.  It checks
+the keys against a declared (key, parser) table and runs each value
+through its parser, so a typo, a missing key or a value of the wrong
+type (a fraction or a boolean where an integer belongs) is a ConfigError
+that names the key, never a default, a truncation or a traceback.
+`read_json` and `write_json` are the one way in and out of a file.
+
+A model is an object with a `variant` tag; life length laws nest as
+objects with a `kind` tag.  Loading is the inverse of dumping, except
+that a Sevastyanov model built in code from an opaque rule cannot be
+serialized (only table-based rules round-trip).
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .errors import ConfigError
 from .lifelaw import (
@@ -24,39 +32,126 @@ from .lifelaw import (
 )
 
 
-def _check_keys(obj: dict, required: set, optional: set, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object, got {type(obj).__name__}")
-    keys = set(obj)
-    missing = required - keys
+def number(kind):
+    """One finite number, read from the value's text: 2.5, true and [3]
+    are not integers."""
+    name = "integer" if kind is int else kind.__name__
+
+    def parse(raw):
+        try:
+            value = kind(str(raw))
+            if math.isfinite(value):
+                return value
+        except (ValueError, OverflowError):  # an int too large for a float
+            pass
+        raise ConfigError(f"{raw!r} is not a finite {name}")
+
+    return parse
+
+
+_INT, _FLOAT = number(int), number(float)
+
+
+def choice(*options):
+    def parse(raw):
+        if raw not in options:
+            raise ConfigError(f"{raw!r} is not one of {', '.join(options)}")
+        return raw
+
+    parse.metavar = "{" + ",".join(options) + "}"
+    return parse
+
+
+def _expect(raw, kind, message: str) -> None:
+    if not isinstance(raw, kind):
+        raise ConfigError(f"{message}, got {type(raw).__name__}")
+
+
+def _at(name, parse, raw):
+    """parse(raw), with an error named after where raw sits."""
+    try:
+        return parse(raw)
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
+
+
+def listof(parse):
+    """A JSON list, each item read by parse."""
+
+    def parse_list(raw):
+        _expect(raw, (list, tuple), "expected a list")
+        return [_at(f"[{i}]", parse, item) for i, item in enumerate(raw)]
+
+    return parse_list
+
+
+def keyed(parse):
+    """An object keyed by plainly written integers, each value read by parse."""
+
+    def key(raw):
+        n = _INT(raw)
+        if str(n) != str(raw):  # so no two keys name one life
+            raise ConfigError(f"{raw!r} is not a plain integer")
+        return n
+
+    def parse_keyed(raw):
+        _expect(raw, dict, "expected an object")
+        return {_at(k, key, k): _at(k, parse, v) for k, v in raw.items()}
+
+    return parse_keyed
+
+
+def fields(raw, params: dict, where: str, optional=()) -> dict:
+    """The object raw with each value read by its parser in params.  Every
+    key of params is required but those in optional, and no other key is
+    allowed; an error in a value names its key."""
+    _expect(raw, dict, f"{where} must be an object")
+    missing = set(params) - set(optional) - set(raw)
     if missing:
         raise ConfigError(f"{where} is missing key(s) {sorted(missing)}")
-    unknown = keys - required - optional
+    unknown = set(raw) - set(params)
     if unknown:
         raise ConfigError(f"{where} has unknown key(s) {sorted(unknown)}")
+    return {key: _at(key, params[key], value) for key, value in raw.items()}
 
 
-def _int_key(raw, where: str) -> int:
+def _tagged(raw, tag: str, kinds: dict, where: str, optional=()):
+    """The object raw, built by the (params, build) row of kinds that its
+    `tag` names: build gets the values that fields read with params."""
+    head = {tag: choice(*kinds)}
+    # read the tag alone first: it decides which other keys are allowed
+    tag_only = {tag: raw[tag]} if isinstance(raw, dict) and tag in raw else raw
+    params, build = kinds[fields(tag_only, head, where)[tag]]
+    return build(fields(raw, {**head, **params}, where, optional))
+
+
+def read_json(path: str, what: str):
     try:
-        val = int(raw)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: key {raw!r} is not an integer") from None
-    if str(val) != str(raw).strip():
-        raise ConfigError(f"{where}: key {raw!r} is not a plain integer")
-    return val
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what}: {exc}") from None
+    except ValueError as exc:  # undecodable bytes, or not JSON
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
-def life_from_dict(d: dict, where: str = "life"):
-    _check_keys(d, {"kind"}, {"pmf", "d", "t_min"}, where)
-    kind = d["kind"]
-    if kind == "finite":
-        _check_keys(d, {"kind", "pmf"}, set(), where)
-        pmf = {_int_key(k, where): float(v) for k, v in d["pmf"].items()}
-        return FiniteLife(pmf)
-    if kind == "quadratic_tail":
-        _check_keys(d, {"kind", "d", "t_min"}, set(), where)
-        return QuadraticTailLife(d=float(d["d"]), t_min=int(d["t_min"]))
-    raise ConfigError(f"{where}: unknown kind {kind!r}")
+def write_json(payload, fh) -> None:
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
+
+
+def _offspring(raw) -> OffspringPMF:
+    return OffspringPMF(listof(_FLOAT)(raw))
+
+
+_LIVES = {
+    "finite": ({"pmf": keyed(_FLOAT)}, lambda f: FiniteLife(f["pmf"])),
+    "quadratic_tail": ({"d": _FLOAT, "t_min": _INT}, lambda f: QuadraticTailLife(f["d"], f["t_min"])),
+}
+
+
+def life_from_dict(d: dict):
+    return _tagged(d, "kind", _LIVES, "life")
 
 
 def life_to_dict(law) -> dict:
@@ -67,142 +162,87 @@ def life_to_dict(law) -> dict:
     raise ConfigError(f"cannot serialize life law {type(law).__name__}")
 
 
-def _offspring_from_list(raw, where: str) -> OffspringPMF:
-    if not isinstance(raw, (list, tuple)):
-        raise ConfigError(f"{where} must be a list of masses")
-    return OffspringPMF([float(v) for v in raw])
+def _record(params: dict, where: str):
+    """An object read by fields, as the tuple of its values in params order."""
+    return lambda raw: tuple(fields(raw, params, where)[key] for key in params)
 
 
-def _table_rule(table: dict, default):
+_ATOM = _record({"prob": _FLOAT, "birth_ages": listof(_INT), "life": _INT}, "atom")
+_SCHEDULE = _record({"prob": _FLOAT, "birth_ages": listof(_INT)}, "schedule")
+
+
+def _sevastyanov(f: dict) -> Sevastyanov:
+    life, table, default = f["life"], f["offspring_by_life"], f.get("offspring_default")
+    laws = list(table.values()) + ([default] if default is not None else [])
+    if not laws:
+        raise ConfigError("offspring_by_life needs at least one law, or offspring_default")
+    # every law has bounded moments, so the remainders of the moment sums
+    # past l0 are at most max-moment times the life tail (weighted by l
+    # for the E N*L sum): a certified bound
+    m1 = max(o.mean for o in laws)
+    m2 = max(o.second_moment for o in laws)
+
     def rule(l: int) -> OffspringPMF:
         law = table.get(l, default)
         if law is None:
             raise ConfigError(f"no offspring law for life {l} and no default given")
         return law
 
-    return rule
-
-
-def _table_tail_bound(life, table: dict, default):
-    """Certified remainder of the moment sums past l0: every involved
-    offspring law has bounded moments, so the remainders are at most
-    max-moment times the life tail (weighted by l for the E N*L sum)."""
-    laws = list(table.values()) + ([default] if default is not None else [])
-    m1 = max(o.mean for o in laws)
-    m2 = max(o.second_moment for o in laws)
-
     def bound(l0: int) -> float:
         tail = life.survival(l0)
         return max(m1 * tail, m2 * tail, m1 * life.tail_mean(l0))
 
-    return bound
+    model = Sevastyanov(life, rule, moment_tail_bound=bound)
+    model.io_table, model.io_default = table, default  # so the model can be written back out
+    return model
+
+
+_VARIANTS = {
+    "bellman_harris": (
+        {"life": life_from_dict, "offspring": _offspring},
+        lambda f: BellmanHarris(f["life"], f["offspring"]),
+    ),
+    "tabulated": ({"atoms": listof(_ATOM)}, lambda f: Tabulated(f["atoms"])),
+    "delayed_death": (
+        {"schedules": listof(_SCHEDULE), "residual": life_from_dict},
+        lambda f: DelayedDeath(f["schedules"], f["residual"]),
+    ),
+    "sevastyanov": (
+        {"life": life_from_dict, "offspring_by_life": keyed(_offspring), "offspring_default": _offspring},
+        _sevastyanov,
+    ),
+}
 
 
 def model_from_dict(d: dict) -> LifeLaw:
-    _check_keys(
-        d,
-        {"variant"},
-        {"life", "offspring", "atoms", "schedules", "residual", "offspring_by_life", "offspring_default"},
-        "model",
-    )
-    variant = d["variant"]
-    if variant == "bellman_harris":
-        _check_keys(d, {"variant", "life", "offspring"}, set(), "model")
-        return BellmanHarris(life_from_dict(d["life"]), _offspring_from_list(d["offspring"], "offspring"))
-    if variant == "tabulated":
-        _check_keys(d, {"variant", "atoms"}, set(), "model")
-        atoms = []
-        for i, atom in enumerate(d["atoms"]):
-            where = f"atoms[{i}]"
-            _check_keys(atom, {"prob", "birth_ages", "life"}, set(), where)
-            atoms.append(
-                (float(atom["prob"]), tuple(int(a) for a in atom["birth_ages"]), int(atom["life"]))
-            )
-        return Tabulated(atoms)
-    if variant == "delayed_death":
-        _check_keys(d, {"variant", "schedules", "residual"}, set(), "model")
-        schedules = []
-        for i, sched in enumerate(d["schedules"]):
-            where = f"schedules[{i}]"
-            _check_keys(sched, {"prob", "birth_ages"}, set(), where)
-            schedules.append((float(sched["prob"]), tuple(int(a) for a in sched["birth_ages"])))
-        return DelayedDeath(schedules, life_from_dict(d["residual"], "residual"))
-    if variant == "sevastyanov":
-        _check_keys(
-            d, {"variant", "life", "offspring_by_life"}, {"offspring_default"}, "model"
-        )
-        life = life_from_dict(d["life"])
-        table = {
-            _int_key(k, "offspring_by_life"): _offspring_from_list(v, f"offspring_by_life[{k}]")
-            for k, v in d["offspring_by_life"].items()
-        }
-        default = (
-            _offspring_from_list(d["offspring_default"], "offspring_default")
-            if "offspring_default" in d
-            else None
-        )
-        model = Sevastyanov(
-            life,
-            _table_rule(table, default),
-            moment_tail_bound=_table_tail_bound(life, table, default),
-        )
-        # keep the table so the model can be written back out
-        model.io_table = table
-        model.io_default = default
-        return model
-    raise ConfigError(f"unknown model variant {variant!r}")
+    return _tagged(d, "variant", _VARIANTS, "model", optional=("offspring_default",))
 
 
 def model_to_dict(model: LifeLaw) -> dict:
     if isinstance(model, BellmanHarris):
-        return {
-            "variant": "bellman_harris",
-            "life": life_to_dict(model.life),
-            "offspring": list(model.offspring.probs),
-        }
+        offspring = list(model.offspring.probs)
+        return {"variant": "bellman_harris", "life": life_to_dict(model.life), "offspring": offspring}
     if isinstance(model, Tabulated):
-        return {
-            "variant": "tabulated",
-            "atoms": [
-                {"prob": p, "birth_ages": list(ages), "life": life}
-                for p, ages, life in model.atoms
-            ],
-        }
+        atoms = [{"prob": p, "birth_ages": list(ages), "life": life} for p, ages, life in model.atoms]
+        return {"variant": "tabulated", "atoms": atoms}
     if isinstance(model, DelayedDeath):
-        return {
-            "variant": "delayed_death",
-            "schedules": [
-                {"prob": p, "birth_ages": list(ages)} for p, ages in model.schedules
-            ],
-            "residual": life_to_dict(model.residual),
-        }
+        schedules = [{"prob": p, "birth_ages": list(ages)} for p, ages in model.schedules]
+        return {"variant": "delayed_death", "schedules": schedules, "residual": life_to_dict(model.residual)}
     if isinstance(model, Sevastyanov):
         table = getattr(model, "io_table", None)
         if table is None:
             raise ConfigError("cannot serialize a Sevastyanov rule without its table")
-        out = {
-            "variant": "sevastyanov",
-            "life": life_to_dict(model.life),
-            "offspring_by_life": {str(l): list(o.probs) for l, o in table.items()},
-        }
-        default = getattr(model, "io_default", None)
-        if default is not None:
-            out["offspring_default"] = list(default.probs)
+        out = {"variant": "sevastyanov", "life": life_to_dict(model.life),
+               "offspring_by_life": {str(l): list(o.probs) for l, o in table.items()}}
+        if model.io_default is not None:
+            out["offspring_default"] = list(model.io_default.probs)
         return out
     raise ConfigError(f"cannot serialize model {type(model).__name__}")
 
 
 def load_model(path: str) -> LifeLaw:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read model: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
-    return model_from_dict(raw)
+    return model_from_dict(read_json(path, "model"))
 
 
 def dump_model(model: LifeLaw, fh) -> None:
-    json.dump(model_to_dict(model), fh, indent=2)
-    fh.write("\n")
+    write_json(model_to_dict(model), fh)

@@ -12,7 +12,6 @@ is auditable without re-running it.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -39,6 +38,7 @@ from .lifelaw import (
     summarize,
 )
 from .limitlaw import FddQuery, LimitParams, eta_fdd_pmf
+from .modelio import write_json
 from .simulator import SimConfig, simulate
 
 _FAR_FUTURE = 10**9
@@ -80,8 +80,7 @@ def report_json(reports, fh) -> None:
         "all_passed": all(r.all_passed for r in reports),
         "reports": [r.as_dict() for r in reports],
     }
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
+    write_json(payload, fh)
 
 
 def _abs_row(name, statistic, reference, tolerance, source, runtime) -> CheckRow:
@@ -348,8 +347,6 @@ def limit_convergence(model: LifeLaw, y, z, t_grid) -> RunReport:
     summary = summarize(model)
     if not summary.critical:
         raise ConfigError("model must be critical")
-    if not summary.a_finite:
-        raise ConfigError("model needs a finite mean birth-age sum")
     rows = []
 
     start = time.perf_counter()

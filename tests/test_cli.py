@@ -32,6 +32,14 @@ DELAYED = {
     "residual": {"kind": "quadratic_tail", "d": 1.125, "t_min": 2},
 }
 
+TABULATED = {
+    "variant": "tabulated",
+    "atoms": [
+        {"prob": 0.5, "birth_ages": [1, 2], "life": 3},
+        {"prob": 0.5, "birth_ages": [], "life": 2},
+    ],
+}
+
 SEV_HEAVY = {
     "variant": "sevastyanov",
     "life": {"kind": "quadratic_tail", "d": 1.0, "t_min": 2},
@@ -249,6 +257,40 @@ class TestExitCodes:
         assert main([a.format(gw=gw_path) for a in argv]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "model, path, value",
+        [
+            (GW_BINARY, ("life", "pmf", "1"), "abc"),
+            (GW_BINARY, ("life", "pmf", "1"), [1]),
+            (GW_BINARY, ("life", "pmf", "1"), True),
+            (TABULATED, ("atoms",), 5),
+            (TABULATED, ("atoms", 0, "life"), "x"),
+            (TABULATED, ("atoms", 0, "birth_ages"), 3),
+            (TABULATED, ("atoms", 0, "birth_ages"), [1.7]),
+            (DELAYED, ("residual", "t_min"), 2.5),
+            (DELAYED, ("residual", "d"), None),
+            (SEV_HEAVY, ("offspring_by_life",), {}),
+            (SEV_HEAVY, ("offspring_by_life",), []),
+        ],
+        ids=["pmf_letters", "pmf_list", "pmf_bool", "atoms_int", "atom_life_letter",
+             "ages_int", "age_fraction", "t_min_fraction", "d_null", "table_empty", "table_list"],
+    )
+    def test_malformed_model_file_exits_2(self, model, path, value, tmp_path, capsys):
+        # each used to exit 1 with a traceback, or 0 after truncating or
+        # accepting the value
+        model = json.loads(json.dumps(model))
+        model.pop("offspring_default", None)  # so that an empty table leaves no law at all
+        node = model
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(model))
+        assert main(["summarize", "--model", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: model: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_zero_conditioning(self, tmp_path, capsys):
         path = tmp_path / "doomed.json"

@@ -46,7 +46,7 @@ def test_gw_binary_summary():
     assert s.d == 0.0
     assert s.h == 2.0
     assert s.c == 0.0
-    assert s.critical and s.a_finite
+    assert s.critical
 
 
 def test_compound_params_frozen_case():
@@ -303,6 +303,10 @@ def test_finite_life_validation():
         FiniteLife({0: 1.0})
     with pytest.raises(ConfigError):
         FiniteLife({1: 0.7, 2: 0.2})
+    with pytest.raises(ConfigError):
+        FiniteLife({1: 1e308, 2: 1e308})  # finite masses whose sum is not
+    with pytest.raises(ConfigError):
+        FiniteLife({2**70: 1.0})  # past the int64 support array
 
 
 def test_tabulated_validation():
@@ -312,6 +316,8 @@ def test_tabulated_validation():
         Tabulated([(1.0, [2, 1], 3)])  # unsorted ages
     with pytest.raises(ConfigError):
         Tabulated([(0.5, [1], 1)])  # mass missing
+    with pytest.raises(ConfigError):
+        Tabulated([(0.5, [1, 2], 10**20), (0.5, [], 1)])  # past int64, where lives are drawn
 
 
 NAN = float("nan")

@@ -1,8 +1,13 @@
 """Model config loading: schema validation, round trips, and the
 derived parameters of configs built from files."""
 
+import json
+import string
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gwolab.errors import ConfigError, DivergentMoment
 from gwolab.lifelaw import (
@@ -120,7 +125,7 @@ class TestLoading:
             "offspring_default": [0.5, 0.0, 0.5],
         }
         s = summarize(model_from_dict(cfg))
-        assert s.critical and s.a_finite
+        assert s.critical
         assert s.a == pytest.approx(3.0)
 
     def test_life_kinds(self):
@@ -157,6 +162,12 @@ class TestValidation:
     def test_non_integer_pmf_key(self):
         with pytest.raises(ConfigError, match="integer"):
             life_from_dict({"kind": "finite", "pmf": {"one": 1.0}})
+
+    @pytest.mark.parametrize("key", [" 1", "01", "+1", "1_0"])
+    def test_pmf_keys_written_plainly(self, key):
+        # " 1" next to "1" used to replace its mass silently
+        with pytest.raises(ConfigError, match="plain integer"):
+            life_from_dict({"kind": "finite", "pmf": {"1": 0.5, key: 0.5}})
 
     def test_atom_schema(self):
         bad = {"variant": "tabulated", "atoms": [{"prob": 1.0, "ages": [], "life": 2}]}
@@ -207,3 +218,68 @@ class TestRoundTrip:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="JSON"):
             load_model(str(path))
+
+
+# every leaf of every shipped model, each replaced by a value its parser
+# must reject: a malformed model file fails as a ConfigError naming the key
+MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(MODEL_DIR.glob("*.json"))}
+LEAF_KINDS = {
+    "variant": "choice", "kind": "choice", "t_min": "int", "life": "int", "birth_ages": "int",
+    "prob": "float", "d": "float", "offspring": "float", "offspring_default": "float",
+}
+TAGS = ("bellman_harris", "tabulated", "delayed_death", "sevastyanov", "finite", "quadratic_tail")
+
+_letters = st.text(string.ascii_letters, min_size=1, max_size=8)
+_fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
+_objects = st.dictionaries(_letters, st.integers(), max_size=2)
+_neither = st.one_of(_letters, st.booleans(), _objects, st.none(), st.lists(st.integers(), max_size=2))
+
+
+def _leaves(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def _leaf_key(path):
+    """The key that names a leaf: its nearest object key.  A pmf or table
+    key (a life length) holds masses."""
+    key = [k for k in path if isinstance(k, str)][-1]
+    return key, ("float" if key.isdigit() else LEAF_KINDS[key])
+
+
+def _malformed(kind):
+    if kind == "choice":
+        return st.one_of(_neither.filter(lambda v: v not in TAGS), _fractions)
+    if kind == "float":
+        return _neither
+    return st.one_of(_neither, _fractions)
+
+
+LEAVES = [(name, path) for name, cfg in SHIPPED.items() for path in _leaves(cfg)]
+
+
+def test_leaf_kinds_cover_the_shipped_models():
+    assert len(SHIPPED) == 5
+    assert {_leaf_key(path)[0] for _, path in LEAVES if not _leaf_key(path)[0].isdigit()} == set(LEAF_KINDS)
+
+
+@pytest.mark.parametrize("name, path", LEAVES, ids=[f"{n}:{'.'.join(map(str, p))}" for n, p in LEAVES])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_malformed_leaf_raises_config_error(name, path, data):
+    key, kind = _leaf_key(path)
+    cfg = json.loads(json.dumps(SHIPPED[name]))
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = data.draw(_malformed(kind), label=key)
+    with pytest.raises(ConfigError) as info:
+        model_from_dict(cfg)
+    assert f"{key}: " in str(info.value)
