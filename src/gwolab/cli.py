@@ -12,7 +12,6 @@ codes so scripts can tell a schema problem from a blown budget.
 from __future__ import annotations
 
 import argparse
-import csv
 import logging
 import os
 import sys
@@ -51,6 +50,7 @@ from .modelio import (
     model_to_dict,
     number,
     read_json,
+    write_csv,
     write_json,
 )
 from .simulator import SimConfig, simulate
@@ -171,13 +171,12 @@ def _cmd_fdd(run: _Run) -> int:
 
 
 def _write_pmf_csv(pm, fh) -> None:
-    writer = csv.writer(fh)
+    """The cells of total count <= K in C order, then the overflow row."""
     k = len(pm.times)
-    writer.writerow([f"n_t{t}" for t in pm.times] + ["prob"])
-    for idx in np.ndindex(pm.probs.shape):
-        if sum(idx) <= pm.probs.shape[0] - 1:
-            writer.writerow(list(idx) + [_fmt(pm.probs[idx])])
-    writer.writerow(["overflow"] * k + [_fmt(pm.overflow)])
+    cells = np.argwhere(sum(np.indices(pm.probs.shape, sparse=True)) < pm.probs.shape[0])
+    header = [f"n_t{t}" for t in pm.times] + ["prob"]
+    write_csv(fh, header, "%d," * k + "%.17g", [*cells.T, pm.probs[tuple(cells.T)]])
+    fh.write("overflow," * k + "%.17g\r\n" % pm.overflow)
 
 
 def _cmd_simulate(run: _Run) -> int:
@@ -225,12 +224,7 @@ def _cmd_figure1(run: _Run) -> int:
     c = run.require("c")
     data = figure1_data(c, step=run.get("grid", 0.01), y_max=run.get("y_max", 4.0))
 
-    def write(fh):
-        writer = csv.writer(fh)
-        writer.writerow(["y", "f_T", "f_T0"])
-        for row in data:
-            writer.writerow([_fmt(v) for v in row])
-
+    write = partial(write_csv, header=["y", "f_T", "f_T0"], row="%.17g,%.17g,%.17g", cols=data.T)
     jump = law_T(LimitParams(c)).density_jump()
     run.emit(f"c={_fmt(c)} rows={data.shape[0]} density_jump_at_1={_fmt(jump)}", write)
     return 0

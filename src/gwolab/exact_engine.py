@@ -93,11 +93,11 @@ from .lifelaw import (
     summarize,
 )
 from .limitlaw import FddQuery, LimitParams, eta_fdd_pgf, kept_coordinates
+from .modelio import write_csv
 
 _DP_BUDGET = 1 << 23  # cells of one DP table, scalar or series, or of a simulator tally or result table
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 _ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
-_CSV_ROWS = 4096  # rows of a CSV formatted per write
 
 
 class _Var(NamedTuple):
@@ -502,28 +502,17 @@ class ExtinctionTable:
     def to_csv(self, fh) -> None:
         h = self.summary.h if self.summary is not None else math.nan
         tq = self.tq
-        _survival_csv(fh, range(len(tq)), self.q.tolist(), tq.tolist(), h, np.abs(tq - h).tolist())
+        _survival_csv(fh, np.arange(len(tq)), self.q, tq, h, np.abs(tq - h))
 
 
 def _survival_csv(fh, t, q, tq, limit, error) -> None:
-    """Columns t, Q, tQ, limit and |tQ - limit| in csv.writer's layout
-    (commas, CRLF, no field needs quotes), floats at full precision.  Each
-    row is one '%' format of the columns' Python values, written
-    _CSV_ROWS rows at a time; a limit given as one float goes into the
-    row format once."""
+    """Columns t, Q, tQ, limit and |tQ - limit|, floats at full precision;
+    a limit given as one float goes into the row format once."""
     if isinstance(limit, float):
-        row, cols = "%d,%.17g,%.17g," + "%.17g" % limit + ",%.17g\r\n", (t, q, tq, error)
+        row, cols = "%d,%.17g,%.17g," + "%.17g" % limit + ",%.17g", (t, q, tq, error)
     else:
-        row, cols = "%d,%.17g,%.17g,%.17g,%.17g\r\n", (t, q, tq, limit, error)
-    fh.write("t,Q,tQ,h,abs_error\r\n")
-    _write_rows(fh, row, cols)
-
-
-def _write_rows(fh, row: str, cols) -> None:
-    """One '%' format of row per index of the columns (sequences of Python
-    values), written _CSV_ROWS rows at a time."""
-    for a in range(0, len(cols[0]), _CSV_ROWS):
-        fh.write("".join([row % r for r in zip(*(c[a : a + _CSV_ROWS] for c in cols))]))
+        row, cols = "%d,%.17g,%.17g,%.17g,%.17g", (t, q, tq, limit, error)
+    write_csv(fh, ["t", "Q", "tQ", "h", "abs_error"], row, cols)
 
 
 def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
@@ -659,4 +648,4 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
 
 
 def convergence_csv(rows, fh) -> None:
-    _survival_csv(fh, *([getattr(r, f.name) for r in rows] for f in fields(ConvergenceRow)))
+    _survival_csv(fh, *(np.array([getattr(r, f.name) for r in rows]) for f in fields(ConvergenceRow)))

@@ -4,9 +4,10 @@
 plus --config, a model, and each object nested in a model.  It checks
 the keys against a declared (key, parser) table and runs each value
 through its parser, so a typo, a missing key or a value of the wrong
-type (a fraction or a boolean where an integer belongs) is a ConfigError
-that names the key, never a default, a truncation or a traceback.
-`read_json` and `write_json` are the one way in and out of a file.
+type (a fraction or a boolean where an integer belongs, or text where a
+model holds a number) is a ConfigError that names the key, never a
+default, a truncation or a traceback.  `read_json`, `write_json` and
+`write_csv` are the one way in and out of a file.
 
 A model is an object with a `variant` tag; life length laws nest as
 objects with a `kind` tag.  Loading is the inverse of dumping, except
@@ -49,7 +50,20 @@ def number(kind):
     return parse
 
 
-_INT, _FLOAT = number(int), number(float)
+def _json_number(kind):
+    """One finite number given as a JSON number, as model values are: the
+    text "10" and the boolean true are not integers, nor "0.5" a float."""
+    parse, types = number(kind), int if kind is int else (int, float)
+
+    def parse_json(raw):
+        if isinstance(raw, bool) or not isinstance(raw, types):
+            raise ConfigError(f"{raw!r} is not a JSON {'integer' if kind is int else 'number'}")
+        return parse(raw)
+
+    return parse_json
+
+
+_INT, _FLOAT = _json_number(int), _json_number(float)
 
 
 def choice(*options):
@@ -86,10 +100,11 @@ def listof(parse):
 
 
 def keyed(parse):
-    """An object keyed by plainly written integers, each value read by parse."""
+    """An object keyed by plainly written integers (JSON keys are text),
+    each value read by parse."""
 
     def key(raw):
-        n = _INT(raw)
+        n = number(int)(raw)
         if str(n) != str(raw):  # so no two keys name one life
             raise ConfigError(f"{raw!r} is not a plain integer")
         return n
@@ -138,6 +153,19 @@ def read_json(path: str, what: str):
 def write_json(payload, fh) -> None:
     json.dump(payload, fh, indent=2)
     fh.write("\n")
+
+
+_CSV_ROWS = 4096  # rows of a CSV converted to Python values per write
+
+
+def write_csv(fh, header, row: str, cols) -> None:
+    """The header, then row % values for each index of the numpy columns,
+    in csv.writer's layout (commas, CRLF; no field needs quotes).  The
+    columns are converted _CSV_ROWS rows at a time, never whole."""
+    fh.write(",".join(header) + "\r\n")
+    row += "\r\n"
+    for a in range(0, len(cols[0]), _CSV_ROWS):
+        fh.write("".join([row % r for r in zip(*(c[a : a + _CSV_ROWS].tolist() for c in cols))]))
 
 
 def _offspring(raw) -> OffspringPMF:

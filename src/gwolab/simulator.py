@@ -35,7 +35,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BudgetExhausted, CapTooLarge, ConfigError, DivergentMoment, UnsupportedModel
-from .exact_engine import _check_budget, _write_rows, extinction_seq
+from .exact_engine import _check_budget, extinction_seq
 from .lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -45,6 +45,7 @@ from .lifelaw import (
     summarize,
 )
 from .limitlaw import dichotomy_fraction
+from .modelio import write_csv
 from .philox import philox_uniforms
 
 _TALLY_CELLS = 1 << 16  # int64 cells of one (block, horizon + 2) tally: 512 KB
@@ -120,12 +121,10 @@ class SimResult:
         return out
 
     def to_csv(self, fh) -> None:
-        """One row per replicate in csv.writer's layout (commas, CRLF, no
-        field needs quotes), each one '%' format of Python ints."""
-        fh.write(",".join(["replicate", "survived"] + [f"Z@{t}" for t in self.query_times]) + "\r\n")
-        row = ",".join(["%d"] * (2 + len(self.query_times))) + "\r\n"
-        cols = [range(self.counts.shape[0]), self.survived.astype(np.int64).tolist()]
-        _write_rows(fh, row, cols + self.counts.T.tolist())
+        """One row per replicate: its index, 1 if it survived, its counts."""
+        header = ["replicate", "survived"] + [f"Z@{t}" for t in self.query_times]
+        cols = [np.arange(self.counts.shape[0]), self.survived, *self.counts.T]
+        write_csv(fh, header, ",".join(["%d"] * len(cols)), cols)
 
     def summary(self) -> dict:
         return {

@@ -164,11 +164,10 @@ def enumerate_joint(
     event "count >= S" without any approximation below it: addition is
     monotone, so a clamped coordinate can never fall back under S.  This
     keeps the support polynomial for wide offspring laws while cells
-    with every coordinate < S stay exact.
+    with every coordinate < S stay exact.  The times are checked as the
+    DP checks them (`FddSpec`).
     """
-    times = tuple(int(t) for t in times)
-    if not times or any(t < 0 for t in times):
-        raise ConfigError("times must be nonnegative")
+    times = FddSpec(times, [0.0] * len(times)).times
     if saturate is not None and saturate < 1:
         raise ConfigError("saturate must be >= 1")
     maxq = times[-1]
@@ -201,9 +200,12 @@ def enumerate_joint(
 def tree_pgf(model: LifeLaw, times, z) -> float:
     """E(z_1^{Z(t_1)} ... z_k^{Z(t_k)}) by direct recursion over birth
     times on the outcome tree; independent of the engine's single-axis
-    formulation, so it cross-checks the segment bookkeeping there."""
-    times = tuple(int(t) for t in times)
-    maxq = times[-1]
+    formulation, so it cross-checks the segment bookkeeping there.  The
+    query is checked, and its weight-1 coordinates dropped, by `FddSpec`."""
+    spec = FddSpec(times, z)
+    if spec.k == 0:
+        return 1.0
+    times, z, maxq = spec.times, spec.z, spec.times[-1]
     atoms = _bounded_atoms(model, maxq)
     memo: dict = {}
 

@@ -2,6 +2,7 @@
 echo round trips, seeds, and the exit-code contract."""
 
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,9 @@ from hypothesis import strategies as st
 import gwolab.series
 from gwolab import cli, exact_engine
 from gwolab.cli import main
+from gwolab.exact_engine import FddSpec, conditional_pmf
+from gwolab.limitlaw import figure1_data
+from gwolab.modelio import model_from_dict
 
 GW_BINARY = {
     "variant": "bellman_harris",
@@ -46,6 +51,15 @@ SEV_HEAVY = {
     "offspring_by_life": {"2": [0.5, 0.0, 0.5]},
     "offspring_default": [0.0, 1.0],
 }
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """What csv.writer makes of the rows, floats as format(x, ".17g")."""
+    fh = io.StringIO(newline="")
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerows([v if isinstance(v, (int, str)) else format(float(v), ".17g") for v in row] for row in rows)
+    return fh.getvalue().encode()
 
 
 @pytest.fixture
@@ -145,6 +159,21 @@ class TestFdd:
         assert code == 0
         assert out.read_text().splitlines()[0] == "n_t4,n_t8,prob"
 
+    @pytest.mark.parametrize("times", [(8,), (8, 12), (8, 12, 16)], ids=["k1", "k2", "k3"])
+    def test_pmf_csv_bytes_are_csv_writers(self, times, delayed_path, tmp_path, capsys):
+        # the cells of total count <= K in C order, then the overflow row
+        K = 6
+        out = tmp_path / "pmf.csv"
+        code = main(
+            ["fdd", "--model", delayed_path, "--times", ",".join(map(str, times)), "--tobs", "8",
+             "--K", str(K), "--out", str(out)]
+        )
+        assert code == 0
+        pm = conditional_pmf(model_from_dict(DELAYED), FddSpec(times, [0.0] * len(times), t_obs=8), K)
+        cells = [list(idx) + [pm.probs[idx]] for idx in np.ndindex(pm.probs.shape) if sum(idx) <= K]
+        header = [f"n_t{t}" for t in times] + ["prob"]
+        assert out.read_bytes() == csv_writer_bytes(header, cells + [["overflow"] * len(times) + [pm.overflow]])
+
     def test_pmf_needs_tobs(self, gw_path, capsys):
         assert main(["fdd", "--model", gw_path, "--times", "3", "--K", "6"]) == 2
 
@@ -211,6 +240,14 @@ class TestFigure1:
         rows = {l.split(",")[0]: float(l.split(",")[1]) for l in lines[1:]}
         assert rows["1"] - rows["0.98999999999999999"] == pytest.approx(0.25, abs=0.01)
 
+    def test_csv_bytes_are_csv_writers(self, tmp_path, capsys):
+        # 8,000 rows: more than one write
+        out = tmp_path / "fig.csv"
+        assert main(["figure1", "--c", "15", "--grid", "0.0005", "--out", str(out)]) == 0
+        data = figure1_data(15.0, step=0.0005, y_max=4.0)
+        assert data.shape[0] > 4096
+        assert out.read_bytes() == csv_writer_bytes(["y", "f_T", "f_T0"], data)
+
 
 class TestVerify:
     def test_battery_report(self, tmp_path, capsys):
@@ -272,13 +309,26 @@ class TestExitCodes:
             (DELAYED, ("residual", "d"), None),
             (SEV_HEAVY, ("offspring_by_life",), {}),
             (SEV_HEAVY, ("offspring_by_life",), []),
+            (DELAYED, ("residual", "d"), "1.0"),
+            (DELAYED, ("residual", "t_min"), "2"),
+            (GW_BINARY, ("offspring", 0), " 0.5 "),
+            (GW_BINARY, ("offspring", 2), "5e-1"),
+            (GW_BINARY, ("life", "pmf", "1"), "1"),
+            (TABULATED, ("atoms", 0, "prob"), "0.5"),
+            (TABULATED, ("atoms", 0, "birth_ages", 0), "1"),
+            (TABULATED, ("atoms", 0, "life"), "1_0"),
+            ({**SEV_HEAVY, "life": GW_BINARY["life"], "offspring_by_life": {"1": [0.5, 0.0, 0.5]}},
+             ("offspring_by_life", "1", 0), "0.5"),
         ],
         ids=["pmf_letters", "pmf_list", "pmf_bool", "atoms_int", "atom_life_letter",
-             "ages_int", "age_fraction", "t_min_fraction", "d_null", "table_empty", "table_list"],
+             "ages_int", "age_fraction", "t_min_fraction", "d_null", "table_empty", "table_list",
+             "d_text", "t_min_text", "offspring_padded_text", "offspring_exponent_text", "pmf_text",
+             "atom_prob_text", "age_text", "atom_life_text", "table_text"],
     )
     def test_malformed_model_file_exits_2(self, model, path, value, tmp_path, capsys):
         # each used to exit 1 with a traceback, or 0 after truncating or
-        # accepting the value
+        # accepting the value; model values are JSON numbers, never text
+        # that reads as one
         model = json.loads(json.dumps(model))
         model.pop("offspring_default", None)  # so that an empty table leaves no law at all
         node = model

@@ -234,6 +234,7 @@ _letters = st.text(string.ascii_letters, min_size=1, max_size=8)
 _fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: not x.is_integer())
 _objects = st.dictionaries(_letters, st.integers(), max_size=2)
 _neither = st.one_of(_letters, st.booleans(), _objects, st.none(), st.lists(st.integers(), max_size=2))
+_numeric_text = st.sampled_from(["10", "0.5", "1_0", " 1 ", "5e-1"])
 
 
 def _leaves(node, path=()):
@@ -258,8 +259,8 @@ def _malformed(kind):
     if kind == "choice":
         return st.one_of(_neither.filter(lambda v: v not in TAGS), _fractions)
     if kind == "float":
-        return _neither
-    return st.one_of(_neither, _fractions)
+        return st.one_of(_neither, _numeric_text)
+    return st.one_of(_neither, _fractions, _numeric_text)
 
 
 LEAVES = [(name, path) for name, cfg in SHIPPED.items() for path in _leaves(cfg)]

@@ -98,6 +98,25 @@ class TestEnumerationOracle:
         with pytest.raises(ConfigError):
             enumerate_joint(gw_binary(), ())
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: enumerate_joint(m, (3, 1)),
+            lambda m: tree_pgf(m, (3, 1), (0.5, 0.5)),
+            lambda m: tree_pgf(m, (1, 3), (0.5,)),
+        ],
+        ids=["joint_unordered", "pgf_unordered", "pgf_short_z"],
+    )
+    def test_rejects_what_the_dp_rejects(self, call):
+        # each used to cut the tree at the last time listed, or to drop t = 3
+        with pytest.raises(ConfigError):
+            call(gw_binary())
+
+    def test_tree_pgf_drops_weight_one(self):
+        model = gw_binary()
+        assert tree_pgf(model, (1, 3), (1.0, 0.5)) == tree_pgf(model, (3,), (0.5,))
+        assert tree_pgf(model, (1, 3), (1.0, 1.0)) == 1.0
+
 
 class TestOracleEquivalence:
     @pytest.mark.parametrize(
