@@ -12,7 +12,6 @@ from .errors import (
     BudgetExhausted,
     CapTooLarge,
     ConfigError,
-    DivergentMoment,
     GwolabError,
     NonpositiveConstantTerm,
     OracleBlowup,
@@ -93,7 +92,7 @@ __all__ = [
     "cli", "errors", "exact_engine", "lifelaw", "limitlaw", "modelio", "philox", "series",
     "simulator", "verify",
     # errors
-    "GwolabError", "ConfigError", "DivergentMoment", "ShapeMismatch",
+    "GwolabError", "ConfigError", "ShapeMismatch",
     "NonpositiveConstantTerm", "UnsupportedModel", "ZeroConditioningEvent",
     "CapTooLarge", "BudgetExhausted", "OracleBlowup",
     # model building blocks

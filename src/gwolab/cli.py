@@ -24,7 +24,6 @@ from .errors import (
     BudgetExhausted,
     CapTooLarge,
     ConfigError,
-    DivergentMoment,
     GwolabError,
     OracleBlowup,
     UnsupportedModel,
@@ -58,7 +57,6 @@ from .verify import report_json, run_battery
 
 EXIT_CODES = [
     (ConfigError, 2),
-    (DivergentMoment, 3),
     (UnsupportedModel, 4),
     (CapTooLarge, 5),
     (ZeroConditioningEvent, 6),

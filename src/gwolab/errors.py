@@ -15,10 +15,6 @@ class ConfigError(GwolabError):
     """Malformed model or experiment configuration (bad keys, bad values)."""
 
 
-class DivergentMoment(GwolabError):
-    """A moment series could not be certified convergent within tolerance."""
-
-
 class ShapeMismatch(GwolabError):
     """Truncated-series operands disagree in variable count or degree cap."""
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
 
@@ -79,7 +79,6 @@ from . import series
 from .errors import (
     CapTooLarge,
     ConfigError,
-    DivergentMoment,
     UnsupportedModel,
     ZeroConditioningEvent,
 )
@@ -422,16 +421,16 @@ def _short_life_atoms(model):
     mass, if its life has finite support and a step of `_scheduled` reads
     G at most _ATOM_READS times over them (n + 1 per atom: its children
     and its alive term); otherwise None."""
-    if model.life.max_life is None:
+    life = model.life
+    if life.max_life is None:
         return None
-    pmf = model.life.pmf_array(model.life.max_life)
-    lives = np.flatnonzero(pmf).tolist()
+    lives = [l for l in life.support if life.pmf(l) > 0.0]  # never an array as long as the longest life
     if len(lives) > _ATOM_READS:  # every atom reads at least once
         return None
     atoms = []
     for l in lives:
         law = model.offspring if isinstance(model, BellmanHarris) else model.offspring_by_life(l)
-        atoms += [(float(pmf[l]) * p, (l,) * n, l) for n, p in enumerate(law.probs.tolist()) if p > 0.0]
+        atoms += [(life.pmf(l) * p, (l,) * n, l) for n, p in enumerate(law.probs.tolist()) if p > 0.0]
     return atoms if sum(len(ages) + 1 for _, ages, _ in atoms) <= _ATOM_READS else None
 
 
@@ -493,26 +492,22 @@ class ExtinctionTable:
     """Q(t) = P(Z(t) > 0) for t = 0..t_max, plus the model summary."""
 
     q: np.ndarray
-    summary: Optional[ModelSummary]
+    summary: ModelSummary
 
     @property
     def tq(self) -> np.ndarray:
         return np.arange(len(self.q)) * self.q
 
     def to_csv(self, fh) -> None:
-        h = self.summary.h if self.summary is not None else math.nan
-        tq = self.tq
+        h, tq = self.summary.h, self.tq
         _survival_csv(fh, np.arange(len(tq)), self.q, tq, h, np.abs(tq - h))
 
 
-def _survival_csv(fh, t, q, tq, limit, error) -> None:
+def _survival_csv(fh, t, q, tq, limit: float, error) -> None:
     """Columns t, Q, tQ, limit and |tQ - limit|, floats at full precision;
-    a limit given as one float goes into the row format once."""
-    if isinstance(limit, float):
-        row, cols = "%d,%.17g,%.17g," + "%.17g" % limit + ",%.17g", (t, q, tq, error)
-    else:
-        row, cols = "%d,%.17g,%.17g,%.17g,%.17g", (t, q, tq, limit, error)
-    write_csv(fh, ["t", "Q", "tQ", "h", "abs_error"], row, cols)
+    the limit, shared by every row, goes into the row format once."""
+    row = "%d,%.17g,%.17g," + "%.17g" % limit + ",%.17g"
+    write_csv(fh, ["t", "Q", "tQ", "h", "abs_error"], row, (t, q, tq, error))
 
 
 def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
@@ -520,12 +515,7 @@ def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
     whole column falls out of a single run at weight 0)."""
     if t_max < 0:
         raise ConfigError("t_max must be >= 0")
-    dead = _dp(model, (t_max,), (0.0,))
-    try:
-        summary = summarize(model)
-    except DivergentMoment:
-        summary = None
-    return ExtinctionTable(q=1.0 - dead, summary=summary)
+    return ExtinctionTable(q=1.0 - _dp(model, (t_max,), (0.0,)), summary=summarize(model))
 
 
 def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:
@@ -648,4 +638,6 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
 
 
 def convergence_csv(rows, fh) -> None:
-    _survival_csv(fh, *(np.array([getattr(r, f.name) for r in rows]) for f in fields(ConvergenceRow)))
+    """The rows of `convergence_table`, which share one target."""
+    t, q_k, tq_k, error = (np.array([getattr(r, f) for r in rows]) for f in ("t", "q_k", "tq_k", "abs_error"))
+    _survival_csv(fh, t, q_k, tq_k, rows[0].target, error)

@@ -23,15 +23,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, DivergentMoment
+from .errors import ConfigError
 
 _SUM_TOL = 1e-12
-_CERT_TOL = 1e-12
-_CERT_CAP = 1 << 20  # certified-summation iteration cap for moment series
 _LIFE_CAP = 2.0**62  # lives and birth ages stay inside int64; unbounded draws are capped here
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
 
@@ -150,6 +148,10 @@ class FiniteLife:
         self.mean = math.fsum(life * p for life, p in items)
         self.d = 0.0
         self._support = np.array(self.support, dtype=np.int64)
+        self._pmf = dict(zip(self.support, self.probs))
+
+    def pmf(self, life: int) -> float:
+        return float(self._pmf.get(life, 0.0))
 
     def survival(self, t: float) -> float:
         """P(L > t)."""
@@ -171,10 +173,6 @@ class FiniteLife:
             if life <= t_max:
                 out[life] = p
         return out
-
-    def tail_mean(self, l0: int) -> float:
-        """E(L; L > l0)."""
-        return math.fsum(life * p for life, p in zip(self.support, self.probs) if life > l0)
 
     def sample_from_uniform(self, u):
         """Inverse-cdf life for a float, or lives for an array of floats."""
@@ -221,14 +219,6 @@ class QuadraticTailLife:
         out[0] = 0.0
         out[1:] = surv[:-1] - surv[1:]
         return out
-
-    def tail_mean(self, l0: int) -> float:
-        """E(L; L > l0), in closed form for l0 >= t_min."""
-        if l0 < self.t_min:
-            raise ConfigError("tail_mean needs l0 >= t_min")
-        if self.d == 0.0:
-            return 0.0
-        return (l0 + 1) * self.d / l0**2 + self.d * _trigamma(l0 + 1)
 
     def sample_from_uniform(self, u):
         """Smallest t with P(L > t) < u; exact inverse-cdf sampling, for a
@@ -293,22 +283,34 @@ class BellmanHarris:
 class Sevastyanov:
     """Children born at death, offspring law allowed to depend on the life.
 
-    `offspring_by_life(l)` returns the offspring pmf given L = l.  With an
-    unbounded life length the moment series are summed term by term, so a
-    `moment_tail_bound(l0)` callable must certify that every remainder
-    beyond l0 (of E N, E N^2 and E N*L) is below the certification
-    tolerance; otherwise summarize raises DivergentMoment.
+    `table` maps a life l to the offspring pmf given L = l, and `default`
+    is the law of every life the table does not name.  Without a default
+    the table must cover the support of a finite life; an unbounded life
+    needs one.
     """
 
     def __init__(
         self,
         life: LifeLengthLaw,
-        offspring_by_life: Callable[[int], OffspringPMF],
-        moment_tail_bound: Callable[[int], float] | None = None,
+        table: dict[int, OffspringPMF],
+        default: OffspringPMF | None = None,
     ):
-        self.life = life
-        self.offspring_by_life = offspring_by_life
-        self.moment_tail_bound = moment_tail_bound
+        for l in table:
+            if not isinstance(l, int) or not 1 <= l <= _LIFE_CAP:
+                raise ConfigError(f"offspring_by_life: life {l!r} must be an integer in [1, 2^62]")
+        self.life, self.table, self.default = life, dict(table), default
+        if default is None:
+            if life.max_life is None:
+                raise ConfigError("an unbounded life needs offspring_default")
+            for l in life.support:  # raises for the first life without a law
+                self.offspring_by_life(l)
+
+    def offspring_by_life(self, l: int) -> OffspringPMF:
+        """The offspring pmf given L = l."""
+        law = self.table.get(l, self.default)
+        if law is None:
+            raise ConfigError(f"no offspring law for life {l} and no default given")
+        return law
 
 
 class DelayedDeath:
@@ -374,50 +376,23 @@ def compound_params(a: float, b: float, d: float) -> tuple[float, float]:
 
 
 def _sevastyanov_moments(law: Sevastyanov) -> tuple[float, float, float]:
-    """(E N, E N^2, E N*L) for a life-dependent offspring rule."""
-    life = law.life
-    if isinstance(life, FiniteLife):
-        en = en2 = amean = 0.0
-        for l, p in zip(life.support, life.probs):
-            o = law.offspring_by_life(l)
-            en += p * o.mean
-            en2 += p * o.second_moment
-            amean += p * l * o.mean
-        return en, en2, amean
-    if law.moment_tail_bound is None:
-        raise DivergentMoment(
-            "offspring rule over an unbounded life length needs a moment_tail_bound"
-        )
-    # certify first: the bound is one call per doubling, the series a call per life
-    checkpoint = max(life.t_min, 16)
-    while True:
-        rem = float(law.moment_tail_bound(checkpoint))
-        if not math.isfinite(rem) or rem < 0.0:
-            raise DivergentMoment(f"remainder bound at l={checkpoint} is {rem!r}")
-        if rem < _CERT_TOL:
-            break
-        if checkpoint >= _CERT_CAP:
-            raise DivergentMoment(
-                f"moment series not certified: remainder bound {rem:.3g} at l={checkpoint}"
-            )
-        checkpoint *= 2
-    en = en2 = amean = 0.0
-    for l in range(life.t_min, checkpoint + 1):
-        p = life.pmf(l)
-        if p > 0.0:
-            o = law.offspring_by_life(l)
-            en += p * o.mean
-            en2 += p * o.second_moment
-            amean += p * l * o.mean
-    return en, en2, amean
+    """(E N, E N^2, E N*L) in closed form: the default law's moments (0
+    without one), plus for each life l of the table P(L = l) times the
+    gap between its law's moment and the default's, weighted by l for
+    E N*L."""
+    m1, m2 = (law.default.mean, law.default.second_moment) if law.default is not None else (0.0, 0.0)
+    rows = [(law.life.pmf(l), l, o) for l, o in sorted(law.table.items())]
+    en = math.fsum([m1] + [p * (o.mean - m1) for p, _, o in rows])
+    en2 = math.fsum([m2] + [p * (o.second_moment - m2) for p, _, o in rows])
+    a = math.fsum([m1 * law.life.mean] + [p * l * (o.mean - m1) for p, l, o in rows])
+    return en, en2, a
 
 
 def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
     """Derive (EN, b, a, d, h, c) and flags from a life law.
 
     Non-critical models are summarized with critical=False rather than
-    rejected.  Raises DivergentMoment when a moment series cannot be
-    certified convergent.
+    rejected.
     """
     if isinstance(model, Tabulated):
         en = math.fsum(p * len(ages) for p, ages, _ in model.atoms)

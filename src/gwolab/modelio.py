@@ -10,9 +10,7 @@ default, a truncation or a traceback.  `read_json`, `write_json` and
 `write_csv` are the one way in and out of a file.
 
 A model is an object with a `variant` tag; life length laws nest as
-objects with a `kind` tag.  Loading is the inverse of dumping, except
-that a Sevastyanov model built in code from an opaque rule cannot be
-serialized (only table-based rules round-trip).
+objects with a `kind` tag.  Loading is the inverse of dumping.
 """
 
 from __future__ import annotations
@@ -199,32 +197,6 @@ _ATOM = _record({"prob": _FLOAT, "birth_ages": listof(_INT), "life": _INT}, "ato
 _SCHEDULE = _record({"prob": _FLOAT, "birth_ages": listof(_INT)}, "schedule")
 
 
-def _sevastyanov(f: dict) -> Sevastyanov:
-    life, table, default = f["life"], f["offspring_by_life"], f.get("offspring_default")
-    laws = list(table.values()) + ([default] if default is not None else [])
-    if not laws:
-        raise ConfigError("offspring_by_life needs at least one law, or offspring_default")
-    # every law has bounded moments, so the remainders of the moment sums
-    # past l0 are at most max-moment times the life tail (weighted by l
-    # for the E N*L sum): a certified bound
-    m1 = max(o.mean for o in laws)
-    m2 = max(o.second_moment for o in laws)
-
-    def rule(l: int) -> OffspringPMF:
-        law = table.get(l, default)
-        if law is None:
-            raise ConfigError(f"no offspring law for life {l} and no default given")
-        return law
-
-    def bound(l0: int) -> float:
-        tail = life.survival(l0)
-        return max(m1 * tail, m2 * tail, m1 * life.tail_mean(l0))
-
-    model = Sevastyanov(life, rule, moment_tail_bound=bound)
-    model.io_table, model.io_default = table, default  # so the model can be written back out
-    return model
-
-
 _VARIANTS = {
     "bellman_harris": (
         {"life": life_from_dict, "offspring": _offspring},
@@ -237,7 +209,7 @@ _VARIANTS = {
     ),
     "sevastyanov": (
         {"life": life_from_dict, "offspring_by_life": keyed(_offspring), "offspring_default": _offspring},
-        _sevastyanov,
+        lambda f: Sevastyanov(f["life"], f["offspring_by_life"], f.get("offspring_default")),
     ),
 }
 
@@ -257,13 +229,10 @@ def model_to_dict(model: LifeLaw) -> dict:
         schedules = [{"prob": p, "birth_ages": list(ages)} for p, ages in model.schedules]
         return {"variant": "delayed_death", "schedules": schedules, "residual": life_to_dict(model.residual)}
     if isinstance(model, Sevastyanov):
-        table = getattr(model, "io_table", None)
-        if table is None:
-            raise ConfigError("cannot serialize a Sevastyanov rule without its table")
         out = {"variant": "sevastyanov", "life": life_to_dict(model.life),
-               "offspring_by_life": {str(l): list(o.probs) for l, o in table.items()}}
-        if model.io_default is not None:
-            out["offspring_default"] = list(model.io_default.probs)
+               "offspring_by_life": {str(l): list(o.probs) for l, o in model.table.items()}}
+        if model.default is not None:
+            out["offspring_default"] = list(model.default.probs)
         return out
     raise ConfigError(f"cannot serialize model {type(model).__name__}")
 

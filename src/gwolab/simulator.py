@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, CapTooLarge, ConfigError, DivergentMoment, UnsupportedModel
+from .errors import BudgetExhausted, CapTooLarge, ConfigError, UnsupportedModel
 from .exact_engine import _check_budget, extinction_seq
 from .lifelaw import (
     BellmanHarris,
@@ -165,16 +165,12 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
                 return model.offspring.sample_from_uniform(u)
 
         else:
-            laws: dict = {}
 
             def offspring(life, u):
                 out = np.empty(life.shape, dtype=np.int64)
                 for value in np.unique(life):
-                    law = laws.get(value)
-                    if law is None:
-                        law = laws[value] = model.offspring_by_life(int(value))
                     pick = life == value
-                    out[pick] = law.sample_from_uniform(u[pick])
+                    out[pick] = model.offspring_by_life(int(value)).sample_from_uniform(u[pick])
                 return out
 
         def draw(u):
@@ -412,7 +408,7 @@ class DichotomyStats:
     survivors: int
     small_fraction: float  # survivors with 1 <= Z(horizon) <= cutoff
     large_fraction: float
-    reference_limit: Optional[float]  # closed-form limit of the small fraction
+    reference_limit: float  # closed-form limit of the small fraction
 
 
 def default_cutoff(t: int) -> int:
@@ -437,15 +433,11 @@ def dichotomy_stats(
     _raise_on_overflow(over, 0, config.max_individuals)
     z = z[z > 0]
     n, small = z.size, int((z <= cut).sum())
-    try:
-        ref = dichotomy_fraction(summarize(config.model).c)
-    except DivergentMoment:
-        ref = None
     return DichotomyStats(
         horizon=config.horizon,
         cutoff=cut,
         survivors=n,
         small_fraction=small / n if n else math.nan,
         large_fraction=1.0 - small / n if n else math.nan,
-        reference_limit=ref,
+        reference_limit=dichotomy_fraction(summarize(config.model).c),
     )

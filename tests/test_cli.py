@@ -265,10 +265,22 @@ class TestExitCodes:
         assert main(["summarize", "--model", str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_divergent_moment(self, tmp_path, capsys):
-        path = tmp_path / "sev.json"
+    def test_heavy_tail_sevastyanov_summarizes(self, tmp_path, capsys):
+        # a heavy tail under a default law: moments in closed form; code 3 is retired
+        path, out = tmp_path / "sev.json", tmp_path / "summary.json"
         path.write_text(json.dumps(SEV_HEAVY))
-        assert main(["summarize", "--model", str(path)]) == 3
+        assert main(["summarize", "--model", str(path), "--out", str(out)]) == 0
+        s = json.loads(out.read_text())
+        assert (s["b"], s["a"], s["h"], s["c"]) == (0.375, 2.6449340668482266, 7.412891196596736, 0.2144181567674593)
+        assert "critical=True" in capsys.readouterr().out
+        assert 3 not in [code for _, code in cli.EXIT_CODES]
+
+    @pytest.mark.parametrize("key", ["0", "-1", str(2**70)])
+    def test_table_key_outside_the_lives_exits_2(self, key, tmp_path, capsys):
+        path = tmp_path / "sev.json"
+        path.write_text(json.dumps({**SEV_HEAVY, "offspring_by_life": {key: [0.5, 0.0, 0.5]}}))
+        assert main(["summarize", "--model", str(path)]) == 2
+        assert f"life {key} must be" in capsys.readouterr().err
 
     def test_cap_too_large(self, gw_path, capsys):
         code = main(
@@ -524,6 +536,7 @@ def test_runs_without_scipy():
             ["summarize", "--model", "docs/models/heavy_tail_life.json"],
             ["fdd", "--model", "docs/models/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "20"],
             ["dp", "--model", "docs/models/heavy_tail_life.json", "--tmax", "4096"],
+            ["summarize", "--model", "docs/models/heavy_tail_sevastyanov.json"],
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 codes.append(main(argv))
@@ -531,4 +544,4 @@ def test_runs_without_scipy():
     """
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    assert (out.returncode, out.stdout.strip()) == (0, "[0, 0, 0]"), out.stderr
+    assert (out.returncode, out.stdout.strip()) == (0, "[0, 0, 0, 0]"), out.stderr

@@ -11,6 +11,7 @@ the reference pgf.
 
 import csv
 import io
+import json
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import polygamma
 
 from gwolab import exact_engine, series
 from gwolab.errors import (
@@ -34,7 +36,6 @@ from gwolab.errors import (
 from gwolab.exact_engine import (
     _DP_BUDGET,
     _LEAF,
-    ExtinctionTable,
     FddSpec,
     conditional_pgf,
     conditional_pmf,
@@ -78,7 +79,7 @@ def delayed_mix():
 
 def sevastyanov_mix():
     laws = {1: OffspringPMF([0.5, 0.0, 0.5]), 2: OffspringPMF([0.25, 0.5, 0.25])}
-    return Sevastyanov(FiniteLife({1: 0.5, 2: 0.5}), laws.__getitem__)
+    return Sevastyanov(FiniteLife({1: 0.5, 2: 0.5}), laws)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +195,9 @@ class TestExtinction:
         assert float(row[1]) == 0.5
         assert float(row[3]) == 2.0  # limit of t*Q for the binary model
 
-    @pytest.mark.parametrize("with_summary", [True, False])
-    def test_csv_bytes_are_csv_writers(self, with_summary):
+    def test_csv_bytes_are_csv_writers(self):
         table = extinction_seq(bh_heavy(), 5000)  # more rows than one write
-        if not with_summary:
-            table = ExtinctionTable(q=table.q, summary=None)
-        h = table.summary.h if with_summary else math.nan
+        h = table.summary.h
         fh = io.StringIO(newline="")
         table.to_csv(fh)
         rows = zip(range(len(table.q)), table.q, table.tq, [h] * len(table.q), np.abs(table.tq - h))
@@ -261,6 +259,14 @@ class TestShortLifeAtoms:
             (0.25, (3, 3), 3),
         ]
 
+    def test_a_life_of_2_62_steps(self):
+        # a life past the horizon acts as any other: the atoms are read
+        # from the support, not from an array as long as the life
+        binary = OffspringPMF([0.5, 0.0, 0.5])
+        far, near = (BellmanHarris(FiniteLife({1: 0.5, l: 0.5}), binary) for l in (2**62, 100))
+        assert exact_engine._short_life_atoms(far)[-1] == (0.25, (2**62,) * 2, 2**62)
+        np.testing.assert_array_equal(extinction_seq(far, 8).q, extinction_seq(near, 8).q)
+
     def test_kernel_routing(self, monkeypatch):
         walked = []
         for name in ("_scheduled", "_birth_at_death"):
@@ -308,6 +314,30 @@ SEV_HEAVY = {  # the unbounded Sevastyanov config of test_modelio.py
 
 def sev_heavy():
     return model_from_dict(SEV_HEAVY)
+
+
+class TestHeavyTailSevastyanov:
+    """SEV_HEAVY, shipped as heavy_tail_sevastyanov.json: an unbounded
+    life with d = 1, whose closed-form moments give h and c."""
+
+    def test_shipped_file_is_the_config(self):
+        assert json.loads((MODEL_DIR / "heavy_tail_sevastyanov.json").read_text()) == SEV_HEAVY
+
+    def test_a_is_the_mean_life(self):
+        # E N*L = E L: only life 2 has its own law, of mean 1 as the default's
+        life = sev_heavy().life
+        a = summarize(sev_heavy()).a
+        assert a == pytest.approx(life.t_min + life.d * polygamma(1, life.t_min), rel=1e-15, abs=0)
+        assert a == pytest.approx(1.0 + math.pi**2 / 6.0, rel=1e-15, abs=0)
+
+    def test_h_against_the_dp(self):
+        model = sev_heavy()
+        h = summarize(model).h
+        assert h == 7.412891196596736
+        q = extinction_seq(model, 1 << 14).q
+        # t Q(t) -> h from above: +0.154%, +0.131%, +0.095%
+        errors = [abs(t * q[t] / h - 1.0) for t in (1 << 12, 1 << 13, 1 << 14)]
+        assert max(errors) < 2e-3 and errors == sorted(errors, reverse=True)
 
 
 def bh_long_lives():
@@ -408,7 +438,7 @@ class TestDivideAndConquer:
                 model = BellmanHarris(life, offspring("offspring"))
             else:
                 laws = {l: offspring(f"life {l}") for l in lives}
-                model = Sevastyanov(life, laws.__getitem__)
+                model = Sevastyanov(life, laws)
         last = data.draw(st.integers(_LEAF + 1, 3 * _LEAF), label="t_k")
         earlier = data.draw(st.sets(st.integers(0, last - 1), max_size=2), label="earlier times")
         times = tuple(sorted(earlier)) + (last,)

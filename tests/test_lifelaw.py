@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from gwolab import lifelaw
-from gwolab.errors import ConfigError, DivergentMoment
+from gwolab.errors import ConfigError
 from gwolab.lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -113,31 +113,25 @@ def test_summary_tolerance_knob():
 
 
 # ---------------------------------------------------------------------------
-# sevastyanov moment certification
+# sevastyanov tables
 # ---------------------------------------------------------------------------
-
-
-def _bounded_rule(l: int) -> OffspringPMF:
-    # offspring only for short lives; trivial beyond l = 6
-    if l <= 6:
-        return OffspringPMF([0.5, 0.0, 0.5])
-    return OffspringPMF([1.0])
 
 
 def test_sevastyanov_finite_life():
     life = FiniteLife({1: 0.25, 2: 0.25, 5: 0.5})
-    model = Sevastyanov(life, _bounded_rule)
+    model = Sevastyanov(life, dict.fromkeys((1, 2, 5), BINARY))
     s = summarize(model)
     assert s.mean_offspring == pytest.approx(1.0)
     assert s.a == pytest.approx(0.25 * 1 + 0.25 * 2 + 0.5 * 5)
     assert s.d == 0.0
 
 
-def test_sevastyanov_certified_tail():
+def test_sevastyanov_table_over_a_heavy_tail():
+    # binary splitting for lives 2..6, childless beyond: the closed form
+    # against the finite sums over the table
     life = QuadraticTailLife(d=1.0, t_min=2)
-    model = Sevastyanov(life, _bounded_rule, moment_tail_bound=lambda l0: 0.0 if l0 >= 6 else 10.0)
+    model = Sevastyanov(life, {l: BINARY for l in range(2, 7)}, default=OffspringPMF([1.0]))
     s = summarize(model)
-    # direct finite computation: only l in {2,...,6} carries offspring
     en = sum(life.pmf(l) * 1.0 for l in range(2, 7))
     a = sum(life.pmf(l) * l * 1.0 for l in range(2, 7))
     assert s.mean_offspring == pytest.approx(en, abs=1e-14)
@@ -145,31 +139,17 @@ def test_sevastyanov_certified_tail():
     assert s.d == 1.0
 
 
-def test_sevastyanov_requires_bound():
-    model = Sevastyanov(QuadraticTailLife(d=1.0, t_min=2), _bounded_rule)
-    with pytest.raises(DivergentMoment):
-        summarize(model)
-
-
-def test_sevastyanov_divergent_bound():
-    model = Sevastyanov(
-        QuadraticTailLife(d=1.0, t_min=2),
-        lambda l: OffspringPMF([0.5] + [0.0] * (l - 1) + [0.5]),
-        moment_tail_bound=lambda l0: math.inf,
-    )
-    with pytest.raises(DivergentMoment):
-        summarize(model)
-
-
-def test_sevastyanov_uncertifiable_bound(monkeypatch):
-    monkeypatch.setattr(lifelaw, "_CERT_CAP", 64)
-    model = Sevastyanov(
-        QuadraticTailLife(d=1.0, t_min=2),
-        _bounded_rule,
-        moment_tail_bound=lambda l0: 1.0,
-    )
-    with pytest.raises(DivergentMoment):
-        summarize(model)
+@pytest.mark.parametrize(
+    "life, table, match",
+    [
+        (FiniteLife({1: 0.5, 3: 0.5}), {1: BINARY}, "no offspring law for life 3"),
+        (QuadraticTailLife(d=1.0, t_min=2), {2: BINARY}, "unbounded life needs offspring_default"),
+    ],
+    ids=["uncovered_support", "unbounded_life"],
+)
+def test_sevastyanov_checked_at_construction(life, table, match):
+    with pytest.raises(ConfigError, match=match):
+        Sevastyanov(life, table)
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +230,14 @@ def test_quadratic_tail_mean_against_partial_sum():
 
 
 def test_quadratic_tail_trigamma_matches_scipy():
-    # the closed-form psi_1 against scipy's polygamma, up to the l0 = 2^20
-    # that moment certification reaches
+    # the closed-form psi_1 against scipy's polygamma, at small arguments
+    # and at powers of 2 up to 2^21
     xs = [*range(1, 400), *(2**k for k in range(22)), *(2**k + 1 for k in range(22)), 0.5, 1.5, 9.99]
     np.testing.assert_allclose([lifelaw._trigamma(x) for x in xs], polygamma(1, xs), rtol=1e-15)
     for t_min in range(1, 51):
         for d in (1.0, float(t_min * t_min)):
             life = QuadraticTailLife(d=d, t_min=t_min)
             assert life.mean == pytest.approx(t_min + d * polygamma(1, t_min), rel=1e-15, abs=0)
-            for l0 in {t_min, t_min + 1, *(2**k for k in range(21)), *(2**k + 1 for k in range(20))}:
-                if l0 >= t_min:
-                    want = (l0 + 1) * d / l0**2 + d * polygamma(1, l0 + 1)
-                    assert life.tail_mean(l0) == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def test_quadratic_tail_inverse_cdf_property():
@@ -350,7 +326,7 @@ SAMPLING_MODELS = [
     BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.75, 0, 0, 0, 0.25])),
     Tabulated([(0.5, [1, 2], 3), (0.5, [], 2)]),
     DelayedDeath([(0.5, [1, 2]), (0.5, [])], QuadraticTailLife(d=1.125, t_min=2)),
-    Sevastyanov(FiniteLife({1: 0.25, 2: 0.25, 5: 0.5}), _bounded_rule),
+    Sevastyanov(FiniteLife({1: 0.25, 2: 0.25, 5: 0.5}), dict.fromkeys((1, 2, 5), BINARY)),
 ]
 
 
