@@ -17,12 +17,12 @@ consecutive lags t_k - t_i the founder's lives split into the same
 segments at every step (the segments of which query times it outlives),
 so the segment layout is worked out once per phase.  Two kernels walk it:
 
-- children born at death (Bellman-Harris, Sevastyanov): each segment
+- children born at death (Sevastyanov, Bellman-Harris): each segment
   sums a life x offspring matrix M[l, r] against per-step compositions
-  P[u, r] over its lives, a convolution in time.  Bellman-Harris is rank
-  1, M[l] = P(L = l) and P[u] = f(G[u]) for the offspring pgf f;
-  Sevastyanov keeps the offspring law by life, M[l, n] = P(L = l, N = n)
-  against the power table P[u, n] = G[u]^n.  With unbounded lives a
+  P[u, r] over its lives, a convolution in time.  An empty table is rank
+  1, M[l] = P(L = l) and P[u] = f(G[u]) for the default's pgf f; a table
+  keeps the offspring law by life, M[l, n] = P(L = l, N = n), against
+  the power table P[u, n] = G[u]^n.  With unbounded lives a
   divide-and-conquer online convolution costs O(t log^2 t) products; with
   lives of at most max_life steps it costs O(t * max_life).
 - scheduled atoms (Tabulated, DelayedDeath): each atom multiplies G at
@@ -83,7 +83,6 @@ from .errors import (
     ZeroConditioningEvent,
 )
 from .lifelaw import (
-    BellmanHarris,
     DelayedDeath,
     LifeLaw,
     ModelSummary,
@@ -194,7 +193,7 @@ def _life_tables(life, t_max: int):
 
 
 def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
-    """Kernel of Bellman-Harris and Sevastyanov: every child is born when
+    """Kernel of the birth-at-death laws: every child is born when
     the founder dies, so step u sums M[u - m] . P[m] over the sources
     m < u of each segment of each phase, scaled by the segment's
     (scal, var_idx).
@@ -224,12 +223,12 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     Python's float power rounds g^2 differently for some g; either swap
     would move the outputs in their last bits.
     """
-    if isinstance(model, BellmanHarris):
-        M, surv = _life_tables(model.life, t_max)
-        compose = partial(ring.poly, model.offspring.probs.tolist())
-    else:
-        M, surv = _sevastyanov_rows(model, t_max)
+    pmf, surv = _life_tables(model.life, t_max)
+    if model.table:
+        M = _sevastyanov_rows(model, pmf)
         compose = partial(ring.powers, n=M.shape[1])
+    else:  # rank 1: every life has the default law
+        M, compose = pmf, partial(ring.poly, model.default.probs.tolist())
     T = t_max + 1
     R = M[0].size
     Mr = np.ascontiguousarray(M[::-1]).ravel()  # Mr[(t_max - l)*R + r] = M[l, r]
@@ -338,25 +337,28 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         leaf(a, min(a + _LEAF, T), None)
 
 
-def _sevastyanov_rows(model: Sevastyanov, t_max: int):
-    """M[l, n] = P(L = l) P(N = n | L = l), padded to a common width.
-
-    The offspring law is only queried on the support of L.
-    """
-    pmf, surv = _life_tables(model.life, t_max)
-    laws = {l: model.offspring_by_life(l) for l in range(1, t_max + 1) if pmf[l] > 0.0}
-    width = max((len(law.probs) for law in laws.values()), default=1)
-    M = _table((t_max + 1, width), series.Floats)
-    for l, law in laws.items():
-        M[l, : len(law.probs)] = pmf[l] * np.asarray(law.probs)
-    return M, surv
+def _sevastyanov_rows(model: Sevastyanov, pmf: np.ndarray) -> np.ndarray:
+    """M[l, n] = P(L = l) P(N = n | L = l) for l < pmf.size: pmf times the
+    default, then the table's rows.  Its width is the widest law of a life
+    of positive mass; a wider default is cut, as no such life reads it."""
+    named = {l: law for l, law in model.table.items() if l < pmf.size and pmf[l] > 0.0}
+    widths = [law.probs.size for law in named.values()]
+    if len(named) < np.count_nonzero(pmf):  # some life of positive mass takes the default
+        widths.append(model.default.probs.size)
+    M = _table((pmf.size, max(widths, default=1)), series.Floats)
+    if model.default is not None:
+        default = model.default.probs[: M.shape[1]]
+        np.multiply.outer(pmf, default, out=M[:, : default.size])
+    for l, law in named.items():
+        M[l] = np.pad(pmf[l] * law.probs, (0, M.shape[1] - law.probs.size))
+    return M
 
 
 def _scheduled(atoms, ring):
     """Kernel of Tabulated and DelayedDeath, and of the short-life
-    Bellman-Harris and Sevastyanov laws `_dp` rewrites as atoms: each
-    atom (prob, ages, S) has fixed birth ages, and the founder's alive term
-    sums P(L in segment) over the segments of the walk.
+    birth-at-death laws `_dp` rewrites as atoms: each atom (prob, ages,
+    S) has fixed birth ages, and the founder's alive term sums P(L in
+    segment) over the segments of the walk.
 
     Nothing in an atom's alive term depends on G, and the atoms of one life
     share S and so their alive term.  Each chunk of at most _LEAF steps
@@ -416,7 +418,7 @@ def _scheduled(atoms, ring):
 
 
 def _short_life_atoms(model):
-    """The Tabulated atoms a Bellman-Harris or Sevastyanov law equals,
+    """The Tabulated atoms a birth-at-death law equals,
     (P(L = l) P(N = n | L = l), (l,)*n, l) for each (l, n) of positive
     mass, if its life has finite support and a step of `_scheduled` reads
     G at most _ATOM_READS times over them (n + 1 per atom: its children
@@ -429,8 +431,8 @@ def _short_life_atoms(model):
         return None
     atoms = []
     for l in lives:
-        law = model.offspring if isinstance(model, BellmanHarris) else model.offspring_by_life(l)
-        atoms += [(life.pmf(l) * p, (l,) * n, l) for n, p in enumerate(law.probs.tolist()) if p > 0.0]
+        probs = model.offspring_by_life(l).probs.tolist()
+        atoms += [(life.pmf(l) * p, (l,) * n, l) for n, p in enumerate(probs) if p > 0.0]
     return atoms if sum(len(ages) + 1 for _, ages, _ in atoms) <= _ATOM_READS else None
 
 
@@ -467,7 +469,7 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     G = _table((t_max + 1,), ring)
     starts = sorted({lag for lag, _ in acts})
     phases = [(u0, u1, *_walk_segments(acts, u0)) for u0, u1 in zip(starts, starts[1:] + [t_max + 1])]
-    if isinstance(model, (BellmanHarris, Sevastyanov)):
+    if isinstance(model, Sevastyanov):
         # on floats, a short finite life walks as Tabulated atoms
         short = None if nvars else _short_life_atoms(model)
         if short is None:

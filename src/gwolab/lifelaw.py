@@ -16,6 +16,11 @@ Summary parameters derived here:
         the positive root of b h^2 = a h + d
     c   compound parameter 4 b d / a^2 (0 exactly when lives have
         finite-variance tails, i.e. d = 0)
+
+A birth-at-death law bears every child at the individual's death.  As a
+Sevastyanov law it reads the offspring law of a life from a {life:
+OffspringPMF} table, or else from its default; BellmanHarris is the one
+with an empty table, and every consumer reads both as (default, table).
 """
 
 from __future__ import annotations
@@ -272,14 +277,6 @@ class Tabulated:
         return self._masses.index(u)
 
 
-class BellmanHarris:
-    """All children are born at the moment of death; N independent of L."""
-
-    def __init__(self, life: LifeLengthLaw, offspring: OffspringPMF):
-        self.life = life
-        self.offspring = offspring
-
-
 class Sevastyanov:
     """Children born at death, offspring law allowed to depend on the life.
 
@@ -313,6 +310,14 @@ class Sevastyanov:
         return law
 
 
+class BellmanHarris(Sevastyanov):
+    """The Sevastyanov law with an empty table: N has law `offspring`, whatever L."""
+
+    def __init__(self, life: LifeLengthLaw, offspring: OffspringPMF):
+        super().__init__(life, {}, offspring)
+        self.offspring = offspring
+
+
 class DelayedDeath:
     """Fixed birth schedules, death delayed past the last birth.
 
@@ -342,7 +347,7 @@ class DelayedDeath:
         return self.schedules[self._masses.index(u)]
 
 
-LifeLaw = Union[Tabulated, BellmanHarris, Sevastyanov, DelayedDeath]
+LifeLaw = Union[Tabulated, Sevastyanov, DelayedDeath]  # BellmanHarris is a Sevastyanov
 
 
 # ---------------------------------------------------------------------------
@@ -399,11 +404,6 @@ def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
         en2 = math.fsum(p * len(ages) ** 2 for p, ages, _ in model.atoms)
         a = math.fsum(p * sum(ages) for p, ages, _ in model.atoms)
         d = 0.0
-    elif isinstance(model, BellmanHarris):
-        en = model.offspring.mean
-        en2 = model.offspring.second_moment
-        a = en * model.life.mean
-        d = model.life.d
     elif isinstance(model, Sevastyanov):
         en, en2, a = _sevastyanov_moments(model)
         d = model.life.d

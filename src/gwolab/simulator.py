@@ -37,7 +37,6 @@ import numpy as np
 from .errors import BudgetExhausted, CapTooLarge, ConfigError, UnsupportedModel
 from .exact_engine import _check_budget, extinction_seq
 from .lifelaw import (
-    BellmanHarris,
     DelayedDeath,
     LifeLaw,
     Sevastyanov,
@@ -157,25 +156,22 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
     The inverse cdfs on the distribution objects are the single source
     of randomness semantics.
     """
-    if isinstance(model, (BellmanHarris, Sevastyanov)):
-        life_law = model.life
-        if isinstance(model, BellmanHarris):
-
-            def offspring(life, u):
-                return model.offspring.sample_from_uniform(u)
-
-        else:
-
-            def offspring(life, u):
-                out = np.empty(life.shape, dtype=np.int64)
-                for value in np.unique(life):
-                    pick = life == value
-                    out[pick] = model.offspring_by_life(int(value)).sample_from_uniform(u[pick])
-                return out
+    if isinstance(model, Sevastyanov):
+        default, keys = model.default, np.array(sorted(model.table), dtype=np.int64)
+        laws = [model.table[l] for l in keys.tolist()]
 
         def draw(u):
-            life = life_law.sample_from_uniform(u[0])
-            return life, life[None], offspring(life, u[1])[None]
+            # the default law for all (a table without one names every
+            # life), then each life drawn here that the table names
+            life = model.life.sample_from_uniform(u[0])
+            n = np.zeros(life.shape, np.int64) if default is None else default.sample_from_uniform(u[1])
+            if keys.size:
+                at = np.searchsorted(keys, life)
+                named = keys.take(at, mode="clip") == life
+                for j in set(at[named].tolist()):
+                    pick = named & (at == j)
+                    n[pick] = laws[j].sample_from_uniform(u[1][pick])
+            return life, life[None], n[None]
 
         return 2, draw
     if isinstance(model, Tabulated):

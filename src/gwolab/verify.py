@@ -12,6 +12,7 @@ is auditable without re-running it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
@@ -45,6 +46,7 @@ _FAR_FUTURE = 10**9
 _TREND_SLACK = 1e-3
 _LIMIT_REL_TOL = 0.02  # limit_convergence: extrapolation against its target
 _BURN_IN = 1  # limit_convergence: leading grid points left out of the trends
+_MC_ALPHA = math.erfc(3.0 / math.sqrt(2.0))  # fdd_limit_check: the mc row's family-wise level, P(|N(0,1)| > 3)
 
 
 @dataclass(frozen=True)
@@ -110,15 +112,10 @@ def _bounded_atoms(model: LifeLaw, span: int) -> list:
     if isinstance(model, Tabulated):
         return list(model.atoms)
     atoms = []
-    if isinstance(model, (BellmanHarris, Sevastyanov)):
+    if isinstance(model, Sevastyanov):
         pmf = model.life.pmf_array(span)
-        for l in range(1, span + 1):
-            if pmf[l] == 0.0:
-                continue
-            off = (
-                model.offspring if isinstance(model, BellmanHarris) else model.offspring_by_life(l)
-            )
-            for n, pn in enumerate(off.probs):
+        for l in np.flatnonzero(pmf).tolist():
+            for n, pn in enumerate(model.offspring_by_life(l).probs):
                 if pn > 0.0:
                     atoms.append((pmf[l] * pn, (l,) * n, l))
         tail = model.life.survival(span)
@@ -431,9 +428,10 @@ def fdd_limit_check(
     """Conditioned finite-time joint pmfs at times t*y (y in units of t,
     conditioned on Z(t) > 0) against the limit law along a growing grid,
     plus a Monte Carlo consistency check at the first grid point t0: the
-    replicates with Z(t0) > 0, each truncated bucket within 3 binomial
-    sigmas of the exact conditioned pmf.  Left of 1 the limit is the
-    frozen-root closed form, which the DP does not converge to (ROADMAP,
+    replicates with Z(t0) > 0, each of m cells (total count <= K, and the
+    overflow) within the Bonferroni bound inv_cdf(1 - _MC_ALPHA / (2m))
+    binomial sigmas of the exact conditioned pmf.  Left of 1 the limit is
+    the frozen-root closed form, which the DP does not converge to (ROADMAP,
     the Riccati item), so the TV trend there gates nothing."""
     q = FddQuery(y, (0.0,) * len(y))
     t_grid = tuple(int(t) for t in t_grid)
@@ -478,6 +476,8 @@ def fdd_limit_check(
     keep = sim.ok & (sim.counts[:, times.index(t0)] > 0)
     counts = sim.counts[keep][:, [times.index(s) for s in cond.times]]
     n = counts.shape[0]
+    from statistics import NormalDist  # here, not at import: it loads fractions and decimal
+    bound = NormalDist().inv_cdf(1.0 - _MC_ALPHA / (2 * (math.comb(K + len(cond.times), K) + 1)))
     worst = np.inf  # no survivors: nothing to compare, the row fails
     if n:
         inside = counts[counts.sum(axis=1) <= K]
@@ -490,7 +490,7 @@ def fdd_limit_check(
     rows.append(
         _abs_row(
             f"mc pmf at t={t0} ({n} survivors)",
-            worst, 0.0, 3.0, "exact conditioned pmf, binomial sigma", time.perf_counter() - start,
+            worst, 0.0, bound, "exact conditioned pmf, Bonferroni bound", time.perf_counter() - start,
         )
     )
     return RunReport(name=f"fdd_limit_check[{type(model).__name__}]", rows=rows)

@@ -54,7 +54,8 @@ from gwolab.lifelaw import (
     Tabulated,
     summarize,
 )
-from gwolab.modelio import load_model, model_from_dict
+from gwolab.modelio import load_model, model_from_dict, model_to_dict
+from gwolab.simulator import SimConfig, simulate
 from gwolab.verify import tree_pgf, tv_to_limit
 
 BIG = 10**9  # stands for "outlives any query time"
@@ -338,6 +339,38 @@ class TestHeavyTailSevastyanov:
         # t Q(t) -> h from above: +0.154%, +0.131%, +0.095%
         errors = [abs(t * q[t] / h - 1.0) for t in (1 << 12, 1 << 13, 1 << 14)]
         assert max(errors) < 2e-3 and errors == sorted(errors, reverse=True)
+
+
+class TestBellmanHarrisIsSevastyanov:
+    """A Bellman-Harris law is the Sevastyanov law with an empty table:
+    both give the same bits on every route."""
+
+    @pytest.mark.parametrize("name", ["binary_splitting", "heavy_tail_life"])
+    def test_same_bits(self, name):
+        bh = load_model(str(MODEL_DIR / f"{name}.json"))
+        sev = Sevastyanov(bh.life, {}, bh.offspring)
+        assert summarize(sev) == summarize(bh)
+        assert np.array_equal(extinction_seq(sev, 4096).q, extinction_seq(bh, 4096).q)
+        spec = FddSpec((48, 96), (0.0, 0.0), t_obs=48)
+        got, want = conditional_pmf(sev, spec, 10), conditional_pmf(bh, spec, 10)
+        assert np.array_equal(got.probs, want.probs) and got.overflow == want.overflow
+        got, want = (simulate(SimConfig(m, 32, (8, 32), 2000, 3)) for m in (sev, bh))
+        for field in ("counts", "survived", "overflowed"):
+            assert np.array_equal(getattr(got, field), getattr(want, field))
+
+    def test_model_files_keep_their_variant(self):
+        raw = json.loads((MODEL_DIR / "binary_splitting.json").read_text())
+        bh = model_from_dict(raw)
+        assert model_to_dict(bh) == raw
+        assert model_to_dict(Sevastyanov(bh.life, {}, bh.offspring))["variant"] == "sevastyanov"
+
+    def test_table_key_past_the_horizon(self):
+        # a life of 10^12 steps has its row only in a DP that long; the
+        # table's power route and the rank-1 route round apart
+        bh = bh_heavy()
+        sev = Sevastyanov(bh.life, {10**12: OffspringPMF([0.5, 0.0, 0.5])}, bh.offspring)
+        q = extinction_seq(sev, 512).q
+        np.testing.assert_allclose(q, extinction_seq(bh, 512).q, rtol=1e-12, atol=0)
 
 
 def bh_long_lives():

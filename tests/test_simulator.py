@@ -245,7 +245,14 @@ def _reference_replicate(cfg, rep):
 
 @pytest.mark.parametrize(
     "name",
-    ["age_dependent_offspring", "binary_splitting", "delayed_death", "early_births", "heavy_tail_life"],
+    [
+        "age_dependent_offspring",
+        "binary_splitting",
+        "delayed_death",
+        "early_births",
+        "heavy_tail_life",
+        "heavy_tail_sevastyanov",
+    ],
 )
 def test_matches_individual_by_individual_reference(name):
     model = load_model(str(MODEL_DIR / f"{name}.json"))

@@ -2,12 +2,14 @@
 oracle against hand-computable cases, the extrapolation helper against
 synthetic decay, and the report plumbing."""
 
+import dataclasses
 import io
 import json
 import math
 
 import pytest
 
+from gwolab import verify
 from gwolab.errors import ConfigError, OracleBlowup
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -233,6 +235,21 @@ class TestFddLimit:
         tvs = [tv_to_limit(delayed_c1(), (2.0,), t, 10, 1.0) for t in (64, 128, 256)]
         assert tvs[0] > tvs[1] > tvs[2]
         assert tvs[2] < 0.01
+
+    def test_mc_row_holds_each_cell_to_the_family_wise_bound(self):
+        # 12 cells (counts 0..10 and the overflow): the worst reads 3.64
+        # sigma, past 3 but within the Bonferroni bound 3.689
+        report = fdd_limit_check(delayed_c1(), (2.0,), (16, 32))
+        mc = report.rows[-1]
+        assert mc.tolerance == pytest.approx(3.6892, abs=1e-4)
+        assert 3.0 < mc.statistic <= mc.tolerance
+        assert report.all_passed
+
+    def test_mc_row_fails_a_wrong_law(self, monkeypatch):
+        wrong, simulate = gw_binary(), verify.simulate
+        monkeypatch.setattr(verify, "simulate", lambda cfg: simulate(dataclasses.replace(cfg, model=wrong)))
+        mc = fdd_limit_check(delayed_c1(), (2.0,), (16, 32)).rows[-1]
+        assert mc.statistic > mc.tolerance and not mc.passed
 
     def test_no_survivors_fails_the_mc_row(self):
         report = fdd_limit_check(delayed_c1(), (1.0,), (8, 16), K=4, replicates=1, seed=3)
