@@ -514,10 +514,14 @@ def _survival_csv(fh, t, q, tq, limit: float, error) -> None:
 
 def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
     """Survival probabilities by one DP pass (time-homogeneous, so the
-    whole column falls out of a single run at weight 0)."""
+    whole column falls out of a single run at weight 0), clipped to
+    [0, 1]: for a law that never dies out the DP's round-off, largest in
+    relative terms where Q is near 1, would carry Q past 1."""
     if t_max < 0:
         raise ConfigError("t_max must be >= 0")
-    return ExtinctionTable(q=1.0 - _dp(model, (t_max,), (0.0,)), summary=summarize(model))
+    q = 1.0 - _dp(model, (t_max,), (0.0,))
+    np.clip(q, 0.0, 1.0, out=q)
+    return ExtinctionTable(q=q, summary=summarize(model))
 
 
 def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:

@@ -20,11 +20,18 @@ The joint pgf is one expression, `_fdd_pgf`, over the ring protocol of
 them, for a reason each: `eta_marginal_pmf`'s binomial route is the
 reference for `eta_fdd_pmf` at k = 1 (`test_05`, the benchmark's k = 1
 check); `increment_pgf` would need the weights (z, 1/z), and z = 0 is
-tested; `prob_finite` (P(eta(y) < inf), the cdf of T) and `LawT` are
-vectorized over y; `prob_zero` and `dichotomy_fraction` are exact cases
-whose bits the seeded digests hold.  A restated form checks nothing.
-The checks are the tests' complex transcriptions by Cauchy sums (of the
-series extraction), and the DP and Monte Carlo (of the law itself).
+tested; `prob_finite` (P(eta(y) < inf), which is `LawT.cdf`) and the
+laws of T and T0 are vectorized over y; `prob_zero` and
+`dichotomy_fraction` are exact cases whose bits the seeded digests hold.
+A restated form checks nothing.  The checks are the tests' complex
+transcriptions by Cauchy sums (of the series extraction), and the DP and
+Monte Carlo (of the law itself).
+
+The samplers, cdfs and densities of T and T0 hold their output plus the
+points (or draws) left of 1: the right branch runs in place on the whole
+output and the left one on a copy of its subset, which then overwrites
+those points.  `figure1_data` writes its columns into one table, 400 MB
+at its 2^24-row budget.
 """
 
 from __future__ import annotations
@@ -110,13 +117,9 @@ def _check_K(K, k: int = 1) -> None:
 
 
 def prob_finite(p: LimitParams, y):
-    """P(eta(y) < infinity), for a float or an array of y > 0."""
+    """P(eta(y) < infinity), for a float or an array of y > 0: the cdf of T."""
     _check_y(y)
-    y = np.asarray(y, dtype=float)
-    yl = np.minimum(y, 1.0)  # the left branch is used only there; y = inf would give inf/inf
-    left = (np.sqrt(1.0 + p.c * yl * yl) - 1.0) / (p.scale * yl)
-    out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * y))
-    return float(out) if out.ndim == 0 else out
+    return LawT(p).cdf(y)
 
 
 def prob_zero(p: LimitParams, y: float) -> float:
@@ -295,7 +298,11 @@ def increment_pgf(p: LimitParams, y1: float, y2: float, z: float, conditional: b
 
 class LawT:
     """Law of T = sup{u : eta(u) = infinity}, the time the process
-    stops being infinite.  Continuous with a density jump at y = 1."""
+    stops being infinite.  Continuous with a density jump at y = 1.
+
+    The cdf, the density and the sampler allocate their output once; the
+    right branch runs in place on all of it, so at y = 0 it divides by 0,
+    unreported, before the left branch overwrites that point."""
 
     def __init__(self, p: LimitParams):
         self.params = p
@@ -303,20 +310,50 @@ class LawT:
         self.scale = p.scale
 
     def cdf(self, y):
-        """P(T <= y) = P(eta(y) < infinity) for y > 0, and 0 for y <= 0."""
-        y = np.asarray(y, dtype=float)
-        pos = y > 0.0
-        out = np.where(pos, prob_finite(self.params, np.where(pos, y, 1.0)), 0.0)
+        """P(T <= y) = P(eta(y) < infinity) for y > 0, and 0 for y <= 0
+        (and nan)."""
+        out = np.array(y, dtype=float)
+        below = ~(out >= 1.0)  # y < 1, and nan
+        yl = out[below]
+        nonpos = ~(yl > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out *= self.scale  # 1 - 2/(A y) from 1 on (1 at y = inf)
+            np.divide(2.0, out, out=out)
+            np.subtract(1.0, out, out=out)
+            left = self.c * yl  # (sqrt(1 + c y^2) - 1)/(A y) left of it
+            left *= yl
+            left += 1.0
+            np.sqrt(left, out=left)
+            left -= 1.0
+            yl *= self.scale
+            left /= yl
+        left[nonpos] = 0.0
+        out[below] = left
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
+        """Density of T: 2/(A y^2) from 1 on, (1 - 1/sqrt(1 + c y^2))/(A y^2)
+        on (0, 1), its limit c/(2A) at y = 0 (and nan) and 0 below 0."""
         c, A = self.c, self.scale
-        safe = np.where(y > 0.0, y, 1.0)
-        left = (1.0 - 1.0 / np.sqrt(1.0 + c * safe**2)) / (A * safe**2)
-        right = 2.0 / (A * safe**2)
-        out = np.where(y >= 1.0, right, np.where(y > 0.0, left, c / (2.0 * A)))
-        out = np.where(y < 0.0, 0.0, out)
+        out = np.array(y, dtype=float)
+        below = ~(out >= 1.0)
+        yl = out[below]
+        origin, negative = ~(yl > 0.0), yl < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.multiply(out, out, out=out)
+            out *= A
+            np.divide(2.0, out, out=out)
+            np.multiply(yl, yl, out=yl)
+            left = c * yl
+            left += 1.0
+            np.sqrt(left, out=left)
+            np.divide(1.0, left, out=left)
+            np.subtract(1.0, left, out=left)
+            yl *= A
+            left /= yl
+        left[origin] = c / (2.0 * A)
+        left[negative] = 0.0
+        out[below] = left
         return float(out) if out.ndim == 0 else out
 
     def density_jump(self) -> float:
@@ -326,32 +363,55 @@ class LawT:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Inverse-cdf sampling in closed form: y = 2Au/(c - A^2 u^2) left
-        of 1 and y = 2/(A (1 - u)) right of it, with A = `scale`."""
+        of 1 and y = 2/(A (1 - u)) right of it, with A = `scale`.
+
+        The uniforms' array is the output: besides it the sampler holds a
+        mask of the draws and two arrays of those left of 1 (the share
+        cdf(1) = 1 - 2/A, 0.17 at c = 1 and 0.6 at c = 15)."""
         u = rng.random(size)
-        A = self.scale
         left = u < self.cdf(1.0)
-        out = np.empty(size)
-        out[~left] = 2.0 / (A * (1.0 - u[~left]))
-        au = A * u[left]
-        out[left] = 2.0 * au / (self.c - au * au)
-        return out
+        au = u[left]
+        au *= self.scale
+        den = au * au
+        np.subtract(self.c, den, out=den)
+        au *= 2.0
+        au /= den
+        np.subtract(1.0, u, out=u)
+        u *= self.scale
+        np.divide(2.0, u, out=u)
+        u[left] = au
+        return u
 
 
 class LawT0:
-    """Law of T0 = inf{u : eta(u) = 0}; parameter free, supported on [1, inf)."""
+    """Law of T0 = inf{u : eta(u) = 0}; parameter free, supported on [1, inf).
+    Like `LawT`'s, its functions compute in place on their output."""
 
     def cdf(self, y):
+        """(y - 1)/y from 1 on (nan at y = inf), 0 below 1 (and at nan)."""
         y = np.asarray(y, dtype=float)
-        out = np.where(y >= 1.0, (y - 1.0) / np.where(y != 0.0, y, 1.0), 0.0)
+        out = y.copy()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out -= 1.0
+            out /= y
+        out[~(y >= 1.0)] = 0.0
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y > 1.0, 1.0 / np.where(y != 0.0, y, 1.0) ** 2, 0.0)
+        """1/y^2 right of 1, 0 at 1 and below it (and at nan)."""
+        out = np.array(y, dtype=float)
+        below = ~(out > 1.0)
+        with np.errstate(divide="ignore"):
+            np.multiply(out, out, out=out)
+            np.divide(1.0, out, out=out)
+        out[below] = 0.0
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return 1.0 / (1.0 - rng.random(size))
+        u = rng.random(size)
+        np.subtract(1.0, u, out=u)
+        np.divide(1.0, u, out=u)
+        return u
 
 
 def law_T(p: LimitParams) -> LawT:
@@ -370,13 +430,18 @@ def dichotomy_fraction(c: float) -> float:
 
 
 def figure1_data(c: float, step: float = 0.01, y_max: float = 4.0) -> np.ndarray:
-    """Density table (y, pdf of T, pdf of T0) on a uniform grid hitting 1."""
+    """Density table (y, pdf of T, pdf of T0) on a uniform grid hitting 1,
+    written column by column into one (rows, 3) array.  At the element
+    budget's 2^24 rows the table holds 400 MB, and while a column is
+    filled its density's output and left-of-1 points come on top."""
     if not 0.0 < step < y_max:
         raise ConfigError("need 0 < step < y_max")
     rows = y_max / step
     if rows > _PMF_ELEMENT_BUDGET:
         raise CapTooLarge(f"a grid of {rows:.3g} rows exceeds the element budget")
-    t_law = LawT(LimitParams(c))
-    t0_law = LawT0()
-    y = np.arange(1, round(rows) + 1) * step
-    return np.column_stack([y, t_law.pdf(y), t0_law.pdf(y)])
+    table = np.empty((round(rows), 3))
+    y = table[:, 0]
+    np.multiply(np.arange(1, len(table) + 1), step, out=y)
+    table[:, 1] = LawT(LimitParams(c)).pdf(y)
+    table[:, 2] = LawT0().pdf(y)
+    return table

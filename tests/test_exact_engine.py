@@ -173,6 +173,18 @@ class TestExtinction:
         assert np.all((q >= 0.0) & (q <= 1.0))
         assert np.all(np.diff(q) <= 1e-15)
 
+    @pytest.mark.parametrize(
+        "life",
+        [QuadraticTailLife(1.0, 2), FiniteLife({l: 1.0 / 200 for l in range(1, 201)})],
+        ids=["quadratic_tail", "uniform_1_200"],
+    )
+    def test_immortal_line_survives_with_probability_one(self, life):
+        # one child at every death: Q is 1 throughout, and the DP's
+        # round-off (up to 4.4e-13 here) must not carry it past 1
+        q = extinction_seq(BellmanHarris(life, OffspringPMF([0.0, 1.0])), 4096).q
+        assert np.all(q <= 1.0)
+        np.testing.assert_allclose(q, 1.0, rtol=0.0, atol=1e-12)
+
     def test_binary_survival_scales_like_two_over_t(self):
         table = extinction_seq(gw_binary(), 4096)
         assert abs(table.tq[-1] - 2.0) < 0.02
