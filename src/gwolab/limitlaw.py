@@ -20,18 +20,18 @@ The joint pgf is one expression, `_fdd_pgf`, over the ring protocol of
 them, for a reason each: `eta_marginal_pmf`'s binomial route is the
 reference for `eta_fdd_pmf` at k = 1 (`test_05`, the benchmark's k = 1
 check); `increment_pgf` would need the weights (z, 1/z), and z = 0 is
-tested; `prob_finite` (P(eta(y) < inf), which is `LawT.cdf`) and the
-laws of T and T0 are vectorized over y; `prob_zero` and
-`dichotomy_fraction` are exact cases whose bits the seeded digests hold.
-A restated form checks nothing.  The checks are the tests' complex
-transcriptions by Cauchy sums (of the series extraction), and the DP and
-Monte Carlo (of the law itself).
+tested; `prob_finite` (P(eta(y) < inf), the cdf of T) and `LawT` are
+vectorized over y; `prob_zero` and `dichotomy_fraction` are exact cases
+whose bits the seeded digests hold.  A restated form checks nothing.
+The checks are the tests' complex transcriptions by Cauchy sums (of the
+series extraction), and the DP and Monte Carlo (of the law itself).
 
-The samplers, cdfs and densities of T and T0 hold their output plus the
-points (or draws) left of 1: the right branch runs in place on the whole
-output and the left one on a copy of its subset, which then overwrites
-those points.  `figure1_data` writes its columns into one table, 400 MB
-at its 2^24-row budget.
+The sampler of T (which the benchmark calls for 5*10^5 draws) and the
+densities of T and T0 (which `figure1_data` calls on its whole grid)
+allocate their output once and hold little else: the right branch runs
+in place on the whole output, and T's left branch on a copy of the
+draws or points left of 1, which then overwrites them.  `figure1_data`
+writes its columns into one table, 400 MB at its 2^24-row budget.
 """
 
 from __future__ import annotations
@@ -117,9 +117,13 @@ def _check_K(K, k: int = 1) -> None:
 
 
 def prob_finite(p: LimitParams, y):
-    """P(eta(y) < infinity), for a float or an array of y > 0: the cdf of T."""
+    """P(eta(y) < infinity), for a float or an array of y > 0."""
     _check_y(y)
-    return LawT(p).cdf(y)
+    y = np.asarray(y, dtype=float)
+    yl = np.minimum(y, 1.0)  # the left branch is used only there; y = inf would give inf/inf
+    left = (np.sqrt(1.0 + p.c * yl * yl) - 1.0) / (p.scale * yl)
+    out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * y))
+    return float(out) if out.ndim == 0 else out
 
 
 def prob_zero(p: LimitParams, y: float) -> float:
@@ -300,9 +304,9 @@ class LawT:
     """Law of T = sup{u : eta(u) = infinity}, the time the process
     stops being infinite.  Continuous with a density jump at y = 1.
 
-    The cdf, the density and the sampler allocate their output once; the
-    right branch runs in place on all of it, so at y = 0 it divides by 0,
-    unreported, before the left branch overwrites that point."""
+    The density and the sampler allocate their output once; the right
+    branch runs in place on all of it, so at y = 0 the density divides by
+    0, unreported, before the left branch overwrites that point."""
 
     def __init__(self, p: LimitParams):
         self.params = p
@@ -310,25 +314,10 @@ class LawT:
         self.scale = p.scale
 
     def cdf(self, y):
-        """P(T <= y) = P(eta(y) < infinity) for y > 0, and 0 for y <= 0
-        (and nan)."""
-        out = np.array(y, dtype=float)
-        below = ~(out >= 1.0)  # y < 1, and nan
-        yl = out[below]
-        nonpos = ~(yl > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out *= self.scale  # 1 - 2/(A y) from 1 on (1 at y = inf)
-            np.divide(2.0, out, out=out)
-            np.subtract(1.0, out, out=out)
-            left = self.c * yl  # (sqrt(1 + c y^2) - 1)/(A y) left of it
-            left *= yl
-            left += 1.0
-            np.sqrt(left, out=left)
-            left -= 1.0
-            yl *= self.scale
-            left /= yl
-        left[nonpos] = 0.0
-        out[below] = left
+        """P(T <= y) = P(eta(y) < infinity) for y > 0, and 0 for y <= 0."""
+        y = np.asarray(y, dtype=float)
+        pos = y > 0.0
+        out = np.where(pos, prob_finite(self.params, np.where(pos, y, 1.0)), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
@@ -385,16 +374,11 @@ class LawT:
 
 class LawT0:
     """Law of T0 = inf{u : eta(u) = 0}; parameter free, supported on [1, inf).
-    Like `LawT`'s, its functions compute in place on their output."""
+    Like `LawT.pdf`, its density computes in place on its output."""
 
     def cdf(self, y):
-        """(y - 1)/y from 1 on (nan at y = inf), 0 below 1 (and at nan)."""
         y = np.asarray(y, dtype=float)
-        out = y.copy()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out -= 1.0
-            out /= y
-        out[~(y >= 1.0)] = 0.0
+        out = np.where(y >= 1.0, (y - 1.0) / np.where(y != 0.0, y, 1.0), 0.0)
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
@@ -408,10 +392,7 @@ class LawT0:
         return float(out) if out.ndim == 0 else out
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.random(size)
-        np.subtract(1.0, u, out=u)
-        np.divide(1.0, u, out=u)
-        return u
+        return 1.0 / (1.0 - rng.random(size))
 
 
 def law_T(p: LimitParams) -> LawT:

@@ -495,21 +495,8 @@ class TestHittingTimes:
 # ---------------------------------------------------------------------------
 
 # Whole-array references: every branch on every point, picked by np.where.
-# The in-place laws do per point the same operations in the same order, so
-# they must give the same bits.
-
-
-def ref_prob_finite(p, y):
-    y = np.asarray(y, dtype=float)
-    yl = np.minimum(y, 1.0)
-    left = (np.sqrt(1.0 + p.c * yl * yl) - 1.0) / (p.scale * yl)
-    return np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * y))
-
-
-def ref_t_cdf(p, y):
-    y = np.asarray(y, dtype=float)
-    pos = y > 0.0
-    return np.where(pos, ref_prob_finite(p, np.where(pos, y, 1.0)), 0.0)
+# The in-place sampler and densities do per point the same operations in
+# the same order, so they must give the same bits.
 
 
 def ref_t_pdf(p, y):
@@ -525,7 +512,7 @@ def ref_t_pdf(p, y):
 def ref_t_sample(p, rng, size):
     u = rng.random(size)
     A = p.scale
-    left = u < float(ref_t_cdf(p, 1.0))
+    left = u < prob_finite(p, 1.0)
     out = np.empty(size)
     out[~left] = 2.0 / (A * (1.0 - u[~left]))
     au = A * u[left]
@@ -533,28 +520,18 @@ def ref_t_sample(p, rng, size):
     return out
 
 
-def ref_t0_cdf(y):
-    y = np.asarray(y, dtype=float)
-    return np.where(y >= 1.0, (y - 1.0) / np.where(y != 0.0, y, 1.0), 0.0)
-
-
 def ref_t0_pdf(y):
     y = np.asarray(y, dtype=float)
     return np.where(y > 1.0, 1.0 / np.where(y != 0.0, y, 1.0) ** 2, 0.0)
-
-
-def ref_t0_sample(rng, size):
-    return 1.0 / (1.0 - rng.random(size))
 
 
 # below, at and above 1, with 0, negatives, nan and the ends of the floats
 EDGE_Y = np.concatenate([
     np.linspace(-1.0, 4.0, 501),
     [-math.inf, -0.0, 0.0, 5e-324, 1e-300, 1e-8, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), 1e150],
-    [math.nan],
+    [math.nan, math.inf],
 ])
-ALL_Y = np.concatenate([EDGE_Y, [math.inf]])
-POSITIVE_Y = np.concatenate([np.linspace(0.01, 4.0, 400), [1e-8, np.nextafter(1.0, 0.0), 1.0, 1e150, math.inf]])
+SCALAR_Y = (-1.0, 0.0, 0.5, 1.0, 2.5, math.inf)
 
 
 def same_bits(got, want):
@@ -578,41 +555,31 @@ def peak_ratio(fn):
 
 
 @pytest.mark.parametrize("c", [0.0, 0.3, 1.0, 15.0])
-class TestInPlaceLaws:
-    def test_t_cdf_and_pdf_are_the_references(self, c):
+class TestInPlaceLawT:
+    def test_pdf_is_the_reference(self, c):
         p = LimitParams(c)
         law = law_T(p)
         with np.errstate(all="ignore"):
-            assert same_bits(prob_finite(p, POSITIVE_Y), ref_prob_finite(p, POSITIVE_Y))
-            assert same_bits(law.cdf(ALL_Y), ref_t_cdf(p, ALL_Y))
-            assert same_bits(law.pdf(ALL_Y), ref_t_pdf(p, ALL_Y))
-            for v in (0.5, 1.0, 2.5, math.inf):
-                assert prob_finite(p, v) == float(ref_prob_finite(p, v))
-            for v in (-1.0, 0.0, 0.5, 1.0, 2.5, math.inf):
-                assert type(law.cdf(v)) is float and law.cdf(v) == float(ref_t_cdf(p, v))
+            assert same_bits(law.pdf(EDGE_Y), ref_t_pdf(p, EDGE_Y))
+            for v in SCALAR_Y:
                 assert type(law.pdf(v)) is float and law.pdf(v) == float(ref_t_pdf(p, v))
 
-    def test_t0_cdf_and_pdf_are_the_references(self, c):
-        law = law_T0()
-        with np.errstate(all="ignore"):
-            # (y - 1)/y is nan at y = inf, in both
-            assert same_bits(law.cdf(ALL_Y), ref_t0_cdf(ALL_Y))
-            assert same_bits(law.pdf(ALL_Y), ref_t0_pdf(ALL_Y))
-            for v in (-1.0, 0.0, 0.5, 1.0, 2.5, math.inf):
-                assert type(law.cdf(v)) is float and same_bits(law.cdf(v), ref_t0_cdf(v))
-                assert type(law.pdf(v)) is float and law.pdf(v) == float(ref_t0_pdf(v))
-
-    def test_samplers_are_the_references(self, c):
+    def test_sampler_is_the_reference(self, c):
         p = LimitParams(c)
         split = law_T(p).cdf(1.0)
         u = np.array([0.0, 1e-6, 0.02, split * 0.99, split, np.nextafter(split, 1.0), 0.7, 0.999])
         assert same_bits(law_T(p).sample(FixedUniforms(u), u.size), ref_t_sample(p, FixedUniforms(u), u.size))
-        assert same_bits(law_T0().sample(FixedUniforms(u), u.size), ref_t0_sample(FixedUniforms(u), u.size))
         for size in (0, 1, 50_000):
             got = law_T(p).sample(np.random.default_rng(size), size)
             assert same_bits(got, ref_t_sample(p, np.random.default_rng(size), size))
-            got = law_T0().sample(np.random.default_rng(size), size)
-            assert same_bits(got, ref_t0_sample(np.random.default_rng(size), size))
+
+
+def test_t0_pdf_is_the_reference():
+    law = law_T0()
+    with np.errstate(all="ignore"):
+        assert same_bits(law.pdf(EDGE_Y), ref_t0_pdf(EDGE_Y))
+        for v in SCALAR_Y:
+            assert type(law.pdf(v)) is float and law.pdf(v) == float(ref_t0_pdf(v))
 
 
 class TestInPlaceMemory:
@@ -621,12 +588,11 @@ class TestInPlaceMemory:
         law = law_T(LimitParams(1.0))
         assert peak_ratio(lambda: law.sample(np.random.default_rng(5), 100_000)) <= 1.7
 
-    @pytest.mark.parametrize("name", ["cdf", "pdf"])
-    def test_cdf_and_pdf_hold_their_output_and_the_points_left_of_one(self, name):
+    def test_pdf_holds_its_output_and_the_points_left_of_one(self):
         # a quarter of the points lie left of 1
-        fn = getattr(law_T(LimitParams(1.0)), name)
+        pdf = law_T(LimitParams(1.0)).pdf
         y = np.linspace(4.0 / 2**20, 4.0, 2**20)
-        assert peak_ratio(lambda: fn(y)) <= 2.5
+        assert peak_ratio(lambda: pdf(y)) <= 2.5
 
 
 # ---------------------------------------------------------------------------
