@@ -25,10 +25,12 @@ so the segment layout is worked out once per phase.  Two kernels walk it:
   the power table P[u, n] = G[u]^n.  With unbounded lives a
   divide-and-conquer online convolution costs O(t log^2 t) products; with
   lives of at most max_life steps it costs O(t * max_life).
-- scheduled atoms (Tabulated, DelayedDeath): each atom multiplies G at
-  its birth ages, and its alive term sums P(L in segment) over the
-  segments, O(t * atom reads), where an atom reads G once per child and
-  once for its alive term.
+- scheduled atoms (DelayedDeath, and Tabulated, which is the scheduled
+  law without a residual): each atom multiplies G at its birth ages, and
+  its alive term sums P(L in segment) over the segments, O(t * atom
+  reads), where an atom reads G once per child and once for its alive
+  term.  The DP reads both as (atoms, residual); their file formats
+  stay apart.
 
 A birth-at-death law with finite life is the Tabulated law with one atom
 (P(L = l) P(N = n | L = l), ages (l,)*n, life l) for each (l, n) of
@@ -187,11 +189,6 @@ def _walk_segments(acts, u):
     return segs, (scal, var_idx)
 
 
-def _life_tables(life, t_max: int):
-    """pmf[l] = P(L = l) and surv[u] = P(L > u) for 0 <= l, u <= t_max."""
-    return life.pmf_array(t_max), life.survival_array(t_max)
-
-
 def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     """Kernel of the birth-at-death laws: every child is born when
     the founder dies, so step u sums M[u - m] . P[m] over the sources
@@ -223,7 +220,7 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     Python's float power rounds g^2 differently for some g; either swap
     would move the outputs in their last bits.
     """
-    pmf, surv = _life_tables(model.life, t_max)
+    pmf, surv = model.life.pmf_array(t_max), model.life.survival_array(t_max)
     if model.table:
         M = _sevastyanov_rows(model, pmf)
         compose = partial(ring.powers, n=M.shape[1])
@@ -355,10 +352,12 @@ def _sevastyanov_rows(model: Sevastyanov, pmf: np.ndarray) -> np.ndarray:
 
 
 def _scheduled(atoms, ring):
-    """Kernel of Tabulated and DelayedDeath, and of the short-life
-    birth-at-death laws `_dp` rewrites as atoms: each atom (prob, ages,
-    S) has fixed birth ages, and the founder's alive term sums P(L in
-    segment) over the segments of the walk.
+    """Kernel of the scheduled laws (Tabulated is DelayedDeath's family
+    without a residual; the `tabulated` and `delayed_death` file formats
+    do not change), and of the short-life birth-at-death laws `_dp`
+    rewrites as atoms: each atom (prob, ages, S) has fixed birth ages,
+    and the founder's alive term sums P(L in segment) over the segments
+    of the walk.
 
     Nothing in an atom's alive term depends on G, and the atoms of one life
     share S and so their alive term.  Each chunk of at most _LEAF steps
@@ -436,24 +435,22 @@ def _short_life_atoms(model):
     return atoms if sum(len(ages) + 1 for _, ages, _ in atoms) <= _ATOM_READS else None
 
 
-def _scheduled_atoms(model, t_max: int):
-    """A Tabulated/DelayedDeath law, or a list of Tabulated atoms, as
-    (prob, ages, S) with S[u] = P(L > u) for the atom's life, u = 0..t_max.
-    S is nonincreasing and kept only up to its first 0; the atoms of one
-    life (of one last birth age, for DelayedDeath) share it."""
+def _scheduled_atoms(atoms, residual, t_max: int):
+    """Scheduled atoms (prob, ages, base) with a residual life law R or
+    None, as (prob, ages, S) with S[u] = P(L > u) for the atom's life
+    L = base + R (or base), u = 0..t_max: 1 for u < base, else
+    P(R > u - base), which is 1 at u = base, as R >= 1, and 0 without a
+    residual.  S is nonincreasing and kept only up to its first 0; the
+    atoms of one base share it."""
     u = np.arange(t_max + 1)
-    if isinstance(model, DelayedDeath):
-        _, residual = _life_tables(model.residual, t_max)
-        atoms = [(prob, ages, ages[-1] if ages else 0) for prob, ages in model.schedules]
-        survival = lambda last: np.where(u <= last, 1.0, residual[np.maximum(u - last, 0)])  # noqa: E731
-    else:
-        atoms = model.atoms if isinstance(model, Tabulated) else model
-        survival = lambda life: np.where(u < life, 1.0, 0.0)  # noqa: E731
+    tail = np.zeros(t_max + 1) if residual is None else residual.survival_array(t_max)
+    if residual is not None:
+        tail[0] = 1.0  # P(R > 0) exactly; a finite R's table holds the sum of its masses
     shared = {}
-    for key in {key for _, _, key in atoms}:
-        S = survival(key)
-        shared[key] = S[: np.argmax(S == 0.0) + 1].copy() if S[-1] == 0.0 else S
-    return [(prob, ages, shared[key]) for prob, ages, key in atoms]
+    for base in {base for _, _, base in atoms}:
+        S = np.where(u < base, 1.0, tail[np.maximum(u - base, 0)])
+        shared[base] = S[: np.argmax(S == 0.0) + 1].copy() if S[-1] == 0.0 else S
+    return [(prob, ages, shared[base]) for prob, ages, base in atoms]
 
 
 def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndarray:
@@ -475,10 +472,12 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
         if short is None:
             _birth_at_death(model, t_max, ring, G, phases)
             return G.reshape(t_max + 1, *ring.shape)
-        model = short
-    elif not isinstance(model, (Tabulated, DelayedDeath)):
+        atoms, residual = short, None
+    elif isinstance(model, (Tabulated, DelayedDeath)):
+        atoms, residual = model.atoms, model.residual
+    else:
         raise UnsupportedModel(f"no DP path for {type(model).__name__}")
-    walk = _scheduled(_scheduled_atoms(model, t_max), ring)
+    walk = _scheduled(_scheduled_atoms(atoms, residual, t_max), ring)
     for phase in phases:
         walk(G, *phase)
     return G.reshape(t_max + 1, *ring.shape)

@@ -17,10 +17,15 @@ Summary parameters derived here:
     c   compound parameter 4 b d / a^2 (0 exactly when lives have
         finite-variance tails, i.e. d = 0)
 
-A birth-at-death law bears every child at the individual's death.  As a
-Sevastyanov law it reads the offspring law of a life from a {life:
-OffspringPMF} table, or else from its default; BellmanHarris is the one
-with an empty table, and every consumer reads both as (default, table).
+A law is of one of two families.  A birth-at-death law bears every
+child at the individual's death.  As a Sevastyanov law it reads the
+offspring law of a life from a {life: OffspringPMF} table, or else from
+its default; BellmanHarris is the one with an empty table, and every
+consumer reads both as (default, table).  A scheduled law draws an atom
+(prob, birth ages, base) and lives base + R for a residual life law R,
+or base alone without one; Tabulated is the one without a residual (its
+base is the life), DelayedDeath's base is the last birth age, and every
+consumer reads both as (atoms, residual).
 """
 
 from __future__ import annotations
@@ -256,8 +261,24 @@ def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class Tabulated:
-    """Explicit finite list of (probability, birth ages, life length) atoms."""
+class _Scheduled:
+    """Atoms (prob, birth ages, base) and a residual life law R or None:
+    an atom is drawn by its prob, and the life is base + R, or base alone
+    without a residual."""
+
+    def __init__(self, atoms, residual: LifeLengthLaw | None, what: str):
+        self._masses = _Masses([p for p, _, _ in atoms], what)
+        self.atoms = tuple(atoms)
+        self.residual = residual
+
+    def atom_index(self, u):
+        """Inverse-cdf atom index for a float, or indices for an array of floats."""
+        return self._masses.index(u)
+
+
+class Tabulated(_Scheduled):
+    """Explicit finite list of (probability, birth ages, life length)
+    atoms: the scheduled law without a residual."""
 
     def __init__(self, atoms: Sequence[tuple[float, Sequence[int], int]]):
         if not atoms:
@@ -268,13 +289,7 @@ class Tabulated:
             if not 1 <= life <= _LIFE_CAP:
                 raise ConfigError(f"life length {life} must be in [1, 2^62]")
             parsed.append((float(prob), _as_ages(ages, life), life))
-        self._masses = _Masses([p for p, _, _ in parsed], "atom probabilities")
-        self.atoms = tuple(parsed)
-        self.max_life = max(life for _, _, life in parsed)
-
-    def atom_index(self, u):
-        """Inverse-cdf atom index for a float, or indices for an array of floats."""
-        return self._masses.index(u)
+        super().__init__(parsed, None, "atom probabilities")
 
 
 class Sevastyanov:
@@ -318,13 +333,14 @@ class BellmanHarris(Sevastyanov):
         self.offspring = offspring
 
 
-class DelayedDeath:
+class DelayedDeath(_Scheduled):
     """Fixed birth schedules, death delayed past the last birth.
 
-    An atom (prob, birth_ages) is drawn, then an independent residual R
-    from a life length law; the life ends at last_birth_age + R.  Because
-    the schedules are bounded, the tail coefficient of the total life
-    equals the residual's d.
+    A schedule (prob, birth_ages) is drawn, then an independent residual
+    R from a life length law; the life ends at last_birth_age + R, so an
+    atom's base is its last birth age (0 for no children).  Because the
+    schedules are bounded, the tail coefficient of the total life equals
+    the residual's d.
     """
 
     def __init__(
@@ -334,14 +350,9 @@ class DelayedDeath:
     ):
         if not schedules:
             raise ConfigError("delayed-death law needs at least one schedule")
-        parsed = [(float(prob), _as_ages(ages)) for prob, ages in schedules]
-        self._masses = _Masses([p for p, _ in parsed], "schedule probabilities")
-        self.schedules = tuple(parsed)
-        self.residual = residual
-
-    def schedule_index(self, u):
-        """Inverse-cdf schedule index for a float, or indices for an array of floats."""
-        return self._masses.index(u)
+        self.schedules = tuple((float(prob), _as_ages(ages)) for prob, ages in schedules)
+        atoms = [(p, ages, ages[-1] if ages else 0) for p, ages in self.schedules]
+        super().__init__(atoms, residual, "schedule probabilities")
 
     def sample_schedule_from_uniform(self, u: float) -> tuple[float, tuple[int, ...]]:
         return self.schedules[self._masses.index(u)]
@@ -399,19 +410,14 @@ def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
     Non-critical models are summarized with critical=False rather than
     rejected.
     """
-    if isinstance(model, Tabulated):
+    if isinstance(model, Sevastyanov):
+        en, en2, a = _sevastyanov_moments(model)
+        d = model.life.d
+    elif isinstance(model, (Tabulated, DelayedDeath)):
         en = math.fsum(p * len(ages) for p, ages, _ in model.atoms)
         en2 = math.fsum(p * len(ages) ** 2 for p, ages, _ in model.atoms)
         a = math.fsum(p * sum(ages) for p, ages, _ in model.atoms)
-        d = 0.0
-    elif isinstance(model, Sevastyanov):
-        en, en2, a = _sevastyanov_moments(model)
-        d = model.life.d
-    elif isinstance(model, DelayedDeath):
-        en = math.fsum(p * len(ages) for p, ages in model.schedules)
-        en2 = math.fsum(p * len(ages) ** 2 for p, ages in model.schedules)
-        a = math.fsum(p * sum(ages) for p, ages in model.schedules)
-        d = model.residual.d
+        d = 0.0 if model.residual is None else model.residual.d
     else:
         raise ConfigError(f"not a life law: {model!r}")
     b = 0.5 * (en2 - en * en)

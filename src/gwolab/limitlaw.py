@@ -50,6 +50,7 @@ logger = logging.getLogger(__name__)
 
 _PMF_ELEMENT_BUDGET = 1 << 24  # entries of the (2K+1)^k box a product transforms, or of a figure's grid
 _CLAMP_TOL = 1e-12
+_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -127,9 +128,9 @@ def prob_finite(p: LimitParams, y):
 
 
 def prob_zero(p: LimitParams, y: float) -> float:
-    """P(eta(y) = 0); zero left of 1."""
+    """P(eta(y) = 0) = P(T0 <= y); zero left of 1."""
     _check_y(y)
-    return (y - 1.0) / y if y >= 1.0 else 0.0
+    return LawT0().cdf(y)
 
 
 def eta_marginal_pgf(p: LimitParams, y: float, z: float) -> float:
@@ -377,8 +378,11 @@ class LawT0:
     Like `LawT.pdf`, its density computes in place on its output."""
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = np.where(y >= 1.0, (y - 1.0) / np.where(y != 0.0, y, 1.0), 0.0)
+        """(y - 1)/y from 1 on, 1 at y = inf, and 0 below 1 (and at nan)."""
+        # y below 1 (or nan) reads as 1, where the ratio is 0, and inf as
+        # the largest float, where it is 1
+        y = np.fmin(np.fmax(y, 1.0), _FLOAT_MAX)
+        out = (y - 1.0) / y
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):

@@ -174,25 +174,18 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
             return life, life[None], n[None]
 
         return 2, draw
-    if isinstance(model, Tabulated):
+    if isinstance(model, (Tabulated, DelayedDeath)):
         ages, counts = _schedule_table([a for _, a, _ in model.atoms])
-        lives = np.array([life for _, _, life in model.atoms], dtype=np.int64)
+        base = np.array([b for _, _, b in model.atoms], dtype=np.int64)
+        residual = model.residual
 
         def draw(u):
+            # the atom, then the residual's life past its base, if any
             i = model.atom_index(u[0])
-            return lives[i], ages.take(i, axis=1), counts.take(i, axis=1)
-
-        return 1, draw
-    if isinstance(model, DelayedDeath):
-        ages, counts = _schedule_table([a for _, a in model.schedules])
-        last_age = np.array([a[-1] if a else 0 for _, a in model.schedules], dtype=np.int64)
-
-        def draw(u):
-            i = model.schedule_index(u[0])
-            life = last_age[i] + model.residual.sample_from_uniform(u[1])
+            life = base[i] if residual is None else base[i] + residual.sample_from_uniform(u[1])
             return life, ages.take(i, axis=1), counts.take(i, axis=1)
 
-        return 2, draw
+        return 1 if residual is None else 2, draw
     raise UnsupportedModel(f"cannot simulate {type(model).__name__}")
 
 
@@ -411,18 +404,15 @@ def default_cutoff(t: int) -> int:
     return math.ceil(math.sqrt(t))
 
 
-def dichotomy_stats(
-    config: SimConfig,
-    cutoff_rule: Callable[[int], int] = default_cutoff,
-) -> DichotomyStats:
+def dichotomy_stats(config: SimConfig) -> DichotomyStats:
     """Split survivors at the horizon into small/large count groups.
 
-    The cutoff rule should grow without bound but slower than t, so the
-    small fraction tends to the probability that the limit count at 1 is
-    finite and positive.  A replicate that overflows max_individuals
-    raises BudgetExhausted.
+    The cutoff, `default_cutoff`, grows without bound but slower than t,
+    so the small fraction tends to the probability that the limit count
+    at 1 is finite and positive.  A replicate that overflows
+    max_individuals raises BudgetExhausted.
     """
-    cut = int(cutoff_rule(config.horizon))
+    cut = default_cutoff(config.horizon)
     if cut < 1:
         raise ConfigError("cutoff must be >= 1")
     _, z, over = _run_all(config)

@@ -109,8 +109,6 @@ def _bounded_atoms(model: LifeLaw, span: int) -> list:
     such an individual's children are born after every query time, so
     dropping them changes nothing observable by span.
     """
-    if isinstance(model, Tabulated):
-        return list(model.atoms)
     atoms = []
     if isinstance(model, Sevastyanov):
         pmf = model.life.pmf_array(span)
@@ -122,14 +120,15 @@ def _bounded_atoms(model: LifeLaw, span: int) -> list:
         if tail > 0.0:
             atoms.append((tail, (), _FAR_FUTURE))
         return atoms
-    if isinstance(model, DelayedDeath):
-        res_pmf = model.residual.pmf_array(span)
-        for p, ages in model.schedules:
-            last = ages[-1] if ages else 0
+    if isinstance(model, (Tabulated, DelayedDeath)):
+        if model.residual is None:
+            return list(model.atoms)
+        # the life base + R, for each residual r <= span and for R > span
+        res_pmf, tail = model.residual.pmf_array(span), model.residual.survival(span)
+        for p, ages, base in model.atoms:
             for r in range(1, span + 1):
                 if res_pmf[r] > 0.0:
-                    atoms.append((p * res_pmf[r], ages, last + r))
-            tail = model.residual.survival(span)
+                    atoms.append((p * res_pmf[r], ages, base + r))
             if tail > 0.0:
                 atoms.append((p * tail, ages, _FAR_FUTURE))
         return atoms

@@ -380,9 +380,10 @@ class TestExitCodes:
             ["dp", "--config", "{missing}"],
             ["limit", "--model", "{gw}", "--y", "1,2", "--z", "1,0", "--tmax", "16"],
             ["limit", "--model", "{gw}", "--y", "1", "--z", "0", "--times", ","],
+            ["limit", "--model", "{gw}", "--y", "1", "--z", "0", "--tmax", "4"],
         ],
         ids=["fdd_times", "simulate_times", "figure1_c", "missing_model", "missing_config", "limit_z0_one",
-             "limit_empty_grid"],
+             "limit_empty_grid", "limit_tmax_below_8"],
     )
     def test_bad_input_exits_2(self, argv, gw_path, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

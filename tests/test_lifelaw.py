@@ -55,6 +55,11 @@ def test_compound_params_frozen_case():
     assert h == pytest.approx(1.0 + math.sqrt(2.0), abs=1e-14)
 
 
+def test_compound_params_a_zero():
+    # b h^2 = d at a = 0, and c = 4bd/a^2 is infinite when b d > 0
+    assert compound_params(0.0, 1.0, 4.0) == (2.0, math.inf)
+
+
 def test_quadratic_identity_random_draws():
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -86,6 +91,17 @@ def test_delayed_death_summary_exact_c():
     assert s.d == 1.125
     assert s.c == pytest.approx(1.0, abs=1e-15)
     assert s.h == pytest.approx(1.5 + 1.5 * math.sqrt(2.0), abs=1e-13)
+
+
+def test_scheduled_laws_read_as_atoms_and_residual():
+    # a delayed-death atom's base is its last birth age (0 without births);
+    # a tabulated atom's base is its life, with no residual
+    residual = QuadraticTailLife(d=1.125, t_min=2)
+    delayed = DelayedDeath([(0.5, [1, 2]), (0.5, [])], residual)
+    assert delayed.atoms == ((0.5, (1, 2), 2), (0.5, (), 0)) and delayed.residual is residual
+    tabulated = Tabulated([(0.5, [1, 2], 3), (0.5, [], 2)])
+    assert tabulated.atoms == ((0.5, (1, 2), 3), (0.5, (), 2)) and tabulated.residual is None
+    assert summarize(tabulated).d == 0.0
 
 
 def test_tabulated_summary():
@@ -317,6 +333,25 @@ def test_non_finite_masses_rejected(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: Tabulated([]), "at least one atom"),
+        (lambda: DelayedDeath([], FiniteLife({1: 1.0})), "at least one schedule"),
+        (lambda: Tabulated([(1.0, [0], 1)]), "birth ages"),
+        (lambda: DelayedDeath([(1.0, [2**62 + 1])], FiniteLife({1: 1.0})), "birth ages"),
+        (lambda: OffspringPMF([]), "nonempty"),
+        (lambda: FiniteLife({}), "empty"),
+        (lambda: summarize(FiniteLife({1: 1.0})), "not a life law"),
+    ],
+    ids=["tabulated_no_atom", "delayed_no_schedule", "age_0", "age_past_2^62",
+         "offspring_empty", "finite_life_empty", "summarize_non_law"],
+)
+def test_empty_or_out_of_range_input_rejected(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
@@ -396,7 +431,7 @@ INVERSE_CDFS = {
     "atom": Tabulated([(0.5, [1, 2], 3), (0.25, [], 2), (0.25, [1], 1)]).atom_index,
     "schedule": DelayedDeath(
         [(0.5, [1, 2]), (0.5, [])], QuadraticTailLife(d=1.125, t_min=2)
-    ).schedule_index,
+    ).atom_index,
 }
 
 

@@ -525,6 +525,12 @@ def ref_t0_pdf(y):
     return np.where(y > 1.0, 1.0 / np.where(y != 0.0, y, 1.0) ** 2, 0.0)
 
 
+def ref_t0_cdf(y):
+    """The whole-array form, which reads y = inf as inf/inf."""
+    y = np.asarray(y, dtype=float)
+    return np.where(y >= 1.0, (y - 1.0) / np.where(y != 0.0, y, 1.0), 0.0)
+
+
 # below, at and above 1, with 0, negatives, nan and the ends of the floats
 EDGE_Y = np.concatenate([
     np.linspace(-1.0, 4.0, 501),
@@ -580,6 +586,25 @@ def test_t0_pdf_is_the_reference():
         assert same_bits(law.pdf(EDGE_Y), ref_t0_pdf(EDGE_Y))
         for v in SCALAR_Y:
             assert type(law.pdf(v)) is float and law.pdf(v) == float(ref_t0_pdf(v))
+
+
+def test_t0_cdf_is_the_reference_and_one_at_infinity():
+    # the cdf, and prob_zero through it, used to give nan at y = inf, and
+    # numpy warned at y = inf and -inf (invalid) and at 5e-324 (overflow)
+    law, p = law_T0(), LimitParams(1.0)
+    with np.errstate(all="ignore"):
+        want = ref_t0_cdf(EDGE_Y)
+    want[EDGE_Y == math.inf] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert same_bits(law.cdf(EDGE_Y), want)
+        positive = EDGE_Y > 0.0
+        assert same_bits(prob_zero(p, EDGE_Y[positive]), want[positive])
+        for v in SCALAR_Y:
+            expect = 1.0 if v == math.inf else float(ref_t0_cdf(v))
+            assert type(law.cdf(v)) is float and law.cdf(v) == expect
+            if v > 0.0:
+                assert type(prob_zero(p, v)) is float and prob_zero(p, v) == expect
 
 
 class TestInPlaceMemory:

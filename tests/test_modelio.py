@@ -25,6 +25,7 @@ from gwolab.lifelaw import (
 from gwolab.modelio import (
     dump_model,
     life_from_dict,
+    life_to_dict,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -187,6 +188,18 @@ class TestValidation:
         bad = dict(GW_BINARY, offspring=[0.5, 0.6])
         with pytest.raises(ConfigError):
             model_from_dict(bad)
+
+    @pytest.mark.parametrize(
+        "write, value, match",
+        [
+            (model_to_dict, FiniteLife({1: 1.0}), "cannot serialize model"),
+            (life_to_dict, OffspringPMF([1.0]), "cannot serialize life law"),
+        ],
+        ids=["model", "life"],
+    )
+    def test_writers_reject_what_they_cannot_write(self, write, value, match):
+        with pytest.raises(ConfigError, match=match):
+            write(value)
 
 
 class TestRoundTrip:

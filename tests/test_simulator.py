@@ -579,12 +579,12 @@ class TestDichotomy:
         with pytest.raises(BudgetExhausted, match="max_individuals"):
             dichotomy_stats(cfg)
 
-    def test_custom_rule(self):
+    def test_cutoff_is_the_default_rule(self):
         cfg = SimConfig(model=gw_binary(), horizon=9, query_times=(9,), replicates=800, seed=6)
-        st = dichotomy_stats(cfg, cutoff_rule=lambda t: t // 3)
-        assert st.cutoff == 3
-        with pytest.raises(ConfigError):
-            dichotomy_stats(cfg, cutoff_rule=lambda t: 0)
+        assert dichotomy_stats(cfg).cutoff == default_cutoff(9) == 3
+        # at horizon 0 the cutoff is 0, which splits nothing
+        with pytest.raises(ConfigError, match="cutoff"):
+            dichotomy_stats(SimConfig(model=gw_binary(), horizon=0, query_times=(0,), replicates=8, seed=6))
 
 
 class TestOutputs:

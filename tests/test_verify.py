@@ -114,6 +114,10 @@ class TestEnumerationOracle:
         with pytest.raises(ConfigError):
             call(gw_binary())
 
+    def test_rejects_saturation_below_one(self):
+        with pytest.raises(ConfigError, match="saturate"):
+            enumerate_joint(gw_binary(), (1, 2), saturate=0)
+
     def test_tree_pgf_drops_weight_one(self):
         model = gw_binary()
         assert tree_pgf(model, (1, 3), (1.0, 0.5)) == tree_pgf(model, (3,), (0.5,))
@@ -188,6 +192,18 @@ class TestLimitConvergence:
 
 
 class TestFddLimit:
+    @pytest.mark.parametrize(
+        "model, grid, match",
+        [
+            (delayed_c1(), (16,), "at least two points"),
+            (BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.25, 0.25, 0.5])), (16, 32), "critical"),
+        ],
+        ids=["one_point_grid", "noncritical"],
+    )
+    def test_rejects_bad_input(self, model, grid, match):
+        with pytest.raises(ConfigError, match=match):
+            fdd_limit_check(model, (1.0,), grid)
+
     def test_delayed_c1_marginal_trend(self):
         model = delayed_c1()
         report = fdd_limit_check(model, (1.0,), (16, 32, 64), K=10, replicates=8000)
