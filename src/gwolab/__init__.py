@@ -16,7 +16,6 @@ from .errors import (
     NonpositiveConstantTerm,
     OracleBlowup,
     ShapeMismatch,
-    UnsupportedModel,
     ZeroConditioningEvent,
 )
 from .exact_engine import (
@@ -38,6 +37,7 @@ from .lifelaw import (
     ModelSummary,
     OffspringPMF,
     QuadraticTailLife,
+    Scheduled,
     Sevastyanov,
     Tabulated,
     compound_params,
@@ -93,11 +93,11 @@ __all__ = [
     "simulator", "verify",
     # errors
     "GwolabError", "ConfigError", "ShapeMismatch",
-    "NonpositiveConstantTerm", "UnsupportedModel", "ZeroConditioningEvent",
+    "NonpositiveConstantTerm", "ZeroConditioningEvent",
     "CapTooLarge", "BudgetExhausted", "OracleBlowup",
     # model building blocks
     "OffspringPMF", "phi", "FiniteLife", "QuadraticTailLife", "Tabulated",
-    "BellmanHarris", "Sevastyanov", "DelayedDeath", "ModelSummary",
+    "BellmanHarris", "Sevastyanov", "Scheduled", "DelayedDeath", "ModelSummary",
     "compound_params", "summarize",
     # exact recursions
     "FddSpec", "ExtinctionTable", "extinction_seq", "fdd_pgf", "conditional_pgf",

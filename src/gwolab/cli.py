@@ -26,7 +26,6 @@ from .errors import (
     ConfigError,
     GwolabError,
     OracleBlowup,
-    UnsupportedModel,
     ZeroConditioningEvent,
 )
 from .exact_engine import (
@@ -57,7 +56,6 @@ from .verify import report_json, run_battery
 
 EXIT_CODES = [
     (ConfigError, 2),
-    (UnsupportedModel, 4),
     (CapTooLarge, 5),
     (ZeroConditioningEvent, 6),
     (BudgetExhausted, 7),

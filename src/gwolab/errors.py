@@ -23,10 +23,6 @@ class NonpositiveConstantTerm(GwolabError):
     """Square root of a series whose constant term is not strictly positive."""
 
 
-class UnsupportedModel(GwolabError):
-    """The exact engine cannot enumerate this model at the requested horizon."""
-
-
 class ZeroConditioningEvent(GwolabError):
     """Conditioning on survival at a time where survival has probability 0."""
 

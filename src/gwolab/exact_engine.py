@@ -81,15 +81,13 @@ from . import series
 from .errors import (
     CapTooLarge,
     ConfigError,
-    UnsupportedModel,
     ZeroConditioningEvent,
 )
 from .lifelaw import (
-    DelayedDeath,
     LifeLaw,
     ModelSummary,
+    Scheduled,
     Sevastyanov,
-    Tabulated,
     summarize,
 )
 from .limitlaw import FddQuery, LimitParams, eta_fdd_pgf, kept_coordinates
@@ -220,7 +218,8 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     Python's float power rounds g^2 differently for some g; either swap
     would move the outputs in their last bits.
     """
-    pmf, surv = model.life.pmf_array(t_max), model.life.survival_array(t_max)
+    u = np.arange(t_max + 1)
+    pmf, surv = model.life.pmf(u), model.life.survival(u)
     if model.table:
         M = _sevastyanov_rows(model, pmf)
         compose = partial(ring.powers, n=M.shape[1])
@@ -425,13 +424,13 @@ def _short_life_atoms(model):
     life = model.life
     if life.max_life is None:
         return None
-    lives = [l for l in life.support if life.pmf(l) > 0.0]  # never an array as long as the longest life
+    lives = [(l, pl) for l, pl in zip(life.support, life.probs) if pl > 0.0]  # no array as long as the longest life
     if len(lives) > _ATOM_READS:  # every atom reads at least once
         return None
     atoms = []
-    for l in lives:
+    for l, pl in lives:
         probs = model.offspring_by_life(l).probs.tolist()
-        atoms += [(life.pmf(l) * p, (l,) * n, l) for n, p in enumerate(probs) if p > 0.0]
+        atoms += [(pl * p, (l,) * n, l) for n, p in enumerate(probs) if p > 0.0]
     return atoms if sum(len(ages) + 1 for _, ages, _ in atoms) <= _ATOM_READS else None
 
 
@@ -443,9 +442,7 @@ def _scheduled_atoms(atoms, residual, t_max: int):
     residual.  S is nonincreasing and kept only up to its first 0; the
     atoms of one base share it."""
     u = np.arange(t_max + 1)
-    tail = np.zeros(t_max + 1) if residual is None else residual.survival_array(t_max)
-    if residual is not None:
-        tail[0] = 1.0  # P(R > 0) exactly; a finite R's table holds the sum of its masses
+    tail = np.zeros(t_max + 1) if residual is None else residual.survival(u)
     shared = {}
     for base in {base for _, _, base in atoms}:
         S = np.where(u < base, 1.0, tail[np.maximum(u - base, 0)])
@@ -473,10 +470,10 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
             _birth_at_death(model, t_max, ring, G, phases)
             return G.reshape(t_max + 1, *ring.shape)
         atoms, residual = short, None
-    elif isinstance(model, (Tabulated, DelayedDeath)):
+    elif isinstance(model, Scheduled):
         atoms, residual = model.atoms, model.residual
     else:
-        raise UnsupportedModel(f"no DP path for {type(model).__name__}")
+        raise ConfigError(f"not a life law: {model!r}")
     walk = _scheduled(_scheduled_atoms(atoms, residual, t_max), ring)
     for phase in phases:
         walk(G, *phase)

@@ -17,15 +17,20 @@ Summary parameters derived here:
     c   compound parameter 4 b d / a^2 (0 exactly when lives have
         finite-variance tails, i.e. d = 0)
 
-A law is of one of two families.  A birth-at-death law bears every
-child at the individual's death.  As a Sevastyanov law it reads the
-offspring law of a life from a {life: OffspringPMF} table, or else from
-its default; BellmanHarris is the one with an empty table, and every
-consumer reads both as (default, table).  A scheduled law draws an atom
-(prob, birth ages, base) and lives base + R for a residual life law R,
-or base alone without one; Tabulated is the one without a residual (its
-base is the life), DelayedDeath's base is the last birth age, and every
-consumer reads both as (atoms, residual).
+A life length law (FiniteLife, QuadraticTailLife) answers survival(u) =
+P(L > u) and pmf(u) = P(L = u) with one formula, for an integer u or an
+integer array alike.
+
+A law is of one of two families, and its family is its base class.  A
+birth-at-death law, a Sevastyanov, bears every child at the individual's
+death and reads the offspring law of a life from a {life: OffspringPMF}
+table, or else from its default; BellmanHarris is the one with an empty
+table, and every consumer reads both as (default, table).  A Scheduled
+law draws an atom (prob, birth ages, base) and lives base + R for a
+residual life law R, or base alone without one; Tabulated is the one
+without a residual (its base is the life), DelayedDeath's base is the
+last birth age, and every consumer reads both as (atoms, residual).  A
+consumer raises ConfigError for anything that is neither.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -40,6 +46,7 @@ import numpy as np
 from .errors import ConfigError
 
 _SUM_TOL = 1e-12
+_CRITICAL_TOL = 1e-9  # |E(N) - 1| up to which `summarize` calls a law critical
 _LIFE_CAP = 2.0**62  # lives and birth ages stay inside int64; unbounded draws are capped here
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
 
@@ -157,32 +164,27 @@ class FiniteLife:
         self.max_life = self.support[-1]
         self.mean = math.fsum(life * p for life, p in items)
         self.d = 0.0
+        # the table: support points, their masses and _tail[i] = P(L > u)
+        # for the u with i support points at or below it (1 for i = 0, as
+        # L >= 1); a tail sums its masses exactly, then rounds once, as fsum
         self._support = np.array(self.support, dtype=np.int64)
-        self._pmf = dict(zip(self.support, self.probs))
+        self._probs = np.array(self.probs, dtype=float)
+        tail, rest = [0.0], Fraction(0)
+        for p in reversed(self.probs[1:]):
+            rest += Fraction(p)
+            tail.append(float(rest))
+        self._tail = np.array([1.0] + tail[::-1])
 
-    def pmf(self, life: int) -> float:
-        return float(self._pmf.get(life, 0.0))
+    def pmf(self, u):
+        """P(L = u) for an integer or an integer array."""
+        i = np.searchsorted(self._support, u)
+        out = np.where(self._support.take(i, mode="clip") == u, self._probs.take(i, mode="clip"), 0.0)
+        return float(out) if out.ndim == 0 else out
 
-    def survival(self, t: float) -> float:
-        """P(L > t)."""
-        return math.fsum(p for life, p in zip(self.support, self.probs) if life > t)
-
-    def survival_array(self, t_max: int) -> np.ndarray:
-        """survival(u) for u = 0..t_max, one fsum per stretch between
-        support points."""
-        out = np.zeros(t_max + 1)
-        lo = 0
-        for i, life in enumerate(self.support):
-            out[lo:life] = math.fsum(self.probs[i:])
-            lo = life
-        return out
-
-    def pmf_array(self, t_max: int) -> np.ndarray:
-        out = np.zeros(t_max + 1)
-        for life, p in zip(self.support, self.probs):
-            if life <= t_max:
-                out[life] = p
-        return out
+    def survival(self, u):
+        """P(L > u) for an integer or an integer array."""
+        out = self._tail[np.searchsorted(self._support, u, side="right")]
+        return float(out) if out.ndim == 0 else out
 
     def sample_from_uniform(self, u):
         """Inverse-cdf life for a float, or lives for an array of floats."""
@@ -211,24 +213,15 @@ class QuadraticTailLife:
         self.max_life = None  # unbounded support
         self.mean = t_min + d * _trigamma(t_min)
 
-    def survival(self, t: float) -> float:
-        if t < self.t_min:
-            return 1.0
-        return self.d / (t * t)
+    def survival(self, u):
+        """P(L > u) for an integer or an integer array."""
+        t = np.asarray(u, dtype=float)
+        out = np.where(t < self.t_min, 1.0, self.d / np.maximum(t, 1.0) ** 2)
+        return float(out) if out.ndim == 0 else out
 
-    def pmf(self, life: int) -> float:
-        return self.survival(life - 1) - self.survival(life)
-
-    def survival_array(self, t_max: int) -> np.ndarray:
-        t = np.arange(t_max + 1, dtype=float)
-        return np.where(t < self.t_min, 1.0, self.d / np.maximum(t, 1.0) ** 2)
-
-    def pmf_array(self, t_max: int) -> np.ndarray:
-        surv = self.survival_array(t_max)
-        out = np.empty(t_max + 1)
-        out[0] = 0.0
-        out[1:] = surv[:-1] - surv[1:]
-        return out
+    def pmf(self, u):
+        """P(L = u) for an integer or an integer array."""
+        return self.survival(u - 1) - self.survival(u)
 
     def sample_from_uniform(self, u):
         """Smallest t with P(L > t) < u; exact inverse-cdf sampling, for a
@@ -261,7 +254,7 @@ def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Scheduled:
+class Scheduled:
     """Atoms (prob, birth ages, base) and a residual life law R or None:
     an atom is drawn by its prob, and the life is base + R, or base alone
     without a residual."""
@@ -276,7 +269,7 @@ class _Scheduled:
         return self._masses.index(u)
 
 
-class Tabulated(_Scheduled):
+class Tabulated(Scheduled):
     """Explicit finite list of (probability, birth ages, life length)
     atoms: the scheduled law without a residual."""
 
@@ -333,7 +326,7 @@ class BellmanHarris(Sevastyanov):
         self.offspring = offspring
 
 
-class DelayedDeath(_Scheduled):
+class DelayedDeath(Scheduled):
     """Fixed birth schedules, death delayed past the last birth.
 
     A schedule (prob, birth_ages) is drawn, then an independent residual
@@ -358,7 +351,7 @@ class DelayedDeath(_Scheduled):
         return self.schedules[self._masses.index(u)]
 
 
-LifeLaw = Union[Tabulated, Sevastyanov, DelayedDeath]  # BellmanHarris is a Sevastyanov
+LifeLaw = Union[Sevastyanov, Scheduled]
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +397,7 @@ def _sevastyanov_moments(law: Sevastyanov) -> tuple[float, float, float]:
     return en, en2, a
 
 
-def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
+def summarize(model: LifeLaw) -> ModelSummary:
     """Derive (EN, b, a, d, h, c) and flags from a life law.
 
     Non-critical models are summarized with critical=False rather than
@@ -413,7 +406,7 @@ def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
     if isinstance(model, Sevastyanov):
         en, en2, a = _sevastyanov_moments(model)
         d = model.life.d
-    elif isinstance(model, (Tabulated, DelayedDeath)):
+    elif isinstance(model, Scheduled):
         en = math.fsum(p * len(ages) for p, ages, _ in model.atoms)
         en2 = math.fsum(p * len(ages) ** 2 for p, ages, _ in model.atoms)
         a = math.fsum(p * sum(ages) for p, ages, _ in model.atoms)
@@ -429,5 +422,5 @@ def summarize(model: LifeLaw, tol: float = 1e-9) -> ModelSummary:
         d=d,
         h=h,
         c=c,
-        critical=abs(en - 1.0) <= tol,
+        critical=abs(en - 1.0) <= _CRITICAL_TOL,
     )

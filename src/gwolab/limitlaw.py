@@ -322,28 +322,29 @@ class LawT:
         return float(out) if out.ndim == 0 else out
 
     def pdf(self, y):
-        """Density of T: 2/(A y^2) from 1 on, (1 - 1/sqrt(1 + c y^2))/(A y^2)
-        on (0, 1), its limit c/(2A) at y = 0 (and nan) and 0 below 0."""
+        """Density of T: 2/(A y^2) from 1 on, (1 - 1/r)/(A y^2) with
+        r = sqrt(1 + c y^2) on (0, 1), its limit c/(2A) at 0 and 0 below 0.
+        Left of 1 it is computed as c/(A r (r + 1)), the same value without
+        cancellation near 0, which is c/(2A) at 0 itself."""
         c, A = self.c, self.scale
         out = np.array(y, dtype=float)
         below = ~(out >= 1.0)
         yl = out[below]
-        origin, negative = ~(yl > 0.0), yl < 0.0
+        negative = yl < 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             np.multiply(out, out, out=out)
             out *= A
             np.divide(2.0, out, out=out)
             np.multiply(yl, yl, out=yl)
-            left = c * yl
-            left += 1.0
-            np.sqrt(left, out=left)
-            np.divide(1.0, left, out=left)
-            np.subtract(1.0, left, out=left)
-            yl *= A
-            left /= yl
-        left[origin] = c / (2.0 * A)
-        left[negative] = 0.0
-        out[below] = left
+            r = c * yl
+            r += 1.0
+            np.sqrt(r, out=r)
+            np.add(r, 1.0, out=yl)
+            r *= A
+            r *= yl
+            np.divide(c, r, out=r)
+        r[negative] = 0.0
+        out[below] = r
         return float(out) if out.ndim == 0 else out
 
     def density_jump(self) -> float:

@@ -34,13 +34,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, CapTooLarge, ConfigError, UnsupportedModel
+from .errors import BudgetExhausted, CapTooLarge, ConfigError
 from .exact_engine import _check_budget, extinction_seq
 from .lifelaw import (
-    DelayedDeath,
     LifeLaw,
+    Scheduled,
     Sevastyanov,
-    Tabulated,
     summarize,
 )
 from .limitlaw import dichotomy_fraction
@@ -174,7 +173,7 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
             return life, life[None], n[None]
 
         return 2, draw
-    if isinstance(model, (Tabulated, DelayedDeath)):
+    if isinstance(model, Scheduled):
         ages, counts = _schedule_table([a for _, a, _ in model.atoms])
         base = np.array([b for _, _, b in model.atoms], dtype=np.int64)
         residual = model.residual
@@ -186,7 +185,7 @@ def _individual_draw(model: LifeLaw) -> tuple[int, Callable]:
             return life, ages.take(i, axis=1), counts.take(i, axis=1)
 
         return 1 if residual is None else 2, draw
-    raise UnsupportedModel(f"cannot simulate {type(model).__name__}")
+    raise ConfigError(f"not a life law: {model!r}")
 
 
 def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:

@@ -34,6 +34,7 @@ from .lifelaw import (
     LifeLaw,
     OffspringPMF,
     QuadraticTailLife,
+    Scheduled,
     Sevastyanov,
     Tabulated,
     summarize,
@@ -111,7 +112,7 @@ def _bounded_atoms(model: LifeLaw, span: int) -> list:
     """
     atoms = []
     if isinstance(model, Sevastyanov):
-        pmf = model.life.pmf_array(span)
+        pmf = model.life.pmf(np.arange(span + 1))
         for l in np.flatnonzero(pmf).tolist():
             for n, pn in enumerate(model.offspring_by_life(l).probs):
                 if pn > 0.0:
@@ -120,11 +121,11 @@ def _bounded_atoms(model: LifeLaw, span: int) -> list:
         if tail > 0.0:
             atoms.append((tail, (), _FAR_FUTURE))
         return atoms
-    if isinstance(model, (Tabulated, DelayedDeath)):
+    if isinstance(model, Scheduled):
         if model.residual is None:
             return list(model.atoms)
         # the life base + R, for each residual r <= span and for R > span
-        res_pmf, tail = model.residual.pmf_array(span), model.residual.survival(span)
+        res_pmf, tail = model.residual.pmf(np.arange(span + 1)), model.residual.survival(span)
         for p, ages, base in model.atoms:
             for r in range(1, span + 1):
                 if res_pmf[r] > 0.0:
@@ -132,7 +133,7 @@ def _bounded_atoms(model: LifeLaw, span: int) -> list:
             if tail > 0.0:
                 atoms.append((p * tail, ages, _FAR_FUTURE))
         return atoms
-    raise ConfigError(f"no enumeration rule for {type(model).__name__}")
+    raise ConfigError(f"not a life law: {model!r}")
 
 
 def _convolve(a: dict, b: dict, budget: int, saturate: Optional[int]) -> dict:

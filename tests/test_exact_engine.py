@@ -30,7 +30,6 @@ from gwolab import exact_engine, series
 from gwolab.errors import (
     CapTooLarge,
     ConfigError,
-    UnsupportedModel,
     ZeroConditioningEvent,
 )
 from gwolab.exact_engine import (
@@ -217,7 +216,7 @@ class TestExtinction:
         assert fh.getvalue() == csv_writer_text(rows)
 
     def test_rejects_unknown_model(self):
-        with pytest.raises(UnsupportedModel):
+        with pytest.raises(ConfigError, match="not a life law"):
             extinction_seq(object(), 4)
 
     @pytest.mark.parametrize("make", [gw_binary, bh_heavy, tabulated_mix])
@@ -614,7 +613,7 @@ class TestFddPgf:
         # query times the founder outlives
         model = gw_binary()
         times, z = (2, 4, 5), (0.4, 0.6, 0.8)
-        pmf = model.life.pmf_array(times[-1])
+        pmf = model.life.pmf(np.arange(times[-1] + 1))
 
         def shifted(l):
             kept = [(t - l, w) for t, w in zip(times, z) if t - l >= 0]

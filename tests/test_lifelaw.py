@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import polygamma
 
-from gwolab import lifelaw
+from gwolab import cli, lifelaw
 from gwolab.errors import ConfigError
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -25,6 +25,7 @@ from gwolab.lifelaw import (
     summarize,
 )
 from gwolab.simulator import _individual_draw
+from gwolab.verify import _bounded_atoms
 
 BINARY = OffspringPMF([0.5, 0.0, 0.5])
 
@@ -121,11 +122,19 @@ def test_noncritical_flag():
     assert s.mean_offspring == pytest.approx(0.6)
 
 
+def test_a_non_law_is_a_config_error():
+    # the consumers test for the two families, Sevastyanov and Scheduled,
+    # and raise one error, exit code 2 at the CLI (code 4 is retired)
+    for consume in (summarize, _individual_draw, lambda m: _bounded_atoms(m, 4)):
+        with pytest.raises(ConfigError, match="not a life law"):
+            consume(object())
+    assert 4 not in [code for _, code in cli.EXIT_CODES]
+
+
 def test_summary_tolerance_knob():
     off = OffspringPMF([0.5 - 1e-7, 0.0, 0.5 + 1e-7])
     model = BellmanHarris(FiniteLife({1: 1.0}), off)
-    assert not summarize(model, tol=1e-9).critical
-    assert summarize(model, tol=1e-6).critical
+    assert not summarize(model).critical
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +221,7 @@ def test_quadratic_tail_survival_exact():
 
 def test_quadratic_tail_pmf_array_consistent():
     life = QuadraticTailLife(d=2.5, t_min=2)
-    arr = life.pmf_array(400)
+    arr = life.pmf(np.arange(401))
     assert arr[0] == 0.0
     assert float(arr.sum()) == pytest.approx(1.0 - life.survival(400), abs=1e-12)
     for l in (2, 3, 17):
@@ -225,18 +234,24 @@ def test_quadratic_tail_pmf_array_consistent():
         FiniteLife({1: 1.0}),
         FiniteLife({1: 0.1, 3: 0.2, 7: 0.7}),
         FiniteLife({2: 1 / 3, 5: 1 / 3, 9: 1 / 3}),
+        FiniteLife({2: 0.3333333333333, 3: 0.6666666666666}),
+        FiniteLife({3: 0.5, 2**62: 0.5}),
         QuadraticTailLife(d=1.0, t_min=2),
         QuadraticTailLife(d=1.125, t_min=2),
         QuadraticTailLife(d=7.3, t_min=3),
     ],
-    ids=["gw", "three_point", "thirds", "qt_1", "qt_1.125", "qt_7.3"],
+    ids=["gw", "three_point", "thirds", "short_sum", "cap", "qt_1", "qt_1.125", "qt_7.3"],
 )
 def test_survival_array_equals_survival(life):
-    # the DP's survival tables come from survival_array; it must agree
-    # with the per-u survival exactly, not just to rounding
-    t_max = 4096
-    expected = np.array([life.survival(u) for u in range(t_max + 1)])
-    assert np.array_equal(life.survival_array(t_max), expected)
+    # the DP's tables are survival and pmf on an array of u; they must
+    # agree with the scalar forms exactly, not just to rounding, and
+    # P(L > 0) is 1 even where the masses sum to 1 - 1e-13
+    u = np.concatenate([np.arange(4097), [2**62 - 1, 2**62, 2**62 + 1]])
+    for law in (life.survival, life.pmf):
+        scalar = [law(v) for v in u.tolist()]
+        assert all(type(v) is float for v in scalar)
+        assert np.array_equal(law(u), scalar)
+    assert life.survival(0) == 1.0 and life.pmf(0) == 0.0
 
 
 def test_quadratic_tail_mean_against_partial_sum():

@@ -437,6 +437,17 @@ class TestHittingTimes:
                 1.0 / math.sqrt(1.0 + c), abs=1e-12
             )
 
+    @pytest.mark.parametrize("c", [0.3, 1.0, 15.0])
+    def test_density_near_zero_keeps_its_digits(self, c):
+        # against c/A (1/2 - 3x/8 + 5x^2/16), x = c y^2, the density's
+        # series at 0; (1 - 1/r)/(A y^2) was 2e-7 off at y = 1e-5 and 11%
+        # off at 1e-8 (c = 15), the digits lost to cancellation
+        law = law_T(LimitParams(c))
+        for y in (1e-8, 1e-5):
+            x = c * y * y
+            series = c / law.scale * (0.5 - 0.375 * x + 0.3125 * x * x)
+            assert law.pdf(y) == pytest.approx(series, rel=2e-15, abs=0.0)
+
     @pytest.mark.parametrize("c", [0.0, 1.0, 5.0, 15.0])
     def test_density_integrates_to_one(self, c):
         law = law_T(LimitParams(c))
@@ -503,9 +514,10 @@ def ref_t_pdf(p, y):
     y = np.asarray(y, dtype=float)
     c, A = p.c, p.scale
     safe = np.where(y > 0.0, y, 1.0)
-    left = (1.0 - 1.0 / np.sqrt(1.0 + c * safe**2)) / (A * safe**2)
+    r = np.sqrt(1.0 + c * y**2)
+    left = c / (A * r * (r + 1.0))
     right = 2.0 / (A * safe**2)
-    out = np.where(y >= 1.0, right, np.where(y > 0.0, left, c / (2.0 * A)))
+    out = np.where(y >= 1.0, right, left)
     return np.where(y < 0.0, 0.0, out)
 
 

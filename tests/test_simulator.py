@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from gwolab import exact_engine, philox, simulator
-from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError, UnsupportedModel
+from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError
 from gwolab.exact_engine import FddSpec, conditional_pmf, extinction_seq
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -663,5 +663,5 @@ class TestValidation:
     def test_unsupported_model(self):
         cfg = SimConfig(model=gw_binary(), horizon=1, query_times=(1,), replicates=1, seed=0)
         object.__setattr__(cfg, "model", object())
-        with pytest.raises(UnsupportedModel):
+        with pytest.raises(ConfigError, match="not a life law"):
             simulate(cfg)
