@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Union
 
 import numpy as np
@@ -166,14 +165,11 @@ class FiniteLife:
         self.d = 0.0
         # the table: support points, their masses and _tail[i] = P(L > u)
         # for the u with i support points at or below it (1 for i = 0, as
-        # L >= 1); a tail sums its masses exactly, then rounds once, as fsum
+        # L >= 1)
         self._support = np.array(self.support, dtype=np.int64)
         self._probs = np.array(self.probs, dtype=float)
-        tail, rest = [0.0], Fraction(0)
-        for p in reversed(self.probs[1:]):
-            rest += Fraction(p)
-            tail.append(float(rest))
-        self._tail = np.array([1.0] + tail[::-1])
+        tails = [math.fsum(self.probs[i:]) for i in range(1, len(self.probs))]
+        self._tail = np.array([1.0] + tails + [0.0])
 
     def pmf(self, u):
         """P(L = u) for an integer or an integer array."""

@@ -131,7 +131,7 @@ def test_a_non_law_is_a_config_error():
     assert 4 not in [code for _, code in cli.EXIT_CODES]
 
 
-def test_summary_tolerance_knob():
+def test_summary_critical_tolerance():
     off = OffspringPMF([0.5 - 1e-7, 0.0, 0.5 + 1e-7])
     model = BellmanHarris(FiniteLife({1: 1.0}), off)
     assert not summarize(model).critical
@@ -162,6 +162,17 @@ def test_sevastyanov_table_over_a_heavy_tail():
     assert s.mean_offspring == pytest.approx(en, abs=1e-14)
     assert s.a == pytest.approx(a, abs=1e-14)
     assert s.d == 1.0
+
+
+@pytest.mark.parametrize("key, a_hex", [(10**8, "0x1.a51a662530809p+1"), (10**12, "0x1.a51a6625307d4p+1")])
+def test_sevastyanov_large_key_summary_bits(key, a_hex):
+    # P(L = key) of a heavy tail squares key as a float, so it moves in its
+    # last bits above key ~ 2^26.5 (the square leaves 53 bits); a, which
+    # reads P(L = key) times key times a 59-child gap, keeps every bit
+    life = QuadraticTailLife(d=2.0, t_min=2)
+    model = Sevastyanov(life, {key: OffspringPMF([0.0] * 60 + [1.0])}, default=BINARY)
+    s = summarize(model)
+    assert (s.mean_offspring, s.b, s.a) == (1.0, 0.5, float.fromhex(a_hex))
 
 
 @pytest.mark.parametrize(
