@@ -3,120 +3,75 @@
 Exact extinction/joint-distribution recursions, conditioned Monte Carlo,
 and the one-parameter pure-death limit laws, plus verification harnesses
 tying the three routes together.
+
+`import gwolab` loads no submodule.  Each name below is imported from its
+home submodule on first use (PEP 562), so loading and summarizing a
+model loads only `errors`, `lifelaw` and `modelio`.  The submodules
+themselves (`gwolab.verify`, ...) are served the same way; and since the
+package does not import `gwolab.cli`, `python -m gwolab.cli` runs
+without runpy's RuntimeWarning.
 """
 
 from __future__ import annotations
 
-from . import cli, errors, exact_engine, lifelaw, limitlaw, modelio, philox, series, simulator, verify
-from .errors import (
-    BudgetExhausted,
-    CapTooLarge,
-    ConfigError,
-    GwolabError,
-    NonpositiveConstantTerm,
-    OracleBlowup,
-    ShapeMismatch,
-    ZeroConditioningEvent,
-)
-from .exact_engine import (
-    ConditionalPmf,
-    ConvergenceRow,
-    ExtinctionTable,
-    FddSpec,
-    conditional_pgf,
-    conditional_pmf,
-    convergence_csv,
-    convergence_table,
-    extinction_seq,
-    fdd_pgf,
-)
-from .lifelaw import (
-    BellmanHarris,
-    DelayedDeath,
-    FiniteLife,
-    ModelSummary,
-    OffspringPMF,
-    QuadraticTailLife,
-    Scheduled,
-    Sevastyanov,
-    Tabulated,
-    compound_params,
-    phi,
-    summarize,
-)
-from .limitlaw import (
-    FddPmf,
-    FddQuery,
-    LawT,
-    LawT0,
-    LimitParams,
-    MarginalPmf,
-    dichotomy_fraction,
-    eta_fdd_pgf,
-    eta_fdd_pmf,
-    eta_marginal_pgf,
-    eta_marginal_pmf,
-    figure1_data,
-    increment_pgf,
-    law_T,
-    law_T0,
-    prob_finite,
-    prob_zero,
-)
-from .modelio import dump_model, life_from_dict, life_to_dict, load_model, model_from_dict, model_to_dict
-from .simulator import (
-    DichotomyStats,
-    SimConfig,
-    SimResult,
-    conditional_sample,
-    default_cutoff,
-    dichotomy_stats,
-    simulate,
-)
-from .verify import (
-    CheckRow,
-    RunReport,
-    enumerate_joint,
-    fdd_limit_check,
-    limit_convergence,
-    oracle_equivalence,
-    report_json,
-    richardson,
-    run_battery,
-    tree_pgf,
-    tv_to_limit,
-)
+import importlib
 
-__all__ = [
-    # submodules
-    "cli", "errors", "exact_engine", "lifelaw", "limitlaw", "modelio", "philox", "series",
-    "simulator", "verify",
-    # errors
-    "GwolabError", "ConfigError", "ShapeMismatch",
-    "NonpositiveConstantTerm", "ZeroConditioningEvent",
-    "CapTooLarge", "BudgetExhausted", "OracleBlowup",
-    # model building blocks
-    "OffspringPMF", "phi", "FiniteLife", "QuadraticTailLife", "Tabulated",
-    "BellmanHarris", "Sevastyanov", "Scheduled", "DelayedDeath", "ModelSummary",
-    "compound_params", "summarize",
-    # exact recursions
-    "FddSpec", "ExtinctionTable", "extinction_seq", "fdd_pgf", "conditional_pgf",
-    "ConditionalPmf", "conditional_pmf", "ConvergenceRow", "convergence_table",
-    "convergence_csv",
-    # limit laws
-    "LimitParams", "FddQuery", "prob_finite", "prob_zero", "eta_marginal_pgf",
-    "eta_fdd_pgf", "MarginalPmf", "eta_marginal_pmf", "FddPmf", "eta_fdd_pmf",
-    "increment_pgf", "LawT", "LawT0", "law_T", "law_T0", "dichotomy_fraction",
-    "figure1_data",
-    # model file I/O
-    "life_from_dict", "life_to_dict", "model_from_dict", "model_to_dict",
-    "load_model", "dump_model",
-    # simulation
-    "SimConfig", "SimResult", "simulate", "conditional_sample", "DichotomyStats",
-    "default_cutoff", "dichotomy_stats",
-    # verification
-    "CheckRow", "RunReport", "report_json", "enumerate_joint", "tree_pgf",
-    "oracle_equivalence", "richardson", "limit_convergence", "tv_to_limit",
-    "fdd_limit_check", "run_battery",
-]
+# home submodule -> the public names it exports
+_EXPORTS = {
+    "cli": (),
+    "errors": (
+        "GwolabError", "ConfigError", "ShapeMismatch", "NonpositiveConstantTerm",
+        "ZeroConditioningEvent", "CapTooLarge", "BudgetExhausted", "OracleBlowup",
+    ),
+    "lifelaw": (
+        "OffspringPMF", "phi", "FiniteLife", "QuadraticTailLife", "Tabulated", "BellmanHarris",
+        "Sevastyanov", "Scheduled", "DelayedDeath", "ModelSummary", "compound_params", "summarize",
+    ),
+    "exact_engine": (
+        "FddSpec", "ExtinctionTable", "extinction_seq", "fdd_pgf", "conditional_pgf",
+        "ConditionalPmf", "conditional_pmf", "ConvergenceRow", "convergence_table",
+        "convergence_csv",
+    ),
+    "limitlaw": (
+        "LimitParams", "FddQuery", "prob_finite", "prob_zero", "eta_marginal_pgf",
+        "eta_fdd_pgf", "MarginalPmf", "eta_marginal_pmf", "FddPmf", "eta_fdd_pmf",
+        "increment_pgf", "LawT", "LawT0", "law_T", "law_T0", "dichotomy_fraction",
+        "figure1_data",
+    ),
+    "modelio": (
+        "life_from_dict", "life_to_dict", "model_from_dict", "model_to_dict", "load_model",
+        "dump_model",
+    ),
+    "philox": (),
+    "series": (),
+    "simulator": (
+        "SimConfig", "SimResult", "simulate", "conditional_sample", "DichotomyStats",
+        "default_cutoff", "dichotomy_stats",
+    ),
+    "verify": (
+        "CheckRow", "RunReport", "report_json", "enumerate_joint", "tree_pgf",
+        "oracle_equivalence", "richardson", "limit_convergence", "tv_to_limit",
+        "fdd_limit_check", "run_battery",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import a submodule, or the home submodule of a public name, on
+    first use, and keep the value in the package namespace."""
+    if name in _EXPORTS:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -79,6 +79,14 @@ def _path(raw):
     return raw
 
 
+def _out_path(raw):
+    """A path whose directory exists, checked before any work is done."""
+    folder = os.path.dirname(_path(raw)) or "."
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{folder!r} is not an existing directory")
+    return raw
+
+
 def _model(raw):
     return model_from_dict(raw) if isinstance(raw, dict) else load_model(_path(raw))
 
@@ -276,7 +284,7 @@ _COMMANDS = {
 
 
 def _params(command: str) -> list:
-    return [("out", _path, "output file path")] + _COMMANDS[command][2]
+    return [("out", _out_path, "output file path")] + _COMMANDS[command][2]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -294,12 +302,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
+
+
+def _log_level(raw: str) -> str:
+    if raw.upper() not in _LOG_LEVELS:
+        raise ConfigError(f"GWOLAB_LOG: {raw!r} is not one of {', '.join(_LOG_LEVELS)}")
+    return raw.upper()
+
+
 def main(argv=None) -> int:
-    level = os.environ.get("GWOLAB_LOG")
-    if level:
-        logging.basicConfig(level=getattr(logging, level.upper(), logging.INFO))
     args = _build_parser().parse_args(argv)
     try:
+        level = os.environ.get("GWOLAB_LOG")
+        if level:
+            logging.basicConfig(level=_log_level(level))
         return _COMMANDS[args.command][0](_Run(args.command, args))
     except GwolabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -390,6 +390,31 @@ class TestExitCodes:
         assert main([a.format(gw=gw_path, missing=missing) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["summarize", "--model", "{gw}"], ["verify"]], ids=["summarize", "verify"])
+    def test_out_into_missing_directory_exits_2_before_work(self, argv, gw_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "f.json"
+        assert main([a.format(gw=gw_path) for a in argv] + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.parent.exists()
+        assert captured.err.startswith("error: out: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("level, code", [("nonsense", 2), ("basic_format", 2), ("warning", 0), ("Debug", 0)])
+    def test_log_level_names(self, level, code):
+        # a subprocess, so that logging's one-time set-up stays out of this one
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, GWOLAB_LOG=level,
+                   PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-m", "gwolab.cli", "summarize", "--model", "docs/models/delayed_death.json"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert out.returncode == code, out.stderr
+        if code:
+            assert out.stdout == "" and out.stderr.startswith("error: GWOLAB_LOG: ")
+            assert out.stderr.count("\n") == 1
+        else:
+            assert out.stdout.startswith("mean_offspring=1 ") and out.stderr == ""
+
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

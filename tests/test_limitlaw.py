@@ -312,6 +312,23 @@ class TestFddPmf:
         total = res.coeffs.sum() + res.finite_remainder + res.infinite_mass
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    def test_clamp_warning(self, monkeypatch, caplog):
+        # the c1-k3-fft pin's query: its clamped coefficients are round-off,
+        # above -_CLAMP_TOL, so the warning shows only with the tolerance at 0
+        from gwolab import limitlaw
+
+        args = (LimitParams(1.0), FddQuery((0.5, 1.0, 2.0), (0.0, 0.0, 0.0)), 20)
+        want = eta_fdd_pmf(*args)
+        assert not caplog.records
+        monkeypatch.setattr(limitlaw, "_CLAMP_TOL", 0.0)
+        with caplog.at_level("WARNING", logger="gwolab.limitlaw"):
+            got = eta_fdd_pmf(*args)
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("gwolab.limitlaw", "WARNING")
+        assert record.getMessage().startswith("clamped 715 joint pmf coefficients, worst -")
+        assert got.clamped == want.clamped == 715
+        np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
     def test_limits_enforced(self):
         p = LimitParams(1.0)
         with pytest.raises(ConfigError):
