@@ -41,6 +41,14 @@ of one to a few terms.  Past the bound the dots win.  On a series ring
 the products dominate, and the atoms would repeat the powers of G that
 the composition computes once, so series DPs keep the convolution.
 
+Extinction is absorbing, so a weight z_j = 0 is the event Z(t_j) = 0,
+on which every later count is 0: the pgf at t_1..t_k is the pgf at
+t_1..t_j.  `_pgf` cuts the query after its first time of weight 0 and
+runs the DP to that time only; every pgf read goes through it, and only
+`extinction_seq`, which needs the whole column, calls `_dp` itself.  The
+cut belongs to the DP, not to `FddSpec`: a pmf's weight 0 at every time
+marks the times to keep as series variables (`_Var`, never cut).
+
 A law conditioned on Z(t_obs) > 0 is (plain - extinct) / Q(t_obs).
 plain is the unconditioned DP to t_k; Q(t_obs) takes a scalar DP to
 t_obs.  On {Z(t_obs) = 0} every count at or after t_obs is 0, so the
@@ -48,7 +56,8 @@ extinct term needs a DP, to horizon t_obs, only over the times before
 t_obs and in their variables alone.  With none (t_obs <= t_1, as in
 every conditioned law of the `verify` battery) it is the constant
 P(Z(t_obs) = 0) from the scalar DP, and the law costs one DP in the
-weights' ring.
+weights' ring.  A weight 0 at t_j <= t_obs cuts plain and extinct alike
+at t_j, into one computation, so they cancel exactly.
 
 Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
@@ -520,11 +529,19 @@ def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
     return ExtinctionTable(q=q, summary=summarize(model))
 
 
+def _pgf(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0):
+    """The pgf at the given times, by one `_dp` to the first time of float
+    weight 0 (a `_Var` is never one), or to t_k if there is none."""
+    j = next((i for i, w in enumerate(weights) if not isinstance(w, _Var) and w == 0.0), len(times) - 1)
+    return _dp(model, times[: j + 1], weights[: j + 1], nvars, cap)[times[j]]
+
+
 def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:
-    """E(z_1^{Z(t_1)} ... z_k^{Z(t_k)})."""
+    """E(z_1^{Z(t_1)} ... z_k^{Z(t_k)}); a time after one of weight 0 is
+    ignored and costs no DP steps."""
     if spec.k == 0:
         return 1.0
-    return float(_dp(model, spec.times, spec.z)[spec.times[-1]])
+    return float(_pgf(model, spec.times, spec.z))
 
 
 def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: int = 0):
@@ -546,17 +563,17 @@ def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: in
     t_obs = spec.t_obs
     if t_obs is None:
         raise ConfigError("spec needs t_obs for conditioning")
-    dead = float(_dp(model, (t_obs,), (0.0,))[t_obs])
+    dead = float(_pgf(model, (t_obs,), (0.0,)))
     q = 1.0 - dead
     if q <= 0.0:
         raise ZeroConditioningEvent(f"Z({t_obs}) > 0 has probability 0")
-    plain = _dp(model, spec.times, weights, nvars, cap)[spec.times[-1]] if spec.k else 1.0
+    plain = _pgf(model, spec.times, weights, nvars, cap) if spec.k else 1.0
     pos = bisect_left(spec.times, t_obs)
     lead = min(pos, nvars)  # the variables of the times before t_obs
     cells = (slice(None),) * lead + (0,) * (nvars - lead)
     num = np.array(plain)
     if pos:
-        num[cells] -= _dp(model, spec.times[:pos] + (t_obs,), weights[:pos] + (0.0,), lead, cap)[t_obs]
+        num[cells] -= _pgf(model, spec.times[:pos] + (t_obs,), weights[:pos] + (0.0,), lead, cap)
     else:
         num[cells] -= dead
     if nvars and spec.times[0] <= t_obs:
@@ -565,7 +582,10 @@ def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: in
 
 
 def conditional_pgf(model: LifeLaw, spec: FddSpec) -> float:
-    """E(prod z_i^{Z(t_i)} | Z(t_obs) > 0)."""
+    """E(prod z_i^{Z(t_i)} | Z(t_obs) > 0).  A time after one of weight 0
+    is ignored and costs no DP steps; with a weight 0 at or before t_obs
+    the plain and extinct DPs are one computation, and the value is
+    exactly 0."""
     return float(_conditioned(model, spec, spec.z))
 
 
@@ -615,7 +635,9 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     of `FddSpec.at`, against h (1 - `eta_fdd_pgf`).  With the first weight
     below 1 at y_1 = 1, as required, that is h (1 + sqrt(1 + c g)) / (1 +
     sqrt(1 + c)), the root of b x^2 = a x + d g, g = sum_i z_1...z_{i-1}
-    (1 - z_i) / y_i^2."""
+    (1 - z_i) / y_i^2.  The times after the first weight 0 are ignored and
+    cost no DP steps (`fdd_pgf`): with z_1 = 0 the rows are t Q(t) against
+    h, each from one DP to t."""
     q = FddQuery(y, z)
     if not q.k or q.y[0] != 1.0:
         raise ConfigError("the first coordinate of weight below 1 must be at y = 1")

@@ -58,6 +58,7 @@ from gwolab.simulator import SimConfig, simulate
 from gwolab.verify import tree_pgf, tv_to_limit
 
 BIG = 10**9  # stands for "outlives any query time"
+ZERO_OR_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # a weight 0 cuts the DP at its time
 MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
 
 
@@ -486,7 +487,7 @@ class TestDivideAndConquer:
         last = data.draw(st.integers(_LEAF + 1, 3 * _LEAF), label="t_k")
         earlier = data.draw(st.sets(st.integers(0, last - 1), max_size=2), label="earlier times")
         times = tuple(sorted(earlier)) + (last,)
-        z = tuple(data.draw(st.floats(0.0, 1.0), label=f"z{i}") for i in range(len(times)))
+        z = tuple(data.draw(ZERO_OR_WEIGHT, label=f"z{i}") for i in range(len(times)))
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
 
@@ -520,7 +521,7 @@ class TestScheduledKernel:
     @given(model=scheduled_models(), data=st.data())
     def test_random_models_match_tree(self, model, data):
         times = tuple(sorted(data.draw(st.sets(st.integers(0, 40), min_size=1, max_size=3), label="times")))
-        z = tuple(data.draw(st.floats(0.0, 1.0), label=f"z{i}") for i in range(len(times)))
+        z = tuple(data.draw(ZERO_OR_WEIGHT, label=f"z{i}") for i in range(len(times)))
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
         # the series ring runs the same walk: the conditioned pmf, evaluated
         # at small weights, is the conditioned pgf
@@ -856,6 +857,52 @@ class TestConditionedExtinctTerm:
             assert calls == [0, 2]
 
 
+class TestWeightZeroCut:
+    """Extinction is absorbing: a weight 0 at t_j is Z(t_j) = 0, on which
+    every later count is 0, so the DP stops at t_j."""
+
+    @pytest.mark.parametrize("name", DOC_MODELS)
+    def test_zero_in_the_middle_matches_tree(self, name):
+        # the oracle runs the whole query, uncut
+        model, times, z = doc_model(name), (3, 5, 8), (0.4, 0.0, 0.7)
+        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+
+    @pytest.mark.parametrize("name", DOC_MODELS)
+    def test_conditioned_on_survival_past_a_zero_is_exactly_0(self, name):
+        # a weight 0 at or before t_obs: the plain and extinct DPs are one computation
+        model = doc_model(name)
+        for times, z, t_obs in [
+            ((100, 150, 300), (0.5, 0.0, 0.5), 150),
+            ((300, 700), (0.0, 0.5), 300),
+            ((100, 200), (0.0, 0.5), 150),
+        ]:
+            assert conditional_pgf(model, FddSpec(times, z, t_obs=t_obs)) == 0.0
+
+    def test_dp_horizon_is_the_first_zero(self, monkeypatch):
+        horizons = []
+        dp = exact_engine._dp
+
+        def spy(model, times, weights, nvars=0, cap=0):
+            horizons.append(times[-1])
+            return dp(model, times, weights, nvars, cap)
+
+        monkeypatch.setattr(exact_engine, "_dp", spy)
+        model = doc_model("heavy_tail_life")
+        fdd_pgf(model, FddSpec((3, 5, 8), (0.4, 0.0, 0.7)))
+        assert horizons == [5]
+        horizons.clear()
+        # Q(t_obs), plain and extinct
+        conditional_pgf(model, FddSpec((100, 150, 300), (0.5, 0.0, 0.5), t_obs=150))
+        assert horizons == [150, 150, 150]
+        horizons.clear()
+        convergence_table(model, (1.0, 2.0), (0.0, 0.5), (8, 16))
+        assert horizons == [8, 16]
+        horizons.clear()
+        # a pmf's weights are variables, never cut
+        conditional_pmf(model, FddSpec((6, 10), (0.0, 0.0), t_obs=6), K=4)
+        assert horizons == [6, 10]
+
+
 # ---------------------------------------------------------------------------
 # convergence toward the compound limit
 # ---------------------------------------------------------------------------
@@ -941,8 +988,10 @@ class TestConvergence:
         assert fh.getvalue() == csv_writer_text((r.t, r.q_k, r.tq_k, r.target, r.abs_error) for r in rows)
 
     def test_long_dots_do_not_depend_on_blas_threads(self):
-        # at t = 2^14 the last leaf of the DP to 2^15 dots over up to 2^15
-        # sources, a length that BLAS would split across its threads
+        # weight 0 at t = 2^14 ends the query there: the last leaf of the DP
+        # to 2^14 dots over 2^14 sources, a length that BLAS would split
+        # across its threads, so the dot takes the einsum route
+        assert 2**14 > series._LONG_DOT
         src = str(Path(exact_engine.__file__).resolve().parents[1])
         code = (
             "import sys; from gwolab import convergence_table, load_model; "
