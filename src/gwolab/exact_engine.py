@@ -79,6 +79,7 @@ bits.
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
@@ -99,7 +100,7 @@ from .lifelaw import (
     Sevastyanov,
     summarize,
 )
-from .limitlaw import FddQuery, LimitParams, eta_fdd_pgf, kept_coordinates
+from .limitlaw import FddQuery, eta_fdd_pgf, kept_coordinates, limit_of
 from .modelio import write_csv
 
 _DP_BUDGET = 1 << 23  # cells of one DP table, scalar or series, or of a simulator tally or result table
@@ -522,8 +523,8 @@ def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
     whole column falls out of a single run at weight 0), clipped to
     [0, 1]: for a law that never dies out the DP's round-off, largest in
     relative terms where Q is near 1, would carry Q past 1."""
-    if t_max < 0:
-        raise ConfigError("t_max must be >= 0")
+    if not (isinstance(t_max, numbers.Integral) and t_max >= 0):
+        raise ConfigError(f"t_max={t_max!r} must be an integer >= 0")
     q = 1.0 - _dp(model, (t_max,), (0.0,))
     np.clip(q, 0.0, 1.0, out=q)
     return ExtinctionTable(q=q, summary=summarize(model))
@@ -602,8 +603,8 @@ def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
     counts up to K, over spec.times.  The weights become variables, but
     FddSpec has already dropped the times whose weight is 1, so give
     weight 0 at every time the pmf should cover."""
-    if K < 1:
-        raise ConfigError("K must be >= 1")
+    if not (isinstance(K, numbers.Integral) and K >= 1):
+        raise ConfigError(f"K={K!r} must be an integer >= 1")
     k = spec.k
     if k == 0:
         raise ConfigError("no coordinates left to extract")
@@ -632,10 +633,10 @@ class ConvergenceRow:
 
 def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     """Rows of t * Q_k(t), Q_k(t) = 1 - E(prod z_i^{Z(t_i)}) at the times
-    of `FddSpec.at`, against h (1 - `eta_fdd_pgf`).  With the first weight
-    below 1 at y_1 = 1, as required, that is h (1 + sqrt(1 + c g)) / (1 +
-    sqrt(1 + c)), the root of b x^2 = a x + d g, g = sum_i z_1...z_{i-1}
-    (1 - z_i) / y_i^2.  The times after the first weight 0 are ignored and
+    of `FddSpec.at`, against h (1 - `eta_fdd_pgf`), c and h from
+    `limit_of`.  With the first weight below 1 at y_1 = 1, as required,
+    that is h (1 + sqrt(1 + c g)) / (1 + sqrt(1 + c)), the root of b x^2 =
+    a x + d g, g = sum_i z_1...z_{i-1} (1 - z_i) / y_i^2.  The times after the first weight 0 are ignored and
     cost no DP steps (`fdd_pgf`): with z_1 = 0 the rows are t Q(t) against
     h, each from one DP to t."""
     q = FddQuery(y, z)
@@ -644,8 +645,8 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     t_grid = tuple(int(t) for t in t_grid)
     if not t_grid or min(t_grid) < 1:
         raise ConfigError("t_grid needs at least one entry, each >= 1")
-    summary = summarize(model)
-    target = summary.h * (1.0 - eta_fdd_pgf(LimitParams(summary.c), q))
+    p, h = limit_of(model)
+    target = h * (1.0 - eta_fdd_pgf(p, q))
     rows = []
     for t in t_grid:
         q_k = 1.0 - fdd_pgf(model, FddSpec.at(q, t))

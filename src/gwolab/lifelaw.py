@@ -370,7 +370,7 @@ def compound_params(a: float, b: float, d: float) -> tuple[float, float]:
     """(h, c) from the raw parameters: b h^2 = a h + d, c = 4 b d / a^2.
 
     Degenerate corners: b = 0 gives h = inf; a = 0 gives c = inf when
-    b*d > 0.  Only critical models with a > 0, b > 0 are meaningful.
+    b*d > 0.  Only critical models with b > 0 are meaningful (`limitlaw.limit_of`).
     """
     if b <= 0.0:
         return math.inf, 0.0

@@ -45,6 +45,7 @@ import numpy as np
 
 from . import series
 from .errors import CapTooLarge, ConfigError
+from .lifelaw import LifeLaw, summarize
 
 logger = logging.getLogger(__name__)
 
@@ -67,6 +68,17 @@ class LimitParams:
     def scale(self) -> float:
         """The recurring normalization 1 + sqrt(1 + c)."""
         return 1.0 + math.sqrt(1.0 + self.c)
+
+
+def limit_of(model: LifeLaw) -> tuple[LimitParams, float]:
+    """(LimitParams, h) of a model the limit theorem covers: a critical
+    one with b > 0.  a > 0 and a finite c follow: every birth age is >= 1,
+    so a >= E N = 1 (for a Sevastyanov law a = E(N L) >= 1), and a
+    quadratic tail's d is finite."""
+    s = summarize(model)
+    if not (s.critical and s.b > 0.0):
+        raise ConfigError(f"the limit needs a critical model with b > 0: E N = {s.mean_offspring!r}, b = {s.b!r}")
+    return LimitParams(s.c), s.h
 
 
 def kept_coordinates(points, z, name: str) -> tuple:

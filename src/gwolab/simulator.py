@@ -40,9 +40,8 @@ from .lifelaw import (
     LifeLaw,
     Scheduled,
     Sevastyanov,
-    summarize,
 )
-from .limitlaw import dichotomy_fraction
+from .limitlaw import dichotomy_fraction, limit_of
 from .modelio import write_csv
 from .philox import philox_uniforms
 
@@ -408,12 +407,14 @@ def dichotomy_stats(config: SimConfig) -> DichotomyStats:
 
     The cutoff, `default_cutoff`, grows without bound but slower than t,
     so the small fraction tends to the probability that the limit count
-    at 1 is finite and positive.  A replicate that overflows
-    max_individuals raises BudgetExhausted.
+    at 1 is finite and positive; the cutoff and that limit are the limit
+    theorem's, so a model `limit_of` refuses raises ConfigError.  A
+    replicate that overflows max_individuals raises BudgetExhausted.
     """
     cut = default_cutoff(config.horizon)
     if cut < 1:
         raise ConfigError("cutoff must be >= 1")
+    p, _ = limit_of(config.model)
     _, z, over = _run_all(config)
     _raise_on_overflow(over, 0, config.max_individuals)
     z = z[z > 0]
@@ -424,5 +425,5 @@ def dichotomy_stats(config: SimConfig) -> DichotomyStats:
         survivors=n,
         small_fraction=small / n if n else math.nan,
         large_fraction=1.0 - small / n if n else math.nan,
-        reference_limit=dichotomy_fraction(summarize(config.model).c),
+        reference_limit=dichotomy_fraction(p.c),
     )

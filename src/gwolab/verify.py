@@ -37,9 +37,8 @@ from .lifelaw import (
     Scheduled,
     Sevastyanov,
     Tabulated,
-    summarize,
 )
-from .limitlaw import FddQuery, LimitParams, eta_fdd_pmf
+from .limitlaw import FddQuery, eta_fdd_pmf, limit_of
 from .modelio import write_json
 from .simulator import SimConfig, simulate
 
@@ -86,16 +85,14 @@ def report_json(reports, fh) -> None:
     write_json(payload, fh)
 
 
-def _abs_row(name, statistic, reference, tolerance, source, runtime) -> CheckRow:
-    return CheckRow(
-        name=name,
-        statistic=float(statistic),
-        reference=float(reference),
-        tolerance=float(tolerance),
-        passed=bool(abs(statistic - reference) <= tolerance),
-        source=source,
-        runtime=runtime,
-    )
+def _row(name, statistic, reference, tolerance, source, runtime, one_sided=False) -> CheckRow:
+    """A row that passes when |statistic - reference| <= tolerance, or,
+    one-sided, when statistic <= reference + tolerance."""
+    if one_sided:
+        passed = statistic <= reference + tolerance
+    else:
+        passed = abs(statistic - reference) <= tolerance
+    return CheckRow(name, float(statistic), float(reference), float(tolerance), bool(passed), source, runtime)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +246,7 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
         dead = column.get((0,), 0.0)
         worst = max(worst, abs(dead - (1.0 - table.q[t])))
     rows.append(
-        _abs_row(
+        _row(
             "extinction profile vs enumeration",
             worst, 0.0, tol, "exhaustive enumeration", time.perf_counter() - start,
         )
@@ -266,7 +263,7 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
     for z in z_grid:
         worst = max(worst, abs(fdd_pgf(model, FddSpec(times, z)) - tree_pgf(model, times, z)))
     rows.append(
-        _abs_row(
+        _row(
             "joint pgf vs tree recursion",
             worst, 0.0, tol, "memoized tree recursion", time.perf_counter() - start,
         )
@@ -290,7 +287,7 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
             over += p / q_or
     worst = max(float(np.abs(oracle - cond.probs).max()), abs(over - cond.overflow))
     rows.append(
-        _abs_row(
+        _row(
             "conditional pmf vs enumeration",
             worst, 0.0, tol, "exhaustive enumeration", time.perf_counter() - start,
         )
@@ -325,63 +322,36 @@ def richardson(x1: float, x2: float, x3: float) -> float:
     return x3 - num / (r - 1.0)
 
 
-def _trend_row(name, errors, runtime) -> CheckRow:
-    worst = max(errors[i + 1] - errors[i] for i in range(len(errors) - 1))
-    return CheckRow(
-        name=name,
-        statistic=float(worst),
-        reference=0.0,
-        tolerance=_TREND_SLACK,
-        passed=bool(worst <= _TREND_SLACK),
-        source="adjacent error differences",
-        runtime=runtime,
-    )
-
-
 def limit_convergence(model: LifeLaw, y, z, t_grid) -> RunReport:
     """tQ(t) and its weighted variant against their closed-form limits:
-    the error must decrease along a dyadic grid, and the extrapolated
-    value must land within _LIMIT_REL_TOL of the target."""
+    the error must decrease along a dyadic grid (no rise past
+    _TREND_SLACK), and the extrapolated value must land within
+    _LIMIT_REL_TOL of the target."""
     t_grid = _check_dyadic(t_grid)
-    summary = summarize(model)
-    if not summary.critical:
-        raise ConfigError("model must be critical")
-    rows = []
-
+    _, h = limit_of(model)
     start = time.perf_counter()
     table = extinction_seq(model, t_grid[-1])
-    tq = [t * table.q[t] for t in t_grid]
-    h = summary.h
-    errs = [abs(v - h) for v in tq[_BURN_IN:]]
-    dt = time.perf_counter() - start
-    rows.append(_trend_row("tQ error trend", errs, dt))
-    rows.append(
-        _abs_row(
-            "tQ extrapolation", richardson(*tq[-3:]), h, _LIMIT_REL_TOL * abs(h), "closed-form limit", dt
-        )
-    )
-
+    plain = ("tQ", [t * table.q[t] for t in t_grid], h, time.perf_counter() - start)
     start = time.perf_counter()
     conv = convergence_table(model, y, z, t_grid)
     h_k = conv[0].target
-    errs_k = [r.abs_error for r in conv[_BURN_IN:]]
-    dt = time.perf_counter() - start
-    rows.append(_trend_row("weighted tQ error trend", errs_k, dt))
-    rows.append(
-        _abs_row(
-            "weighted tQ extrapolation",
-            richardson(*[r.tq_k for r in conv[-3:]]),
-            h_k,
-            _LIMIT_REL_TOL * abs(h_k),
-            "closed-form limit",
-            dt,
+    weighted = ("weighted tQ", [r.tq_k for r in conv], h_k, time.perf_counter() - start)
+    rows = []
+    for label, tq, target, dt in (plain, weighted):
+        errs = [abs(v - target) for v in tq[_BURN_IN:]]
+        worst = max(b - a for a, b in zip(errs, errs[1:]))
+        rows.append(
+            _row(f"{label} error trend", worst, 0.0, _TREND_SLACK, "adjacent error differences", dt, one_sided=True)
         )
-    )
+        rows.append(
+            _row(f"{label} extrapolation", richardson(*tq[-3:]), target, _LIMIT_REL_TOL * abs(target),
+                 "closed-form limit", dt)
+        )
 
     start = time.perf_counter()
     ratios = [conv[i].q_k / table.q[t] for i, t in enumerate(t_grid)]
     rows.append(
-        _abs_row(
+        _row(
             "survival ratio extrapolation",
             richardson(*ratios[-3:]),
             h_k / h,
@@ -411,9 +381,13 @@ def _tv_at(model: LifeLaw, q: FddQuery, t: int, K: int, limit):
 def tv_to_limit(model: LifeLaw, y, t: int, K: int, c: float) -> float:
     """Total variation between the law of the counts at times t*y (y in
     units of t), conditioned on Z(t) > 0, and the limit law, with counts
-    above total K lumped.  Left of 1 the limit is the frozen-root closed
-    form, which the DP does not converge to (ROADMAP, the Riccati item)."""
-    p, q = LimitParams(c), FddQuery(y, (0.0,) * len(y))
+    above total K lumped.  c must be the model's (`limit_of`).  Left of 1
+    the limit is the frozen-root closed form, which the DP does not
+    converge to (ROADMAP, the Riccati item)."""
+    q = FddQuery(y, (0.0,) * len(y))
+    p, _ = limit_of(model)
+    if c != p.c:
+        raise ConfigError(f"c={c!r} is not the model's c={p.c!r}")
     return _tv_at(model, q, t, K, eta_fdd_pmf(p, q, K))[1]
 
 
@@ -437,29 +411,18 @@ def fdd_limit_check(
     t_grid = tuple(int(t) for t in t_grid)
     if len(t_grid) < 2 or any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
         raise ConfigError("t_grid must be strictly increasing with at least two points")
-    summary = summarize(model)
-    if not summary.critical:
-        raise ConfigError("model must be critical")
+    p, _ = limit_of(model)
     rows = []
     prev = 1.0  # TV can never exceed 1
-    limit = eta_fdd_pmf(LimitParams(summary.c), q, K)
+    limit = eta_fdd_pmf(p, q, K)
     t0 = t_grid[0]
     for t in t_grid:
         start = time.perf_counter()
         pmf, tv = _tv_at(model, q, t, K, limit)
         if t == t0:
             cond = pmf  # the Monte Carlo check below compares against it
-        rows.append(
-            CheckRow(
-                name=f"tv to limit at t={t}",
-                statistic=tv,
-                reference=prev,
-                tolerance=_TREND_SLACK,
-                passed=bool(0.0 <= tv <= prev + _TREND_SLACK),
-                source="previous grid point",
-                runtime=time.perf_counter() - start,
-            )
-        )
+        dt = time.perf_counter() - start
+        rows.append(_row(f"tv to limit at t={t}", tv, prev, _TREND_SLACK, "previous grid point", dt, one_sided=True))
         prev = tv
 
     start = time.perf_counter()
@@ -488,7 +451,7 @@ def fdd_limit_check(
         sigma = np.sqrt(p_safe * (1.0 - p_safe) / n)
         worst = float(np.max(np.abs(observed - exact) / sigma))
     rows.append(
-        _abs_row(
+        _row(
             f"mc pmf at t={t0} ({n} survivors)",
             worst, 0.0, bound, "exact conditioned pmf, Bonferroni bound", time.perf_counter() - start,
         )

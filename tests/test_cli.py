@@ -390,6 +390,28 @@ class TestExitCodes:
         assert main([a.format(gw=gw_path, missing=missing) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "offspring", [[0.4, 0.3, 0.3], [0.2, 0.3, 0.5], [0.0, 1.0]], ids=["subcritical", "supercritical", "one_child"]
+    )
+    def test_limit_refuses_a_model_the_theorem_does_not_cover(self, offspring, tmp_path, capsys):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**GW_BINARY, "life": {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5}},
+                                    "offspring": offspring}))
+        model = ["--model", str(path)]
+        assert main(["limit", *model, "--y", "1", "--z", "0.5", "--tmax", "256"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "critical" in captured.err
+        for argv in (
+            ["summarize"],
+            ["dp", "--tmax", "64"],
+            ["fdd", "--times", "8,16", "--z", "0.5,0.5"],
+            ["fdd", "--times", "8,16", "--tobs", "8", "--K", "4"],
+            ["simulate", "--tmax", "16", "--replicates", "50", "--seed", "1"],
+        ):
+            assert main([*argv, *model]) == 0, argv
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("argv", [["summarize", "--model", "{gw}"], ["verify"]], ids=["summarize", "verify"])
     def test_out_into_missing_directory_exits_2_before_work(self, argv, gw_path, tmp_path, capsys):
         out = tmp_path / "missing" / "f.json"

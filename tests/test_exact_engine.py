@@ -230,6 +230,14 @@ class TestExtinction:
         with pytest.raises(ConfigError):
             extinction_seq(gw_binary(), -1)
 
+    @pytest.mark.parametrize("t_max", [2.5, 4.0, "4"])
+    def test_rejects_a_horizon_that_is_no_integer(self, t_max):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            extinction_seq(gw_binary(), t_max)
+
+    def test_takes_a_numpy_integer(self):
+        assert extinction_seq(gw_binary(), np.int64(4)).q.tolist() == extinction_seq(gw_binary(), 4).q.tolist()
+
 
 class TestFiniteLifeClip:
     """Finite-support lives end every segment at max_life; the DP must
@@ -769,6 +777,11 @@ class TestConditionalPmf:
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
             conditional_pmf(gw_binary(), FddSpec((3,), (0.0,), t_obs=3), K=0)
+
+    @pytest.mark.parametrize("K", [2.5, 4.0, "4"])
+    def test_k_must_be_an_integer(self, K):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            conditional_pmf(gw_binary(), FddSpec((3,), (0.0,), t_obs=3), K)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="t_obs"):

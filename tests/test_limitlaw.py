@@ -9,6 +9,7 @@ inverse CDFs by feeding fixed uniforms.
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from gwolab import series
+from gwolab import exact_engine, series, simulator
 from gwolab.errors import CapTooLarge, ConfigError
+from gwolab.lifelaw import BellmanHarris, FiniteLife, OffspringPMF, summarize
 from gwolab.limitlaw import (
     FddQuery,
     LimitParams,
@@ -30,9 +32,12 @@ from gwolab.limitlaw import (
     increment_pgf,
     law_T,
     law_T0,
+    limit_of,
     prob_finite,
     prob_zero,
 )
+from gwolab.modelio import load_model
+from gwolab.verify import fdd_limit_check, limit_convergence, tv_to_limit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -690,3 +695,60 @@ class TestHelpers:
             figure1_data(5.0, step=math.nan)
         with pytest.raises(CapTooLarge):
             figure1_data(15.0, step=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the models the limit theorem covers
+# ---------------------------------------------------------------------------
+
+
+MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
+
+# lives {1: 0.5, 2: 0.5}: E N = 0.9, E N = 1.3, and E N = 1 with b = 0
+UNCOVERED = {"subcritical": [0.4, 0.3, 0.3], "supercritical": [0.2, 0.3, 0.5], "one_child": [0.0, 1.0]}
+
+# limit_of and each entry point of the limit route, called with valid arguments
+ENTRY_POINTS = {
+    "limit_of": limit_of,
+    "convergence_table": lambda m: exact_engine.convergence_table(m, (1.0, 2.0), (0.5, 0.5), (8, 16)),
+    "limit_convergence": lambda m: limit_convergence(m, (1.0,), (0.5,), (64, 128, 256)),
+    "fdd_limit_check": lambda m: fdd_limit_check(m, (1.0,), (16, 32)),
+    "tv_to_limit": lambda m: tv_to_limit(m, (1.0,), 32, 8, 1.0),
+    "dichotomy_stats": lambda m: simulator.dichotomy_stats(simulator.SimConfig(m, 16, (16,), 100, 1)),
+}
+
+
+def uncovered(offspring):
+    return BellmanHarris(FiniteLife({1: 0.5, 2: 0.5}), OffspringPMF(offspring))
+
+
+class TestLimitOf:
+    @pytest.mark.parametrize("path", sorted(MODEL_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_example_models_are_covered(self, path):
+        model = load_model(str(path))
+        s = summarize(model)
+        p, h = limit_of(model)
+        assert (p, h) == (LimitParams(s.c), s.h)
+        assert s.a >= 1.0 and math.isfinite(p.c)
+
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    @pytest.mark.parametrize("offspring", UNCOVERED.values(), ids=UNCOVERED)
+    def test_refuses_before_any_work(self, entry, offspring, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the DP or the simulator ran")
+
+        monkeypatch.setattr(exact_engine, "_dp", no_work)
+        monkeypatch.setattr(simulator, "_run_all", no_work)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="critical"):
+                entry(uncovered(offspring))
+
+    def test_tv_to_limit_takes_only_the_models_c(self):
+        model = load_model(str(MODEL_DIR / "delayed_death.json"))
+        c = limit_of(model)[0].c
+        assert 0.0 <= tv_to_limit(model, (1.0,), 16, 6, c) <= 1.0
+        with pytest.raises(ConfigError, match="model's c"):
+            tv_to_limit(model, (1.0,), 16, 6, c + 0.5)
+        with pytest.raises(ConfigError, match="query points"):  # a bad y fails first, whatever c is
+            tv_to_limit(model, (1.0, math.nan), 16, 6, c + 0.5)

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -310,3 +311,24 @@ class TestReporting:
             "fdd_limit_check[DelayedDeath]",
         ]
         assert all(r.all_passed for r in reports)
+
+    def test_battery_rows_pinned_in_hex(self):
+        # every row's numbers, bit for bit, as first recorded in
+        # pinned_battery.json; the runtime is left out.  The bits hold for
+        # any BLAS thread count (the battery's dots are short), but a BLAS
+        # whose dot kernel sums in another order would move the last ones
+        pins = json.loads((Path(__file__).resolve().parent / "pinned_battery.json").read_text())
+        rows = [
+            {
+                "report": rep.name,
+                "row": r.name,
+                "statistic": r.statistic.hex(),
+                "reference": r.reference.hex(),
+                "tolerance": r.tolerance.hex(),
+                "passed": r.passed,
+                "source": r.source,
+            }
+            for rep in run_battery()
+            for r in rep.rows
+        ]
+        assert rows == pins
