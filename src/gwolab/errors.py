@@ -1,10 +1,14 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on purpose derives from GwolabError so callers (and the
-command line front end) can map failure classes to exit codes.
+command line front end) can map failure classes to exit codes.  `_integer`
+holds the one rule for a time or a size given to the API.
 """
 
 from __future__ import annotations
+
+import numbers
+from typing import Optional
 
 
 class GwolabError(Exception):
@@ -38,3 +42,12 @@ class BudgetExhausted(GwolabError):
 
 class OracleBlowup(GwolabError):
     """Exhaustive enumeration exceeded its node budget."""
+
+
+def _integer(value, what: str, least: Optional[int] = None) -> int:
+    """value as an int.  ConfigError names it unless it is an integer
+    (`numbers.Integral`, so numpy's integers are) and, if given, >= least."""
+    if not isinstance(value, numbers.Integral) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{what} {value!r} must be an integer{bound}")
+    return int(value)

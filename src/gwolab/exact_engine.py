@@ -45,7 +45,8 @@ Extinction is absorbing, so a weight z_j = 0 is the event Z(t_j) = 0,
 on which every later count is 0: the pgf at t_1..t_k is the pgf at
 t_1..t_j.  `_pgf` cuts the query after its first time of weight 0 and
 runs the DP to that time only; every pgf read goes through it, and only
-`extinction_seq`, which needs the whole column, calls `_dp` itself.  The
+`extinction_seq` and `convergence_table`'s rows at weight 0, which read a
+whole survival column, call `_dp` themselves.  The
 cut belongs to the DP, not to `FddSpec`: a pmf's weight 0 at every time
 marks the times to keep as series variables (`_Var`, never cut).
 
@@ -56,8 +57,9 @@ extinct term needs a DP, to horizon t_obs, only over the times before
 t_obs and in their variables alone.  With none (t_obs <= t_1, as in
 every conditioned law of the `verify` battery) it is the constant
 P(Z(t_obs) = 0) from the scalar DP, and the law costs one DP in the
-weights' ring.  A weight 0 at t_j <= t_obs cuts plain and extinct alike
-at t_j, into one computation, so they cancel exactly.
+weights' ring.  A float weight 0 at t_j <= t_obs would cut plain and
+extinct alike at t_j, into one computation that cancels exactly, so the
+law is 0 and runs no DP but Q(t_obs)'s.
 
 Weights may be scalars or series variables.  Series coefficients are
 flat rows of `series.ring(nvars, cap)`, so a DP table row is one vector,
@@ -66,21 +68,22 @@ shape.  The scalar case, shape (), runs the same walk on floats in
 `series.Floats`, the same protocol on Python floats.
 
 Each kernel has one step loop for both rings, and a step does only the
-work that depends on earlier steps.  What does not (the survival term,
-and a scheduled atom's prob * alive) is computed with numpy once per
-chunk of at most _LEAF steps, in the order a step would take, so the
-bits do not change.  A chunk reads G as `ring.rows` (Python floats on
-the scalar ring, which step faster than numpy scalars) and writes it back
-once.  The history dots and Sevastyanov's powers stay numpy's: a Python
-sum or power rounds differently and would move the outputs in their last
-bits.
+work that depends on earlier steps.  What does not is settled before the
+loop, once per chunk: the survival term and a scheduled atom's
+prob * alive, computed with numpy in the order a step would take, so the
+bits do not change, and the G cells each scheduled atom reads.  A scheduled
+chunk spans as many steps as _CHUNK_CELLS cells of alive terms allow, a
+birth-at-death chunk at most _LEAF steps.  A chunk reads G as
+`ring.rows` (Python floats on the scalar ring, which step faster than
+numpy scalars) and writes it back once.  The history dots and
+Sevastyanov's powers stay numpy's: a Python sum or power rounds
+differently and would move the outputs in their last bits.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple, Optional
@@ -92,6 +95,7 @@ from .errors import (
     CapTooLarge,
     ConfigError,
     ZeroConditioningEvent,
+    _integer,
 )
 from .lifelaw import (
     LifeLaw,
@@ -106,6 +110,7 @@ from .modelio import write_csv
 _DP_BUDGET = 1 << 23  # cells of one DP table, scalar or series, or of a simulator tally or result table
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 _ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
+_CHUNK_CELLS = 1 << 13  # cells of the atoms' alive terms one chunk of the scheduled kernel holds
 
 
 class _Var(NamedTuple):
@@ -122,13 +127,13 @@ class FddSpec:
     """
 
     def __init__(self, times, z, t_obs: Optional[int] = None):
-        times = tuple(int(t) for t in times)
+        times = tuple(_integer(t, "time") for t in times)
         if not times:
             raise ConfigError("need at least one observation time")
         if any(t < 0 for t in times):
             raise ConfigError(f"times {times} must be >= 0")
         if t_obs is not None:
-            t_obs = int(t_obs)
+            t_obs = _integer(t_obs, "t_obs")
             if t_obs < 1:
                 raise ConfigError("t_obs must be >= 1")
         self.times, self.z = kept_coordinates(times, z, "times")
@@ -222,9 +227,11 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
 
     A leaf reads G, and the survival term when it adds one, as `ring.rows`
     in chunks of at most _LEAF steps, and writes G back once per chunk.
-    A step then only sums its dots and composes P[u], which the next
-    step's dots read.  The dots stay numpy's, since BLAS sums in its own
-    order, and Sevastyanov's powers stay `g ** np.arange(R)`, since
+    One step loop serves both rings: a step only sums its dots and
+    composes P[u], which the next step's dots read.  The dots stay
+    numpy's, through `ring.dot` (on floats, einsum past _LONG_DOT terms,
+    which the last block's direct cross can reach), since BLAS sums in its
+    own order, and Sevastyanov's powers stay `g ** np.arange(R)`, since
     Python's float power rounds g^2 differently for some g; either swap
     would move the outputs in their last bits.
     """
@@ -368,21 +375,29 @@ def _scheduled(atoms, ring):
     and the founder's alive term sums P(L in segment) over the segments
     of the walk.
 
-    Nothing in an atom's alive term depends on G, and the atoms of one life
-    share S and so their alive term.  Each chunk of at most _LEAF steps
-    computes alive for one distinct S at a time and then prob * alive for
-    each atom of that S, for all its steps at once, with numpy and in the
-    order a step would take (segments in turn, then the unit term, then
-    times prob); elementwise, that gives the same bits.
-    A step then only multiplies G at each atom's birth ages, in age order,
-    and adds prob * alive times that product.  A chunk reads G as
-    `ring.rows` (Python floats on the scalar ring): an age up to _LEAF
-    from a window that starts _LEAF steps back, which the steps also write
-    and which goes back to G once per chunk; a later age from its own
-    slice, which ends before the chunk.  Lists so stay within 2 * _LEAF
-    steps, whatever the ages."""
+    One step loop serves both rings.  Nothing in an atom's alive term
+    depends on G, and the atoms of one life share S and so their alive
+    term.  Each chunk computes alive for one distinct S at a time and then
+    prob * alive for each atom of that S, for all its steps at once, with
+    numpy and in the order a step would take (segments in turn, then the
+    unit term, then times prob); elementwise, that gives the same bits.
+    A chunk holds at most _CHUNK_CELLS cells of these terms, so its length
+    is _CHUNK_CELLS over atoms x row cells (`_chunk_steps`): thousands of
+    steps for a few scalar atoms, a few for many atoms on wide rows.
+
+    A chunk reads G as `ring.rows` (Python floats on the scalar ring): an
+    age up to the chunk length from a window that starts one chunk back,
+    which the steps also write and which goes back to G once per chunk; a
+    later age from its own slice, which ends before the chunk.  Lists so
+    stay within two chunks, whatever the ages.  Each age resolves to its
+    (list, offset) once per chunk.  An age inside the chunk cuts it, and
+    each piece reads, for each atom, its ages up to the piece's first
+    step, which past the largest age are all of them.  A step then only
+    multiplies those cells in age order and adds prob * alive times the
+    product (prob * alive alone for an atom with no child born yet)."""
     mul = ring.mul
-    far = {tau for _, ages, _ in atoms for tau in ages if tau > _LEAF}
+    chunk = _chunk_steps(atoms, ring)
+    ages = sorted({tau for _, taus, _ in atoms for tau in taus})
     lives = {}  # each distinct S and the atoms that share it
     for j, (_, _, S) in enumerate(atoms):
         lives.setdefault(id(S), (S, []))[1].append(j)
@@ -390,39 +405,55 @@ def _scheduled(atoms, ring):
     def walk(G, u0, u1, segs, prefix):
         segs = [(lo, hi, ring.monomial(s, v)) for lo, hi, s, v in segs]
         unit = ring.monomial(*prefix)
-        for c0 in range(u0, u1, _LEAF):
-            c1 = min(c0 + _LEAF, u1)
-            base = max(c0 - _LEAF, 0)
+        for c0 in range(u0, u1, chunk):
+            c1 = min(c0 + chunk, u1)
+            base = max(c0 - chunk, 0)
             g = ring.rows(G[base:c1])  # g[i] is G[base + i]
-            src = {}  # age -> (col, off) with G[u - age] = col[u - off]
-            for tau in far:
-                start = max(c0 - tau, 0)
-                src[tau] = (ring.rows(G[start : max(c1 - tau, 0)]), tau + start)
+            src = {}  # age -> (col, d) with G[u - age] = col[u - c0 + d]
+            for tau in ages:
+                if tau <= chunk:
+                    src[tau] = (g, c0 - tau - base)
+                else:
+                    start = max(c0 - tau, 0)
+                    src[tau] = (ring.rows(G[start : max(c1 - tau, 0)]), c0 - tau - start)
             steps = np.arange(c0, c1)
-            terms = [None] * len(atoms)
+            alive, terms = [None] * len(atoms), None  # the last chunk's terms go before this chunk's are built
             for S, members in lives.values():
                 at = partial(S.take, mode="clip")  # S ends at its first 0: later reads clip to it
-                alive = np.zeros((c1 - c0, *ring.row))
+                shared = np.zeros((c1 - c0, *ring.row))
                 for lo, hi, mono in segs:
-                    alive += np.multiply.outer((S[0] if hi is None else at(steps - hi)) - at(steps - lo), mono)
-                alive += np.multiply.outer(at(steps), unit)
+                    shared += np.multiply.outer((S[0] if hi is None else at(steps - hi)) - at(steps - lo), mono)
+                shared += np.multiply.outer(at(steps), unit)
                 for j in members:
-                    prob, ages, _ = atoms[j]
-                    reads = [(tau, *src.get(tau, (g, tau + base))) for tau in ages]
-                    terms[j] = (reads, ring.rows(prob * alive))
-            for u in range(c0, c1):
-                acc = 0.0
-                for reads, alive in terms:
-                    child = None
-                    for tau, col, off in reads:
-                        if tau > u:
-                            break
-                        child = col[u - off] if child is None else mul(child, col[u - off])
-                    acc += alive[u - c0] if child is None else mul(alive[u - c0], child)
-                g[u - base] = acc
+                    alive[j] = ring.rows(atoms[j][0] * shared)
+            gd = c0 - base
+            # an age inside the chunk starts its reads there: cut the steps at it
+            cuts = [c0, *ages[bisect_right(ages, c0) : bisect_left(ages, c1)], c1]
+            for s0, s1 in zip(cuts, cuts[1:]):
+                terms = []
+                for (_, taus, _), al in zip(atoms, alive):
+                    reads = [src[tau] for tau in taus if tau <= s0]
+                    terms.append((al, reads[0] if reads else (None, 0), reads[1:]))
+                for i in range(s0 - c0, s1 - c0):
+                    acc = 0.0
+                    for al, (col, d), rest in terms:
+                        if col is None:
+                            acc += al[i]
+                            continue
+                        child = col[i + d]
+                        for col, d in rest:
+                            child = mul(child, col[i + d])
+                        acc += mul(al[i], child)
+                    g[i + gd] = acc
             G[c0:c1] = g[c0 - base :]
 
     return walk
+
+
+def _chunk_steps(atoms, ring) -> int:
+    """Steps of one chunk of `_scheduled`: its atoms' alive terms hold at
+    most _CHUNK_CELLS cells, or one step if that alone holds more."""
+    return max(1, _CHUNK_CELLS // (len(atoms) * math.prod(ring.row)))
 
 
 def _short_life_atoms(model):
@@ -523,17 +554,23 @@ def extinction_seq(model: LifeLaw, t_max: int) -> ExtinctionTable:
     whole column falls out of a single run at weight 0), clipped to
     [0, 1]: for a law that never dies out the DP's round-off, largest in
     relative terms where Q is near 1, would carry Q past 1."""
-    if not (isinstance(t_max, numbers.Integral) and t_max >= 0):
-        raise ConfigError(f"t_max={t_max!r} must be an integer >= 0")
+    t_max = _integer(t_max, "t_max", 0)
     q = 1.0 - _dp(model, (t_max,), (0.0,))
     np.clip(q, 0.0, 1.0, out=q)
     return ExtinctionTable(q=q, summary=summarize(model))
 
 
+def _first_zero(weights) -> Optional[int]:
+    """The index of the first float weight 0 (a `_Var` is never one), or None."""
+    return next((i for i, w in enumerate(weights) if not isinstance(w, _Var) and w == 0.0), None)
+
+
 def _pgf(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0):
     """The pgf at the given times, by one `_dp` to the first time of float
-    weight 0 (a `_Var` is never one), or to t_k if there is none."""
-    j = next((i for i, w in enumerate(weights) if not isinstance(w, _Var) and w == 0.0), len(times) - 1)
+    weight 0, or to t_k if there is none."""
+    j = _first_zero(weights)
+    if j is None:
+        j = len(times) - 1
     return _dp(model, times[: j + 1], weights[: j + 1], nvars, cap)[times[j]]
 
 
@@ -560,6 +597,8 @@ def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: in
     P(Z(t_obs) = 0), which the DP for Q(t_obs) already gives.  A series
     numerator with t_1 <= t_obs has constant term P(Z(t_obs) > 0 = Z(t_1))
     = 0, set exactly rather than left as the round-off between two DPs.
+    A float weight 0 at t_j <= t_obs makes plain and extinct one DP, to
+    t_j: then the value is exactly 0, and no DP but Q(t_obs)'s runs.
     """
     t_obs = spec.t_obs
     if t_obs is None:
@@ -568,6 +607,9 @@ def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: in
     q = 1.0 - dead
     if q <= 0.0:
         raise ZeroConditioningEvent(f"Z({t_obs}) > 0 has probability 0")
+    j = _first_zero(weights)
+    if j is not None and spec.times[j] <= t_obs:
+        return 0.0
     plain = _pgf(model, spec.times, weights, nvars, cap) if spec.k else 1.0
     pos = bisect_left(spec.times, t_obs)
     lead = min(pos, nvars)  # the variables of the times before t_obs
@@ -585,8 +627,7 @@ def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: in
 def conditional_pgf(model: LifeLaw, spec: FddSpec) -> float:
     """E(prod z_i^{Z(t_i)} | Z(t_obs) > 0).  A time after one of weight 0
     is ignored and costs no DP steps; with a weight 0 at or before t_obs
-    the plain and extinct DPs are one computation, and the value is
-    exactly 0."""
+    the value is exactly 0, after the one DP for Q(t_obs)."""
     return float(_conditioned(model, spec, spec.z))
 
 
@@ -603,8 +644,7 @@ def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
     counts up to K, over spec.times.  The weights become variables, but
     FddSpec has already dropped the times whose weight is 1, so give
     weight 0 at every time the pmf should cover."""
-    if not (isinstance(K, numbers.Integral) and K >= 1):
-        raise ConfigError(f"K={K!r} must be an integer >= 1")
+    K = _integer(K, "K", 1)
     k = spec.k
     if k == 0:
         raise ConfigError("no coordinates left to extract")
@@ -636,30 +676,29 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     of `FddSpec.at`, against h (1 - `eta_fdd_pgf`), c and h from
     `limit_of`.  With the first weight below 1 at y_1 = 1, as required,
     that is h (1 + sqrt(1 + c g)) / (1 + sqrt(1 + c)), the root of b x^2 =
-    a x + d g, g = sum_i z_1...z_{i-1} (1 - z_i) / y_i^2.  The times after the first weight 0 are ignored and
-    cost no DP steps (`fdd_pgf`): with z_1 = 0 the rows are t Q(t) against
-    h, each from one DP to t."""
+    a x + d g, g = sum_i z_1...z_{i-1} (1 - z_i) / y_i^2.  The times after
+    the first weight 0 are ignored and cost no DP steps (`fdd_pgf`).  With
+    z_1 = 0 the rows are t Q(t) against h, read from one survival column,
+    the DP to the largest t, unclipped.  Where a DP to t alone would end
+    on its last leaf's direct dots (an unbounded birth-at-death life at a
+    t that is not a power of 2), a row so carries the column's last bits."""
     q = FddQuery(y, z)
     if not q.k or q.y[0] != 1.0:
         raise ConfigError("the first coordinate of weight below 1 must be at y = 1")
-    t_grid = tuple(int(t) for t in t_grid)
+    t_grid = tuple(_integer(t, "grid point") for t in t_grid)
     if not t_grid or min(t_grid) < 1:
         raise ConfigError("t_grid needs at least one entry, each >= 1")
     p, h = limit_of(model)
     target = h * (1.0 - eta_fdd_pgf(p, q))
-    rows = []
-    for t in t_grid:
-        q_k = 1.0 - fdd_pgf(model, FddSpec.at(q, t))
-        rows.append(
-            ConvergenceRow(
-                t=t,
-                q_k=q_k,
-                tq_k=t * q_k,
-                target=target,
-                abs_error=abs(t * q_k - target),
-            )
-        )
-    return rows
+    if q.z[0] == 0.0:  # Z(t) = 0 ends the query at t
+        dead = _dp(model, (max(t_grid),), (0.0,))
+        q_ks = [1.0 - float(dead[t]) for t in t_grid]
+    else:
+        q_ks = [1.0 - fdd_pgf(model, FddSpec.at(q, t)) for t in t_grid]
+    return [
+        ConvergenceRow(t=t, q_k=q_k, tq_k=t * q_k, target=target, abs_error=abs(t * q_k - target))
+        for t, q_k in zip(t_grid, q_ks)
+    ]
 
 
 def convergence_csv(rows, fh) -> None:

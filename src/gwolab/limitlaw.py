@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import series
-from .errors import CapTooLarge, ConfigError
+from .errors import CapTooLarge, ConfigError, _integer
 from .lifelaw import LifeLaw, summarize
 
 logger = logging.getLogger(__name__)
@@ -123,8 +122,7 @@ def _check_y(y) -> None:
 
 def _check_K(K, k: int = 1) -> None:
     """K is an integer >= 0, and a k-variable pmf's (2K+1)^k box is within budget."""
-    if not (isinstance(K, numbers.Integral) and K >= 0):
-        raise ConfigError(f"K={K!r} must be an integer >= 0")
+    _integer(K, "K", 0)
     if (2 * K + 1) ** k > _PMF_ELEMENT_BUDGET:
         raise CapTooLarge(f"the (2K+1)^k = {(2 * K + 1) ** k} box of a product exceeds the element budget")
 

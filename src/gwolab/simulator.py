@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, CapTooLarge, ConfigError
+from .errors import BudgetExhausted, CapTooLarge, ConfigError, _integer
 from .exact_engine import _check_budget, extinction_seq
 from .lifelaw import (
     LifeLaw,
@@ -60,7 +60,9 @@ class SimConfig:
     max_individuals: int = 1_000_000
 
     def __post_init__(self):
-        object.__setattr__(self, "query_times", tuple(int(t) for t in self.query_times))
+        for name in ("horizon", "replicates", "seed", "max_individuals"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        object.__setattr__(self, "query_times", tuple(_integer(t, "query time") for t in self.query_times))
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
         qt = self.query_times

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, OracleBlowup
+from .errors import ConfigError, OracleBlowup, _integer
 from .exact_engine import (
     FddSpec,
     conditional_pmf,
@@ -301,7 +301,7 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
 
 
 def _check_dyadic(t_grid) -> tuple:
-    t_grid = tuple(int(t) for t in t_grid)
+    t_grid = tuple(_integer(t, "grid point") for t in t_grid)
     if len(t_grid) < 3:
         raise ConfigError("need at least three grid points")
     if t_grid[0] < 1 or any(t_grid[i + 1] != 2 * t_grid[i] for i in range(len(t_grid) - 1)):
@@ -408,7 +408,7 @@ def fdd_limit_check(
     the frozen-root closed form, which the DP does not converge to (ROADMAP,
     the Riccati item), so the TV trend there gates nothing."""
     q = FddQuery(y, (0.0,) * len(y))
-    t_grid = tuple(int(t) for t in t_grid)
+    t_grid = tuple(_integer(t, "grid point") for t in t_grid)
     if len(t_grid) < 2 or any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
         raise ConfigError("t_grid must be strictly increasing with at least two points")
     p, _ = limit_of(model)

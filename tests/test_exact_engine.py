@@ -545,11 +545,17 @@ class TestScheduledKernel:
         assert float(series_val) == pytest.approx(want, abs=1e-12)
 
     def test_late_ages_reach_back_past_a_chunk(self):
-        # ages up to 150 read G more than one chunk of _LEAF steps back
-        model = Tabulated([(0.5, (1, 150), 150), (0.5, (), 3)])
-        times, z = (150, 290, 420), (0.3, 0.6, 0.0)
-        assert times[-1] > 3 * _LEAF
-        assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
+        # the late age reads G more than one chunk back, from a slice of its
+        # own; the early one reads the chunk's window, and the query spans
+        # more than three chunks of the length the kernel picks for the model
+        def model(late):
+            return Tabulated([(0.5, (late // 4, late), late), (0.5, (), 3)])
+
+        chunk = exact_engine._chunk_steps(model(4).atoms, series.Floats)
+        late = chunk + 22
+        m, times, z = model(late), (late, 2 * chunk + 34, 3 * chunk + 36), (0.3, 0.6, 0.0)
+        assert late // 4 <= chunk < late and times[-1] > 3 * chunk
+        assert fdd_pgf(m, FddSpec(times, z)) == pytest.approx(tree_pgf(m, times, z), abs=1e-12)
 
     def test_atoms_of_one_life_share_one_survival_column(self):
         # 40 atoms over 5 lives: a column of t_max + 1 floats per atom
@@ -662,6 +668,15 @@ class TestFddPgf:
             FddSpec((), ())
         with pytest.raises(ConfigError):
             FddSpec((1,), (0.5,), t_obs=0)
+
+    def test_times_must_be_integers(self):
+        # a fractional time is refused, not truncated; numpy's integers pass
+        with pytest.raises(ConfigError, match="4.5"):
+            FddSpec((4.5,), (0.5,))
+        with pytest.raises(ConfigError, match="t_obs 4.0"):
+            FddSpec((4,), (0.5,), t_obs=4.0)
+        spec = FddSpec(np.array([3, 5]), (0.5, 0.5), t_obs=np.int64(3))
+        assert (spec.times, spec.t_obs) == ((3, 5), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -904,12 +919,13 @@ class TestWeightZeroCut:
         fdd_pgf(model, FddSpec((3, 5, 8), (0.4, 0.0, 0.7)))
         assert horizons == [5]
         horizons.clear()
-        # Q(t_obs), plain and extinct
+        # Q(t_obs) alone: a weight 0 at or before t_obs makes the value 0
         conditional_pgf(model, FddSpec((100, 150, 300), (0.5, 0.0, 0.5), t_obs=150))
-        assert horizons == [150, 150, 150]
+        assert horizons == [150]
         horizons.clear()
+        # z_1 = 0: every row reads one survival column, to the largest t
         convergence_table(model, (1.0, 2.0), (0.0, 0.5), (8, 16))
-        assert horizons == [8, 16]
+        assert horizons == [16]
         horizons.clear()
         # a pmf's weights are variables, never cut
         conditional_pmf(model, FddSpec((6, 10), (0.0, 0.0), t_obs=6), K=4)
@@ -986,6 +1002,21 @@ class TestConvergence:
                 convergence_table(gw_binary(), (1.0, bad), (0.0, 0.5), (8,))
             with pytest.raises(ConfigError):
                 tv_to_limit(gw_binary(), (1.0, bad), 8, 5, 1.0)
+
+    def test_grid_must_be_integers(self):
+        with pytest.raises(ConfigError, match="8.5"):
+            convergence_table(gw_binary(), (1.0,), (0.5,), (8.5, 16))
+        rows = convergence_table(gw_binary(), (1.0,), (0.5,), np.array([8, 16]))
+        assert [r.t for r in rows] == [8, 16]
+
+    @pytest.mark.parametrize("name", ["heavy_tail_life", "heavy_tail_sevastyanov"])
+    def test_weight_0_rows_are_the_survival_column(self, name):
+        # off the powers of 2 a DP to t alone ends on its last leaf's
+        # direct dots; the rows read the column of the DP to the largest t
+        model, grid = doc_model(name), (1000, 3000, 5000)
+        q = extinction_seq(model, grid[-1]).q
+        rows = convergence_table(model, (1.0, 2.0), (0.0, 0.5), grid)
+        assert [r.q_k.hex() for r in rows] == [float(q[t]).hex() for t in grid]
 
     def test_csv_output(self):
         fh = io.StringIO()

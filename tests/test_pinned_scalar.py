@@ -13,10 +13,17 @@ t = 2^14 when OpenBLAS splits the long dots over two threads).  Running
 this file as a script rewrites the JSON from the code it imports, so do
 that only against the reference implementation, never to make a failing
 pin pass.
+
+`pinned_scheduled.json` holds, bit for bit, the sha256 of the whole
+survival column at 2^16 of each model the scheduled kernel runs.  Those
+columns use only Python float and elementwise numpy arithmetic, which
+IEEE rounds the same way on every host, so they do not depend on the
+BLAS or its threads.  The script leaves that file alone.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -28,6 +35,7 @@ from gwolab import FddSpec, conditional_pgf, convergence_table, extinction_seq, 
 HERE = Path(__file__).resolve().parent
 MODEL_DIR = HERE.parent / "docs" / "models"
 PINS = HERE / "pinned_scalar.json"
+SCHEDULED_PINS = json.loads((HERE / "pinned_scheduled.json").read_text())
 RTOL = 1e-9
 
 MODELS = ["age_dependent_offspring", "binary_splitting", "delayed_death", "early_births", "heavy_tail_life"]
@@ -73,6 +81,12 @@ def test_convergence_table_is_pinned(pins, name):
 @pytest.mark.parametrize("name", MODELS)
 def test_conditional_pgf_is_pinned(pins, name):
     assert _conditional(name) == pytest.approx(pins["conditional_pgf"][name], rel=RTOL, abs=0)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEDULED_PINS["sha256"]))
+def test_scheduled_survival_is_pinned_bit_for_bit(name):
+    q = extinction_seq(_model(name), SCHEDULED_PINS["t_max"]).q
+    assert hashlib.sha256(q.tobytes()).hexdigest() == SCHEDULED_PINS["sha256"][name]
 
 
 if __name__ == "__main__":

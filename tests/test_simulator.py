@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -638,6 +639,22 @@ class TestValidation:
             SimConfig(model=m, horizon=5, query_times=(5,), replicates=1, seed=-1)
         with pytest.raises(ConfigError):
             SimConfig(model=m, horizon=5, query_times=(5,), replicates=1, seed=0, max_individuals=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("horizon", 5.0), ("query_times", (2.5,)), ("replicates", 10.0), ("seed", 1.5), ("max_individuals", 1e6)],
+    )
+    def test_integer_fields_refuse_floats(self, field, value):
+        # refused up front, naming the value, rather than failing inside numpy
+        args = {**dict(model=gw_binary(), horizon=5, query_times=(2,), replicates=10, seed=1), field: value}
+        shown = value[0] if field == "query_times" else value
+        with pytest.raises(ConfigError, match=re.escape(repr(shown))):
+            SimConfig(**args)
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = SimConfig(model=gw_binary(), horizon=np.int64(5), query_times=(np.int64(2),), replicates=np.int32(10),
+                        seed=np.uint64(1), max_individuals=np.int64(100))
+        assert cfg.query_times == (2,) and simulate(cfg).counts.shape == (10, 1)
 
     def test_sizes_past_the_budget(self):
         # one slot's tally, 2 x (horizon + 2) cells, and all replicates'

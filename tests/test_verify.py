@@ -191,6 +191,10 @@ class TestLimitConvergence:
         with pytest.raises(ConfigError):
             limit_convergence(skewed, (1.0,), (0.5,), (64, 128, 256))
 
+    def test_grid_must_be_integers(self):
+        with pytest.raises(ConfigError, match="64.5"):
+            limit_convergence(gw_binary(), (1.0,), (0.5,), (64.5, 129, 258))
+
 
 class TestFddLimit:
     @pytest.mark.parametrize(
@@ -198,8 +202,9 @@ class TestFddLimit:
         [
             (delayed_c1(), (16,), "at least two points"),
             (BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.25, 0.25, 0.5])), (16, 32), "critical"),
+            (delayed_c1(), (16.5, 32), "grid point 16.5 must be an integer"),
         ],
-        ids=["one_point_grid", "noncritical"],
+        ids=["one_point_grid", "noncritical", "fractional_grid"],
     )
     def test_rejects_bad_input(self, model, grid, match):
         with pytest.raises(ConfigError, match=match):
