@@ -3,16 +3,17 @@
 Each subcommand declares its parameters once, as (name, parser, help) in
 `_COMMANDS`; flags are generated from that table, and `modelio.fields`,
 the one reader of outside JSON (model files too), reads flag and --config
-values alike.  Every run prints a one-line summary and, with --out, drops
-a config echo of the parsed values next to the output, from which the
-identical run can be reproduced.  Error classes map to distinct exit
-codes so scripts can tell a schema problem from a blown budget.
+values alike.  Each command imports the submodules it runs, so a summary
+loads neither the DP nor the simulator.  Every run prints a one-line
+summary and, with --out, drops a config echo of the parsed values next
+to the output, from which the identical run can be reproduced.  Error
+classes map to distinct exit codes so scripts can tell a schema problem
+from a blown budget.
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import os
 import sys
 from dataclasses import asdict
@@ -28,17 +29,6 @@ from .errors import (
     OracleBlowup,
     ZeroConditioningEvent,
 )
-from .exact_engine import (
-    FddSpec,
-    conditional_pgf,
-    conditional_pmf,
-    convergence_csv,
-    convergence_table,
-    extinction_seq,
-    fdd_pgf,
-)
-from .lifelaw import summarize
-from .limitlaw import LimitParams, figure1_data, law_T
 from .modelio import (
     choice,
     fields,
@@ -51,8 +41,6 @@ from .modelio import (
     write_csv,
     write_json,
 )
-from .simulator import SimConfig, simulate
-from .verify import report_json, run_battery
 
 EXIT_CODES = [
     (ConfigError, 2),
@@ -131,6 +119,8 @@ class _Run:
 
 
 def _cmd_summarize(run: _Run) -> int:
+    from .lifelaw import summarize
+
     s = summarize(run.require("model"))
     run.emit(
         " ".join(
@@ -144,6 +134,8 @@ def _cmd_summarize(run: _Run) -> int:
 
 
 def _cmd_dp(run: _Run) -> int:
+    from .exact_engine import extinction_seq
+
     t_max = run.require("tmax")
     table = extinction_seq(run.require("model"), t_max)
     run.emit(f"Q({t_max})={_fmt(table.q[t_max])} tQ={_fmt(t_max * table.q[t_max])}", table.to_csv)
@@ -151,6 +143,8 @@ def _cmd_dp(run: _Run) -> int:
 
 
 def _cmd_fdd(run: _Run) -> int:
+    from .exact_engine import FddSpec, conditional_pgf, conditional_pmf, fdd_pgf
+
     model = run.require("model")
     times = run.require("times")
     t_obs = run.get("tobs")
@@ -184,6 +178,8 @@ def _write_pmf_csv(pm, fh) -> None:
 
 
 def _cmd_simulate(run: _Run) -> int:
+    from .simulator import SimConfig, simulate
+
     horizon = run.require("tmax")
     cfg = SimConfig(
         model=run.require("model"),
@@ -204,6 +200,8 @@ def _cmd_simulate(run: _Run) -> int:
 
 
 def _cmd_limit(run: _Run) -> int:
+    from .exact_engine import convergence_csv, convergence_table
+
     model = run.require("model")
     y = run.require("y")
     z = run.require("z")
@@ -225,6 +223,8 @@ def _cmd_limit(run: _Run) -> int:
 
 
 def _cmd_figure1(run: _Run) -> int:
+    from .limitlaw import LimitParams, figure1_data, law_T
+
     c = run.require("c")
     data = figure1_data(c, step=run.get("grid", 0.01), y_max=run.get("y_max", 4.0))
 
@@ -235,6 +235,8 @@ def _cmd_figure1(run: _Run) -> int:
 
 
 def _cmd_verify(run: _Run) -> int:
+    from .verify import report_json, run_battery
+
     reports = run_battery()
     passed = sum(1 for r in reports if r.all_passed)
     run.emit(f"verify: {passed}/{len(reports)} reports passed", partial(report_json, reports))
@@ -316,6 +318,8 @@ def main(argv=None) -> int:
     try:
         level = os.environ.get("GWOLAB_LOG")
         if level:
+            import logging
+
             logging.basicConfig(level=_log_level(level))
         return _COMMANDS[args.command][0](_Run(args.command, args))
     except GwolabError as exc:

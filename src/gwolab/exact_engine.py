@@ -75,9 +75,17 @@ bits do not change, and the G cells each scheduled atom reads.  A scheduled
 chunk spans as many steps as _CHUNK_CELLS cells of alive terms allow, a
 birth-at-death chunk at most _LEAF steps.  A chunk reads G as
 `ring.rows` (Python floats on the scalar ring, which step faster than
-numpy scalars) and writes it back once.  The history dots and
-Sevastyanov's powers stay numpy's: a Python sum or power rounds
-differently and would move the outputs in their last bits.
+numpy scalars) and writes it back once.  A birth-at-death chunk walks
+sub-blocks whose length follows the cells a step writes.  A rank-1 float
+step writes one: its sub-blocks of _SUB_STEPS steps take the history
+before them by one dot per segment, and the few terms inside them as
+float products, so a step makes no numpy call; these columns differ in
+their last bits from one dot per step.  A series row or a Sevastyanov
+table writes more cells, and its sub-block is one step with one dot, bit
+for bit the walk step by step: the terms inside a longer sub-block would
+cost ring products, or a row of float products each, not one call.
+Sevastyanov's powers stay numpy's: Python's float power rounds
+differently.
 """
 
 from __future__ import annotations
@@ -110,6 +118,7 @@ from .modelio import write_csv
 _DP_BUDGET = 1 << 23  # cells of one DP table, scalar or series, or of a simulator tally or result table
 _LEAF = 128  # steps a leaf of the birth-at-death recursion walks directly; a power of 2
 _ATOM_READS = 16  # G reads per step up to which a finite-life birth-at-death law walks as atoms
+_SUB_STEPS = 8  # steps of a birth-at-death sub-block when a step writes one cell (rank 1 on floats)
 _CHUNK_CELLS = 1 << 13  # cells of the atoms' alive terms one chunk of the scheduled kernel holds
 
 
@@ -227,13 +236,29 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
 
     A leaf reads G, and the survival term when it adds one, as `ring.rows`
     in chunks of at most _LEAF steps, and writes G back once per chunk.
-    One step loop serves both rings: a step only sums its dots and
-    composes P[u], which the next step's dots read.  The dots stay
-    numpy's, through `ring.dot` (on floats, einsum past _LONG_DOT terms,
-    which the last block's direct cross can reach), since BLAS sums in its
-    own order, and Sevastyanov's powers stay `g ** np.arange(R)`, since
-    Python's float power rounds g^2 differently for some g; either swap
-    would move the outputs in their last bits.
+    A chunk runs in sub-blocks, whose length follows the cells a step
+    writes, and each step composes P[u] with `ring.poly` or `ring.powers`
+    for the steps after it.  A rank-1 step on floats writes one cell, and
+    its sub-blocks span _SUB_STEPS steps: one `ring.dot` per segment takes
+    the sources before the sub-block for all its steps, against a slice of
+    the Toeplitz table K[x, c] = M[_LEAF - x + c] built once per DP, then
+    each step adds its at most _SUB_STEPS - 1 sources inside the sub-block
+    (all in the segment of weight 1) as float products, and P goes back to
+    the table once per sub-block.  A step so pays no numpy call, where a
+    dot per step pays one for a handful of terms.  The sums run in another
+    order than one dot per step, so these columns differ from such a walk
+    in their last bits: about 1e-10 relative at 2^16 on heavy_tail_life,
+    and nearer a long-double reference at 2^13.  A series row or a
+    Sevastyanov table writes more cells, and its sub-block is one step,
+    whose sources are one dot of a row of Mr: a series ring's products
+    cost more than that numpy call, and a table's sources inside a
+    sub-block would each cost a row of products.  Those columns keep the
+    bits of a walk step by step.  The dots stay numpy's, through `ring.dot`
+    (on floats, einsum past _LONG_DOT terms, which the last block's direct
+    cross can reach, since BLAS splits a long dot across its threads; a
+    sub-block's dot holds at most _LEAF x _SUB_STEPS terms), and
+    Sevastyanov's powers stay `g ** np.arange(R)`, since Python's float
+    power rounds g^2 differently for some g.
     """
     u = np.arange(t_max + 1)
     pmf, surv = model.life.pmf(u), model.life.survival(u)
@@ -254,6 +279,83 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         for u0, u1, segs, prefix in phases
     ]
 
+    def steps(c0, c1, g, late, segs):
+        """The steps [c0, c1) one at a time: each segment's sources by one
+        dot of a row of Mr."""
+        for u in range(c0, c1):
+            off = (t_max - u) * R
+            # rows of lives l = u - m > max_life are zero: start at m = u - max_life
+            m_min = 0 if max_life is None else (u - max_life) * R
+            total = g[u - c0]
+            for lo, hi, scal, var_idx in segs:
+                if hi is None:
+                    hi = u * R
+                if lo < m_min:
+                    lo = m_min
+                if lo >= hi:
+                    continue
+                block = dot(Mr[off + lo : off + hi], Pf[lo:hi])
+                if var_idx:
+                    block = ring.shift(block, var_idx)
+                total += scal * block
+            if late is not None:
+                total = total + late[u - c0]
+            g[u - c0] = total
+            P[u] = compose(total)
+
+    def sub_blocks(c0, c1, g, late, segs):
+        """The steps [c0, c1) in sub-blocks of _SUB_STEPS, rank 1 on floats
+        (R = 1: the segments' flat bounds are steps).  Each segment's
+        sources before a sub-block take one dot over K; the segment of hi
+        None (weight 1) holds the sources inside it, which each step adds
+        as float products M[i - j] * P[s0 + j] over its earlier steps j."""
+        for s0 in range(c0, c1, _SUB_STEPS):
+            s1 = min(s0 + _SUB_STEPS, c1)
+            k0, k1 = s0 - c0, s1 - c0
+            # rows of lives l = u - m > max_life are zero: start at m = s0 - max_life
+            m_min = 0 if max_life is None else s0 - max_life
+            near = zeros  # the window sums of the segment of hi None
+            for lo, hi, scal, var_idx in segs:
+                top = s0 if hi is None else hi
+                if lo < m_min:
+                    lo = m_min
+                if lo >= top:
+                    continue
+                sums = dot(Pf[lo:top], K[lo - s0 + _LEAF : top - s0 + _LEAF])
+                if hi is None:
+                    near = sums
+                    continue
+                if var_idx:
+                    sums = [ring.shift(block, var_idx) for block in sums]
+                g[k0:k1] = [x + scal * y for x, y in zip(g[k0:k1], sums)]
+            if late is not None:
+                g[k0:k1] = [x + y for x, y in zip(g[k0:k1], late[k0:k1])]
+            p = []  # P[s0:u]
+            for k, window, lives in zip(range(k0, k1), near, nears):
+                total = g[k] + window
+                for m, pm in zip(lives, p):
+                    total += m * pm
+                g[k] = total
+                p.append(compose(total))
+            P[s0:s1] = p
+
+    walk = steps
+    if M.ndim == 1 and not ring.row:  # rank 1 on floats: a step writes one cell
+        # K[x, c] = M[_LEAF - x + c] (0 past t_max): step s0 + c reads source
+        # m at row x = m - s0 + _LEAF, as a window starts at most _LEAF steps
+        # before its sub-block (at its leaf's first step or after, or at
+        # s0 - max_life with max_life <= _LEAF)
+        head = np.zeros(_LEAF + _SUB_STEPS)
+        head[: min(T, _LEAF + _SUB_STEPS)] = M[: _LEAF + _SUB_STEPS]
+        K = head[np.add.outer(_LEAF - np.arange(_LEAF), np.arange(_SUB_STEPS))]
+        # M[i], ..., M[1] for step s0 + i, less the lives shorter than any of
+        # positive mass in the sub-block, which add nothing
+        mass = head[:_SUB_STEPS].tolist()
+        shortest = next((l for l in range(1, _SUB_STEPS) if mass[l] > 0.0), _SUB_STEPS)
+        nears = [mass[i : shortest - 1 : -1] for i in range(_SUB_STEPS)]
+        zeros = [0.0] * _SUB_STEPS
+        walk = sub_blocks
+
     def leaf(a, b, alive):
         """Steps [a, b) from the sources in [a, u), on top of what G
         holds, plus the survival term alive[u] * unit (alive None: G has
@@ -264,26 +366,7 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
                 c1 = min(c0 + _LEAF, b, u1)
                 g = ring.rows(G[c0:c1])
                 late = None if alive is None else ring.rows(np.multiply.outer(alive[c0:c1], unit))
-                for u in range(c0, c1):
-                    off = (t_max - u) * R
-                    # rows of lives l = u - m > max_life are zero: start at m = u - max_life
-                    m_min = 0 if max_life is None else (u - max_life) * R
-                    total = g[u - c0]
-                    for lo, hi, scal, var_idx in segs:
-                        if hi is None:
-                            hi = u * R
-                        if lo < m_min:
-                            lo = m_min
-                        if lo >= hi:
-                            continue
-                        block = dot(Mr[off + lo : off + hi], Pf[lo:hi])
-                        if var_idx:
-                            block = ring.shift(block, var_idx)
-                        total += scal * block
-                    if late is not None:
-                        total = total + late[u - c0]
-                    g[u - c0] = total
-                    P[u] = compose(total)
+                walk(c0, c1, g, late, segs)
                 G[c0:c1] = g
 
     if t_max <= _LEAF or (max_life is not None and max_life <= _LEAF):

@@ -243,13 +243,16 @@ class Floats:
         return table.tolist()
 
     @staticmethod
-    def dot(x: np.ndarray, y: np.ndarray) -> float:
-        """numpy's dot (ndarray.dot skips np.dot's dispatch), as a Python
-        float; past _LONG_DOT terms einsum's own loop, since BLAS splits a
-        long dot across its threads and the sum would depend on their
-        number."""
+    def dot(x: np.ndarray, y: np.ndarray):
+        """numpy's dot (ndarray.dot skips np.dot's dispatch) of a vector x
+        with a vector y as a Python float, or with each column of a matrix
+        y as a list of them; past _LONG_DOT terms, einsum's own loop,
+        since BLAS splits a long dot across its threads and the sum would
+        depend on their number.  A matrix y stays below that."""
         if x.size > _LONG_DOT:
             return float(np.einsum("i,i->", x, y))
+        if y.ndim > 1:
+            return x.dot(y).tolist()
         return float(x.dot(y))
 
     @staticmethod

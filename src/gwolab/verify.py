@@ -326,16 +326,24 @@ def limit_convergence(model: LifeLaw, y, z, t_grid) -> RunReport:
     """tQ(t) and its weighted variant against their closed-form limits:
     the error must decrease along a dyadic grid (no rise past
     _TREND_SLACK), and the extrapolated value must land within
-    _LIMIT_REL_TOL of the target."""
+    _LIMIT_REL_TOL of the target.  With z_1 = 0 the weighted rows are
+    read from one survival column, and so are the plain ones."""
     t_grid = _check_dyadic(t_grid)
     _, h = limit_of(model)
-    start = time.perf_counter()
-    table = extinction_seq(model, t_grid[-1])
-    plain = ("tQ", [t * table.q[t] for t in t_grid], h, time.perf_counter() - start)
     start = time.perf_counter()
     conv = convergence_table(model, y, z, t_grid)
     h_k = conv[0].target
     weighted = ("weighted tQ", [r.tq_k for r in conv], h_k, time.perf_counter() - start)
+    if FddQuery(y, z).z[0] == 0.0:
+        # Q as `extinction_seq` gives it, clipped to [0, 1]
+        q = [min(max(r.q_k, 0.0), 1.0) for r in conv]
+        plain_s = weighted[3]
+    else:
+        start = time.perf_counter()
+        table = extinction_seq(model, t_grid[-1])
+        q = [table.q[t] for t in t_grid]
+        plain_s = time.perf_counter() - start
+    plain = ("tQ", [t * q_t for t, q_t in zip(t_grid, q)], h, plain_s)
     rows = []
     for label, tq, target, dt in (plain, weighted):
         errs = [abs(v - target) for v in tq[_BURN_IN:]]
@@ -349,7 +357,7 @@ def limit_convergence(model: LifeLaw, y, z, t_grid) -> RunReport:
         )
 
     start = time.perf_counter()
-    ratios = [conv[i].q_k / table.q[t] for i, t in enumerate(t_grid)]
+    ratios = [r.q_k / q_t for r, q_t in zip(conv, q)]
     rows.append(
         _row(
             "survival ratio extrapolation",

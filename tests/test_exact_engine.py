@@ -55,7 +55,7 @@ from gwolab.lifelaw import (
 )
 from gwolab.modelio import load_model, model_from_dict, model_to_dict
 from gwolab.simulator import SimConfig, simulate
-from gwolab.verify import tree_pgf, tv_to_limit
+from gwolab.verify import limit_convergence, tree_pgf, tv_to_limit
 
 BIG = 10**9  # stands for "outlives any query time"
 ZERO_OR_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # a weight 0 cuts the DP at its time
@@ -432,6 +432,19 @@ class TestDivideAndConquer:
         rel = np.abs(extinction_seq(model, t_max).q - ref) / ref
         # an FFT over P itself, rather than over 1 - P, is off by 4.6e-10 here
         assert float(rel.max()) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["heavy_tail_life", "heavy_tail_sevastyanov", "bh_long_lives"])
+    def test_float_leaf_matches_series_leaf(self, name):
+        # a float DP walks rank-1 lives in sub-blocks, with float products
+        # inside each; a series DP in one variable walks one step at a time
+        # (as a Sevastyanov table does on floats too), and its constant
+        # coefficient is P(Z(t) = 0) as well.  Up to 4096 the two meet,
+        # relative to Q(t), over many sub-blocks, leaves and crosses.
+        model = bh_long_lives() if name == "bh_long_lives" else load_model(str(MODEL_DIR / f"{name}.json"))
+        t = 4096
+        q = extinction_seq(model, t).q
+        dead = exact_engine._dp(model, (t,), (exact_engine._Var(0),), 1, 1)[:, 0]
+        assert float(np.max(np.abs(q - (1.0 - dead)) / q)) <= 1e-11
 
     @pytest.mark.parametrize("t", [1 << 12, 1 << 14])
     def test_last_step_matches_a_longer_run(self, t):
@@ -930,6 +943,11 @@ class TestWeightZeroCut:
         # a pmf's weights are variables, never cut
         conditional_pmf(model, FddSpec((6, 10), (0.0, 0.0), t_obs=6), K=4)
         assert horizons == [6, 10]
+        # z_1 = 0: the plain and the weighted limit rows read one survival column
+        for name in ("heavy_tail_life", "delayed_death"):
+            horizons.clear()
+            limit_convergence(doc_model(name), (1.0, 2.0), (0.0, 0.5), [1 << i for i in range(10, 14)])
+            assert horizons == [8192], name
 
 
 # ---------------------------------------------------------------------------

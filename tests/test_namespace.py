@@ -69,3 +69,21 @@ def test_cli_as_main_module_without_warning(model):
     out = _python("-W", "error::RuntimeWarning", "-m", "gwolab.cli", "summarize", "--model", f"docs/models/{model}.json")
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.startswith("mean_offspring=1 ")
+
+
+@pytest.mark.parametrize("argv,unloaded", [
+    (["summarize", "--model", "docs/models/heavy_tail_life.json"],
+     ["gwolab.exact_engine", "gwolab.simulator", "gwolab.verify", "logging"]),
+    (["fdd", "--model", "docs/models/delayed_death.json", "--times", "64,128", "--tobs", "64", "--K", "10"],
+     ["gwolab.simulator", "gwolab.verify"]),
+])
+def test_cli_command_loads_only_what_it_runs(argv, unloaded):
+    loaded = _check(f"""if True:
+        import os, sys
+        os.environ.pop("GWOLAB_LOG", None)
+        from gwolab.cli import main
+        assert main({argv!r}) == 0
+        print(" ".join(sorted(m for m in sys.modules if m.startswith("gwolab") or m == "logging")))
+    """).splitlines()[-1].split()
+    assert "gwolab.cli" in loaded
+    assert [m for m in unloaded if m in loaded] == []
