@@ -9,6 +9,7 @@ horizon.  Coefficients are cross-checked by Cauchy/FFT extraction from
 the reference pgf.
 """
 
+import ast
 import csv
 import io
 import json
@@ -584,6 +585,230 @@ class TestScheduledKernel:
         assert peak < 0.5e6
         for t in (5, 17, 40):
             assert 1.0 - q[t] == pytest.approx(tree_pgf(model, (t,), (0.0,)), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the compiled step loops against the interpretive loops they replace
+# ---------------------------------------------------------------------------
+
+
+def reference_scheduled_steps(reads, rows):
+    """The interpretive step loop of a `_scheduled` piece, behind the
+    protocol of `exact_engine._scheduled_steps`: cells hold per atom its
+    terms al and, per read, (col, d); a step sums, from 0.0 and atom by
+    atom, al[i] times the product of its reads (al[i] alone without one)
+    by the ring's mul."""
+
+    def make(zero, mul):
+        def run(g, gd, i0, i1, *cells):
+            terms, at = [], 0
+            for n in reads:
+                al, flat = cells[at], cells[at + 1 : at + 1 + 2 * n]
+                at += 1 + 2 * n
+                pairs = list(zip(flat[::2], flat[1::2]))
+                terms.append((al, pairs[0] if pairs else (None, 0), pairs[1:]))
+            for i in range(i0, i1):
+                acc = 0.0
+                for al, (col, d), rest in terms:
+                    if col is None:
+                        acc += al[i]
+                        continue
+                    child = col[i + d]
+                    for col, d in rest:
+                        child = mul(child, col[i + d])
+                    acc += mul(al[i], child)
+                g[i + gd] = acc
+
+        return run
+
+    return make
+
+
+def reference_leaf_steps(n, shortest, degree):
+    """The interpretive in-block loop of a rank-1 float sub-block, behind
+    the protocol of `exact_engine._leaf_steps`: step k adds its earlier
+    steps' P times M[i], ..., M[shortest] as float products, then composes
+    by `series.Floats.poly`."""
+
+    def make(zero, *numbers):
+        sub = exact_engine._SUB_STEPS
+        mass, coef = [0.0, *numbers[: sub - 1]], list(numbers[sub - 1 :])  # M[0] enters no block
+        assert len(coef) == degree
+        nears = [mass[i : shortest - 1 : -1] for i in range(sub)]
+
+        def block(g, k0, near):
+            p = []
+            for k, window, lives in zip(range(k0, k0 + n), near, nears):
+                total = g[k] + window
+                for m, pm in zip(lives, p):
+                    total += m * pm
+                g[k] = total
+                p.append(series.Floats.poly(coef, total))
+            return p
+
+        return block
+
+    return make
+
+
+def compiled_and_reference(model, times, weights, nvars=0, cap=0, chunk_cells=None):
+    """`_dp` with the compiled step loops, with the reference loops, and
+    the loops the reference run took ("scheduled", "leaf")."""
+    ran = set()
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk_cells is not None:
+            mp.setattr(exact_engine, "_CHUNK_CELLS", chunk_cells)
+        got = exact_engine._dp(model, times, weights, nvars, cap)
+        mp.setattr(exact_engine, "_scheduled_steps", lambda *s: ran.add("scheduled") or reference_scheduled_steps(*s))
+        mp.setattr(exact_engine, "_leaf_steps", lambda *s: ran.add("leaf") or reference_leaf_steps(*s))
+        want = exact_engine._dp(model, times, weights, nvars, cap)
+    return got, want, ran
+
+
+def masses(draw, n, label):
+    """n positive masses summing to 1."""
+    w = [draw(st.floats(0.05, 1.0), label=f"{label} {i}") for i in range(n)]
+    return [x / sum(w) for x in w]
+
+
+@st.composite
+def queries(draw, last_max, nvars=0):
+    """A query of 1 to 3 times up to last_max (a float weight may be 0),
+    the first nvars of them series variables."""
+    last = draw(st.integers(max(nvars, 1), last_max), label="t_k")
+    earlier = sorted(draw(st.sets(st.integers(0, last - 1), min_size=max(nvars - 1, 0), max_size=2), label="earlier"))
+    times = (*earlier, last)
+    weights = tuple(
+        exact_engine._Var(i) if i < nvars else draw(ZERO_OR_WEIGHT, label=f"z{i}") for i in range(len(times))
+    )
+    return times, weights
+
+
+@st.composite
+def any_scheduled_laws(draw):
+    """Atoms with 0 to 3 children at ages 1 to 12 (repeats allowed),
+    childless ones among them, as Tabulated atoms (no residual), as
+    DelayedDeath schedules over a finite or an unbounded residual, or a
+    short-life Bellman-Harris law that `_dp` rewrites as atoms."""
+    kind = draw(st.sampled_from(["tabulated", "finite residual", "unbounded residual", "short life"]), label="law")
+    if kind == "short life":  # at most 2 x (1 + 2 + 3) reads a step: the atoms route
+        lives = sorted(draw(st.sets(st.integers(1, 12), min_size=1, max_size=2), label="lives"))
+        life = FiniteLife(dict(zip(lives, masses(draw, len(lives), "P(L)"))))
+        offspring = OffspringPMF(masses(draw, draw(st.integers(1, 3), label="offspring size"), "P(N)"))
+        return BellmanHarris(life, offspring)
+    ages = [
+        tuple(sorted(draw(st.lists(st.integers(1, 12), max_size=3), label="ages")))
+        for _ in range(draw(st.integers(1, 4), label="atoms"))
+    ]
+    probs = masses(draw, len(ages), "prob")
+    if kind == "tabulated":
+        lives = [(a[-1] if a else 1) + draw(st.integers(0, 4), label="life past last age") for a in ages]
+        return Tabulated(list(zip(probs, ages, lives)))
+    if kind == "finite residual":
+        rs = sorted(draw(st.sets(st.integers(1, 6), min_size=1, max_size=3), label="residuals"))
+        residual = FiniteLife(dict(zip(rs, masses(draw, len(rs), "P(R)"))))
+    else:
+        d = draw(st.floats(0.25, 4.0), label="d")
+        residual = QuadraticTailLife(d=d, t_min=draw(st.integers(math.ceil(math.sqrt(d)), 6), label="t_min"))
+    return DelayedDeath(list(zip(probs, ages)), residual)
+
+
+@st.composite
+def rank_1_laws(draw):
+    """A Bellman-Harris law that walks the rank-1 float leaf: an unbounded
+    life, or finite lives past the atoms' read bound; the shortest life of
+    positive mass is often past 1, so in-block pairs are cut."""
+    offspring = OffspringPMF(masses(draw, draw(st.integers(1, 6), label="offspring size"), "P(N)"))
+    if draw(st.booleans(), label="unbounded"):
+        d = draw(st.floats(0.25, 4.0), label="d")
+        life = QuadraticTailLife(d=d, t_min=draw(st.integers(math.ceil(math.sqrt(d)), 10), label="t_min"))
+    else:
+        lives = draw(st.sets(st.integers(2, 3 * _LEAF), min_size=exact_engine._ATOM_READS + 1, max_size=24))
+        life = FiniteLife(dict(zip(sorted(lives), masses(draw, len(lives), "P(L)"))))
+    return BellmanHarris(life, offspring)
+
+
+class TestCompiledStepLoops:
+    """The compiled step loops keep the bits of the interpretive loops
+    they replace, written out above: whole `_dp` columns, byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=any_scheduled_laws(), data=st.data())
+    def test_scheduled_kernel(self, model, data):
+        # a drawn _CHUNK_CELLS of 8 to 72 makes chunks of a few steps: ages
+        # cut them, reach back past them, and horizons end inside them
+        short_life = isinstance(model, BellmanHarris)
+        nvars = 0 if short_life else data.draw(st.sampled_from([0, 0, 1, 2]), label="nvars")
+        cap = data.draw(st.integers(1, 3), label="cap") if nvars else 0
+        chunk_cells = data.draw(st.sampled_from([None, 8, 24, 72]), label="chunk cells")
+        times, weights = data.draw(queries(150, nvars), label="query")
+        got, want, ran = compiled_and_reference(model, times, weights, nvars, cap, chunk_cells)
+        assert ran == {"scheduled"}
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=rank_1_laws(), data=st.data())
+    def test_rank_1_float_leaf(self, model, data):
+        # horizons past a leaf run crosses; most end inside a sub-block
+        times, weights = data.draw(queries(3 * _LEAF + 5), label="query")
+        got, want, ran = compiled_and_reference(model, times, weights)
+        assert ran == {"leaf"}
+        assert got.tobytes() == want.tobytes()
+
+    def test_long_chains_go_on_over_lines(self):
+        # 20 atoms, one with 40 children, and a default law of 40
+        # coefficients: past _FOLD operations a chain goes on at the next
+        # line, in the same order
+        atoms = [(0.5, tuple(range(1, 41)), 41)] + [(0.5 / 19, (i % 3 + 1,) * (i % 3), 4) for i in range(19)]
+        tabulated = Tabulated(atoms)
+        heavy = BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.5] + [0.5 / 39] * 39))
+        for model, times, weights, nvars, cap in (
+            (tabulated, (60, 300), (0.3, 0.0), 0, 0),
+            (tabulated, (30, 90), (exact_engine._Var(0), 0.0), 1, 2),
+            (heavy, (100, 300), (0.5, 0.0), 0, 0),
+        ):
+            got, want, _ = compiled_and_reference(model, times, weights, nvars, cap)
+            assert got.tobytes() == want.tobytes()
+        scheduled = exact_engine._scheduled_steps(tuple(len(ages) for _, ages, _ in atoms), False).source
+        assert "child0 = " in scheduled and "acc = " in scheduled
+        assert exact_engine._leaf_steps(8, 2, 40).source.count("p0 = ") == 3
+
+    def test_one_compile_per_shape(self, monkeypatch):
+        # a second run, and a model of the same shape with other numbers,
+        # compile nothing: the numbers come in as values, never as source
+        caches = (exact_engine._scheduled_steps, exact_engine._leaf_steps)
+        sources = []
+        for cached in caches:
+
+            def spy(*shape, cached=cached):
+                make = cached(*shape)
+                sources.append(make.source)
+                return make
+
+            monkeypatch.setattr(exact_engine, cached.__name__, spy)
+        same_shapes = [
+            (
+                load_model(str(MODEL_DIR / "delayed_death.json")),
+                DelayedDeath([(0.3, (1, 2)), (0.7, ())], QuadraticTailLife(d=1.5, t_min=2)),
+            ),
+            (
+                load_model(str(MODEL_DIR / "heavy_tail_life.json")),
+                BellmanHarris(QuadraticTailLife(d=2.0, t_min=2), OffspringPMF([0.6, 0.1, 0.0, 0.2, 0.1])),
+            ),
+        ]
+        spec = FddSpec((300, 1000), (0.4, 0.6))
+        for first, other in same_shapes:
+            extinction_seq(first, 1000)  # may compile
+            fdd_pgf(first, spec)
+            misses = [cache.cache_info().misses for cache in caches]
+            for model in (first, other):
+                extinction_seq(model, 1000)
+                fdd_pgf(model, spec)
+                assert [cache.cache_info().misses for cache in caches] == misses
+        assert sources
+        for source in sources:
+            constants = [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant)]
+            assert not any(isinstance(c, float) for c in constants), source
 
 
 # ---------------------------------------------------------------------------
