@@ -24,7 +24,7 @@ _EXPORTS = {
         "ZeroConditioningEvent", "CapTooLarge", "BudgetExhausted", "OracleBlowup",
     ),
     "lifelaw": (
-        "OffspringPMF", "phi", "FiniteLife", "QuadraticTailLife", "Tabulated", "BellmanHarris",
+        "OffspringPMF", "FiniteLife", "QuadraticTailLife", "Tabulated", "BellmanHarris",
         "Sevastyanov", "Scheduled", "DelayedDeath", "ModelSummary", "compound_params", "summarize",
     ),
     "exact_engine": (
@@ -33,14 +33,12 @@ _EXPORTS = {
         "convergence_csv",
     ),
     "limitlaw": (
-        "LimitParams", "FddQuery", "prob_finite", "prob_zero", "eta_marginal_pgf",
-        "eta_fdd_pgf", "MarginalPmf", "eta_marginal_pmf", "FddPmf", "eta_fdd_pmf",
-        "increment_pgf", "LawT", "LawT0", "law_T", "law_T0", "dichotomy_fraction",
-        "figure1_data",
+        "LimitParams", "FddQuery", "prob_finite", "eta_marginal_pgf", "eta_fdd_pgf",
+        "MarginalPmf", "eta_marginal_pmf", "FddPmf", "eta_fdd_pmf", "LawT", "LawT0",
+        "law_T", "dichotomy_fraction", "figure1_data",
     ),
     "modelio": (
         "life_from_dict", "life_to_dict", "model_from_dict", "model_to_dict", "load_model",
-        "dump_model",
     ),
     "philox": (),
     "series": (),

@@ -258,21 +258,22 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     in chunks of at most _LEAF steps, and writes G back once per chunk.
     A chunk runs in sub-blocks, whose length follows the cells a step
     writes, and each step composes P[u] with `ring.poly` or `ring.powers`
-    for the steps after it.  A rank-1 step on floats writes one cell, and
-    its sub-blocks span _SUB_STEPS steps: one `ring.dot` per segment takes
-    the sources before the sub-block for all its steps, against a slice of
-    the Toeplitz table K[x, c] = M[_LEAF - x + c] built once per DP, then
-    each step adds its at most _SUB_STEPS - 1 sources inside the sub-block
-    (all in the segment of weight 1) as float products, and P goes back to
-    the table once per sub-block.  Those steps are one straight-line
-    function per sub-block length, shortest life of positive mass and
-    number of default coefficients, compiled once per shape
-    (`_leaf_steps`): it writes out each in-block product and sum, and the
-    Horner composition of `Floats.poly`, in their order and from the same
-    0.0, and takes M[1..] and the coefficients as values bound once per
-    DP.  A step so pays no numpy call, where a dot per step pays one for a
-    handful of terms.  The sums run in another order than one dot per
-    step, so these columns differ from such a walk in their last bits:
+    (rank 1 on floats, a Horner loop) for the steps after it.  A rank-1
+    step on floats writes one cell, and its sub-blocks span _SUB_STEPS
+    steps: one `ring.dot` per segment takes the sources before the
+    sub-block for all its steps, against a slice of the Toeplitz table
+    K[x, c] = M[_LEAF - x + c] built once per DP, then each step adds its
+    at most _SUB_STEPS - 1 sources inside the sub-block (all in the
+    segment of weight 1) as float products, and P goes back to the table
+    once per sub-block.  Those steps are one straight-line function per
+    sub-block length, shortest life of positive mass and number of
+    default coefficients, compiled once per shape (`_leaf_steps`): it
+    writes out each in-block product and sum, and the Horner composition,
+    in their order and from the same 0.0, and takes M[1..] and the
+    coefficients as values bound once per DP.  A step so pays no numpy
+    call, where a dot per step pays one for a handful of terms.  The sums
+    run in another order than one dot per step, so these columns differ
+    from such a walk in their last bits:
     about 1e-10 relative at 2^16 on heavy_tail_life, and nearer a
     long-double reference at 2^13.  A series row or a Sevastyanov table
     writes more cells, and its sub-block is one step, whose sources are
@@ -290,10 +291,8 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     pmf, surv = model.life.pmf(u), model.life.survival(u)
     if model.table:
         M = _sevastyanov_rows(model, pmf)
-        compose = partial(ring.powers, n=M.shape[1])
     else:  # rank 1: every life has the default law
-        coef = model.default.probs.tolist()
-        M, compose = pmf, partial(ring.poly, coef)
+        M, coef = pmf, model.default.probs.tolist()
     T = t_max + 1
     R = M[0].size
     Mr = np.ascontiguousarray(M[::-1]).ravel()  # Mr[(t_max - l)*R + r] = M[l, r]
@@ -344,7 +343,7 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
             # rows of lives l = u - m > max_life are zero: start at m = s0 - max_life
             m_min = 0 if max_life is None else s0 - max_life
             near = zeros  # the window sums of the segment of hi None
-            for lo, hi, scal, var_idx in segs:
+            for lo, hi, scal, _ in segs:  # on floats no weight is a series variable
                 top = s0 if hi is None else hi
                 if lo < m_min:
                     lo = m_min
@@ -354,8 +353,6 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
                 if hi is None:
                     near = sums
                     continue
-                if var_idx:
-                    sums = [ring.shift(block, var_idx) for block in sums]
                 g[k0:k1] = [x + scal * y for x, y in zip(g[k0:k1], sums)]
             if late is not None:
                 g[k0:k1] = [x + y for x, y in zip(g[k0:k1], late[k0:k1])]
@@ -364,7 +361,6 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
                 run = blocks[k1 - k0] = _leaf_steps(k1 - k0, shortest, len(coef))(0.0, *mass[1:], *coef)
             P[s0:s1] = run(g, k0, near)
 
-    walk = steps
     if M.ndim == 1 and not ring.row:  # rank 1 on floats: a step writes one cell
         # K[x, c] = M[_LEAF - x + c] (0 past t_max): step s0 + c reads source
         # m at row x = m - s0 + _LEAF, as a window starts at most _LEAF steps
@@ -380,6 +376,9 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         blocks = {}  # sub-block length -> its compiled steps, bound to this DP's numbers
         zeros = [0.0] * _SUB_STEPS
         walk = sub_blocks
+    else:
+        compose = partial(ring.powers, n=R) if model.table else partial(ring.poly, coef)
+        walk = steps
 
     def leaf(a, b, alive):
         """Steps [a, b) from the sources in [a, u), on top of what G

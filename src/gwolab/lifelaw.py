@@ -110,36 +110,13 @@ class OffspringPMF:
             raise ConfigError("offspring pmf must be a nonempty 1-d sequence")
         self._masses = _Masses(arr, "offspring pmf")
         self.probs = arr
-        self.max_children = int(arr.size - 1)
         counts = np.arange(arr.size)
         self.mean = float(counts @ arr)
         self.second_moment = float((counts**2) @ arr)
 
-    @property
-    def dispersion(self) -> float:
-        """Half the variance of the offspring count (the parameter b)."""
-        return 0.5 * (self.second_moment - self.mean**2)
-
-    def pgf(self, x):
-        """E(x^N) for scalar or array x."""
-        return np.polynomial.polynomial.polyval(x, self.probs)
-
     def sample_from_uniform(self, u):
         """Inverse-cdf child count for a float, or counts for an array of floats."""
         return self._masses.index(u)
-
-
-def phi(offspring: OffspringPMF, z):
-    """E((1-z)^N - 1 + N z), the convexity functional of the offspring law.
-
-    Nonnegative on [0, 1]; behaves like dispersion * z^2 as z -> 0 for
-    critical laws.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    n = np.arange(offspring.probs.size)
-    vals = (1.0 - z_arr[..., None]) ** n - 1.0 + n * z_arr[..., None]
-    out = vals @ offspring.probs
-    return float(out) if np.isscalar(z) else out
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,10 @@ underlying life law; c = 0 collapses eta to the two-point {0, infinity}
 regime.
 
 Everything here is a closed-form evaluation: fdd probability generating
-functions, marginal and joint pmfs (by series extraction), increment
-pgfs, and the laws of the entry time T = sup{u : eta(u) = infinity} and
-the emptying time T0 = inf{u : eta(u) = 0}.  Infinite mass is reported
-as an explicit field, never folded into a truncation bucket.
+functions, marginal and joint pmfs (by series extraction), the law of
+the entry time T = sup{u : eta(u) = infinity} and the density of the
+emptying time T0 = inf{u : eta(u) = 0}.  Infinite mass is reported as an
+explicit field, never folded into a truncation bucket.
 
 The joint pgf is one expression, `_fdd_pgf`, over the ring protocol of
 `series`: floats for `eta_fdd_pgf`, `eta_marginal_pgf` and the target of
@@ -19,10 +19,9 @@ The joint pgf is one expression, `_fdd_pgf`, over the ring protocol of
 `eta_fdd_pmf`.  Other forms restate its roots, time ratios frozen in
 them, for a reason each: `eta_marginal_pmf`'s binomial route is the
 reference for `eta_fdd_pmf` at k = 1 (`test_05`, the benchmark's k = 1
-check); `increment_pgf` would need the weights (z, 1/z), and z = 0 is
-tested; `prob_finite` (P(eta(y) < inf), the cdf of T) and `LawT` are
-vectorized over y; `prob_zero` and `dichotomy_fraction` are exact cases
-whose bits the seeded digests hold.  A restated form checks nothing.
+check); `prob_finite` (P(eta(y) < inf), the cdf of T) and `LawT` are
+vectorized over y; `dichotomy_fraction` is an exact case whose bits the
+seeded digests hold.  A restated form checks nothing.
 The checks are the tests' complex transcriptions by Cauchy sums (of the
 series extraction), and the DP and Monte Carlo (of the law itself).
 
@@ -50,7 +49,6 @@ logger = logging.getLogger(__name__)
 
 _PMF_ELEMENT_BUDGET = 1 << 24  # entries of the (2K+1)^k box a product transforms, or of a figure's grid
 _CLAMP_TOL = 1e-12
-_FLOAT_MAX = np.finfo(float).max
 
 
 @dataclass(frozen=True)
@@ -132,15 +130,10 @@ def prob_finite(p: LimitParams, y):
     _check_y(y)
     y = np.asarray(y, dtype=float)
     yl = np.minimum(y, 1.0)  # the left branch is used only there; y = inf would give inf/inf
+    yr = np.maximum(y, 1.0)  # and the right one only here; y = 5e-324 would overflow
     left = (np.sqrt(1.0 + p.c * yl * yl) - 1.0) / (p.scale * yl)
-    out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * y))
+    out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * yr))
     return float(out) if out.ndim == 0 else out
-
-
-def prob_zero(p: LimitParams, y: float) -> float:
-    """P(eta(y) = 0) = P(T0 <= y); zero left of 1."""
-    _check_y(y)
-    return LawT0().cdf(y)
 
 
 def eta_marginal_pgf(p: LimitParams, y: float, z: float) -> float:
@@ -276,37 +269,6 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
 
 
 # ---------------------------------------------------------------------------
-# increments
-# ---------------------------------------------------------------------------
-
-
-def increment_pgf(p: LimitParams, y1: float, y2: float, z: float, conditional: bool = False) -> float:
-    """E(z^{eta(y1) - eta(y2)}; eta(y1) < infinity), three branches by
-    the position of 1; with conditional=True, divided by P(eta(y1) < inf).
-
-    Returns nan for the conditional version when the conditioning event
-    is null (c = 0 with y1 < 1).
-    """
-    if not 0.0 < y1 < y2:
-        raise ConfigError("need 0 < y1 < y2")
-    if not 0.0 <= z <= 1.0:
-        raise ConfigError("z must lie in [0, 1]")
-    c, A = p.c, p.scale
-    shared = 1.0 + c * (1.0 - z) * (1.0 - (y1 / y2) ** 2)
-    if y2 < 1.0:
-        val = (math.sqrt(c * y1 * y1 + shared) - math.sqrt(shared)) / (A * y1)
-    elif y1 < 1.0:
-        first = 1.0 + c * y1 * y1 + c * (1.0 - z) * (1.0 - y1 * y1)
-        val = (math.sqrt(first) - math.sqrt(shared)) / (A * y1)
-    else:
-        val = 1.0 - (1.0 + math.sqrt(shared)) / (A * y1)
-    if not conditional:
-        return val
-    pfin = prob_finite(p, y1)
-    return val / pfin if pfin > 0.0 else math.nan
-
-
-# ---------------------------------------------------------------------------
 # entry and emptying times
 # ---------------------------------------------------------------------------
 
@@ -385,16 +347,9 @@ class LawT:
 
 
 class LawT0:
-    """Law of T0 = inf{u : eta(u) = 0}; parameter free, supported on [1, inf).
-    Like `LawT.pdf`, its density computes in place on its output."""
-
-    def cdf(self, y):
-        """(y - 1)/y from 1 on, 1 at y = inf, and 0 below 1 (and at nan)."""
-        # y below 1 (or nan) reads as 1, where the ratio is 0, and inf as
-        # the largest float, where it is 1
-        y = np.fmin(np.fmax(y, 1.0), _FLOAT_MAX)
-        out = (y - 1.0) / y
-        return float(out) if out.ndim == 0 else out
+    """Density of T0 = inf{u : eta(u) = 0}, which is parameter free and
+    supported on [1, inf), for `figure1_data`; its cdf (y - 1)/y is
+    P(eta(y) = 0).  Like `LawT.pdf`, it computes in place on its output."""
 
     def pdf(self, y):
         """1/y^2 right of 1, 0 at 1 and below it (and at nan)."""
@@ -406,16 +361,9 @@ class LawT0:
         out[below] = 0.0
         return float(out) if out.ndim == 0 else out
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return 1.0 / (1.0 - rng.random(size))
-
 
 def law_T(p: LimitParams) -> LawT:
     return LawT(p)
-
-
-def law_T0() -> LawT0:
-    return LawT0()
 
 
 def dichotomy_fraction(c: float) -> float:

@@ -239,7 +239,3 @@ def model_to_dict(model: LifeLaw) -> dict:
 
 def load_model(path: str) -> LifeLaw:
     return model_from_dict(read_json(path, "model"))
-
-
-def dump_model(model: LifeLaw, fh) -> None:
-    write_json(model_to_dict(model), fh)

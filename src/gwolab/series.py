@@ -256,13 +256,6 @@ class Floats:
         return float(x.dot(y))
 
     @staticmethod
-    def poly(coef, x):
-        r = 0.0
-        for c in reversed(coef):
-            r = r * x + c
-        return r
-
-    @staticmethod
     def powers(x, n: int):
         return x ** _exponents(n)
 

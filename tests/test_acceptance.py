@@ -38,7 +38,6 @@ from gwolab.limitlaw import (
     eta_fdd_pmf,
     eta_marginal_pmf,
     law_T,
-    law_T0,
 )
 from gwolab.simulator import SimConfig, dichotomy_stats, simulate
 from gwolab.verify import oracle_equivalence, richardson, tv_to_limit
@@ -341,9 +340,6 @@ def test_10_hitting_time_sampler_fit():
         rng = np.random.default_rng(4242 + int(c))
         stat = scipy.stats.kstest(law.sample(rng, n), law.cdf).statistic
         worst = max(worst, stat)
-    law0 = law_T0()
-    stat0 = scipy.stats.kstest(law0.sample(np.random.default_rng(7), n), law0.cdf).statistic
-    worst = max(worst, stat0)
     elapsed = time.perf_counter() - start
     ok = worst <= threshold
     _verdict(

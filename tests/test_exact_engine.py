@@ -628,7 +628,7 @@ def reference_leaf_steps(n, shortest, degree):
     """The interpretive in-block loop of a rank-1 float sub-block, behind
     the protocol of `exact_engine._leaf_steps`: step k adds its earlier
     steps' P times M[i], ..., M[shortest] as float products, then composes
-    by `series.Floats.poly`."""
+    by a Horner loop from 0.0."""
 
     def make(zero, *numbers):
         sub = exact_engine._SUB_STEPS
@@ -643,7 +643,10 @@ def reference_leaf_steps(n, shortest, degree):
                 for m, pm in zip(lives, p):
                     total += m * pm
                 g[k] = total
-                p.append(series.Floats.poly(coef, total))
+                value = 0.0
+                for c in reversed(coef):
+                    value = value * total + c
+                p.append(value)
             return p
 
         return block
@@ -882,7 +885,7 @@ class TestFddPgf:
             prefix = math.prod(z[:seg])
             hi_range = times[-1] if hi is None else hi
             for l in range(lo + 1, hi_range + 1):
-                total += pmf[l] * prefix * model.offspring.pgf(shifted(l))
+                total += pmf[l] * prefix * np.polynomial.polynomial.polyval(shifted(l), model.offspring.probs)
             if hi is None:
                 total += model.life.survival(times[-1]) * prefix
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(total, abs=1e-14)

@@ -6,8 +6,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from gwolab import cli, lifelaw
@@ -21,7 +19,6 @@ from gwolab.lifelaw import (
     Sevastyanov,
     Tabulated,
     compound_params,
-    phi,
     summarize,
 )
 from gwolab.simulator import _individual_draw
@@ -186,35 +183,6 @@ def test_sevastyanov_large_key_summary_bits(key, a_hex):
 def test_sevastyanov_checked_at_construction(life, table, match):
     with pytest.raises(ConfigError, match=match):
         Sevastyanov(life, table)
-
-
-# ---------------------------------------------------------------------------
-# phi
-# ---------------------------------------------------------------------------
-
-
-def test_phi_frozen_value():
-    assert phi(BINARY, 0.3) == pytest.approx(0.045, abs=1e-15)
-
-
-def test_phi_small_z_matches_dispersion():
-    # truncated unit-mean Poisson, renormalized
-    weights = [math.exp(-1.0) / math.factorial(n) for n in range(13)]
-    probs = [w / sum(weights) for w in weights]
-    off = OffspringPMF(probs)
-    z = 1e-3
-    assert phi(off, z) / z**2 == pytest.approx(off.dispersion, rel=0.01)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(0.01, 1.0), min_size=1, max_size=6))
-def test_phi_nonnegative(raw):
-    probs = np.asarray(raw) / sum(raw)
-    off = OffspringPMF(probs)
-    z = np.linspace(0.0, 1.0, 21)
-    vals = phi(off, z)
-    assert vals[0] == 0.0
-    assert np.all(vals >= -1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +413,7 @@ def test_offspring_inverse_cdf_clamped_to_max_children():
     # the summed cdf ends at 1 - 2^-53, so u = 1 - 2^-53 lies at its last entry
     law = OffspringPMF([0.1] * 10)
     u = float(np.nextafter(1.0, 0.0))
-    assert law.sample_from_uniform(u) == law.max_children == 9
+    assert law.sample_from_uniform(u) == law.probs.size - 1 == 9
     np.testing.assert_array_equal(law.sample_from_uniform(np.array([0.0, 0.1, u])), [0, 1, 9])
 
 

@@ -6,6 +6,7 @@ on a circle of radius < 1.  Samplers are checked against closed-form
 inverse CDFs by feeding fixed uniforms.
 """
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -28,16 +29,14 @@ from gwolab.limitlaw import (
     eta_fdd_pmf,
     eta_marginal_pgf,
     eta_marginal_pmf,
+    LawT0,
     figure1_data,
-    increment_pgf,
     law_T,
-    law_T0,
     limit_of,
     prob_finite,
-    prob_zero,
 )
 from gwolab.modelio import load_model
-from gwolab.verify import fdd_limit_check, limit_convergence, tv_to_limit
+from gwolab.verify import fdd_limit_check, limit_convergence, richardson, tv_to_limit
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,12 +107,10 @@ class TestMarginal:
     def test_mass_at_zero_right_of_one(self, c, y):
         res = eta_marginal_pmf(LimitParams(c), y, 5)
         assert res.probs[0] == pytest.approx((y - 1) / y, abs=1e-14)
-        assert prob_zero(LimitParams(c), y) == pytest.approx((y - 1) / y, abs=1e-15)
 
     def test_no_mass_at_zero_left_of_one(self):
         res = eta_marginal_pmf(LimitParams(2.0), 0.6, 5)
         assert res.probs[0] == 0.0
-        assert prob_zero(LimitParams(2.0), 0.6) == 0.0
 
     @pytest.mark.parametrize("c,y", [(1.0, 1.0), (1.0, 0.5), (5.0, 2.0), (15.0, 0.9)])
     def test_against_cauchy_oracle(self, c, y):
@@ -355,73 +352,6 @@ class TestFddPmf:
 
 
 # ---------------------------------------------------------------------------
-# increments
-# ---------------------------------------------------------------------------
-
-
-class TestIncrement:
-    @pytest.mark.parametrize(
-        "y1,y2", [(0.4, 0.8), (0.5, 1.6), (1.0, 2.0), (1.3, 2.6)]
-    )
-    def test_at_z_one_gives_finiteness_prob(self, y1, y2):
-        p = LimitParams(2.0)
-        val = increment_pgf(p, y1, y2, 1.0)
-        assert val == pytest.approx(prob_finite(p, y1), abs=1e-14)
-
-    def test_conditional_branch_forms(self):
-        # against the three conditional displays, transcribed directly
-        c = 3.0
-        p = LimitParams(c)
-        A = p.scale
-        for z in (0.0, 0.5, 0.9):
-            y1, y2 = 0.4, 0.8
-            b = c * (1 - z) * (1 - (y1 / y2) ** 2)
-            expect = (math.sqrt(1 + c * y1**2 + b) - math.sqrt(1 + b)) / (
-                math.sqrt(1 + c * y1**2) - 1
-            )
-            assert increment_pgf(p, y1, y2, z, conditional=True) == pytest.approx(expect, abs=1e-13)
-
-            y1, y2 = 0.5, 1.4
-            b = c * (1 - z) * (1 - (y1 / y2) ** 2)
-            expect = (
-                math.sqrt(1 + c * y1**2 + c * (1 - z) * (1 - y1**2)) - math.sqrt(1 + b)
-            ) / (math.sqrt(1 + c * y1**2) - 1)
-            assert increment_pgf(p, y1, y2, z, conditional=True) == pytest.approx(expect, abs=1e-13)
-
-            y1, y2 = 1.2, 2.4
-            b = c * (1 - z) * (1 - (y1 / y2) ** 2)
-            expect = 1 - (math.sqrt(1 + b) - 1) / (A * y1 - 2)
-            assert increment_pgf(p, y1, y2, z, conditional=True) == pytest.approx(expect, abs=1e-13)
-
-    @pytest.mark.parametrize("y1", [0.5, 1.0])
-    def test_no_jump_vanishes_for_distant_pairs(self, y1):
-        p = LimitParams(2.0)
-        val = increment_pgf(p, y1, 1e8, 0.0, conditional=True)
-        assert val == pytest.approx(0.0, abs=1e-7)
-
-    def test_no_jump_probability_decreases_with_gap(self):
-        p = LimitParams(1.0)
-        vals = [increment_pgf(p, 0.9, y2, 0.0, conditional=True) for y2 in (1.0, 1.5, 2.5, 6.0)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_adjacent_times_share_all_counts(self):
-        p = LimitParams(5.0)
-        for y1 in (0.3, 1.0, 2.2):
-            val = increment_pgf(p, y1, y1 * (1 + 1e-9), 0.0)
-            assert val == pytest.approx(prob_finite(p, y1), abs=1e-7)
-
-    def test_null_conditioning_is_nan(self):
-        assert math.isnan(increment_pgf(LimitParams(0.0), 0.5, 2.0, 0.3, conditional=True))
-
-    def test_validation(self):
-        p = LimitParams(1.0)
-        with pytest.raises(ConfigError):
-            increment_pgf(p, 2.0, 1.0, 0.5)
-        with pytest.raises(ConfigError):
-            increment_pgf(p, 1.0, 2.0, 1.5)
-
-
-# ---------------------------------------------------------------------------
 # laws of T and T0
 # ---------------------------------------------------------------------------
 
@@ -500,19 +430,14 @@ class TestHittingTimes:
         np.testing.assert_allclose(got[~low], 2.0 / (A * (1.0 - u[~low])), rtol=1e-15)
 
     def test_emptying_time_law(self):
-        law = law_T0()
-        assert law.cdf(0.5) == 0.0
-        assert law.cdf(2.0) == pytest.approx(0.5)
+        law = LawT0()
         assert law.pdf(2.0) == pytest.approx(0.25)
         assert law.pdf(0.5) == 0.0
-        u = np.array([0.1, 0.5, 0.9])
-        np.testing.assert_allclose(law.sample(FixedUniforms(u), 3), 1.0 / (1.0 - u), rtol=1e-15)
 
     def test_degenerate_c0_laws_coincide(self):
-        t_law = law_T(LimitParams(0.0))
-        t0_law = law_T0()
+        # at c = 0, T and T0 share the law P(T0 <= y) = (y - 1)/y from 1 on
         grid = np.linspace(0.05, 4.0, 80)
-        np.testing.assert_allclose(t_law.cdf(grid), t0_law.cdf(grid), atol=1e-14)
+        np.testing.assert_allclose(law_T(LimitParams(0.0)).cdf(grid), ref_t0_cdf(grid), atol=1e-14)
 
     @pytest.mark.parametrize("c", [1.0, 15.0])
     def test_sampler_ks_smoke(self, c):
@@ -560,7 +485,7 @@ def ref_t0_pdf(y):
 
 
 def ref_t0_cdf(y):
-    """The whole-array form, which reads y = inf as inf/inf."""
+    """P(T0 <= y) = (y - 1)/y from 1 on, 0 below it."""
     y = np.asarray(y, dtype=float)
     return np.where(y >= 1.0, (y - 1.0) / np.where(y != 0.0, y, 1.0), 0.0)
 
@@ -615,30 +540,26 @@ class TestInPlaceLawT:
 
 
 def test_t0_pdf_is_the_reference():
-    law = law_T0()
+    law = LawT0()
     with np.errstate(all="ignore"):
         assert same_bits(law.pdf(EDGE_Y), ref_t0_pdf(EDGE_Y))
         for v in SCALAR_Y:
             assert type(law.pdf(v)) is float and law.pdf(v) == float(ref_t0_pdf(v))
 
 
-def test_t0_cdf_is_the_reference_and_one_at_infinity():
-    # the cdf, and prob_zero through it, used to give nan at y = inf, and
-    # numpy warned at y = inf and -inf (invalid) and at 5e-324 (overflow)
-    law, p = law_T0(), LimitParams(1.0)
+def test_c0_cdf_is_the_t0_reference_and_one_at_infinity():
+    # at c = 0 the law of T is that of T0: P(T0 <= y) = (y - 1)/y from 1 on,
+    # 1 at y = inf, and no numpy warning at the ends of the floats
+    law = law_T(LimitParams(0.0))
     with np.errstate(all="ignore"):
         want = ref_t0_cdf(EDGE_Y)
     want[EDGE_Y == math.inf] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert same_bits(law.cdf(EDGE_Y), want)
-        positive = EDGE_Y > 0.0
-        assert same_bits(prob_zero(p, EDGE_Y[positive]), want[positive])
+        np.testing.assert_allclose(law.cdf(EDGE_Y), want, rtol=0.0, atol=1e-15)
         for v in SCALAR_Y:
             expect = 1.0 if v == math.inf else float(ref_t0_cdf(v))
-            assert type(law.cdf(v)) is float and law.cdf(v) == expect
-            if v > 0.0:
-                assert type(prob_zero(p, v)) is float and prob_zero(p, v) == expect
+            assert type(law.cdf(v)) is float and law.cdf(v) == pytest.approx(expect, abs=1e-15)
 
 
 class TestInPlaceMemory:
@@ -673,7 +594,7 @@ class TestHelpers:
         assert data[i_one, 0] == pytest.approx(1.0, abs=1e-12)
         law = law_T(LimitParams(c))
         np.testing.assert_allclose(data[:, 1], law.pdf(data[:, 0]), rtol=1e-14)
-        np.testing.assert_allclose(data[:, 2], law_T0().pdf(data[:, 0]), rtol=1e-14)
+        np.testing.assert_allclose(data[:, 2], LawT0().pdf(data[:, 0]), rtol=1e-14)
         # the jump at 1 is visible on the grid
         assert data[i_one, 1] - data[i_one - 1, 1] > 0.9 / math.sqrt(1.0 + c)
 
@@ -752,3 +673,20 @@ class TestLimitOf:
             tv_to_limit(model, (1.0,), 16, 6, c + 0.5)
         with pytest.raises(ConfigError, match="query points"):  # a bad y fails first, whatever c is
             tv_to_limit(model, (1.0, math.nan), 16, 6, c + 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def survival_column(path):
+    """Q(t) = P(Z(t) > 0) for t <= 4 * 4096, one column per model file."""
+    return exact_engine.extinction_seq(load_model(str(path)), 4 * 4096).q
+
+
+@pytest.mark.parametrize("y", [1.5, 2.0, 4.0])
+@pytest.mark.parametrize("path", sorted(MODEL_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_dp_mass_at_zero_tends_to_the_limit(path, y):
+    # P(eta(y) = 0) = 1 - 1/y for y >= 1, read off one survival column as
+    # P(Z(ty) = 0 | Z(t) > 0) = 1 - Q(ty)/Q(t), extrapolated over t = 1024,
+    # 2048, 4096; the heavy tails' log t / t term leaves up to 3e-4
+    q = survival_column(path)
+    reads = [1.0 - q[int(y * t)] / q[t] for t in (1024, 2048, 4096)]
+    assert richardson(*reads) == pytest.approx(1.0 - 1.0 / y, abs=5e-4)

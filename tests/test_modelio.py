@@ -23,12 +23,12 @@ from gwolab.lifelaw import (
     summarize,
 )
 from gwolab.modelio import (
-    dump_model,
     life_from_dict,
     life_to_dict,
     load_model,
     model_from_dict,
     model_to_dict,
+    write_json,
 )
 
 GW_BINARY = {
@@ -219,7 +219,7 @@ class TestRoundTrip:
         path = tmp_path / "model.json"
         model = model_from_dict(DELAYED)
         with open(path, "w") as fh:
-            dump_model(model, fh)
+            write_json(model_to_dict(model), fh)
         again = load_model(str(path))
         assert model_to_dict(again) == model_to_dict(model)
 

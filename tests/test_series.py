@@ -114,7 +114,7 @@ def test_truncation_drops_high_degree():
 def _polynomial(ring, z):
     """1 + 2 z0 - 3 z0 z1 + z1 (1/2 + z1/4), written once over the ring
     protocol, the way `limitlaw._fdd_pgf` is."""
-    return ring.monomial(1.0) + z[0] * 2.0 - ring.mul(z[0], z[1]) * 3.0 + ring.poly([0.0, 0.5, 0.25], z[1])
+    return ring.monomial(1.0) + z[0] * 2.0 - ring.mul(z[0], z[1]) * 3.0 + z[1] * 0.5 + ring.mul(z[1], z[1]) * 0.25
 
 
 def test_evaluate():
