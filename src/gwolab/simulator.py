@@ -10,8 +10,12 @@ which came before.  Each individual takes a fixed number of uniforms (one
 for a tabulated law, two otherwise), so a replicate's draws are numbered
 by a running count of its individuals, and the words are computed in
 numpy (`philox`) for many (replicate, counter block) pairs at once.  A
-step draws only the blocks that no earlier step of its replicate drew:
-each slot holds the block its replicate last drew, used in part.
+step draws only the blocks that no earlier step of its replicate drew
+(each slot holds the block its replicate last drew, used in part), so
+each block of a replicate is computed at most once, and not at all for
+individuals born at the horizon.  These take no uniforms: `lifelaw`
+enforces lives and birth ages >= 1, so such an individual is alive at the
+horizon and schedules nothing, and only its birth is counted.
 
 Replicates run in a block of slots that steps through time in numpy.
 Each slot keeps a row of pending births and a row of deaths per time,
@@ -218,7 +222,7 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
         flat_pending, flat_deaths = pending.reshape(-1), deaths.reshape(-1)
         rep = np.arange(slots)  # the slot's replicate, counted from first
         start = np.zeros(slots, dtype=np.int64)  # step at which it began
-        drawn = np.zeros(slots, dtype=np.int64)  # individuals drawn so far
+        drawn = np.zeros(slots, dtype=np.int64)  # individuals born so far
         latest = np.zeros(slots, dtype=np.int64)  # latest scheduled birth
         over = np.zeros(slots, dtype=bool)
         last_block = np.empty(slots, dtype=_BLOCK)  # the last lane of each slot's last step
@@ -228,7 +232,7 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
         while active.size:
             step += 1
             t = step - start[active]
-            births = pending[active, t]
+            births = flat_pending.take(active * width + t)
             nz = np.flatnonzero(births)
             if not nz.size:
                 continue
@@ -246,35 +250,41 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
                 tripped, kept = rows[trip], room[short]
                 births[trip] = kept
                 over[tripped] = True
-            # this step's uniforms lie in counter blocks (lanes) of each
-            # replicate's stream: the block an earlier step drew and used
-            # in part (held), if any, then the blocks drawn now (fresh)
-            first_u = per * done
-            fresh0 = (first_u + 3) >> 2
-            fresh = ((first_u + per * births + 3) >> 2) - fresh0
-            held = (first_u & 3) > 0
-            lanes = fresh + held
-            lane_end, fresh_end = np.cumsum(lanes), np.cumsum(fresh)
-            i = np.arange(fresh_end[-1])
-            streams = (first + rep[np.repeat(rows, fresh)]).astype(np.uint64)
-            uniforms = philox_uniforms(seed, streams, i + np.repeat(fresh0 + fresh - fresh_end, fresh))
-            blocks = np.empty(lane_end[-1] + 1, dtype=_BLOCK)  # a spare last item for rows without lanes
-            blocks[i + np.repeat(lane_end - fresh_end, fresh)] = uniforms.view(_BLOCK).reshape(-1)
-            blocks[(lane_end - lanes)[held]] = last_block[rows[held]]
-            last_block[rows] = blocks[lane_end - 1]
-            # individual j of a row takes uniforms per * j, ... from its first
-            ind_end = np.cumsum(births)
-            base = 4 * (lane_end - lanes) + (first_u & 3) - per * (ind_end - births)
-            at = np.repeat(base, births) + per * np.arange(ind_end[-1])
-            life, ages, counts = draw(blocks.view(np.float64).take(at + offsets))
+            # an individual born at the horizon is its replicate's last
+            # and takes no uniforms: lives and birth ages are >= 1, so it
+            # is alive at the horizon and schedules nothing, and its death,
+            # past the horizon, is never read
+            draws = np.where(t < horizon, births, 0)
             drawn[rows] += births
-            born = np.repeat(t, births)
-            cell = np.repeat(rows * width + t, births)  # the tally cell of the birth
-            np.add.at(flat_deaths, cell + np.minimum(life, horizon + 1 - born), 1)
-            ok = (counts > 0) & (ages <= horizon - born)
-            cells = (cell + ages)[ok]
-            np.add.at(flat_pending, cells, counts[ok])
-            np.maximum.at(latest, *np.divmod(cells, width))
+            if draws.any():
+                # this step's uniforms lie in counter blocks (lanes) of each
+                # replicate's stream: the block an earlier step drew and used
+                # in part (held), if any, then the blocks drawn now (fresh)
+                first_u = per * done
+                fresh0 = (first_u + 3) >> 2
+                fresh = ((first_u + per * draws + 3) >> 2) - fresh0
+                held = (first_u & 3) > 0
+                lanes = fresh + held
+                lane_end, fresh_end = np.cumsum(lanes), np.cumsum(fresh)
+                i = np.arange(fresh_end[-1])
+                streams = (first + rep[np.repeat(rows, fresh)]).astype(np.uint64)
+                uniforms = philox_uniforms(seed, streams, i + np.repeat(fresh0 + fresh - fresh_end, fresh))
+                blocks = np.empty(lane_end[-1] + 1, dtype=_BLOCK)  # a spare last item for rows without lanes
+                blocks[i + np.repeat(lane_end - fresh_end, fresh)] = uniforms.view(_BLOCK).reshape(-1)
+                blocks[(lane_end - lanes)[held]] = last_block[rows[held]]
+                last_block[rows] = blocks[lane_end - 1]
+                # individual j of a row takes uniforms per * j, ... from its first
+                ind_end = np.cumsum(draws)
+                base = 4 * (lane_end - lanes) + (first_u & 3) - per * (ind_end - draws)
+                at = np.repeat(base, draws) + per * np.arange(ind_end[-1])
+                life, ages, counts = draw(blocks.view(np.float64).take(at + offsets))
+                born = np.repeat(t, draws)
+                cell = np.repeat(rows * width + t, draws)  # the tally cell of the birth
+                np.add.at(flat_deaths, cell + np.minimum(life, horizon + 1 - born), 1)
+                ok = (counts > 0) & (ages <= horizon - born)
+                cells = (cell + ages)[ok]
+                np.add.at(flat_pending, cells, counts[ok])
+                np.maximum.at(latest, *np.divmod(cells, width))
             if tripped is not None:
                 cut = t[trip]
                 pending[tripped] *= cols <= cut[:, None]
@@ -295,9 +305,12 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
                 pending[new] = deaths[new] = drawn[new] = latest[new] = 0
                 pending[new, 0] = 1
                 over[new] = False
-                keep = np.ones(active.size, dtype=bool)
-                keep[nz[end]] = False
-                active = np.concatenate((active[keep], new))
+                # a refilled slot keeps its place in active; row order
+                # reaches no output, and the others leave it
+                if new.size < fin.size:
+                    keep = np.ones(active.size, dtype=bool)
+                    keep[nz[end][new.size :]] = False
+                    active = active[keep]
         return out[:, :k], out[:, -1], out_over
 
     return run
@@ -353,8 +366,8 @@ def conditional_sample(
     seen so far, the first from the exact Q(horizon); none runs past
     max_attempts.  Block sizes change no result.
     """
-    if target_survivors < 1:
-        raise ConfigError("target_survivors must be >= 1")
+    target_survivors = _integer(target_survivors, "target_survivors", least=1)
+    max_attempts = _integer(max_attempts, "max_attempts", least=1)
     run = _replicate_runner(config)
     try:
         q = float(extinction_seq(config.model, config.horizon).q[config.horizon])

@@ -217,9 +217,10 @@ def _reference_draw(model, u):
     return (ages[-1] if ages else 0) + model.residual.sample_from_uniform(next(u)), ages
 
 
-def _reference_replicate(cfg, rep):
+def _reference_replicate(cfg, rep, born=None):
     """One replicate walked individual by individual on numpy's own Philox
-    stream: counts at the query times and the horizon, and the overflow flag."""
+    stream: counts at the query times and the horizon, and the overflow flag.
+    A list given as born gets each drawn individual's birth time, in order."""
     gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, rep], dtype=np.uint64)))
     u = iter(gen.random, None)
     times = list(cfg.query_times) + [cfg.horizon]
@@ -230,6 +231,8 @@ def _reference_replicate(cfg, rep):
     for t in range(cfg.horizon + 1):
         alive -= deaths[t]
         for _ in range(pending[t]):
+            if born is not None:
+                born.append(t)
             life, ages = _reference_draw(cfg.model, u)
             alive += 1
             if alive > cfg.max_individuals:
@@ -286,8 +289,9 @@ def _outcome(fn):
 
 
 # sha256 of seeded simulate, conditional_sample and dichotomy_stats outputs
-# on the example models, as the one-replicate-at-a-time simulator gave them;
-# max_individuals 3 and 8 make rows overflow
+# on the example models, as the one-replicate-at-a-time simulator gave them,
+# at horizon 24 with 1500 replicates unless the key names (horizon,
+# replicates); max_individuals 3 and 8 make rows overflow
 SEEDED_DIGESTS = {
     ("age_dependent_offspring", 1_000_000): "6e1dea8797f681c3bc4535625cc4ca50a1234b980d18ded91dfc7b68bbb2382f",
     ("age_dependent_offspring", 3): "1ee82052da8d7c194ec24ec2fecd42a4313ae821e81fc4f0eafb0bfaad55ddb8",
@@ -304,15 +308,18 @@ SEEDED_DIGESTS = {
     ("heavy_tail_life", 1_000_000): "c1b2cc3bb2149f6a7cca6c43c5ffd3cf90816f900c3af66ee0057f8aba5946cf",
     ("heavy_tail_life", 3): "ccde739d1c4dba6397ca7ae3e36dfcf8651365aceb1a643cdef784d8f2370a43",
     ("heavy_tail_life", 8): "7fdda68a312dd08968756ae061ca9f29c35818b08c30d8ecf1d545c6a46ad9c0",
+    # the battery's size: Philox calls of up to ~5,500 blocks span two chunks
+    ("delayed_death", 1_000_000, 16, 20_000): "e8a3d6841f996f045437a6a4de71baaa5e7704e1b051f89714ee1b01b8d38563",
 }
 
 
-@pytest.mark.parametrize("name, cap", SEEDED_DIGESTS, ids=[f"{n}-{c}" for n, c in SEEDED_DIGESTS])
-def test_seeded_outputs_are_pinned(name, cap):
+@pytest.mark.parametrize("key", SEEDED_DIGESTS, ids=["-".join(map(str, key)) for key in SEEDED_DIGESTS])
+def test_seeded_outputs_are_pinned(key):
+    name, cap, horizon, replicates = (*key, 24, 1500)[:4]
     model = load_model(str(MODEL_DIR / f"{name}.json"))
     parts = []
-    for qt in ((6, 24), (6,), ()):
-        cfg = SimConfig(model, 24, qt, 1500, 17, max_individuals=cap)
+    for qt in ((6, horizon), (6,), ()):
+        cfg = SimConfig(model, horizon, qt, replicates, 17, max_individuals=cap)
         r = simulate(cfg)
         parts += [r.counts, r.survived, r.overflowed]
         c = _outcome(lambda: conditional_sample(cfg, 60))
@@ -321,7 +328,7 @@ def test_seeded_outputs_are_pinned(name, cap):
         parts += [d] if isinstance(d, str) else [
             d.survivors, d.small_fraction, d.large_fraction, d.cutoff, d.reference_limit
         ]
-    assert _digest(*parts) == SEEDED_DIGESTS[name, cap]
+    assert _digest(*parts) == SEEDED_DIGESTS[key]
 
 
 @pytest.mark.parametrize("slots", [1, 7])
@@ -368,6 +375,27 @@ def test_no_block_is_drawn_twice(monkeypatch, name):
     asked.clear()
     conditional_sample(cfg, 40)
     assert asked and len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("name", ["delayed_death", "binary_splitting"])
+def test_individuals_born_at_the_horizon_take_no_uniforms(monkeypatch, name):
+    # every drawn block holds a uniform of an individual born before the
+    # horizon; at horizon 0 the founder is the only individual, and no
+    # block is drawn at all
+    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    per = simulator._individual_draw(model)[0]
+    cfg = SimConfig(model, 16, (4, 12), 300, 23)
+    asked = _record_blocks(monkeypatch)
+    simulate(cfg)
+    last = {}  # the last block of each replicate's individuals born before the horizon
+    for rep in range(cfg.replicates):
+        born = []
+        _reference_replicate(cfg, rep, born)
+        last[rep] = (per * sum(t < cfg.horizon for t in born) - 1) // 4
+    assert asked and all(b <= last[rep] for rep, b in asked)
+    asked.clear()
+    res = simulate(replace(cfg, horizon=0, query_times=(0,)))
+    assert asked == [] and (res.counts == 1).all() and res.survived.all()
 
 
 class TestOverflow:
@@ -536,6 +564,20 @@ class TestConditionalSampling:
         cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=1, seed=0)
         with pytest.raises(ConfigError):
             conditional_sample(cfg, target_survivors=0)
+
+    @pytest.mark.parametrize(
+        "target, attempts", [(2.5, 1000), (5, -3), (5, 0)], ids=["float-target", "negative-attempts", "zero-attempts"]
+    )
+    def test_counts_are_validated_before_any_work(self, monkeypatch, target, attempts):
+        # refused as ConfigError (exit 2), before the DP that sizes the
+        # first block and before any runner pass
+        sizes = _record_passes(monkeypatch)
+        dps = []
+        monkeypatch.setattr(simulator, "extinction_seq", lambda *args: dps.append(args))
+        cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=1, seed=0)
+        with pytest.raises(ConfigError, match=re.escape(repr(target if attempts > 0 else attempts))):
+            conditional_sample(cfg, target_survivors=target, max_attempts=attempts)
+        assert sizes == [] and dps == []
 
 
 class TestDichotomy:
