@@ -67,43 +67,38 @@ and the ring picks its own product route; the DP reads only its row and
 shape.  The scalar case, shape (), runs the same walk on floats in
 `series.Floats`, the same protocol on Python floats.
 
-Each kernel has one step loop for both rings, and a step does only the
-work that depends on earlier steps.  What does not is settled before the
-loop, once per chunk: the survival term and a scheduled atom's
-prob * alive, computed with numpy in the order a step would take, so the
-bits do not change, and the G cells each scheduled atom reads.  A scheduled
-chunk spans as many steps as _CHUNK_CELLS cells of alive terms allow, a
-birth-at-death chunk at most _LEAF steps.  A chunk reads G as
-`ring.rows` (Python floats on the scalar ring, which step faster than
-numpy scalars) and writes it back once.  A birth-at-death chunk walks
-sub-blocks whose length follows the cells a step writes.  A rank-1 float
-step writes one: its sub-blocks of _SUB_STEPS steps take the history
-before them by one dot per segment, and the few terms inside them as
-float products, so a step makes no numpy call; these columns differ in
-their last bits from one dot per step.  A series row or a Sevastyanov
-table writes more cells, and its sub-block is one step with one dot, bit
-for bit the walk step by step: the terms inside a longer sub-block would
-cost ring products, or a row of float products each, not one call.
-Sevastyanov's powers stay numpy's: Python's float power rounds
-differently.
+Each kernel does in its step loop only the work that depends on earlier
+steps.  What does not is settled before the loop, once per chunk: the
+survival term and a scheduled atom's prob * alive, computed with numpy in
+the order a step would take, so the bits do not change, and the G cells
+each scheduled atom reads.  A scheduled chunk spans as many steps as
+_CHUNK_CELLS cells of alive terms allow, a birth-at-death chunk at most
+_LEAF steps.  A chunk reads G as `ring.rows` (Python floats on the scalar
+ring, which step faster than numpy scalars) and writes it back once.  On
+floats a birth-at-death chunk, rank 1 or a Sevastyanov table alike, runs
+in sub-blocks of _SUB_STEPS steps: one dot per segment takes the sources
+before a sub-block for all its steps, and the sources inside it and P's
+cells (the default's Horner sum, or a table's powers of G) are float
+products, so a step makes no numpy call.  On series rows a sub-block
+would cost ring products, and a step is one dot per segment.
 
-The two step loops that run in Python, a scheduled piece and a rank-1
-float sub-block, are straight-line source generated per shape and
-compiled once per process (`_scheduled_steps`, `_leaf_steps`, each an
+The two step loops that run in Python, a scheduled piece and a float
+birth-at-death chunk, are straight-line source generated per shape and
+compiled once per process (`_scheduled_steps`, `_leaf_walk`, each an
 `lru_cache`).  A scheduled shape is how many G cells each atom reads a
 step, and whether the ring's cells are series rows (products by the
-ring's `mul`) or floats (`*`); a leaf shape is the sub-block's length,
-its shortest life of positive mass and the default law's number of
-coefficients.  The source names no number: the masses, the coefficients
-and the 0.0 each sum starts from enter as values bound to the compiled
-function, so every model of a shape shares one compile.  Each product
-and sum is written out in the order the interpretive loop took, from the
-same 0.0, so the columns keep their bits; the tests keep those loops as
-references.  A compile costs about 0.2 ms for a scheduled shape and
-0.3 ms (1 step) to 1 ms (8 steps) for a leaf shape (Python 3.11, one
-pinned core of a 2-core VM): a DP at t = 16 on heavy_tail_life, which
-compiles two, takes 1.8 ms the first time in a process and 64 us after,
-against 76 us for the interpretive loop (medians of 7 processes).
+ring's `mul`) or floats (`*`); a walker's shape is its sub-block length,
+its weighted segments, whether it adds a late term, its shortest life of
+positive mass and its P cells a step.  The source names no number: the
+masses, the coefficients and the 0.0 each sum starts from enter as values
+bound to the compiled function, so every model of a shape shares one
+compile.  Each product and sum is written out in the order the
+interpretive loop took, from the same 0.0, so the columns keep their
+bits; the tests keep those loops as references.  A compile costs about
+0.2 ms for a scheduled shape and 0.25 ms (1 step) to 0.8 ms (8 steps) for
+a walker (Python 3.11, one pinned core of a 2-core VM): a DP at t = 16 on
+heavy_tail_life, which compiles two, takes 1.4 ms the first time in a
+process and 71 us after (medians of 7 processes).
 """
 
 from __future__ import annotations
@@ -239,53 +234,43 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
 
     An online convolution fills G by divide and conquer.  A block solves
     its left half, adds the left half's sources into G at the right half's
-    steps with a real FFT along time (one per source range), and then
-    solves its right half.  A leaf of at most _LEAF steps walks its
-    segments as contiguous dots over the sources inside it, on top of what
-    G already holds; the leaves run in time order, each after the crosses
-    that feed it.  The FFT convolves the complements one - P[m], which
-    are O(Q); the `one` part is the survival difference
-    surv[u - b] - surv[u - a] for sources [a, b) (every offspring law sums
-    to 1), so round-off stays relative to Q, not to 1.  The last leaf's
-    block, cut off at t_max, takes its left half in the same complement
-    form, by one direct dot per step rather than an FFT over the block.
-    Finite lives clip the cross-block work at max_life, and lives of at
-    most _LEAF steps make the whole range one leaf.  Of the scalar DPs
-    with finite life, `_dp` sends here only those whose atoms would read
-    G more than _ATOM_READS times a step.
+    steps (`cross`), and then solves its right half.  A leaf of at most
+    _LEAF steps walks its segments over the sources inside it, on top of
+    what G already holds; the leaves run in time order, each after the
+    crosses that feed it.  A cross convolves the complements one - P[m],
+    which are O(Q), by a real FFT along time (one per source range); the
+    `one` part is the survival difference surv[u - b] - surv[u - a] for
+    sources [a, b) (every offspring law sums to 1), so round-off stays
+    relative to Q, not to 1.  It makes only the numpy calls its ring needs:
+    a table's cells are summed after the product, a series row's cells
+    broadcast, and a rank-1 float cross is vectors throughout.  The last
+    leaf's block, cut off at t_max, takes its left half in the same
+    complement form, by one direct dot per step rather than an FFT over
+    the block.  Finite lives clip the cross-block work at max_life, and
+    lives of at most _LEAF steps make the whole range one leaf.  Of the
+    scalar DPs with finite life, `_dp` sends here only those whose atoms
+    would read G more than _ATOM_READS times a step.
 
     A leaf reads G, and the survival term when it adds one, as `ring.rows`
-    in chunks of at most _LEAF steps, and writes G back once per chunk.
-    A chunk runs in sub-blocks, whose length follows the cells a step
-    writes, and each step composes P[u] with `ring.poly` or `ring.powers`
-    (rank 1 on floats, a Horner loop) for the steps after it.  A rank-1
-    step on floats writes one cell, and its sub-blocks span _SUB_STEPS
-    steps: one `ring.dot` per segment takes the sources before the
-    sub-block for all its steps, against a slice of the Toeplitz table
-    K[x, c] = M[_LEAF - x + c] built once per DP, then each step adds its
-    at most _SUB_STEPS - 1 sources inside the sub-block (all in the
-    segment of weight 1) as float products, and P goes back to the table
-    once per sub-block.  Those steps are one straight-line function per
-    sub-block length, shortest life of positive mass and number of
-    default coefficients, compiled once per shape (`_leaf_steps`): it
-    writes out each in-block product and sum, and the Horner composition,
-    in their order and from the same 0.0, and takes M[1..] and the
-    coefficients as values bound once per DP.  A step so pays no numpy
-    call, where a dot per step pays one for a handful of terms.  The sums
-    run in another order than one dot per step, so these columns differ
-    from such a walk in their last bits:
-    about 1e-10 relative at 2^16 on heavy_tail_life, and nearer a
-    long-double reference at 2^13.  A series row or a Sevastyanov table
-    writes more cells, and its sub-block is one step, whose sources are
-    one dot of a row of Mr: a series ring's products cost more than that
-    numpy call, and a table's sources inside a sub-block would each cost
-    a row of products.  Those columns keep the bits of a walk step by
-    step.  The dots stay numpy's, through `ring.dot`
-    (on floats, einsum past _LONG_DOT terms, which the last block's direct
-    cross can reach, since BLAS splits a long dot across its threads; a
-    sub-block's dot holds at most _LEAF x _SUB_STEPS terms), and
-    Sevastyanov's powers stay `g ** np.arange(R)`, since Python's float
-    power rounds g^2 differently for some g.
+    in chunks of at most _LEAF steps, and writes G back once per chunk.  On
+    series rows a chunk walks step by step: each segment's sources are one
+    dot of a row of Mr, and `ring.poly` or `ring.powers` composes P[u].  On
+    floats, rank 1 or a table alike, `_leaf_walk` compiles one walker per
+    shape, which runs the chunk in sub-blocks of _SUB_STEPS steps: one dot
+    per segment, against a slice of the Toeplitz table K[x*R + r, c] =
+    M[_LEAF - x + c, r] built once per DP, takes the sources before the
+    sub-block for all its steps; the sources inside it (all in the segment
+    of weight 1) and P's R cells are float products; and P takes the cells
+    through a memoryview.  A step so makes no numpy call.  The sums run in
+    another order than one dot per step, and a table's powers are products
+    t * t ..., not numpy's `g ** arange(R)`, which rounds apart: the columns
+    differ from such a walk by up to 3e-10 relative at 2^16
+    (heavy_tail_life, heavy_tail_sevastyanov), nearer a long-double
+    reference.  The dots stay numpy's, through `ring.dot` on series rows
+    and in the direct cross (on floats, einsum past _LONG_DOT terms, which
+    that cross can reach, since BLAS splits a long dot across its threads).
+    A sub-block's dot is a vector times a matrix of _SUB_STEPS columns,
+    which gave the same bits on 1 and 2 OpenBLAS threads up to 200,000 rows.
     """
     u = np.arange(t_max + 1)
     pmf, surv = model.life.pmf(u), model.life.survival(u)
@@ -300,92 +285,68 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     Pf = P.reshape(T * R, *ring.row)
     max_life = model.life.max_life  # None: unbounded support
     dot = ring.dot
-    walks = [
-        (u0, u1, [(lo * R, None if hi is None else hi * R, s, v) for lo, hi, s, v in segs], ring.monomial(*prefix))
-        for u0, u1, segs, prefix in phases
-    ]
+    walks = [(u0, u1, segs, ring.monomial(*prefix)) for u0, u1, segs, prefix in phases]
 
-    def steps(c0, c1, g, late, segs):
-        """The steps [c0, c1) one at a time: each segment's sources by one
-        dot of a row of Mr."""
-        for u in range(c0, c1):
-            off = (t_max - u) * R
-            # rows of lives l = u - m > max_life are zero: start at m = u - max_life
-            m_min = 0 if max_life is None else (u - max_life) * R
-            total = g[u - c0]
-            for lo, hi, scal, var_idx in segs:
-                if hi is None:
-                    hi = u * R
-                if lo < m_min:
-                    lo = m_min
-                if lo >= hi:
-                    continue
-                block = dot(Mr[off + lo : off + hi], Pf[lo:hi])
-                if var_idx:
-                    block = ring.shift(block, var_idx)
-                total += scal * block
-            if late is not None:
-                total = total + late[u - c0]
-            g[u - c0] = total
-            P[u] = compose(total)
+    if ring.row:  # series rows: one step at a time
+        compose = partial(ring.powers, n=R) if model.table else partial(ring.poly, coef)
 
-    def sub_blocks(c0, c1, g, late, segs):
-        """The steps [c0, c1) in sub-blocks of _SUB_STEPS, rank 1 on floats
-        (R = 1: the segments' flat bounds are steps).  Each segment's
-        sources before a sub-block take one dot over K; the segment of hi
-        None (weight 1) holds the sources inside it, which the compiled
-        block of the sub-block's length adds as float products
-        M[i - j] * P[s0 + j] over each step's earlier steps j, before it
-        composes P."""
-        for s0 in range(c0, c1, _SUB_STEPS):
-            s1 = min(s0 + _SUB_STEPS, c1)
-            k0, k1 = s0 - c0, s1 - c0
-            # rows of lives l = u - m > max_life are zero: start at m = s0 - max_life
-            m_min = 0 if max_life is None else s0 - max_life
-            near = zeros  # the window sums of the segment of hi None
-            for lo, hi, scal, _ in segs:  # on floats no weight is a series variable
-                top = s0 if hi is None else hi
-                if lo < m_min:
-                    lo = m_min
-                if lo >= top:
-                    continue
-                sums = dot(Pf[lo:top], K[lo - s0 + _LEAF : top - s0 + _LEAF])
-                if hi is None:
-                    near = sums
-                    continue
-                g[k0:k1] = [x + scal * y for x, y in zip(g[k0:k1], sums)]
-            if late is not None:
-                g[k0:k1] = [x + y for x, y in zip(g[k0:k1], late[k0:k1])]
-            run = blocks.get(k1 - k0)
-            if run is None:
-                run = blocks[k1 - k0] = _leaf_steps(k1 - k0, shortest, len(coef))(0.0, *mass[1:], *coef)
-            P[s0:s1] = run(g, k0, near)
+        def walk(c0, c1, g, late, segs):
+            """The steps [c0, c1): each segment's sources by one dot of a row of Mr."""
+            for u in range(c0, c1):
+                off = (t_max - u) * R
+                # rows of lives l = u - m > max_life are zero: start at m = u - max_life
+                m_min = 0 if max_life is None else u - max_life
+                total = g[u - c0]
+                for lo, hi, scal, var_idx in segs:
+                    lo, hi = max(lo, m_min), u if hi is None else hi
+                    if lo >= hi:
+                        continue
+                    block = dot(Mr[off + lo * R : off + hi * R], Pf[lo * R : hi * R])
+                    if var_idx:
+                        block = ring.shift(block, var_idx)
+                    total += scal * block
+                if late is not None:
+                    total = total + late[u - c0]
+                g[u - c0] = total
+                P[u] = compose(total)
 
-    if M.ndim == 1 and not ring.row:  # rank 1 on floats: a step writes one cell
-        # K[x, c] = M[_LEAF - x + c] (0 past t_max): step s0 + c reads source
-        # m at row x = m - s0 + _LEAF, as a window starts at most _LEAF steps
-        # before its sub-block (at its leaf's first step or after, or at
-        # s0 - max_life with max_life <= _LEAF)
-        head = np.zeros(_LEAF + _SUB_STEPS)
-        head[: min(T, _LEAF + _SUB_STEPS)] = M[: _LEAF + _SUB_STEPS]
-        K = head[np.add.outer(_LEAF - np.arange(_LEAF), np.arange(_SUB_STEPS))]
+    else:  # floats: sub-blocks of _SUB_STEPS steps, walked by `_leaf_walk`
+        # K[x*R + r, c] = M[_LEAF - x + c, r] (0 past t_max): step s0 + c reads
+        # source m at rows x = m - s0 + _LEAF, as a window starts at most
+        # _LEAF steps before its sub-block (at its leaf's first step or after,
+        # or at s0 - max_life with max_life <= _LEAF)
+        head = np.zeros((_LEAF + _SUB_STEPS, R))
+        head[: min(T, _LEAF + _SUB_STEPS)] = M.reshape(T, R)[: _LEAF + _SUB_STEPS]
+        at = np.add.outer(_LEAF - np.arange(_LEAF), np.arange(_SUB_STEPS))
+        K = np.ascontiguousarray(head[at].transpose(0, 2, 1)).reshape(_LEAF * R, _SUB_STEPS)
         # step s0 + i adds M[i], ..., M[shortest] times P[s0], P[s0 + 1], ...:
         # a life shorter than any of positive mass in the sub-block adds nothing
-        mass = head[:_SUB_STEPS].tolist()
-        shortest = next((l for l in range(1, _SUB_STEPS) if mass[l] > 0.0), _SUB_STEPS)
-        blocks = {}  # sub-block length -> its compiled steps, bound to this DP's numbers
-        zeros = [0.0] * _SUB_STEPS
-        walk = sub_blocks
-    else:
-        compose = partial(ring.powers, n=R) if model.table else partial(ring.poly, coef)
-        walk = steps
+        shortest = next((l for l in range(1, _SUB_STEPS) if head[l].any()), _SUB_STEPS)
+        if model.table:
+            P[:, 0] = 1.0  # G^0, which the walk does not store
+        numbers = (0.0, np.ndarray.dot, Pf, K, [K[(_LEAF - w) * R :] for w in range(min(T, _LEAF + 1))], memoryview(Pf),
+                   *head[1:_SUB_STEPS].ravel().tolist(), *([] if model.table else coef))
+        shape = (shortest, R, 0 if model.table else len(coef))
+        walkers = {}  # (sub-block length, weighted segments, late) -> its walker, bound to this DP
+        reach = T if max_life is None else max_life
+
+        def walk(c0, c1, g, late, segs):
+            """The steps [c0, c1): whole sub-blocks, then the rest."""
+            (lo0, *_), *weighted = segs  # the segment of hi None, weight 1, comes first
+            bounds = [x for lo, hi, scal, _ in weighted for x in (lo, hi, scal)]  # floats: no series variable
+            cut = c1 - (c1 - c0) % _SUB_STEPS
+            for s, e in ((c0, cut), (cut, c1)):
+                if s < e:
+                    key = (min(e - s, _SUB_STEPS), len(weighted), late is not None)
+                    run = walkers.get(key) or walkers.setdefault(key, _leaf_walk(*key, *shape)(*numbers))
+                    run(g, late, c0, s, e, reach, lo0, *bounds)
 
     def leaf(a, b, alive):
         """Steps [a, b) from the sources in [a, u), on top of what G
         holds, plus the survival term alive[u] * unit (alive None: G has
         it)."""
         for u0, u1, segs, unit in walks:
-            segs = [(max(lo, a * R), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > a * R]
+            segs = [(max(lo, a), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > a]
             for c0 in range(max(a, u0), min(b, u1), _LEAF):
                 c1 = min(c0 + _LEAF, b, u1)
                 g = ring.rows(G[c0:c1])
@@ -400,11 +361,8 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     # G[u] gathers the survival term, then the sums of the sources before u's leaf
     for u0, u1, _, unit in walks:
         G[u0:u1] = np.multiply.outer(surv[u0:u1], unit)
-    C = math.prod(ring.row)
-    rows = G.reshape(T, C)
-    P3 = P.reshape(T, R, C)
-    one = np.reshape(ring.monomial(1.0, ()), C)
-    kernels = {}  # FFT length -> rfft of M[0:n]
+    one = ring.monomial(1.0)
+    kernels = {}  # FFT length -> rfft of M[0:n], over a series row's cells too
 
     def cross(lo, mid, hi, direct=False):
         """Add the sources [lo, mid) into G at the steps [mid, hi) (up to
@@ -416,35 +374,36 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         pieces = {}  # source range -> [(first step, end step, scal, var_idx)]
         for u0, u1, segs, _ in phases:
             v0, v1 = max(mid, u0), min(hi, u1)
-            if v0 >= v1:
-                continue
-            for s0, s1, scal, var_idx in segs:
+            for s0, s1, scal, var_idx in segs if v0 < v1 else ():
                 a, b = max(s0, lo), mid if s1 is None else min(s1, mid)
                 if a < b:
                     pieces.setdefault((a, b), []).append((v0, v1, scal, var_idx))
         n = hi - lo
         if pieces and not direct and n not in kernels:
-            kernels[n] = np.fft.rfft(M[:n].reshape(-1, R, 1), n, axis=0)
+            kernels[n] = np.fft.rfft(M[:n].reshape(-1, *M.shape[1:], *(1 for _ in ring.row)), n, axis=0)
         for (a, b), targets in pieces.items():
             if direct:
-                comp = np.subtract(one, P3[a:b]).reshape((b - a) * R, *ring.row)
-                y = np.zeros((n, C))
+                comp = np.subtract(one, P[a:b]).reshape((b - a) * R, *ring.row)
+                y = np.zeros((n, *ring.row))
                 for v in range(mid, min(hi, T)):
                     off = (t_max - v) * R
                     y[v - lo] = dot(Mr[off + a * R : off + b * R], comp)
             else:
-                f = np.zeros((n, R, C))
-                np.subtract(one, P3[a:b], out=f[a - lo : b - lo])
+                f = np.zeros((n, *P.shape[1:]))
+                np.subtract(one, P[a:b], out=f[a - lo : b - lo])
                 f = np.fft.rfft(f, axis=0)
                 f *= kernels[n]
-                y = np.fft.irfft(f.sum(axis=1), n, axis=0)
+                y = np.fft.irfft(f.sum(axis=1) if model.table else f, n, axis=0)
             for v0, v1, scal, var_idx in targets:
-                sums = np.multiply.outer(surv[v0 - b : v1 - b] - surv[v0 - a : v1 - a], one)
+                sums = surv[v0 - b : v1 - b] - surv[v0 - a : v1 - a]
+                if ring.row:
+                    sums = np.multiply.outer(sums, one)
                 sums -= y[v0 - lo : v1 - lo]
                 if var_idx:
                     sums = ring.shift(sums, var_idx)
-                sums *= scal
-                rows[v0:v1] += sums
+                if scal != 1.0:  # times 1.0 changes no bit
+                    sums *= scal
+                G[v0:v1] += sums
 
     # The block whose left half ends at leaf start a > 0 spans
     # [a - half, a + half), half = the lowest set bit of a (_LEAF is a power
@@ -623,33 +582,73 @@ def _scheduled_steps(reads: tuple, rows: bool):
 
 
 @lru_cache(maxsize=_SHAPES)
-def _leaf_steps(n: int, shortest: int, degree: int):
-    """The n steps of a rank-1 float sub-block of `_birth_at_death` whose
-    shortest life of positive mass below _SUB_STEPS is `shortest`, under a
-    default law of `degree` coefficients.  make(zero, M[1], ...,
-    M[_SUB_STEPS - 1], coef[0], ..., coef[degree - 1]) binds 0.0, the
-    in-block masses and the law, and returns block(g, k, near): step i
-    sets t_i = g[k + i] + near[i] + M[i] P[0] + M[i - 1] P[1] + ... +
-    M[shortest] P[i - shortest], left to right, and P[i] = the Horner sum
-    (((zero * t_i + coef[-1]) * t_i + coef[-2]) ...) + coef[0]; g[k:k + n]
-    takes the t_i, and the P[i] come back as a list."""
-    masses = ", ".join(f"m{l}" for l in range(1, _SUB_STEPS))
-    coefs = [f"c{r}" for r in range(degree)]
-    lines = [f"{''.join(f'g{i}, ' for i in range(n))}= g[k : k + {n}]"]
+def _leaf_walk(n: int, weighted: int, late: bool, shortest: int, width: int, degree: int):
+    """The walker of a float chunk of a `_birth_at_death` leaf, in
+    sub-blocks of n steps: `weighted` segments besides the one of weight 1,
+    a late term or none, `shortest` the shortest life of positive mass
+    below _SUB_STEPS, and `width` P cells a step, the Horner sum of a
+    default law of `degree` coefficients (rank 1) or, with degree 0, a
+    table's powers G^0, ..., G^(width - 1).  make(zero, dot, Pf, K, Kn,
+    store, M[1, 0], ..., M[_SUB_STEPS - 1, width - 1], *coef) binds 0.0,
+    ndarray.dot, the flat table P, the Toeplitz table K and its views Kn[w]
+    on the last w sources' rows, a memoryview of P, the masses and the law,
+    and returns walk(g, late, c0, s, e, reach, lo0, lo1, hi1, w1, ...),
+    whose lists g and late hold the steps from c0 on.  For s0 = s, s + n,
+    ... < e, with m_min = s0 - reach:
+    - each weighted segment j in turn whose window [max(lo_j, m_min), hi_j)
+      holds a source adds w_j times its window sums, one dot of Pf against
+      K, to g; then the late term adds;
+    - the segment of weight 1 takes its window [max(lo0, m_min), s0) by
+      one dot against Kn, or zero for an empty one;
+    - step i sets t_i = g_i + near_i + M[i, 0] P[s0, 0] + M[i, 1] P[s0, 1]
+      + ... + M[shortest, width - 1] P[s0 + i - shortest, width - 1], left
+      to right (a table's cell 0 is 1: its mass alone), then its cells: the
+      Horner sum (((zero * t_i + coef[-1]) * t_i + coef[-2]) ...) + coef[0],
+      or t_i, t_i * t_i, then each power times t_i;
+    - g takes the t_i, and store the cells (a table's cell 0 excepted)."""
+    R, rest = width, "" if n == _SUB_STEPS else "*_"
+    flat = (lambda x: x) if R == 1 else (lambda x: f"({x}) * {R}")
+    coefs = [f"f{r}" for r in range(degree)]
+
+    def names(x):
+        return "".join(f"{x}{i}, " for i in range(n))
+
+    def cell(i, r):  # None: a table's cell 0, which is 1
+        return f"p{i}" if degree else None if r == 0 else f"t{i}" if r == 1 else f"p{i}_{r}"
+
+    bounds = [f"lo{j}, hi{j}, w{j}" for j in range(1, weighted + 1)]
+    lines = ["k = s0 - c0", "m_min = s0 - reach", f"{names('g')}= g[k : k + {n}]"]
+    for j in range(1, weighted + 1):
+        lines += [f"lo = lo{j} if lo{j} > m_min else m_min", f"if lo < hi{j}:",
+                  f"    {names('y')}{rest} = dot(Pf[{flat('lo')} : {flat(f'hi{j}')}], "
+                  f"K[{flat(f'lo - s0 + {_LEAF}')} : {flat(f'hi{j} - s0 + {_LEAF}')}]).tolist()"]
+        lines += [f"    g{i} = g{i} + w{j} * y{i}" for i in range(n)]
+    if late:
+        lines += [f"{names('l')}= late[k : k + {n}]", *(f"g{i} = g{i} + l{i}" for i in range(n))]
+    lines += ["lo = lo0 if lo0 > m_min else m_min", "if lo < s0:",
+              f"    {names('h')}{rest} = dot(Pf[{flat('lo')} : {flat('s0')}], Kn[s0 - lo]).tolist()",
+              "else:", f"    {' = '.join(f'h{i}' for i in range(n))} = zero"]
     for i in range(n):
-        pre, total = _fold(f"t{i}", f"g{i} + near[{i}]", [f"m{i - j} * p{j}" for j in range(i - shortest + 1)],
-                           lambda a, b: f"{a} + {b}")
+        terms = [f"m{i - j}_{r}" if cell(j, r) is None else f"m{i - j}_{r} * {cell(j, r)}"
+                 for j in range(i - shortest + 1) for r in range(R)]
+        pre, total = _fold(f"t{i}", f"g{i} + h{i}", terms, lambda a, b: f"{a} + {b}")
         lines += [*pre, f"t{i} = {total}"]
-        pre, value = _fold(f"p{i}", "zero", coefs[::-1], lambda r, c, t=f"t{i}": f"({r}) * {t} + {c}")
-        lines += [*pre, f"p{i} = {value}"]
-    lines.append(f"g[k : k + {n}] = {''.join(f't{i}, ' for i in range(n))}")
-    lines.append(f"return [{', '.join(f'p{i}' for i in range(n))}]")
-    body = "".join(f"\n        {line}" for line in lines)
-    source = f"""def make(zero, {masses}, {", ".join(coefs)}):
-    def block(g, k, near):{body}
-    return block
+        if degree:
+            pre, value = _fold(f"p{i}", "zero", coefs[::-1], lambda a, c, t=f"t{i}": f"({a}) * {t} + {c}")
+            lines += [*pre, f"p{i} = {value}"]
+        lines += [f"p{i}_{r} = {cell(i, r - 1)} * t{i}" for r in range(2, 0 if degree else R)]
+    base = "s0" if R == 1 else "b"
+    lines += [f"g[k : k + {n}] = {names('t')}", *([] if R == 1 else [f"b = s0 * {R}"])]
+    lines += [f"store[{base} + {i * R + r}] = {cell(i, r)}" if i * R + r else f"store[{base}] = {cell(i, r)}"
+              for i in range(n) for r in range(R) if cell(i, r)]
+    masses = [f"m{l}_{r}" for l in range(1, _SUB_STEPS) for r in range(R)]
+    body = "".join(f"\n            {line}" for line in lines)
+    source = f"""def make({", ".join(["zero, dot, Pf, K, Kn, store", *masses, *coefs])}):
+    def walk({", ".join(["g, late, c0, s, e, reach, lo0", *bounds])}):
+        for s0 in range(s, e, {n}):{body}
+    return walk
 """
-    return _compile(source, f"leaf steps {(n, shortest, degree)}")
+    return _compile(source, f"leaf walk {(n, weighted, late, shortest, width, degree)}")
 
 
 def _short_life_atoms(model):

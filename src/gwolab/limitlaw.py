@@ -374,16 +374,22 @@ def dichotomy_fraction(c: float) -> float:
 
 
 def figure1_data(c: float, step: float = 0.01, y_max: float = 4.0) -> np.ndarray:
-    """Density table (y, pdf of T, pdf of T0) on a uniform grid hitting 1,
-    written column by column into one (rows, 3) array.  At the element
-    budget's 2^24 rows the table holds 400 MB, and while a column is
-    filled its density's output and left-of-1 points come on top."""
+    """Density table (y, pdf of T, pdf of T0) on the grid y = k * step,
+    k = 1, 2, ..., up to the last multiple of step within y_max, written
+    column by column into one (rows, 3) array.  y_max / step is taken
+    within 4 ulps of a whole number as that number, so 4 / 0.01 and
+    4 / 1e-5 keep their 400 and 400,000 rows.  1 is on the grid when 1 /
+    step is a whole number k (row k holds k * step: 0.01 and 0.5 put 1 on
+    it, 0.03 and 0.3 do not).  At the element budget's 2^24 rows the table
+    holds 400 MB, and while a column is filled its density's output and
+    left-of-1 points come on top."""
     if not 0.0 < step < y_max:
         raise ConfigError("need 0 < step < y_max")
     rows = y_max / step
     if rows > _PMF_ELEMENT_BUDGET:
         raise CapTooLarge(f"a grid of {rows:.3g} rows exceeds the element budget")
-    table = np.empty((round(rows), 3))
+    rows = math.floor(rows * (1.0 + 4.0 * math.ulp(1.0)))
+    table = np.empty((rows, 3))
     y = table[:, 0]
     np.multiply(np.arange(1, len(table) + 1), step, out=y)
     table[:, 1] = LawT(LimitParams(c)).pdf(y)

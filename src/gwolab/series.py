@@ -17,8 +17,9 @@ A product takes one of three routes, chosen by the number of variables n
 and the cap when the ring is built:
 
 - n = 1: the truncated product is the first cap + 1 terms of
-  `np.convolve`, while its (cap+1)^2 products are within
-  `_DIRECT_PRODUCTS` (cap <= 511).
+  `np.correlate(a, b[::-1], "full")`, the C loop that `np.convolve` runs
+  for rows of one length, without its Python wrapper, while its
+  (cap+1)^2 products are within `_DIRECT_PRODUCTS` (cap <= 511).
 - n >= 2: there are C(cap + 2n, 2n) pairs of monomials whose total
   degree is <= cap.  While that count is within `_PAIR_BUDGET` (n = 2 up
   to cap 32, n = 3 up to 15), the ring lists each pair by flat index
@@ -140,7 +141,7 @@ class Ring:
             return np.bincount(target, np.take(fa, i) * np.take(fb, j), minlength=fa.size)
         m = self._fft_len
         if m is None:
-            return np.convolve(fa, fb)[: self.cap + 1]
+            return np.correlate(fa, fb[::-1], "full")[: self.cap + 1]
         full, keep = fa * fb, slice(0, self.cap + 1)
         for axis in range(self.nvars - 1):
             # lines past the cap on this axis only feed discarded terms

@@ -400,25 +400,35 @@ def bh_long_lives():
 
 
 def long_double_survival(model, t_max):
-    """Q(0..t_max) of a Bellman-Harris model with a quadratic-tail life by
-    the O(t^2) recursion in long double, in complement form:
-    Q(u) = P(L > u) + sum_{l=1..u} P(L = l) (1 - f(1 - Q(u - l))),
-    with 1 - f(1 - q) expanded as a polynomial in q."""
+    """Q(0..t_max) of a Sevastyanov model (Bellman-Harris: an empty table)
+    with a quadratic-tail life by the O(t^2) recursion in long double, in
+    complement form: Q(u) = P(L > u) + sum_{l=1..u} P(L = l) phi_l(Q(u - l)),
+    phi_l(q) = 1 - f_l(1 - q) expanded as a polynomial in q, where f_l is
+    the offspring law of life l: the table's, else the default."""
     ld = np.longdouble
     life = model.life
     t = np.arange(t_max + 1).astype(ld)
     surv = np.where(t < life.t_min, ld(1), ld(life.d) / np.maximum(t, ld(1)) ** 2)
     pmf = np.zeros(t_max + 1, dtype=ld)
     pmf[1:] = surv[:-1] - surv[1:]
-    coef = [ld(0)] * len(model.offspring.probs)
-    for n, p in enumerate(model.offspring.probs):
-        for j in range(1, n + 1):
-            coef[j] += ld(p) * math.comb(n, j) * (-1) ** (j + 1)
+
+    def complement(law):
+        coef = [ld(0)] * len(law.probs)
+        for n, p in enumerate(law.probs):
+            for j in range(1, n + 1):
+                coef[j] += ld(p) * math.comb(n, j) * (-1) ** (j + 1)
+        return coef
+
+    table = {l: complement(law) for l, law in model.table.items() if l <= t_max}
+    default = complement(model.default)
+    rest = pmf.copy()  # the lives that read the default law
+    rest[list(table)] = 0
     q = np.zeros(t_max + 1, dtype=ld)
-    phi = np.zeros(t_max + 1, dtype=ld)  # 1 - f(1 - Q)
+    phi = {l: np.zeros(t_max + 1, dtype=ld) for l in [None, *table]}  # phi_l(Q(u)), None: the default's
     for u in range(t_max + 1):
-        q[u] = surv[u] + np.dot(pmf[u:0:-1], phi[:u])
-        phi[u] = np.polynomial.polynomial.polyval(q[u], coef)
+        q[u] = surv[u] + np.dot(rest[u:0:-1], phi[None][:u]) + sum(pmf[l] * phi[l][u - l] for l in table if l <= u)
+        for l, coef in [(None, default), *table.items()]:
+            phi[l][u] = np.polynomial.polynomial.polyval(q[u], coef)
     return q
 
 
@@ -434,13 +444,22 @@ class TestDivideAndConquer:
         # an FFT over P itself, rather than over 1 - P, is off by 4.6e-10 here
         assert float(rel.max()) <= 1e-10
 
+    def test_sevastyanov_table_survival_against_long_double(self):
+        # a table's powers of G are float products in sub-blocks, as the
+        # rank-1 leaf's Horner sums are: held to the same bound
+        model = sev_heavy()
+        t_max = 1 << 13
+        ref = long_double_survival(model, t_max)
+        rel = np.abs(extinction_seq(model, t_max).q - ref) / ref
+        assert float(rel.max()) <= 1e-10
+
     @pytest.mark.parametrize("name", ["heavy_tail_life", "heavy_tail_sevastyanov", "bh_long_lives"])
     def test_float_leaf_matches_series_leaf(self, name):
-        # a float DP walks rank-1 lives in sub-blocks, with float products
-        # inside each; a series DP in one variable walks one step at a time
-        # (as a Sevastyanov table does on floats too), and its constant
-        # coefficient is P(Z(t) = 0) as well.  Up to 4096 the two meet,
-        # relative to Q(t), over many sub-blocks, leaves and crosses.
+        # a float DP walks rank-1 lives and tables in sub-blocks, with float
+        # products inside each; a series DP in one variable walks one step
+        # at a time, and its constant coefficient is P(Z(t) = 0) as well.
+        # Up to 4096 the two meet, relative to Q(t), over many sub-blocks,
+        # leaves and crosses.
         model = bh_long_lives() if name == "bh_long_lives" else load_model(str(MODEL_DIR / f"{name}.json"))
         t = 4096
         q = extinction_seq(model, t).q
@@ -624,32 +643,59 @@ def reference_scheduled_steps(reads, rows):
     return make
 
 
-def reference_leaf_steps(n, shortest, degree):
-    """The interpretive in-block loop of a rank-1 float sub-block, behind
-    the protocol of `exact_engine._leaf_steps`: step k adds its earlier
-    steps' P times M[i], ..., M[shortest] as float products, then composes
-    by a Horner loop from 0.0."""
+def reference_leaf_walk(n, weighted, late, shortest, width, degree):
+    """The interpretive sub-block loop of a float birth-at-death chunk,
+    behind the protocol of `exact_engine._leaf_walk`: each weighted
+    segment's window sums by one dot against K, weighted, then the late
+    term; the window of the segment of weight 1; then step k adds its
+    earlier steps' P cells times M[i], ..., M[shortest] as float products
+    (a table's cell 0 is 1: its mass alone) and composes by a Horner loop
+    from 0.0, or by the powers of a table; P takes the cells."""
+    sub, R, leaf = exact_engine._SUB_STEPS, width, _LEAF
 
-    def make(zero, *numbers):
-        sub = exact_engine._SUB_STEPS
-        mass, coef = [0.0, *numbers[: sub - 1]], list(numbers[sub - 1 :])  # M[0] enters no block
+    def make(zero, dot, Pf, K, Kn, store, *numbers):
+        mass = [[0.0] * R, *(numbers[l * R : l * R + R] for l in range(sub - 1))]  # M[0] enters no block
+        coef = list(numbers[(sub - 1) * R :])
         assert len(coef) == degree
-        nears = [mass[i : shortest - 1 : -1] for i in range(sub)]
 
-        def block(g, k0, near):
-            p = []
-            for k, window, lives in zip(range(k0, k0 + n), near, nears):
-                total = g[k] + window
-                for m, pm in zip(lives, p):
-                    total += m * pm
-                g[k] = total
-                value = 0.0
-                for c in reversed(coef):
-                    value = value * total + c
-                p.append(value)
-            return p
+        def walk(g, later, c0, s, e, reach, lo0, *bounds):
+            assert len(bounds) == 3 * weighted and (later is not None) == late
+            for s0 in range(s, e, n):
+                k0, k1 = s0 - c0, s0 - c0 + n
+                # lives past reach (max_life, or the horizon) have no mass: start at m = s0 - reach
+                m_min = s0 - reach
+                for lo, hi, w in zip(bounds[::3], bounds[1::3], bounds[2::3]):
+                    lo = max(lo, m_min)
+                    if lo < hi:
+                        sums = dot(Pf[lo * R : hi * R], K[(lo - s0 + leaf) * R : (hi - s0 + leaf) * R]).tolist()
+                        g[k0:k1] = [x + w * y for x, y in zip(g[k0:k1], sums)]
+                if later is not None:
+                    g[k0:k1] = [x + y for x, y in zip(g[k0:k1], later[k0:k1])]
+                lo = max(lo0, m_min)
+                near = dot(Pf[lo * R : s0 * R], K[(lo - s0 + leaf) * R :]).tolist() if lo < s0 else [zero] * sub
+                cells = []  # each earlier step's P cells, None for a table's cell 0
+                for i in range(n):
+                    total = g[k0 + i] + near[i]
+                    for j in range(i - shortest + 1):
+                        for m, p in zip(mass[i - j], cells[j]):
+                            total += m if p is None else m * p
+                    g[k0 + i] = total
+                    if degree:
+                        value = zero
+                        for c in reversed(coef):
+                            value = value * total + c
+                        row = [value]
+                    else:
+                        row = [None, total][:R]
+                        while len(row) < R:
+                            row.append(row[-1] * total)
+                    cells.append(row)
+                for i, row in enumerate(cells):
+                    for r, p in enumerate(row):
+                        if p is not None:
+                            store[(s0 + i) * R + r] = p
 
-        return block
+        return walk
 
     return make
 
@@ -663,7 +709,7 @@ def compiled_and_reference(model, times, weights, nvars=0, cap=0, chunk_cells=No
             mp.setattr(exact_engine, "_CHUNK_CELLS", chunk_cells)
         got = exact_engine._dp(model, times, weights, nvars, cap)
         mp.setattr(exact_engine, "_scheduled_steps", lambda *s: ran.add("scheduled") or reference_scheduled_steps(*s))
-        mp.setattr(exact_engine, "_leaf_steps", lambda *s: ran.add("leaf") or reference_leaf_steps(*s))
+        mp.setattr(exact_engine, "_leaf_walk", lambda *s: ran.add("leaf") or reference_leaf_walk(*s))
         want = exact_engine._dp(model, times, weights, nvars, cap)
     return got, want, ran
 
@@ -731,6 +777,19 @@ def rank_1_laws(draw):
     return BellmanHarris(life, offspring)
 
 
+@st.composite
+def table_laws(draw):
+    """A Sevastyanov table over a life of `rank_1_laws`: one to three
+    lives of positive mass, often inside a sub-block, with offspring laws
+    of their own, so a step writes the powers of G up to the widest."""
+    base = draw(rank_1_laws(), label="default")
+    life = base.life
+    support = range(life.t_min, life.t_min + 12) if life.max_life is None else life.support
+    lives = draw(st.sets(st.sampled_from(list(support)), min_size=1, max_size=3), label="table lives")
+    table = {l: OffspringPMF(masses(draw, draw(st.integers(1, 4), label=f"size {l}"), f"P(N | {l})")) for l in lives}
+    return Sevastyanov(life, table, base.offspring)
+
+
 class TestCompiledStepLoops:
     """The compiled step loops keep the bits of the interpretive loops
     they replace, written out above: whole `_dp` columns, byte for byte."""
@@ -758,10 +817,19 @@ class TestCompiledStepLoops:
         assert ran == {"leaf"}
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=40, deadline=None)
+    @given(model=table_laws(), data=st.data())
+    def test_table_float_leaf(self, model, data):
+        # the same walk, with a step's powers of G as float products
+        times, weights = data.draw(queries(3 * _LEAF + 5), label="query")
+        got, want, ran = compiled_and_reference(model, times, weights)
+        assert ran == {"leaf"}
+        assert got.tobytes() == want.tobytes()
+
     def test_long_chains_go_on_over_lines(self):
-        # 20 atoms, one with 40 children, and a default law of 40
-        # coefficients: past _FOLD operations a chain goes on at the next
-        # line, in the same order
+        # 20 atoms, one with 40 children, a default law of 40 coefficients,
+        # and a table of 40 powers: past _FOLD operations a chain goes on at
+        # the next line, in the same order
         atoms = [(0.5, tuple(range(1, 41)), 41)] + [(0.5 / 19, (i % 3 + 1,) * (i % 3), 4) for i in range(19)]
         tabulated = Tabulated(atoms)
         heavy = BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.5] + [0.5 / 39] * 39))
@@ -769,17 +837,19 @@ class TestCompiledStepLoops:
             (tabulated, (60, 300), (0.3, 0.0), 0, 0),
             (tabulated, (30, 90), (exact_engine._Var(0), 0.0), 1, 2),
             (heavy, (100, 300), (0.5, 0.0), 0, 0),
+            (Sevastyanov(heavy.life, {3: heavy.offspring}, OffspringPMF([0.5, 0.0, 0.5])), (100, 300), (0.5, 0.0), 0, 0),
         ):
             got, want, _ = compiled_and_reference(model, times, weights, nvars, cap)
             assert got.tobytes() == want.tobytes()
         scheduled = exact_engine._scheduled_steps(tuple(len(ages) for _, ages, _ in atoms), False).source
         assert "child0 = " in scheduled and "acc = " in scheduled
-        assert exact_engine._leaf_steps(8, 2, 40).source.count("p0 = ") == 3
+        assert exact_engine._leaf_walk(8, 0, False, 2, 1, 40).source.count("p0 = ") == 3
+        assert exact_engine._leaf_walk(8, 0, False, 1, 40, 0).source.count("t1 = ") == 3  # 40 terms
 
     def test_one_compile_per_shape(self, monkeypatch):
         # a second run, and a model of the same shape with other numbers,
         # compile nothing: the numbers come in as values, never as source
-        caches = (exact_engine._scheduled_steps, exact_engine._leaf_steps)
+        caches = (exact_engine._scheduled_steps, exact_engine._leaf_walk)
         sources = []
         for cached in caches:
 
@@ -797,6 +867,12 @@ class TestCompiledStepLoops:
             (
                 load_model(str(MODEL_DIR / "heavy_tail_life.json")),
                 BellmanHarris(QuadraticTailLife(d=2.0, t_min=2), OffspringPMF([0.6, 0.1, 0.0, 0.2, 0.1])),
+            ),
+            (
+                sev_heavy(),
+                Sevastyanov(
+                    QuadraticTailLife(d=2.0, t_min=2), {3: OffspringPMF([0.25, 0.5, 0.25])}, OffspringPMF([0.3, 0.4, 0.3])
+                ),
             ),
         ]
         spec = FddSpec((300, 1000), (0.4, 0.6))

@@ -609,6 +609,20 @@ class TestHelpers:
         # the table, then one density's output and left-of-1 points on top
         assert peak_ratio(lambda: figure1_data(15.0, step=4.0 / 2**20, y_max=4.0)) <= 1.8
 
+    def test_figure_grid_ends_within_y_max(self):
+        # 4 / 1.5 rounds to 3, but the grid ends at its last multiple within 4
+        np.testing.assert_array_equal(figure1_data(1.0, step=1.5, y_max=4.0)[:, 0], [1.5, 3.0])
+        # 1 / 0.03 is no whole number: 1 is off the grid, whose last row is 3.99
+        y = figure1_data(1.0, step=0.03, y_max=4.0)[:, 0]
+        assert y.tobytes() == (np.arange(1, 134) * 0.03).tobytes()
+        assert y[-1] <= 4.0 and 1.0 not in y
+
+    @pytest.mark.parametrize("step", [0.01, 0.0005, 4.0 / 2**20, 1e-5])
+    def test_figure_grids_in_use_keep_their_rows(self, step):
+        # y_max / step within a few ulps of a whole number counts as that number
+        y = figure1_data(1.0, step=step, y_max=4.0)[:, 0]
+        assert y.tobytes() == (np.arange(1, round(4.0 / step) + 1) * step).tobytes()
+
     def test_figure_validation(self):
         with pytest.raises(ConfigError):
             figure1_data(5.0, step=0.0)

@@ -239,6 +239,24 @@ def test_route_switches_sit_at_the_tested_caps():
     assert math.comb(21, 6) <= gwolab.series._PAIR_BUDGET < math.comb(22, 6)
 
 
+@pytest.mark.parametrize("cap", [0, 1, 10, 511])
+def test_one_variable_product_is_np_convolve_bit_for_bit(cap):
+    # the product calls the C loop under np.convolve, without its wrapper:
+    # the same sums in the same order, down to signed zeros and subnormals
+    ring = gwolab.series.ring(1, cap)
+    assert ring._fft_len is None and ring._pairs is None
+    rng = np.random.default_rng(cap)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+    for _ in range(20):
+        a, b = (rng.uniform(-1.0, 1.0, cap + 1) for _ in range(2))
+        for row in (a, b):
+            hits = rng.integers(0, cap + 1, size=min(cap + 1, 4))
+            row[hits] = rng.choice(special, size=hits.size)
+        assert ring.mul(a, b).tobytes() == np.convolve(a, b)[: cap + 1].tobytes()
+    zeros = np.array([-0.0] * (cap + 1))
+    assert ring.mul(zeros, -zeros).tobytes() == np.convolve(zeros, -zeros)[: cap + 1].tobytes()
+
+
 @pytest.mark.parametrize(
     "nvars,cap", [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 16), (3, 20), (3, 30), (4, 11)]
 )
