@@ -68,35 +68,37 @@ shape.  The scalar case, shape (), runs the same walk on floats in
 `series.Floats`, the same protocol on Python floats.
 
 Each kernel does in its step loop only the work that depends on earlier
-steps.  What does not is settled before the loop, once per chunk: the
-survival term and a scheduled atom's prob * alive, computed with numpy in
-the order a step would take, so the bits do not change, and the G cells
-each scheduled atom reads.  A scheduled chunk spans as many steps as
-_CHUNK_CELLS cells of alive terms allow, a birth-at-death chunk at most
-_LEAF steps.  A chunk reads G as `ring.rows` (Python floats on the scalar
-ring, which step faster than numpy scalars) and writes it back once.  On
-floats a birth-at-death chunk, rank 1 or a Sevastyanov table alike, runs
-in sub-blocks of _SUB_STEPS steps: one dot per segment takes the sources
-before a sub-block for all its steps, and the sources inside it and P's
-cells (the default's Horner sum, or a table's powers of G) are float
-products, so a step makes no numpy call.  On series rows a sub-block
+steps.  What does not is settled before the loop: the birth-at-death
+kernel puts the survival term into G at every step, once per phase, before
+any leaf walks; a scheduled chunk computes its atoms' prob * alive with
+numpy in the order a step would take, so the bits do not change, and
+resolves the G cells each atom reads.  A scheduled chunk spans as many
+steps as _CHUNK_CELLS cells of alive terms allow, a birth-at-death chunk
+at most _LEAF steps.  A chunk reads G as `ring.rows` (Python floats on the
+scalar ring, which step faster than numpy scalars) and writes it back
+once.  On floats a birth-at-death chunk, rank 1 or a Sevastyanov table
+alike, runs in sub-blocks of _SUB_STEPS steps: one dot per segment takes
+the sources before a sub-block for all its steps, and the sources inside
+it and P's cells (the default's Horner sum, or a table's powers of G) are
+float products, so a step makes no numpy call.  On series rows a sub-block
 would cost ring products, and a step is one dot per segment.
 
 The two step loops that run in Python, a scheduled piece and a float
 birth-at-death chunk, are straight-line source generated per shape and
 compiled once per process (`_scheduled_steps`, `_leaf_walk`, each an
 `lru_cache`).  A scheduled shape is how many G cells each atom reads a
-step, and whether the ring's cells are series rows (products by the
-ring's `mul`) or floats (`*`); a walker's shape is its sub-block length,
-its weighted segments, whether it adds a late term, its shortest life of
-positive mass and its P cells a step.  The source names no number: the
-masses, the coefficients and the 0.0 each sum starts from enter as values
-bound to the compiled function, so every model of a shape shares one
-compile.  Each product and sum is written out in the order the
-interpretive loop took, from the same 0.0, so the columns keep their
-bits; the tests keep those loops as references.  A compile costs about
-0.2 ms for a scheduled shape and 0.25 ms (1 step) to 0.8 ms (8 steps) for
-a walker (Python 3.11, one pinned core of a 2-core VM): a DP at t = 16 on
+step, and whether the ring's cells are series rows (products by the ring's
+`mul`) or floats (`*`); a walker's shape is its sub-block length, its
+weighted segments, its shortest life of positive mass, its P cells a step
+and its default's coefficients, whatever the route, so a single-leaf DP
+and a divide-and-conquer DP of one law share walkers.  The source names no
+number: the masses, the coefficients and the 0.0 each sum starts from
+enter as values bound to the compiled function, so every model of a shape
+shares one compile.  Each product and sum is written out in the order the
+interpretive loop took, from the same 0.0, so the columns keep their bits;
+the tests keep those loops as references.  A compile costs about 0.2 ms
+for a scheduled shape and 0.25 ms (1 step) to 0.8 ms (8 steps) for a
+walker (Python 3.11, one pinned core of a 2-core VM): a DP at t = 16 on
 heavy_tail_life, which compiles two, takes 1.4 ms the first time in a
 process and 71 us after (medians of 7 processes).
 """
@@ -151,15 +153,11 @@ class FddSpec:
     """
 
     def __init__(self, times, z, t_obs: Optional[int] = None):
-        times = tuple(_integer(t, "time") for t in times)
+        times = tuple(_integer(t, "time", 0) for t in times)
         if not times:
             raise ConfigError("need at least one observation time")
-        if any(t < 0 for t in times):
-            raise ConfigError(f"times {times} must be >= 0")
         if t_obs is not None:
-            t_obs = _integer(t_obs, "t_obs")
-            if t_obs < 1:
-                raise ConfigError("t_obs must be >= 1")
+            t_obs = _integer(t_obs, "t_obs", 1)
         self.times, self.z = kept_coordinates(times, z, "times")
         self.t_obs = t_obs
 
@@ -232,45 +230,52 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     m < u of each segment of each phase, scaled by the segment's
     (scal, var_idx).
 
-    An online convolution fills G by divide and conquer.  A block solves
-    its left half, adds the left half's sources into G at the right half's
-    steps (`cross`), and then solves its right half.  A leaf of at most
-    _LEAF steps walks its segments over the sources inside it, on top of
-    what G already holds; the leaves run in time order, each after the
-    crosses that feed it.  A cross convolves the complements one - P[m],
-    which are O(Q), by a real FFT along time (one per source range); the
-    `one` part is the survival difference surv[u - b] - surv[u - a] for
-    sources [a, b) (every offspring law sums to 1), so round-off stays
-    relative to Q, not to 1.  It makes only the numpy calls its ring needs:
-    a table's cells are summed after the product, a series row's cells
-    broadcast, and a rank-1 float cross is vectors throughout.  The last
-    leaf's block, cut off at t_max, takes its left half in the same
-    complement form, by one direct dot per step rather than an FFT over
-    the block.  Finite lives clip the cross-block work at max_life, and
-    lives of at most _LEAF steps make the whole range one leaf.  Of the
-    scalar DPs with finite life, `_dp` sends here only those whose atoms
-    would read G more than _ATOM_READS times a step.
+    G holds the survival term before any leaf walks, on every route: step
+    u of a phase starts from surv[u] times the phase's prefix monomial,
+    the founder alive at every query time.  An online convolution then
+    fills G by divide and conquer.  A block solves its left half, adds the
+    left half's sources into G at the right half's steps (`cross`), and
+    then solves its right half.  A leaf of at most _LEAF steps walks its
+    segments over the sources inside it, on top of what G already holds;
+    the leaves run in time order, each after the crosses that feed it.  A
+    cross convolves the complements one - P[m], which are O(Q), by a real
+    FFT along time (one per source range); the `one` part is the survival
+    difference surv[u - b] - surv[u - a] for sources [a, b) (every
+    offspring law sums to 1), so round-off stays relative to Q, not to
+    1.  It makes only the numpy calls its ring needs: a table's cells are
+    summed after the product, a series row's cells broadcast, and a rank-1
+    float cross is vectors throughout.  The last leaf's block, cut off at
+    t_max, takes its left half in the same complement form, by one direct
+    dot per step rather than an FFT over the block.  Finite lives clip the
+    cross-block work at max_life, and lives of at most _LEAF steps make
+    the whole range one leaf, as does t_max <= _LEAF: that leaf starts
+    from the same seeded G, so a single-leaf DP and a divide-and-conquer
+    DP of one law share their walkers.  Of the scalar DPs with finite
+    life, `_dp` sends here only those whose atoms would read G more than
+    _ATOM_READS times a step.
 
-    A leaf reads G, and the survival term when it adds one, as `ring.rows`
-    in chunks of at most _LEAF steps, and writes G back once per chunk.  On
-    series rows a chunk walks step by step: each segment's sources are one
-    dot of a row of Mr, and `ring.poly` or `ring.powers` composes P[u].  On
-    floats, rank 1 or a table alike, `_leaf_walk` compiles one walker per
-    shape, which runs the chunk in sub-blocks of _SUB_STEPS steps: one dot
-    per segment, against a slice of the Toeplitz table K[x*R + r, c] =
-    M[_LEAF - x + c, r] built once per DP, takes the sources before the
-    sub-block for all its steps; the sources inside it (all in the segment
-    of weight 1) and P's R cells are float products; and P takes the cells
-    through a memoryview.  A step so makes no numpy call.  The sums run in
-    another order than one dot per step, and a table's powers are products
-    t * t ..., not numpy's `g ** arange(R)`, which rounds apart: the columns
-    differ from such a walk by up to 3e-10 relative at 2^16
-    (heavy_tail_life, heavy_tail_sevastyanov), nearer a long-double
-    reference.  The dots stay numpy's, through `ring.dot` on series rows
-    and in the direct cross (on floats, einsum past _LONG_DOT terms, which
-    that cross can reach, since BLAS splits a long dot across its threads).
-    A sub-block's dot is a vector times a matrix of _SUB_STEPS columns,
-    which gave the same bits on 1 and 2 OpenBLAS threads up to 200,000 rows.
+    A leaf reads G as `ring.rows` in chunks of at most _LEAF steps, and
+    writes G back once per chunk.  Both walks skip the sources m < u -
+    reach, whose lives are past max_life (reach is the horizon for an
+    unbounded life).  On series rows a chunk walks step by step: each
+    segment's sources are one dot of a row of Mr, and `ring.poly` or
+    `ring.powers` composes P[u].  On floats, rank 1 or a table alike,
+    `_leaf_walk` compiles one walker per shape, which runs the chunk in
+    sub-blocks of _SUB_STEPS steps: one dot per segment, against a slice
+    of the Toeplitz table K[x*R + r, c] = M[_LEAF - x + c, r] built once
+    per DP, takes the sources before the sub-block for all its steps; the
+    sources inside it (all in the segment of weight 1) and P's R cells are
+    float products; and P takes the cells through a memoryview.  A step so
+    makes no numpy call.  The sums run in another order than one dot per
+    step, and a table's powers are products t * t ...: the columns differ
+    from such a walk by up to 3e-10 relative at 2^16 (heavy_tail_life,
+    heavy_tail_sevastyanov), nearer a long-double reference.  The dots
+    stay numpy's, through `ring.dot` on series rows and in the direct
+    cross (on floats, einsum past _LONG_DOT terms, which that cross can
+    reach, since BLAS splits a long dot across its threads).  A
+    sub-block's dot is a vector times a matrix of _SUB_STEPS columns,
+    which gave the same bits on 1 and 2 OpenBLAS threads up to 200,000
+    rows.
     """
     u = np.arange(t_max + 1)
     pmf, surv = model.life.pmf(u), model.life.survival(u)
@@ -284,29 +289,25 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
     P = _table((T, *M.shape[1:]), ring)  # P[u'] pairs with M[l]
     Pf = P.reshape(T * R, *ring.row)
     max_life = model.life.max_life  # None: unbounded support
+    reach = T if max_life is None else max_life  # lives past reach have no mass
     dot = ring.dot
-    walks = [(u0, u1, segs, ring.monomial(*prefix)) for u0, u1, segs, prefix in phases]
 
     if ring.row:  # series rows: one step at a time
         compose = partial(ring.powers, n=R) if model.table else partial(ring.poly, coef)
 
-        def walk(c0, c1, g, late, segs):
+        def walk(c0, c1, g, segs):
             """The steps [c0, c1): each segment's sources by one dot of a row of Mr."""
             for u in range(c0, c1):
                 off = (t_max - u) * R
-                # rows of lives l = u - m > max_life are zero: start at m = u - max_life
-                m_min = 0 if max_life is None else u - max_life
                 total = g[u - c0]
                 for lo, hi, scal, var_idx in segs:
-                    lo, hi = max(lo, m_min), u if hi is None else hi
+                    lo, hi = max(lo, u - reach), u if hi is None else hi
                     if lo >= hi:
                         continue
                     block = dot(Mr[off + lo * R : off + hi * R], Pf[lo * R : hi * R])
                     if var_idx:
                         block = ring.shift(block, var_idx)
                     total += scal * block
-                if late is not None:
-                    total = total + late[u - c0]
                 g[u - c0] = total
                 P[u] = compose(total)
 
@@ -327,40 +328,37 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         numbers = (0.0, np.ndarray.dot, Pf, K, [K[(_LEAF - w) * R :] for w in range(min(T, _LEAF + 1))], memoryview(Pf),
                    *head[1:_SUB_STEPS].ravel().tolist(), *([] if model.table else coef))
         shape = (shortest, R, 0 if model.table else len(coef))
-        walkers = {}  # (sub-block length, weighted segments, late) -> its walker, bound to this DP
-        reach = T if max_life is None else max_life
+        walkers = {}  # (sub-block length, weighted segments) -> its walker, bound to this DP
 
-        def walk(c0, c1, g, late, segs):
+        def walk(c0, c1, g, segs):
             """The steps [c0, c1): whole sub-blocks, then the rest."""
             (lo0, *_), *weighted = segs  # the segment of hi None, weight 1, comes first
             bounds = [x for lo, hi, scal, _ in weighted for x in (lo, hi, scal)]  # floats: no series variable
             cut = c1 - (c1 - c0) % _SUB_STEPS
             for s, e in ((c0, cut), (cut, c1)):
                 if s < e:
-                    key = (min(e - s, _SUB_STEPS), len(weighted), late is not None)
+                    key = (min(e - s, _SUB_STEPS), len(weighted))
                     run = walkers.get(key) or walkers.setdefault(key, _leaf_walk(*key, *shape)(*numbers))
-                    run(g, late, c0, s, e, reach, lo0, *bounds)
+                    run(g, c0, s, e, reach, lo0, *bounds)
 
-    def leaf(a, b, alive):
-        """Steps [a, b) from the sources in [a, u), on top of what G
-        holds, plus the survival term alive[u] * unit (alive None: G has
-        it)."""
-        for u0, u1, segs, unit in walks:
+    def leaf(a, b):
+        """Steps [a, b) from the sources in [a, u), on top of what G holds."""
+        for u0, u1, segs, _ in phases:
             segs = [(max(lo, a), hi, s, v) for lo, hi, s, v in segs if hi is None or hi > a]
             for c0 in range(max(a, u0), min(b, u1), _LEAF):
                 c1 = min(c0 + _LEAF, b, u1)
                 g = ring.rows(G[c0:c1])
-                late = None if alive is None else ring.rows(np.multiply.outer(alive[c0:c1], unit))
-                walk(c0, c1, g, late, segs)
+                walk(c0, c1, g, segs)
                 G[c0:c1] = g
 
+    # G[u] gathers the survival term, then the sums of the sources before
+    # u's leaf (crosses), then those inside it (the leaf's walk)
+    for u0, u1, _, prefix in phases:
+        G[u0:u1] = np.multiply.outer(surv[u0:u1], ring.monomial(*prefix))
     if t_max <= _LEAF or (max_life is not None and max_life <= _LEAF):
-        leaf(0, T, surv)
+        leaf(0, T)
         return
 
-    # G[u] gathers the survival term, then the sums of the sources before u's leaf
-    for u0, u1, _, unit in walks:
-        G[u0:u1] = np.multiply.outer(surv[u0:u1], unit)
     one = ring.monomial(1.0)
     kernels = {}  # FFT length -> rfft of M[0:n], over a series row's cells too
 
@@ -413,7 +411,7 @@ def _birth_at_death(model, t_max: int, ring, G, phases) -> None:
         if half:
             # before the last leaf, direct dots beat one FFT over the block
             cross(a - half, a, a + half, direct=T - a <= _LEAF)
-        leaf(a, min(a + _LEAF, T), None)
+        leaf(a, min(a + _LEAF, T))
 
 
 def _sevastyanov_rows(model: Sevastyanov, pmf: np.ndarray) -> np.ndarray:
@@ -433,7 +431,7 @@ def _sevastyanov_rows(model: Sevastyanov, pmf: np.ndarray) -> np.ndarray:
     return M
 
 
-def _scheduled(atoms, ring):
+def _scheduled(atoms, ring, G, phases) -> None:
     """Kernel of the scheduled laws (Tabulated is DelayedDeath's family
     without a residual; the `tabulated` and `delayed_death` file formats
     do not change), and of the short-life birth-at-death laws `_dp`
@@ -476,7 +474,7 @@ def _scheduled(atoms, ring):
     for j, (_, _, S) in enumerate(atoms):
         lives.setdefault(id(S), (S, []))[1].append(j)
 
-    def walk(G, u0, u1, segs, prefix):
+    for u0, u1, segs, prefix in phases:
         segs = [(lo, hi, ring.monomial(s, v)) for lo, hi, s, v in segs]
         unit = ring.monomial(*prefix)
         for c0 in range(u0, u1, chunk):
@@ -511,8 +509,6 @@ def _scheduled(atoms, ring):
                 run = _scheduled_steps(tuple(shape), rows)(0.0, ring.mul)
                 run(g, c0 - base, s0 - c0, s1 - c0, *cells)
             G[c0:c1] = g[c0 - base :]
-
-    return walk
 
 
 def _chunk_steps(atoms, ring) -> int:
@@ -582,24 +578,26 @@ def _scheduled_steps(reads: tuple, rows: bool):
 
 
 @lru_cache(maxsize=_SHAPES)
-def _leaf_walk(n: int, weighted: int, late: bool, shortest: int, width: int, degree: int):
+def _leaf_walk(n: int, weighted: int, shortest: int, width: int, degree: int):
     """The walker of a float chunk of a `_birth_at_death` leaf, in
     sub-blocks of n steps: `weighted` segments besides the one of weight 1,
-    a late term or none, `shortest` the shortest life of positive mass
-    below _SUB_STEPS, and `width` P cells a step, the Horner sum of a
-    default law of `degree` coefficients (rank 1) or, with degree 0, a
-    table's powers G^0, ..., G^(width - 1).  make(zero, dot, Pf, K, Kn,
-    store, M[1, 0], ..., M[_SUB_STEPS - 1, width - 1], *coef) binds 0.0,
-    ndarray.dot, the flat table P, the Toeplitz table K and its views Kn[w]
-    on the last w sources' rows, a memoryview of P, the masses and the law,
-    and returns walk(g, late, c0, s, e, reach, lo0, lo1, hi1, w1, ...),
-    whose lists g and late hold the steps from c0 on.  For s0 = s, s + n,
-    ... < e, with m_min = s0 - reach:
+    `shortest` the shortest life of positive mass below _SUB_STEPS, and
+    `width` P cells a step, the Horner sum of a default law of `degree`
+    coefficients (rank 1) or, with degree 0, a table's powers G^0, ...,
+    G^(width - 1).  The shape names no route: a single leaf and a leaf of
+    the divide-and-conquer recursion find the survival term, and any
+    crosses, in G already.  make(zero, dot, Pf, K, Kn, store, M[1, 0], ...,
+    M[_SUB_STEPS - 1, width - 1], *coef) binds 0.0, ndarray.dot, the flat
+    table P, the Toeplitz table K and its views Kn[w] on the last w
+    sources' rows, a memoryview of P, the masses and the law, and returns
+    walk(g, c0, s, e, reach, lo0, lo1, hi1, w1, ...), whose list g holds
+    G's steps from c0 on.  For s0 = s, s + n, ... < e, with
+    m_min = s0 - reach:
     - each weighted segment j in turn whose window [max(lo_j, m_min), hi_j)
       holds a source adds w_j times its window sums, one dot of Pf against
-      K, to g; then the late term adds;
+      K, to g;
     - the segment of weight 1 takes its window [max(lo0, m_min), s0) by
-      one dot against Kn, or zero for an empty one;
+      one dot against Kn, or zero for an empty one, as near_i;
     - step i sets t_i = g_i + near_i + M[i, 0] P[s0, 0] + M[i, 1] P[s0, 1]
       + ... + M[shortest, width - 1] P[s0 + i - shortest, width - 1], left
       to right (a table's cell 0 is 1: its mass alone), then its cells: the
@@ -623,8 +621,6 @@ def _leaf_walk(n: int, weighted: int, late: bool, shortest: int, width: int, deg
                   f"    {names('y')}{rest} = dot(Pf[{flat('lo')} : {flat(f'hi{j}')}], "
                   f"K[{flat(f'lo - s0 + {_LEAF}')} : {flat(f'hi{j} - s0 + {_LEAF}')}]).tolist()"]
         lines += [f"    g{i} = g{i} + w{j} * y{i}" for i in range(n)]
-    if late:
-        lines += [f"{names('l')}= late[k : k + {n}]", *(f"g{i} = g{i} + l{i}" for i in range(n))]
     lines += ["lo = lo0 if lo0 > m_min else m_min", "if lo < s0:",
               f"    {names('h')}{rest} = dot(Pf[{flat('lo')} : {flat('s0')}], Kn[s0 - lo]).tolist()",
               "else:", f"    {' = '.join(f'h{i}' for i in range(n))} = zero"]
@@ -644,11 +640,11 @@ def _leaf_walk(n: int, weighted: int, late: bool, shortest: int, width: int, deg
     masses = [f"m{l}_{r}" for l in range(1, _SUB_STEPS) for r in range(R)]
     body = "".join(f"\n            {line}" for line in lines)
     source = f"""def make({", ".join(["zero, dot, Pf, K, Kn, store", *masses, *coefs])}):
-    def walk({", ".join(["g, late, c0, s, e, reach, lo0", *bounds])}):
+    def walk({", ".join(["g, c0, s, e, reach, lo0", *bounds])}):
         for s0 in range(s, e, {n}):{body}
     return walk
 """
-    return _compile(source, f"leaf walk {(n, weighted, late, shortest, width, degree)}")
+    return _compile(source, f"leaf walk {(n, weighted, shortest, width, degree)}")
 
 
 def _short_life_atoms(model):
@@ -701,18 +697,15 @@ def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndar
     phases = [(u0, u1, *_walk_segments(acts, u0)) for u0, u1 in zip(starts, starts[1:] + [t_max + 1])]
     if isinstance(model, Sevastyanov):
         # on floats, a short finite life walks as Tabulated atoms
-        short = None if nvars else _short_life_atoms(model)
-        if short is None:
-            _birth_at_death(model, t_max, ring, G, phases)
-            return G.reshape(t_max + 1, *ring.shape)
-        atoms, residual = short, None
+        atoms, residual = (None if nvars else _short_life_atoms(model)), None
     elif isinstance(model, Scheduled):
         atoms, residual = model.atoms, model.residual
     else:
         raise ConfigError(f"not a life law: {model!r}")
-    walk = _scheduled(_scheduled_atoms(atoms, residual, t_max), ring)
-    for phase in phases:
-        walk(G, *phase)
+    if atoms is None:
+        _birth_at_death(model, t_max, ring, G, phases)
+    else:
+        _scheduled(_scheduled_atoms(atoms, residual, t_max), ring, G, phases)
     return G.reshape(t_max + 1, *ring.shape)
 
 

@@ -8,8 +8,9 @@ coefficients up to floating point roundoff.
 
 `Ring` works on flat coefficient rows (numpy arrays, which add, subtract
 and scale as such): the product, monomials, shifts, Horner composition,
-powers and the square root.  `Floats` is that protocol on Python floats,
-the ring of shape ().  The DP of `exact_engine` and the limit pgf of
+powers and the square root.  `Floats`, the ring of shape (), carries on
+Python floats what the float routes call: `mul`, `sqrt`, `rows`, a vector
+`dot` and `monomial`.  The DP of `exact_engine` and the limit pgf of
 `limitlaw._fdd_pgf` run in `ring(nvars, cap)` or in `Floats`;
 `TruncatedSeries` only wraps a row for the benchmark's square-root probe.
 
@@ -221,17 +222,11 @@ def ring(nvars: int, cap: int) -> Ring:
 _LONG_DOT = 10_000  # OpenBLAS sums a dot of more terms in one piece per thread
 
 
-@functools.lru_cache(maxsize=None)
-def _exponents(n: int) -> np.ndarray:
-    """np.arange(n), built once per width rather than on every step."""
-    out = np.arange(n)
-    out.setflags(write=False)
-    return out
-
-
 class Floats:
-    """The ring of shape (), `Ring`'s protocol on Python floats; a class
-    apart from `ring`'s cache, so scalar work leaves that cache alone."""
+    """The ring of shape (): the part of `Ring`'s protocol the float
+    routes call (`mul`, `sqrt`, `rows`, a vector `dot`, `monomial`), on
+    Python floats; a class apart from `ring`'s cache, so scalar work
+    leaves that cache alone."""
 
     shape = ()
     row = ()
@@ -244,21 +239,14 @@ class Floats:
         return table.tolist()
 
     @staticmethod
-    def dot(x: np.ndarray, y: np.ndarray):
-        """numpy's dot (ndarray.dot skips np.dot's dispatch) of a vector x
-        with a vector y as a Python float, or with each column of a matrix
-        y as a list of them; past _LONG_DOT terms, einsum's own loop,
-        since BLAS splits a long dot across its threads and the sum would
-        depend on their number.  A matrix y stays below that."""
+    def dot(x: np.ndarray, y: np.ndarray) -> float:
+        """numpy's dot of two vectors (ndarray.dot skips np.dot's dispatch)
+        as a Python float; past _LONG_DOT terms, einsum's own loop, since
+        BLAS splits a long dot across its threads and the sum would depend
+        on their number."""
         if x.size > _LONG_DOT:
             return float(np.einsum("i,i->", x, y))
-        if y.ndim > 1:
-            return x.dot(y).tolist()
         return float(x.dot(y))
-
-    @staticmethod
-    def powers(x, n: int):
-        return x ** _exponents(n)
 
     @staticmethod
     def monomial(scal: float, var_idx=()) -> float:

@@ -64,22 +64,16 @@ class SimConfig:
     max_individuals: int = 1_000_000
 
     def __post_init__(self):
-        for name in ("horizon", "replicates", "seed", "max_individuals"):
-            object.__setattr__(self, name, _integer(getattr(self, name), name))
+        for name, least in (("horizon", 0), ("replicates", 1), ("seed", None), ("max_individuals", 1)):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
         object.__setattr__(self, "query_times", tuple(_integer(t, "query time") for t in self.query_times))
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
         qt = self.query_times
         if any(qt[i] >= qt[i + 1] for i in range(len(qt) - 1)):
             raise ConfigError(f"query times {qt} must be strictly increasing")
         if qt and (qt[0] < 0 or qt[-1] > self.horizon):
             raise ConfigError(f"query times {qt} must lie in [0, horizon]")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
-        if self.max_individuals < 1:
-            raise ConfigError("max_individuals must be >= 1")
 
 
 @dataclass

@@ -162,8 +162,8 @@ def enumerate_joint(
     DP checks them (`FddSpec`).
     """
     times = FddSpec(times, [0.0] * len(times)).times
-    if saturate is not None and saturate < 1:
-        raise ConfigError("saturate must be >= 1")
+    if saturate is not None:
+        saturate = _integer(saturate, "saturate", 1)
     maxq = times[-1]
     atoms = _bounded_atoms(model, maxq)
     memo: dict = {}
@@ -232,8 +232,9 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
     recursion, which tolerates wide offspring laws where the raw joint
     support would be astronomically large.
     """
-    if t_small < 1 or t_small > 6:
-        raise ConfigError("t_small must be in 1..6")
+    t_small = _integer(t_small, "t_small")
+    if not 1 <= t_small <= 6:
+        raise ConfigError(f"t_small {t_small} must be in 1..6")
     tol = 1e-12
     K = 8
     rows = []

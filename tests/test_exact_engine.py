@@ -466,10 +466,11 @@ class TestDivideAndConquer:
         dead = exact_engine._dp(model, (t,), (exact_engine._Var(0),), 1, 1)[:, 0]
         assert float(np.max(np.abs(q - (1.0 - dead)) / q)) <= 1e-11
 
-    @pytest.mark.parametrize("t", [1 << 12, 1 << 14])
+    @pytest.mark.parametrize("t", [_LEAF, 1 << 12, 1 << 14])
     def test_last_step_matches_a_longer_run(self, t):
         # in the run to t the last leaf adds its block's left half by direct
-        # dots; in the run to 4t an FFT cross adds it: both over 1 - P
+        # dots; in the run to 4t an FFT cross adds it: both over 1 - P.  At
+        # t = _LEAF the run to t is a single leaf, seeded as the longer one
         model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
         q, longer = extinction_seq(model, t).q[t], extinction_seq(model, 4 * t).q[t]
         assert q == pytest.approx(longer, rel=1e-13, abs=0)
@@ -643,14 +644,14 @@ def reference_scheduled_steps(reads, rows):
     return make
 
 
-def reference_leaf_walk(n, weighted, late, shortest, width, degree):
+def reference_leaf_walk(n, weighted, shortest, width, degree):
     """The interpretive sub-block loop of a float birth-at-death chunk,
     behind the protocol of `exact_engine._leaf_walk`: each weighted
-    segment's window sums by one dot against K, weighted, then the late
-    term; the window of the segment of weight 1; then step k adds its
-    earlier steps' P cells times M[i], ..., M[shortest] as float products
-    (a table's cell 0 is 1: its mass alone) and composes by a Horner loop
-    from 0.0, or by the powers of a table; P takes the cells."""
+    segment's window sums by one dot against K, weighted; the window of
+    the segment of weight 1; then step k adds its earlier steps' P cells
+    times M[i], ..., M[shortest] as float products (a table's cell 0 is 1:
+    its mass alone) and composes by a Horner loop from 0.0, or by the
+    powers of a table; P takes the cells."""
     sub, R, leaf = exact_engine._SUB_STEPS, width, _LEAF
 
     def make(zero, dot, Pf, K, Kn, store, *numbers):
@@ -658,8 +659,8 @@ def reference_leaf_walk(n, weighted, late, shortest, width, degree):
         coef = list(numbers[(sub - 1) * R :])
         assert len(coef) == degree
 
-        def walk(g, later, c0, s, e, reach, lo0, *bounds):
-            assert len(bounds) == 3 * weighted and (later is not None) == late
+        def walk(g, c0, s, e, reach, lo0, *bounds):
+            assert len(bounds) == 3 * weighted
             for s0 in range(s, e, n):
                 k0, k1 = s0 - c0, s0 - c0 + n
                 # lives past reach (max_life, or the horizon) have no mass: start at m = s0 - reach
@@ -669,8 +670,6 @@ def reference_leaf_walk(n, weighted, late, shortest, width, degree):
                     if lo < hi:
                         sums = dot(Pf[lo * R : hi * R], K[(lo - s0 + leaf) * R : (hi - s0 + leaf) * R]).tolist()
                         g[k0:k1] = [x + w * y for x, y in zip(g[k0:k1], sums)]
-                if later is not None:
-                    g[k0:k1] = [x + y for x, y in zip(g[k0:k1], later[k0:k1])]
                 lo = max(lo0, m_min)
                 near = dot(Pf[lo * R : s0 * R], K[(lo - s0 + leaf) * R :]).tolist() if lo < s0 else [zero] * sub
                 cells = []  # each earlier step's P cells, None for a table's cell 0
@@ -843,8 +842,8 @@ class TestCompiledStepLoops:
             assert got.tobytes() == want.tobytes()
         scheduled = exact_engine._scheduled_steps(tuple(len(ages) for _, ages, _ in atoms), False).source
         assert "child0 = " in scheduled and "acc = " in scheduled
-        assert exact_engine._leaf_walk(8, 0, False, 2, 1, 40).source.count("p0 = ") == 3
-        assert exact_engine._leaf_walk(8, 0, False, 1, 40, 0).source.count("t1 = ") == 3  # 40 terms
+        assert exact_engine._leaf_walk(8, 0, 2, 1, 40).source.count("p0 = ") == 3
+        assert exact_engine._leaf_walk(8, 0, 1, 40, 0).source.count("t1 = ") == 3  # 40 terms
 
     def test_one_compile_per_shape(self, monkeypatch):
         # a second run, and a model of the same shape with other numbers,
@@ -888,6 +887,21 @@ class TestCompiledStepLoops:
         for source in sources:
             constants = [n.value for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Constant)]
             assert not any(isinstance(c, float) for c in constants), source
+
+    def test_both_routes_share_walkers(self, monkeypatch):
+        # G holds the survival term before any leaf walks, on either route:
+        # a divide-and-conquer DP (to 1023, whole leaves) asks for no walker
+        # shape that a single-leaf DP (to 127, whole sub-blocks) did not
+        shapes = []
+        walker = exact_engine._leaf_walk
+        monkeypatch.setattr(exact_engine, "_leaf_walk", lambda *shape: shapes.append(shape) or walker(*shape))
+        model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
+        extinction_seq(model, _LEAF - 1)
+        single = set(shapes)
+        misses = walker.cache_info().misses
+        extinction_seq(model, 8 * _LEAF - 1)
+        assert single and set(shapes) == single
+        assert walker.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1008,12 @@ class TestFddPgf:
             FddSpec((4,), (0.5,), t_obs=4.0)
         spec = FddSpec(np.array([3, 5]), (0.5, 0.5), t_obs=np.int64(3))
         assert (spec.times, spec.t_obs) == ((3, 5), 3)
+
+    def test_out_of_range_names_field_and_value(self):
+        with pytest.raises(ConfigError, match="time -1 "):
+            FddSpec((-1, 2), (0.5, 0.5))
+        with pytest.raises(ConfigError, match="t_obs 0 "):
+            FddSpec((1,), (0.5,), t_obs=0)
 
 
 # ---------------------------------------------------------------------------

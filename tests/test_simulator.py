@@ -693,6 +693,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(repr(shown))):
             SimConfig(**args)
 
+    @pytest.mark.parametrize("field, value", [("horizon", -1), ("replicates", 0), ("max_individuals", 0)])
+    def test_sizes_out_of_range_name_field_and_value(self, field, value):
+        args = {**dict(model=gw_binary(), horizon=5, query_times=(), replicates=10, seed=1), field: value}
+        with pytest.raises(ConfigError, match=f"{field} {value} "):
+            SimConfig(**args)
+
     def test_integer_fields_take_numpy_integers(self):
         cfg = SimConfig(model=gw_binary(), horizon=np.int64(5), query_times=(np.int64(2),), replicates=np.int32(10),
                         seed=np.uint64(1), max_individuals=np.int64(100))

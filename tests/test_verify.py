@@ -119,6 +119,11 @@ class TestEnumerationOracle:
         with pytest.raises(ConfigError, match="saturate"):
             enumerate_joint(gw_binary(), (1, 2), saturate=0)
 
+    def test_rejects_fractional_saturation(self):
+        # a clamp of 1.5 used to give count vectors like (1.5, 0)
+        with pytest.raises(ConfigError, match="saturate 1.5"):
+            enumerate_joint(gw_binary(), (2, 3), saturate=1.5)
+
     def test_tree_pgf_drops_weight_one(self):
         model = gw_binary()
         assert tree_pgf(model, (1, 3), (1.0, 0.5)) == tree_pgf(model, (3,), (0.5,))
@@ -146,6 +151,11 @@ class TestOracleEquivalence:
             oracle_equivalence(gw_binary(), t_small=7)
         with pytest.raises(ConfigError):
             oracle_equivalence(gw_binary(), t_small=0)
+
+    def test_t_small_must_be_an_integer(self):
+        # a float t_small is refused by name, not as the DP's t_max
+        with pytest.raises(ConfigError, match="t_small 6.0"):
+            oracle_equivalence(gw_binary(), t_small=6.0)
 
     def test_t_small_one(self):
         assert oracle_equivalence(gw_binary(), t_small=1).all_passed
