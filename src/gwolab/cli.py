@@ -28,6 +28,7 @@ from .errors import (
     GwolabError,
     OracleBlowup,
     ZeroConditioningEvent,
+    _integer,
 )
 from .modelio import (
     choice,
@@ -208,9 +209,7 @@ def _cmd_limit(run: _Run) -> int:
     if "times" in run.values:
         grid = run.get("times")
     else:
-        t_max = run.require("tmax")
-        if t_max < 8:
-            raise ConfigError("tmax must be at least 8")
+        t_max = _integer(run.require("tmax"), "tmax", 8)
         grid = [8 << i for i in range((t_max // 8).bit_length())]
     rows = convergence_table(model, y, z, grid)
     last = rows[-1]

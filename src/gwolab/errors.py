@@ -44,10 +44,12 @@ class OracleBlowup(GwolabError):
     """Exhaustive enumeration exceeded its node budget."""
 
 
-def _integer(value, what: str, least: Optional[int] = None) -> int:
+def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
     """value as an int.  ConfigError names it unless it is an integer
-    (`numbers.Integral`, so numpy's integers are) and, if given, >= least."""
-    if not isinstance(value, numbers.Integral) or (least is not None and value < least):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{what} {value!r} must be an integer{bound}")
-    return int(value)
+    (`numbers.Integral`, so numpy's integers are, but not a bool) and,
+    where given, >= least and <= most."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        if (least is None or value >= least) and (most is None or value <= most):
+            return int(value)
+    bound = "" if least is None and most is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
+    raise ConfigError(f"{what} {value!r} must be an integer{bound}")

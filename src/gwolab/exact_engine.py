@@ -35,11 +35,13 @@ so the segment layout is worked out once per phase.  Two kernels walk it:
 A birth-at-death law with finite life is the Tabulated law with one atom
 (P(L = l) P(N = n | L = l), ages (l,)*n, life l) for each (l, n) of
 positive mass.  On floats, when those atoms read G at most _ATOM_READS
-times a step, `_dp` walks them on the scheduled kernel: a step is then a
-few float products, where the convolution pays a numpy call for each dot
-of one to a few terms.  Past the bound the dots win.  On a series ring
-the products dominate, and the atoms would repeat the powers of G that
-the composition computes once, so series DPs keep the convolution.
+times a step, `_dp` walks them on the scheduled kernel, which is still
+faster than the compiled float walker: `extinction_seq` at 2^16 took
+15 ms against 27 ms on binary splitting (same bits) and 20 against 35 ms
+on age-dependent offspring (best of 7, a 2-core VM).  Past the bound the
+dots win.  On a series ring the products dominate, and the atoms would
+repeat the powers of G that the composition computes once, so series
+DPs keep the convolution.
 
 Extinction is absorbing, so a weight z_j = 0 is the event Z(t_j) = 0,
 on which every later count is 0: the pgf at t_1..t_k is the pgf at
@@ -685,8 +687,11 @@ def _scheduled_atoms(atoms, residual, t_max: int):
 def _dp(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0) -> np.ndarray:
     """G[u] for u = 0..t_k; the pgf at the given times is G[t_k].
 
-    Coefficients have shape (cap+1,)*nvars over the series variables
-    among the weights (total degree <= cap); shape () is the scalar case.
+    Float weights lie in [0, 1): `FddSpec` drops a weight of 1, at which
+    the fixed point G = 1 of a supercritical law is unstable and round-off
+    would pull G down to extinction or up to overflow.  Coefficients have
+    shape (cap+1,)*nvars over the series variables among the weights
+    (total degree <= cap); shape () is the scalar case.
     """
     t_max = times[-1]
     _check_budget((t_max + 1) * (cap + 1) ** nvars)  # before the ring, whose tables grow with the same box
@@ -873,9 +878,9 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     q = FddQuery(y, z)
     if not q.k or q.y[0] != 1.0:
         raise ConfigError("the first coordinate of weight below 1 must be at y = 1")
-    t_grid = tuple(_integer(t, "grid point") for t in t_grid)
-    if not t_grid or min(t_grid) < 1:
-        raise ConfigError("t_grid needs at least one entry, each >= 1")
+    t_grid = tuple(_integer(t, "grid point", 1) for t in t_grid)
+    if not t_grid:
+        raise ConfigError("t_grid needs at least one entry")
     p, h = limit_of(model)
     target = h * (1.0 - eta_fdd_pgf(p, q))
     if q.z[0] == 0.0:  # Z(t) = 0 ends the query at t

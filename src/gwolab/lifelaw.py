@@ -1,11 +1,12 @@
 """Individual life laws for branching populations with overlapping generations.
 
 A model describes a single individual: an integer life length L >= 1 and
-birth ages 1 <= tau_1 <= ... <= tau_N <= L, one child per age.  Relative
-to its own birth the individual is alive on [0, L-1].  The population
-starts from one founder born at time 0; criticality means E(N) = 1, so
-the expected population size stays 1 forever while the survival
-probability decays.
+birth ages 1 <= tau_1 <= ... <= tau_N <= L, one child per age, each at
+most 2^62 and stored as an int; `errors._integer` holds the rule, so a
+fraction or a bool is refused, never truncated.  Relative to its own
+birth the individual is alive on [0, L-1].  The population starts from
+one founder born at time 0; criticality means E(N) = 1, so the expected
+population size stays 1 forever while the survival probability decays.
 
 Summary parameters derived here:
 
@@ -42,11 +43,11 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer
 
 _SUM_TOL = 1e-12
 _CRITICAL_TOL = 1e-9  # |E(N) - 1| up to which `summarize` calls a law critical
-_LIFE_CAP = 2.0**62  # lives and birth ages stay inside int64; unbounded draws are capped here
+_LIFE_CAP = 2**62  # lives and birth ages stay inside int64; unbounded draws are capped here
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)  # B_2 .. B_14
 
 
@@ -130,10 +131,7 @@ class FiniteLife:
     def __init__(self, pmf: dict[int, float]):
         if not pmf:
             raise ConfigError("life length pmf is empty")
-        items = sorted(pmf.items())
-        for life, _ in items:
-            if not isinstance(life, int) or not 1 <= life <= _LIFE_CAP:
-                raise ConfigError(f"life length {life!r} must be an integer in [1, 2^62]")
+        items = sorted((_integer(life, "life length", 1, _LIFE_CAP), p) for life, p in pmf.items())
         self.support = tuple(life for life, _ in items)
         self.probs = tuple(p for _, p in items)
         self._masses = _Masses(self.probs, "life length pmf")
@@ -177,8 +175,7 @@ class QuadraticTailLife:
     def __init__(self, d: float, t_min: int):
         if d < 0.0 or not math.isfinite(d):
             raise ConfigError(f"tail coefficient d={d!r} must be finite and >= 0")
-        if not isinstance(t_min, int) or t_min < 1:
-            raise ConfigError(f"t_min={t_min!r} must be an integer >= 1")
+        t_min = _integer(t_min, "t_min", 1, _LIFE_CAP)
         if t_min * t_min < d:
             raise ConfigError(f"t_min={t_min} too small for d={d}: need t_min^2 >= d")
         self.d = float(d)
@@ -212,9 +209,7 @@ LifeLengthLaw = Union[FiniteLife, QuadraticTailLife]
 
 
 def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
-    ages = tuple(int(t) for t in ages)
-    if any(not 1 <= t <= _LIFE_CAP for t in ages):
-        raise ConfigError(f"birth ages {ages} must be in [1, 2^62]")
+    ages = tuple(_integer(t, "birth ages:", 1, _LIFE_CAP) for t in ages)
     if list(ages) != sorted(ages):
         raise ConfigError(f"birth ages {ages} must be nondecreasing")
     if life is not None and ages and ages[-1] > life:
@@ -251,9 +246,7 @@ class Tabulated(Scheduled):
             raise ConfigError("tabulated law needs at least one atom")
         parsed = []
         for prob, ages, life in atoms:
-            life = int(life)
-            if not 1 <= life <= _LIFE_CAP:
-                raise ConfigError(f"life length {life} must be in [1, 2^62]")
+            life = _integer(life, "life length", 1, _LIFE_CAP)
             parsed.append((float(prob), _as_ages(ages, life), life))
         super().__init__(parsed, None, "atom probabilities")
 
@@ -273,10 +266,8 @@ class Sevastyanov:
         table: dict[int, OffspringPMF],
         default: OffspringPMF | None = None,
     ):
-        for l in table:
-            if not isinstance(l, int) or not 1 <= l <= _LIFE_CAP:
-                raise ConfigError(f"offspring_by_life: life {l!r} must be an integer in [1, 2^62]")
-        self.life, self.table, self.default = life, dict(table), default
+        table = {_integer(l, "offspring_by_life: life", 1, _LIFE_CAP): law for l, law in table.items()}
+        self.life, self.table, self.default = life, table, default
         if default is None:
             if life.max_life is None:
                 raise ConfigError("an unbounded life needs offspring_default")

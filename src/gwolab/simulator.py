@@ -64,16 +64,14 @@ class SimConfig:
     max_individuals: int = 1_000_000
 
     def __post_init__(self):
-        for name, least in (("horizon", 0), ("replicates", 1), ("seed", None), ("max_individuals", 1)):
-            object.__setattr__(self, name, _integer(getattr(self, name), name, least))
-        object.__setattr__(self, "query_times", tuple(_integer(t, "query time") for t in self.query_times))
-        qt = self.query_times
+        for name, least, most in (
+            ("horizon", 0, None), ("replicates", 1, None), ("seed", 0, 2**64 - 1), ("max_individuals", 1, None)
+        ):
+            object.__setattr__(self, name, _integer(getattr(self, name), name, least, most))
+        qt = tuple(_integer(t, "query time", 0, self.horizon) for t in self.query_times)
+        object.__setattr__(self, "query_times", qt)
         if any(qt[i] >= qt[i + 1] for i in range(len(qt) - 1)):
             raise ConfigError(f"query times {qt} must be strictly increasing")
-        if qt and (qt[0] < 0 or qt[-1] > self.horizon):
-            raise ConfigError(f"query times {qt} must lie in [0, horizon]")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 bits")
 
 
 @dataclass
@@ -420,9 +418,7 @@ def dichotomy_stats(config: SimConfig) -> DichotomyStats:
     theorem's, so a model `limit_of` refuses raises ConfigError.  A
     replicate that overflows max_individuals raises BudgetExhausted.
     """
-    cut = default_cutoff(config.horizon)
-    if cut < 1:
-        raise ConfigError("cutoff must be >= 1")
+    cut = _integer(default_cutoff(config.horizon), "cutoff", 1)
     p, _ = limit_of(config.model)
     _, z, over = _run_all(config)
     _raise_on_overflow(over, 0, config.max_individuals)

@@ -162,6 +162,7 @@ def enumerate_joint(
     DP checks them (`FddSpec`).
     """
     times = FddSpec(times, [0.0] * len(times)).times
+    budget = _integer(budget, "budget", 1)
     if saturate is not None:
         saturate = _integer(saturate, "saturate", 1)
     maxq = times[-1]
@@ -232,9 +233,7 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
     recursion, which tolerates wide offspring laws where the raw joint
     support would be astronomically large.
     """
-    t_small = _integer(t_small, "t_small")
-    if not 1 <= t_small <= 6:
-        raise ConfigError(f"t_small {t_small} must be in 1..6")
+    t_small, budget = _integer(t_small, "t_small", 1, 6), _integer(budget, "budget", 1)
     tol = 1e-12
     K = 8
     rows = []
@@ -302,10 +301,10 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
 
 
 def _check_dyadic(t_grid) -> tuple:
-    t_grid = tuple(_integer(t, "grid point") for t in t_grid)
+    t_grid = tuple(_integer(t, "grid point", 1) for t in t_grid)
     if len(t_grid) < 3:
         raise ConfigError("need at least three grid points")
-    if t_grid[0] < 1 or any(t_grid[i + 1] != 2 * t_grid[i] for i in range(len(t_grid) - 1)):
+    if any(t_grid[i + 1] != 2 * t_grid[i] for i in range(len(t_grid) - 1)):
         raise ConfigError(f"grid {t_grid} must be dyadic (each point twice the previous)")
     return t_grid
 
@@ -417,7 +416,7 @@ def fdd_limit_check(
     the frozen-root closed form, which the DP does not converge to (ROADMAP,
     the Riccati item), so the TV trend there gates nothing."""
     q = FddQuery(y, (0.0,) * len(y))
-    t_grid = tuple(_integer(t, "grid point") for t in t_grid)
+    t_grid = tuple(_integer(t, "grid point", 1) for t in t_grid)
     if len(t_grid) < 2 or any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
         raise ConfigError("t_grid must be strictly increasing with at least two points")
     p, _ = limit_of(model)

@@ -60,6 +60,7 @@ from gwolab.verify import limit_convergence, tree_pgf, tv_to_limit
 
 BIG = 10**9  # stands for "outlives any query time"
 ZERO_OR_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # a weight 0 cuts the DP at its time
+DP_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))  # `FddSpec` keeps no weight 1 for `_dp`
 MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
 
 
@@ -721,13 +722,13 @@ def masses(draw, n, label):
 
 @st.composite
 def queries(draw, last_max, nvars=0):
-    """A query of 1 to 3 times up to last_max (a float weight may be 0),
-    the first nvars of them series variables."""
+    """A query of 1 to 3 times up to last_max (a float weight may be 0,
+    never 1, as `_dp` is given), the first nvars of them series variables."""
     last = draw(st.integers(max(nvars, 1), last_max), label="t_k")
     earlier = sorted(draw(st.sets(st.integers(0, last - 1), min_size=max(nvars - 1, 0), max_size=2), label="earlier"))
     times = (*earlier, last)
     weights = tuple(
-        exact_engine._Var(i) if i < nvars else draw(ZERO_OR_WEIGHT, label=f"z{i}") for i in range(len(times))
+        exact_engine._Var(i) if i < nvars else draw(DP_WEIGHT, label=f"z{i}") for i in range(len(times))
     )
     return times, weights
 
@@ -938,6 +939,13 @@ class TestFddPgf:
         model = gw_binary()
         assert fdd_pgf(model, spec) == fdd_pgf(model, FddSpec((1, 5), (0.5, 0.25)))
         assert fdd_pgf(model, FddSpec((3, 7), (1.0, 1.0))) == 1.0
+
+    def test_weight_one_runs_no_dp(self, monkeypatch):
+        # a supercritical law whose DP at weight 1 overflows: the spec keeps
+        # no coordinate, so the pgf is exactly 1 and `_dp` never runs
+        model = BellmanHarris(QuadraticTailLife(d=2.0, t_min=5), OffspringPMF([0.3, 0.1, 0.1, 0.1, 0.2, 0.2]))
+        monkeypatch.setattr(exact_engine, "_dp", lambda *args: pytest.fail("a DP ran"))
+        assert fdd_pgf(model, FddSpec((318,), (1.0,))) == 1.0
 
     def test_time_zero_factor_is_exact(self):
         # Z(0) = 1 always, so a query at 0 multiplies by its weight
