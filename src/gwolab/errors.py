@@ -2,11 +2,13 @@
 
 Every error raised on purpose derives from GwolabError so callers (and the
 command line front end) can map failure classes to exit codes.  `_integer`
-holds the one rule for a time or a size given to the API.
+holds the one rule for a time or a size given to the API, `_number` the
+one for a mass, a probability, a weight, a time fraction or a parameter.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Optional
 
@@ -51,5 +53,21 @@ def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] 
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
         if (least is None or value >= least) and (most is None or value <= most):
             return int(value)
-    bound = "" if least is None and most is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
-    raise ConfigError(f"{what} {value!r} must be an integer{bound}")
+    raise ConfigError(f"{what} {value!r} must be an integer{_bound(least, most)}")
+
+
+def _number(value, what: str, least=None, most=None) -> float:
+    """value as a float.  ConfigError names it unless it is a finite real
+    (`numbers.Real`, so numpy's floats are, but not a bool, text or an int
+    too large for a float) and, where given, >= least and <= most."""
+    try:
+        x = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if math.isfinite(x) and (least is None or x >= least) and (most is None or x <= most):
+        return x
+    raise ConfigError(f"{what} {value!r} must be a finite number{_bound(least, most)}")
+
+
+def _bound(least, most) -> str:
+    return "" if least is None and most is None else f" >= {least}" if most is None else f" in [{least}, {most}]"

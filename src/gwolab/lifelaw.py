@@ -3,7 +3,8 @@
 A model describes a single individual: an integer life length L >= 1 and
 birth ages 1 <= tau_1 <= ... <= tau_N <= L, one child per age, each at
 most 2^62 and stored as an int; `errors._integer` holds the rule, so a
-fraction or a bool is refused, never truncated.  Relative to its own
+fraction or a bool is refused, never truncated; a mass, a probability
+and `d` follow `errors._number`, stored as floats.  Relative to its own
 birth the individual is alive on [0, L-1].  The population starts from
 one founder born at time 0; criticality means E(N) = 1, so the expected
 population size stays 1 forever while the survival probability decays.
@@ -43,7 +44,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, _integer
+from .errors import ConfigError, _integer, _number
 
 _SUM_TOL = 1e-12
 _CRITICAL_TOL = 1e-9  # |E(N) - 1| up to which `summarize` calls a law critical
@@ -68,20 +69,15 @@ def _trigamma(x: float) -> float:
 
 
 class _Masses:
-    """The masses of a finite law, each checked finite and >= 0 and all
-    summing to 1, and the inverse of their cumulative sums."""
+    """The masses of a finite law, `probs`, each a number in [0, 1] and
+    all summing to 1, and the inverse of their cumulative sums."""
 
     def __init__(self, probs: Sequence[float], what: str):
-        for p in probs:
-            if not math.isfinite(p) or p < 0.0:
-                raise ConfigError(f"{what}: mass {float(p)!r} must be finite and >= 0")
-        try:
-            total = math.fsum(probs)
-        except OverflowError:  # finite masses whose sum is not
-            total = math.inf
+        self.probs = tuple(_number(p, f"{what}: mass", 0, 1) for p in probs)
+        total = math.fsum(self.probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ConfigError(f"{what}: masses sum to {total!r}, not 1")
-        self._cdf = np.cumsum(probs)
+        self._cdf = np.cumsum(self.probs)
         self._cdf_list = self._cdf.tolist()
 
     def index(self, u):
@@ -106,14 +102,14 @@ class OffspringPMF:
     """Probability mass function of the number of children, finite support."""
 
     def __init__(self, probs: Sequence[float]):
-        arr = np.asarray(probs, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = np.asarray(probs, dtype=object)  # a bool or text stays one, for _Masses to refuse
+        if raw.ndim != 1 or raw.size == 0:
             raise ConfigError("offspring pmf must be a nonempty 1-d sequence")
-        self._masses = _Masses(arr, "offspring pmf")
-        self.probs = arr
-        counts = np.arange(arr.size)
-        self.mean = float(counts @ arr)
-        self.second_moment = float((counts**2) @ arr)
+        self._masses = _Masses(raw, "offspring pmf")
+        self.probs = np.array(self._masses.probs)
+        counts = np.arange(self.probs.size)
+        self.mean = float(counts @ self.probs)
+        self.second_moment = float((counts**2) @ self.probs)
 
     def sample_from_uniform(self, u):
         """Inverse-cdf child count for a float, or counts for an array of floats."""
@@ -133,10 +129,10 @@ class FiniteLife:
             raise ConfigError("life length pmf is empty")
         items = sorted((_integer(life, "life length", 1, _LIFE_CAP), p) for life, p in pmf.items())
         self.support = tuple(life for life, _ in items)
-        self.probs = tuple(p for _, p in items)
-        self._masses = _Masses(self.probs, "life length pmf")
+        self._masses = _Masses([p for _, p in items], "life length pmf")
+        self.probs = self._masses.probs
         self.max_life = self.support[-1]
-        self.mean = math.fsum(life * p for life, p in items)
+        self.mean = math.fsum(life * p for life, p in zip(self.support, self.probs))
         self.d = 0.0
         # the table: support points, their masses and _tail[i] = P(L > u)
         # for the u with i support points at or below it (1 for i = 0, as
@@ -173,12 +169,11 @@ class QuadraticTailLife:
     """
 
     def __init__(self, d: float, t_min: int):
-        if d < 0.0 or not math.isfinite(d):
-            raise ConfigError(f"tail coefficient d={d!r} must be finite and >= 0")
+        d = _number(d, "tail coefficient d", 0)
         t_min = _integer(t_min, "t_min", 1, _LIFE_CAP)
         if t_min * t_min < d:
             raise ConfigError(f"t_min={t_min} too small for d={d}: need t_min^2 >= d")
-        self.d = float(d)
+        self.d = d
         self.t_min = t_min
         self.max_life = None  # unbounded support
         self.mean = t_min + d * _trigamma(t_min)
@@ -229,7 +224,7 @@ class Scheduled:
 
     def __init__(self, atoms, residual: LifeLengthLaw | None, what: str):
         self._masses = _Masses([p for p, _, _ in atoms], what)
-        self.atoms = tuple(atoms)
+        self.atoms = tuple((p, ages, base) for p, (_, ages, base) in zip(self._masses.probs, atoms))
         self.residual = residual
 
     def atom_index(self, u):
@@ -244,11 +239,9 @@ class Tabulated(Scheduled):
     def __init__(self, atoms: Sequence[tuple[float, Sequence[int], int]]):
         if not atoms:
             raise ConfigError("tabulated law needs at least one atom")
-        parsed = []
-        for prob, ages, life in atoms:
-            life = _integer(life, "life length", 1, _LIFE_CAP)
-            parsed.append((float(prob), _as_ages(ages, life), life))
-        super().__init__(parsed, None, "atom probabilities")
+        lives = [_integer(life, "life length", 1, _LIFE_CAP) for _, _, life in atoms]
+        atoms = [(p, _as_ages(ages, life), life) for (p, ages, _), life in zip(atoms, lives)]
+        super().__init__(atoms, None, "atom probabilities")
 
 
 class Sevastyanov:
@@ -307,9 +300,10 @@ class DelayedDeath(Scheduled):
     ):
         if not schedules:
             raise ConfigError("delayed-death law needs at least one schedule")
-        self.schedules = tuple((float(prob), _as_ages(ages)) for prob, ages in schedules)
-        atoms = [(p, ages, ages[-1] if ages else 0) for p, ages in self.schedules]
+        checked = [(p, _as_ages(ages)) for p, ages in schedules]
+        atoms = [(p, ages, ages[-1] if ages else 0) for p, ages in checked]
         super().__init__(atoms, residual, "schedule probabilities")
+        self.schedules = tuple((p, a) for p, a, _ in self.atoms)
 
     def sample_schedule_from_uniform(self, u: float) -> tuple[float, tuple[int, ...]]:
         return self.schedules[self._masses.index(u)]

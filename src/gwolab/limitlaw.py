@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import CapTooLarge, ConfigError, _integer
+from .errors import CapTooLarge, ConfigError, _integer, _number
 from .lifelaw import LifeLaw, summarize
 
 logger = logging.getLogger(__name__)
@@ -53,13 +53,12 @@ _CLAMP_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LimitParams:
-    """Parameter pack of the limit process."""
+    """Parameter pack of the limit process: c, a finite number >= 0, as a float."""
 
     c: float
 
     def __post_init__(self):
-        if not (self.c >= 0.0 and math.isfinite(self.c)):
-            raise ConfigError(f"c={self.c!r} must be finite and >= 0")
+        object.__setattr__(self, "c", _number(self.c, "c", 0))
 
     @property
     def scale(self) -> float:
@@ -83,13 +82,11 @@ def kept_coordinates(points, z, name: str) -> tuple:
     checking equal lengths, strictly increasing points and weights in
     [0, 1].  A weight of 1 constrains nothing (counts are finite with
     probability one), and the closed forms assume z_i < 1."""
-    z = tuple(float(v) for v in z)
+    z = tuple(_number(v, "weights:", 0, 1) for v in z)
     if len(points) != len(z):
         raise ConfigError(f"{name} and z must have equal length")
     if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
         raise ConfigError(f"{name} {points} must be strictly increasing")
-    if any(not 0.0 <= v <= 1.0 for v in z):
-        raise ConfigError(f"weights {z} must lie in [0, 1]")
     kept = [(x, v) for x, v in zip(points, z) if v != 1.0]
     return tuple(x for x, _ in kept), tuple(v for _, v in kept)
 
@@ -103,9 +100,9 @@ class FddQuery:
     """
 
     def __init__(self, y, z):
-        y = tuple(float(v) for v in y)
-        if not all(0.0 < v < math.inf for v in y):
-            raise ConfigError(f"query points {y} must be positive and finite")
+        y = tuple(_number(v, "query points:") for v in y)
+        if not all(v > 0.0 for v in y):
+            raise ConfigError(f"query points {y} must be positive")
         self.y, self.z = kept_coordinates(y, z, "y")
 
     @property
@@ -139,9 +136,8 @@ def prob_finite(p: LimitParams, y):
 def eta_marginal_pgf(p: LimitParams, y: float, z: float) -> float:
     """E(z^{eta(y)}) for 0 <= z <= 1; infinite values contribute nothing,
     so z = 1 gives P(eta(y) < inf) (an `FddQuery` would drop that weight)."""
+    y, z = _number(y, "y"), _number(z, "z", 0, 1)
     _check_y(y)
-    if not 0.0 <= z <= 1.0:
-        raise ConfigError("z must lie in [0, 1]")
     return _fdd_pgf(p, (y,), (z,), series.Floats)
 
 
@@ -201,6 +197,7 @@ class MarginalPmf:
 
 def eta_marginal_pmf(p: LimitParams, y: float, K: int) -> MarginalPmf:
     """Closed-form binomial extraction of P(eta(y) = n) for n <= K."""
+    y = _number(y, "y")
     _check_y(y)
     _check_K(K)
     c, A = p.c, p.scale
@@ -369,7 +366,7 @@ def law_T(p: LimitParams) -> LawT:
 def dichotomy_fraction(c: float) -> float:
     """Limit fraction of survivors with a bounded count:
     P(1 <= eta(1) < infinity) = (sqrt(1+c) - 1)/(sqrt(1+c) + 1)."""
-    root = math.sqrt(1.0 + c)
+    root = math.sqrt(1.0 + LimitParams(c).c)
     return (root - 1.0) / (root + 1.0)
 
 
@@ -383,6 +380,7 @@ def figure1_data(c: float, step: float = 0.01, y_max: float = 4.0) -> np.ndarray
     it, 0.03 and 0.3 do not).  At the element budget's 2^24 rows the table
     holds 400 MB, and while a column is filled its density's output and
     left-of-1 points come on top."""
+    p, step, y_max = LimitParams(c), _number(step, "step"), _number(y_max, "y_max")
     if not 0.0 < step < y_max:
         raise ConfigError("need 0 < step < y_max")
     rows = y_max / step
@@ -392,6 +390,6 @@ def figure1_data(c: float, step: float = 0.01, y_max: float = 4.0) -> np.ndarray
     table = np.empty((rows, 3))
     y = table[:, 0]
     np.multiply(np.arange(1, len(table) + 1), step, out=y)
-    table[:, 1] = LawT(LimitParams(c)).pdf(y)
+    table[:, 1] = LawT(p).pdf(y)
     table[:, 2] = LawT0().pdf(y)
     return table

@@ -4,10 +4,12 @@
 plus --config, a model, and each object nested in a model.  It checks
 the keys against a declared (key, parser) table and runs each value
 through its parser, so a typo, a missing key or a value of the wrong
-type (a fraction or a boolean where an integer belongs, or text where a
-model holds a number) is a ConfigError that names the key, never a
-default, a truncation or a traceback.  `read_json`, `write_json` and
-`write_csv` are the one way in and out of a file.
+type (a fraction or a boolean where an integer belongs, text or json's
+NaN where a model holds a number) is a ConfigError that names the key,
+never a default, a truncation or a traceback.  A model's numbers go
+through `errors._integer` and `errors._number`, the API's own rules.
+`read_json`, `write_json` and `write_csv` are the one way in and out of
+a file.
 
 A model is an object with a `variant` tag; life length laws nest as
 objects with a `kind` tag.  Loading is the inverse of dumping.
@@ -17,8 +19,9 @@ from __future__ import annotations
 
 import json
 import math
+from functools import partial
 
-from .errors import ConfigError
+from .errors import ConfigError, _integer, _number
 from .lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -33,7 +36,7 @@ from .lifelaw import (
 
 def number(kind):
     """One finite number, read from the value's text: 2.5, true and [3]
-    are not integers."""
+    are not integers.  It reads the CLI's flags and `keyed`'s keys."""
     name = "integer" if kind is int else kind.__name__
 
     def parse(raw):
@@ -46,22 +49,6 @@ def number(kind):
         raise ConfigError(f"{raw!r} is not a finite {name}")
 
     return parse
-
-
-def _json_number(kind):
-    """One finite number given as a JSON number, as model values are: the
-    text "10" and the boolean true are not integers, nor "0.5" a float."""
-    parse, types = number(kind), int if kind is int else (int, float)
-
-    def parse_json(raw):
-        if isinstance(raw, bool) or not isinstance(raw, types):
-            raise ConfigError(f"{raw!r} is not a JSON {'integer' if kind is int else 'number'}")
-        return parse(raw)
-
-    return parse_json
-
-
-_INT, _FLOAT = _json_number(int), _json_number(float)
 
 
 def choice(*options):
@@ -166,13 +153,16 @@ def write_csv(fh, header, row: str, cols) -> None:
         fh.write("".join([row % r for r in zip(*(c[a : a + _CSV_ROWS].tolist() for c in cols))]))
 
 
+_int, _float = partial(_integer, what="value"), partial(_number, what="value")
+
+
 def _offspring(raw) -> OffspringPMF:
-    return OffspringPMF(listof(_FLOAT)(raw))
+    return OffspringPMF(listof(_float)(raw))
 
 
 _LIVES = {
-    "finite": ({"pmf": keyed(_FLOAT)}, lambda f: FiniteLife(f["pmf"])),
-    "quadratic_tail": ({"d": _FLOAT, "t_min": _INT}, lambda f: QuadraticTailLife(f["d"], f["t_min"])),
+    "finite": ({"pmf": keyed(_float)}, lambda f: FiniteLife(f["pmf"])),
+    "quadratic_tail": ({"d": _float, "t_min": _int}, lambda f: QuadraticTailLife(f["d"], f["t_min"])),
 }
 
 
@@ -193,8 +183,8 @@ def _record(params: dict, where: str):
     return lambda raw: tuple(fields(raw, params, where)[key] for key in params)
 
 
-_ATOM = _record({"prob": _FLOAT, "birth_ages": listof(_INT), "life": _INT}, "atom")
-_SCHEDULE = _record({"prob": _FLOAT, "birth_ages": listof(_INT)}, "schedule")
+_ATOM = _record({"prob": _float, "birth_ages": listof(_int), "life": _int}, "atom")
+_SCHEDULE = _record({"prob": _float, "birth_ages": listof(_int)}, "schedule")
 
 
 _VARIANTS = {

@@ -249,6 +249,7 @@ _fractions = st.floats(allow_nan=False, allow_infinity=False).filter(lambda x: n
 _objects = st.dictionaries(_letters, st.integers(), max_size=2)
 _neither = st.one_of(_letters, st.booleans(), _objects, st.none(), st.lists(st.integers(), max_size=2))
 _numeric_text = st.sampled_from(["10", "0.5", "1_0", " 1 ", "5e-1"])
+_json_literals = st.sampled_from(["NaN", "Infinity", "-Infinity"]).map(json.loads)  # json.load takes these
 
 
 def _leaves(node, path=()):
@@ -273,8 +274,8 @@ def _malformed(kind):
     if kind == "choice":
         return st.one_of(_neither.filter(lambda v: v not in TAGS), _fractions)
     if kind == "float":
-        return st.one_of(_neither, _numeric_text)
-    return st.one_of(_neither, _fractions, _numeric_text)
+        return st.one_of(_neither, _numeric_text, _json_literals)
+    return st.one_of(_neither, _fractions, _numeric_text, _json_literals)
 
 
 LEAVES = [(name, path) for name, cfg in SHIPPED.items() for path in _leaves(cfg)]
