@@ -20,8 +20,8 @@ import importlib
 _EXPORTS = {
     "cli": (),
     "errors": (
-        "GwolabError", "ConfigError", "ShapeMismatch", "NonpositiveConstantTerm",
-        "ZeroConditioningEvent", "CapTooLarge", "BudgetExhausted", "OracleBlowup",
+        "GwolabError", "ConfigError", "ZeroConditioningEvent", "CapTooLarge", "BudgetExhausted",
+        "OracleBlowup",
     ),
     "lifelaw": (
         "OffspringPMF", "FiniteLife", "QuadraticTailLife", "Tabulated", "BellmanHarris",

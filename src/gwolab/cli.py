@@ -43,13 +43,8 @@ from .modelio import (
     write_json,
 )
 
-EXIT_CODES = [
-    (ConfigError, 2),
-    (CapTooLarge, 5),
-    (ZeroConditioningEvent, 6),
-    (BudgetExhausted, 7),
-    (OracleBlowup, 8),
-]
+# one code per error class; a class without one escapes as a traceback (exit 1)
+EXIT_CODES = {ConfigError: 2, CapTooLarge: 5, ZeroConditioningEvent: 6, BudgetExhausted: 7, OracleBlowup: 8}
 
 
 def _fmt(x) -> str:
@@ -323,10 +318,7 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command][0](_Run(args.command, args))
     except GwolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        for cls, code in EXIT_CODES:
-            if isinstance(exc, cls):
-                return code
-        return 9  # an error class without a reserved code
+        return EXIT_CODES[type(exc)]
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package.
 
-Every error raised on purpose derives from GwolabError so callers (and the
-command line front end) can map failure classes to exit codes.  `_integer`
-holds the one rule for a time or a size given to the API, `_number` the
-one for a mass, a probability, a weight, a time fraction or a parameter.
+Every error raised on purpose derives from GwolabError, and each class
+has an exit code of its own (`cli.EXIT_CODES`).  Bad input of any kind, a
+model, a query or a series shape, is a ConfigError.  `_integer` holds
+the one rule for a time or a size given to the API, `_number` the one
+for a mass, a probability, a weight, a time fraction or a parameter.
 """
 
 from __future__ import annotations
@@ -19,14 +20,6 @@ class GwolabError(Exception):
 
 class ConfigError(GwolabError):
     """Malformed model or experiment configuration (bad keys, bad values)."""
-
-
-class ShapeMismatch(GwolabError):
-    """Truncated-series operands disagree in variable count or degree cap."""
-
-
-class NonpositiveConstantTerm(GwolabError):
-    """Square root of a series whose constant term is not strictly positive."""
 
 
 class ZeroConditioningEvent(GwolabError):

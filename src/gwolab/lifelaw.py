@@ -32,7 +32,9 @@ law draws an atom (prob, birth ages, base) and lives base + R for a
 residual life law R, or base alone without one; Tabulated is the one
 without a residual (its base is the life), DelayedDeath's base is the
 last birth age, and every consumer reads both as (atoms, residual).  A
-consumer raises ConfigError for anything that is neither.
+consumer raises ConfigError for anything that is neither.  A law checks
+the laws it holds when it is built: a life or a residual is a life length
+law, an offspring law an OffspringPMF.
 """
 
 from __future__ import annotations
@@ -203,6 +205,15 @@ class QuadraticTailLife:
 LifeLengthLaw = Union[FiniteLife, QuadraticTailLife]
 
 
+def _law(value, kind, what: str):
+    """value, unless it is not a kind (a class or a Union of classes):
+    then a ConfigError names it."""
+    if isinstance(value, kind):
+        return value
+    names = " or ".join(k.__name__ for k in getattr(kind, "__args__", (kind,)))
+    raise ConfigError(f"{what} must be of type {names}, not {type(value).__name__}")
+
+
 def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
     ages = tuple(_integer(t, "birth ages:", 1, _LIFE_CAP) for t in ages)
     if list(ages) != sorted(ages):
@@ -259,8 +270,10 @@ class Sevastyanov:
         table: dict[int, OffspringPMF],
         default: OffspringPMF | None = None,
     ):
+        self.life = _law(life, LifeLengthLaw, "life")
         table = {_integer(l, "offspring_by_life: life", 1, _LIFE_CAP): law for l, law in table.items()}
-        self.life, self.table, self.default = life, table, default
+        self.table = {l: _law(law, OffspringPMF, f"offspring_by_life: {l}") for l, law in table.items()}
+        self.default = default if default is None else _law(default, OffspringPMF, "offspring_default")
         if default is None:
             if life.max_life is None:
                 raise ConfigError("an unbounded life needs offspring_default")
@@ -279,8 +292,8 @@ class BellmanHarris(Sevastyanov):
     """The Sevastyanov law with an empty table: N has law `offspring`, whatever L."""
 
     def __init__(self, life: LifeLengthLaw, offspring: OffspringPMF):
+        self.offspring = _law(offspring, OffspringPMF, "offspring")
         super().__init__(life, {}, offspring)
-        self.offspring = offspring
 
 
 class DelayedDeath(Scheduled):
@@ -302,7 +315,7 @@ class DelayedDeath(Scheduled):
             raise ConfigError("delayed-death law needs at least one schedule")
         checked = [(p, _as_ages(ages)) for p, ages in schedules]
         atoms = [(p, ages, ages[-1] if ages else 0) for p, ages in checked]
-        super().__init__(atoms, residual, "schedule probabilities")
+        super().__init__(atoms, _law(residual, LifeLengthLaw, "residual"), "schedule probabilities")
         self.schedules = tuple((p, a) for p, a, _ in self.atoms)
 
     def sample_schedule_from_uniform(self, u: float) -> tuple[float, tuple[int, ...]]:

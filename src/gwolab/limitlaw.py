@@ -328,7 +328,7 @@ class LawT:
         The uniforms' array is the output: besides it the sampler holds a
         mask of the draws and two arrays of those left of 1 (the share
         cdf(1) = 1 - 2/A, 0.17 at c = 1 and 0.6 at c = 15)."""
-        u = rng.random(size)
+        u = rng.random(_integer(size, "size", 0))
         left = u < self.cdf(1.0)
         au = u[left]
         au *= self.scale

@@ -13,6 +13,8 @@ Python floats what the float routes call: `mul`, `sqrt`, `rows`, a vector
 `dot` and `monomial`.  The DP of `exact_engine` and the limit pgf of
 `limitlaw._fdd_pgf` run in `ring(nvars, cap)` or in `Floats`;
 `TruncatedSeries` only wraps a row for the benchmark's square-root probe.
+A bad shape, operands of two rings or a radicand without a positive
+constant term is a `ConfigError`, like any other bad input.
 
 A product takes one of three routes, chosen by the number of variables n
 and the cap when the ring is built:
@@ -63,7 +65,7 @@ import operator
 
 import numpy as np
 
-from .errors import NonpositiveConstantTerm, ShapeMismatch
+from .errors import ConfigError, _integer
 
 
 @functools.lru_cache(maxsize=None)
@@ -200,7 +202,7 @@ class Ring:
         term.  s is transformed once and each iterate once per step."""
         c0 = float(s[0])
         if c0 <= 0.0:
-            raise NonpositiveConstantTerm(f"constant term {c0} is not positive")
+            raise ConfigError(f"sqrt: constant term {c0} is not positive")
         fs, three = self.spectrum(s), self.monomial(3.0)
         x = self.monomial(1.0 / math.sqrt(c0))
         # one extra pass polishes floating point residue after convergence
@@ -268,14 +270,10 @@ class TruncatedSeries:
     __slots__ = ("nvars", "cap", "data")
 
     def __init__(self, nvars: int, cap: int, data: np.ndarray):
-        if nvars < 1:
-            raise ShapeMismatch("need at least one variable")
-        if cap < 0:
-            raise ShapeMismatch("cap must be nonnegative")
-        if data.shape != (cap + 1,) * nvars:
-            raise ShapeMismatch(f"data of shape {data.shape} is not the (cap+1,)*nvars box {(cap + 1,) * nvars}")
-        self.nvars = nvars
-        self.cap = cap
+        self.nvars, self.cap = _integer(nvars, "nvars", 1), _integer(cap, "cap", 0)
+        box = (self.cap + 1,) * self.nvars
+        if data.shape != box:
+            raise ConfigError(f"data of shape {data.shape} is not the (cap+1,)*nvars box {box}")
         self.data = data
 
     def to_dense_array(self) -> np.ndarray:
@@ -284,10 +282,7 @@ class TruncatedSeries:
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if (self.nvars, self.cap) != (other.nvars, other.cap):
-            raise ShapeMismatch(
-                f"operands disagree: ({self.nvars} vars, cap {self.cap}) vs "
-                f"({other.nvars} vars, cap {other.cap})"
-            )
+            raise ConfigError(f"operands disagree: (nvars, cap) {(self.nvars, self.cap)} vs {(other.nvars, other.cap)}")
         return TruncatedSeries(self.nvars, self.cap, dense_mul(self.data, other.data, self.cap))
 
     def sqrt(self) -> "TruncatedSeries":

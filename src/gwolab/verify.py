@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, OracleBlowup, _integer
+from .errors import ConfigError, OracleBlowup, _integer, _number
 from .exact_engine import (
     FddSpec,
     conditional_pmf,
@@ -394,7 +394,7 @@ def tv_to_limit(model: LifeLaw, y, t: int, K: int, c: float) -> float:
     converge to (ROADMAP, the Riccati item)."""
     q = FddQuery(y, (0.0,) * len(y))
     p, _ = limit_of(model)
-    if c != p.c:
+    if _number(c, "c") != p.c:
         raise ConfigError(f"c={c!r} is not the model's c={p.c!r}")
     return _tv_at(model, q, t, K, eta_fdd_pmf(p, q, K))[1]
 

@@ -1,6 +1,7 @@
 """The one integer rule (`errors._integer`) at every time, size, life and
-birth age the API takes, and the one number rule (`errors._number`) at
-every mass, probability, weight, time fraction and parameter."""
+birth age the API takes, the one number rule (`errors._number`) at every
+mass, probability, weight, time fraction and parameter, the type of each
+law a law holds, and one exit code per error class."""
 
 from __future__ import annotations
 
@@ -13,7 +14,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from gwolab.errors import ConfigError, _integer, _number
+from gwolab import cli, errors
+from gwolab.errors import ConfigError, GwolabError, _integer, _number
 from gwolab.exact_engine import FddSpec, convergence_table
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -29,6 +31,7 @@ from gwolab.limitlaw import (
     FddQuery,
     LawT,
     LimitParams,
+    law_T,
     dichotomy_fraction,
     eta_fdd_pgf,
     eta_marginal_pgf,
@@ -36,8 +39,9 @@ from gwolab.limitlaw import (
     figure1_data,
 )
 from gwolab.modelio import model_from_dict, model_to_dict
+from gwolab.series import TruncatedSeries
 from gwolab.simulator import SimConfig
-from gwolab.verify import enumerate_joint, fdd_limit_check, limit_convergence, oracle_equivalence
+from gwolab.verify import enumerate_joint, fdd_limit_check, limit_convergence, oracle_equivalence, tv_to_limit
 
 BINARY = OffspringPMF([0.5, 0.0, 0.5])
 
@@ -70,6 +74,9 @@ INPUTS = {
     "saturate": ("saturate", lambda v: enumerate_joint(gw_binary(), (1, 2), saturate=v)),
     "seed": ("seed", lambda v: SimConfig(gw_binary(), 5, (), 1, seed=v)),
     "query_time": ("query time", lambda v: SimConfig(gw_binary(), 5, (v,), 1, 1)),
+    "series_nvars": ("nvars", lambda v: TruncatedSeries(v, 2, np.ones((3, 3)))),
+    "series_cap": ("cap", lambda v: TruncatedSeries(2, v, np.ones((3, 3)))),
+    "sample_size": ("size", lambda v: law_T(LimitParams(1.0)).sample(np.random.default_rng(0), v)),
 }
 
 
@@ -98,6 +105,11 @@ def test_numpy_integers_stored_as_int(value):
     # ints go through JSON, so a model built from numpy integers round-trips
     raw = json.loads(json.dumps(model_to_dict(model)))
     assert model_to_dict(model_from_dict(raw)) == raw
+
+
+def test_negative_sample_size_refused():
+    with pytest.raises(ConfigError, match=re.escape("size -1 must be an integer >= 0")):
+        law_T(LimitParams(1.0)).sample(np.random.default_rng(0), -1)
 
 
 def test_mixed_keys_refused_before_sorting():
@@ -226,3 +238,37 @@ def test_float32_results_match_their_float_twins(value, build):
     got, want = build(value), build(float(value))
     assert type(got) is type(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+
+
+def test_tv_to_limit_c_follows_the_number_rule():
+    # True == 1.0, the model's c, so only the rule refuses it
+    for value in (True, "1", math.nan):
+        with pytest.raises(ConfigError, match=re.escape(f"c {value!r} must be a finite number")):
+            tv_to_limit(delayed_c1(), (1.0,), 16, 6, value)
+
+
+# (field named by the error, a build that puts something else where a
+# law holds a law)
+NESTED = {
+    "sevastyanov_table": ("offspring_by_life: 1", lambda: Sevastyanov(FiniteLife({1: 1.0}), {1: [0.5, 0.0, 0.5]})),
+    "sevastyanov_default": ("offspring_default", lambda: Sevastyanov(FiniteLife({1: 1.0}), {}, [0.5, 0.0, 0.5])),
+    "sevastyanov_life": ("life", lambda: Sevastyanov(BINARY, {}, BINARY)),
+    "bellman_harris_offspring": ("offspring", lambda: BellmanHarris(FiniteLife({1: 1.0}), [0.5, 0.0, 0.5])),
+    "bellman_harris_life": ("life", lambda: BellmanHarris([1.0], BINARY)),
+    "delayed_residual": ("residual", lambda: DelayedDeath([(1.0, (1,))], [1.0])),
+    "delayed_no_residual": ("residual", lambda: DelayedDeath([(1.0, (1,))], None)),  # Tabulated has none
+}
+
+
+@pytest.mark.parametrize("field, build", NESTED.values(), ids=NESTED)
+def test_nested_law_refused_naming_the_field(field, build):
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be of type "):
+        build()
+
+
+def test_every_error_class_has_its_own_exit_code():
+    classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, GwolabError)}
+    assert set(cli.EXIT_CODES) == classes - {GwolabError}
+    codes = list(cli.EXIT_CODES.values())
+    # 0 is success, 1 an uncaught exception, and 9 was the code of a class without one
+    assert len(set(codes)) == len(codes) and not {0, 1, 9} & set(codes)
