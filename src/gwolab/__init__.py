@@ -20,8 +20,7 @@ import importlib
 _EXPORTS = {
     "cli": (),
     "errors": (
-        "GwolabError", "ConfigError", "ZeroConditioningEvent", "CapTooLarge", "BudgetExhausted",
-        "OracleBlowup",
+        "GwolabError", "ConfigError", "CapTooLarge", "BudgetExhausted",
     ),
     "lifelaw": (
         "OffspringPMF", "FiniteLife", "QuadraticTailLife", "Tabulated", "BellmanHarris",

@@ -6,9 +6,8 @@ the one reader of outside JSON (model files too), reads flag and --config
 values alike.  Each command imports the submodules it runs, so a summary
 loads neither the DP nor the simulator.  Every run prints a one-line
 summary and, with --out, drops a config echo of the parsed values next
-to the output, from which the identical run can be reproduced.  Error
-classes map to distinct exit codes so scripts can tell a schema problem
-from a blown budget.
+to the output, from which the identical run can be reproduced.  Each
+error class, one per remedy (`errors`), has an exit code of its own.
 """
 
 from __future__ import annotations
@@ -21,15 +20,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import (
-    BudgetExhausted,
-    CapTooLarge,
-    ConfigError,
-    GwolabError,
-    OracleBlowup,
-    ZeroConditioningEvent,
-    _integer,
-)
+from .errors import BudgetExhausted, CapTooLarge, ConfigError, GwolabError, _integer
 from .modelio import (
     choice,
     fields,
@@ -44,7 +35,7 @@ from .modelio import (
 )
 
 # one code per error class; a class without one escapes as a traceback (exit 1)
-EXIT_CODES = {ConfigError: 2, CapTooLarge: 5, ZeroConditioningEvent: 6, BudgetExhausted: 7, OracleBlowup: 8}
+EXIT_CODES = {ConfigError: 2, CapTooLarge: 5, BudgetExhausted: 7}
 
 
 def _fmt(x) -> str:

@@ -1,16 +1,18 @@
 """Exception hierarchy shared across the package.
 
 Every error raised on purpose derives from GwolabError, and each class
-has an exit code of its own (`cli.EXIT_CODES`).  Bad input of any kind, a
-model, a query or a series shape, is a ConfigError.  `_integer` holds
-the one rule for a time or a size given to the API, `_number` the one
-for a mass, a probability, a weight, a time fraction or a parameter.
+names a remedy and has an exit code (`cli.EXIT_CODES`): fix the input or
+the query (ConfigError), ask for less (CapTooLarge), or raise a budget
+you set (BudgetExhausted).  The one rule for a time or a size is
+`_integer`; for a mass, a probability, a weight, a time fraction or a
+parameter, `_number`; for a container, `_items`.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Mapping, Sequence
 from typing import Optional
 
 
@@ -19,11 +21,7 @@ class GwolabError(Exception):
 
 
 class ConfigError(GwolabError):
-    """Malformed model or experiment configuration (bad keys, bad values)."""
-
-
-class ZeroConditioningEvent(GwolabError):
-    """Conditioning on survival at a time where survival has probability 0."""
+    """Bad input: a malformed model or value, or a query the model cannot answer."""
 
 
 class CapTooLarge(GwolabError):
@@ -32,11 +30,7 @@ class CapTooLarge(GwolabError):
 
 
 class BudgetExhausted(GwolabError):
-    """A sampling budget (attempts or individuals) ran out."""
-
-
-class OracleBlowup(GwolabError):
-    """Exhaustive enumeration exceeded its node budget."""
+    """A budget the caller set ran out: max_attempts, max_individuals or enumerate_joint's budget."""
 
 
 def _integer(value, what: str, least: Optional[int] = None, most: Optional[int] = None) -> int:
@@ -60,6 +54,22 @@ def _number(value, what: str, least=None, most=None) -> float:
     if math.isfinite(x) and (least is None or x >= least) and (most is None or x <= most):
         return x
     raise ConfigError(f"{what} {value!r} must be a finite number{_bound(least, most)}")
+
+
+def _items(value, what: str, rule=None, *args, size=None, nonempty=False, increasing=False, pairs=False) -> tuple:
+    """value's entries (with pairs set, a mapping's (key, value) pairs) as a
+    tuple, each through rule(entry, *args) if given.  ConfigError names it
+    unless it is that mapping, else a sequence but not text (or an array of
+    rank >= 1); nonempty, of length size, strictly increasing where asked."""
+    ok = isinstance(value, Mapping) if pairs else isinstance(value, Sequence) or getattr(value, "ndim", 0) > 0
+    if ok and not isinstance(value, (str, bytes)) and (len(value) or not nonempty) and size in (None, len(value)):
+        items = value.items() if pairs else value
+        out = tuple(items) if rule is None else tuple(rule(v, *args) for v in items)
+        if not increasing or all(a < b for a, b in zip(out, out[1:])):
+            return out
+    kind = ("nonempty " if nonempty else "") + ("strictly increasing " if increasing else "")
+    kind += ("mapping" if pairs else "sequence") + ("" if size is None else f" of length {size}")
+    raise ConfigError(f"{what} {value!r} must be a {kind}")
 
 
 def _bound(least, most) -> str:

@@ -116,12 +116,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import series
-from .errors import (
-    CapTooLarge,
-    ConfigError,
-    ZeroConditioningEvent,
-    _integer,
-)
+from .errors import CapTooLarge, ConfigError, _integer, _items
 from .lifelaw import (
     LifeLaw,
     ModelSummary,
@@ -155,12 +150,10 @@ class FddSpec:
     """
 
     def __init__(self, times, z, t_obs: Optional[int] = None):
-        times = tuple(_integer(t, "time", 0) for t in times)
-        if not times:
-            raise ConfigError("need at least one observation time")
+        times = _items(times, "times", _integer, "time", 0, nonempty=True, increasing=True)
         if t_obs is not None:
             t_obs = _integer(t_obs, "t_obs", 1)
-        self.times, self.z = kept_coordinates(times, z, "times")
+        self.times, self.z = kept_coordinates(times, z)
         self.t_obs = t_obs
 
     @classmethod
@@ -799,7 +792,7 @@ def _conditioned(model: LifeLaw, spec: FddSpec, weights, nvars: int = 0, cap: in
     dead = float(_pgf(model, (t_obs,), (0.0,)))
     q = 1.0 - dead
     if q <= 0.0:
-        raise ZeroConditioningEvent(f"Z({t_obs}) > 0 has probability 0")
+        raise ConfigError(f"t_obs {t_obs}: Z({t_obs}) > 0 has probability 0")
     j = _first_zero(weights)
     if j is not None and spec.times[j] <= t_obs:
         return 0.0
@@ -878,9 +871,7 @@ def convergence_table(model: LifeLaw, y, z, t_grid) -> list[ConvergenceRow]:
     q = FddQuery(y, z)
     if not q.k or q.y[0] != 1.0:
         raise ConfigError("the first coordinate of weight below 1 must be at y = 1")
-    t_grid = tuple(_integer(t, "grid point", 1) for t in t_grid)
-    if not t_grid:
-        raise ConfigError("t_grid needs at least one entry")
+    t_grid = _items(t_grid, "t_grid", _integer, "grid point", 1, nonempty=True)
     p, h = limit_of(model)
     target = h * (1.0 - eta_fdd_pgf(p, q))
     if q.z[0] == 0.0:  # Z(t) = 0 ends the query at t

@@ -46,7 +46,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, _integer, _number
+from .errors import ConfigError, _integer, _items, _number
 
 _SUM_TOL = 1e-12
 _CRITICAL_TOL = 1e-9  # |E(N) - 1| up to which `summarize` calls a law critical
@@ -75,7 +75,7 @@ class _Masses:
     all summing to 1, and the inverse of their cumulative sums."""
 
     def __init__(self, probs: Sequence[float], what: str):
-        self.probs = tuple(_number(p, f"{what}: mass", 0, 1) for p in probs)
+        self.probs = _items(probs, what, _number, f"{what}: mass", 0, 1)
         total = math.fsum(self.probs)
         if abs(total - 1.0) > _SUM_TOL:
             raise ConfigError(f"{what}: masses sum to {total!r}, not 1")
@@ -104,10 +104,7 @@ class OffspringPMF:
     """Probability mass function of the number of children, finite support."""
 
     def __init__(self, probs: Sequence[float]):
-        raw = np.asarray(probs, dtype=object)  # a bool or text stays one, for _Masses to refuse
-        if raw.ndim != 1 or raw.size == 0:
-            raise ConfigError("offspring pmf must be a nonempty 1-d sequence")
-        self._masses = _Masses(raw, "offspring pmf")
+        self._masses = _Masses(_items(probs, "offspring pmf", nonempty=True), "offspring pmf")
         self.probs = np.array(self._masses.probs)
         counts = np.arange(self.probs.size)
         self.mean = float(counts @ self.probs)
@@ -127,9 +124,8 @@ class FiniteLife:
     """Life length with finite support on {1, ..., max_life}."""
 
     def __init__(self, pmf: dict[int, float]):
-        if not pmf:
-            raise ConfigError("life length pmf is empty")
-        items = sorted((_integer(life, "life length", 1, _LIFE_CAP), p) for life, p in pmf.items())
+        pmf = _items(pmf, "life length pmf", nonempty=True, pairs=True)
+        items = sorted((_integer(life, "life length", 1, _LIFE_CAP), p) for life, p in pmf)
         self.support = tuple(life for life, _ in items)
         self._masses = _Masses([p for _, p in items], "life length pmf")
         self.probs = self._masses.probs
@@ -215,7 +211,7 @@ def _law(value, kind, what: str):
 
 
 def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
-    ages = tuple(_integer(t, "birth ages:", 1, _LIFE_CAP) for t in ages)
+    ages = _items(ages, "birth ages", _integer, "birth ages:", 1, _LIFE_CAP)
     if list(ages) != sorted(ages):
         raise ConfigError(f"birth ages {ages} must be nondecreasing")
     if life is not None and ages and ages[-1] > life:
@@ -248,8 +244,7 @@ class Tabulated(Scheduled):
     atoms: the scheduled law without a residual."""
 
     def __init__(self, atoms: Sequence[tuple[float, Sequence[int], int]]):
-        if not atoms:
-            raise ConfigError("tabulated law needs at least one atom")
+        atoms = [_items(atom, "atom", size=3) for atom in _items(atoms, "atoms", nonempty=True)]
         lives = [_integer(life, "life length", 1, _LIFE_CAP) for _, _, life in atoms]
         atoms = [(p, _as_ages(ages, life), life) for (p, ages, _), life in zip(atoms, lives)]
         super().__init__(atoms, None, "atom probabilities")
@@ -271,7 +266,8 @@ class Sevastyanov:
         default: OffspringPMF | None = None,
     ):
         self.life = _law(life, LifeLengthLaw, "life")
-        table = {_integer(l, "offspring_by_life: life", 1, _LIFE_CAP): law for l, law in table.items()}
+        table = _items(table, "offspring_by_life", pairs=True)
+        table = {_integer(l, "offspring_by_life: life", 1, _LIFE_CAP): law for l, law in table}
         self.table = {l: _law(law, OffspringPMF, f"offspring_by_life: {l}") for l, law in table.items()}
         self.default = default if default is None else _law(default, OffspringPMF, "offspring_default")
         if default is None:
@@ -311,8 +307,7 @@ class DelayedDeath(Scheduled):
         schedules: Sequence[tuple[float, Sequence[int]]],
         residual: LifeLengthLaw,
     ):
-        if not schedules:
-            raise ConfigError("delayed-death law needs at least one schedule")
+        schedules = [_items(s, "schedule", size=2) for s in _items(schedules, "schedules", nonempty=True)]
         checked = [(p, _as_ages(ages)) for p, ages in schedules]
         atoms = [(p, ages, ages[-1] if ages else 0) for p, ages in checked]
         super().__init__(atoms, _law(residual, LifeLengthLaw, "residual"), "schedule probabilities")

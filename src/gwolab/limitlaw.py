@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import CapTooLarge, ConfigError, _integer, _number
+from .errors import CapTooLarge, ConfigError, _integer, _items, _number
 from .lifelaw import LifeLaw, summarize
 
 logger = logging.getLogger(__name__)
@@ -77,16 +77,12 @@ def limit_of(model: LifeLaw) -> tuple[LimitParams, float]:
     return LimitParams(s.c), s.h
 
 
-def kept_coordinates(points, z, name: str) -> tuple:
+def kept_coordinates(points, z) -> tuple:
     """(points, z) of a query without its weight-1 coordinates, after
-    checking equal lengths, strictly increasing points and weights in
-    [0, 1].  A weight of 1 constrains nothing (counts are finite with
-    probability one), and the closed forms assume z_i < 1."""
-    z = tuple(_number(v, "weights:", 0, 1) for v in z)
-    if len(points) != len(z):
-        raise ConfigError(f"{name} and z must have equal length")
-    if any(points[i] >= points[i + 1] for i in range(len(points) - 1)):
-        raise ConfigError(f"{name} {points} must be strictly increasing")
+    checking z: a weight in [0, 1] per point.  A weight of 1 constrains
+    nothing (counts are finite with probability one), and the closed forms
+    assume z_i < 1."""
+    z = _items(z, "z", _number, "weights:", 0, 1, size=len(points))
     kept = [(x, v) for x, v in zip(points, z) if v != 1.0]
     return tuple(x for x, _ in kept), tuple(v for _, v in kept)
 
@@ -100,10 +96,10 @@ class FddQuery:
     """
 
     def __init__(self, y, z):
-        y = tuple(_number(v, "query points:") for v in y)
-        if not all(v > 0.0 for v in y):
+        y = _items(y, "y", _number, "query points:", increasing=True)
+        if y and y[0] <= 0.0:
             raise ConfigError(f"query points {y} must be positive")
-        self.y, self.z = kept_coordinates(y, z, "y")
+        self.y, self.z = kept_coordinates(y, z)
 
     @property
     def k(self) -> int:

@@ -21,7 +21,7 @@ import json
 import math
 from functools import partial
 
-from .errors import ConfigError, _integer, _number
+from .errors import ConfigError, _integer, _items, _number
 from .lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -61,11 +61,6 @@ def choice(*options):
     return parse
 
 
-def _expect(raw, kind, message: str) -> None:
-    if not isinstance(raw, kind):
-        raise ConfigError(f"{message}, got {type(raw).__name__}")
-
-
 def _at(name, parse, raw):
     """parse(raw), with an error named after where raw sits."""
     try:
@@ -78,8 +73,7 @@ def listof(parse):
     """A JSON list, each item read by parse."""
 
     def parse_list(raw):
-        _expect(raw, (list, tuple), "expected a list")
-        return [_at(f"[{i}]", parse, item) for i, item in enumerate(raw)]
+        return [_at(f"[{i}]", parse, item) for i, item in enumerate(_items(raw, "value"))]
 
     return parse_list
 
@@ -95,8 +89,7 @@ def keyed(parse):
         return n
 
     def parse_keyed(raw):
-        _expect(raw, dict, "expected an object")
-        return {_at(k, key, k): _at(k, parse, v) for k, v in raw.items()}
+        return {_at(k, key, k): _at(k, parse, v) for k, v in _items(raw, "value", pairs=True)}
 
     return parse_keyed
 
@@ -105,7 +98,7 @@ def fields(raw, params: dict, where: str, optional=()) -> dict:
     """The object raw with each value read by its parser in params.  Every
     key of params is required but those in optional, and no other key is
     allowed; an error in a value names its key."""
-    _expect(raw, dict, f"{where} must be an object")
+    _items(raw, where, pairs=True)
     missing = set(params) - set(optional) - set(raw)
     if missing:
         raise ConfigError(f"{where} is missing key(s) {sorted(missing)}")

@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BudgetExhausted, CapTooLarge, ConfigError, _integer
+from .errors import BudgetExhausted, CapTooLarge, ConfigError, _integer, _items
 from .exact_engine import _check_budget, extinction_seq
 from .lifelaw import (
     LifeLaw,
@@ -68,10 +68,8 @@ class SimConfig:
             ("horizon", 0, None), ("replicates", 1, None), ("seed", 0, 2**64 - 1), ("max_individuals", 1, None)
         ):
             object.__setattr__(self, name, _integer(getattr(self, name), name, least, most))
-        qt = tuple(_integer(t, "query time", 0, self.horizon) for t in self.query_times)
+        qt = _items(self.query_times, "query_times", _integer, "query time", 0, self.horizon, increasing=True)
         object.__setattr__(self, "query_times", qt)
-        if any(qt[i] >= qt[i + 1] for i in range(len(qt) - 1)):
-            raise ConfigError(f"query times {qt} must be strictly increasing")
 
 
 @dataclass
@@ -418,7 +416,7 @@ def dichotomy_stats(config: SimConfig) -> DichotomyStats:
     theorem's, so a model `limit_of` refuses raises ConfigError.  A
     replicate that overflows max_individuals raises BudgetExhausted.
     """
-    cut = _integer(default_cutoff(config.horizon), "cutoff", 1)
+    cut = default_cutoff(_integer(config.horizon, "horizon", 1))
     p, _ = limit_of(config.model)
     _, z, over = _run_all(config)
     _raise_on_overflow(over, 0, config.max_individuals)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, OracleBlowup, _integer, _number
+from .errors import BudgetExhausted, ConfigError, _integer, _items, _number
 from .exact_engine import (
     FddSpec,
     conditional_pmf,
@@ -142,7 +142,7 @@ def _convolve(a: dict, b: dict, budget: int, saturate: Optional[int]) -> dict:
                 key = tuple(min(x, saturate) for x in key)
             out[key] = out.get(key, 0.0) + pa * pb
             if len(out) > budget:
-                raise OracleBlowup(f"joint support exceeded {budget} vectors")
+                raise BudgetExhausted(f"joint support exceeded {budget} vectors")
     return out
 
 
@@ -159,9 +159,10 @@ def enumerate_joint(
     monotone, so a clamped coordinate can never fall back under S.  This
     keeps the support polynomial for wide offspring laws while cells
     with every coordinate < S stay exact.  The times are checked as the
-    DP checks them (`FddSpec`).
+    DP checks them (`FddSpec`).  Past `budget` vectors it raises
+    BudgetExhausted.
     """
-    times = FddSpec(times, [0.0] * len(times)).times
+    times = FddSpec(times, [0.0] * len(_items(times, "times"))).times
     budget = _integer(budget, "budget", 1)
     if saturate is not None:
         saturate = _integer(saturate, "saturate", 1)
@@ -185,7 +186,7 @@ def enumerate_joint(
             for v, pv in d.items():
                 out[v] = out.get(v, 0.0) + pv
         if len(out) > budget:
-            raise OracleBlowup(f"joint support exceeded {budget} vectors")
+            raise BudgetExhausted(f"joint support exceeded {budget} vectors")
         memo[beta] = out
         return out
 
@@ -301,7 +302,7 @@ def oracle_equivalence(model: LifeLaw, t_small: int = 6, budget: int = 500_000) 
 
 
 def _check_dyadic(t_grid) -> tuple:
-    t_grid = tuple(_integer(t, "grid point", 1) for t in t_grid)
+    t_grid = _items(t_grid, "t_grid", _integer, "grid point", 1)
     if len(t_grid) < 3:
         raise ConfigError("need at least three grid points")
     if any(t_grid[i + 1] != 2 * t_grid[i] for i in range(len(t_grid) - 1)):
@@ -415,10 +416,10 @@ def fdd_limit_check(
     binomial sigmas of the exact conditioned pmf.  Left of 1 the limit is
     the frozen-root closed form, which the DP does not converge to (ROADMAP,
     the Riccati item), so the TV trend there gates nothing."""
-    q = FddQuery(y, (0.0,) * len(y))
-    t_grid = tuple(_integer(t, "grid point", 1) for t in t_grid)
-    if len(t_grid) < 2 or any(t_grid[i] >= t_grid[i + 1] for i in range(len(t_grid) - 1)):
-        raise ConfigError("t_grid must be strictly increasing with at least two points")
+    q = FddQuery(y, (0.0,) * len(_items(y, "y")))
+    t_grid = _items(t_grid, "t_grid", _integer, "grid point", 1, increasing=True)
+    if len(t_grid) < 2:
+        raise ConfigError("t_grid needs at least two points")
     p, _ = limit_of(model)
     rows = []
     prev = 1.0  # TV can never exceed 1

@@ -364,7 +364,8 @@ class TestExitCodes:
         code = main(
             ["fdd", "--model", str(path), "--times", "5", "--z", "0.5", "--tobs", "5"]
         )
-        assert code == 6
+        assert code == 2
+        assert capsys.readouterr().err == "error: t_obs 5: Z(5) > 0 has probability 0\n"
 
     def test_missing_required_flag(self, gw_path, capsys):
         assert main(["dp", "--model", gw_path]) == 2

@@ -1,7 +1,8 @@
 """The one integer rule (`errors._integer`) at every time, size, life and
 birth age the API takes, the one number rule (`errors._number`) at every
-mass, probability, weight, time fraction and parameter, the type of each
-law a law holds, and one exit code per error class."""
+mass, probability, weight, time fraction and parameter, the one container
+rule (`errors._items`), the type of each law a law holds, and one exit
+code per error class."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from gwolab import cli, errors
-from gwolab.errors import ConfigError, GwolabError, _integer, _number
+from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError, GwolabError, _integer, _items, _number
 from gwolab.exact_engine import FddSpec, convergence_table
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -266,9 +267,83 @@ def test_nested_law_refused_naming_the_field(field, build):
         build()
 
 
+# (field named by the error, what it must be, a build that puts something
+# else where a container goes); a scalar where a sequence goes, a list
+# where a mapping goes and a short atom or schedule used to fail with a
+# bare Python error
+CONTAINERS = {
+    "life_pmf": ("life length pmf", "a nonempty mapping", lambda: FiniteLife([1.0])),
+    "sevastyanov_table": (
+        "offspring_by_life", "a mapping", lambda: Sevastyanov(FiniteLife({1: 1.0}), [(1, OffspringPMF([0.5, 0, 0.5]))])
+    ),
+    "short_atom": ("atom", "a sequence of length 3", lambda: Tabulated([(1.0, (1,))])),
+    "scalar_ages": ("birth ages", "a sequence", lambda: Tabulated([(1.0, 1, 1)])),
+    "scalar_schedule": ("schedule", "a sequence of length 2", lambda: DelayedDeath([1.0], FiniteLife({1: 1.0}))),
+    "scalar_times": ("times", "a nonempty strictly increasing sequence", lambda: FddSpec(4, (0.5,))),
+    "scalar_z": ("z", "a sequence of length 1", lambda: FddSpec((4,), 0.5)),
+    "scalar_y": ("y", "a strictly increasing sequence", lambda: FddQuery(1.0, (0.5,))),
+    "scalar_query_times": (
+        "query_times", "a strictly increasing sequence", lambda: SimConfig(gw_binary(), 8, 4, 10, 1)
+    ),
+    "scalar_t_grid": ("t_grid", "a nonempty sequence", lambda: convergence_table(gw_binary(), (1.0,), (0.5,), 8)),
+    "scalar_joint_times": ("times", "a sequence", lambda: enumerate_joint(gw_binary(), 4)),
+    "scalar_dyadic_grid": ("t_grid", "a sequence", lambda: limit_convergence(gw_binary(), (1.0,), (0.5,), 8)),
+    "scalar_fdd_limit_y": ("y", "a sequence", lambda: fdd_limit_check(delayed_c1(), 1.0, (16, 32))),
+    "unordered_times": ("times", "a nonempty strictly increasing sequence", lambda: FddSpec((3, 3), (0.5, 0.5))),
+    "unordered_query_times": (
+        "query_times", "a strictly increasing sequence", lambda: SimConfig(gw_binary(), 8, (4, 2), 10, 1)
+    ),
+    "unordered_fdd_limit_grid": (
+        "t_grid", "a strictly increasing sequence", lambda: fdd_limit_check(delayed_c1(), (1.0,), (32, 16))
+    ),
+    "unequal_z": ("z", "a sequence of length 2", lambda: FddQuery((1.0, 2.0), (0.5,))),
+    "scalar_offspring": ("offspring pmf", "a nonempty sequence", lambda: OffspringPMF(0.5)),
+    "json_list": ("atoms: value", "a sequence", lambda: model_from_dict({"variant": "tabulated", "atoms": "x"})),
+    "json_object": ("model", "a mapping", lambda: model_from_dict([1])),
+}
+
+
+@pytest.mark.parametrize("field, kind, build", CONTAINERS.values(), ids=CONTAINERS)
+def test_container_refused_naming_the_field(field, kind, build):
+    with pytest.raises(ConfigError, match=f"^{re.escape(field)} .* must be {re.escape(kind)}$"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "args, kw, message",
+    [
+        (((1, 2), "x"), {}, (1, 2)),
+        ((range(3), "x"), {"size": 3}, (0, 1, 2)),
+        ((np.array([1, 2]), "x", _integer, "x:"), {}, (1, 2)),
+        (({1: 0.5}, "x"), {"pairs": True}, ((1, 0.5),)),
+        (("12", "x"), {}, "x '12' must be a sequence"),
+        ((np.array(1), "x"), {}, "x array(1) must be a sequence"),
+        (({1: 0.5}, "x"), {}, "x {1: 0.5} must be a sequence"),
+        (([(1, 0.5)], "x"), {"pairs": True}, "x [(1, 0.5)] must be a mapping"),
+        (((1, 2), "x"), {"size": 3}, "x (1, 2) must be a sequence of length 3"),
+        (((), "x"), {"nonempty": True}, "x () must be a nonempty sequence"),
+        (((), "x"), {"increasing": True}, ()),
+        (((1, 3), "x"), {"increasing": True}, (1, 3)),
+        (((1, 1), "x"), {"increasing": True}, "x (1, 1) must be a strictly increasing sequence"),
+        (({}, "x"), {"nonempty": True, "pairs": True}, "x {} must be a nonempty mapping"),
+        (((1, 2.5), "x", _integer, "x:"), {}, "x: 2.5 must be an integer"),
+    ],
+)
+def test_items_rule_and_message(args, kw, message):
+    if isinstance(message, tuple):
+        got = _items(*args, **kw)
+        assert got == message and all(type(v) is type(m) for v, m in zip(got, message))
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            _items(*args, **kw)
+
+
 def test_every_error_class_has_its_own_exit_code():
     classes = {v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, GwolabError)}
     assert set(cli.EXIT_CODES) == classes - {GwolabError}
+    # one class per remedy: fix the input or the query, ask for less, raise a budget the caller set
+    assert cli.EXIT_CODES == {ConfigError: 2, CapTooLarge: 5, BudgetExhausted: 7}
     codes = list(cli.EXIT_CODES.values())
-    # 0 is success, 1 an uncaught exception, and 9 was the code of a class without one
-    assert len(set(codes)) == len(codes) and not {0, 1, 9} & set(codes)
+    # 0 is success and 1 an uncaught exception; 3, 4, 6, 8 and 9 are retired
+    # with the classes that had them, and none comes back
+    assert len(set(codes)) == len(codes) and not {0, 1, 3, 4, 6, 8, 9} & set(codes)

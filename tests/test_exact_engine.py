@@ -28,11 +28,7 @@ from hypothesis import strategies as st
 from scipy.special import polygamma
 
 from gwolab import exact_engine, series
-from gwolab.errors import (
-    CapTooLarge,
-    ConfigError,
-    ZeroConditioningEvent,
-)
+from gwolab.errors import CapTooLarge, ConfigError
 from gwolab.exact_engine import (
     _DP_BUDGET,
     _LEAF,
@@ -1062,7 +1058,7 @@ class TestConditional:
 
     def test_zero_conditioning_event(self):
         barren = Tabulated([(1.0, (), 2)])
-        with pytest.raises(ZeroConditioningEvent):
+        with pytest.raises(ConfigError, match=r"^t_obs 5: Z\(5\) > 0 has probability 0$"):
             conditional_pgf(barren, FddSpec((1,), (0.5,), t_obs=5))
 
     def test_requires_t_obs(self):

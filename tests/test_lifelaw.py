@@ -330,8 +330,8 @@ def test_non_finite_masses_rejected(build):
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: Tabulated([]), "at least one atom"),
-        (lambda: DelayedDeath([], FiniteLife({1: 1.0})), "at least one schedule"),
+        (lambda: Tabulated([]), r"^atoms \[\] must be a nonempty sequence$"),
+        (lambda: DelayedDeath([], FiniteLife({1: 1.0})), r"^schedules \[\] must be a nonempty sequence$"),
         (lambda: Tabulated([(1.0, [0], 1)]), "birth ages"),
         (lambda: DelayedDeath([(1.0, [2**62 + 1])], FiniteLife({1: 1.0})), "birth ages"),
         (lambda: OffspringPMF([]), "nonempty"),

@@ -625,8 +625,9 @@ class TestDichotomy:
     def test_cutoff_is_the_default_rule(self):
         cfg = SimConfig(model=gw_binary(), horizon=9, query_times=(9,), replicates=800, seed=6)
         assert dichotomy_stats(cfg).cutoff == default_cutoff(9) == 3
-        # at horizon 0 the cutoff is 0, which splits nothing
-        with pytest.raises(ConfigError, match="cutoff"):
+        # at horizon 0 the cutoff is 0, which splits nothing; the error
+        # names the horizon, which the caller set, not the cutoff
+        with pytest.raises(ConfigError, match="^horizon 0 must be an integer >= 1$"):
             dichotomy_stats(SimConfig(model=gw_binary(), horizon=0, query_times=(0,), replicates=8, seed=6))
 
 

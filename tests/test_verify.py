@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from gwolab import verify
-from gwolab.errors import ConfigError, OracleBlowup
+from gwolab.errors import BudgetExhausted, ConfigError
 from gwolab.lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -94,7 +94,7 @@ class TestEnumerationOracle:
 
     def test_budget_blowup(self):
         heavy = BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.5, 0, 0, 0, 0.5]))
-        with pytest.raises(OracleBlowup):
+        with pytest.raises(BudgetExhausted, match="^joint support exceeded 50 vectors$"):
             enumerate_joint(heavy, (1, 2, 3, 4, 5, 6), budget=50)
 
     def test_rejects_bad_times(self):
