@@ -5,7 +5,8 @@ names a remedy and has an exit code (`cli.EXIT_CODES`): fix the input or
 the query (ConfigError), ask for less (CapTooLarge), or raise a budget
 you set (BudgetExhausted).  The one rule for a time or a size is
 `_integer`; for a mass, a probability, a weight, a time fraction or a
-parameter, `_number`; for a container, `_items`.
+parameter, `_number`; for a container, `_items`; for a law, a query or a
+spec, `_instance`.
 """
 
 from __future__ import annotations
@@ -70,6 +71,15 @@ def _items(value, what: str, rule=None, *args, size=None, nonempty=False, increa
     kind = ("nonempty " if nonempty else "") + ("strictly increasing " if increasing else "")
     kind += ("mapping" if pairs else "sequence") + ("" if size is None else f" of length {size}")
     raise ConfigError(f"{what} {value!r} must be a {kind}")
+
+
+def _instance(value, kind, what: str):
+    """value, unless it is not a kind (a class or a Union of classes):
+    then a ConfigError names it."""
+    if isinstance(value, kind):
+        return value
+    names = " or ".join(k.__name__ for k in getattr(kind, "__args__", (kind,)))
+    raise ConfigError(f"{what} must be of type {names}, not {type(value).__name__}")
 
 
 def _bound(least, most) -> str:

@@ -116,7 +116,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import series
-from .errors import CapTooLarge, ConfigError, _integer, _items
+from .errors import CapTooLarge, ConfigError, _instance, _integer, _items
 from .lifelaw import (
     LifeLaw,
     ModelSummary,
@@ -763,7 +763,7 @@ def _pgf(model: LifeLaw, times, weights, nvars: int = 0, cap: int = 0):
 def fdd_pgf(model: LifeLaw, spec: FddSpec) -> float:
     """E(z_1^{Z(t_1)} ... z_k^{Z(t_k)}); a time after one of weight 0 is
     ignored and costs no DP steps."""
-    if spec.k == 0:
+    if _instance(spec, FddSpec, "spec").k == 0:
         return 1.0
     return float(_pgf(model, spec.times, spec.z))
 
@@ -814,7 +814,7 @@ def conditional_pgf(model: LifeLaw, spec: FddSpec) -> float:
     """E(prod z_i^{Z(t_i)} | Z(t_obs) > 0).  A time after one of weight 0
     is ignored and costs no DP steps; with a weight 0 at or before t_obs
     the value is exactly 0, after the one DP for Q(t_obs)."""
-    return float(_conditioned(model, spec, spec.z))
+    return float(_conditioned(model, _instance(spec, FddSpec, "spec"), spec.z))
 
 
 @dataclass(frozen=True)
@@ -830,8 +830,8 @@ def conditional_pmf(model: LifeLaw, spec: FddSpec, K: int) -> ConditionalPmf:
     counts up to K, over spec.times.  The weights become variables, but
     FddSpec has already dropped the times whose weight is 1, so give
     weight 0 at every time the pmf should cover."""
+    k = _instance(spec, FddSpec, "spec").k
     K = _integer(K, "K", 1)
-    k = spec.k
     if k == 0:
         raise ConfigError("no coordinates left to extract")
     probs = _conditioned(model, spec, tuple(_Var(i) for i in range(k)), k, K)

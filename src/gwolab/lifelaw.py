@@ -46,7 +46,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, _integer, _items, _number
+from .errors import ConfigError, _instance, _integer, _items, _number
 
 _SUM_TOL = 1e-12
 _CRITICAL_TOL = 1e-9  # |E(N) - 1| up to which `summarize` calls a law critical
@@ -201,15 +201,6 @@ class QuadraticTailLife:
 LifeLengthLaw = Union[FiniteLife, QuadraticTailLife]
 
 
-def _law(value, kind, what: str):
-    """value, unless it is not a kind (a class or a Union of classes):
-    then a ConfigError names it."""
-    if isinstance(value, kind):
-        return value
-    names = " or ".join(k.__name__ for k in getattr(kind, "__args__", (kind,)))
-    raise ConfigError(f"{what} must be of type {names}, not {type(value).__name__}")
-
-
 def _as_ages(ages: Sequence[int], life: int | None = None) -> tuple[int, ...]:
     ages = _items(ages, "birth ages", _integer, "birth ages:", 1, _LIFE_CAP)
     if list(ages) != sorted(ages):
@@ -265,11 +256,11 @@ class Sevastyanov:
         table: dict[int, OffspringPMF],
         default: OffspringPMF | None = None,
     ):
-        self.life = _law(life, LifeLengthLaw, "life")
+        self.life = _instance(life, LifeLengthLaw, "life")
         table = _items(table, "offspring_by_life", pairs=True)
         table = {_integer(l, "offspring_by_life: life", 1, _LIFE_CAP): law for l, law in table}
-        self.table = {l: _law(law, OffspringPMF, f"offspring_by_life: {l}") for l, law in table.items()}
-        self.default = default if default is None else _law(default, OffspringPMF, "offspring_default")
+        self.table = {l: _instance(law, OffspringPMF, f"offspring_by_life: {l}") for l, law in table.items()}
+        self.default = default if default is None else _instance(default, OffspringPMF, "offspring_default")
         if default is None:
             if life.max_life is None:
                 raise ConfigError("an unbounded life needs offspring_default")
@@ -288,7 +279,7 @@ class BellmanHarris(Sevastyanov):
     """The Sevastyanov law with an empty table: N has law `offspring`, whatever L."""
 
     def __init__(self, life: LifeLengthLaw, offspring: OffspringPMF):
-        self.offspring = _law(offspring, OffspringPMF, "offspring")
+        self.offspring = _instance(offspring, OffspringPMF, "offspring")
         super().__init__(life, {}, offspring)
 
 
@@ -310,7 +301,7 @@ class DelayedDeath(Scheduled):
         schedules = [_items(s, "schedule", size=2) for s in _items(schedules, "schedules", nonempty=True)]
         checked = [(p, _as_ages(ages)) for p, ages in schedules]
         atoms = [(p, ages, ages[-1] if ages else 0) for p, ages in checked]
-        super().__init__(atoms, _law(residual, LifeLengthLaw, "residual"), "schedule probabilities")
+        super().__init__(atoms, _instance(residual, LifeLengthLaw, "residual"), "schedule probabilities")
         self.schedules = tuple((p, a) for p, a, _ in self.atoms)
 
     def sample_schedule_from_uniform(self, u: float) -> tuple[float, tuple[int, ...]]:

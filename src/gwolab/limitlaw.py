@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import series
-from .errors import CapTooLarge, ConfigError, _integer, _items, _number
+from .errors import CapTooLarge, ConfigError, _instance, _integer, _items, _number
 from .lifelaw import LifeLaw, summarize
 
 logger = logging.getLogger(__name__)
@@ -107,7 +107,15 @@ class FddQuery:
 
 
 def _check_y(y) -> None:
-    if not np.all(np.asarray(y) > 0.0):
+    """y is a number (`_number`) or an array of reals, each > 0; an array
+    is checked once, by its dtype and one comparison."""
+    if isinstance(y, np.ndarray) or np.ndim(y):
+        y = np.asarray(y)
+        if y.dtype.kind not in "iuf":
+            raise ConfigError(f"y of dtype {y.dtype} must be an array of real numbers")
+    else:
+        _number(y, "y")
+    if not np.all(y > 0.0):
         raise ConfigError("y must be positive")
 
 
@@ -160,6 +168,7 @@ def _fdd_pgf(p: LimitParams, y, z, ring):
 
 def eta_fdd_pgf(p: LimitParams, q: FddQuery) -> float:
     """E(z_1^{eta(y_1)} ... z_k^{eta(y_k)})."""
+    q = _instance(q, FddQuery, "query")
     return _fdd_pgf(p, q.y, q.z, series.Floats) if q.k else 1.0
 
 
@@ -231,11 +240,15 @@ def eta_fdd_pmf(p: LimitParams, q: FddQuery, K: int) -> FddPmf:
     direct routes a product transforms a box of about (2K+1)^k entries,
     so that, not the (K+1)^k pmf, is held to the element budget (k = 2 up
     to K = 2047, k = 3 up to K = 127); CapTooLarge is raised before any
-    ring is built.  Negative coefficients (round-off, about 1e-17 on the
-    FFT route) are set to 0 and counted in `clamped`; a warning is logged
-    when one is below -_CLAMP_TOL.
+    ring is built.  Negative coefficients are set to 0 and counted in
+    `clamped`; a warning is logged when one is below -_CLAMP_TOL.  Only
+    the FFT route leaves round-off negatives (about 1e-17, on cells whose
+    exact value is 0 or small: k = 2 past K = 32, k = 3 past K = 20).  On
+    the pair table a cell that eta, never increasing, leaves at 0 (i_2 >
+    i_1, say) sums exact zeros only, and `clamped` was 0 on every shape
+    tried there.
     """
-    k = q.k
+    k = _instance(q, FddQuery, "query").k
     if k == 0:
         raise ConfigError("query has no coordinates left")
     if k > 3:

@@ -25,9 +25,14 @@ and the cap when the ring is built:
   (cap+1)^2 products are within `_DIRECT_PRODUCTS` (cap <= 511).
 - n >= 2: there are C(cap + 2n, 2n) pairs of monomials whose total
   degree is <= cap.  While that count is within `_PAIR_BUDGET` (n = 2 up
-  to cap 32, n = 3 up to 15), the ring lists each pair by flat index
-  (i, j) with its target i + j, and the product is one `np.bincount`
-  over the pairwise products; no term past the cap is formed.
+  to cap 32, n = 4 up to 10) or, in three variables, `_PAIR_BUDGET_3`
+  (up to cap 20), the ring lists each pair by flat index (i, j), row by
+  row, and no term past the cap is formed.  A table of up to
+  `_PAIR_BLOCK` pairs keeps each target i + j, and the product is one
+  `np.bincount` over the pairwise products; a longer one keeps only the
+  partners j of each run of rows, and the product adds each block of at
+  most `_PAIR_BLOCK` products with `np.add.at`.  Both sum every target in
+  listing order from 0.0, so they give the same bytes.
 - otherwise, a real FFT of the (cap+1)^n boxes, padded against
   wraparound to the 5-smooth length m = `_fft_len(2 cap + 1)`, then
   masked at the cap.
@@ -81,6 +86,17 @@ def total_degree_mask(nvars: int, cap: int) -> np.ndarray:
 # cap 100) and, up to cap ~600, the FFT, on one x86-64 core.
 _DIRECT_PRODUCTS = 1 << 18
 _PAIR_BUDGET = 1 << 16  # monomial pairs one cached table may list
+# Three variables: the pair table through cap 20 (C(26, 6) = 230,230 pairs,
+# 1.8 MB of partner indices).  One product at (3, 20) took 0.95 ms on it
+# against 2.1 ms on the FFT, which it still beat at cap 24 (2.4 against
+# 2.9 ms; best of 20, one x86-64 core); past cap 20 the table's memory, not
+# its speed, is the limit.  Two variables keep _PAIR_BUDGET (cap 32), though
+# the FFT is the faster there from about cap 24.
+_PAIR_BUDGET_3 = 1 << 18
+# Pairs one step of a blocked product sums, its temporaries about 1 MB.  A
+# table within one block keeps its targets and one np.bincount: blocked, a
+# product at (3, 10) took 0.033 ms against 0.029 ms.
+_PAIR_BLOCK = 1 << 15
 
 
 def _fft_len(n: int) -> int:
@@ -108,16 +124,36 @@ class Ring:
         self.row = (math.prod(self.shape),)
         self._degree = np.indices(self.shape).sum(axis=0).ravel()
         self._stride = [(cap + 1) ** (nvars - 1 - v) for v in range(nvars)]
-        self._pairs = self._fft_len = None
-        if nvars > 1 and math.comb(cap + 2 * nvars, 2 * nvars) <= _PAIR_BUDGET:
-            # Exponents never pass cap in any coordinate, so the flat index
-            # of a product monomial is the sum of its factors' flat indices.
-            flat = np.flatnonzero(self._degree <= cap)
-            deg = self._degree[flat]
-            ii, jj = np.nonzero(deg[:, None] + deg[None, :] <= cap)
-            self._pairs = (flat[ii], flat[jj], flat[ii] + flat[jj])
+        self._pairs = self._blocks = self._fft_len = None
+        budget = _PAIR_BUDGET_3 if nvars == 3 else _PAIR_BUDGET
+        if nvars > 1 and math.comb(cap + 2 * nvars, 2 * nvars) <= budget:
+            self._list_pairs()
         elif nvars > 1 or (cap + 1) ** 2 > _DIRECT_PRODUCTS:
             self._fft_len = _fft_len(2 * cap + 1)
+
+    def _list_pairs(self) -> None:
+        """The pairs (i, j) in `np.nonzero`'s order over the square
+        deg[:, None] + deg[None, :] <= cap, listed without it: as
+        (i, j, i + j) within _PAIR_BLOCK pairs, else as blocks
+        (rows, counts, j) of whole rows, each row i repeated counts times."""
+        # Exponents never pass cap in any coordinate, so the flat index
+        # of a product monomial is the sum of its factors' flat indices.
+        flat = np.flatnonzero(self._degree <= self.cap)
+        deg = self._degree[flat]
+        # a monomial of degree e pairs with those of degree <= cap - e, in flat order
+        partners = [flat[deg <= self.cap - e] for e in range(self.cap + 1)]
+        counts = np.array([p.size for p in partners])[deg]
+        j = np.concatenate([partners[e] for e in deg])
+        if j.size <= _PAIR_BLOCK:
+            i = np.repeat(flat, counts)
+            self._pairs = (i, j, i + j)
+            return
+        ends, r0, self._blocks = np.cumsum(counts), 0, []
+        while r0 < flat.size:
+            s0 = int(ends[r0 - 1]) if r0 else 0
+            r1 = max(r0 + 1, int(np.searchsorted(ends, s0 + _PAIR_BLOCK, "right")))
+            self._blocks.append((flat[r0:r1], counts[r0:r1], j[s0 : ends[r1 - 1]]))
+            r0 = r1
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Truncated product; terms of a or b past the cap do not enter it."""
@@ -142,6 +178,15 @@ class Ring:
         if self._pairs is not None:
             i, j, target = self._pairs
             return np.bincount(target, np.take(fa, i) * np.take(fb, j), minlength=fa.size)
+        if self._blocks is not None:
+            # np.add.at sums each target in listing order from 0.0, as one
+            # np.bincount over the whole table would: the same bytes
+            out = np.zeros(fa.size)
+            for rows, counts, j in self._blocks:
+                w = np.repeat(np.take(fa, rows), counts)  # a row's first factor is one coefficient
+                w *= np.take(fb, j)
+                np.add.at(out, np.repeat(rows, counts) + j, w)
+            return out
         m = self._fft_len
         if m is None:
             return np.correlate(fa, fb[::-1], "full")[: self.cap + 1]

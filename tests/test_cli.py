@@ -572,9 +572,9 @@ def test_malformed_config_value_exits_2(command, name, data):
 
 def test_runs_without_scipy():
     # summarize sums the d/t^2 life tail with the trigamma; the fdd ring,
-    # 3 variables at K = 20, lists C(26, 6) = 230,230 pairs, past the pair
-    # budget, so its products take the FFT route
-    assert gwolab.series.ring(3, 20)._fft_len is not None
+    # 3 variables at K = 21, would list C(27, 6) = 296,010 pairs, past the
+    # pair table's cap 20 in three variables, so its products take the FFT route
+    assert gwolab.series.ring(3, 21)._fft_len is not None
     root = Path(__file__).resolve().parents[1]
     code = """if True:
         import contextlib, io, sys
@@ -583,7 +583,7 @@ def test_runs_without_scipy():
         codes = []
         for argv in (
             ["summarize", "--model", "docs/models/heavy_tail_life.json"],
-            ["fdd", "--model", "docs/models/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "20"],
+            ["fdd", "--model", "docs/models/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "21"],
             ["dp", "--model", "docs/models/heavy_tail_life.json", "--tmax", "4096"],
             ["summarize", "--model", "docs/models/heavy_tail_sevastyanov.json"],
         ):

@@ -1,8 +1,9 @@
 """The one integer rule (`errors._integer`) at every time, size, life and
 birth age the API takes, the one number rule (`errors._number`) at every
 mass, probability, weight, time fraction and parameter, the one container
-rule (`errors._items`), the type of each law a law holds, and one exit
-code per error class."""
+rule (`errors._items`), the one type rule (`errors._instance`) at each law
+a law holds and each query or spec a pmf or pgf takes, and one exit code
+per error class."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import pytest
 
 from gwolab import cli, errors
 from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError, GwolabError, _integer, _items, _number
-from gwolab.exact_engine import FddSpec, convergence_table
+from gwolab.exact_engine import FddSpec, conditional_pgf, conditional_pmf, convergence_table, fdd_pgf
 from gwolab.lifelaw import (
     BellmanHarris,
     DelayedDeath,
@@ -35,9 +36,11 @@ from gwolab.limitlaw import (
     law_T,
     dichotomy_fraction,
     eta_fdd_pgf,
+    eta_fdd_pmf,
     eta_marginal_pgf,
     eta_marginal_pmf,
     figure1_data,
+    prob_finite,
 )
 from gwolab.modelio import model_from_dict, model_to_dict
 from gwolab.series import TruncatedSeries
@@ -185,6 +188,7 @@ FLOATS = {
         lambda v: eta_marginal_pmf(LimitParams(1.0), v, 3),
         lambda r: (r.y, r.finite_remainder, r.infinite_mass),
     ),
+    "prob_finite_y": ("y", lambda v: prob_finite(LimitParams(1.0), v), lambda r: (r,)),
     "dichotomy_c": ("c", dichotomy_fraction, lambda r: (r,)),
     "figure_c": ("c", lambda v: figure1_data(v, step=0.5, y_max=2.0), lambda t: t[0].tolist()),
     "figure_step": ("step", lambda v: figure1_data(1.0, step=v, y_max=2.0), lambda t: t[0].tolist()),
@@ -229,6 +233,7 @@ TWINS = {
     "marginal_pmf_c": (np.float32(0.3), lambda v: eta_marginal_pmf(LimitParams(v), 0.5, 4).probs),
     "marginal_pmf_y": (np.float32(0.3), lambda v: eta_marginal_pmf(LimitParams(1.0), v, 4).probs),
     "marginal_pgf_z": (np.float32(0.3), lambda v: eta_marginal_pgf(LimitParams(1.0), 0.5, v)),
+    "prob_finite_y": (np.float32(0.3), lambda v: prob_finite(LimitParams(1.0), v)),
     "dichotomy": (np.float32(0.3), dichotomy_fraction),
     "figure": (np.float32(0.3), lambda v: figure1_data(v, step=0.25, y_max=2.0)),
 }
@@ -249,7 +254,7 @@ def test_tv_to_limit_c_follows_the_number_rule():
 
 
 # (field named by the error, a build that puts something else where a
-# law holds a law)
+# law holds a law, or where a pmf or pgf takes its query or spec)
 NESTED = {
     "sevastyanov_table": ("offspring_by_life: 1", lambda: Sevastyanov(FiniteLife({1: 1.0}), {1: [0.5, 0.0, 0.5]})),
     "sevastyanov_default": ("offspring_default", lambda: Sevastyanov(FiniteLife({1: 1.0}), {}, [0.5, 0.0, 0.5])),
@@ -258,6 +263,11 @@ NESTED = {
     "bellman_harris_life": ("life", lambda: BellmanHarris([1.0], BINARY)),
     "delayed_residual": ("residual", lambda: DelayedDeath([(1.0, (1,))], [1.0])),
     "delayed_no_residual": ("residual", lambda: DelayedDeath([(1.0, (1,))], None)),  # Tabulated has none
+    "fdd_pmf_query": ("query", lambda: eta_fdd_pmf(LimitParams(1.0), (1.0,), 5)),
+    "fdd_pgf_query": ("query", lambda: eta_fdd_pgf(LimitParams(1.0), (1.0,))),
+    "conditional_pmf_spec": ("spec", lambda: conditional_pmf(gw_binary(), (8,), 5)),
+    "conditional_pgf_spec": ("spec", lambda: conditional_pgf(gw_binary(), (8,))),
+    "fdd_pgf_spec": ("spec", lambda: fdd_pgf(gw_binary(), (8,))),
 }
 
 
@@ -265,6 +275,16 @@ NESTED = {
 def test_nested_law_refused_naming_the_field(field, build):
     with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be of type "):
         build()
+
+
+@pytest.mark.parametrize(
+    "y, dtype", [(np.array([True]), "bool"), ([0.5, "a"], "<U32"),
+                 (np.array([1 + 0j]), "complex128"), (np.array(["a"], dtype=object), "object")]
+)
+def test_prob_finite_array_checked_by_dtype(y, dtype):
+    # an array's entries are checked once, by its dtype, not one by one
+    with pytest.raises(ConfigError, match=f"^y of dtype {re.escape(dtype)} must be an array of real numbers$"):
+        prob_finite(LimitParams(1.0), y)
 
 
 # (field named by the error, what it must be, a build that puts something

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from gwolab import exact_engine, series, simulator
+from gwolab import exact_engine, limitlaw, series, simulator
 from gwolab.errors import CapTooLarge, ConfigError
 from gwolab.lifelaw import BellmanHarris, FiniteLife, OffspringPMF, summarize
 from gwolab.limitlaw import (
@@ -299,7 +299,7 @@ class TestFddPmf:
         "y", [(0.5,), (1.5,), (0.5, 1.5), (0.25, 0.5, 0.75), (0.5, 1.0, 2.0)]
     )
     def test_series_route_matches_float_route(self, c, y):
-        # both evaluate _fdd_pgf; k = 3 at K = 20 takes the FFT product
+        # both evaluate _fdd_pgf; k = 3 at K = 20 takes the blocked pair product
         p, K, z = LimitParams(c), 20, 0.2
         res = eta_fdd_pmf(p, FddQuery(y, (0.0,) * len(y)), K)
         val = res.coeffs
@@ -315,11 +315,11 @@ class TestFddPmf:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_clamp_warning(self, monkeypatch, caplog):
-        # the c1-k3-fft pin's query: its clamped coefficients are round-off,
-        # above -_CLAMP_TOL, so the warning shows only with the tolerance at 0
-        from gwolab import limitlaw
-
-        args = (LimitParams(1.0), FddQuery((0.5, 1.0, 2.0), (0.0, 0.0, 0.0)), 20)
+        # (2, 33) is past the pair table, so its products take the FFT; its
+        # clamped coefficients are round-off, above -_CLAMP_TOL, so the
+        # warning shows only with the tolerance at 0
+        args = (LimitParams(1.0), FddQuery((0.5, 1.5), (0.0, 0.0)), 33)
+        assert series.ring(2, 33)._fft_len is not None
         want = eta_fdd_pmf(*args)
         assert not caplog.records
         monkeypatch.setattr(limitlaw, "_CLAMP_TOL", 0.0)
@@ -327,9 +327,37 @@ class TestFddPmf:
             got = eta_fdd_pmf(*args)
         [record] = caplog.records
         assert (record.name, record.levelname) == ("gwolab.limitlaw", "WARNING")
-        assert record.getMessage().startswith("clamped 715 joint pmf coefficients, worst -")
-        assert got.clamped == want.clamped == 715
+        assert record.getMessage().startswith("clamped 157 joint pmf coefficients, worst -")
+        assert got.clamped == want.clamped == 157
         np.testing.assert_array_equal(got.coeffs, want.coeffs)
+
+    def test_exact_zeros_of_a_pure_death_process(self):
+        # eta never increases, so P(eta(y_1) = i_1, eta(y_2) = i_2, ...) is 0
+        # whenever i_2 > i_1 or i_3 > i_2; the pair table sums only exact
+        # zeros there (the FFT left round-off in 707 of these 1,413 cells and
+        # clamped 715 negatives)
+        res = eta_fdd_pmf(LimitParams(1.0), FddQuery((0.5, 1.0, 2.0), (0.0, 0.0, 0.0)), 20)
+        i1, i2, i3 = np.indices(res.coeffs.shape)
+        cells = ((i2 > i1) | (i3 > i2)) & (i1 + i2 + i3 <= 20)
+        assert cells.sum() == 1413
+        assert res.clamped == 0
+        assert res.coeffs[cells].tobytes() == np.zeros(1413).tobytes()
+
+    def test_pair_table_memory(self):
+        # building ring(3, 20) (the table is listed row by row, never as the
+        # 1,771 x 1,771 square) and one pmf there peak below the 4.7 MB the
+        # FFT route took (the square alone was 27 MB)
+        args = (LimitParams(1.0), FddQuery((0.5, 1.0, 2.0), (0.0, 0.0, 0.0)), 20)
+        eta_fdd_pmf(*args)
+        series.ring.cache_clear()
+        tracemalloc.start()
+        try:
+            eta_fdd_pmf(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert series.ring(3, 20)._blocks is not None
+        assert peak < 4.7e6
 
     def test_limits_enforced(self):
         p = LimitParams(1.0)
@@ -366,10 +394,14 @@ class TestHittingTimes:
         law = law_T(LimitParams(c))
         assert law.cdf(1.0 - 1e-12) == pytest.approx(law.cdf(1.0), abs=1e-9)
 
-    def test_cdf_is_prob_finite(self):
+    def test_cdf_is_prob_finite(self, monkeypatch):
         p = LimitParams(2.0)
         grid = np.concatenate([np.linspace(-1.0, 4.0, 101), [0.0, 1.0, math.nan]])
+        calls = []
+        monkeypatch.setattr(limitlaw, "prob_finite", lambda *a: calls.append(a) or prob_finite(*a))
         cdf = law_T(p).cdf(grid)
+        monkeypatch.undo()
+        assert len(calls) == 1  # one whole-array call
         pos = grid > 0.0
         np.testing.assert_array_equal(cdf[pos], prob_finite(p, grid[pos]))
         np.testing.assert_array_equal(cdf[~pos], 0.0)

@@ -10,18 +10,28 @@ total degree <= K; every entry past K must be exactly 0.  Running this
 file as a script rewrites the JSON from the code it imports, so do that
 only against the reference implementation, never to make a failing pin
 pass.
+
+One pin was re-recorded: `c1-k3-fft`, k = 3 at K = 20, froze the FFT
+route's round-off, about 1e-17 on cells whose exact value is 0 or small.
+Since the pair table reaches cap 20 in three variables, it holds the pair
+route's values, which a long-double run of the same pgf backs
+(`test_c1_k3_fft_pin_is_backed_by_long_double`).  Only that entry was
+written: a whole rewrite would also move the heavy_tail_life pins, frozen
+from an earlier product, by up to 2.3e-15 relative.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gwolab import FddQuery, FddSpec, LimitParams, conditional_pmf, eta_fdd_pmf, load_model
-from gwolab.series import total_degree_mask
+from gwolab.limitlaw import _fdd_pgf
+from gwolab.series import ring, total_degree_mask
 
 HERE = Path(__file__).resolve().parent
 MODEL_DIR = HERE.parent / "docs" / "models"
@@ -39,7 +49,7 @@ LIMIT_CASES = {
     "c1-k3": (1.0, (0.5, 1.0, 2.0), 12),
     "c0.5-k2-right": (0.5, (1.0, 2.0), 12),
     "c15-k3-left": (15.0, (0.25, 0.5, 0.75), 8),
-    "c1-k3-fft": (1.0, (0.5, 1.0, 2.0), 20),  # past the pair budget
+    "c1-k3-fft": (1.0, (0.5, 1.0, 2.0), 20),  # on the FFT route until the pair table reached cap 20
 }
 
 
@@ -82,6 +92,55 @@ def test_conditional_pmf_is_pinned(pins, case):
 @pytest.mark.parametrize("case", LIMIT_CASES)
 def test_eta_fdd_pmf_is_pinned(pins, case):
     _assert_pinned(_limit(case), pins["eta_fdd_pmf"][case])
+
+
+class _LongDouble:
+    """`series.ring(nvars, cap)`'s protocol as `_fdd_pgf` calls it, on
+    np.longdouble rows: each product sums its pair list target by target
+    (`np.add.reduceat`, not the ring's order), and the square root runs
+    the ring's Newton iteration with two extra passes."""
+
+    def __init__(self, nvars: int, cap: int):
+        self.base, self.cap = ring(nvars, cap), cap
+        degree = np.indices(self.base.shape).sum(axis=0).ravel()
+        flat = np.flatnonzero(degree <= cap)
+        ii, jj = np.nonzero(degree[flat][:, None] + degree[flat][None, :] <= cap)
+        target = flat[ii] + flat[jj]
+        order = np.argsort(target, kind="stable")
+        self.i, self.j, target = flat[ii][order], flat[jj][order], target[order]
+        self.starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
+        self.targets, self.size = target[self.starts], degree.size
+
+    def monomial(self, scal, var_idx=()):
+        return self.base.monomial(scal, var_idx).astype(np.longdouble)
+
+    def mul(self, a, b):
+        out = np.zeros(self.size, np.longdouble)
+        out[self.targets] = np.add.reduceat(a[self.i] * b[self.j], self.starts)
+        return out
+
+    def sqrt(self, s):
+        x, three = self.monomial(1.0) / np.sqrt(s[0]), self.monomial(3.0)
+        for _ in range(math.ceil(math.log2(self.cap + 1)) + 3):
+            x = self.mul(x, (three - self.mul(self.mul(s, x), x)) * np.longdouble(0.5))
+        return self.mul(s, x)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant, reason="long double is a double here")
+def test_c1_k3_fft_pin_is_backed_by_long_double(pins):
+    # an independent route, not the code that wrote the pin: the FFT's old
+    # pin was 5.5e-17 off in absolute terms and 6.1e-8 relative on cells
+    # above 1e-12; the pair route's values are within 7e-18 and 5.6e-15
+    c, y, K = LIMIT_CASES["c1-k3-fft"]
+    lring = _LongDouble(len(y), K)
+    zvars = [lring.monomial(1.0, (i,)) for i in range(len(y))]
+    ref = _fdd_pgf(LimitParams(c), y, zvars, lring)[total_degree_mask(len(y), K).ravel()]
+    assert ref.min() >= 0.0
+    big = np.abs(ref) > 1e-12
+    for got in (np.asarray(pins["eta_fdd_pmf"]["c1-k3-fft"]["coeffs"]), np.asarray(_limit("c1-k3-fft")["coeffs"])):
+        err = np.abs(got - ref).astype(float)
+        assert err.max() <= 2e-17
+        assert (err[big] / ref[big].astype(float)).max() <= 1e-13
 
 
 if __name__ == "__main__":

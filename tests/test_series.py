@@ -198,11 +198,12 @@ def _naive_product(a, b, cap):
 
 # (nvars, cap) on both sides of each route switch: np.convolve in one
 # variable up to cap 511, the pair table in more up to C(cap + 2n, 2n)
-# = _PAIR_BUDGET (cap 32 in two, 15 in three), the FFT past either
+# pairs = _PAIR_BUDGET (cap 32 in two) or, in three, _PAIR_BUDGET_3
+# (cap 20), the FFT past either
 @pytest.mark.parametrize(
     "nvars, cap",
     [(1, 0), (2, 0), (3, 0), (1, 7), (2, 5), (3, 4), (1, 360), (1, 361),
-     (1, 511), (1, 512), (2, 32), (2, 33), (3, 15), (3, 16)],
+     (1, 511), (1, 512), (2, 32), (2, 33), (3, 20), (3, 21)],
 )
 def test_dense_mul_matches_naive_product(nvars, cap):
     rng = np.random.default_rng(1000 * nvars + cap)
@@ -250,7 +251,9 @@ def test_ring_ops_match_naive_product(nvars, cap):
 def test_route_switches_sit_at_the_tested_caps():
     assert 512**2 <= gwolab.series._DIRECT_PRODUCTS < 513**2
     assert math.comb(36, 4) <= gwolab.series._PAIR_BUDGET < math.comb(37, 4)
-    assert math.comb(21, 6) <= gwolab.series._PAIR_BUDGET < math.comb(22, 6)
+    assert math.comb(26, 6) <= gwolab.series._PAIR_BUDGET_3 < math.comb(27, 6)
+    assert math.comb(18, 8) <= gwolab.series._PAIR_BUDGET < math.comb(19, 8)
+    assert [gwolab.series.ring(3, cap)._fft_len is None for cap in (20, 21)] == [True, False]
 
 
 @pytest.mark.parametrize("cap", [0, 1, 10, 511])
@@ -272,7 +275,7 @@ def test_one_variable_product_is_np_convolve_bit_for_bit(cap):
 
 
 @pytest.mark.parametrize(
-    "nvars,cap", [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 16), (3, 20), (3, 30), (4, 11)]
+    "nvars,cap", [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 21), (3, 25), (3, 30), (4, 11)]
 )
 def test_fft_product_matches_scipy_bits(nvars, cap):
     # the pins of tests/pinned_pmfs.json hold scipy.fft's round-off bits; a
@@ -286,6 +289,46 @@ def test_fft_product_matches_scipy_bits(nvars, cap):
     full = scipy.fft.irfftn(scipy.fft.rfftn(a, box) * scipy.fft.rfftn(b, box), box)
     want = np.where(mask, full[(slice(0, cap + 1),) * nvars], 0.0)
     np.testing.assert_array_equal(ring.mul(a.ravel(), b.ravel()), want.ravel())
+
+
+# (nvars, cap) on both sides of each block boundary: one block up to
+# _PAIR_BLOCK = 2^15 pairs ((2, 27), (3, 13), (4, 9)), then 2 blocks ((2, 28),
+# (3, 14)), 3 ((3, 16)) and 8 ((3, 20)); (4, 10) is blocked too
+@pytest.mark.parametrize(
+    "nvars, cap", [(2, 5), (2, 27), (2, 28), (2, 32), (3, 6), (3, 13), (3, 14), (3, 15), (3, 16), (3, 20), (4, 9), (4, 10)]
+)
+def test_pair_product_is_bincount_over_the_square_bit_for_bit(nvars, cap):
+    # the table lists the pairs in np.nonzero's order over the square of
+    # monomials, and a blocked sum adds each target in that order from 0.0,
+    # as one np.bincount does: the same bytes, down to signed zeros
+    ring = gwolab.series.ring(nvars, cap)
+    assert ring._fft_len is None
+    degree = np.indices(ring.shape).sum(axis=0).ravel()
+    flat = np.flatnonzero(degree <= cap)
+    ii, jj = np.nonzero(degree[flat][:, None] + degree[flat][None, :] <= cap)
+    i, j = flat[ii], flat[jj]
+    if ring._blocks is None:
+        assert i.size <= gwolab.series._PAIR_BLOCK
+        listed = ring._pairs
+    else:
+        assert i.size > gwolab.series._PAIR_BLOCK and len(ring._blocks) > 1
+        assert max(block[2].size for block in ring._blocks) <= gwolab.series._PAIR_BLOCK
+        listed = [np.concatenate([np.repeat(rows, counts) for rows, counts, _ in ring._blocks]),
+                  np.concatenate([block[2] for block in ring._blocks])]
+    np.testing.assert_array_equal(listed[0], i)
+    np.testing.assert_array_equal(listed[1], j)
+    rng = np.random.default_rng(100 * nvars + cap)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e100, -1e100]
+    mask = degree <= cap
+    for trial in range(6):
+        a, b = (np.where(mask, rng.uniform(-1.0, 1.0, degree.size), 0.0) for _ in range(2))
+        for row in (a, b):
+            hits = rng.integers(0, degree.size, size=trial * degree.size // 8)
+            row[hits] = rng.choice(special, size=hits.size)
+        if trial == 5:
+            a[mask], b[mask] = -0.0, rng.choice([0.0, -0.0], size=mask.sum())
+        want = np.bincount(i + j, a[i] * b[j], minlength=degree.size)
+        assert ring.mul(a, b).tobytes() == want.tobytes()
 
 
 def test_fft_len_is_scipys_fast_real_length():
@@ -312,7 +355,7 @@ def _scipy_fft_product(a, b, nvars, cap):
 
 @pytest.mark.parametrize(
     "nvars,cap",
-    [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 16), (3, 20), (3, 30), (4, 11), (1, 100), (2, 10)],
+    [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 21), (3, 25), (3, 30), (4, 11), (1, 100), (2, 10)],
 )
 def test_product_of_spectra_is_the_product(nvars, cap):
     # mul = product(spectrum, spectrum): scipy's bits on the FFT route; on
@@ -331,7 +374,7 @@ def test_product_of_spectra_is_the_product(nvars, cap):
     np.testing.assert_array_equal(got, want.ravel())
 
 
-@pytest.mark.parametrize("nvars,cap", [(1, 100), (1, 600), (2, 10), (2, 40), (3, 6), (3, 20)])
+@pytest.mark.parametrize("nvars,cap", [(1, 100), (1, 600), (2, 10), (2, 40), (3, 6), (3, 21)])
 def test_poly_is_horner_through_mul_bit_for_bit(nvars, cap):
     ring = gwolab.series.ring(nvars, cap)
     rng = np.random.default_rng(3 * nvars + cap)
@@ -344,7 +387,7 @@ def test_poly_is_horner_through_mul_bit_for_bit(nvars, cap):
     np.testing.assert_array_equal(ring.poly(coef, x), want)
 
 
-@pytest.mark.parametrize("nvars,cap", [(1, 600), (2, 40), (3, 20)])
+@pytest.mark.parametrize("nvars,cap", [(1, 600), (2, 40), (3, 21)])
 def test_sqrt_is_the_newton_loop_bit_for_bit(nvars, cap):
     # the Newton iteration written out on rows, one ring.mul per product
     ring = gwolab.series.ring(nvars, cap)
