@@ -132,7 +132,8 @@ def prob_finite(p: LimitParams, y):
     y = np.asarray(y, dtype=float)
     yl = np.minimum(y, 1.0)  # the left branch is used only there; y = inf would give inf/inf
     yr = np.maximum(y, 1.0)  # and the right one only here; y = 5e-324 would overflow
-    left = (np.sqrt(1.0 + p.c * yl * yl) - 1.0) / (p.scale * yl)
+    # (sqrt(1 + c y^2) - 1)/(A y), written without its cancellation near 0
+    left = p.c * yl / (p.scale * (np.sqrt(1.0 + p.c * yl * yl) + 1.0))
     out = np.where(y < 1.0, left, 1.0 - 2.0 / (p.scale * yr))
     return float(out) if out.ndim == 0 else out
 

@@ -4,7 +4,15 @@ The ring kept here is R[z1..zn] / (total degree > cap).  Addition,
 multiplication and scalar ops are exact on the retained coefficients;
 everything of higher total degree is dropped.  Square roots are computed
 with a division-free Newton iteration and are exact on retained
-coefficients up to floating point roundoff.
+coefficients up to floating point roundoff.  A Newton pass doubles the
+degrees it gets right (Brent and Kung, J. ACM 1978), so pass i runs in
+the smaller ring of cap min(2^(i+1) - 1, cap), which each `Ring` builds
+on its first root and keeps apart from `ring`'s cache.  At cap 20 the
+passes run at caps 1, 3, 7, 15, 20 and 20, and a root takes 7 products at
+the full cap, not 19.  The last pass at the full cap only polishes
+round-off; without it a root takes 4, but the (3, 20) pmf of
+`limitlaw.eta_fdd_pmf` strays 1.8e-14 relative from a long-double run,
+not 6.8e-15.
 
 `Ring` works on flat coefficient rows (numpy arrays, which add, subtract
 and scale as such): the product, monomials, shifts, Horner composition,
@@ -40,12 +48,12 @@ and the cap when the ring is built:
 The product comes in two halves, `mul(a, b) = product(spectrum(a),
 spectrum(b))`.  `spectrum` is the forward transform on the FFT route and
 the row itself on the other two, so a row that enters several products
-(x in Horner's rule and in `powers`, the radicand and each iterate of
-the square root) is transformed once.  `product` multiplies the spectra
-and runs the inverse passes, and after the pass on each axis but the
-last it keeps only that axis's lines 0..cap: the later passes, the last
-`irfft` and the scaling then work on (cap+1)^(n-1) lines instead of
-m^(n-1), and the lines dropped would only feed terms past the cap.  The
+(x in Horner's rule and in `powers`, the radicand in each ring of the
+square root and each iterate) is transformed once.  `product` multiplies
+the spectra and runs the inverse passes, and after the pass on each axis
+but the last it keeps only that axis's lines 0..cap: the later passes,
+the last `irfft` and the scaling then work on (cap+1)^(n-1) lines instead
+of m^(n-1), and the lines dropped would only feed terms past the cap.  The
 transform is numpy's, run one axis at a time in the order and with the
 scaling of `scipy.fft.rfftn`/`irfftn` (`np.fft.rfftn` runs the axes the
 other way round).  Each 1-D pass transforms every line it keeps on its
@@ -124,7 +132,7 @@ class Ring:
         self.row = (math.prod(self.shape),)
         self._degree = np.indices(self.shape).sum(axis=0).ravel()
         self._stride = [(cap + 1) ** (nvars - 1 - v) for v in range(nvars)]
-        self._pairs = self._blocks = self._fft_len = None
+        self._pairs = self._blocks = self._fft_len = self._newton = None
         budget = _PAIR_BUDGET_3 if nvars == 3 else _PAIR_BUDGET
         if nvars > 1 and math.comb(cap + 2 * nvars, 2 * nvars) <= budget:
             self._list_pairs()
@@ -240,24 +248,63 @@ class Ring:
             out.append(self.product(self.spectrum(out[-1]), fx))
         return out
 
+    def _newton_rings(self) -> list:
+        """(ring, own, mine) for each pass of `sqrt`: pass i runs in the
+        ring of cap min(2^(i+1) - 1, cap), whose monomials of degree <= its
+        cap sit at `own` in its rows and at `mine` in this ring's; a pass at
+        this ring's cap is (self, None, None).  Built on the first call and
+        kept here, not in `ring`'s cache, which the smaller rings would
+        crowd."""
+        if self._newton is None:
+            passes, self._newton = max(1, math.ceil(math.log2(self.cap + 1))) + 1, []
+            for i in range(passes):
+                cap = min(2 ** (i + 1) - 1, self.cap)
+                if cap == self.cap:
+                    self._newton.append((self, None, None))
+                    continue
+                sub = Ring(self.nvars, cap)
+                own = np.flatnonzero(sub._degree <= cap)
+                mine = np.ravel_multi_index(np.unravel_index(own, sub.shape), self.shape)
+                self._newton.append((sub, own, mine))
+        return self._newton
+
     def sqrt(self, s: np.ndarray) -> np.ndarray:
         """Square root of s by the division-free Newton iteration
-        x <- x (3 - s x^2) / 2 toward 1/sqrt(s), which doubles the number of
-        correct degrees per step, then s x.  s needs a positive constant
-        term.  s is transformed once and each iterate once per step."""
+        x <- x (3 - s x^2) / 2 toward 1/sqrt(s), then s x.  s needs a
+        positive constant term.
+
+        A pass doubles the number of correct degrees, so pass i (from 0)
+        runs in the ring of cap min(2^(i+1) - 1, cap): s and x are
+        restricted to its monomials, and its result is scattered back.
+        There are max(1, ceil(log2(cap + 1))) + 1 passes; the last one at
+        the full cap polishes floating point residue.  At cap 20 they run
+        at caps 1, 3, 7, 15, 20 and 20, so a root takes 7 products at the
+        full cap (two passes of three, and s x), not 19.  Without the
+        polish it takes 4, but the (3, 20) pmf of `limitlaw.eta_fdd_pmf`
+        then strays 1.8e-14 relative from a long-double run, not 6.8e-15.
+        In each ring s is transformed once and each iterate once."""
         c0 = float(s[0])
         if c0 <= 0.0:
             raise ConfigError(f"sqrt: constant term {c0} is not positive")
-        fs, three = self.spectrum(s), self.monomial(3.0)
+        fs = self.spectrum(s)
         x = self.monomial(1.0 / math.sqrt(c0))
-        # one extra pass polishes floating point residue after convergence
-        for _ in range(max(1, math.ceil(math.log2(self.cap + 1))) + 1):
-            fx = self.spectrum(x)
-            sxx = self.product(self.spectrum(self.product(fs, fx)), fx)
-            # -sxx + three, not three - sxx: they differ in a NaN's sign
-            # bit, which the written-out Newton loop of the tests compares
-            x = self.product(fx, self.spectrum((-sxx + three) * 0.5))
+        for sub, own, mine in self._newton_rings():
+            if sub is self:
+                x = self._newton_pass(fs, x)
+                continue
+            ss, xs = np.zeros((2,) + sub.row)
+            ss[own], xs[own] = s[mine], x[mine]
+            x = np.zeros(self.row)
+            x[mine] = sub._newton_pass(sub.spectrum(ss), xs)[own]
         return self.product(fs, self.spectrum(x))
+
+    def _newton_pass(self, fs, x: np.ndarray) -> np.ndarray:
+        """x (3 - s x^2) / 2 in this ring, s given by its spectrum."""
+        fx = self.spectrum(x)
+        sxx = self.product(self.spectrum(self.product(fs, fx)), fx)
+        # -sxx + three, not three - sxx: they differ in a NaN's sign
+        # bit, which the written-out Newton loop of the tests compares
+        return self.product(fx, self.spectrum((-sxx + self.monomial(3.0)) * 0.5))
 
 
 @functools.lru_cache(maxsize=16)

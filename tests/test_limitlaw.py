@@ -327,8 +327,8 @@ class TestFddPmf:
             got = eta_fdd_pmf(*args)
         [record] = caplog.records
         assert (record.name, record.levelname) == ("gwolab.limitlaw", "WARNING")
-        assert record.getMessage().startswith("clamped 157 joint pmf coefficients, worst -")
-        assert got.clamped == want.clamped == 157
+        assert record.getMessage().startswith("clamped 165 joint pmf coefficients, worst -")
+        assert got.clamped == want.clamped == 165
         np.testing.assert_array_equal(got.coeffs, want.coeffs)
 
     def test_exact_zeros_of_a_pure_death_process(self):
@@ -358,6 +358,18 @@ class TestFddPmf:
             tracemalloc.stop()
         assert series.ring(3, 20)._blocks is not None
         assert peak < 4.7e6
+
+    def test_roots_leave_the_ring_cache_alone(self):
+        # the smaller rings of Ring.sqrt's passes live on the ring at K, not
+        # in `ring`'s cache of 16: a pmf fills one entry, and a second pmf
+        # there misses it nowhere
+        args = (LimitParams(1.0), FddQuery((0.5, 1.0, 2.0), (0.0, 0.0, 0.0)), 20)
+        series.ring.cache_clear()
+        eta_fdd_pmf(*args)
+        assert series.ring.cache_info().currsize == 1
+        misses = series.ring.cache_info().misses
+        eta_fdd_pmf(*args)
+        assert series.ring.cache_info().misses == misses
 
     def test_limits_enforced(self):
         p = LimitParams(1.0)
@@ -431,6 +443,17 @@ class TestHittingTimes:
             x = c * y * y
             series = c / law.scale * (0.5 - 0.375 * x + 0.3125 * x * x)
             assert law.pdf(y) == pytest.approx(series, rel=2e-15, abs=0.0)
+
+    @pytest.mark.parametrize("c", [1.0, 15.0])
+    def test_cdf_near_zero_keeps_its_digits(self, c):
+        # against expm1(log1p(c y^2)/2)/(A y), a form without cancellation;
+        # (sqrt(1 + c y^2) - 1)/(A y) read cdf(1e-8) = 1.3323e-8 at c = 15
+        # (about 1.5e-8) and 0 at c = 1 (about 2.07e-9)
+        p = LimitParams(c)
+        for y in (1e-8, 1e-5):
+            want = math.expm1(math.log1p(c * y * y) / 2.0) / (p.scale * y)
+            assert prob_finite(p, y) == pytest.approx(want, rel=4e-16, abs=0.0)
+            assert law_T(p).cdf(y) == prob_finite(p, y)
 
     @pytest.mark.parametrize("c", [0.0, 1.0, 5.0, 15.0])
     def test_density_integrates_to_one(self, c):

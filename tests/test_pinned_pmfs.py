@@ -6,18 +6,28 @@ roots) run every product through `series.dense_mul`.  The values in
 `scipy.signal.convolve` followed by the total-degree mask, and are frozen:
 a new product may sum in another order, but it must give the same
 numbers to 1e-14 relative.  Arrays are stored flat over the exponents of
-total degree <= K; every entry past K must be exactly 0.  Running this
-file as a script rewrites the JSON from the code it imports, so do that
-only against the reference implementation, never to make a failing pin
-pass.
+total degree <= K; every entry past K must be exactly 0.
 
-One pin was re-recorded: `c1-k3-fft`, k = 3 at K = 20, froze the FFT
-route's round-off, about 1e-17 on cells whose exact value is 0 or small.
-Since the pair table reaches cap 20 in three variables, it holds the pair
-route's values, which a long-double run of the same pgf backs
-(`test_c1_k3_fft_pin_is_backed_by_long_double`).  Only that entry was
-written: a whole rewrite would also move the heavy_tail_life pins, frozen
-from an earlier product, by up to 2.3e-15 relative.
+Running this file as a script with pin names, e.g.
+`python tests/test_pinned_pmfs.py eta_fdd_pmf/c1-k1`, rewrites those
+entries from the code it imports and leaves every other entry's bytes as
+they are (`rerecord`); without names it prints the names and writes
+nothing.  Re-record a pin only when a change of the code moves it on
+purpose and a long-double run backs the new values, never to hide a fault.
+
+Re-recorded `eta_fdd_pmf` pins, each backed by a long-double run of the
+same pgf (`test_eta_fdd_pmf_pin_is_backed_by_long_double`):
+- `c1-k3-fft`, k = 3 at K = 20, froze the FFT route's round-off, about
+  1e-17 on cells whose exact value is 0 or small; it was re-recorded when
+  the pair table reached cap 20 in three variables.
+- `c1-k1`, `c1-k2`, `c1-k3` and `c1-k3-fft` were re-recorded when
+  `Ring.sqrt` took its passes below the full cap to smaller rings (4 of
+  `c1-k1`'s 41 cells moved by up to 1.6e-14 relative) and `prob_finite`
+  lost its cancellation left of 1 (the `finite_remainder` of the three
+  with y_1 < 1 moved by up to 2.3e-9 relative; `c15-k3-left`'s moved by
+  1e-15 and was kept).
+The `conditional_pmf` pins were frozen from an earlier product; a rewrite
+of them would move `heavy_tail_life`'s by up to 2.3e-15 relative.
 """
 
 from __future__ import annotations
@@ -127,30 +137,59 @@ class _LongDouble:
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).nmant <= np.finfo(float).nmant, reason="long double is a double here")
-def test_c1_k3_fft_pin_is_backed_by_long_double(pins):
+@pytest.mark.parametrize("case", LIMIT_CASES)
+def test_eta_fdd_pmf_pin_is_backed_by_long_double(pins, case):
     # an independent route, not the code that wrote the pin: the FFT's old
-    # pin was 5.5e-17 off in absolute terms and 6.1e-8 relative on cells
-    # above 1e-12; the pair route's values are within 7e-18 and 5.6e-15
-    c, y, K = LIMIT_CASES["c1-k3-fft"]
+    # `c1-k3-fft` pin was 5.5e-17 off in absolute terms and 6.1e-8 relative
+    # on cells above 1e-12.  The pgf's constants, such as 1/(A y_1), are
+    # doubles on both routes, so the reference is a pmf to within the
+    # absolute bound only: at c0.5-k2-right its cell P(eta(1) = 0), exactly
+    # 0, reads -1.15e-17
+    c, y, K = LIMIT_CASES[case]
     lring = _LongDouble(len(y), K)
     zvars = [lring.monomial(1.0, (i,)) for i in range(len(y))]
     ref = _fdd_pgf(LimitParams(c), y, zvars, lring)[total_degree_mask(len(y), K).ravel()]
-    assert ref.min() >= 0.0
+    assert ref.min() >= -2e-17
     big = np.abs(ref) > 1e-12
-    for got in (np.asarray(pins["eta_fdd_pmf"]["c1-k3-fft"]["coeffs"]), np.asarray(_limit("c1-k3-fft")["coeffs"])):
+    for got in (np.asarray(pins["eta_fdd_pmf"][case]["coeffs"]), np.asarray(_limit(case)["coeffs"])):
         err = np.abs(got - ref).astype(float)
         assert err.max() <= 2e-17
         assert (err[big] / ref[big].astype(float)).max() <= 1e-13
 
 
+def rerecord(names, path: Path = PINS) -> None:
+    """Rewrite the pins named GROUP/CASE (e.g. `eta_fdd_pmf/c1-k1`) from
+    the code imported, and leave every other entry's bytes as they are."""
+    recorders = {"conditional_pmf": (_conditional, CONDITIONAL_CASES), "eta_fdd_pmf": (_limit, LIMIT_CASES)}
+    known = [f"{group}/{case}" for group, (_, cases) in recorders.items() for case in cases]
+    if not names or not set(names) <= set(known):
+        raise SystemExit("usage: python tests/test_pinned_pmfs.py GROUP/CASE ...\nwhere GROUP/CASE is one of\n  " + "\n  ".join(known))
+    pins = json.loads(path.read_text())
+    for name in names:
+        group, case = name.split("/")
+        pins[group][case] = recorders[group][0](case)
+    path.write_text(json.dumps(pins, indent=0) + "\n")
+
+
+def test_rerecord_rewrites_only_the_named_pins(tmp_path):
+    path = tmp_path / "pins.json"
+    path.write_text(PINS.read_text())
+    with pytest.raises(SystemExit, match="usage"):
+        rerecord([], path)
+    with pytest.raises(SystemExit, match="usage"):
+        rerecord(["eta_fdd_pmf/no-such-case"], path)
+    assert path.read_text() == PINS.read_text()
+    rerecord(["eta_fdd_pmf/c15-k3-left"], path)
+    old, new = PINS.read_text(), path.read_text()
+    # the conditional_pmf pins keep their bytes, the others their values
+    assert new[: new.index('"eta_fdd_pmf"')] == old[: old.index('"eta_fdd_pmf"')]
+    old, new = json.loads(old)["eta_fdd_pmf"], json.loads(new)["eta_fdd_pmf"]
+    assert new.keys() == old.keys()
+    assert all(new[case] == old[case] for case in LIMIT_CASES if case != "c15-k3-left")
+    assert new["c15-k3-left"] == _limit("c15-k3-left")
+
+
 if __name__ == "__main__":
-    PINS.write_text(
-        json.dumps(
-            {
-                "conditional_pmf": {case: _conditional(case) for case in CONDITIONAL_CASES},
-                "eta_fdd_pmf": {case: _limit(case) for case in LIMIT_CASES},
-            },
-            indent=0,
-        )
-        + "\n"
-    )
+    import sys
+
+    rerecord(sys.argv[1:])

@@ -387,19 +387,31 @@ def test_poly_is_horner_through_mul_bit_for_bit(nvars, cap):
     np.testing.assert_array_equal(ring.poly(coef, x), want)
 
 
-@pytest.mark.parametrize("nvars,cap", [(1, 600), (2, 40), (3, 21)])
+@pytest.mark.parametrize("nvars,cap", [(1, 600), (2, 40), (3, 20), (3, 21)])
 def test_sqrt_is_the_newton_loop_bit_for_bit(nvars, cap):
-    # the Newton iteration written out on rows, one ring.mul per product
+    # the precision-doubling Newton iteration written out on rows: pass i
+    # restricts s and x to the monomials of degree <= min(2^(i+1) - 1, cap),
+    # takes three ring(nvars, c).mul there and extends the result by zeros.
+    # (1, 600), (2, 40) and (3, 21) take the FFT at their cap and the direct
+    # product or the pair table below it; (3, 20) the pair table throughout
     ring = gwolab.series.ring(nvars, cap)
     rng = np.random.default_rng(11 * nvars + cap)
     mask = gwolab.series.total_degree_mask(nvars, cap)
     data = np.where(mask, 0.5 ** np.indices(mask.shape).sum(axis=0) * rng.random(mask.shape), 0.0)
     data[(0,) * nvars] = 1.5
-    s, three = data.ravel(), ring.monomial(3.0)
+    s = data.ravel()
     x = ring.monomial(1.0 / math.sqrt(1.5))
-    for _ in range(max(1, math.ceil(math.log2(cap + 1))) + 1):
-        sxx = ring.mul(ring.mul(s, x), x)
-        x = ring.mul(x, (-sxx + three) * 0.5)
+    exponents = np.indices(ring.shape).reshape(nvars, -1)
+    for i in range(max(1, math.ceil(math.log2(cap + 1))) + 1):
+        c = min(2 ** (i + 1) - 1, cap)
+        sub, kept = gwolab.series.ring(nvars, c), exponents.sum(axis=0) <= c
+        at = np.ravel_multi_index(exponents[:, kept], sub.shape)
+        xs, ss = np.zeros((2,) + sub.row)
+        xs[at], ss[at] = x[kept], s[kept]
+        sxx = sub.mul(sub.mul(ss, xs), xs)
+        xs = sub.mul(xs, (-sxx + sub.monomial(3.0)) * 0.5)
+        x = np.zeros(ring.row)
+        x[kept] = xs[at]
     np.testing.assert_array_equal(ring.sqrt(s), ring.mul(s, x))
 
 
