@@ -61,6 +61,10 @@ LIMIT_CASES = {
     "c15-k3-left": (15.0, (0.25, 0.5, 0.75), 8),
     "c1-k3-fft": (1.0, (0.5, 1.0, 2.0), 20),  # on the FFT route until the pair table reached cap 20
 }
+# the long-double reference's least cell where it falls below 0, by case:
+# the pgf's constants, such as 1/(A y_1), are doubles on both routes, and at
+# c0.5-k2-right (y_1 = 1) its cell P(eta(1) = 0), exactly 0, reads -1.15e-17
+REFERENCE_FLOOR = {"c0.5-k2-right": -2e-17}
 
 
 def _kept(arr: np.ndarray, K: int) -> list:
@@ -141,15 +145,12 @@ class _LongDouble:
 def test_eta_fdd_pmf_pin_is_backed_by_long_double(pins, case):
     # an independent route, not the code that wrote the pin: the FFT's old
     # `c1-k3-fft` pin was 5.5e-17 off in absolute terms and 6.1e-8 relative
-    # on cells above 1e-12.  The pgf's constants, such as 1/(A y_1), are
-    # doubles on both routes, so the reference is a pmf to within the
-    # absolute bound only: at c0.5-k2-right its cell P(eta(1) = 0), exactly
-    # 0, reads -1.15e-17
+    # on cells above 1e-12
     c, y, K = LIMIT_CASES[case]
     lring = _LongDouble(len(y), K)
     zvars = [lring.monomial(1.0, (i,)) for i in range(len(y))]
     ref = _fdd_pgf(LimitParams(c), y, zvars, lring)[total_degree_mask(len(y), K).ravel()]
-    assert ref.min() >= -2e-17
+    assert ref.min() >= REFERENCE_FLOOR.get(case, 0.0)
     big = np.abs(ref) > 1e-12
     for got in (np.asarray(pins["eta_fdd_pmf"][case]["coeffs"]), np.asarray(_limit(case)["coeffs"])):
         err = np.abs(got - ref).astype(float)

@@ -387,13 +387,14 @@ def test_poly_is_horner_through_mul_bit_for_bit(nvars, cap):
     np.testing.assert_array_equal(ring.poly(coef, x), want)
 
 
-@pytest.mark.parametrize("nvars,cap", [(1, 600), (2, 40), (3, 20), (3, 21)])
+@pytest.mark.parametrize("nvars,cap", [(1, 40), (1, 600), (2, 40), (3, 20), (3, 21), (3, 24)])
 def test_sqrt_is_the_newton_loop_bit_for_bit(nvars, cap):
     # the precision-doubling Newton iteration written out on rows: pass i
     # restricts s and x to the monomials of degree <= min(2^(i+1) - 1, cap),
     # takes three ring(nvars, c).mul there and extends the result by zeros.
-    # (1, 600), (2, 40) and (3, 21) take the FFT at their cap and the direct
-    # product or the pair table below it; (3, 20) the pair table throughout
+    # (1, 40) takes the direct product throughout; (1, 600), (2, 40), (3, 21)
+    # and (3, 24) the FFT at their cap and the direct product or the pair
+    # table below it; (3, 20) the pair table throughout
     ring = gwolab.series.ring(nvars, cap)
     rng = np.random.default_rng(11 * nvars + cap)
     mask = gwolab.series.total_degree_mask(nvars, cap)
@@ -412,7 +413,9 @@ def test_sqrt_is_the_newton_loop_bit_for_bit(nvars, cap):
         xs = sub.mul(xs, (-sxx + sub.monomial(3.0)) * 0.5)
         x = np.zeros(ring.row)
         x[kept] = xs[at]
-    np.testing.assert_array_equal(ring.sqrt(s), ring.mul(s, x))
+    r = ring.sqrt(s)
+    np.testing.assert_array_equal(r, ring.mul(s, x))
+    assert np.abs(ring.mul(r, r) - s).max() <= 1e-12
 
 
 def test_data_must_be_the_cap_box():
