@@ -39,8 +39,8 @@ _EXPORTS = {
     "modelio": (
         "life_from_dict", "life_to_dict", "model_from_dict", "model_to_dict", "load_model",
     ),
-    "philox": (),
     "series": (),
+    "squares": (),
     "simulator": (
         "SimConfig", "SimResult", "simulate", "conditional_sample", "DichotomyStats",
         "default_cutoff", "dichotomy_stats",

@@ -1,21 +1,18 @@
 """Seeded Monte Carlo simulation of the branching population.
 
-Replicate r draws from its own counter-based stream, Philox4x64-10 keyed
-by (seed, r) (Salmon et al., SC'11): its uniform j is word j % 4 of
-counter block j // 4 + 1, mapped to [0, 1) as Generator.random does, so
-it equals the stream of np.random.Philox(key=np.array([seed, r],
-dtype=np.uint64)).  A replicate's outcome is therefore a pure function
-of the config and r: it does not depend on how many replicates run or
-which came before.  Each individual takes a fixed number of uniforms (one
-for a tabulated law, two otherwise), so a replicate's draws are numbered
-by a running count of its individuals, and the words are computed in
-numpy (`philox`) for many (replicate, counter block) pairs at once.  A
-step draws only the blocks that no earlier step of its replicate drew
-(each slot holds the block its replicate last drew, used in part), so
-each block of a replicate is computed at most once, and not at all for
-individuals born at the horizon.  These take no uniforms: `lifelaw`
-enforces lives and birth ages >= 1, so such an individual is alive at the
-horizon and schedules nothing, and only its birth is counted.
+Replicate r draws from its own counter-based stream, Squares64 under
+the key of (seed, r) (`squares`): its uniform j is
+(squares64(j, key) >> 11) * 2^-53.  A replicate's outcome is therefore a
+pure function of the config and r: it does not depend on how many
+replicates run or which came before.  Each individual takes a fixed
+number per of uniforms (one for a tabulated law, two otherwise), so
+individual i of a replicate, counted in birth order, takes words
+per * i, ..., per * i + per - 1, and a replicate of n individuals uses
+exactly words 0, ..., per * n - 1, each computed once, in numpy for many
+replicates at once.  Individuals born at the horizon take no uniforms and
+are not counted in n: `lifelaw` enforces lives and birth ages >= 1, so
+such an individual is alive at the horizon and schedules nothing, and
+only its birth is counted.
 
 Replicates run in a block of slots that steps through time in numpy.
 Each slot keeps a row of pending births and a row of deaths per time,
@@ -47,11 +44,9 @@ from .lifelaw import (
 )
 from .limitlaw import dichotomy_fraction, limit_of
 from .modelio import write_csv
-from .philox import philox_uniforms
+from .squares import stream_keys, uniforms
 
 _TALLY_CELLS = 1 << 16  # int64 cells of one (block, horizon + 2) tally: 512 KB
-
-_BLOCK = np.dtype((np.void, 32))  # one counter block's four uniforms as one item
 
 
 @dataclass(frozen=True)
@@ -215,7 +210,7 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
         drawn = np.zeros(slots, dtype=np.int64)  # individuals born so far
         latest = np.zeros(slots, dtype=np.int64)  # latest scheduled birth
         over = np.zeros(slots, dtype=bool)
-        last_block = np.empty(slots, dtype=_BLOCK)  # the last lane of each slot's last step
+        keys = stream_keys(seed, np.arange(first, first + size))  # of the replicates, from first
         out = np.empty((size, len(tracked)), dtype=np.int64)
         out_over = np.empty(size, dtype=bool)
         active, queued, step = np.arange(slots), slots, -1
@@ -247,27 +242,11 @@ def _replicate_runner(config: SimConfig) -> Callable[[int, int], tuple]:
             draws = np.where(t < horizon, births, 0)
             drawn[rows] += births
             if draws.any():
-                # this step's uniforms lie in counter blocks (lanes) of each
-                # replicate's stream: the block an earlier step drew and used
-                # in part (held), if any, then the blocks drawn now (fresh)
-                first_u = per * done
-                fresh0 = (first_u + 3) >> 2
-                fresh = ((first_u + per * draws + 3) >> 2) - fresh0
-                held = (first_u & 3) > 0
-                lanes = fresh + held
-                lane_end, fresh_end = np.cumsum(lanes), np.cumsum(fresh)
-                i = np.arange(fresh_end[-1])
-                streams = (first + rep[np.repeat(rows, fresh)]).astype(np.uint64)
-                uniforms = philox_uniforms(seed, streams, i + np.repeat(fresh0 + fresh - fresh_end, fresh))
-                blocks = np.empty(lane_end[-1] + 1, dtype=_BLOCK)  # a spare last item for rows without lanes
-                blocks[i + np.repeat(lane_end - fresh_end, fresh)] = uniforms.view(_BLOCK).reshape(-1)
-                blocks[(lane_end - lanes)[held]] = last_block[rows[held]]
-                last_block[rows] = blocks[lane_end - 1]
-                # individual j of a row takes uniforms per * j, ... from its first
+                # individual i of a replicate takes words per * i, ...,
+                # per * i + per - 1 of its stream, computed once each
                 ind_end = np.cumsum(draws)
-                base = 4 * (lane_end - lanes) + (first_u & 3) - per * (ind_end - draws)
-                at = np.repeat(base, draws) + per * np.arange(ind_end[-1])
-                life, ages, counts = draw(blocks.view(np.float64).take(at + offsets))
+                ind = np.arange(ind_end[-1]) + np.repeat(done - ind_end + draws, draws)
+                life, ages, counts = draw(uniforms(np.repeat(keys[rep[rows]], draws), per * ind + offsets))
                 born = np.repeat(t, draws)
                 cell = np.repeat(rows * width + t, draws)  # the tally cell of the birth
                 np.add.at(flat_deaths, cell + np.minimum(life, horizon + 1 - born), 1)

@@ -456,7 +456,9 @@ def fdd_limit_check(
         cells = np.ravel_multi_index(inside.T, cond.probs.shape)
         observed = np.append(np.bincount(cells, minlength=cond.probs.size), n - len(inside)) / n
         exact = np.append(cond.probs.ravel(), cond.overflow)
-        p_safe = np.maximum(exact, 5.0 / n)
+        # a floor of 5 / n, capped at 1/2 so that a handful of survivors
+        # keeps p_safe (1 - p_safe) > 0
+        p_safe = np.maximum(exact, min(5.0 / n, 0.5))
         sigma = np.sqrt(p_safe * (1.0 - p_safe) / n)
         worst = float(np.max(np.abs(observed - exact) / sigma))
     rows.append(

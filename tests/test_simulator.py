@@ -1,11 +1,13 @@
 """Simulator checks: exact trajectories for deterministic models,
 agreement with the exact engine within Monte Carlo error, determinism
-and thread-count invariance, the Philox stream against numpy's own,
-seeded outputs pinned by digest, rejection sampling, and output formats."""
+and thread-count invariance, the Squares64 streams against a scalar
+transcription, seeded outputs pinned by digest, rejection sampling, and
+output formats."""
 
 import csv
 import hashlib
 import io
+import itertools
 import math
 import re
 from dataclasses import replace
@@ -14,8 +16,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
-from gwolab import exact_engine, philox, simulator
+from gwolab import exact_engine, simulator, squares
 from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError
 from gwolab.exact_engine import FddSpec, conditional_pmf, extinction_seq
 from gwolab.lifelaw import (
@@ -33,10 +36,10 @@ from gwolab.simulator import (
     conditional_sample,
     default_cutoff,
     dichotomy_stats,
-    philox_uniforms,
     simulate,
 )
 from gwolab.modelio import load_model
+from gwolab.squares import stream_keys, uniforms
 
 MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
 
@@ -168,39 +171,124 @@ class TestDeterminism:
         np.testing.assert_array_equal(few.counts, many.counts[:50])
 
 
+_M64 = (1 << 64) - 1
+
+
+def _splitmix(z: int) -> int:
+    """The SplitMix64 finaliser of a Python int."""
+    z ^= z >> 30
+    z = z * 0xBF58476D1CE4E5B9 & _M64
+    z ^= z >> 27
+    z = z * 0x94D049BB133111EB & _M64
+    return z ^ z >> 31
+
+
+def _ref_key(seed: int, rep: int) -> int:
+    """The key of stream (seed, rep) in Python ints, step by step as the
+    `squares` docstring defines it: a partial Fisher-Yates shuffle of each
+    half's list of digits, driven by SplitMix64 outputs 8 rep + 1, ..."""
+    g = _splitmix(seed)
+    upper, lower = list(range(1, 16)), [*range(1, 16, 2), *range(2, 15, 2)]
+    for i in range(8):
+        w = _splitmix((g + (8 * rep + i + 1) * 0x9E3779B97F4A7C15) & _M64)
+        for entries, draw, span in ((upper, w >> 32, 15 - i), (lower, w & 0xFFFFFFFF, 8 if i == 0 else 15 - i)):
+            j = i + (span * draw >> 32)
+            entries[i], entries[j] = entries[j], entries[i]
+    return sum(d << 4 * i for i, d in enumerate(lower[:8] + upper[:8]))
+
+
+def _ref_word(key: int, ctr: int) -> int:
+    """Squares64 word ctr of stream key (Widynski's five rounds) in Python ints."""
+
+    def rot(x):
+        return (x >> 32 | x << 32) & _M64
+
+    x = y = ctr * key & _M64
+    z = (y + key) & _M64
+    x = rot((x * x + y) & _M64)
+    x = rot((x * x + z) & _M64)
+    x = rot((x * x + y) & _M64)
+    t = (x * x + z) & _M64
+    x = rot(t)
+    return t ^ ((x * x + y) & _M64) >> 32
+
+
+def _ref_uniform(key: int, ctr: int) -> float:
+    return (_ref_word(key, ctr) >> 11) * 2.0**-53
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
-@pytest.mark.parametrize("rep", [0, 1, 2**32, 2**63])
-def test_philox_matches_numpy(seed, rep):
-    # the key is a uint64 array: numpy converts a list key such as
-    # [2**64 - 1, 0] through float64 and gets [0, 0]
-    n = 4 * 97 + 3
-    ref = np.random.Generator(np.random.Philox(key=np.array([seed, rep], dtype=np.uint64))).random(n)
-    blocks = np.arange(98)
-    got = philox_uniforms(seed, np.full(blocks.size, rep, dtype=np.uint64), blocks)
-    assert np.array_equal(got.reshape(-1)[:n], ref)
+@pytest.mark.parametrize("rep", [0, 1, 2**32, 2**64 - 3])
+def test_generator_matches_scalar_transcription(seed, rep):
+    key = _ref_key(seed, rep)
+    assert stream_keys(seed, [rep]).tolist() == [key]
+    counters = [0, 1, 2, 3, 1000, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1]
+    got = uniforms(np.uint64(key), np.array(counters, dtype=np.uint64))
+    assert got.tolist() == [_ref_uniform(key, j) for j in counters]
 
 
-@pytest.mark.parametrize("block", [2**32 - 1, 2**32, 3 * 2**40 + 5, 2**63, 2**64 - 3, 2**64 - 2])
+@pytest.mark.parametrize("counter", [2**32 - 1, 2**32, 3 * 2**40 + 5, 2**63, 2**64 - 3, 2**64 - 2])
 @pytest.mark.parametrize("seed, rep", [(2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (11, 5)])
-def test_philox_matches_numpy_at_large_counters(block, seed, rep):
-    # block b is Philox counter b + 1; numpy's bit generator steps its
-    # counter before each block, so it starts one below.  Past 2**64 - 2
-    # numpy would carry into the second counter word, which block
-    # numbers never reach
-    key = np.array([seed, rep], dtype=np.uint64)
-    n = min(2, 2**64 - 1 - block)
-    counter = np.array([block, 0, 0, 0], dtype=np.uint64)
-    ref = np.random.Generator(np.random.Philox(counter=counter, key=key)).random(4 * n)
-    got = philox_uniforms(seed, np.full(n, rep, dtype=np.uint64), block + np.arange(n, dtype=np.uint64))
-    assert np.array_equal(got.reshape(-1), ref)
+def test_generator_matches_scalar_transcription_at_large_counters(counter, seed, rep):
+    # words counter and counter + 1, where j * key and y + key wrap
+    # mod 2^64; the keys come in a batch, as the runner draws them
+    keys = stream_keys(seed, [rep, rep ^ 1])
+    assert keys.tolist() == [_ref_key(seed, rep), _ref_key(seed, rep ^ 1)]
+    counters = np.array([counter, counter + 1], dtype=np.uint64)
+    got = uniforms(keys[:, None], counters)
+    assert got.tolist() == [[_ref_uniform(key, j) for j in (counter, counter + 1)] for key in keys.tolist()]
 
 
-def test_philox_chunks_do_not_change_words(monkeypatch):
-    reps = np.arange(50, dtype=np.uint64) % 7
-    blocks = np.arange(50, dtype=np.uint64) * 3
-    whole = philox_uniforms(2**64 - 1, reps, blocks)
-    monkeypatch.setattr(philox, "_PHILOX_CHUNK", 16)
-    np.testing.assert_array_equal(philox_uniforms(2**64 - 1, reps, blocks), whole)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_keys_follow_the_key_rule(seed):
+    # each 32-bit half is 8 distinct nonzero hex digits, and the key is odd
+    keys = stream_keys(seed, np.arange(3000)).tolist()
+    assert len(set(keys)) == len(keys)
+    for key in keys:
+        digits = [key >> 4 * i & 15 for i in range(16)]
+        assert key & 1 and 0 not in digits
+        assert len(set(digits[:8])) == 8 and len(set(digits[8:])) == 8
+
+
+def test_chunks_do_not_change_words(monkeypatch):
+    # keys broadcast against counters as the runner passes them, (per, n);
+    # a chunk of 16 words is one of 2 keys
+    reps = np.arange(50) % 7 + 2**40
+    keys = stream_keys(2**64 - 1, reps)
+    counters = np.arange(50, dtype=np.uint64) * 3 + np.arange(2, dtype=np.uint64)[:, None]
+    whole = uniforms(keys, counters)
+    assert whole.shape == (2, 50)
+    monkeypatch.setattr(squares, "_CHUNK", 16)
+    np.testing.assert_array_equal(stream_keys(2**64 - 1, reps), keys)
+    np.testing.assert_array_equal(uniforms(keys, counters), whole)
+
+
+def _stream_words(seed: int, reps, n: int) -> np.ndarray:
+    """Words 0, ..., n - 1 of streams (seed, r), one row per r of reps."""
+    return uniforms(stream_keys(seed, reps)[:, None], np.arange(n, dtype=np.uint64))
+
+
+def test_adjacent_streams_are_uniform_in_pairs():
+    # word j of streams r and r + 1 (r < 400, j < 256) as a point in a
+    # 16 x 16 grid: a chi-square with 255 degrees of freedom, held to its
+    # 1e-6 upper quantile (about 394; mean 255, sd 22.6)
+    words = _stream_words(12345, np.arange(401), 256)
+    cells = (np.floor(words[:-1] * 16) * 16 + np.floor(words[1:] * 16)).astype(np.int64).ravel()
+    counts = np.bincount(cells, minlength=256)
+    expected = cells.size / 256
+    assert ((counts - expected) ** 2 / expected).sum() < chi2.isf(1e-6, 255)
+
+
+@pytest.mark.parametrize("pair", ["rep", "seed"])
+def test_neighbouring_streams_are_uncorrelated(pair):
+    # word j of streams (s, r) and (s, r + 1), or (s, r) and (s + 1, r),
+    # pooled over r < 500 and j < 400: 200,000 pairs, so the sample
+    # correlation has sd 0.0022 under independence; held to 5 sd
+    seed, reps = 2**63 - 1, np.arange(500)
+    a = _stream_words(seed, reps, 400)
+    b = _stream_words(seed, reps + 1, 400) if pair == "rep" else _stream_words(seed + 1, reps, 400)
+    rho = np.corrcoef(a.ravel(), b.ravel())[0, 1]
+    assert abs(rho) < 5 / math.sqrt(a.size)
 
 
 def _reference_draw(model, u):
@@ -218,11 +306,12 @@ def _reference_draw(model, u):
 
 
 def _reference_replicate(cfg, rep, born=None):
-    """One replicate walked individual by individual on numpy's own Philox
-    stream: counts at the query times and the horizon, and the overflow flag.
-    A list given as born gets each drawn individual's birth time, in order."""
-    gen = np.random.Generator(np.random.Philox(key=np.array([cfg.seed, rep], dtype=np.uint64)))
-    u = iter(gen.random, None)
+    """One replicate walked individual by individual on the scalar
+    transcription of its stream, uniform j from word j: counts at the
+    query times and the horizon, and the overflow flag.  A list given as
+    born gets each drawn individual's birth time, in order."""
+    key = _ref_key(cfg.seed, rep)
+    u = (_ref_uniform(key, j) for j in itertools.count())
     times = list(cfg.query_times) + [cfg.horizon]
     counts = [0] * len(times)
     pending = [1] + [0] * cfg.horizon
@@ -289,27 +378,28 @@ def _outcome(fn):
 
 
 # sha256 of seeded simulate, conditional_sample and dichotomy_stats outputs
-# on the example models, as the one-replicate-at-a-time simulator gave them,
-# at horizon 24 with 1500 replicates unless the key names (horizon,
+# on the example models, on the Squares64 streams that
+# test_matches_individual_by_individual_reference walks one individual at a
+# time, at horizon 24 with 1500 replicates unless the key names (horizon,
 # replicates); max_individuals 3 and 8 make rows overflow
 SEEDED_DIGESTS = {
-    ("age_dependent_offspring", 1_000_000): "6e1dea8797f681c3bc4535625cc4ca50a1234b980d18ded91dfc7b68bbb2382f",
-    ("age_dependent_offspring", 3): "1ee82052da8d7c194ec24ec2fecd42a4313ae821e81fc4f0eafb0bfaad55ddb8",
-    ("age_dependent_offspring", 8): "8a46aebf21a00dafc940431f57a6092fe2323ea9bdb5de923067deaa39f006e6",
-    ("binary_splitting", 1_000_000): "5fa7a9f7f0e4b56ab25d61a6572b644b90f65350538d2f36350946dbf63ade98",
-    ("binary_splitting", 3): "2fee90590caabd4f73986c51dfcf95273a9fce37fde80fbd83bea60b22dcf4b2",
-    ("binary_splitting", 8): "c4b922a77a84737ee8aa39a56ca8d25a667b2155557dea4fde9eaf5cd399ed1b",
-    ("delayed_death", 1_000_000): "1afffadf694c33a9620966d7873be64b8484466e2153577cdd768446df351321",
-    ("delayed_death", 3): "126b18b585bbcafa846317ec49f922b51922e3e9c8eb933b1d029b089f96f06a",
-    ("delayed_death", 8): "26869526252de9bbcbb0185a43e73ea292d75687597820b5a1a2b32b9df8dbb2",
-    ("early_births", 1_000_000): "099f7a0f1c25a8ebd3ffff3632240ca52839b4f58e1bf88b76fc0f05d2f024f3",
-    ("early_births", 3): "bab7a57564b82443f3c255ea898aede585227df328311afce598f04f970e4425",
-    ("early_births", 8): "87db26820b80807a4491ff6526ecfd7562c96f70454fdaeff78e6a6180b06de7",
-    ("heavy_tail_life", 1_000_000): "c1b2cc3bb2149f6a7cca6c43c5ffd3cf90816f900c3af66ee0057f8aba5946cf",
-    ("heavy_tail_life", 3): "ccde739d1c4dba6397ca7ae3e36dfcf8651365aceb1a643cdef784d8f2370a43",
-    ("heavy_tail_life", 8): "7fdda68a312dd08968756ae061ca9f29c35818b08c30d8ecf1d545c6a46ad9c0",
-    # the battery's size: Philox calls of up to ~5,500 blocks span two chunks
-    ("delayed_death", 1_000_000, 16, 20_000): "e8a3d6841f996f045437a6a4de71baaa5e7704e1b051f89714ee1b01b8d38563",
+    ("age_dependent_offspring", 1_000_000): "298b4754dc55fb5ea365f663358e232a980ab12a16c6426f28cf5892e7f42d89",
+    ("age_dependent_offspring", 3): "4b675fe572f186d5e788e95bde8648f57e06c7ed4d2d7c000e765c052af68297",
+    ("age_dependent_offspring", 8): "b926bf47ff9e0388a6608b47e7c3b847e13d208e95686b3dd3a62c7176b1f53c",
+    ("binary_splitting", 1_000_000): "88ad29f979a931fa2f11321525d37c8692800486aa0f68f89b968764ca56783b",
+    ("binary_splitting", 3): "7acf2570baff03881a36acb1532d1b4cf46b87f7147209b53cb9e1ce4c521776",
+    ("binary_splitting", 8): "b3c0847cb2df8bd218b6478517e80aa0d6b8e22c0cc50e117be0f2dabe2e892f",
+    ("delayed_death", 1_000_000): "e6a4f1933224f6ae0b55ec21787cc013530a1a80cdd6ccab5b6dc740f8f3745a",
+    ("delayed_death", 3): "42b8cac372ecf63b7ae8105c6f441a20113ba5569e67cbe54f29ce48bfdbbd6c",
+    ("delayed_death", 8): "b53b9614a37175e7fb172dc5d45aa439553f3fb43acd89f955a3893878ea5404",
+    ("early_births", 1_000_000): "d85cac0f5721214c3a2fbb82fb8053781e794d463aae3de3b3a426e58b7a401f",
+    ("early_births", 3): "519215d176fd6be6354a1cf19002d7ef4dba9aea8834db570894a8e538ebb692",
+    ("early_births", 8): "cd245034c2c4aa918f631701ec86ffd349516b0c9f8af91c3db297252ae6cf9c",
+    ("heavy_tail_life", 1_000_000): "ab8779a3756c3bccc242faab4a8ec4f9ae850ef6f98b8f2ab60cf94dcbd6f9ca",
+    ("heavy_tail_life", 3): "8cb80de2632143032d33849561f915961c844b3ef03645b83458c13217b9de22",
+    ("heavy_tail_life", 8): "c29ca6c65fd6999b70ee6503601f4cec171cbc0069f9730995dd893297c6a0ad",
+    # the battery's size: a step's words span several chunks
+    ("delayed_death", 1_000_000, 16, 20_000): "d7b78e4acdce259ccd13d9916ac21c993e9a120585dd47c7111fd10be487d5e1",
 }
 
 
@@ -348,51 +438,75 @@ def test_slot_count_does_not_change_rows(monkeypatch, slots):
         np.testing.assert_array_equal(res.overflowed, ref.overflowed)
 
 
-def _record_blocks(monkeypatch):
-    """Every (replicate, counter block) pair the runner asks Philox for."""
+def _record_words(monkeypatch):
+    """Every (stream key, counter) pair the runner asks the generator for."""
     asked = []
-    draw = simulator.philox_uniforms
+    draw = simulator.uniforms
 
-    def spy(seed, reps, blocks):
-        asked.extend(zip(np.asarray(reps).tolist(), np.asarray(blocks).tolist()))
-        return draw(seed, reps, blocks)
+    def spy(keys, counters):
+        keys, counters = np.broadcast_arrays(keys, counters)
+        asked.extend(zip(keys.ravel().tolist(), counters.ravel().tolist()))
+        return draw(keys, counters)
 
-    monkeypatch.setattr(simulator, "philox_uniforms", spy)
+    monkeypatch.setattr(simulator, "uniforms", spy)
     return asked
 
 
+def _words_by_replicate(seed, asked, replicates):
+    """The counters asked of each replicate's stream, in order, by replicate."""
+    rep_of = {key: rep for rep, key in enumerate(stream_keys(seed, np.arange(replicates)).tolist())}
+    words = {}
+    for key, ctr in asked:
+        words.setdefault(rep_of[key], []).append(ctr)
+    return words
+
+
+def _words_before_the_horizon(cfg, rep, per):
+    """per times the individuals of replicate rep born before the horizon."""
+    born = []
+    _reference_replicate(cfg, rep, born)
+    return per * sum(t < cfg.horizon for t in born)
+
+
 @pytest.mark.parametrize("name", ["delayed_death", "early_births", "age_dependent_offspring"])
-def test_no_block_is_drawn_twice(monkeypatch, name):
-    # a step draws only the blocks no earlier step of its replicate drew;
-    # early_births takes one uniform per individual, the others two
+def test_each_replicate_takes_its_first_words_once(monkeypatch, name):
+    # replicate r takes exactly counters 0, ..., per * n - 1 of its stream,
+    # n its individuals born before the horizon: no word is computed twice
+    # and none is skipped; early_births takes one word per individual, the
+    # others two
     model = load_model(str(MODEL_DIR / f"{name}.json"))
+    per = simulator._individual_draw(model)[0]
     cfg = SimConfig(model, 24, (6, 24), 400, 5)
     ref = simulate(cfg)
-    asked = _record_blocks(monkeypatch)
+    asked = _record_words(monkeypatch)
     res = simulate(cfg)
-    assert len(asked) == len(set(asked))
     np.testing.assert_array_equal(res.counts, ref.counts)
+    words = _words_by_replicate(cfg.seed, asked, cfg.replicates)
+    assert sorted(words) == list(range(cfg.replicates))
+    for rep, ctrs in words.items():
+        assert sorted(ctrs) == list(range(_words_before_the_horizon(cfg, rep, per)))
     asked.clear()
-    conditional_sample(cfg, 40)
-    assert asked and len(asked) == len(set(asked))
+    run = conditional_sample(cfg, 40)
+    words = _words_by_replicate(cfg.seed, asked, 4 * cfg.replicates)
+    assert run.attempts <= len(words) and sorted(words) == list(range(len(words)))
+    for rep, ctrs in words.items():
+        assert sorted(ctrs) == list(range(_words_before_the_horizon(cfg, rep, per)))
 
 
 @pytest.mark.parametrize("name", ["delayed_death", "binary_splitting"])
 def test_individuals_born_at_the_horizon_take_no_uniforms(monkeypatch, name):
-    # every drawn block holds a uniform of an individual born before the
-    # horizon; at horizon 0 the founder is the only individual, and no
-    # block is drawn at all
+    # every word drawn belongs to an individual born before the horizon;
+    # at horizon 0 the founder is the only individual, and no word is
+    # drawn at all
     model = load_model(str(MODEL_DIR / f"{name}.json"))
     per = simulator._individual_draw(model)[0]
     cfg = SimConfig(model, 16, (4, 12), 300, 23)
-    asked = _record_blocks(monkeypatch)
+    asked = _record_words(monkeypatch)
     simulate(cfg)
-    last = {}  # the last block of each replicate's individuals born before the horizon
-    for rep in range(cfg.replicates):
-        born = []
-        _reference_replicate(cfg, rep, born)
-        last[rep] = (per * sum(t < cfg.horizon for t in born) - 1) // 4
-    assert asked and all(b <= last[rep] for rep, b in asked)
+    words = _words_by_replicate(cfg.seed, asked, cfg.replicates)
+    # the last word of each replicate's individuals born before the horizon
+    last = {rep: _words_before_the_horizon(cfg, rep, per) - 1 for rep in range(cfg.replicates)}
+    assert asked and all(j <= last[rep] for rep, ctrs in words.items() for j in ctrs)
     asked.clear()
     res = simulate(replace(cfg, horizon=0, query_times=(0,)))
     assert asked == [] and (res.counts == 1).all() and res.survived.all()
@@ -479,15 +593,15 @@ class TestConditionalSampling:
             conditional_sample(cfg, target_survivors=300, max_attempts=10_000)
 
     def test_overflow_after_returned_attempt_does_not_raise(self):
-        # the first block, sized from Q(6), holds attempt 13, which
+        # the first block, sized from Q(6), holds attempt 31, which
         # overflows after the fifth survivor at attempt 9
         cfg = SimConfig(
-            model=gw_binary(), horizon=6, query_times=(3, 6), replicates=1, seed=97, max_individuals=16
+            model=gw_binary(), horizon=6, query_times=(3, 6), replicates=1, seed=175, max_individuals=16
         )
         full = simulate(
-            SimConfig(model=gw_binary(), horizon=6, query_times=(3, 6), replicates=20, seed=97, max_individuals=16)
+            SimConfig(model=gw_binary(), horizon=6, query_times=(3, 6), replicates=40, seed=175, max_individuals=16)
         )
-        assert np.flatnonzero(full.overflowed)[0] == 13
+        assert np.flatnonzero(full.overflowed)[0] == 31
         res = conditional_sample(cfg, target_survivors=5, max_attempts=1000)
         assert res.attempts == 10
         np.testing.assert_array_equal(res.counts, full.counts[:10][full.survived[:10]])
@@ -514,12 +628,13 @@ class TestConditionalSampling:
         assert full.survived[-1] and full.survived.sum() == 300
         np.testing.assert_array_equal(res.counts, full.counts[full.survived])
 
-    @pytest.mark.parametrize("target, seed", [(20, 39), (1, 8)])
+    @pytest.mark.parametrize("target, seed", [(20, 19), (1, 28)])
     def test_blocks_follow_the_survival_rate(self, monkeypatch, target, seed):
         # the first block is sized from the exact Q(16), later ones from
-        # the rate seen so far, or from 4 times the block while it is 0
-        # (seed 8 has no survivor among the first 29 attempts); rows do not
-        # depend on the blocks
+        # the rate seen so far (seed 19 has fewer than 20 survivors among
+        # the first 276 attempts), or from 4 times the block while it is 0
+        # (seed 28 has no survivor among the first 29 attempts); rows do
+        # not depend on the blocks
         sizes = _record_passes(monkeypatch)
         cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=1, seed=seed)
         res = conditional_sample(cfg, target_survivors=target, max_attempts=100_000)
