@@ -55,8 +55,11 @@ def _path(raw):
 
 
 def _out_path(raw):
-    """A path whose directory exists, checked before any work is done."""
-    folder = os.path.dirname(_path(raw)) or "."
+    """A file path, not a directory, whose directory exists, checked before
+    any work is done."""
+    if not _path(raw) or os.path.isdir(raw):
+        raise ConfigError(f"{raw!r} is not a file path")
+    folder = os.path.dirname(raw) or "."
     if not os.path.isdir(folder):
         raise ConfigError(f"{folder!r} is not an existing directory")
     return raw

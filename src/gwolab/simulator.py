@@ -326,6 +326,8 @@ def conditional_sample(
 ) -> SimResult:
     """Rejection sampling: attempt replicates 0, 1, ... (their own
     streams) until target_survivors have Z(horizon) > 0.
+    `config.replicates` is never read: target_survivors and max_attempts
+    set the work.
 
     The returned result contains exactly the surviving replicates, in
     attempt order, with `attempts` = index of the last attempt + 1, so

@@ -120,12 +120,11 @@ def _squares(key: np.ndarray, ctr: np.ndarray, out: np.ndarray) -> None:
 
 def uniforms(keys, counters) -> np.ndarray:
     """The doubles of words `counters` of streams `keys`, elementwise over
-    the two broadcast uint64 arrays: (squares64(j, key) >> 11) * 2^-53."""
-    keys, counters = np.broadcast_arrays(np.asarray(keys, np.uint64), np.asarray(counters, np.uint64))
-    shape = keys.shape
-    keys, counters = keys.ravel(), counters.ravel()
-    out = np.empty(keys.size)
-    for a in range(0, keys.size, _CHUNK):
-        b = a + _CHUNK
-        _squares(keys[a:b], counters[a:b], out[a:b])
-    return out.reshape(shape)
+    the two broadcast uint64 arrays: (squares64(j, key) >> 11) * 2^-53.
+    An iterator walks them `_CHUNK` words at a time, copying neither whole."""
+    ops = [np.asarray(keys, np.uint64), np.asarray(counters, np.uint64), None]
+    with np.nditer(ops, ["external_loop", "buffered", "zerosize_ok"], [["readonly"]] * 2 + [["writeonly", "allocate"]],
+                   op_dtypes=[None, None, np.float64], order="C", buffersize=_CHUNK) as it:
+        for key, ctr, out in it:
+            _squares(key, ctr, out)
+        return it.operands[2]

@@ -3,9 +3,11 @@ echo round trips, seeds, and the exit-code contract."""
 
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
+import math
 import os
 import string
 import subprocess
@@ -324,6 +326,7 @@ class TestExitCodes:
             (DELAYED, ("residual", "d"), "1.0"),
             (DELAYED, ("residual", "t_min"), "2"),
             (GW_BINARY, ("offspring", 0), " 0.5 "),
+            (GW_BINARY, ("offspring", 0), math.nan),
             (GW_BINARY, ("offspring", 2), "5e-1"),
             (GW_BINARY, ("life", "pmf", "1"), "1"),
             (TABULATED, ("atoms", 0, "prob"), "0.5"),
@@ -334,7 +337,7 @@ class TestExitCodes:
         ],
         ids=["pmf_letters", "pmf_list", "pmf_bool", "atoms_int", "atom_life_letter",
              "ages_int", "age_fraction", "t_min_fraction", "d_null", "table_empty", "table_list",
-             "d_text", "t_min_text", "offspring_padded_text", "offspring_exponent_text", "pmf_text",
+             "d_text", "t_min_text", "offspring_padded_text", "offspring_nan", "offspring_exponent_text", "pmf_text",
              "atom_prob_text", "age_text", "atom_life_text", "table_text"],
     )
     def test_malformed_model_file_exits_2(self, model, path, value, tmp_path, capsys):
@@ -413,12 +416,18 @@ class TestExitCodes:
             assert main([*argv, *model]) == 0, argv
         assert capsys.readouterr().err == ""
 
-    @pytest.mark.parametrize("argv", [["summarize", "--model", "{gw}"], ["verify"]], ids=["summarize", "verify"])
-    def test_out_into_missing_directory_exits_2_before_work(self, argv, gw_path, tmp_path, capsys):
-        out = tmp_path / "missing" / "f.json"
-        assert main([a.format(gw=gw_path) for a in argv] + ["--out", str(out)]) == 2
+    @pytest.mark.parametrize(
+        "argv, out",
+        [(argv, out) for out in ("{tmp}/missing/f.json", "{tmp}", "") for argv in (["summarize", "--model", "{gw}"], ["verify"])],
+        ids=["summarize", "verify", "summarize_directory", "verify_directory", "summarize_empty", "verify_empty"],
+    )
+    def test_out_into_missing_directory_exits_2_before_work(self, argv, out, gw_path, tmp_path, capsys):
+        # an existing directory or an empty path is no file to write, so the
+        # run stops before any work, as for a directory that does not exist
+        argv = [a.format(gw=gw_path) for a in argv] + ["--out", out.format(tmp=tmp_path)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and not out.parent.exists()
+        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["gw.json"]
         assert captured.err.startswith("error: out: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("level, code", [("nonsense", 2), ("basic_format", 2), ("warning", 0), ("Debug", 0)])
@@ -570,27 +579,175 @@ def test_malformed_config_value_exits_2(command, name, data):
     assert code == 2 and err.startswith(f"error: {name}: ")
 
 
-def test_runs_without_scipy():
-    # summarize sums the d/t^2 life tail with the trigamma; the fdd ring,
-    # 3 variables at K = 21, would list C(27, 6) = 296,010 pairs, past the
-    # pair table's cap 20 in three variables, so its products take the FFT route
-    assert gwolab.series.ring(3, 21)._fft_len is not None
-    root = Path(__file__).resolve().parents[1]
+ROOT = Path(__file__).resolve().parents[1]
+DOCS = "docs/models/"
+
+# model files the scipy-free run writes to its directory, {out}
+SCIPY_FREE_MODELS = {
+    # the heavy_tail_life law as a Sevastyanov table with no rows
+    "sev": {**SEV_HEAVY, "offspring_by_life": {}, "offspring_default": [0.75, 0.0, 0.0, 0.0, 0.25]},
+    "bad_age": {"variant": "tabulated", "atoms": [{"prob": 1.0, "birth_ages": [1.7], "life": 2}]},
+    "nan": {**GW_BINARY, "offspring": [math.nan, 0.0, 0.5]},
+    "doomed": {"variant": "tabulated", "atoms": [{"prob": 1.0, "birth_ages": [], "life": 2}]},
+    "sub": {**GW_BINARY, "life": {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5}}, "offspring": [0.4, 0.3, 0.3]},
+}
+
+# (exit code, argv) of every command a numpy-only install is checked with,
+# run in order in one interpreter that cannot import scipy
+SCIPY_FREE = [
+    # the trigamma sums the d/t^2 life tail
+    (0, ["summarize", "--model", DOCS + "heavy_tail_life.json"]),
+    # products in three variables on the pair table (K = 20) and on the
+    # FFT (K = 24), and in one on the FFT (K = 600); t_obs before the first
+    # time and between times
+    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "20",
+         "--out", "{out}/pmf.csv"]),
+    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "24"]),
+    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--K", "10", "--tobs", "4"]),
+    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--K", "10", "--tobs", "10"]),
+    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "64", "--tobs", "64", "--K", "600"]),
+    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "4096"]),
+    # a table over a quadratic life tail, its moments in closed form; the
+    # sampler draws the default law, then the table's lives
+    (0, ["summarize", "--model", DOCS + "heavy_tail_sevastyanov.json"]),
+    (0, ["dp", "--model", DOCS + "heavy_tail_sevastyanov.json", "--tmax", "16384"]),
+    (0, ["simulate", "--model", DOCS + "heavy_tail_sevastyanov.json", "--tmax", "64", "--times", "16,64",
+         "--replicates", "4000", "--seed", "1"]),
+    (0, ["fdd", "--model", DOCS + "heavy_tail_sevastyanov.json", "--times", "48,96", "--tobs", "48", "--K", "10"]),
+    # bellman_harris is the sevastyanov law with an empty table
+    (0, ["dp", "--model", "{out}/sev.json", "--tmax", "4096", "--out", "{out}/sev.csv"]),
+    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "4096", "--out", "{out}/bh.csv"]),
+    # the short-life scalar DPs run as Tabulated atoms on the scheduled kernel
+    (0, ["dp", "--model", DOCS + "binary_splitting.json", "--tmax", "65536", "--out", "{out}/dp.csv"]),
+    (0, ["dp", "--model", DOCS + "age_dependent_offspring.json", "--tmax", "65536"]),
+    (0, ["limit", "--model", DOCS + "binary_splitting.json", "--y", "1,2", "--z", "0.25,0.5", "--tmax", "8192",
+         "--out", "{out}/limit.csv"]),
+    # weight-0 limit rows, on powers of 2 and off them, beside dp columns
+    (0, ["limit", "--model", DOCS + "heavy_tail_life.json", "--y", "1,2", "--z", "0,0.5",
+         "--times", "1024,2048,4096", "--out", "{out}/cut_limit.csv"]),
+    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "4096", "--out", "{out}/cut_dp.csv"]),
+    (0, ["limit", "--model", DOCS + "heavy_tail_life.json", "--y", "1,2", "--z", "0,0.5", "--times", "1000,3000",
+         "--out", "{out}/odd_limit.csv"]),
+    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "3000", "--out", "{out}/odd_dp.csv"]),
+    # a weight-1 coordinate dropped from the query, and FddSpec.at's scaled times
+    (0, ["limit", "--model", DOCS + "delayed_death.json", "--y", "1,1.5,2", "--z", "0.3,1,0.5",
+         "--times", "64,128,256"]),
+    # the battery crosses all three routes, and expands eta_fdd_pmf on ring rows
+    (0, ["verify", "--out", "{out}/verify.json"]),
+    # the densities of T and T0 on a 400,000-row grid, filled in place; a
+    # grid past the element budget exits 5
+    (0, ["figure1", "--c", "15", "--grid", "1e-5", "--out", "{out}/figure1.csv"]),
+    (5, ["figure1", "--c", "15", "--grid", "1e-12"]),
+    # a fractional birth age and a NaN mass are refused, and so is a query
+    # the model cannot answer (Z(5) > 0 has probability 0)
+    (2, ["summarize", "--model", "{out}/bad_age.json"]),
+    (2, ["summarize", "--model", "{out}/nan.json"]),
+    (2, ["fdd", "--model", "{out}/doomed.json", "--times", "5", "--z", "0.5", "--tobs", "5"]),
+    # limit refuses a subcritical model, while its DP still runs
+    (2, ["limit", "--model", "{out}/sub.json", "--y", "1", "--z", "0.5", "--tmax", "256"]),
+    (0, ["dp", "--model", "{out}/sub.json", "--tmax", "64"]),
+    # the Squares64 streams and the simulation CSV writer
+    (0, ["simulate", "--model", DOCS + "delayed_death.json", "--tmax", "64", "--times", "16,64",
+         "--replicates", "4000", "--seed", "1", "--out", "{out}/sim.csv"]),
+    # tabulated is the scheduled law without a residual: the summary, the
+    # DP, the sampler and the conditioned pmf through the one scheduled path
+    (0, ["summarize", "--model", DOCS + "early_births.json"]),
+    (0, ["dp", "--model", DOCS + "early_births.json", "--tmax", "65536", "--out", "{out}/tab_dp.csv"]),
+    (0, ["simulate", "--model", DOCS + "early_births.json", "--tmax", "64", "--times", "16,64",
+         "--replicates", "4000", "--seed", "1", "--out", "{out}/tab_sim.csv"]),
+    (0, ["fdd", "--model", DOCS + "early_births.json", "--times", "8,12,16", "--tobs", "8", "--K", "10",
+         "--out", "{out}/tab_pmf.csv"]),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _rows(path: Path) -> list:
+    """The rows of a CSV file the scipy-free run wrote, read once."""
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+@pytest.fixture(scope="module")
+def scipy_free(tmp_path_factory):
+    """The directory SCIPY_FREE wrote to, and its exit codes; the CSV rows
+    read from it are dropped after the module."""
+    out = tmp_path_factory.mktemp("scipy_free")
+    for name, model in SCIPY_FREE_MODELS.items():
+        (out / f"{name}.json").write_text(json.dumps(model))
     code = """if True:
-        import contextlib, io, sys
+        import contextlib, io, json, sys
         sys.modules["scipy"] = None  # any scipy import now raises ImportError
+        import numpy as np
+        from gwolab import LimitParams, law_T
         from gwolab.cli import main
         codes = []
-        for argv in (
-            ["summarize", "--model", "docs/models/heavy_tail_life.json"],
-            ["fdd", "--model", "docs/models/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "21"],
-            ["dp", "--model", "docs/models/heavy_tail_life.json", "--tmax", "4096"],
-            ["summarize", "--model", "docs/models/heavy_tail_sevastyanov.json"],
-        ):
-            with contextlib.redirect_stdout(io.StringIO()):
+        for argv in json.loads(sys.argv[1]):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
                 codes.append(main(argv))
+        # the sampler of T (in place; c = 0 draws no point left of 1)
+        for i, c in enumerate((0.0, 1.0, 15.0)):
+            draws = law_T(LimitParams(c)).sample(np.random.default_rng(i), 10**6)
+            assert draws.shape == (10**6,) and np.all(np.isfinite(draws)) and np.all(draws > 0.0), i
+            assert c > 0.0 or np.all(draws >= 1.0)
         print(codes)
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True, timeout=300)
-    assert (out.returncode, out.stdout.strip()) == (0, "[0, 0, 0, 0]"), out.stderr
+    argv = json.dumps([[a.format(out=out) for a in args] for _, args in SCIPY_FREE])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code, argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    yield out, json.loads(run.stdout)
+    _rows.cache_clear()
+
+
+def test_runs_without_scipy(scipy_free):
+    # the fdd K's above take each product route
+    ring = gwolab.series.ring
+    assert ring(3, 20)._fft_len is None and ring(3, 24)._fft_len is not None and ring(1, 600)._fft_len is not None
+    out, codes = scipy_free
+    assert codes == [code for code, _ in SCIPY_FREE]
+    # the Squares64 streams and the runner keep their bits: each simulation
+    # CSV hashes to its pin
+    pins = json.loads((ROOT / "tests" / "pinned_streams.json").read_text())
+    for name, file in (("delayed_death", "sim.csv"), ("early_births", "tab_sim.csv")):
+        got = hashlib.sha256((out / file).read_bytes()).hexdigest()
+        assert got == pins["sha256"][name], (file, got, pins["sha256"][name])
+
+
+def test_empty_sevastyanov_table_writes_the_bellman_harris_bytes(scipy_free):
+    out, _ = scipy_free
+    assert (out / "sev.csv").read_bytes() == (out / "bh.csv").read_bytes()
+
+
+def test_weight_0_limit_rows_are_the_dp_column(scipy_free):
+    # a weight-0 time ends the query: the limit rows at z_1 = 0 read one
+    # survival column, so at every t, powers of 2 or not, each row's Q is
+    # the dp column's, string for string
+    out, _ = scipy_free
+
+    def column(name):
+        return {row[0]: row[1] for row in _rows(out / name)[1:]}
+
+    for stem, times in (("cut", ["1024", "2048", "4096"]), ("odd", ["1000", "3000"])):
+        limit, dp = column(f"{stem}_limit.csv"), column(f"{stem}_dp.csv")
+        assert sorted(limit, key=int) == times, limit
+        assert all(dp[t] == q for t, q in limit.items()), [(t, q, dp[t]) for t, q in limit.items()]
+
+
+def test_figure1_f_T_never_rises_left_of_1(scipy_free):
+    # the frozen root's density of T, on the 400,000-row grid; a digit lost
+    # near 0 would show as a rise there
+    out, _ = scipy_free
+    left = [float(f) for y, f, _ in _rows(out / "figure1.csv")[1:] if float(y) < 1.0]
+    assert all(b <= a for a, b in zip(left, left[1:])), "f_T rises left of 1"
+
+
+def test_csv_outputs_read_back(scipy_free):
+    # each reads back through Python's csv module as a rectangle, and each
+    # pmf ends with its overflow row
+    out, _ = scipy_free
+    names = ["pmf", "tab_pmf", "dp", "limit", "sim", "figure1", "tab_dp", "tab_sim", "cut_limit", "cut_dp"]
+    for name in names:
+        rows = _rows(out / f"{name}.csv")
+        assert len(rows) > 1 and len({len(row) for row in rows}) == 1, name
+    for name in names[:2]:
+        assert _rows(out / f"{name}.csv")[-1][0] == "overflow", name

@@ -1401,3 +1401,42 @@ class TestConvergence:
             )
             outs.add(run.stdout)
         assert len(outs) == 1, outs
+
+    def test_cli_files_do_not_depend_on_blas_threads(self, tmp_path):
+        # the float walk's sub-block dots, rank 1 and table, and the last
+        # block's direct dots, at the benchmark's horizon and at 50000 (no
+        # power of 2: its last block takes the direct dots, past _LONG_DOT
+        # terms), and a single-leaf series DP over two segments; one
+        # scipy-free interpreter per thread count, the two side by side
+        src = str(Path(exact_engine.__file__).resolve().parents[1])
+        runs = {
+            "bh.csv": ["dp", "--model", "heavy_tail_life", "--tmax", "65536"],
+            "bh50k.csv": ["dp", "--model", "heavy_tail_life", "--tmax", "50000"],
+            "sev.csv": ["dp", "--model", "heavy_tail_sevastyanov", "--tmax", "65536"],
+            "pmf.csv": ["fdd", "--model", "heavy_tail_life", "--times", "64,128", "--tobs", "64", "--K", "10"],
+        }
+        code = (
+            "import json, sys; sys.modules['scipy'] = None; from gwolab.cli import main; "
+            "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))"
+        )
+        procs = []
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            argv = [
+                [*args[:2], str(MODEL_DIR / f"{args[2]}.json"), *args[3:], "--out", str(tmp_path / threads / name)]
+                for name, args in runs.items()
+            ]
+            env = dict(
+                os.environ,
+                OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            )
+            procs.append(subprocess.Popen(
+                [sys.executable, "-c", code, json.dumps(argv)],
+                env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            ))
+        for proc in procs:
+            _, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+        for name in runs:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

@@ -23,10 +23,11 @@ def _check(code):
     return out.stdout
 
 
-def test_setup_loads_three_submodules():
-    loaded = _check("""if True:
+@pytest.mark.parametrize("model", ["delayed_death", "heavy_tail_life"])
+def test_setup_loads_three_submodules(model):
+    loaded = _check(f"""if True:
         import sys, gwolab
-        gwolab.summarize(gwolab.load_model("docs/models/delayed_death.json"))
+        gwolab.summarize(gwolab.load_model("docs/models/{model}.json"))
         print(" ".join(sorted(m for m in sys.modules if m.startswith("gwolab") or m in ("argparse", "logging"))))
     """)
     assert loaded.split() == ["gwolab", "gwolab.errors", "gwolab.lifelaw", "gwolab.modelio"]

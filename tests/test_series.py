@@ -278,8 +278,9 @@ def test_one_variable_product_is_np_convolve_bit_for_bit(cap):
     "nvars,cap", [(1, 512), (1, 600), (2, 33), (2, 40), (2, 100), (3, 21), (3, 25), (3, 30), (4, 11)]
 )
 def test_fft_product_matches_scipy_bits(nvars, cap):
-    # the pins of tests/pinned_pmfs.json hold scipy.fft's round-off bits; a
-    # numpy or scipy release whose transforms part ways shows up here first
+    # no pinned shape takes the FFT, but its round-off bits decide, for one,
+    # the 165 coefficients test_clamp_warning counts at (2, 33); a numpy or
+    # scipy release whose transforms part ways shows up here first
     ring = gwolab.series.ring(nvars, cap)
     assert ring._fft_len is not None
     mask = gwolab.series.total_degree_mask(nvars, cap)

@@ -227,6 +227,25 @@ def test_generator_matches_scalar_transcription(seed, rep):
     assert got.tolist() == [_ref_uniform(key, j) for j in counters]
 
 
+# known answers of the generator: the keys of streams (seed, r) and words
+# 0, 1 and 2^63 of each as 2^53 u = squares64(j, key) >> 11, computed from
+# README's Python-int formula
+KNOWN_WORDS = {
+    (0, 0): (0x1296F38EC93F5247, [5868790989701817, 4672799030589224, 3879384928382933]),
+    (1, 1): (0xC68FA9E51A8437B5, [8308325771027683, 729293606252082, 2861442549321187]),
+    (2**64 - 1, 2**64 - 3): (0xCA57FD8B47FC6A85, [8149929467409950, 8420998432177679, 4594282415961345]),
+}
+
+
+@pytest.mark.parametrize("seed, rep", KNOWN_WORDS)
+def test_generator_matches_its_known_answers(seed, rep):
+    key, words = KNOWN_WORDS[seed, rep]
+    got = int(stream_keys(seed, [rep])[0])
+    assert got == key, (seed, rep, hex(got))
+    u = uniforms(np.uint64(key), np.array([0, 1, 2**63], dtype=np.uint64))
+    assert [int(x * 2**53) for x in u] == words, (seed, rep, u)
+
+
 @pytest.mark.parametrize("counter", [2**32 - 1, 2**32, 3 * 2**40 + 5, 2**63, 2**64 - 3, 2**64 - 2])
 @pytest.mark.parametrize("seed, rep", [(2**64 - 1, 2**64 - 1), (0, 2**64 - 1), (2**64 - 1, 0), (11, 5)])
 def test_generator_matches_scalar_transcription_at_large_counters(counter, seed, rep):
