@@ -23,11 +23,8 @@ from gwolab.exact_engine import (
 )
 from gwolab.lifelaw import (
     BellmanHarris,
-    DelayedDeath,
     FiniteLife,
     OffspringPMF,
-    QuadraticTailLife,
-    Tabulated,
     compound_params,
     summarize,
 )
@@ -42,9 +39,7 @@ from gwolab.limitlaw import (
 from gwolab.simulator import SimConfig, dichotomy_stats, simulate
 from gwolab.verify import oracle_equivalence, richardson, tv_to_limit
 
-
-def gw_binary():
-    return BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.5, 0.0, 0.5]))
+import shipped
 
 
 def bh_geometric():
@@ -57,20 +52,6 @@ def bh_geometric():
     return BellmanHarris(FiniteLife({1: 0.5, 2: 0.5}), OffspringPMF(probs))
 
 
-def tabulated_early():
-    return Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)])
-
-
-def bh_heavy():
-    return BellmanHarris(
-        QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.75, 0.0, 0.0, 0.0, 0.25])
-    )
-
-
-def delayed_c1():
-    return DelayedDeath([(0.5, (1, 2)), (0.5, ())], QuadraticTailLife(d=1.125, t_min=2))
-
-
 def _verdict(num: int, ok: bool, detail: str) -> None:
     print(f"[acceptance {num:02d}] {'PASS' if ok else 'FAIL'} {detail}", flush=True)
 
@@ -79,7 +60,7 @@ def test_01_exact_oracle_equivalence():
     start = time.perf_counter()
     worst = 0.0
     reports = []
-    for model in (gw_binary(), bh_geometric(), tabulated_early()):
+    for model in (shipped.model("binary_splitting"), bh_geometric(), shipped.model("early_births")):
         rep = oracle_equivalence(model, t_small=6)
         reports.append(rep)
         worst = max(worst, max(row.statistic for row in rep.rows))
@@ -92,7 +73,7 @@ def test_01_exact_oracle_equivalence():
 
 def test_02_survival_asymptotics_light_tail():
     start = time.perf_counter()
-    table = extinction_seq(gw_binary(), 2**14)
+    table = extinction_seq(shipped.model("binary_splitting"), 2**14)
     grid = [2**k for k in range(10, 15)]
     tq = [t * table.q[t] for t in grid]
     errs = [abs(v - 2.0) for v in tq]
@@ -115,7 +96,7 @@ def test_02_survival_asymptotics_light_tail():
 def test_03_survival_asymptotics_heavy_tail():
     start = time.perf_counter()
     rels = {}
-    for model in (bh_heavy(), delayed_c1()):
+    for model in (shipped.model("heavy_tail_life"), shipped.model("delayed_death")):
         s = summarize(model)
         table = extinction_seq(model, 2**14)
         grid = [2**k for k in range(10, 15)]
@@ -155,7 +136,7 @@ def test_04_weighted_survival_convergence():
     start = time.perf_counter()
     y, z = (1.0, 2.0), (0.0, 0.5)
     results = {}
-    for model in (bh_heavy(), delayed_c1()):
+    for model in (shipped.model("heavy_tail_life"), shipped.model("delayed_death")):
         rows = convergence_table(model, y, z, [2**k for k in range(10, 15)])
         errs = [r.abs_error for r in rows]
         assert all(errs[i + 1] < errs[i] for i in range(len(errs) - 1)), errs
@@ -245,7 +226,7 @@ def test_07_conditioned_law_converges_to_limit():
     start = time.perf_counter()
     grid = (256, 512, 1024, 2048)
     tvs = {}
-    for model in (bh_heavy(), delayed_c1()):
+    for model in (shipped.model("heavy_tail_life"), shipped.model("delayed_death")):
         c = summarize(model).c
         assert c > 0.0
         seq = [tv_to_limit(model, (1.0,), t, 10, c) for t in grid]
@@ -260,7 +241,7 @@ def test_07_conditioned_law_converges_to_limit():
 
 def test_08_monte_carlo_consistency():
     start = time.perf_counter()
-    model = gw_binary()
+    model = shipped.model("binary_splitting")
     horizon = 512
     reps = 100_000
     cfg = SimConfig(
@@ -309,7 +290,7 @@ def test_08_monte_carlo_consistency():
 
 def test_09_survivor_dichotomy_trend():
     start = time.perf_counter()
-    model = delayed_c1()
+    model = shipped.model("delayed_death")
     limit = None
     errs = []
     for t, reps in ((64, 30_000), (128, 60_000), (256, 120_000)):

@@ -25,81 +25,36 @@ from gwolab import cli, exact_engine
 from gwolab.cli import main
 from gwolab.exact_engine import FddSpec, conditional_pmf
 from gwolab.limitlaw import figure1_data
-from gwolab.modelio import model_from_dict
 
-GW_BINARY = {
-    "variant": "bellman_harris",
-    "life": {"kind": "finite", "pmf": {"1": 1.0}},
-    "offspring": [0.5, 0.0, 0.5],
-}
+import shipped
 
-DELAYED = {
-    "variant": "delayed_death",
-    "schedules": [{"prob": 0.5, "birth_ages": [1, 2]}, {"prob": 0.5, "birth_ages": []}],
-    "residual": {"kind": "quadratic_tail", "d": 1.125, "t_min": 2},
-}
-
-TABULATED = {
-    "variant": "tabulated",
-    "atoms": [
-        {"prob": 0.5, "birth_ages": [1, 2], "life": 3},
-        {"prob": 0.5, "birth_ages": [], "life": 2},
-    ],
-}
-
-SEV_HEAVY = {
-    "variant": "sevastyanov",
-    "life": {"kind": "quadratic_tail", "d": 1.0, "t_min": 2},
-    "offspring_by_life": {"2": [0.5, 0.0, 0.5]},
-    "offspring_default": [0.0, 1.0],
-}
-
-
-def csv_writer_bytes(header, rows) -> bytes:
-    """What csv.writer makes of the rows, floats as format(x, ".17g")."""
-    fh = io.StringIO(newline="")
-    writer = csv.writer(fh)
-    writer.writerow(header)
-    writer.writerows([v if isinstance(v, (int, str)) else format(float(v), ".17g") for v in row] for row in rows)
-    return fh.getvalue().encode()
-
-
-@pytest.fixture
-def gw_path(tmp_path):
-    path = tmp_path / "gw.json"
-    path.write_text(json.dumps(GW_BINARY))
-    return str(path)
-
-
-@pytest.fixture
-def delayed_path(tmp_path):
-    path = tmp_path / "delayed.json"
-    path.write_text(json.dumps(DELAYED))
-    return str(path)
+# the model files the tests read, as the CLI takes them
+BINARY_SPLITTING = str(shipped.path("binary_splitting"))
+DELAYED_DEATH = str(shipped.path("delayed_death"))
 
 
 class TestSummarize:
-    def test_prints_parameters(self, gw_path, capsys):
-        assert main(["summarize", "--model", gw_path]) == 0
+    def test_prints_parameters(self, capsys):
+        assert main(["summarize", "--model", BINARY_SPLITTING]) == 0
         out = capsys.readouterr().out
         for token in ("b=0.5", "a=1", "d=0", "h=2", "c=0"):
             assert token in out
 
-    def test_json_output(self, gw_path, tmp_path, capsys):
+    def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
-        assert main(["summarize", "--model", gw_path, "--out", str(out)]) == 0
+        assert main(["summarize", "--model", BINARY_SPLITTING, "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["h"] == 2.0 and payload["critical"] is True
 
 
 class TestDp:
-    def test_time_zero(self, gw_path, capsys):
-        assert main(["dp", "--model", gw_path, "--tmax", "0"]) == 0
+    def test_time_zero(self, capsys):
+        assert main(["dp", "--model", BINARY_SPLITTING, "--tmax", "0"]) == 0
         assert "Q(0)=1" in capsys.readouterr().out
 
-    def test_csv_and_echo_round_trip(self, gw_path, tmp_path, capsys):
+    def test_csv_and_echo_round_trip(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
-        assert main(["dp", "--model", gw_path, "--tmax", "8", "--out", str(a)]) == 0
+        assert main(["dp", "--model", BINARY_SPLITTING, "--tmax", "8", "--out", str(a)]) == 0
         lines = a.read_text().strip().splitlines()
         assert lines[0] == "t,Q,tQ,h,abs_error"
         assert len(lines) == 10
@@ -110,38 +65,38 @@ class TestDp:
         assert main(["dp", "--config", str(echo), "--out", str(b)]) == 0
         assert b.read_bytes() == a.read_bytes()
 
-    def test_csv_bytes_pinned(self, gw_path, tmp_path, capsys):
+    def test_csv_bytes_pinned(self, tmp_path, capsys):
         # the binary-splitting column at t = 2^10, written by the row-by-row
         # writer that formatted numpy scalars; any change of digits,
         # separators or line ends changes the digest
         out = tmp_path / "dp.csv"
-        assert main(["dp", "--model", gw_path, "--tmax", "1024", "--out", str(out)]) == 0
+        assert main(["dp", "--model", BINARY_SPLITTING, "--tmax", "1024", "--out", str(out)]) == 0
         data = out.read_bytes()
         assert data.startswith(b"t,Q,tQ,h,abs_error\r\n0,1,0,2,2\r\n1,0.5,0.5,2,1.5\r\n")
         assert data.endswith(b"1024,0.0019366568943026685,1.9831366597659326,2,0.016863340234067437\r\n")
         assert hashlib.sha256(data).hexdigest() == "460a3a65b691ee9542f764667dc6b4026b7a3ab62df2012aed6fdfe872366352"
 
-    def test_flag_overrides_config(self, gw_path, tmp_path, capsys):
+    def test_flag_overrides_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": GW_BINARY, "tmax": 4}))
+        cfg.write_text(json.dumps({"model": shipped.config("binary_splitting"), "tmax": 4}))
         assert main(["dp", "--config", str(cfg), "--tmax", "1"]) == 0
         assert "Q(1)=0.5" in capsys.readouterr().out
 
     def test_config_command_mismatch(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"command": "summarize", "model": GW_BINARY}))
+        cfg.write_text(json.dumps({"command": "summarize", "model": shipped.config("binary_splitting")}))
         assert main(["dp", "--config", str(cfg), "--tmax", "1"]) == 2
 
 
 class TestFdd:
-    def test_pgf_value(self, gw_path, capsys):
-        assert main(["fdd", "--model", gw_path, "--times", "1,2", "--z", "0,0"]) == 0
+    def test_pgf_value(self, capsys):
+        assert main(["fdd", "--model", BINARY_SPLITTING, "--times", "1,2", "--z", "0,0"]) == 0
         assert "pgf=0.5" in capsys.readouterr().out
 
-    def test_pmf_csv(self, gw_path, tmp_path, capsys):
+    def test_pmf_csv(self, tmp_path, capsys):
         out = tmp_path / "pmf.csv"
         code = main(
-            ["fdd", "--model", gw_path, "--times", "3", "--tobs", "3", "--K", "6", "--out", str(out)]
+            ["fdd", "--model", BINARY_SPLITTING, "--times", "3", "--tobs", "3", "--K", "6", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().strip().splitlines()
@@ -151,40 +106,40 @@ class TestFdd:
         overflow = float(lines[-1].split(",")[1])
         assert kept + overflow == pytest.approx(1.0, abs=1e-10)
 
-    def test_pmf_covers_every_time(self, gw_path, tmp_path, capsys):
+    def test_pmf_covers_every_time(self, tmp_path, capsys):
         # a weight of 1 in --z must not drop time 4 from the extraction
         out = tmp_path / "pmf.csv"
         code = main(
-            ["fdd", "--model", gw_path, "--times", "4,8", "--z", "1,0", "--tobs", "8",
+            ["fdd", "--model", BINARY_SPLITTING, "--times", "4,8", "--z", "1,0", "--tobs", "8",
              "--K", "6", "--out", str(out)]
         )
         assert code == 0
         assert out.read_text().splitlines()[0] == "n_t4,n_t8,prob"
 
     @pytest.mark.parametrize("times", [(8,), (8, 12), (8, 12, 16)], ids=["k1", "k2", "k3"])
-    def test_pmf_csv_bytes_are_csv_writers(self, times, delayed_path, tmp_path, capsys):
+    def test_pmf_csv_bytes_are_csv_writers(self, times, tmp_path, capsys):
         # the cells of total count <= K in C order, then the overflow row
         K = 6
         out = tmp_path / "pmf.csv"
         code = main(
-            ["fdd", "--model", delayed_path, "--times", ",".join(map(str, times)), "--tobs", "8",
+            ["fdd", "--model", DELAYED_DEATH, "--times", ",".join(map(str, times)), "--tobs", "8",
              "--K", str(K), "--out", str(out)]
         )
         assert code == 0
-        pm = conditional_pmf(model_from_dict(DELAYED), FddSpec(times, [0.0] * len(times), t_obs=8), K)
+        pm = conditional_pmf(shipped.model("delayed_death"), FddSpec(times, [0.0] * len(times), t_obs=8), K)
         cells = [list(idx) + [pm.probs[idx]] for idx in np.ndindex(pm.probs.shape) if sum(idx) <= K]
         header = [f"n_t{t}" for t in times] + ["prob"]
-        assert out.read_bytes() == csv_writer_bytes(header, cells + [["overflow"] * len(times) + [pm.overflow]])
+        assert out.read_bytes() == shipped.csv_writer_bytes(header, cells + [["overflow"] * len(times) + [pm.overflow]])
 
-    def test_pmf_needs_tobs(self, gw_path, capsys):
-        assert main(["fdd", "--model", gw_path, "--times", "3", "--K", "6"]) == 2
+    def test_pmf_needs_tobs(self, capsys):
+        assert main(["fdd", "--model", BINARY_SPLITTING, "--times", "3", "--K", "6"]) == 2
 
 
 class TestSimulate:
-    def test_seed_determinism(self, gw_path, tmp_path, capsys):
+    def test_seed_determinism(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        base = ["simulate", "--model", gw_path, "--tmax", "4", "--times", "2,4",
+        base = ["simulate", "--model", BINARY_SPLITTING, "--tmax", "4", "--times", "2,4",
                 "--replicates", "300", "--seed", "11"]
         assert main(base + ["--out", str(a)]) == 0
         assert main(base + ["--out", str(b)]) == 0
@@ -197,10 +152,10 @@ class TestSimulate:
             main([command, "--help"])
         assert "--threads" not in capsys.readouterr().out
 
-    def test_summary_json(self, gw_path, tmp_path, capsys):
+    def test_summary_json(self, tmp_path, capsys):
         out = tmp_path / "sim.json"
         code = main(
-            ["simulate", "--model", gw_path, "--tmax", "2", "--replicates", "500",
+            ["simulate", "--model", BINARY_SPLITTING, "--tmax", "2", "--replicates", "500",
              "--seed", "7", "--format", "json", "--out", str(out)]
         )
         assert code == 0
@@ -208,9 +163,9 @@ class TestSimulate:
         assert payload["seed"] == 7
         assert 0.0 < payload["survival"]["estimate"] < 1.0
 
-    def test_echo_round_trip(self, gw_path, tmp_path, capsys):
+    def test_echo_round_trip(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
-        args = ["simulate", "--model", gw_path, "--tmax", "3", "--replicates", "100",
+        args = ["simulate", "--model", BINARY_SPLITTING, "--tmax", "3", "--replicates", "100",
                 "--seed", "5", "--out", str(a)]
         assert main(args) == 0
         b = tmp_path / "b.csv"
@@ -219,10 +174,10 @@ class TestSimulate:
 
 
 class TestLimit:
-    def test_dyadic_grid_csv(self, delayed_path, tmp_path, capsys):
+    def test_dyadic_grid_csv(self, tmp_path, capsys):
         out = tmp_path / "limit.csv"
         code = main(
-            ["limit", "--model", delayed_path, "--y", "1,2", "--z", "0.25,0.5",
+            ["limit", "--model", DELAYED_DEATH, "--y", "1,2", "--z", "0.25,0.5",
              "--tmax", "64", "--out", str(out)]
         )
         assert code == 0
@@ -248,7 +203,7 @@ class TestFigure1:
         assert main(["figure1", "--c", "15", "--grid", "0.0005", "--out", str(out)]) == 0
         data = figure1_data(15.0, step=0.0005, y_max=4.0)
         assert data.shape[0] > 4096
-        assert out.read_bytes() == csv_writer_bytes(["y", "f_T", "f_T0"], data)
+        assert out.read_bytes() == shipped.csv_writer_bytes(["y", "f_T", "f_T0"], data)
 
 
 class TestVerify:
@@ -269,9 +224,8 @@ class TestExitCodes:
 
     def test_heavy_tail_sevastyanov_summarizes(self, tmp_path, capsys):
         # a heavy tail under a default law: moments in closed form; code 3 is retired
-        path, out = tmp_path / "sev.json", tmp_path / "summary.json"
-        path.write_text(json.dumps(SEV_HEAVY))
-        assert main(["summarize", "--model", str(path), "--out", str(out)]) == 0
+        out = tmp_path / "summary.json"
+        assert main(["summarize", "--model", str(shipped.path("heavy_tail_sevastyanov")), "--out", str(out)]) == 0
         s = json.loads(out.read_text())
         assert (s["b"], s["a"], s["h"], s["c"]) == (0.375, 2.6449340668482266, 7.412891196596736, 0.2144181567674593)
         assert "critical=True" in capsys.readouterr().out
@@ -280,18 +234,19 @@ class TestExitCodes:
     @pytest.mark.parametrize("key", ["0", "-1", str(2**70)])
     def test_table_key_outside_the_lives_exits_2(self, key, tmp_path, capsys):
         path = tmp_path / "sev.json"
-        path.write_text(json.dumps({**SEV_HEAVY, "offspring_by_life": {key: [0.5, 0.0, 0.5]}}))
+        model = {**shipped.config("heavy_tail_sevastyanov"), "offspring_by_life": {key: [0.5, 0.0, 0.5]}}
+        path.write_text(json.dumps(model))
         assert main(["summarize", "--model", str(path)]) == 2
         assert f"life {key} must be" in capsys.readouterr().err
 
-    def test_cap_too_large(self, gw_path, capsys):
+    def test_cap_too_large(self, capsys):
         code = main(
-            ["fdd", "--model", gw_path, "--times", "2,3,4", "--tobs", "4", "--K", "300"]
+            ["fdd", "--model", BINARY_SPLITTING, "--times", "2,3,4", "--tobs", "4", "--K", "300"]
         )
         assert code == 5
 
-    def test_dp_table_past_the_budget(self, gw_path, capsys):
-        code = main(["dp", "--model", gw_path, "--tmax", str(exact_engine._DP_BUDGET)])
+    def test_dp_table_past_the_budget(self, capsys):
+        code = main(["dp", "--model", BINARY_SPLITTING, "--tmax", str(exact_engine._DP_BUDGET)])
         assert code == 5
         assert "DP table" in capsys.readouterr().err
 
@@ -299,41 +254,41 @@ class TestExitCodes:
         "argv",
         [
             ["figure1", "--c", "15", "--grid", "1e-12"],
-            ["simulate", "--model", "{gw}", "--tmax", "1000000000000", "--replicates", "1", "--seed", "1"],
-            ["simulate", "--model", "{gw}", "--tmax", "32", "--replicates", "1000000000000", "--seed", "1"],
+            ["simulate", "--model", "{model}", "--tmax", "1000000000000", "--replicates", "1", "--seed", "1"],
+            ["simulate", "--model", "{model}", "--tmax", "32", "--replicates", "1000000000000", "--seed", "1"],
         ],
         ids=["figure1_grid", "simulate_horizon", "simulate_replicates"],
     )
-    def test_sizes_past_the_budget_exit_5(self, argv, gw_path, capsys):
-        assert main([a.format(gw=gw_path) for a in argv]) == 5
+    def test_sizes_past_the_budget_exit_5(self, argv, capsys):
+        assert main([a.format(model=BINARY_SPLITTING) for a in argv]) == 5
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "model, path, value",
         [
-            (GW_BINARY, ("life", "pmf", "1"), "abc"),
-            (GW_BINARY, ("life", "pmf", "1"), [1]),
-            (GW_BINARY, ("life", "pmf", "1"), True),
-            (TABULATED, ("atoms",), 5),
-            (TABULATED, ("atoms", 0, "life"), "x"),
-            (TABULATED, ("atoms", 0, "birth_ages"), 3),
-            (TABULATED, ("atoms", 0, "birth_ages"), [1.7]),
-            (DELAYED, ("residual", "t_min"), 2.5),
-            (DELAYED, ("residual", "d"), None),
-            (SEV_HEAVY, ("offspring_by_life",), {}),
-            (SEV_HEAVY, ("offspring_by_life",), []),
-            (DELAYED, ("residual", "d"), "1.0"),
-            (DELAYED, ("residual", "t_min"), "2"),
-            (GW_BINARY, ("offspring", 0), " 0.5 "),
-            (GW_BINARY, ("offspring", 0), math.nan),
-            (GW_BINARY, ("offspring", 2), "5e-1"),
-            (GW_BINARY, ("life", "pmf", "1"), "1"),
-            (TABULATED, ("atoms", 0, "prob"), "0.5"),
-            (TABULATED, ("atoms", 0, "birth_ages", 0), "1"),
-            (TABULATED, ("atoms", 0, "life"), "1_0"),
-            ({**SEV_HEAVY, "life": GW_BINARY["life"], "offspring_by_life": {"1": [0.5, 0.0, 0.5]}},
-             ("offspring_by_life", "1", 0), "0.5"),
+            (shipped.config("binary_splitting"), ("life", "pmf", "1"), "abc"),
+            (shipped.config("binary_splitting"), ("life", "pmf", "1"), [1]),
+            (shipped.config("binary_splitting"), ("life", "pmf", "1"), True),
+            (shipped.config("early_births"), ("atoms",), 5),
+            (shipped.config("early_births"), ("atoms", 0, "life"), "x"),
+            (shipped.config("early_births"), ("atoms", 0, "birth_ages"), 3),
+            (shipped.config("early_births"), ("atoms", 0, "birth_ages"), [1.7]),
+            (shipped.config("delayed_death"), ("residual", "t_min"), 2.5),
+            (shipped.config("delayed_death"), ("residual", "d"), None),
+            (shipped.config("heavy_tail_sevastyanov"), ("offspring_by_life",), {}),
+            (shipped.config("heavy_tail_sevastyanov"), ("offspring_by_life",), []),
+            (shipped.config("delayed_death"), ("residual", "d"), "1.0"),
+            (shipped.config("delayed_death"), ("residual", "t_min"), "2"),
+            (shipped.config("binary_splitting"), ("offspring", 0), " 0.5 "),
+            (shipped.config("binary_splitting"), ("offspring", 0), math.nan),
+            (shipped.config("binary_splitting"), ("offspring", 2), "5e-1"),
+            (shipped.config("binary_splitting"), ("life", "pmf", "1"), "1"),
+            (shipped.config("early_births"), ("atoms", 0, "prob"), "0.5"),
+            (shipped.config("early_births"), ("atoms", 0, "birth_ages", 0), "1"),
+            (shipped.config("early_births"), ("atoms", 0, "life"), "1_0"),
+            ({"variant": "sevastyanov", "life": {"kind": "finite", "pmf": {"1": 1.0}},
+              "offspring_by_life": {"1": [0.5, 0.0, 0.5]}}, ("offspring_by_life", "1", 0), "0.5"),
         ],
         ids=["pmf_letters", "pmf_list", "pmf_bool", "atoms_int", "atom_life_letter",
              "ages_int", "age_fraction", "t_min_fraction", "d_null", "table_empty", "table_list",
@@ -370,28 +325,28 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err == "error: t_obs 5: Z(5) > 0 has probability 0\n"
 
-    def test_missing_required_flag(self, gw_path, capsys):
-        assert main(["dp", "--model", gw_path]) == 2
+    def test_missing_required_flag(self, capsys):
+        assert main(["dp", "--model", BINARY_SPLITTING]) == 2
 
     @pytest.mark.parametrize(
         "argv",
         [
-            ["fdd", "--model", "{gw}", "--times", "4,x", "--z", "0.5,0.5"],
-            ["simulate", "--model", "{gw}", "--tmax", "4", "--times", "4,x",
+            ["fdd", "--model", "{model}", "--times", "4,x", "--z", "0.5,0.5"],
+            ["simulate", "--model", "{model}", "--tmax", "4", "--times", "4,x",
              "--replicates", "10", "--seed", "1"],
             ["figure1", "--c", "abc"],
             ["dp", "--model", "{missing}", "--tmax", "4"],
             ["dp", "--config", "{missing}"],
-            ["limit", "--model", "{gw}", "--y", "1,2", "--z", "1,0", "--tmax", "16"],
-            ["limit", "--model", "{gw}", "--y", "1", "--z", "0", "--times", ","],
-            ["limit", "--model", "{gw}", "--y", "1", "--z", "0", "--tmax", "4"],
+            ["limit", "--model", "{model}", "--y", "1,2", "--z", "1,0", "--tmax", "16"],
+            ["limit", "--model", "{model}", "--y", "1", "--z", "0", "--times", ","],
+            ["limit", "--model", "{model}", "--y", "1", "--z", "0", "--tmax", "4"],
         ],
         ids=["fdd_times", "simulate_times", "figure1_c", "missing_model", "missing_config", "limit_z0_one",
              "limit_empty_grid", "limit_tmax_below_8"],
     )
-    def test_bad_input_exits_2(self, argv, gw_path, tmp_path, capsys):
+    def test_bad_input_exits_2(self, argv, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
-        assert main([a.format(gw=gw_path, missing=missing) for a in argv]) == 2
+        assert main([a.format(model=BINARY_SPLITTING, missing=missing) for a in argv]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -399,8 +354,8 @@ class TestExitCodes:
     )
     def test_limit_refuses_a_model_the_theorem_does_not_cover(self, offspring, tmp_path, capsys):
         path = tmp_path / "model.json"
-        path.write_text(json.dumps({**GW_BINARY, "life": {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5}},
-                                    "offspring": offspring}))
+        life = {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5}}
+        path.write_text(json.dumps({"variant": "bellman_harris", "life": life, "offspring": offspring}))
         model = ["--model", str(path)]
         assert main(["limit", *model, "--y", "1", "--z", "0.5", "--tmax", "256"]) == 2
         captured = capsys.readouterr()
@@ -418,16 +373,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "argv, out",
-        [(argv, out) for out in ("{tmp}/missing/f.json", "{tmp}", "") for argv in (["summarize", "--model", "{gw}"], ["verify"])],
+        [(argv, out) for out in ("{tmp}/missing/f.json", "{tmp}", "") for argv in (["summarize", "--model", "{model}"], ["verify"])],
         ids=["summarize", "verify", "summarize_directory", "verify_directory", "summarize_empty", "verify_empty"],
     )
-    def test_out_into_missing_directory_exits_2_before_work(self, argv, out, gw_path, tmp_path, capsys):
+    def test_out_into_missing_directory_exits_2_before_work(self, argv, out, tmp_path, capsys):
         # an existing directory or an empty path is no file to write, so the
         # run stops before any work, as for a directory that does not exist
-        argv = [a.format(gw=gw_path) for a in argv] + ["--out", out.format(tmp=tmp_path)]
+        argv = [a.format(model=BINARY_SPLITTING) for a in argv] + ["--out", out.format(tmp=tmp_path)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and [p.name for p in tmp_path.iterdir()] == ["gw.json"]
+        assert captured.out == "" and not any(tmp_path.iterdir())
         assert captured.err.startswith("error: out: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("level, code", [("nonsense", 2), ("basic_format", 2), ("warning", 0), ("Debug", 0)])
@@ -437,7 +392,7 @@ class TestExitCodes:
         env = dict(os.environ, GWOLAB_LOG=level,
                    PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
         out = subprocess.run(
-            [sys.executable, "-m", "gwolab.cli", "summarize", "--model", "docs/models/delayed_death.json"],
+            [sys.executable, "-m", "gwolab.cli", "summarize", "--model", DELAYED_DEATH],
             cwd=root, env=env, capture_output=True, text=True, timeout=120,
         )
         assert out.returncode == code, out.stderr
@@ -459,13 +414,13 @@ class TestParameterTable:
     @pytest.mark.parametrize(
         "command, config",
         [
-            ("dp", {"model": GW_BINARY, "tmax": "abc"}),
-            ("simulate", {"model": GW_BINARY, "tmax": 4, "replicates": "ten", "seed": 1}),
-            ("fdd", {"model": GW_BINARY, "times": [3], "tobs": 3, "K": 2.5}),
-            ("simulate", {"model": GW_BINARY, "tmax": 4, "replicates": 10, "seed": 1,
+            ("dp", {"model": shipped.config("binary_splitting"), "tmax": "abc"}),
+            ("simulate", {"model": shipped.config("binary_splitting"), "tmax": 4, "replicates": "ten", "seed": 1}),
+            ("fdd", {"model": shipped.config("binary_splitting"), "times": [3], "tobs": 3, "K": 2.5}),
+            ("simulate", {"model": shipped.config("binary_splitting"), "tmax": 4, "replicates": 10, "seed": 1,
                           "format": "xml"}),
             ("figure1", {"c": 1.0, "gird": 0.5}),
-            ("dp", {"model": GW_BINARY, "tmax": 4, "out": None}),
+            ("dp", {"model": shipped.config("binary_splitting"), "tmax": 4, "out": None}),
         ],
         ids=["tmax_letters", "replicates_letters", "K_fraction", "format_xml", "unknown_key",
              "out_null"],
@@ -477,8 +432,8 @@ class TestParameterTable:
         captured = capsys.readouterr()
         assert "error:" in captured.err and captured.out == ""
 
-    def test_flag_uses_same_parser(self, gw_path, capsys):
-        assert main(["dp", "--model", gw_path, "--tmax", "2.5"]) == 2
+    def test_flag_uses_same_parser(self, capsys):
+        assert main(["dp", "--model", BINARY_SPLITTING, "--tmax", "2.5"]) == 2
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -491,12 +446,12 @@ class TestParameterTable:
         ],
         ids=["fdd", "simulate"],
     )
-    def test_string_valued_echo_reproduces(self, argv, echo, gw_path, tmp_path, capsys):
+    def test_string_valued_echo_reproduces(self, argv, echo, tmp_path, capsys):
         # echoes used to hold list parameters as the flag's text
         a = tmp_path / "a.csv"
-        assert main(argv + ["--model", gw_path, "--out", str(a)]) == 0
+        assert main(argv + ["--model", BINARY_SPLITTING, "--out", str(a)]) == 0
         cfg = tmp_path / "old_echo.json"
-        cfg.write_text(json.dumps(dict(echo, model=GW_BINARY)))
+        cfg.write_text(json.dumps(dict(echo, model=shipped.config("binary_splitting"))))
         b = tmp_path / "b.csv"
         assert main([echo["command"], "--config", str(cfg), "--out", str(b)]) == 0
         assert b.read_bytes() == a.read_bytes()
@@ -504,12 +459,12 @@ class TestParameterTable:
 
 # every parameter but --out, with its kind and a valid config holding it
 VALID = {
-    "summarize": {"model": GW_BINARY},
-    "dp": {"model": GW_BINARY, "tmax": 4},
-    "fdd": {"model": GW_BINARY, "times": [1, 2], "z": [0.0, 0.0], "tobs": 1, "K": 2},
-    "simulate": {"model": GW_BINARY, "tmax": 4, "times": [2, 4], "replicates": 10,
+    "summarize": {"model": shipped.config("binary_splitting")},
+    "dp": {"model": shipped.config("binary_splitting"), "tmax": 4},
+    "fdd": {"model": shipped.config("binary_splitting"), "times": [1, 2], "z": [0.0, 0.0], "tobs": 1, "K": 2},
+    "simulate": {"model": shipped.config("binary_splitting"), "tmax": 4, "times": [2, 4], "replicates": 10,
                  "seed": 1, "format": "csv"},
-    "limit": {"model": GW_BINARY, "y": [1.0, 2.0], "z": [0.25, 0.5], "tmax": 16,
+    "limit": {"model": shipped.config("binary_splitting"), "y": [1.0, 2.0], "z": [0.25, 0.5], "tmax": 16,
               "times": [8, 16]},
     "figure1": {"c": 1.0, "grid": 0.5, "y_max": 2.0},
     "verify": {},
@@ -580,57 +535,58 @@ def test_malformed_config_value_exits_2(command, name, data):
 
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = "docs/models/"
 
 # model files the scipy-free run writes to its directory, {out}
 SCIPY_FREE_MODELS = {
     # the heavy_tail_life law as a Sevastyanov table with no rows
-    "sev": {**SEV_HEAVY, "offspring_by_life": {}, "offspring_default": [0.75, 0.0, 0.0, 0.0, 0.25]},
+    "sev": {**shipped.config("heavy_tail_sevastyanov"), "offspring_by_life": {},
+            "offspring_default": [0.75, 0.0, 0.0, 0.0, 0.25]},
     "bad_age": {"variant": "tabulated", "atoms": [{"prob": 1.0, "birth_ages": [1.7], "life": 2}]},
-    "nan": {**GW_BINARY, "offspring": [math.nan, 0.0, 0.5]},
+    "nan": {**shipped.config("binary_splitting"), "offspring": [math.nan, 0.0, 0.5]},
     "doomed": {"variant": "tabulated", "atoms": [{"prob": 1.0, "birth_ages": [], "life": 2}]},
-    "sub": {**GW_BINARY, "life": {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5}}, "offspring": [0.4, 0.3, 0.3]},
+    "sub": {"variant": "bellman_harris", "life": {"kind": "finite", "pmf": {"1": 0.5, "2": 0.5}},
+            "offspring": [0.4, 0.3, 0.3]},
 }
 
 # (exit code, argv) of every command a numpy-only install is checked with,
 # run in order in one interpreter that cannot import scipy
 SCIPY_FREE = [
     # the trigamma sums the d/t^2 life tail
-    (0, ["summarize", "--model", DOCS + "heavy_tail_life.json"]),
+    (0, ["summarize", "--model", "{docs}/heavy_tail_life.json"]),
     # products in three variables on the pair table (K = 20) and on the
     # FFT (K = 24), and in one on the FFT (K = 600); t_obs before the first
     # time and between times
-    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "20",
+    (0, ["fdd", "--model", "{docs}/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "20",
          "--out", "{out}/pmf.csv"]),
-    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "24"]),
-    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--K", "10", "--tobs", "4"]),
-    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "8,12,16", "--K", "10", "--tobs", "10"]),
-    (0, ["fdd", "--model", DOCS + "delayed_death.json", "--times", "64", "--tobs", "64", "--K", "600"]),
-    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "4096"]),
+    (0, ["fdd", "--model", "{docs}/delayed_death.json", "--times", "8,12,16", "--tobs", "8", "--K", "24"]),
+    (0, ["fdd", "--model", "{docs}/delayed_death.json", "--times", "8,12,16", "--K", "10", "--tobs", "4"]),
+    (0, ["fdd", "--model", "{docs}/delayed_death.json", "--times", "8,12,16", "--K", "10", "--tobs", "10"]),
+    (0, ["fdd", "--model", "{docs}/delayed_death.json", "--times", "64", "--tobs", "64", "--K", "600"]),
+    (0, ["dp", "--model", "{docs}/heavy_tail_life.json", "--tmax", "4096"]),
     # a table over a quadratic life tail, its moments in closed form; the
     # sampler draws the default law, then the table's lives
-    (0, ["summarize", "--model", DOCS + "heavy_tail_sevastyanov.json"]),
-    (0, ["dp", "--model", DOCS + "heavy_tail_sevastyanov.json", "--tmax", "16384"]),
-    (0, ["simulate", "--model", DOCS + "heavy_tail_sevastyanov.json", "--tmax", "64", "--times", "16,64",
+    (0, ["summarize", "--model", "{docs}/heavy_tail_sevastyanov.json"]),
+    (0, ["dp", "--model", "{docs}/heavy_tail_sevastyanov.json", "--tmax", "16384"]),
+    (0, ["simulate", "--model", "{docs}/heavy_tail_sevastyanov.json", "--tmax", "64", "--times", "16,64",
          "--replicates", "4000", "--seed", "1"]),
-    (0, ["fdd", "--model", DOCS + "heavy_tail_sevastyanov.json", "--times", "48,96", "--tobs", "48", "--K", "10"]),
+    (0, ["fdd", "--model", "{docs}/heavy_tail_sevastyanov.json", "--times", "48,96", "--tobs", "48", "--K", "10"]),
     # bellman_harris is the sevastyanov law with an empty table
     (0, ["dp", "--model", "{out}/sev.json", "--tmax", "4096", "--out", "{out}/sev.csv"]),
-    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "4096", "--out", "{out}/bh.csv"]),
+    (0, ["dp", "--model", "{docs}/heavy_tail_life.json", "--tmax", "4096", "--out", "{out}/bh.csv"]),
     # the short-life scalar DPs run as Tabulated atoms on the scheduled kernel
-    (0, ["dp", "--model", DOCS + "binary_splitting.json", "--tmax", "65536", "--out", "{out}/dp.csv"]),
-    (0, ["dp", "--model", DOCS + "age_dependent_offspring.json", "--tmax", "65536"]),
-    (0, ["limit", "--model", DOCS + "binary_splitting.json", "--y", "1,2", "--z", "0.25,0.5", "--tmax", "8192",
+    (0, ["dp", "--model", "{docs}/binary_splitting.json", "--tmax", "65536", "--out", "{out}/dp.csv"]),
+    (0, ["dp", "--model", "{docs}/age_dependent_offspring.json", "--tmax", "65536"]),
+    (0, ["limit", "--model", "{docs}/binary_splitting.json", "--y", "1,2", "--z", "0.25,0.5", "--tmax", "8192",
          "--out", "{out}/limit.csv"]),
     # weight-0 limit rows, on powers of 2 and off them, beside dp columns
-    (0, ["limit", "--model", DOCS + "heavy_tail_life.json", "--y", "1,2", "--z", "0,0.5",
+    (0, ["limit", "--model", "{docs}/heavy_tail_life.json", "--y", "1,2", "--z", "0,0.5",
          "--times", "1024,2048,4096", "--out", "{out}/cut_limit.csv"]),
-    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "4096", "--out", "{out}/cut_dp.csv"]),
-    (0, ["limit", "--model", DOCS + "heavy_tail_life.json", "--y", "1,2", "--z", "0,0.5", "--times", "1000,3000",
+    (0, ["dp", "--model", "{docs}/heavy_tail_life.json", "--tmax", "4096", "--out", "{out}/cut_dp.csv"]),
+    (0, ["limit", "--model", "{docs}/heavy_tail_life.json", "--y", "1,2", "--z", "0,0.5", "--times", "1000,3000",
          "--out", "{out}/odd_limit.csv"]),
-    (0, ["dp", "--model", DOCS + "heavy_tail_life.json", "--tmax", "3000", "--out", "{out}/odd_dp.csv"]),
+    (0, ["dp", "--model", "{docs}/heavy_tail_life.json", "--tmax", "3000", "--out", "{out}/odd_dp.csv"]),
     # a weight-1 coordinate dropped from the query, and FddSpec.at's scaled times
-    (0, ["limit", "--model", DOCS + "delayed_death.json", "--y", "1,1.5,2", "--z", "0.3,1,0.5",
+    (0, ["limit", "--model", "{docs}/delayed_death.json", "--y", "1,1.5,2", "--z", "0.3,1,0.5",
          "--times", "64,128,256"]),
     # the battery crosses all three routes, and expands eta_fdd_pmf on ring rows
     (0, ["verify", "--out", "{out}/verify.json"]),
@@ -647,15 +603,15 @@ SCIPY_FREE = [
     (2, ["limit", "--model", "{out}/sub.json", "--y", "1", "--z", "0.5", "--tmax", "256"]),
     (0, ["dp", "--model", "{out}/sub.json", "--tmax", "64"]),
     # the Squares64 streams and the simulation CSV writer
-    (0, ["simulate", "--model", DOCS + "delayed_death.json", "--tmax", "64", "--times", "16,64",
+    (0, ["simulate", "--model", "{docs}/delayed_death.json", "--tmax", "64", "--times", "16,64",
          "--replicates", "4000", "--seed", "1", "--out", "{out}/sim.csv"]),
     # tabulated is the scheduled law without a residual: the summary, the
     # DP, the sampler and the conditioned pmf through the one scheduled path
-    (0, ["summarize", "--model", DOCS + "early_births.json"]),
-    (0, ["dp", "--model", DOCS + "early_births.json", "--tmax", "65536", "--out", "{out}/tab_dp.csv"]),
-    (0, ["simulate", "--model", DOCS + "early_births.json", "--tmax", "64", "--times", "16,64",
+    (0, ["summarize", "--model", "{docs}/early_births.json"]),
+    (0, ["dp", "--model", "{docs}/early_births.json", "--tmax", "65536", "--out", "{out}/tab_dp.csv"]),
+    (0, ["simulate", "--model", "{docs}/early_births.json", "--tmax", "64", "--times", "16,64",
          "--replicates", "4000", "--seed", "1", "--out", "{out}/tab_sim.csv"]),
-    (0, ["fdd", "--model", DOCS + "early_births.json", "--times", "8,12,16", "--tobs", "8", "--K", "10",
+    (0, ["fdd", "--model", "{docs}/early_births.json", "--times", "8,12,16", "--tobs", "8", "--K", "10",
          "--out", "{out}/tab_pmf.csv"]),
 ]
 
@@ -691,7 +647,7 @@ def scipy_free(tmp_path_factory):
             assert c > 0.0 or np.all(draws >= 1.0)
         print(codes)
     """
-    argv = json.dumps([[a.format(out=out) for a in args] for _, args in SCIPY_FREE])
+    argv = json.dumps([[a.format(out=out, docs=shipped.DIR) for a in args] for _, args in SCIPY_FREE])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     run = subprocess.run([sys.executable, "-c", code, argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr

@@ -47,15 +47,9 @@ from gwolab.series import TruncatedSeries
 from gwolab.simulator import SimConfig
 from gwolab.verify import enumerate_joint, fdd_limit_check, limit_convergence, oracle_equivalence, tv_to_limit
 
+import shipped
+
 BINARY = OffspringPMF([0.5, 0.0, 0.5])
-
-
-def gw_binary():
-    return BellmanHarris(FiniteLife({1: 1.0}), BINARY)
-
-
-def delayed_c1():
-    return DelayedDeath([(0.5, (1, 2)), (0.5, ())], QuadraticTailLife(d=1.125, t_min=2))
 
 
 # (field named by the error, build from an integer value v); each builds
@@ -69,15 +63,21 @@ INPUTS = {
     "sevastyanov_life": ("offspring_by_life: life", lambda v: Sevastyanov(FiniteLife({2: 1.0}), {v: BINARY}, BINARY)),
     "fdd_time": ("time", lambda v: FddSpec((v,), (0.5,))),
     "fdd_t_obs": ("t_obs", lambda v: FddSpec((3,), (0.5,), t_obs=v)),
-    "convergence_grid": ("grid point", lambda v: convergence_table(gw_binary(), (1.0,), (0.5,), (v, 8))),
-    "dyadic_grid": ("grid point", lambda v: limit_convergence(gw_binary(), (1.0,), (0.5,), (v, 4, 8))),
-    "fdd_limit_grid": ("grid point", lambda v: fdd_limit_check(delayed_c1(), (1.0,), (v, 4), K=2, replicates=20)),
-    "t_small": ("t_small", lambda v: oracle_equivalence(gw_binary(), v)),
-    "oracle_budget": ("budget", lambda v: oracle_equivalence(gw_binary(), 1, budget=v)),
-    "joint_budget": ("budget", lambda v: enumerate_joint(gw_binary(), (1,), budget=v)),
-    "saturate": ("saturate", lambda v: enumerate_joint(gw_binary(), (1, 2), saturate=v)),
-    "seed": ("seed", lambda v: SimConfig(gw_binary(), 5, (), 1, seed=v)),
-    "query_time": ("query time", lambda v: SimConfig(gw_binary(), 5, (v,), 1, 1)),
+    "convergence_grid": (
+        "grid point", lambda v: convergence_table(shipped.model("binary_splitting"), (1.0,), (0.5,), (v, 8))
+    ),
+    "dyadic_grid": (
+        "grid point", lambda v: limit_convergence(shipped.model("binary_splitting"), (1.0,), (0.5,), (v, 4, 8))
+    ),
+    "fdd_limit_grid": (
+        "grid point", lambda v: fdd_limit_check(shipped.model("delayed_death"), (1.0,), (v, 4), K=2, replicates=20)
+    ),
+    "t_small": ("t_small", lambda v: oracle_equivalence(shipped.model("binary_splitting"), v)),
+    "oracle_budget": ("budget", lambda v: oracle_equivalence(shipped.model("binary_splitting"), 1, budget=v)),
+    "joint_budget": ("budget", lambda v: enumerate_joint(shipped.model("binary_splitting"), (1,), budget=v)),
+    "saturate": ("saturate", lambda v: enumerate_joint(shipped.model("binary_splitting"), (1, 2), saturate=v)),
+    "seed": ("seed", lambda v: SimConfig(shipped.model("binary_splitting"), 5, (), 1, seed=v)),
+    "query_time": ("query time", lambda v: SimConfig(shipped.model("binary_splitting"), 5, (v,), 1, 1)),
     "series_nvars": ("nvars", lambda v: TruncatedSeries(v, 2, np.ones((3, 3)))),
     "series_cap": ("cap", lambda v: TruncatedSeries(2, v, np.ones((3, 3)))),
     "sample_size": ("size", lambda v: law_T(LimitParams(1.0)).sample(np.random.default_rng(0), v)),
@@ -250,7 +250,7 @@ def test_tv_to_limit_c_follows_the_number_rule():
     # True == 1.0, the model's c, so only the rule refuses it
     for value in (True, "1", math.nan):
         with pytest.raises(ConfigError, match=re.escape(f"c {value!r} must be a finite number")):
-            tv_to_limit(delayed_c1(), (1.0,), 16, 6, value)
+            tv_to_limit(shipped.model("delayed_death"), (1.0,), 16, 6, value)
 
 
 # (field named by the error, a build that puts something else where a
@@ -265,9 +265,9 @@ NESTED = {
     "delayed_no_residual": ("residual", lambda: DelayedDeath([(1.0, (1,))], None)),  # Tabulated has none
     "fdd_pmf_query": ("query", lambda: eta_fdd_pmf(LimitParams(1.0), (1.0,), 5)),
     "fdd_pgf_query": ("query", lambda: eta_fdd_pgf(LimitParams(1.0), (1.0,))),
-    "conditional_pmf_spec": ("spec", lambda: conditional_pmf(gw_binary(), (8,), 5)),
-    "conditional_pgf_spec": ("spec", lambda: conditional_pgf(gw_binary(), (8,))),
-    "fdd_pgf_spec": ("spec", lambda: fdd_pgf(gw_binary(), (8,))),
+    "conditional_pmf_spec": ("spec", lambda: conditional_pmf(shipped.model("binary_splitting"), (8,), 5)),
+    "conditional_pgf_spec": ("spec", lambda: conditional_pgf(shipped.model("binary_splitting"), (8,))),
+    "fdd_pgf_spec": ("spec", lambda: fdd_pgf(shipped.model("binary_splitting"), (8,))),
 }
 
 
@@ -303,18 +303,25 @@ CONTAINERS = {
     "scalar_z": ("z", "a sequence of length 1", lambda: FddSpec((4,), 0.5)),
     "scalar_y": ("y", "a strictly increasing sequence", lambda: FddQuery(1.0, (0.5,))),
     "scalar_query_times": (
-        "query_times", "a strictly increasing sequence", lambda: SimConfig(gw_binary(), 8, 4, 10, 1)
+        "query_times", "a strictly increasing sequence",
+        lambda: SimConfig(shipped.model("binary_splitting"), 8, 4, 10, 1),
     ),
-    "scalar_t_grid": ("t_grid", "a nonempty sequence", lambda: convergence_table(gw_binary(), (1.0,), (0.5,), 8)),
-    "scalar_joint_times": ("times", "a sequence", lambda: enumerate_joint(gw_binary(), 4)),
-    "scalar_dyadic_grid": ("t_grid", "a sequence", lambda: limit_convergence(gw_binary(), (1.0,), (0.5,), 8)),
-    "scalar_fdd_limit_y": ("y", "a sequence", lambda: fdd_limit_check(delayed_c1(), 1.0, (16, 32))),
+    "scalar_t_grid": (
+        "t_grid", "a nonempty sequence", lambda: convergence_table(shipped.model("binary_splitting"), (1.0,), (0.5,), 8)
+    ),
+    "scalar_joint_times": ("times", "a sequence", lambda: enumerate_joint(shipped.model("binary_splitting"), 4)),
+    "scalar_dyadic_grid": (
+        "t_grid", "a sequence", lambda: limit_convergence(shipped.model("binary_splitting"), (1.0,), (0.5,), 8)
+    ),
+    "scalar_fdd_limit_y": ("y", "a sequence", lambda: fdd_limit_check(shipped.model("delayed_death"), 1.0, (16, 32))),
     "unordered_times": ("times", "a nonempty strictly increasing sequence", lambda: FddSpec((3, 3), (0.5, 0.5))),
     "unordered_query_times": (
-        "query_times", "a strictly increasing sequence", lambda: SimConfig(gw_binary(), 8, (4, 2), 10, 1)
+        "query_times", "a strictly increasing sequence",
+        lambda: SimConfig(shipped.model("binary_splitting"), 8, (4, 2), 10, 1),
     ),
     "unordered_fdd_limit_grid": (
-        "t_grid", "a strictly increasing sequence", lambda: fdd_limit_check(delayed_c1(), (1.0,), (32, 16))
+        "t_grid", "a strictly increasing sequence",
+        lambda: fdd_limit_check(shipped.model("delayed_death"), (1.0,), (32, 16)),
     ),
     "unequal_z": ("z", "a sequence of length 2", lambda: FddQuery((1.0, 2.0), (0.5,))),
     "scalar_offspring": ("offspring pmf", "a nonempty sequence", lambda: OffspringPMF(0.5)),

@@ -10,7 +10,6 @@ the reference pgf.
 """
 
 import ast
-import csv
 import io
 import json
 import math
@@ -50,26 +49,15 @@ from gwolab.lifelaw import (
     Tabulated,
     summarize,
 )
-from gwolab.modelio import load_model, model_from_dict, model_to_dict
+from gwolab.modelio import model_from_dict, model_to_dict
 from gwolab.simulator import SimConfig, simulate
 from gwolab.verify import limit_convergence, tree_pgf, tv_to_limit
+
+import shipped
 
 BIG = 10**9  # stands for "outlives any query time"
 ZERO_OR_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))  # a weight 0 cuts the DP at its time
 DP_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True))  # `FddSpec` keeps no weight 1 for `_dp`
-MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
-
-
-def gw_binary():
-    return BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.5, 0.0, 0.5]))
-
-
-def bh_heavy():
-    return BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.75, 0.0, 0.0, 0.0, 0.25]))
-
-
-def tabulated_mix():
-    return Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)])
 
 
 def delayed_mix():
@@ -142,7 +130,8 @@ def reference_pgf(atoms, times, z):
     return rec(tuple(zip(times, z)))
 
 
-ALL_MODELS = [gw_binary, bh_heavy, tabulated_mix, delayed_mix, sevastyanov_mix]
+ALL_MODELS = [*map(shipped.builder, ["binary_splitting", "heavy_tail_life", "early_births"]),
+              delayed_mix, sevastyanov_mix]
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +139,9 @@ ALL_MODELS = [gw_binary, bh_heavy, tabulated_mix, delayed_mix, sevastyanov_mix]
 # ---------------------------------------------------------------------------
 
 
-def csv_writer_text(rows) -> str:
-    """What csv.writer makes of the survival columns, floats as format(x, ".17g")."""
-    fh = io.StringIO(newline="")
-    writer = csv.writer(fh)
-    writer.writerow(["t", "Q", "tQ", "h", "abs_error"])
-    writer.writerows([t, *(format(float(x), ".17g") for x in rest)] for t, *rest in rows)
-    return fh.getvalue()
-
-
 class TestExtinction:
     def test_frozen_binary_values(self):
-        table = extinction_seq(gw_binary(), 3)
+        table = extinction_seq(shipped.model("binary_splitting"), 3)
         np.testing.assert_allclose(table.q, [1.0, 0.5, 0.375, 0.3046875], atol=1e-15)
 
     @pytest.mark.parametrize("make", ALL_MODELS)
@@ -184,7 +164,7 @@ class TestExtinction:
         np.testing.assert_allclose(q, 1.0, rtol=0.0, atol=1e-12)
 
     def test_binary_survival_scales_like_two_over_t(self):
-        table = extinction_seq(gw_binary(), 4096)
+        table = extinction_seq(shipped.model("binary_splitting"), 4096)
         assert abs(table.tq[-1] - 2.0) < 0.02
 
     @pytest.mark.parametrize("make", ALL_MODELS)
@@ -198,7 +178,7 @@ class TestExtinction:
 
     def test_csv_roundtrip(self):
         fh = io.StringIO()
-        extinction_seq(gw_binary(), 4).to_csv(fh)
+        extinction_seq(shipped.model("binary_splitting"), 4).to_csv(fh)
         lines = fh.getvalue().strip().splitlines()
         assert lines[0] == "t,Q,tQ,h,abs_error"
         assert len(lines) == 6
@@ -207,34 +187,35 @@ class TestExtinction:
         assert float(row[3]) == 2.0  # limit of t*Q for the binary model
 
     def test_csv_bytes_are_csv_writers(self):
-        table = extinction_seq(bh_heavy(), 5000)  # more rows than one write
+        table = extinction_seq(shipped.model("heavy_tail_life"), 5000)  # more rows than one write
         h = table.summary.h
         fh = io.StringIO(newline="")
         table.to_csv(fh)
         rows = zip(range(len(table.q)), table.q, table.tq, [h] * len(table.q), np.abs(table.tq - h))
-        assert fh.getvalue() == csv_writer_text(rows)
+        assert fh.getvalue().encode() == shipped.csv_writer_bytes(["t", "Q", "tQ", "h", "abs_error"], rows)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ConfigError, match="not a life law"):
             extinction_seq(object(), 4)
 
-    @pytest.mark.parametrize("make", [gw_binary, bh_heavy, tabulated_mix])
-    def test_table_past_the_budget(self, make):
+    @pytest.mark.parametrize("name", ["binary_splitting", "heavy_tail_life", "early_births"])
+    def test_table_past_the_budget(self, name):
         # t_max + 1 floats of G alone pass the budget; raised before any table exists
         with pytest.raises(CapTooLarge, match="DP table"):
-            extinction_seq(make(), _DP_BUDGET)
+            extinction_seq(shipped.model(name), _DP_BUDGET)
 
     def test_rejects_negative_horizon(self):
         with pytest.raises(ConfigError):
-            extinction_seq(gw_binary(), -1)
+            extinction_seq(shipped.model("binary_splitting"), -1)
 
     @pytest.mark.parametrize("t_max", [2.5, 4.0, "4"])
     def test_rejects_a_horizon_that_is_no_integer(self, t_max):
         with pytest.raises(ConfigError, match="must be an integer"):
-            extinction_seq(gw_binary(), t_max)
+            extinction_seq(shipped.model("binary_splitting"), t_max)
 
     def test_takes_a_numpy_integer(self):
-        assert extinction_seq(gw_binary(), np.int64(4)).q.tolist() == extinction_seq(gw_binary(), 4).q.tolist()
+        model = shipped.model("binary_splitting")
+        assert extinction_seq(model, np.int64(4)).q.tolist() == extinction_seq(model, 4).q.tolist()
 
 
 class TestFiniteLifeClip:
@@ -242,7 +223,7 @@ class TestFiniteLifeClip:
     agree with references that know nothing of segments far past it."""
 
     def test_binary_splitting_matches_generation_iteration(self):
-        model = load_model(str(MODEL_DIR / "binary_splitting.json"))
+        model = shipped.model("binary_splitting")
         t_max = 4096
         f = model.offspring.probs
         ref = [1.0]  # Q(t+1) = 1 - f(1 - Q(t)) when every life is 1
@@ -256,7 +237,7 @@ class TestFiniteLifeClip:
         [((10,), (0.0,)), ((10, 13), (0.3, 0.0)), ((10, 13, 16), (0.3, 0.5, 0.7))],
     )
     def test_age_dependent_offspring_matches_tree(self, times, z):
-        model = load_model(str(MODEL_DIR / "age_dependent_offspring.json"))
+        model = shipped.model("age_dependent_offspring")
         assert times[0] > 3 * model.life.max_life
         got = fdd_pgf(model, FddSpec(times, z))
         assert got == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
@@ -268,11 +249,11 @@ class TestShortLifeAtoms:
     Tabulated atoms on the scheduled kernel."""
 
     def test_atom_tables_of_the_doc_models(self):
-        assert exact_engine._short_life_atoms(load_model(str(MODEL_DIR / "binary_splitting.json"))) == [
+        assert exact_engine._short_life_atoms(shipped.model("binary_splitting")) == [
             (0.5, (), 1),
             (0.5, (1, 1), 1),
         ]
-        assert exact_engine._short_life_atoms(load_model(str(MODEL_DIR / "age_dependent_offspring.json"))) == [
+        assert exact_engine._short_life_atoms(shipped.model("age_dependent_offspring")) == [
             (0.5, (1,), 1),
             (0.25, (), 3),
             (0.25, (3, 3), 3),
@@ -297,8 +278,8 @@ class TestShortLifeAtoms:
             exact_engine._dp(model, (6, 300), tuple(exact_engine._Var(i) for i in range(nvars)) or (0.3, 0.0), nvars, 4)
             return walked
 
-        short = [load_model(str(MODEL_DIR / f"{name}.json")) for name in ("binary_splitting", "age_dependent_offspring")]
-        long = [load_model(str(MODEL_DIR / "heavy_tail_life.json")), bh_long_lives(), sev_heavy()]
+        short = [shipped.model(name) for name in ("binary_splitting", "age_dependent_offspring")]
+        long = [shipped.model("heavy_tail_life"), bh_long_lives(), shipped.model("heavy_tail_sevastyanov")]
         assert _LEAF < bh_long_lives().life.max_life
         for model in short:
             assert kernels(model, 0) == ["_scheduled"]
@@ -310,7 +291,7 @@ class TestShortLifeAtoms:
 
     @pytest.mark.parametrize("name", ["binary_splitting", "age_dependent_offspring"])
     def test_kernels_agree(self, name, monkeypatch):
-        model, t = load_model(str(MODEL_DIR / f"{name}.json")), 1 << 11
+        model, t = shipped.model(name), 1 << 11
         spec = FddSpec((t, 2 * t), (0.3, 0.5))
         atoms = extinction_seq(model, 2 * t).q, fdd_pgf(model, spec)
         monkeypatch.setattr(exact_engine, "_ATOM_READS", 0)  # every law walks the dots
@@ -323,34 +304,19 @@ class TestShortLifeAtoms:
 # the divide-and-conquer route of the birth-at-death kernel
 # ---------------------------------------------------------------------------
 
-SEV_HEAVY = {  # the unbounded Sevastyanov config of test_modelio.py
-    "variant": "sevastyanov",
-    "life": {"kind": "quadratic_tail", "d": 1.0, "t_min": 2},
-    "offspring_by_life": {"2": [0.5, 0.0, 0.5]},
-    "offspring_default": [0.0, 1.0],
-}
-
-
-def sev_heavy():
-    return model_from_dict(SEV_HEAVY)
-
-
 class TestHeavyTailSevastyanov:
-    """SEV_HEAVY, shipped as heavy_tail_sevastyanov.json: an unbounded
-    life with d = 1, whose closed-form moments give h and c."""
-
-    def test_shipped_file_is_the_config(self):
-        assert json.loads((MODEL_DIR / "heavy_tail_sevastyanov.json").read_text()) == SEV_HEAVY
+    """heavy_tail_sevastyanov: an unbounded life with d = 1, whose
+    closed-form moments give h and c."""
 
     def test_a_is_the_mean_life(self):
         # E N*L = E L: only life 2 has its own law, of mean 1 as the default's
-        life = sev_heavy().life
-        a = summarize(sev_heavy()).a
+        life = shipped.model("heavy_tail_sevastyanov").life
+        a = summarize(shipped.model("heavy_tail_sevastyanov")).a
         assert a == pytest.approx(life.t_min + life.d * polygamma(1, life.t_min), rel=1e-15, abs=0)
         assert a == pytest.approx(1.0 + math.pi**2 / 6.0, rel=1e-15, abs=0)
 
     def test_h_against_the_dp(self):
-        model = sev_heavy()
+        model = shipped.model("heavy_tail_sevastyanov")
         h = summarize(model).h
         assert h == 7.412891196596736
         q = extinction_seq(model, 1 << 14).q
@@ -365,7 +331,7 @@ class TestBellmanHarrisIsSevastyanov:
 
     @pytest.mark.parametrize("name", ["binary_splitting", "heavy_tail_life"])
     def test_same_bits(self, name):
-        bh = load_model(str(MODEL_DIR / f"{name}.json"))
+        bh = shipped.model(name)
         sev = Sevastyanov(bh.life, {}, bh.offspring)
         assert summarize(sev) == summarize(bh)
         assert np.array_equal(extinction_seq(sev, 4096).q, extinction_seq(bh, 4096).q)
@@ -377,7 +343,7 @@ class TestBellmanHarrisIsSevastyanov:
             assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_model_files_keep_their_variant(self):
-        raw = json.loads((MODEL_DIR / "binary_splitting.json").read_text())
+        raw = shipped.config("binary_splitting")
         bh = model_from_dict(raw)
         assert model_to_dict(bh) == raw
         assert model_to_dict(Sevastyanov(bh.life, {}, bh.offspring))["variant"] == "sevastyanov"
@@ -385,7 +351,7 @@ class TestBellmanHarrisIsSevastyanov:
     def test_table_key_past_the_horizon(self):
         # a life of 10^12 steps has its row only in a DP that long; the
         # table's power route and the rank-1 route round apart
-        bh = bh_heavy()
+        bh = shipped.model("heavy_tail_life")
         sev = Sevastyanov(bh.life, {10**12: OffspringPMF([0.5, 0.0, 0.5])}, bh.offspring)
         q = extinction_seq(sev, 512).q
         np.testing.assert_allclose(q, extinction_seq(bh, 512).q, rtol=1e-12, atol=0)
@@ -434,7 +400,7 @@ class TestDivideAndConquer:
     convolution; each check crosses at least two levels of blocks."""
 
     def test_heavy_tail_survival_against_long_double(self):
-        model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
+        model = shipped.model("heavy_tail_life")
         t_max = 1 << 13
         ref = long_double_survival(model, t_max)
         rel = np.abs(extinction_seq(model, t_max).q - ref) / ref
@@ -444,7 +410,7 @@ class TestDivideAndConquer:
     def test_sevastyanov_table_survival_against_long_double(self):
         # a table's powers of G are float products in sub-blocks, as the
         # rank-1 leaf's Horner sums are: held to the same bound
-        model = sev_heavy()
+        model = shipped.model("heavy_tail_sevastyanov")
         t_max = 1 << 13
         ref = long_double_survival(model, t_max)
         rel = np.abs(extinction_seq(model, t_max).q - ref) / ref
@@ -457,7 +423,7 @@ class TestDivideAndConquer:
         # at a time, and its constant coefficient is P(Z(t) = 0) as well.
         # Up to 4096 the two meet, relative to Q(t), over many sub-blocks,
         # leaves and crosses.
-        model = bh_long_lives() if name == "bh_long_lives" else load_model(str(MODEL_DIR / f"{name}.json"))
+        model = bh_long_lives() if name == "bh_long_lives" else shipped.model(name)
         t = 4096
         q = extinction_seq(model, t).q
         dead = exact_engine._dp(model, (t,), (exact_engine._Var(0),), 1, 1)[:, 0]
@@ -468,15 +434,15 @@ class TestDivideAndConquer:
         # in the run to t the last leaf adds its block's left half by direct
         # dots; in the run to 4t an FFT cross adds it: both over 1 - P.  At
         # t = _LEAF the run to t is a single leaf, seeded as the longer one
-        model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
+        model = shipped.model("heavy_tail_life")
         q, longer = extinction_seq(model, t).q[t], extinction_seq(model, 4 * t).q[t]
         assert q == pytest.approx(longer, rel=1e-13, abs=0)
 
-    @pytest.mark.parametrize("make", [bh_heavy, sev_heavy])
-    def test_fdd_pgf_matches_tree(self, make):
+    @pytest.mark.parametrize("name", ["heavy_tail_life", "heavy_tail_sevastyanov"])
+    def test_fdd_pgf_matches_tree(self, name):
         times, z = (200, 300, 400), (0.3, 0.5, 0.0)
         assert times[-1] >= 2 * _LEAF
-        model = make()
+        model = shipped.model(name)
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
     @pytest.mark.parametrize("times,z", [((500,), (0.0,)), ((200, 350, 500), (0.3, 0.5, 0.0))])
@@ -487,9 +453,9 @@ class TestDivideAndConquer:
         assert _LEAF < model.life.max_life and times[-1] > 256 + model.life.max_life
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
-    @pytest.mark.parametrize("make", [bh_heavy, sev_heavy])
-    def test_conditional_pmf_evaluates_to_conditional_pgf(self, make):
-        model, times, K, z = make(), (200, 400), 10, (0.05, 0.1)
+    @pytest.mark.parametrize("name", ["heavy_tail_life", "heavy_tail_sevastyanov"])
+    def test_conditional_pmf_evaluates_to_conditional_pgf(self, name):
+        model, times, K, z = shipped.model(name), (200, 400), 10, (0.05, 0.1)
         probs = conditional_pmf(model, FddSpec(times, (0.0, 0.0), t_obs=times[0]), K).probs
         series_val = float(z[0] ** np.arange(K + 1) @ probs @ z[1] ** np.arange(K + 1))
         # the dropped terms of total degree > K weigh at most z_1 * z_2^K = 5e-12
@@ -857,15 +823,15 @@ class TestCompiledStepLoops:
             monkeypatch.setattr(exact_engine, cached.__name__, spy)
         same_shapes = [
             (
-                load_model(str(MODEL_DIR / "delayed_death.json")),
+                shipped.model("delayed_death"),
                 DelayedDeath([(0.3, (1, 2)), (0.7, ())], QuadraticTailLife(d=1.5, t_min=2)),
             ),
             (
-                load_model(str(MODEL_DIR / "heavy_tail_life.json")),
+                shipped.model("heavy_tail_life"),
                 BellmanHarris(QuadraticTailLife(d=2.0, t_min=2), OffspringPMF([0.6, 0.1, 0.0, 0.2, 0.1])),
             ),
             (
-                sev_heavy(),
+                shipped.model("heavy_tail_sevastyanov"),
                 Sevastyanov(
                     QuadraticTailLife(d=2.0, t_min=2), {3: OffspringPMF([0.25, 0.5, 0.25])}, OffspringPMF([0.3, 0.4, 0.3])
                 ),
@@ -892,7 +858,7 @@ class TestCompiledStepLoops:
         shapes = []
         walker = exact_engine._leaf_walk
         monkeypatch.setattr(exact_engine, "_leaf_walk", lambda *shape: shapes.append(shape) or walker(*shape))
-        model = load_model(str(MODEL_DIR / "heavy_tail_life.json"))
+        model = shipped.model("heavy_tail_life")
         extinction_seq(model, _LEAF - 1)
         single = set(shapes)
         misses = walker.cache_info().misses
@@ -932,7 +898,7 @@ class TestFddPgf:
     def test_weight_one_dropped(self):
         spec = FddSpec((1, 2, 5), (0.5, 1.0, 0.25))
         assert spec.k == 2
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         assert fdd_pgf(model, spec) == fdd_pgf(model, FddSpec((1, 5), (0.5, 0.25)))
         assert fdd_pgf(model, FddSpec((3, 7), (1.0, 1.0))) == 1.0
 
@@ -945,7 +911,7 @@ class TestFddPgf:
 
     def test_time_zero_factor_is_exact(self):
         # Z(0) = 1 always, so a query at 0 multiplies by its weight
-        model = tabulated_mix()
+        model = shipped.model("early_births")
         whole = fdd_pgf(model, FddSpec((0, 2), (0.5, 0.5)))
         assert whole == pytest.approx(0.5 * fdd_pgf(model, FddSpec((2,), (0.5,))), abs=1e-15)
 
@@ -961,7 +927,7 @@ class TestFddPgf:
     def test_split_by_life_segment_identity(self):
         # founder-alive-factor evaluation equals the sum grouped by which
         # query times the founder outlives
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         times, z = (2, 4, 5), (0.4, 0.6, 0.8)
         pmf = model.life.pmf(np.arange(times[-1] + 1))
 
@@ -985,7 +951,7 @@ class TestFddPgf:
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(total, abs=1e-14)
 
     def test_monotone_in_weights(self):
-        model = bh_heavy()
+        model = shipped.model("heavy_tail_life")
         lo = fdd_pgf(model, FddSpec((3, 6), (0.2, 0.5)))
         hi = fdd_pgf(model, FddSpec((3, 6), (0.4, 0.5)))
         assert lo <= hi + 1e-15
@@ -1027,25 +993,26 @@ class TestFddPgf:
 
 class TestConditional:
     def test_frozen_binary_value(self):
-        val = conditional_pgf(gw_binary(), FddSpec((1,), (0.5,), t_obs=2))
+        val = conditional_pgf(shipped.model("binary_splitting"), FddSpec((1,), (0.5,), t_obs=2))
         assert val == pytest.approx(0.25, abs=1e-15)
 
     def test_extinct_given_survival_is_zero(self):
-        assert conditional_pgf(gw_binary(), FddSpec((5,), (0.0,), t_obs=5)) == pytest.approx(0.0, abs=1e-15)
+        zero = conditional_pgf(shipped.model("binary_splitting"), FddSpec((5,), (0.0,), t_obs=5))
+        assert zero == pytest.approx(0.0, abs=1e-15)
 
     def test_normalization_as_weight_tends_to_one(self):
-        val = conditional_pgf(gw_binary(), FddSpec((5,), (1.0 - 1e-12,), t_obs=5))
+        val = conditional_pgf(shipped.model("binary_splitting"), FddSpec((5,), (1.0 - 1e-12,), t_obs=5))
         assert val == pytest.approx(1.0, abs=1e-6)
 
     def test_early_conditioning_reduces_to_ratio_form(self):
         # for t_obs <= t_1 the answer collapses to 1 - (1 - pgf)/Q(t_obs)
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         spec = FddSpec((4, 6), (0.3, 0.7), t_obs=2)
         q = extinction_seq(model, 2).q[2]
         expect = 1.0 - (1.0 - fdd_pgf(model, FddSpec(spec.times, spec.z))) / q
         assert conditional_pgf(model, spec) == pytest.approx(expect, abs=1e-14)
 
-    @pytest.mark.parametrize("make", [gw_binary, tabulated_mix, delayed_mix])
+    @pytest.mark.parametrize("make", [*map(shipped.builder, ["binary_splitting", "early_births"]), delayed_mix])
     def test_against_reference_bayes(self, make):
         model = make()
         atoms = expand_atoms(model, 6)
@@ -1063,15 +1030,15 @@ class TestConditional:
 
     def test_requires_t_obs(self):
         with pytest.raises(ConfigError):
-            conditional_pgf(gw_binary(), FddSpec((1,), (0.5,)))
+            conditional_pgf(shipped.model("binary_splitting"), FddSpec((1,), (0.5,)))
 
     def test_all_weights_one_gives_unit(self):
-        assert conditional_pgf(gw_binary(), FddSpec((3, 5), (1.0, 1.0), t_obs=4)) == 1.0
+        assert conditional_pgf(shipped.model("binary_splitting"), FddSpec((3, 5), (1.0, 1.0), t_obs=4)) == 1.0
 
 
 class TestConditionalPmf:
     def test_marginal_against_reference_fft(self):
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         res = conditional_pmf(model, FddSpec((3,), (0.0,), t_obs=3), K=6)
         atoms = expand_atoms(model, 3)
         q = 1.0 - reference_pgf(atoms, (3,), (0.0,))
@@ -1113,7 +1080,7 @@ class TestConditionalPmf:
         assert res.overflow >= -1e-10
 
     def test_series_evaluation_matches_scalar(self):
-        model = bh_heavy()
+        model = shipped.model("heavy_tail_life")
         times, t_obs, K = (8, 12), 10, 12
         res = conditional_pmf(model, FddSpec(times, (0.0, 0.0), t_obs=t_obs), K=K)
         z = 0.15
@@ -1127,38 +1094,32 @@ class TestConditionalPmf:
         # raised before the (3, 300) ring, 27M entries, is built and cached
         calls = series.ring.cache_info()[:2]
         with pytest.raises(CapTooLarge):
-            conditional_pmf(gw_binary(), FddSpec((2, 3, 4), (0.0,) * 3, t_obs=4), K=300)
+            conditional_pmf(shipped.model("binary_splitting"), FddSpec((2, 3, 4), (0.0,) * 3, t_obs=4), K=300)
         assert series.ring.cache_info()[:2] == calls
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
-            conditional_pmf(gw_binary(), FddSpec((3,), (0.0,), t_obs=3), K=0)
+            conditional_pmf(shipped.model("binary_splitting"), FddSpec((3,), (0.0,), t_obs=3), K=0)
 
     @pytest.mark.parametrize("K", [2.5, 4.0, "4"])
     def test_k_must_be_an_integer(self, K):
         with pytest.raises(ConfigError, match="must be an integer"):
-            conditional_pmf(gw_binary(), FddSpec((3,), (0.0,), t_obs=3), K)
+            conditional_pmf(shipped.model("binary_splitting"), FddSpec((3,), (0.0,), t_obs=3), K)
 
     def test_validation(self):
         with pytest.raises(ConfigError, match="t_obs"):
-            conditional_pmf(gw_binary(), FddSpec((3,), (0.0,)), K=4)
+            conditional_pmf(shipped.model("binary_splitting"), FddSpec((3,), (0.0,)), K=4)
         with pytest.raises(ConfigError, match="no coordinates"):
-            conditional_pmf(gw_binary(), FddSpec((3,), (1.0,), t_obs=3), K=4)
+            conditional_pmf(shipped.model("binary_splitting"), FddSpec((3,), (1.0,), t_obs=3), K=4)
 
 
 # ---------------------------------------------------------------------------
 # the extinct term of a conditioned law
 # ---------------------------------------------------------------------------
 
-DOC_MODELS = sorted(p.stem for p in MODEL_DIR.glob("*.json"))
 TIMES = (6, 10, 14)
 # t_obs before, at, between and after the times
 T_OBS = (3, 6, 8, 10, 12, 14, 17)
-
-
-@lru_cache(maxsize=None)
-def doc_model(name):
-    return load_model(str(MODEL_DIR / f"{name}.json"))
 
 
 def with_extinction(times, weights, t_obs):
@@ -1189,16 +1150,16 @@ def two_dp_pmf(model, times, t_obs, K):
 
 class TestConditionedExtinctTerm:
     @pytest.mark.parametrize("t_obs", T_OBS)
-    @pytest.mark.parametrize("name", DOC_MODELS)
+    @pytest.mark.parametrize("name", shipped.NAMES)
     def test_pgf_matches_two_dp_formula(self, name, t_obs):
-        model, z = doc_model(name), (0.3, 0.6, 0.2)
+        model, z = shipped.model(name), (0.3, 0.6, 0.2)
         got = conditional_pgf(model, FddSpec(TIMES, z, t_obs=t_obs))
         assert got == pytest.approx(two_dp_pgf(model, TIMES, z, t_obs), abs=1e-12)
 
     @pytest.mark.parametrize("t_obs", T_OBS)
-    @pytest.mark.parametrize("name", DOC_MODELS)
+    @pytest.mark.parametrize("name", shipped.NAMES)
     def test_pmf_matches_two_dp_formula(self, name, t_obs):
-        model, K = doc_model(name), 8
+        model, K = shipped.model(name), 8
         probs = conditional_pmf(model, FddSpec(TIMES, (0.0,) * 3, t_obs=t_obs), K).probs
         np.testing.assert_allclose(probs, two_dp_pmf(model, TIMES, t_obs, K), rtol=0, atol=1e-12)
         if t_obs >= TIMES[0]:
@@ -1221,7 +1182,7 @@ class TestConditionedExtinctTerm:
         monkeypatch.setattr(exact_engine, "_dp", spy)
         for t_obs in (3, 6):
             calls.clear()
-            conditional_pmf(doc_model("delayed_death"), FddSpec((6, 10), (0.0, 0.0), t_obs=t_obs), K=6)
+            conditional_pmf(shipped.model("delayed_death"), FddSpec((6, 10), (0.0, 0.0), t_obs=t_obs), K=6)
             # the scalar DP for Q(t_obs), then the plain series DP alone
             assert calls == [0, 2]
 
@@ -1230,16 +1191,16 @@ class TestWeightZeroCut:
     """Extinction is absorbing: a weight 0 at t_j is Z(t_j) = 0, on which
     every later count is 0, so the DP stops at t_j."""
 
-    @pytest.mark.parametrize("name", DOC_MODELS)
+    @pytest.mark.parametrize("name", shipped.NAMES)
     def test_zero_in_the_middle_matches_tree(self, name):
         # the oracle runs the whole query, uncut
-        model, times, z = doc_model(name), (3, 5, 8), (0.4, 0.0, 0.7)
+        model, times, z = shipped.model(name), (3, 5, 8), (0.4, 0.0, 0.7)
         assert fdd_pgf(model, FddSpec(times, z)) == pytest.approx(tree_pgf(model, times, z), abs=1e-12)
 
-    @pytest.mark.parametrize("name", DOC_MODELS)
+    @pytest.mark.parametrize("name", shipped.NAMES)
     def test_conditioned_on_survival_past_a_zero_is_exactly_0(self, name):
         # a weight 0 at or before t_obs: the plain and extinct DPs are one computation
-        model = doc_model(name)
+        model = shipped.model(name)
         for times, z, t_obs in [
             ((100, 150, 300), (0.5, 0.0, 0.5), 150),
             ((300, 700), (0.0, 0.5), 300),
@@ -1256,7 +1217,7 @@ class TestWeightZeroCut:
             return dp(model, times, weights, nvars, cap)
 
         monkeypatch.setattr(exact_engine, "_dp", spy)
-        model = doc_model("heavy_tail_life")
+        model = shipped.model("heavy_tail_life")
         fdd_pgf(model, FddSpec((3, 5, 8), (0.4, 0.0, 0.7)))
         assert horizons == [5]
         horizons.clear()
@@ -1274,7 +1235,7 @@ class TestWeightZeroCut:
         # z_1 = 0: the plain and the weighted limit rows read one survival column
         for name in ("heavy_tail_life", "delayed_death"):
             horizons.clear()
-            limit_convergence(doc_model(name), (1.0, 2.0), (0.0, 0.5), [1 << i for i in range(10, 14)])
+            limit_convergence(shipped.model(name), (1.0, 2.0), (0.0, 0.5), [1 << i for i in range(10, 14)])
             assert horizons == [8192], name
 
 
@@ -1285,13 +1246,13 @@ class TestWeightZeroCut:
 
 class TestConvergence:
     def test_plain_survival_target_is_h(self):
-        summary = summarize(gw_binary())
-        rows = convergence_table(gw_binary(), (1.0,), (0.0,), (16, 32))
+        summary = summarize(shipped.model("binary_splitting"))
+        rows = convergence_table(shipped.model("binary_splitting"), (1.0,), (0.0,), (16, 32))
         assert rows[0].target == pytest.approx(summary.h, abs=1e-14)
         assert summary.h == 2.0
 
     def test_bounded_life_target_never_depends_on_weights(self):
-        model = tabulated_mix()  # d = 0
+        model = shipped.model("early_births")  # d = 0
         h = summarize(model).h
         rows = convergence_table(model, (1.0, 2.0), (0.3, 0.6), (8,))
         assert rows[0].target == pytest.approx(h, abs=1e-14)
@@ -1306,7 +1267,7 @@ class TestConvergence:
     ]
 
     def test_limit_root_identity(self):
-        model = bh_heavy()
+        model = shipped.model("heavy_tail_life")
         summary = summarize(model)
         for y, z, g in self.G_QUERIES:
             x = convergence_table(model, y, z, (8,))[0].target
@@ -1315,7 +1276,7 @@ class TestConvergence:
                 assert x == pytest.approx(summary.h, abs=1e-12)
 
     def test_limit_matches_radical_ratio_form(self):
-        model = bh_heavy()
+        model = shipped.model("heavy_tail_life")
         summary = summarize(model)
         for y, z, g in self.G_QUERIES:
             target = convergence_table(model, y, z, (8,))[0].target
@@ -1323,59 +1284,60 @@ class TestConvergence:
             assert target == pytest.approx(ratio, abs=1e-12)
 
     def test_binary_error_shrinks_along_dyadic_times(self):
-        rows = convergence_table(gw_binary(), (1.0,), (0.0,), (64, 128, 256))
+        rows = convergence_table(shipped.model("binary_splitting"), (1.0,), (0.0,), (64, 128, 256))
         errs = [r.abs_error for r in rows]
         assert errs[0] > errs[1] > errs[2]
 
     def test_rounding_of_scaled_times(self):
-        rows = convergence_table(gw_binary(), (1.0, 1.5), (0.2, 0.2), (5,))
+        rows = convergence_table(shipped.model("binary_splitting"), (1.0, 1.5), (0.2, 0.2), (5,))
         # times are 5 and 5 + round(5*0.5) = 8; just confirm it runs and
         # reports q_k consistently
-        expect = 1.0 - fdd_pgf(gw_binary(), FddSpec((5, 8), (0.2, 0.2)))
+        expect = 1.0 - fdd_pgf(shipped.model("binary_splitting"), FddSpec((5, 8), (0.2, 0.2)))
         assert rows[0].q_k == pytest.approx(expect, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            convergence_table(gw_binary(), (2.0,), (0.0,), (8,))
+            convergence_table(shipped.model("binary_splitting"), (2.0,), (0.0,), (8,))
         with pytest.raises(ConfigError):
-            convergence_table(gw_binary(), (1.0, 1.0), (0.0, 0.0), (8,))
+            convergence_table(shipped.model("binary_splitting"), (1.0, 1.0), (0.0, 0.0), (8,))
         with pytest.raises(ConfigError):
-            convergence_table(gw_binary(), (1.0,), (0.0,), (0,))
+            convergence_table(shipped.model("binary_splitting"), (1.0,), (0.0,), (0,))
         with pytest.raises(ConfigError):
-            convergence_table(gw_binary(), (1.0, 2.0), (1.0, 0.0), (8,))
+            convergence_table(shipped.model("binary_splitting"), (1.0, 2.0), (1.0, 0.0), (8,))
         for bad in (math.nan, math.inf):
             with pytest.raises(ConfigError):
-                convergence_table(gw_binary(), (1.0, bad), (0.0, 0.5), (8,))
+                convergence_table(shipped.model("binary_splitting"), (1.0, bad), (0.0, 0.5), (8,))
             with pytest.raises(ConfigError):
-                tv_to_limit(gw_binary(), (1.0, bad), 8, 5, 1.0)
+                tv_to_limit(shipped.model("binary_splitting"), (1.0, bad), 8, 5, 1.0)
 
     def test_grid_must_be_integers(self):
         with pytest.raises(ConfigError, match="8.5"):
-            convergence_table(gw_binary(), (1.0,), (0.5,), (8.5, 16))
-        rows = convergence_table(gw_binary(), (1.0,), (0.5,), np.array([8, 16]))
+            convergence_table(shipped.model("binary_splitting"), (1.0,), (0.5,), (8.5, 16))
+        rows = convergence_table(shipped.model("binary_splitting"), (1.0,), (0.5,), np.array([8, 16]))
         assert [r.t for r in rows] == [8, 16]
 
     @pytest.mark.parametrize("name", ["heavy_tail_life", "heavy_tail_sevastyanov"])
     def test_weight_0_rows_are_the_survival_column(self, name):
         # off the powers of 2 a DP to t alone ends on its last leaf's
         # direct dots; the rows read the column of the DP to the largest t
-        model, grid = doc_model(name), (1000, 3000, 5000)
+        model, grid = shipped.model(name), (1000, 3000, 5000)
         q = extinction_seq(model, grid[-1]).q
         rows = convergence_table(model, (1.0, 2.0), (0.0, 0.5), grid)
         assert [r.q_k.hex() for r in rows] == [float(q[t]).hex() for t in grid]
 
     def test_csv_output(self):
         fh = io.StringIO()
-        convergence_csv(convergence_table(gw_binary(), (1.0,), (0.0,), (16,)), fh)
+        convergence_csv(convergence_table(shipped.model("binary_splitting"), (1.0,), (0.0,), (16,)), fh)
         lines = fh.getvalue().strip().splitlines()
         assert lines[0] == "t,Q,tQ,h,abs_error"
         assert len(lines) == 2
 
     def test_csv_bytes_are_csv_writers(self):
-        rows = convergence_table(bh_heavy(), (1.0, 2.0), (0.0, 0.5), (4, 8, 16))
+        rows = convergence_table(shipped.model("heavy_tail_life"), (1.0, 2.0), (0.0, 0.5), (4, 8, 16))
         fh = io.StringIO(newline="")
         convergence_csv(rows, fh)
-        assert fh.getvalue() == csv_writer_text((r.t, r.q_k, r.tq_k, r.target, r.abs_error) for r in rows)
+        want = [(r.t, r.q_k, r.tq_k, r.target, r.abs_error) for r in rows]
+        assert fh.getvalue().encode() == shipped.csv_writer_bytes(["t", "Q", "tQ", "h", "abs_error"], want)
 
     def test_long_dots_do_not_depend_on_blas_threads(self):
         # weight 0 at t = 2^14 ends the query there: the last leaf of the DP
@@ -1396,7 +1358,7 @@ class TestConvergence:
                 PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
             )
             run = subprocess.run(
-                [sys.executable, "-c", code, str(MODEL_DIR / "heavy_tail_life.json")],
+                [sys.executable, "-c", code, str(shipped.path("heavy_tail_life"))],
                 env=env, capture_output=True, text=True, check=True, timeout=300,
             )
             outs.add(run.stdout)
@@ -1423,7 +1385,7 @@ class TestConvergence:
         for threads in ("1", "2"):
             (tmp_path / threads).mkdir()
             argv = [
-                [*args[:2], str(MODEL_DIR / f"{args[2]}.json"), *args[3:], "--out", str(tmp_path / threads / name)]
+                [*args[:2], str(shipped.path(args[2])), *args[3:], "--out", str(tmp_path / threads / name)]
                 for name, args in runs.items()
             ]
             env = dict(

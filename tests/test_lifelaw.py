@@ -24,11 +24,9 @@ from gwolab.lifelaw import (
 from gwolab.simulator import _individual_draw
 from gwolab.verify import _bounded_atoms
 
+import shipped
+
 BINARY = OffspringPMF([0.5, 0.0, 0.5])
-
-
-def gw_binary() -> BellmanHarris:
-    return BellmanHarris(FiniteLife({1: 1.0}), BINARY)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +35,7 @@ def gw_binary() -> BellmanHarris:
 
 
 def test_gw_binary_summary():
-    s = summarize(gw_binary())
+    s = summarize(shipped.model("binary_splitting"))
     assert s.mean_offspring == 1.0
     assert s.b == 0.5
     assert s.a == 1.0
@@ -68,8 +66,7 @@ def test_quadratic_identity_random_draws():
 
 
 def test_summary_quadratic_identity():
-    model = BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.75, 0, 0, 0, 0.25]))
-    s = summarize(model)
+    s = summarize(shipped.model("heavy_tail_life"))
     assert s.critical
     assert s.b == pytest.approx(1.5)
     assert s.d == 1.0
@@ -79,10 +76,7 @@ def test_summary_quadratic_identity():
 
 
 def test_delayed_death_summary_exact_c():
-    model = DelayedDeath(
-        [(0.5, [1, 2]), (0.5, [])], QuadraticTailLife(d=1.125, t_min=2)
-    )
-    s = summarize(model)
+    s = summarize(shipped.model("delayed_death"))
     assert s.mean_offspring == 1.0
     assert s.b == 0.5
     assert s.a == 1.5
@@ -103,8 +97,7 @@ def test_scheduled_laws_read_as_atoms_and_residual():
 
 
 def test_tabulated_summary():
-    model = Tabulated([(0.5, [1, 2], 3), (0.5, [], 2)])
-    s = summarize(model)
+    s = summarize(shipped.model("early_births"))
     assert s.mean_offspring == 1.0
     assert s.b == 0.5
     assert s.a == 1.5
@@ -351,10 +344,7 @@ def test_empty_or_out_of_range_input_rejected(build, match):
 # ---------------------------------------------------------------------------
 
 SAMPLING_MODELS = [
-    gw_binary(),
-    BellmanHarris(QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.75, 0, 0, 0, 0.25])),
-    Tabulated([(0.5, [1, 2], 3), (0.5, [], 2)]),
-    DelayedDeath([(0.5, [1, 2]), (0.5, [])], QuadraticTailLife(d=1.125, t_min=2)),
+    *map(shipped.model, ["binary_splitting", "heavy_tail_life", "early_births", "delayed_death"]),
     Sevastyanov(FiniteLife({1: 0.25, 2: 0.25, 5: 0.5}), dict.fromkeys((1, 2, 5), BINARY)),
 ]
 
@@ -423,9 +413,7 @@ INVERSE_CDFS = {
     "quadratic_tail": QuadraticTailLife(d=1.125, t_min=2).sample_from_uniform,
     "quadratic_tail_d0": QuadraticTailLife(d=0.0, t_min=3).sample_from_uniform,
     "atom": Tabulated([(0.5, [1, 2], 3), (0.25, [], 2), (0.25, [1], 1)]).atom_index,
-    "schedule": DelayedDeath(
-        [(0.5, [1, 2]), (0.5, [])], QuadraticTailLife(d=1.125, t_min=2)
-    ).atom_index,
+    "schedule": shipped.model("delayed_death").atom_index,
 }
 
 

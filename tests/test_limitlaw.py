@@ -10,7 +10,6 @@ import functools
 import math
 import tracemalloc
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,8 +34,9 @@ from gwolab.limitlaw import (
     limit_of,
     prob_finite,
 )
-from gwolab.modelio import load_model
 from gwolab.verify import fdd_limit_check, limit_convergence, richardson, tv_to_limit
+
+import shipped
 
 SQRT2 = math.sqrt(2.0)
 
@@ -692,8 +692,6 @@ class TestHelpers:
 # ---------------------------------------------------------------------------
 
 
-MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
-
 # lives {1: 0.5, 2: 0.5}: E N = 0.9, E N = 1.3, and E N = 1 with b = 0
 UNCOVERED = {"subcritical": [0.4, 0.3, 0.3], "supercritical": [0.2, 0.3, 0.5], "one_child": [0.0, 1.0]}
 
@@ -713,9 +711,9 @@ def uncovered(offspring):
 
 
 class TestLimitOf:
-    @pytest.mark.parametrize("path", sorted(MODEL_DIR.glob("*.json")), ids=lambda p: p.stem)
-    def test_example_models_are_covered(self, path):
-        model = load_model(str(path))
+    @pytest.mark.parametrize("name", shipped.NAMES)
+    def test_example_models_are_covered(self, name):
+        model = shipped.model(name)
         s = summarize(model)
         p, h = limit_of(model)
         assert (p, h) == (LimitParams(s.c), s.h)
@@ -735,7 +733,7 @@ class TestLimitOf:
                 entry(uncovered(offspring))
 
     def test_tv_to_limit_takes_only_the_models_c(self):
-        model = load_model(str(MODEL_DIR / "delayed_death.json"))
+        model = shipped.model("delayed_death")
         c = limit_of(model)[0].c
         assert 0.0 <= tv_to_limit(model, (1.0,), 16, 6, c) <= 1.0
         with pytest.raises(ConfigError, match="model's c"):
@@ -745,17 +743,17 @@ class TestLimitOf:
 
 
 @functools.lru_cache(maxsize=None)
-def survival_column(path):
+def survival_column(name):
     """Q(t) = P(Z(t) > 0) for t <= 4 * 4096, one column per model file."""
-    return exact_engine.extinction_seq(load_model(str(path)), 4 * 4096).q
+    return exact_engine.extinction_seq(shipped.model(name), 4 * 4096).q
 
 
 @pytest.mark.parametrize("y", [1.5, 2.0, 4.0])
-@pytest.mark.parametrize("path", sorted(MODEL_DIR.glob("*.json")), ids=lambda p: p.stem)
-def test_dp_mass_at_zero_tends_to_the_limit(path, y):
+@pytest.mark.parametrize("name", shipped.NAMES)
+def test_dp_mass_at_zero_tends_to_the_limit(name, y):
     # P(eta(y) = 0) = 1 - 1/y for y >= 1, read off one survival column as
     # P(Z(ty) = 0 | Z(t) > 0) = 1 - Q(ty)/Q(t), extrapolated over t = 1024,
     # 2048, 4096; the heavy tails' log t / t term leaves up to 3e-4
-    q = survival_column(path)
+    q = survival_column(name)
     reads = [1.0 - q[int(y * t)] / q[t] for t in (1024, 2048, 4096)]
     assert richardson(*reads) == pytest.approx(1.0 - 1.0 / y, abs=5e-4)

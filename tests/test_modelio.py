@@ -2,15 +2,16 @@
 derived parameters of configs built from files."""
 
 import json
+import re
 import string
 import tracemalloc
 from dataclasses import astuple
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gwolab import verify
 from gwolab.errors import ConfigError
 from gwolab.lifelaw import (
     BellmanHarris,
@@ -31,31 +32,7 @@ from gwolab.modelio import (
     write_json,
 )
 
-GW_BINARY = {
-    "variant": "bellman_harris",
-    "life": {"kind": "finite", "pmf": {"1": 1.0}},
-    "offspring": [0.5, 0.0, 0.5],
-}
-
-HEAVY = {
-    "variant": "bellman_harris",
-    "life": {"kind": "quadratic_tail", "d": 1.0, "t_min": 2},
-    "offspring": [0.75, 0.0, 0.0, 0.0, 0.25],
-}
-
-TABULATED = {
-    "variant": "tabulated",
-    "atoms": [
-        {"prob": 0.5, "birth_ages": [1, 2], "life": 3},
-        {"prob": 0.5, "birth_ages": [], "life": 2},
-    ],
-}
-
-DELAYED = {
-    "variant": "delayed_death",
-    "schedules": [{"prob": 0.5, "birth_ages": [1, 2]}, {"prob": 0.5, "birth_ages": []}],
-    "residual": {"kind": "quadratic_tail", "d": 1.125, "t_min": 2},
-}
+import shipped
 
 SEV = {
     "variant": "sevastyanov",
@@ -63,27 +40,20 @@ SEV = {
     "offspring_by_life": {"1": [0.5, 0.0, 0.5], "2": [0.25, 0.5, 0.25]},
 }
 
-SEV_HEAVY = {
-    "variant": "sevastyanov",
-    "life": {"kind": "quadratic_tail", "d": 1.0, "t_min": 2},
-    "offspring_by_life": {"2": [0.5, 0.0, 0.5]},
-    "offspring_default": [0.0, 1.0],
-}
-
 
 class TestLoading:
     def test_variants_map_to_types(self):
-        assert isinstance(model_from_dict(GW_BINARY), BellmanHarris)
-        assert isinstance(model_from_dict(TABULATED), Tabulated)
-        assert isinstance(model_from_dict(DELAYED), DelayedDeath)
+        assert isinstance(shipped.model("binary_splitting"), BellmanHarris)
+        assert isinstance(shipped.model("early_births"), Tabulated)
+        assert isinstance(shipped.model("delayed_death"), DelayedDeath)
         assert isinstance(model_from_dict(SEV), Sevastyanov)
 
     def test_gw_binary_parameters(self):
-        s = summarize(model_from_dict(GW_BINARY))
+        s = summarize(shipped.model("binary_splitting"))
         assert (s.b, s.a, s.d, s.h, s.c) == (0.5, 1.0, 0.0, 2.0, 0.0)
 
     def test_heavy_tail_parameters(self):
-        s = summarize(model_from_dict(HEAVY))
+        s = summarize(shipped.model("heavy_tail_life"))
         assert s.b == pytest.approx(1.5)
         assert s.d == 1.0
 
@@ -97,7 +67,7 @@ class TestLoading:
     def test_sevastyanov_heavy_tail_moments_in_closed_form(self):
         # E N*L = m1(default) E L + 2 P(L = 2) (m1(2) - m1(default)), with
         # E L = t_min + d psi_1(t_min) exact, though its series decays like d/l
-        model = model_from_dict(SEV_HEAVY)
+        model = shipped.model("heavy_tail_sevastyanov")
         s = summarize(model)
         assert (s.mean_offspring, s.b, s.d) == (1.0, 0.375, 1.0)
         assert s.a == model.life.mean
@@ -120,7 +90,7 @@ class TestLoading:
         assert peak < 1 << 20
         assert s == summarize(model_from_dict(SEV))
 
-    @pytest.mark.parametrize("cfg", [SEV, SEV_HEAVY], ids=["sev", "sev-heavy"])
+    @pytest.mark.parametrize("cfg", [SEV, shipped.config("heavy_tail_sevastyanov")], ids=["sev", "heavy_tail_sevastyanov"])
     def test_summary_fields_are_python_numbers(self, cfg):
         # so that summarize --out can write them as JSON
         s = summarize(model_from_dict(cfg))
@@ -147,12 +117,12 @@ class TestLoading:
 
 class TestValidation:
     def test_unknown_model_key(self):
-        bad = dict(GW_BINARY, extra=1)
+        bad = dict(shipped.config("binary_splitting"), extra=1)
         with pytest.raises(ConfigError, match="unknown key"):
             model_from_dict(bad)
 
     def test_unknown_life_key(self):
-        bad = dict(GW_BINARY, life={"kind": "finite", "pmf": {"1": 1.0}, "mean": 1.0})
+        bad = dict(shipped.config("binary_splitting"), life={"kind": "finite", "pmf": {"1": 1.0}, "mean": 1.0})
         with pytest.raises(ConfigError, match="unknown key"):
             model_from_dict(bad)
 
@@ -162,10 +132,10 @@ class TestValidation:
 
     def test_missing_required_key(self):
         with pytest.raises(ConfigError, match="missing"):
-            model_from_dict({"variant": "bellman_harris", "life": GW_BINARY["life"]})
+            model_from_dict({"variant": "bellman_harris", "life": shipped.config("binary_splitting")["life"]})
 
     def test_cross_variant_keys_rejected(self):
-        bad = dict(TABULATED, offspring=[1.0])
+        bad = dict(shipped.config("early_births"), offspring=[1.0])
         with pytest.raises(ConfigError):
             model_from_dict(bad)
 
@@ -185,7 +155,7 @@ class TestValidation:
             model_from_dict(bad)
 
     def test_invalid_values_surface_as_config_errors(self):
-        bad = dict(GW_BINARY, offspring=[0.5, 0.6])
+        bad = dict(shipped.config("binary_splitting"), offspring=[0.5, 0.6])
         with pytest.raises(ConfigError):
             model_from_dict(bad)
 
@@ -203,10 +173,7 @@ class TestValidation:
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize(
-        "cfg", [GW_BINARY, HEAVY, TABULATED, DELAYED, SEV, SEV_HEAVY],
-        ids=["gw", "heavy", "tabulated", "delayed", "sev", "sev-heavy"],
-    )
+    @pytest.mark.parametrize("cfg", [*map(shipped.config, shipped.NAMES), SEV], ids=[*shipped.NAMES, "sev"])
     def test_dict_round_trip(self, cfg):
         model = model_from_dict(cfg)
         emitted = model_to_dict(model)
@@ -217,7 +184,7 @@ class TestRoundTrip:
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "model.json"
-        model = model_from_dict(DELAYED)
+        model = shipped.model("delayed_death")
         with open(path, "w") as fh:
             write_json(model_to_dict(model), fh)
         again = load_model(str(path))
@@ -233,11 +200,22 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="JSON"):
             load_model(str(path))
 
+    def test_models_written_outside_docs_models_are_shipped_files(self):
+        # the battery builds its models in code, so that it runs where docs/
+        # is not installed, and the schema doc shows one example per variant
+        def spelled(model):
+            return json.dumps(model_to_dict(model), sort_keys=True)
+
+        battery = {spelled(model) for _, model, _ in verify._battery()}
+        assert battery == {spelled(shipped.model(n)) for n in ("binary_splitting", "early_births", "delayed_death")}
+        schema = (shipped.DIR.parent / "model_schema.md").read_text()
+        examples = [cfg for cfg in map(json.loads, re.findall(r"```json\n(.*?)```", schema, re.S)) if "variant" in cfg]
+        names = ["binary_splitting", "early_births", "delayed_death", "age_dependent_offspring"]
+        assert examples == [shipped.config(name) for name in names]
+
 
 # every leaf of every shipped model, each replaced by a value its parser
 # must reject: a malformed model file fails as a ConfigError naming the key
-MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
-SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(MODEL_DIR.glob("*.json"))}
 LEAF_KINDS = {
     "variant": "choice", "kind": "choice", "t_min": "int", "life": "int", "birth_ages": "int",
     "prob": "float", "d": "float", "offspring": "float", "offspring_default": "float",
@@ -278,11 +256,11 @@ def _malformed(kind):
     return st.one_of(_neither, _fractions, _numeric_text, _json_literals)
 
 
-LEAVES = [(name, path) for name, cfg in SHIPPED.items() for path in _leaves(cfg)]
+LEAVES = [(name, path) for name in shipped.NAMES for path in _leaves(shipped.config(name))]
 
 
 def test_leaf_kinds_cover_the_shipped_models():
-    assert len(SHIPPED) == 6
+    assert len(shipped.NAMES) == 6
     assert {_leaf_key(path)[0] for _, path in LEAVES if not _leaf_key(path)[0].isdigit()} == set(LEAF_KINDS)
 
 
@@ -291,7 +269,7 @@ def test_leaf_kinds_cover_the_shipped_models():
 @given(data=st.data())
 def test_malformed_leaf_raises_config_error(name, path, data):
     key, kind = _leaf_key(path)
-    cfg = json.loads(json.dumps(SHIPPED[name]))
+    cfg = shipped.config(name)
     node = cfg
     for step in path[:-1]:
         node = node[step]

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import shipped
+
 ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
@@ -27,7 +29,7 @@ def _check(code):
 def test_setup_loads_three_submodules(model):
     loaded = _check(f"""if True:
         import sys, gwolab
-        gwolab.summarize(gwolab.load_model("docs/models/{model}.json"))
+        gwolab.summarize(gwolab.load_model({str(shipped.path(model))!r}))
         print(" ".join(sorted(m for m in sys.modules if m.startswith("gwolab") or m in ("argparse", "logging"))))
     """)
     assert loaded.split() == ["gwolab", "gwolab.errors", "gwolab.lifelaw", "gwolab.modelio"]
@@ -67,15 +69,15 @@ def test_star_import_binds_every_name():
 
 @pytest.mark.parametrize("model", ["delayed_death", "heavy_tail_life"])
 def test_cli_as_main_module_without_warning(model):
-    out = _python("-W", "error::RuntimeWarning", "-m", "gwolab.cli", "summarize", "--model", f"docs/models/{model}.json")
+    out = _python("-W", "error::RuntimeWarning", "-m", "gwolab.cli", "summarize", "--model", str(shipped.path(model)))
     assert (out.returncode, out.stderr) == (0, "")
     assert out.stdout.startswith("mean_offspring=1 ")
 
 
 @pytest.mark.parametrize("argv,unloaded", [
-    (["summarize", "--model", "docs/models/heavy_tail_life.json"],
+    (["summarize", "--model", str(shipped.path("heavy_tail_life"))],
      ["gwolab.exact_engine", "gwolab.simulator", "gwolab.verify", "logging"]),
-    (["fdd", "--model", "docs/models/delayed_death.json", "--times", "64,128", "--tobs", "64", "--K", "10"],
+    (["fdd", "--model", str(shipped.path("delayed_death")), "--times", "64,128", "--tobs", "64", "--K", "10"],
      ["gwolab.simulator", "gwolab.verify"]),
 ])
 def test_cli_command_loads_only_what_it_runs(argv, unloaded):

@@ -1,7 +1,8 @@
 """Pinned outputs of the truncated-series ring.
 
 `conditional_pmf` (the series DP) and `eta_fdd_pmf` (the Newton square
-roots) run every product through `series.dense_mul`.  The values in
+roots) run every product through the rows of `series.ring(k, K)`, by its
+`mul` and `product`.  The values in
 `pinned_pmfs.json` were computed when that product was
 `scipy.signal.convolve` followed by the total-degree mask, and are frozen:
 a new product may sum in another order, but it must give the same
@@ -11,8 +12,8 @@ total degree <= K; every entry past K must be exactly 0.
 Running this file as a script with pin names, e.g.
 `python tests/test_pinned_pmfs.py eta_fdd_pmf/c1-k1`, rewrites those
 entries from the code it imports and leaves every other entry's bytes as
-they are (`rerecord`); without names it prints the names and writes
-nothing.  Re-record a pin only when a change of the code moves it on
+they are (`shipped.rerecord`); without names it prints the names and
+writes nothing.  Re-record a pin only when a change of the code moves it on
 purpose and a long-double run backs the new values, never to hide a fault.
 
 Re-recorded `eta_fdd_pmf` pins, each backed by a long-double run of the
@@ -39,13 +40,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwolab import FddQuery, FddSpec, LimitParams, conditional_pmf, eta_fdd_pmf, load_model
+from gwolab import FddQuery, FddSpec, LimitParams, conditional_pmf, eta_fdd_pmf
 from gwolab.limitlaw import _fdd_pgf
 from gwolab.series import ring, total_degree_mask
 
-HERE = Path(__file__).resolve().parent
-MODEL_DIR = HERE.parent / "docs" / "models"
-PINS = HERE / "pinned_pmfs.json"
+import shipped
+import test_pinned_scalar
+
+PINS = Path(__file__).resolve().parent / "pinned_pmfs.json"
 RTOL = 1e-14
 
 MODELS = ["age_dependent_offspring", "binary_splitting", "delayed_death", "early_births", "heavy_tail_life"]
@@ -76,8 +78,7 @@ def _kept(arr: np.ndarray, K: int) -> list:
 def _conditional(case: str) -> dict:
     name, k = CONDITIONAL_CASES[case]
     times, K = SPECS[k]
-    model = load_model(str(MODEL_DIR / f"{name}.json"))
-    pm = conditional_pmf(model, FddSpec(times, (0.0,) * len(times), t_obs=times[0]), K)
+    pm = conditional_pmf(shipped.model(name), FddSpec(times, (0.0,) * len(times), t_obs=times[0]), K)
     return {"probs": _kept(pm.probs, K), "overflow": pm.overflow}
 
 
@@ -85,6 +86,9 @@ def _limit(case: str) -> dict:
     c, y, K = LIMIT_CASES[case]
     pm = eta_fdd_pmf(LimitParams(c), FddQuery(y, (0.0,) * len(y)), K)
     return {"coeffs": _kept(pm.coeffs, K), "finite_remainder": pm.finite_remainder, "clamped": pm.clamped}
+
+
+RECORDERS = {"conditional_pmf": (_conditional, CONDITIONAL_CASES), "eta_fdd_pmf": (_limit, LIMIT_CASES)}
 
 
 @pytest.fixture(scope="module")
@@ -158,39 +162,35 @@ def test_eta_fdd_pmf_pin_is_backed_by_long_double(pins, case):
         assert (err[big] / ref[big].astype(float)).max() <= 1e-13
 
 
-def rerecord(names, path: Path = PINS) -> None:
-    """Rewrite the pins named GROUP/CASE (e.g. `eta_fdd_pmf/c1-k1`) from
-    the code imported, and leave every other entry's bytes as they are."""
-    recorders = {"conditional_pmf": (_conditional, CONDITIONAL_CASES), "eta_fdd_pmf": (_limit, LIMIT_CASES)}
-    known = [f"{group}/{case}" for group, (_, cases) in recorders.items() for case in cases]
-    if not names or not set(names) <= set(known):
-        raise SystemExit("usage: python tests/test_pinned_pmfs.py GROUP/CASE ...\nwhere GROUP/CASE is one of\n  " + "\n  ".join(known))
-    pins = json.loads(path.read_text())
-    for name in names:
-        group, case = name.split("/")
-        pins[group][case] = recorders[group][0](case)
-    path.write_text(json.dumps(pins, indent=0) + "\n")
-
-
-def test_rerecord_rewrites_only_the_named_pins(tmp_path):
+@pytest.mark.parametrize(
+    "pins_file, recorders, name",
+    [
+        (PINS, RECORDERS, "eta_fdd_pmf/c15-k3-left"),
+        (test_pinned_scalar.PINS, test_pinned_scalar.RECORDERS, "conditional_pgf/delayed_death"),
+    ],
+    ids=["pmfs", "scalar"],
+)
+def test_rerecord_rewrites_only_the_named_pins(pins_file, recorders, name, tmp_path):
+    group, case = name.split("/")
     path = tmp_path / "pins.json"
-    path.write_text(PINS.read_text())
+    path.write_text(pins_file.read_text())
     with pytest.raises(SystemExit, match="usage"):
-        rerecord([], path)
+        shipped.rerecord([], path, recorders)
     with pytest.raises(SystemExit, match="usage"):
-        rerecord(["eta_fdd_pmf/no-such-case"], path)
-    assert path.read_text() == PINS.read_text()
-    rerecord(["eta_fdd_pmf/c15-k3-left"], path)
-    old, new = PINS.read_text(), path.read_text()
-    # the conditional_pmf pins keep their bytes, the others their values
-    assert new[: new.index('"eta_fdd_pmf"')] == old[: old.index('"eta_fdd_pmf"')]
-    old, new = json.loads(old)["eta_fdd_pmf"], json.loads(new)["eta_fdd_pmf"]
-    assert new.keys() == old.keys()
-    assert all(new[case] == old[case] for case in LIMIT_CASES if case != "c15-k3-left")
-    assert new["c15-k3-left"] == _limit("c15-k3-left")
+        shipped.rerecord([f"{group}/no-such-case"], path, recorders)
+    assert path.read_text() == pins_file.read_text()
+    shipped.rerecord([name], path, recorders)
+    old, new = pins_file.read_text(), path.read_text()
+    # the groups before the named one keep their bytes, the other pins their values
+    assert new[: new.index(f'"{group}"')] == old[: old.index(f'"{group}"')]
+    old, new = json.loads(old), json.loads(new)
+    assert new.keys() == old.keys() and all(new[g] == old[g] for g in old if g != group)
+    assert new[group].keys() == old[group].keys()
+    assert all(new[group][c] == old[group][c] for c in old[group] if c != case)
+    assert new[group][case] == recorders[group][0](case)
 
 
 if __name__ == "__main__":
     import sys
 
-    rerecord(sys.argv[1:])
+    shipped.rerecord(sys.argv[1:], PINS, RECORDERS)

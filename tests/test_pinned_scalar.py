@@ -10,9 +10,12 @@ the work that depends on earlier steps, and are frozen.  They are gated at
 may on another CPU or with another thread count, moves the last bits
 (by 8.7e-13 relative on the heavy-tail `convergence_table` row at
 t = 2^14 when OpenBLAS splits the long dots over two threads).  Running
-this file as a script rewrites the JSON from the code it imports, so do
-that only against the reference implementation, never to make a failing
-pin pass.
+this file as a script with pin names, e.g.
+`python tests/test_pinned_scalar.py extinction_seq/delayed_death`,
+rewrites those entries from the code it imports and leaves every other
+entry's bytes as they are (`shipped.rerecord`); without names it prints
+the names and writes nothing.  Re-record a pin only against the
+reference implementation, never to make a failing pin pass.
 
 `pinned_scheduled.json` holds, bit for bit, the sha256 of the whole
 survival column at 2^16 of each model the scheduled kernel runs.  Those
@@ -30,10 +33,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gwolab import FddSpec, conditional_pgf, convergence_table, extinction_seq, load_model
+from gwolab import FddSpec, conditional_pgf, convergence_table, extinction_seq
+
+import shipped
 
 HERE = Path(__file__).resolve().parent
-MODEL_DIR = HERE.parent / "docs" / "models"
 PINS = HERE / "pinned_scalar.json"
 SCHEDULED_PINS = json.loads((HERE / "pinned_scheduled.json").read_text())
 RTOL = 1e-9
@@ -46,21 +50,24 @@ GRID = [1 << j for j in range(10, 13)]
 CONDITIONAL_SPEC = ((1024, 2048), (0.3, 0.5), 1024)  # (times, z, t_obs)
 
 
-def _model(name: str):
-    return load_model(str(MODEL_DIR / f"{name}.json"))
-
-
 def _survival(name: str) -> list:
-    return extinction_seq(_model(name), T_MAX).q[CHECKPOINTS].tolist()
+    return extinction_seq(shipped.model(name), T_MAX).q[CHECKPOINTS].tolist()
 
 
 def _convergence(name: str) -> list:
-    return [row.q_k for row in convergence_table(_model(name), (1.0, 2.0), (0.0, 0.5), GRID)]
+    return [row.q_k for row in convergence_table(shipped.model(name), (1.0, 2.0), (0.0, 0.5), GRID)]
 
 
 def _conditional(name: str) -> float:
     times, z, t_obs = CONDITIONAL_SPEC
-    return conditional_pgf(_model(name), FddSpec(times, z, t_obs=t_obs))
+    return conditional_pgf(shipped.model(name), FddSpec(times, z, t_obs=t_obs))
+
+
+RECORDERS = {
+    "extinction_seq": (_survival, MODELS),
+    "convergence_table": (_convergence, CONVERGENCE_MODELS),
+    "conditional_pgf": (_conditional, MODELS),
+}
 
 
 @pytest.fixture(scope="module")
@@ -85,19 +92,11 @@ def test_conditional_pgf_is_pinned(pins, name):
 
 @pytest.mark.parametrize("name", sorted(SCHEDULED_PINS["sha256"]))
 def test_scheduled_survival_is_pinned_bit_for_bit(name):
-    q = extinction_seq(_model(name), SCHEDULED_PINS["t_max"]).q
+    q = extinction_seq(shipped.model(name), SCHEDULED_PINS["t_max"]).q
     assert hashlib.sha256(q.tobytes()).hexdigest() == SCHEDULED_PINS["sha256"][name]
 
 
 if __name__ == "__main__":
-    PINS.write_text(
-        json.dumps(
-            {
-                "extinction_seq": {name: _survival(name) for name in MODELS},
-                "convergence_table": {name: _convergence(name) for name in CONVERGENCE_MODELS},
-                "conditional_pgf": {name: _conditional(name) for name in MODELS},
-            },
-            indent=0,
-        )
-        + "\n"
-    )
+    import sys
+
+    shipped.rerecord(sys.argv[1:], PINS, RECORDERS)

@@ -8,8 +8,10 @@ with C(1/2, k) computed by the exact recurrence.
 from __future__ import annotations
 
 import doctest
+import importlib
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -131,9 +133,12 @@ def test_evaluate():
     assert _polynomial(gwolab.series.Floats, point) == pytest.approx(want, abs=1e-14)
 
 
-def test_module_doctest():
-    result = doctest.testmod(gwolab.series)
-    assert result.attempted > 0 and result.failed == 0
+@pytest.mark.parametrize("name", ["gwolab", *(f"gwolab.{m.name}" for m in pkgutil.iter_modules(gwolab.__path__))])
+def test_module_doctest(name):
+    # the docstring examples of every module; two modules have some
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+    assert result.attempted > 0 or name not in ("gwolab.exact_engine", "gwolab.series")
 
 
 def test_negative_exponents_rejected():

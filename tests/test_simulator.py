@@ -12,7 +12,6 @@ import math
 import re
 from dataclasses import replace
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,9 +22,6 @@ from gwolab.errors import BudgetExhausted, CapTooLarge, ConfigError
 from gwolab.exact_engine import FddSpec, conditional_pmf, extinction_seq
 from gwolab.lifelaw import (
     BellmanHarris,
-    FiniteLife,
-    OffspringPMF,
-    QuadraticTailLife,
     Sevastyanov,
     Tabulated,
     summarize,
@@ -38,24 +34,9 @@ from gwolab.simulator import (
     dichotomy_stats,
     simulate,
 )
-from gwolab.modelio import load_model
 from gwolab.squares import stream_keys, uniforms
 
-MODEL_DIR = Path(__file__).resolve().parents[1] / "docs" / "models"
-
-
-def gw_binary():
-    return BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.5, 0.0, 0.5]))
-
-
-def bh_heavy():
-    return BellmanHarris(
-        QuadraticTailLife(d=1.0, t_min=2), OffspringPMF([0.75, 0.0, 0.0, 0.0, 0.25])
-    )
-
-
-def tabulated_mix():
-    return Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)])
+import shipped
 
 
 def lone_individual():
@@ -79,24 +60,24 @@ class TestTrajectories:
         assert not res.overflowed.any()
 
     def test_everyone_alive_at_time_zero(self):
-        for model in (gw_binary(), bh_heavy(), tabulated_mix()):
+        for model in map(shipped.model, ["binary_splitting", "heavy_tail_life", "early_births"]):
             cfg = SimConfig(model=model, horizon=3, query_times=(0,), replicates=64, seed=11)
             res = simulate(cfg)
             np.testing.assert_array_equal(res.counts[:, 0], np.ones(64, dtype=np.int64))
 
     def test_survivor_flag_matches_horizon_count(self):
         cfg = SimConfig(
-            model=gw_binary(), horizon=4, query_times=(2, 4), replicates=500, seed=3
+            model=shipped.model("binary_splitting"), horizon=4, query_times=(2, 4), replicates=500, seed=3
         )
         res = simulate(cfg)
         np.testing.assert_array_equal(res.survived, res.counts[:, 1] > 0)
 
     def test_survivor_flag_without_horizon_query(self):
         # horizon not among the query times: the flag still refers to Z(horizon)
-        cfg = SimConfig(model=gw_binary(), horizon=4, query_times=(2,), replicates=500, seed=3)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=4, query_times=(2,), replicates=500, seed=3)
         res = simulate(cfg)
         full = simulate(
-            SimConfig(model=gw_binary(), horizon=4, query_times=(2, 4), replicates=500, seed=3)
+            SimConfig(model=shipped.model("binary_splitting"), horizon=4, query_times=(2, 4), replicates=500, seed=3)
         )
         np.testing.assert_array_equal(res.survived, full.counts[:, 1] > 0)
         np.testing.assert_array_equal(res.counts[:, 0], full.counts[:, 0])
@@ -105,7 +86,7 @@ class TestTrajectories:
 class TestAgainstExactEngine:
     def test_survival_matches_extinction_seq(self):
         reps = 20_000
-        for model, horizon in ((gw_binary(), 3), (tabulated_mix(), 5)):
+        for model, horizon in ((shipped.model("binary_splitting"), 3), (shipped.model("early_births"), 5)):
             cfg = SimConfig(
                 model=model, horizon=horizon, query_times=(horizon,), replicates=reps, seed=101
             )
@@ -119,14 +100,14 @@ class TestAgainstExactEngine:
         # E Z(t) = 1 for every critical model and time
         reps = 20_000
         cfg = SimConfig(
-            model=gw_binary(), horizon=8, query_times=(4, 8), replicates=reps, seed=29
+            model=shipped.model("binary_splitting"), horizon=8, query_times=(4, 8), replicates=reps, seed=29
         )
         res = simulate(cfg)
         for t, row in res.mean_counts().items():
             assert abs(row["estimate"] - 1.0) <= 4.0 * row["stderr"], t
 
     def test_conditional_law_total_variation(self):
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         horizon = 3
         exact = conditional_pmf(model, FddSpec(times=(horizon,), z=(0.5,), t_obs=horizon), K=10)
         target = 2500
@@ -144,7 +125,7 @@ class TestAgainstExactEngine:
 class TestDeterminism:
     def test_bit_identical_across_thread_counts(self):
         cfg = SimConfig(
-            model=tabulated_mix(), horizon=12, query_times=(3, 12), replicates=3000, seed=42
+            model=shipped.model("early_births"), horizon=12, query_times=(3, 12), replicates=3000, seed=42
         )
         one = simulate(cfg, threads=1)
         four = simulate(cfg, threads=4)
@@ -153,20 +134,20 @@ class TestDeterminism:
         np.testing.assert_array_equal(one.overflowed, four.overflowed)
 
     def test_seed_reproducibility(self):
-        cfg = SimConfig(model=bh_heavy(), horizon=10, query_times=(5, 10), replicates=400, seed=9)
+        cfg = SimConfig(model=shipped.model("heavy_tail_life"), horizon=10, query_times=(5, 10), replicates=400, seed=9)
         a, b = simulate(cfg), simulate(cfg)
         np.testing.assert_array_equal(a.counts, b.counts)
         other = simulate(
-            SimConfig(model=bh_heavy(), horizon=10, query_times=(5, 10), replicates=400, seed=10)
+            SimConfig(model=shipped.model("heavy_tail_life"), horizon=10, query_times=(5, 10), replicates=400, seed=10)
         )
         assert (a.counts != other.counts).any()
 
     def test_replicate_streams_do_not_depend_on_replicate_count(self):
         few = simulate(
-            SimConfig(model=gw_binary(), horizon=6, query_times=(6,), replicates=50, seed=77)
+            SimConfig(model=shipped.model("binary_splitting"), horizon=6, query_times=(6,), replicates=50, seed=77)
         )
         many = simulate(
-            SimConfig(model=gw_binary(), horizon=6, query_times=(6,), replicates=200, seed=77)
+            SimConfig(model=shipped.model("binary_splitting"), horizon=6, query_times=(6,), replicates=200, seed=77)
         )
         np.testing.assert_array_equal(few.counts, many.counts[:50])
 
@@ -355,19 +336,9 @@ def _reference_replicate(cfg, rep, born=None):
     return counts, False
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "age_dependent_offspring",
-        "binary_splitting",
-        "delayed_death",
-        "early_births",
-        "heavy_tail_life",
-        "heavy_tail_sevastyanov",
-    ],
-)
+@pytest.mark.parametrize("name", shipped.NAMES)
 def test_matches_individual_by_individual_reference(name):
-    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    model = shipped.model(name)
     for cap in (5, 1_000_000):
         cfg = SimConfig(model, 16, (4, 12), 150, 23, max_individuals=cap)
         res = simulate(cfg)
@@ -425,7 +396,7 @@ SEEDED_DIGESTS = {
 @pytest.mark.parametrize("key", SEEDED_DIGESTS, ids=["-".join(map(str, key)) for key in SEEDED_DIGESTS])
 def test_seeded_outputs_are_pinned(key):
     name, cap, horizon, replicates = (*key, 24, 1500)[:4]
-    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    model = shipped.model(name)
     parts = []
     for qt in ((6, horizon), (6,), ()):
         cfg = SimConfig(model, horizon, qt, replicates, 17, max_individuals=cap)
@@ -444,7 +415,7 @@ def test_seeded_outputs_are_pinned(key):
 def test_slot_count_does_not_change_rows(monkeypatch, slots):
     # fewer slots than replicates: each slot runs several replicates in turn
     cfgs = [
-        SimConfig(load_model(str(MODEL_DIR / f"{name}.json")), 24, (6, 24), 100, 5, max_individuals=cap)
+        SimConfig(shipped.model(name), 24, (6, 24), 100, 5, max_individuals=cap)
         for name in ("delayed_death", "age_dependent_offspring", "early_births")
         for cap in (8, 1_000_000)
     ]
@@ -493,7 +464,7 @@ def test_each_replicate_takes_its_first_words_once(monkeypatch, name):
     # n its individuals born before the horizon: no word is computed twice
     # and none is skipped; early_births takes one word per individual, the
     # others two
-    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    model = shipped.model(name)
     per = simulator._individual_draw(model)[0]
     cfg = SimConfig(model, 24, (6, 24), 400, 5)
     ref = simulate(cfg)
@@ -517,7 +488,7 @@ def test_individuals_born_at_the_horizon_take_no_uniforms(monkeypatch, name):
     # every word drawn belongs to an individual born before the horizon;
     # at horizon 0 the founder is the only individual, and no word is
     # drawn at all
-    model = load_model(str(MODEL_DIR / f"{name}.json"))
+    model = shipped.model(name)
     per = simulator._individual_draw(model)[0]
     cfg = SimConfig(model, 16, (4, 12), 300, 23)
     asked = _record_words(monkeypatch)
@@ -534,7 +505,7 @@ def test_individuals_born_at_the_horizon_take_no_uniforms(monkeypatch, name):
 class TestOverflow:
     def test_flagged_and_excluded(self):
         cfg = SimConfig(
-            model=gw_binary(),
+            model=shipped.model("binary_splitting"),
             horizon=4,
             query_times=(4,),
             replicates=4000,
@@ -582,7 +553,7 @@ def _record_passes(monkeypatch):
 
 class TestConditionalSampling:
     def test_acceptance_rate_estimates_survival(self):
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         cfg = SimConfig(model=model, horizon=2, query_times=(1, 2), replicates=1, seed=423)
         target = 3000
         res = conditional_sample(cfg, target_survivors=target, max_attempts=50_000)
@@ -595,31 +566,25 @@ class TestConditionalSampling:
 
     def test_stream_contract_matches_simulate(self):
         # attempt i draws from stream (seed, i), the stream of replicate i
-        cfg = SimConfig(model=gw_binary(), horizon=3, query_times=(1, 3), replicates=1, seed=8)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=3, query_times=(1, 3), replicates=1, seed=8)
         res = conditional_sample(cfg, target_survivors=100, max_attempts=10_000)
-        full = simulate(
-            SimConfig(model=gw_binary(), horizon=3, query_times=(1, 3), replicates=res.attempts, seed=8)
-        )
+        full = simulate(replace(cfg, replicates=res.attempts))
         assert full.survived[-1]
         np.testing.assert_array_equal(res.counts, full.counts[full.survived])
 
     def test_overflow_raises(self):
         # binary splitting passes 3 individuals by horizon 6 in many attempts
-        cfg = SimConfig(
-            model=gw_binary(), horizon=6, query_times=(6,), replicates=1, seed=3, max_individuals=3
-        )
+        model = shipped.model("binary_splitting")
+        cfg = SimConfig(model=model, horizon=6, query_times=(6,), replicates=1, seed=3, max_individuals=3)
         with pytest.raises(BudgetExhausted, match="max_individuals"):
             conditional_sample(cfg, target_survivors=300, max_attempts=10_000)
 
     def test_overflow_after_returned_attempt_does_not_raise(self):
         # the first block, sized from Q(6), holds attempt 31, which
         # overflows after the fifth survivor at attempt 9
-        cfg = SimConfig(
-            model=gw_binary(), horizon=6, query_times=(3, 6), replicates=1, seed=175, max_individuals=16
-        )
-        full = simulate(
-            SimConfig(model=gw_binary(), horizon=6, query_times=(3, 6), replicates=40, seed=175, max_individuals=16)
-        )
+        model = shipped.model("binary_splitting")
+        cfg = SimConfig(model=model, horizon=6, query_times=(3, 6), replicates=1, seed=175, max_individuals=16)
+        full = simulate(replace(cfg, replicates=40))
         assert np.flatnonzero(full.overflowed)[0] == 31
         res = conditional_sample(cfg, target_survivors=5, max_attempts=1000)
         assert res.attempts == 10
@@ -628,22 +593,18 @@ class TestConditionalSampling:
     def test_budget_message_at_uneven_max_attempts(self):
         # 333 is no multiple of any block; the message counts the survivors
         # of attempts 0..332 exactly
-        cfg = SimConfig(model=gw_binary(), horizon=8, query_times=(8,), replicates=1, seed=4)
-        survivors = int(
-            simulate(SimConfig(model=gw_binary(), horizon=8, query_times=(8,), replicates=333, seed=4)).survived.sum()
-        )
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=8, query_times=(8,), replicates=1, seed=4)
+        survivors = int(simulate(replace(cfg, replicates=333)).survived.sum())
         assert survivors < 200
         with pytest.raises(BudgetExhausted, match=rf"^{survivors}/200 survivors after 333 attempts$"):
             conditional_sample(cfg, target_survivors=200, max_attempts=333)
 
     def test_several_blocks_equal_surviving_rows_of_simulate(self):
         # Q(16) is about 0.096, so more than 1200 attempts are needed
-        cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=1, seed=21)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=16, query_times=(4, 16), replicates=1, seed=21)
         res = conditional_sample(cfg, target_survivors=300, max_attempts=100_000)
         assert res.attempts > 1200
-        full = simulate(
-            SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=res.attempts, seed=21)
-        )
+        full = simulate(replace(cfg, replicates=res.attempts))
         assert full.survived[-1] and full.survived.sum() == 300
         np.testing.assert_array_equal(res.counts, full.counts[full.survived])
 
@@ -655,19 +616,18 @@ class TestConditionalSampling:
         # (seed 28 has no survivor among the first 29 attempts); rows do
         # not depend on the blocks
         sizes = _record_passes(monkeypatch)
-        cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=1, seed=seed)
+        model = shipped.model("binary_splitting")
+        cfg = SimConfig(model=model, horizon=16, query_times=(4, 16), replicates=1, seed=seed)
         res = conditional_sample(cfg, target_survivors=target, max_attempts=100_000)
         assert len(sizes) == 2
-        wanted = math.ceil(target / extinction_seq(gw_binary(), 16).q[16])
+        wanted = math.ceil(target / extinction_seq(model, 16).q[16])
         assert sizes[0] == wanted + wanted // 4 + 16
-        full = simulate(
-            SimConfig(model=gw_binary(), horizon=16, query_times=(4, 16), replicates=res.attempts, seed=seed)
-        )
+        full = simulate(replace(cfg, replicates=res.attempts))
         np.testing.assert_array_equal(res.counts, full.counts[full.survived])
 
     def test_delayed_death_takes_one_pass(self, monkeypatch):
         sizes = _record_passes(monkeypatch)
-        model = load_model(str(MODEL_DIR / "delayed_death.json"))
+        model = shipped.model("delayed_death")
         cfg = SimConfig(model, 64, (16, 64), 1, 3)
         res = conditional_sample(cfg, 200)
         assert len(sizes) == 1 and res.attempts <= sizes[0]
@@ -695,7 +655,7 @@ class TestConditionalSampling:
         assert sizes == [12, 76, 12]
 
     def test_target_validation(self):
-        cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=1, seed=0)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=2, query_times=(2,), replicates=1, seed=0)
         with pytest.raises(ConfigError):
             conditional_sample(cfg, target_survivors=0)
 
@@ -708,7 +668,7 @@ class TestConditionalSampling:
         sizes = _record_passes(monkeypatch)
         dps = []
         monkeypatch.setattr(simulator, "extinction_seq", lambda *args: dps.append(args))
-        cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=1, seed=0)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=2, query_times=(2,), replicates=1, seed=0)
         with pytest.raises(ConfigError, match=re.escape(repr(target if attempts > 0 else attempts))):
             conditional_sample(cfg, target_survivors=target, max_attempts=attempts)
         assert sizes == [] and dps == []
@@ -721,7 +681,7 @@ class TestDichotomy:
 
     def test_stats_fields(self):
         cfg = SimConfig(
-            model=gw_binary(), horizon=16, query_times=(8,), replicates=6000, seed=2024
+            model=shipped.model("binary_splitting"), horizon=16, query_times=(8,), replicates=6000, seed=2024
         )
         st = dichotomy_stats(cfg)
         assert st.cutoff == 4
@@ -732,16 +692,16 @@ class TestDichotomy:
         assert st.reference_limit == 0.0
 
     def test_reference_limit_heavy_tail(self):
-        cfg = SimConfig(model=bh_heavy(), horizon=8, query_times=(8,), replicates=500, seed=5)
+        cfg = SimConfig(model=shipped.model("heavy_tail_life"), horizon=8, query_times=(8,), replicates=500, seed=5)
         st = dichotomy_stats(cfg)
-        assert st.reference_limit == pytest.approx(dichotomy_fraction(summarize(bh_heavy()).c))
+        assert st.reference_limit == pytest.approx(dichotomy_fraction(summarize(shipped.model("heavy_tail_life")).c))
 
     def test_stream_contract_matches_simulate(self):
         # the horizon is not a query time here; simulate tracks it as one
-        cfg = SimConfig(model=gw_binary(), horizon=16, query_times=(8,), replicates=3000, seed=7)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=16, query_times=(8,), replicates=3000, seed=7)
         st = dichotomy_stats(cfg)
         full = simulate(
-            SimConfig(model=gw_binary(), horizon=16, query_times=(8, 16), replicates=3000, seed=7)
+            SimConfig(model=shipped.model("binary_splitting"), horizon=16, query_times=(8, 16), replicates=3000, seed=7)
         )
         z = full.counts[full.survived, 1]
         small = int((z <= st.cutoff).sum())
@@ -750,24 +710,23 @@ class TestDichotomy:
         assert st.large_fraction == 1.0 - small / z.size
 
     def test_overflow_raises(self):
-        cfg = SimConfig(
-            model=gw_binary(), horizon=6, query_times=(6,), replicates=500, seed=3, max_individuals=3
-        )
+        model = shipped.model("binary_splitting")
+        cfg = SimConfig(model=model, horizon=6, query_times=(6,), replicates=500, seed=3, max_individuals=3)
         with pytest.raises(BudgetExhausted, match="max_individuals"):
             dichotomy_stats(cfg)
 
     def test_cutoff_is_the_default_rule(self):
-        cfg = SimConfig(model=gw_binary(), horizon=9, query_times=(9,), replicates=800, seed=6)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=9, query_times=(9,), replicates=800, seed=6)
         assert dichotomy_stats(cfg).cutoff == default_cutoff(9) == 3
         # at horizon 0 the cutoff is 0, which splits nothing; the error
         # names the horizon, which the caller set, not the cutoff
         with pytest.raises(ConfigError, match="^horizon 0 must be an integer >= 1$"):
-            dichotomy_stats(SimConfig(model=gw_binary(), horizon=0, query_times=(0,), replicates=8, seed=6))
+            dichotomy_stats(replace(cfg, horizon=0, query_times=(0,), replicates=8))
 
 
 class TestOutputs:
     def test_csv_layout(self):
-        cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(1, 2), replicates=5, seed=3)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=2, query_times=(1, 2), replicates=5, seed=3)
         res = simulate(cfg)
         buf = io.StringIO()
         res.to_csv(buf)
@@ -781,7 +740,7 @@ class TestOutputs:
     @pytest.mark.parametrize("query_times", [(), (6,), (3, 6)])
     def test_csv_bytes_match_csv_writer(self, query_times):
         # max_individuals 3 makes some rows overflow
-        cfg = SimConfig(gw_binary(), 6, query_times, 300, 3, max_individuals=3)
+        cfg = SimConfig(shipped.model("binary_splitting"), 6, query_times, 300, 3, max_individuals=3)
         res = simulate(cfg)
         assert res.overflowed.any() and res.survived.any()
         ref = io.StringIO()
@@ -794,7 +753,7 @@ class TestOutputs:
         assert buf.getvalue().encode() == ref.getvalue().encode()
 
     def test_summary_dict(self):
-        cfg = SimConfig(model=gw_binary(), horizon=2, query_times=(2,), replicates=50, seed=3)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=2, query_times=(2,), replicates=50, seed=3)
         s = simulate(cfg).summary()
         assert s["horizon"] == 2 and s["seed"] == 3 and s["attempts"] is None
         assert set(s["survival"]) >= {"estimate", "stderr", "ci95", "survivors"}
@@ -803,7 +762,7 @@ class TestOutputs:
 
 class TestValidation:
     def test_config_errors(self):
-        m = gw_binary()
+        m = shipped.model("binary_splitting")
         with pytest.raises(ConfigError):
             SimConfig(model=m, horizon=-1, query_times=(), replicates=1, seed=0)
         with pytest.raises(ConfigError):
@@ -823,27 +782,29 @@ class TestValidation:
     )
     def test_integer_fields_refuse_floats(self, field, value):
         # refused up front, naming the value, rather than failing inside numpy
-        args = {**dict(model=gw_binary(), horizon=5, query_times=(2,), replicates=10, seed=1), field: value}
+        args = dict(model=shipped.model("binary_splitting"), horizon=5, query_times=(2,), replicates=10, seed=1)
+        args[field] = value
         shown = value[0] if field == "query_times" else value
         with pytest.raises(ConfigError, match=re.escape(repr(shown))):
             SimConfig(**args)
 
     @pytest.mark.parametrize("field, value", [("horizon", -1), ("replicates", 0), ("max_individuals", 0)])
     def test_sizes_out_of_range_name_field_and_value(self, field, value):
-        args = {**dict(model=gw_binary(), horizon=5, query_times=(), replicates=10, seed=1), field: value}
+        args = dict(model=shipped.model("binary_splitting"), horizon=5, query_times=(), replicates=10, seed=1)
+        args[field] = value
         with pytest.raises(ConfigError, match=f"{field} {value} "):
             SimConfig(**args)
 
     def test_integer_fields_take_numpy_integers(self):
-        cfg = SimConfig(model=gw_binary(), horizon=np.int64(5), query_times=(np.int64(2),), replicates=np.int32(10),
-                        seed=np.uint64(1), max_individuals=np.int64(100))
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=np.int64(5), query_times=(np.int64(2),),
+                        replicates=np.int32(10), seed=np.uint64(1), max_individuals=np.int64(100))
         assert cfg.query_times == (2,) and simulate(cfg).counts.shape == (10, 1)
 
     def test_sizes_past_the_budget(self):
         # one slot's tally, 2 x (horizon + 2) cells, and all replicates'
         # results, replicates x (k + 1) cells, raise before any allocation
-        long = SimConfig(model=gw_binary(), horizon=10**12, query_times=(), replicates=1, seed=0)
-        many = SimConfig(model=gw_binary(), horizon=32, query_times=(32,), replicates=10**12, seed=0)
+        long = SimConfig(model=shipped.model("binary_splitting"), horizon=10**12, query_times=(), replicates=1, seed=0)
+        many = replace(long, horizon=32, query_times=(32,), replicates=10**12)
         for run in (simulate, dichotomy_stats, partial(conditional_sample, target_survivors=1)):
             with pytest.raises(CapTooLarge, match="tally"):
                 run(long)
@@ -853,7 +814,7 @@ class TestValidation:
 
     def test_budget_edges(self, monkeypatch):
         monkeypatch.setattr(exact_engine, "_DP_BUDGET", 68)  # 2 x (32 + 2) tally cells, 34 x 2 result cells
-        cfg = SimConfig(model=gw_binary(), horizon=32, query_times=(32,), replicates=34, seed=0)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=32, query_times=(32,), replicates=34, seed=0)
         assert simulate(cfg).counts.shape == (34, 1)
         with pytest.raises(CapTooLarge):
             simulate(replace(cfg, replicates=35))
@@ -861,7 +822,7 @@ class TestValidation:
             simulate(replace(cfg, horizon=33))
 
     def test_unsupported_model(self):
-        cfg = SimConfig(model=gw_binary(), horizon=1, query_times=(1,), replicates=1, seed=0)
+        cfg = SimConfig(model=shipped.model("binary_splitting"), horizon=1, query_times=(1,), replicates=1, seed=0)
         object.__setattr__(cfg, "model", object())
         with pytest.raises(ConfigError, match="not a life law"):
             simulate(cfg)

@@ -14,10 +14,8 @@ from gwolab import verify
 from gwolab.errors import BudgetExhausted, ConfigError
 from gwolab.lifelaw import (
     BellmanHarris,
-    DelayedDeath,
     FiniteLife,
     OffspringPMF,
-    QuadraticTailLife,
     Tabulated,
 )
 from gwolab.limitlaw import LimitParams, dichotomy_fraction, eta_marginal_pmf
@@ -34,19 +32,13 @@ from gwolab.verify import (
     tv_to_limit,
 )
 
-
-def gw_binary():
-    return BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.5, 0.0, 0.5]))
-
-
-def delayed_c1():
-    return DelayedDeath([(0.5, (1, 2)), (0.5, ())], QuadraticTailLife(d=1.125, t_min=2))
+import shipped
 
 
 class TestEnumerationOracle:
     def test_gw_binary_by_hand(self):
         # founder dies at 1 leaving 0 or 2; P(Z(2)=0) = 1/2 + 1/2 * (1/2)^2
-        dist = enumerate_joint(gw_binary(), (1, 2))
+        dist = enumerate_joint(shipped.model("binary_splitting"), (1, 2))
         assert dist[(0, 0)] == pytest.approx(0.5, abs=1e-15)
         assert dist[(2, 0)] == pytest.approx(0.5 * 0.25, abs=1e-15)
         assert dist[(2, 4)] == pytest.approx(0.5 * 0.25, abs=1e-15)
@@ -70,12 +62,12 @@ class TestEnumerationOracle:
         assert set(dist) == {(10,)}
 
     def test_total_mass_one(self):
-        for model in (gw_binary(), delayed_c1(), Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)])):
+        for model in map(shipped.model, ["binary_splitting", "delayed_death", "early_births"]):
             dist = enumerate_joint(model, (2, 4))
             assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_saturation_exact_below_clamp(self):
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         full = enumerate_joint(model, (2, 4))
         sat = enumerate_joint(model, (2, 4), saturate=3)
         for v, p in sat.items():
@@ -86,7 +78,7 @@ class TestEnumerationOracle:
         assert lump == pytest.approx(lump_full, abs=1e-14)
 
     def test_tree_pgf_matches_full_enumeration(self):
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         dist = enumerate_joint(model, (2, 4))
         z = (0.4, 0.7)
         direct = sum(p * z[0] ** v[0] * z[1] ** v[1] for v, p in dist.items())
@@ -99,7 +91,7 @@ class TestEnumerationOracle:
 
     def test_rejects_bad_times(self):
         with pytest.raises(ConfigError):
-            enumerate_joint(gw_binary(), ())
+            enumerate_joint(shipped.model("binary_splitting"), ())
 
     @pytest.mark.parametrize(
         "call",
@@ -113,31 +105,27 @@ class TestEnumerationOracle:
     def test_rejects_what_the_dp_rejects(self, call):
         # each used to cut the tree at the last time listed, or to drop t = 3
         with pytest.raises(ConfigError):
-            call(gw_binary())
+            call(shipped.model("binary_splitting"))
 
     def test_rejects_saturation_below_one(self):
         with pytest.raises(ConfigError, match="saturate"):
-            enumerate_joint(gw_binary(), (1, 2), saturate=0)
+            enumerate_joint(shipped.model("binary_splitting"), (1, 2), saturate=0)
 
     def test_rejects_fractional_saturation(self):
         # a clamp of 1.5 used to give count vectors like (1.5, 0)
         with pytest.raises(ConfigError, match="saturate 1.5"):
-            enumerate_joint(gw_binary(), (2, 3), saturate=1.5)
+            enumerate_joint(shipped.model("binary_splitting"), (2, 3), saturate=1.5)
 
     def test_tree_pgf_drops_weight_one(self):
-        model = gw_binary()
+        model = shipped.model("binary_splitting")
         assert tree_pgf(model, (1, 3), (1.0, 0.5)) == tree_pgf(model, (3,), (0.5,))
         assert tree_pgf(model, (1, 3), (1.0, 1.0)) == 1.0
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize(
-        "model",
-        [gw_binary(), Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)]), delayed_c1()],
-        ids=["gw", "tabulated", "delayed"],
-    )
-    def test_engine_matches_enumeration(self, model):
-        report = oracle_equivalence(model, t_small=5)
+    @pytest.mark.parametrize("name", ["binary_splitting", "early_births", "delayed_death"])
+    def test_engine_matches_enumeration(self, name):
+        report = oracle_equivalence(shipped.model(name), t_small=5)
         assert report.all_passed
         assert all(row.tolerance == 1e-12 for row in report.rows)
         assert {row.name for row in report.rows} == {
@@ -148,17 +136,17 @@ class TestOracleEquivalence:
 
     def test_t_small_bounds(self):
         with pytest.raises(ConfigError):
-            oracle_equivalence(gw_binary(), t_small=7)
+            oracle_equivalence(shipped.model("binary_splitting"), t_small=7)
         with pytest.raises(ConfigError):
-            oracle_equivalence(gw_binary(), t_small=0)
+            oracle_equivalence(shipped.model("binary_splitting"), t_small=0)
 
     def test_t_small_must_be_an_integer(self):
         # a float t_small is refused by name, not as the DP's t_max
         with pytest.raises(ConfigError, match="t_small 6.0"):
-            oracle_equivalence(gw_binary(), t_small=6.0)
+            oracle_equivalence(shipped.model("binary_splitting"), t_small=6.0)
 
     def test_t_small_one(self):
-        assert oracle_equivalence(gw_binary(), t_small=1).all_passed
+        assert oracle_equivalence(shipped.model("binary_splitting"), t_small=1).all_passed
 
 
 class TestRichardson:
@@ -176,7 +164,7 @@ class TestRichardson:
 
 class TestLimitConvergence:
     def test_gw_binary(self):
-        report = limit_convergence(gw_binary(), (1.0, 2.0), (0.25, 0.5), (64, 128, 256, 512))
+        report = limit_convergence(shipped.model("binary_splitting"), (1.0, 2.0), (0.25, 0.5), (64, 128, 256, 512))
         assert report.all_passed
         extrap = {r.name: r for r in report.rows}["tQ extrapolation"]
         assert extrap.reference == 2.0
@@ -184,7 +172,7 @@ class TestLimitConvergence:
 
     def test_zero_tail_weight_invariance(self):
         # d = 0: the weighted limit equals the plain one for any weights
-        model = Tabulated([(0.5, (1, 2), 3), (0.5, (), 2)])
+        model = shipped.model("early_births")
         for z in ((0.25, 0.5), (0.9, 0.1)):
             report = limit_convergence(model, (1.0, 2.0), z, (64, 128, 256))
             by = {r.name: r for r in report.rows}
@@ -192,9 +180,9 @@ class TestLimitConvergence:
 
     def test_requires_dyadic_grid(self):
         with pytest.raises(ConfigError):
-            limit_convergence(gw_binary(), (1.0,), (0.5,), (64, 100, 200))
+            limit_convergence(shipped.model("binary_splitting"), (1.0,), (0.5,), (64, 100, 200))
         with pytest.raises(ConfigError):
-            limit_convergence(gw_binary(), (1.0,), (0.5,), (64, 128))
+            limit_convergence(shipped.model("binary_splitting"), (1.0,), (0.5,), (64, 128))
 
     def test_rejects_noncritical(self):
         skewed = BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.25, 0.25, 0.5]))
@@ -203,16 +191,16 @@ class TestLimitConvergence:
 
     def test_grid_must_be_integers(self):
         with pytest.raises(ConfigError, match="64.5"):
-            limit_convergence(gw_binary(), (1.0,), (0.5,), (64.5, 129, 258))
+            limit_convergence(shipped.model("binary_splitting"), (1.0,), (0.5,), (64.5, 129, 258))
 
 
 class TestFddLimit:
     @pytest.mark.parametrize(
         "model, grid, match",
         [
-            (delayed_c1(), (16,), "at least two points"),
+            (shipped.model("delayed_death"), (16,), "at least two points"),
             (BellmanHarris(FiniteLife({1: 1.0}), OffspringPMF([0.25, 0.25, 0.5])), (16, 32), "critical"),
-            (delayed_c1(), (16.5, 32), "grid point 16.5 must be an integer"),
+            (shipped.model("delayed_death"), (16.5, 32), "grid point 16.5 must be an integer"),
         ],
         ids=["one_point_grid", "noncritical", "fractional_grid"],
     )
@@ -221,7 +209,7 @@ class TestFddLimit:
             fdd_limit_check(model, (1.0,), grid)
 
     def test_delayed_c1_marginal_trend(self):
-        model = delayed_c1()
+        model = shipped.model("delayed_death")
         report = fdd_limit_check(model, (1.0,), (16, 32, 64), K=10, replicates=8000)
         assert report.all_passed
         tv_rows = [r for r in report.rows if r.name.startswith("tv")]
@@ -230,13 +218,13 @@ class TestFddLimit:
         )
 
     def test_tv_within_unit_interval(self):
-        model = delayed_c1()
+        model = shipped.model("delayed_death")
         tv = tv_to_limit(model, (1.0, 2.0), 32, 8, c=1.0)
         assert 0.0 <= tv <= 1.0
 
     def test_conditioned_count_trend_matches_limit_value(self):
         # P(Z=1 | survival) at growing t vs the limit mass at one
-        model = delayed_c1()
+        model = shipped.model("delayed_death")
         target = eta_marginal_pmf(LimitParams(1.0), 1.0, 1).probs[1]
         assert target == pytest.approx((2.0 - math.sqrt(2.0)) / 4.0, abs=1e-12)
         from gwolab.exact_engine import FddSpec, conditional_pmf
@@ -253,39 +241,39 @@ class TestFddLimit:
     def test_scale_two_conditions_at_t(self):
         # counts at 2t given Z(t) > 0: Z(2t) = 0 carries about 0.45 of the
         # mass, so a Monte Carlo row conditioned at 2t would fail
-        report = fdd_limit_check(delayed_c1(), (2.0,), (32, 64, 128))
+        report = fdd_limit_check(shipped.model("delayed_death"), (2.0,), (32, 64, 128))
         assert report.all_passed
         assert report.rows[-1].name == "mc pmf at t=32 (1999 survivors)"
 
     def test_mc_left_of_scale_one_conditions_at_t(self):
         # t is the last simulated time here; no gate on the limit left of 1
-        report = fdd_limit_check(delayed_c1(), (0.5,), (32, 64), replicates=8000)
+        report = fdd_limit_check(shipped.model("delayed_death"), (0.5,), (32, 64), replicates=8000)
         assert report.rows[-1].passed
         assert report.rows[-1].name.startswith("mc pmf at t=32 (")
 
     def test_tv_at_scale_two_falls(self):
-        tvs = [tv_to_limit(delayed_c1(), (2.0,), t, 10, 1.0) for t in (64, 128, 256)]
+        tvs = [tv_to_limit(shipped.model("delayed_death"), (2.0,), t, 10, 1.0) for t in (64, 128, 256)]
         assert tvs[0] > tvs[1] > tvs[2]
         assert tvs[2] < 0.01
 
     def test_mc_row_holds_each_cell_to_the_family_wise_bound(self):
         # 12 cells (counts 0..10 and the overflow): at seed 56 the worst
         # reads 3.25 sigma, past 3 but within the Bonferroni bound 3.689
-        report = fdd_limit_check(delayed_c1(), (2.0,), (16, 32), seed=56)
+        report = fdd_limit_check(shipped.model("delayed_death"), (2.0,), (16, 32), seed=56)
         mc = report.rows[-1]
         assert mc.tolerance == pytest.approx(3.6892, abs=1e-4)
         assert 3.0 < mc.statistic <= mc.tolerance
         assert report.all_passed
 
     def test_mc_row_fails_a_wrong_law(self, monkeypatch):
-        wrong, simulate = gw_binary(), verify.simulate
+        wrong, simulate = shipped.model("binary_splitting"), verify.simulate
         monkeypatch.setattr(verify, "simulate", lambda cfg: simulate(dataclasses.replace(cfg, model=wrong)))
-        mc = fdd_limit_check(delayed_c1(), (2.0,), (16, 32)).rows[-1]
+        mc = fdd_limit_check(shipped.model("delayed_death"), (2.0,), (16, 32)).rows[-1]
         assert mc.statistic > mc.tolerance and not mc.passed
 
     def test_no_survivors_fails_the_mc_row(self):
         # replicate 0 of seed 0 dies out before t = 8
-        report = fdd_limit_check(delayed_c1(), (1.0,), (8, 16), K=4, replicates=1, seed=0)
+        report = fdd_limit_check(shipped.model("delayed_death"), (1.0,), (8, 16), K=4, replicates=1, seed=0)
         mc = report.rows[-1]
         assert mc.name == "mc pmf at t=8 (0 survivors)"
         assert mc.statistic == math.inf
@@ -297,14 +285,15 @@ class TestFddLimit:
         # below 10 survivors the sigma floor 5 / n would pass 1, and
         # p (1 - p) under the square root would turn negative; capped at
         # 1/2 it stays positive (a RuntimeWarning is an error here)
-        mc = fdd_limit_check(delayed_c1(), (1.0,), (8, 16), K=4, replicates=replicates, seed=0).rows[-1]
+        model = shipped.model("delayed_death")
+        mc = fdd_limit_check(model, (1.0,), (8, 16), K=4, replicates=replicates, seed=0).rows[-1]
         assert mc.name == f"mc pmf at t=8 ({survivors} survivors)"
         assert math.isfinite(mc.statistic) or not mc.passed
 
 
 class TestReporting:
     def test_json_roundtrip(self):
-        reports = [oracle_equivalence(gw_binary(), t_small=3)]
+        reports = [oracle_equivalence(shipped.model("binary_splitting"), t_small=3)]
         buf = io.StringIO()
         report_json(reports, buf)
         payload = json.loads(buf.getvalue())
